@@ -1,6 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (see DESIGN.md's experiment index and EXPERIMENTS.md for the
-// recorded results). Run with:
+// evaluation. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -291,8 +290,8 @@ func BenchmarkAblationDecomposer(b *testing.B) {
 	}
 }
 
-// BenchmarkDictionaryEncoding is the dictionary-encoding ablation from
-// DESIGN.md: interning cost per triple during a bulk load.
+// BenchmarkDictionaryEncoding measures the interning cost per triple
+// during a bulk load.
 func BenchmarkDictionaryEncoding(b *testing.B) {
 	cfg := elinda.DefaultDataConfig()
 	cfg.Persons = 500

@@ -1,10 +1,9 @@
-// Command elinda-bench regenerates the paper's evaluation outputs (see
-// DESIGN.md's experiment index). Each experiment prints the paper's
-// reported numbers next to the measured ones, so the reproduction can be
-// judged at a glance. Absolute runtimes differ from the paper (their
-// substrate was a Virtuoso deployment; ours is an in-process Go engine),
-// but the ordering and the orders-of-magnitude gaps are the claim under
-// test.
+// Command elinda-bench regenerates the paper's evaluation outputs. Each
+// experiment prints the paper's reported numbers next to the measured
+// ones, so the reproduction can be judged at a glance. Absolute runtimes
+// differ from the paper (their substrate was a Virtuoso deployment; ours
+// is an in-process Go engine), but the ordering and the
+// orders-of-magnitude gaps are the claim under test.
 //
 // Usage:
 //
@@ -58,7 +57,7 @@ import (
 
 func main() {
 	var (
-		experiment  = flag.String("experiment", "all", "fig4 | facts | incremental | incremental-parallel | ablation-hvs | ablation-decomposer | ablation-planner | query-engine | join | store-snapshot | ingest | wal | fleet | update | all")
+		experiment  = flag.String("experiment", "all", "fig4 | facts | incremental | incremental-parallel | ablation-hvs | ablation-decomposer | query-engine | join | store-snapshot | ingest | wal | fleet | update | all")
 		persons     = flag.Int("persons", 20000, "synthetic dataset size for timing experiments")
 		factsSize   = flag.Int("facts-persons", 2000, "dataset size for the text-fact experiments")
 		jsonOut     = flag.String("json-out", "BENCH_query.json", "machine-readable output path for the query-engine experiment")
@@ -69,7 +68,7 @@ func main() {
 		updateOut   = flag.String("update-json-out", "BENCH_update.json", "machine-readable output path for the update experiment")
 		joinOut     = flag.String("join-json-out", "BENCH_join.json", "machine-readable output path for the join experiment")
 		joinNodes   = flag.Int("join-nodes", 4000, "graph size (nodes) for the join experiment")
-		joinExplain = flag.Bool("join-explain", false, "print the EXPLAIN plan for each join workload and configuration")
+		joinExplain = flag.Bool("join-explain", false, "print the EXPLAIN plan for each join workload")
 		walRecords  = flag.Int("wal-records", 20000, "record count for the wal append/replay measurements (the fsync-per-append policy uses a tenth)")
 		triples     = flag.Int("triples", 1_000_000, "synthetic triple count for the store-snapshot and ingest bulk-load measurements")
 		compare     = flag.Bool("compare", false, "compare two BENCH_*.json files: -compare old.json new.json [-tolerance 3x]; exits 1 on regression")
@@ -96,8 +95,6 @@ func main() {
 		runAblationHVS(*persons)
 	case "ablation-decomposer":
 		runAblationDecomposer(*persons)
-	case "ablation-planner":
-		runAblationPlanner(*persons)
 	case "query-engine":
 		runQueryEngine(*persons, *jsonOut)
 	case "join":
@@ -124,8 +121,6 @@ func main() {
 		runAblationHVS(*persons)
 		fmt.Println()
 		runAblationDecomposer(*persons)
-		fmt.Println()
-		runAblationPlanner(*persons)
 		fmt.Println()
 		runQueryEngine(*persons, *jsonOut)
 		fmt.Println()
@@ -204,38 +199,6 @@ func runFig4(persons int) {
 	}
 	fmt.Println()
 	fmt.Print(viz.RuntimeChart("Figure 4 (log-scale bars)", []string{"outgoing", "incoming"}, series, 44))
-}
-
-// runAblationPlanner reproduces A3: the engine's join-order planner on
-// and off for a selective lookup query.
-func runAblationPlanner(persons int) {
-	fmt.Println("== A3: join-order planner ablation ==")
-	sys := buildSystem(persons)
-	// A selective query written with the broad pattern first: the planner
-	// must reorder it.
-	src := `SELECT ?s ?o WHERE {
-  ?s <` + datagen.OntNS + `influencedBy> ?o .
-  ?s a <` + datagen.OntNS + `Philosopher> .
-}`
-	q, err := sparql.Parse(src)
-	if err != nil {
-		log.Fatal(err)
-	}
-	planned := sparql.NewEngine(sys.Store)
-	unplanned := sparql.NewEngine(sys.Store)
-	unplanned.DisablePlanner = true
-
-	timeIt := func(e *sparql.Engine) time.Duration {
-		start := time.Now()
-		if _, err := e.Execute(context.Background(), q); err != nil {
-			log.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	rows := map[string][2]time.Duration{
-		"philosopher-influencedBy": {timeIt(unplanned), timeIt(planned)},
-	}
-	fmt.Print(viz.SpeedupTable("planner off vs on", "unplanned", "planned", rows))
 }
 
 // runFacts reproduces the text facts T1–T3 and T5.
@@ -403,11 +366,9 @@ func runIncrementalParallel(persons int) {
 
 // queryBenchRow is one workload measurement in BENCH_query.json.
 type queryBenchRow struct {
-	Name     string  `json:"name"`
-	Rows     int     `json:"rows"`
-	StreamNs int64   `json:"stream_ns"`
-	LegacyNs int64   `json:"legacy_ns"`
-	Speedup  float64 `json:"speedup"`
+	Name     string `json:"name"`
+	Rows     int    `json:"rows"`
+	StreamNs int64  `json:"stream_ns"`
 }
 
 // queryBenchReport is the machine-readable result of the query-engine
@@ -420,11 +381,29 @@ type queryBenchReport struct {
 	Workloads   []queryBenchRow `json:"workloads"`
 }
 
-// runQueryEngine measures the ID-space streaming executor against the
-// legacy map-based path on BGP-join, DISTINCT, GROUP BY and
+// bestOf3 executes q three times on e and returns the fastest run and
+// its row count.
+func bestOf3(e *sparql.Engine, q *sparql.Query) (time.Duration, int) {
+	best := time.Duration(0)
+	rows := 0
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		res, err := e.Execute(context.Background(), q)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if d := time.Since(start); best == 0 || d < best {
+			best = d
+		}
+		rows = len(res.Rows)
+	}
+	return best, rows
+}
+
+// runQueryEngine times the executor on BGP-join, DISTINCT, GROUP BY and
 // expansion-shaped workloads, and writes BENCH_query.json.
 func runQueryEngine(persons int, jsonOut string) {
-	fmt.Println("== Query engine: ID-space streaming executor vs legacy map-based path ==")
+	fmt.Println("== Query engine: ID-space streaming executor ==")
 	sys := buildSystem(persons)
 	fmt.Printf("dataset: %d triples (persons=%d)\n\n", sys.Store.Len(), persons)
 
@@ -444,55 +423,22 @@ func runQueryEngine(persons int, jsonOut string) {
 		{"groupby-pred", `SELECT ?p (COUNT(?s) AS ?n) WHERE { ?s ?p ?o . } GROUP BY ?p ORDER BY DESC(?n)`},
 	}
 
-	stream := sparql.NewEngine(sys.Store)
-	legacy := sparql.NewEngine(sys.Store)
-	legacy.UseLegacy = true
-
-	const iters = 3
-	measure := func(e *sparql.Engine, q *sparql.Query) (time.Duration, int) {
-		best := time.Duration(0)
-		rows := 0
-		for i := 0; i < iters; i++ {
-			start := time.Now()
-			res, err := e.Execute(context.Background(), q)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if d := time.Since(start); best == 0 || d < best {
-				best = d
-			}
-			rows = len(res.Rows)
-		}
-		return best, rows
-	}
-
+	eng := sparql.NewEngine(sys.Store)
 	report := queryBenchReport{
 		Experiment:  "query-engine",
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Persons:     persons,
 		Triples:     sys.Store.Len(),
 	}
-	fmt.Printf("%-18s %10s %14s %14s %9s\n", "workload", "rows", "stream", "legacy", "speedup")
+	fmt.Printf("%-18s %10s %14s\n", "workload", "rows", "t(best of 3)")
 	for _, w := range workloads {
 		q, err := sparql.Parse(w.src)
 		if err != nil {
 			log.Fatalf("%s: %v", w.name, err)
 		}
-		streamT, rowsS := measure(stream, q)
-		legacyT, rowsL := measure(legacy, q)
-		if rowsS != rowsL {
-			log.Fatalf("%s: executor row counts diverge: stream=%d legacy=%d", w.name, rowsS, rowsL)
-		}
-		speedup := float64(legacyT) / float64(streamT)
-		fmt.Printf("%-18s %10d %14s %14s %8.2fx\n", w.name, rowsS,
-			streamT.Round(time.Microsecond), legacyT.Round(time.Microsecond), speedup)
-		report.Workloads = append(report.Workloads, queryBenchRow{
-			Name:     w.name,
-			Rows:     rowsS,
-			StreamNs: streamT.Nanoseconds(),
-			LegacyNs: legacyT.Nanoseconds(),
-			Speedup:  speedup,
-		})
+		d, rows := bestOf3(eng, q)
+		fmt.Printf("%-18s %10d %14s\n", w.name, rows, d.Round(time.Microsecond))
+		report.Workloads = append(report.Workloads, queryBenchRow{Name: w.name, Rows: rows, StreamNs: d.Nanoseconds()})
 	}
 
 	data, err := json.MarshalIndent(report, "", "  ")
@@ -581,62 +527,6 @@ func runAblationDecomposer(persons int) {
 
 // --- store-snapshot experiment ---
 
-// seedIndex replicates the pre-snapshot store build for the bulk-load
-// baseline: map-of-maps permutation indexes whose sorted posting lists
-// are maintained by per-insert binary-search-and-shift — the exact index
-// maintenance the columnar sort-once Load replaced.
-type seedIndex struct {
-	spo, pos, osp map[rdf.ID]map[rdf.ID][]rdf.ID
-	nS, nP, nO    map[rdf.ID]int
-	log           []rdf.EncodedTriple
-}
-
-func newSeedIndex() *seedIndex {
-	return &seedIndex{
-		spo: map[rdf.ID]map[rdf.ID][]rdf.ID{},
-		pos: map[rdf.ID]map[rdf.ID][]rdf.ID{},
-		osp: map[rdf.ID]map[rdf.ID][]rdf.ID{},
-		nS:  map[rdf.ID]int{},
-		nP:  map[rdf.ID]int{},
-		nO:  map[rdf.ID]int{},
-	}
-}
-
-func seedInsert(idx map[rdf.ID]map[rdf.ID][]rdf.ID, a, b, c rdf.ID) {
-	m, ok := idx[a]
-	if !ok {
-		m = make(map[rdf.ID][]rdf.ID, 2)
-		idx[a] = m
-	}
-	list := m[b]
-	if n := len(list); n == 0 || list[n-1] < c {
-		m[b] = append(list, c)
-		return
-	}
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= c })
-	list = append(list, 0)
-	copy(list[i+1:], list[i:])
-	list[i] = c
-	m[b] = list
-}
-
-func (x *seedIndex) add(e rdf.EncodedTriple) {
-	if byP, ok := x.spo[e.S]; ok {
-		list := byP[e.P]
-		i := sort.Search(len(list), func(i int) bool { return list[i] >= e.O })
-		if i < len(list) && list[i] == e.O {
-			return
-		}
-	}
-	x.log = append(x.log, e)
-	seedInsert(x.spo, e.S, e.P, e.O)
-	seedInsert(x.pos, e.P, e.O, e.S)
-	seedInsert(x.osp, e.O, e.S, e.P)
-	x.nS[e.S]++
-	x.nP[e.P]++
-	x.nO[e.O]++
-}
-
 // storeBenchReport is the machine-readable result of the store-snapshot
 // experiment (BENCH_store.json).
 type storeBenchReport struct {
@@ -645,27 +535,19 @@ type storeBenchReport struct {
 	Triples     int    `json:"triples"`
 
 	BulkLoad struct {
-		// EncodeNs is the dictionary-encoding pass both pipelines pay
-		// identically (measured on its own dictionary).
+		// EncodeNs is the dictionary-encoding share of a load, measured
+		// on a dictionary of its own; BulkNs - EncodeNs is the sort-once
+		// index build.
 		EncodeNs int64 `json:"encode_ns"`
-		// BulkNs / PerInsertNs are full end-to-end loads (encode + index
-		// build) for the sort-once columnar path and the per-insert
-		// binary-search-and-shift baseline.
+		// BulkNs is the full end-to-end load (encode + index build).
 		BulkNs        int64   `json:"bulk_ns"`
-		PerInsertNs   int64   `json:"per_insert_ns"`
 		TriplesPerSec float64 `json:"triples_per_sec"`
-		// Speedup is the index-maintenance speedup (encode subtracted
-		// from both sides) — the cost the columnar rebuild replaces.
-		Speedup         float64 `json:"speedup"`
-		EndToEndSpeedup float64 `json:"end_to_end_speedup"`
 	} `json:"bulk_load"`
 
 	ReadLatency struct {
 		SnapshotNsOp           float64 `json:"snapshot_ns_op"`
-		LockedNsOp             float64 `json:"locked_ns_op"`
 		Goroutines             int     `json:"goroutines"`
 		ConcurrentSnapshotNsOp float64 `json:"concurrent_snapshot_ns_op"`
-		ConcurrentLockedNsOp   float64 `json:"concurrent_locked_ns_op"`
 	} `json:"read_latency"`
 
 	ParallelBGP []struct {
@@ -679,9 +561,7 @@ type storeBenchReport struct {
 // storeBenchTriples builds the bulk-load workload: the DBpedia-like
 // dataset scaled to roughly n triples, shuffled with a fixed seed. Real
 // bulk loads (dataset dumps, merged crawls) do not arrive in dictionary
-// order, and the shuffle is what exposes the per-insert baseline's
-// binary-search-and-shift cost on hot posting lists (every class's
-// rdf:type list receives its subjects in random order).
+// order, so the sort-once build is measured on unsorted input.
 func storeBenchTriples(n int) []rdf.Triple {
 	cfg := elinda.DefaultDataConfig()
 	cfg.Persons = n/19 + 1 // ~19 triples per person
@@ -692,25 +572,21 @@ func storeBenchTriples(n int) []rdf.Triple {
 }
 
 // runStoreSnapshot measures the immutable-snapshot store: sort-once bulk
-// load against the per-insert baseline, lock-free snapshot reads against
-// an RWMutex+copy emulation of the old read path, and the parallel BGP
-// fan-out at P = 1/2/4/8. Writes BENCH_store.json.
+// load, lock-free snapshot reads serial and concurrent, and the parallel
+// BGP fan-out at P = 1/2/4/8. Writes BENCH_store.json.
 func runStoreSnapshot(triples, persons int, jsonOut string) {
 	fmt.Println("== Store snapshot: columnar bulk load, lock-free reads, parallel BGP ==")
 	var report storeBenchReport
 	report.Experiment = "store-snapshot"
 	report.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
 
-	// --- Bulk load: sort-once columnar build vs per-insert shifting ---
+	// --- Bulk load: sort-once columnar build ---
 	ts := storeBenchTriples(triples)
 	report.Triples = len(ts)
 
-	// Each phase runs best-of-2: the three phases pay identical
-	// dictionary-encode costs, so per-phase minima filter the machine
-	// noise that would otherwise dominate the ratio.
-	// The dictionary-encoding pass is identical in both pipelines;
-	// measured on a throwaway dictionary, it isolates the
-	// index-maintenance speedup.
+	// Each phase runs best-of-2 to filter machine noise. The
+	// dictionary-encoding pass, measured on a throwaway dictionary,
+	// splits the load into its encode and index-build shares.
 	encodeT := bestOf2(func() {
 		d := rdf.NewDict(len(ts) / 4)
 		for _, t := range ts {
@@ -726,19 +602,6 @@ func runStoreSnapshot(triples, persons int, jsonOut string) {
 		}
 	})
 	triples = st.Len()
-
-	var seedLen int
-	perInsertT := bestOf2(func() {
-		seedDict := rdf.NewDict(len(ts) / 4)
-		seed := newSeedIndex()
-		for _, t := range ts {
-			seed.add(seedDict.Encode(t))
-		}
-		seedLen = len(seed.log)
-	})
-	if seedLen != st.Len() {
-		log.Fatalf("baseline and store disagree: %d vs %d triples", seedLen, st.Len())
-	}
 	// Release the raw triples before the latency and query sections so
 	// their GC pressure does not leak into them.
 	ts = nil
@@ -746,22 +609,11 @@ func runStoreSnapshot(triples, persons int, jsonOut string) {
 
 	report.BulkLoad.EncodeNs = encodeT.Nanoseconds()
 	report.BulkLoad.BulkNs = bulkT.Nanoseconds()
-	report.BulkLoad.PerInsertNs = perInsertT.Nanoseconds()
 	report.BulkLoad.TriplesPerSec = float64(triples) / bulkT.Seconds()
-	indexBulk, indexSeed := bulkT-encodeT, perInsertT-encodeT
-	if indexBulk <= 0 {
-		indexBulk = 1
-	}
-	report.BulkLoad.Speedup = float64(indexSeed) / float64(indexBulk)
-	report.BulkLoad.EndToEndSpeedup = float64(perInsertT) / float64(bulkT)
-	fmt.Printf("bulk load %d triples: sort-once %s (%.0f triples/s) vs per-insert %s [encode %s on both]\n",
-		triples, bulkT.Round(time.Millisecond), report.BulkLoad.TriplesPerSec,
-		perInsertT.Round(time.Millisecond), encodeT.Round(time.Millisecond))
-	fmt.Printf("  index maintenance: %s vs %s — %.1fx (end to end %.1fx)\n",
-		indexBulk.Round(time.Millisecond), indexSeed.Round(time.Millisecond),
-		report.BulkLoad.Speedup, report.BulkLoad.EndToEndSpeedup)
+	fmt.Printf("bulk load %d triples: %s (%.0f triples/s), of which dictionary encode %s\n",
+		triples, bulkT.Round(time.Millisecond), report.BulkLoad.TriplesPerSec, encodeT.Round(time.Millisecond))
 
-	// --- Read latency: zero-copy lock-free snapshot vs RWMutex+copy ---
+	// --- Read latency: zero-copy lock-free snapshot probes ---
 	// Probe (subject, predicate) pairs sampled evenly from the loaded log.
 	snap := st.Snapshot()
 	nProbes := 1 << 14
@@ -781,23 +633,15 @@ func runStoreSnapshot(triples, persons int, jsonOut string) {
 		return true
 	})
 	nProbes = len(subjects)
-	var mu sync.RWMutex
-	lockedObjects := func(s, p rdf.ID) []rdf.ID {
-		mu.RLock()
-		defer mu.RUnlock()
-		objs := snap.Objects(s, p)
-		out := make([]rdf.ID, len(objs))
-		copy(out, objs)
-		return out
-	}
+	var mu sync.Mutex // guards sink across the probe goroutines
 	sink := 0
-	measureReads := func(read func(s, p rdf.ID) []rdf.ID, goroutines int) float64 {
+	measureReads := func(goroutines int) float64 {
 		const rounds = 8
 		start := time.Now()
 		if goroutines <= 1 {
 			for r := 0; r < rounds; r++ {
 				for i := range subjects {
-					sink += len(read(subjects[i], preds[i]))
+					sink += len(snap.Objects(subjects[i], preds[i]))
 				}
 			}
 		} else {
@@ -809,7 +653,7 @@ func runStoreSnapshot(triples, persons int, jsonOut string) {
 					n := 0
 					for r := 0; r < rounds; r++ {
 						for i := g; i < len(subjects); i += goroutines {
-							n += len(read(subjects[i], preds[i]))
+							n += len(snap.Objects(subjects[i], preds[i]))
 						}
 					}
 					mu.Lock()
@@ -825,14 +669,11 @@ func runStoreSnapshot(triples, persons int, jsonOut string) {
 	if goroutines > 8 {
 		goroutines = 8
 	}
-	report.ReadLatency.SnapshotNsOp = measureReads(snap.Objects, 1)
-	report.ReadLatency.LockedNsOp = measureReads(lockedObjects, 1)
+	report.ReadLatency.SnapshotNsOp = measureReads(1)
 	report.ReadLatency.Goroutines = goroutines
-	report.ReadLatency.ConcurrentSnapshotNsOp = measureReads(snap.Objects, goroutines)
-	report.ReadLatency.ConcurrentLockedNsOp = measureReads(lockedObjects, goroutines)
-	fmt.Printf("read latency (Objects probe): lock-free %.0f ns/op vs locked+copy %.0f ns/op; at %d goroutines %.0f vs %.0f ns/op\n",
-		report.ReadLatency.SnapshotNsOp, report.ReadLatency.LockedNsOp, goroutines,
-		report.ReadLatency.ConcurrentSnapshotNsOp, report.ReadLatency.ConcurrentLockedNsOp)
+	report.ReadLatency.ConcurrentSnapshotNsOp = measureReads(goroutines)
+	fmt.Printf("read latency (Objects probe): %.0f ns/op; at %d goroutines %.0f ns/op\n",
+		report.ReadLatency.SnapshotNsOp, goroutines, report.ReadLatency.ConcurrentSnapshotNsOp)
 
 	// --- Parallel BGP: root-pattern fan-out at P = 1/2/4/8 ---
 	// Drop the bulk-load store first, for the same GC-isolation reason.
@@ -852,19 +693,7 @@ func runStoreSnapshot(triples, persons int, jsonOut string) {
 	for _, p := range []int{1, 2, 4, 8} {
 		e := sparql.NewEngine(sys.Store)
 		e.Workers = p
-		best := time.Duration(0)
-		rows := 0
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			res, err := e.Execute(context.Background(), q)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if t := time.Since(start); best == 0 || t < best {
-				best = t
-			}
-			rows = len(res.Rows)
-		}
+		best, rows := bestOf3(e, q)
 		if base == 0 {
 			base = best
 		}
@@ -1627,22 +1456,11 @@ func isTimingKey(k string) bool {
 	return strings.HasSuffix(k, "_ns") || strings.HasSuffix(k, "ns_op")
 }
 
-// joinBenchRow is one workload measurement in BENCH_join.json: the same
-// query under the four planner × join-operator configurations.
+// joinBenchRow is one workload measurement in BENCH_join.json.
 type joinBenchRow struct {
-	Name string `json:"name"`
-	Rows int    `json:"rows"`
-	// ns per execution (best of 3) per configuration.
-	DPLeapfrogNs     int64 `json:"dp_leapfrog_ns"`
-	DPCascadeNs      int64 `json:"dp_cascade_ns"`
-	GreedyLeapfrogNs int64 `json:"greedy_leapfrog_ns"`
-	GreedyHashNs     int64 `json:"greedy_hash_ns"`
-	// LeapfrogSpeedup isolates the operator: DP cascade / DP leapfrog.
-	LeapfrogSpeedup float64 `json:"leapfrog_speedup"`
-	// TotalSpeedup is the full-stack claim: the greedy-ordered legacy
-	// evaluator with materializing hash joins / DP + leapfrog (the
-	// current default).
-	TotalSpeedup float64 `json:"total_speedup"`
+	Name   string `json:"name"`
+	Rows   int    `json:"rows"`
+	ExecNs int64  `json:"exec_ns"` // best of 3
 }
 
 // joinBenchReport is the machine-readable result of the join experiment.
@@ -1657,8 +1475,8 @@ type joinBenchReport struct {
 // joinGraph builds the skewed synthetic digraph the join experiment
 // queries: every node has a few random out-edges, a small set of hubs
 // has many, and type marks partition the nodes for the star workload.
-// The skew is the point — cascaded binary joins pay degree(hub) probes
-// per intermediate row exactly where the multiway intersection gallops.
+// The skew is the point — a join pays degree(hub) probes per
+// intermediate row unless the multiway intersection gallops past them.
 func joinGraph(nodes int) *store.Store {
 	r := rand.New(rand.NewSource(7))
 	node := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://example.org/n%d", i)) }
@@ -1687,11 +1505,11 @@ func joinGraph(nodes int) *store.Store {
 	return st
 }
 
-// runJoin measures the cost-based DP planner and the leapfrog multiway
-// intersection against greedy ordering and cascaded binary joins on
-// cyclic (triangle), star and chain BGPs, and writes BENCH_join.json.
+// runJoin times the planner and join operators on cyclic (triangle),
+// star and chain BGPs over the skewed graph, as a regression signal for
+// the one execution path, and writes BENCH_join.json.
 func runJoin(nodes int, jsonOut string, explain bool) {
-	fmt.Println("== Join: DP planner + leapfrog intersection vs greedy + hash joins ==")
+	fmt.Println("== Join: triangle, star and chain BGPs ==")
 	st := joinGraph(nodes)
 	fmt.Printf("dataset: %d triples (%d nodes, skewed out-degree)\n\n", st.Len(), nodes)
 
@@ -1714,90 +1532,29 @@ func runJoin(nodes int, jsonOut string, explain bool) {
   ?c a <http://example.org/Active> . }`},
 	}
 
-	config := func(mode sparql.PlannerMode, noLeap bool) *sparql.Engine {
-		e := sparql.NewEngine(st)
-		e.Planner = mode
-		e.DisableLeapfrog = noLeap
-		return e
-	}
-	// The baseline engine is the legacy map-based evaluator: greedy
-	// planPatterns ordering plus materializing joins — the engine this PR
-	// replaces as the default execution path.
-	hash := sparql.NewEngine(st)
-	hash.UseLegacy = true
-	engines := []struct {
-		name string
-		eng  *sparql.Engine
-	}{
-		{"dp+leapfrog", config(sparql.PlannerDP, false)},
-		{"dp+cascade", config(sparql.PlannerDP, true)},
-		{"greedy+leapfrog", config(sparql.PlannerGreedy, false)},
-		{"greedy+hash", hash},
-	}
-
-	const iters = 3
-	measure := func(e *sparql.Engine, q *sparql.Query) (time.Duration, int) {
-		best := time.Duration(0)
-		rows := 0
-		for i := 0; i < iters; i++ {
-			start := time.Now()
-			res, err := e.Execute(context.Background(), q)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if d := time.Since(start); best == 0 || d < best {
-				best = d
-			}
-			rows = len(res.Rows)
-		}
-		return best, rows
-	}
-
+	eng := sparql.NewEngine(st)
 	report := joinBenchReport{
 		Experiment:  "join",
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Nodes:       nodes,
 		Triples:     st.Len(),
 	}
-	fmt.Printf("%-10s %9s %14s %14s %14s %14s %8s %8s\n",
-		"workload", "rows", "dp+leap", "dp+cascade", "greedy+leap", "greedy+hash", "op", "total")
+	fmt.Printf("%-10s %9s %14s\n", "workload", "rows", "t(best of 3)")
 	for _, w := range workloads {
 		q, err := sparql.Parse(w.src)
 		if err != nil {
 			log.Fatalf("%s: %v", w.name, err)
 		}
 		if explain {
-			for _, c := range engines {
-				rep, err := c.eng.Explain(context.Background(), w.src)
-				if err != nil {
-					log.Fatal(err)
-				}
-				fmt.Printf("-- %s / %s --\n%s", w.name, c.name, rep.String())
+			rep, err := eng.Explain(context.Background(), w.src)
+			if err != nil {
+				log.Fatal(err)
 			}
+			fmt.Printf("-- %s --\n%s", w.name, rep.String())
 		}
-		var ns [4]int64
-		rows := -1
-		for i, c := range engines {
-			d, n := measure(c.eng, q)
-			ns[i] = d.Nanoseconds()
-			if rows >= 0 && n != rows {
-				log.Fatalf("%s: %s row count diverges: %d vs %d", w.name, c.name, n, rows)
-			}
-			rows = n
-		}
-		row := joinBenchRow{
-			Name: w.name, Rows: rows,
-			DPLeapfrogNs: ns[0], DPCascadeNs: ns[1],
-			GreedyLeapfrogNs: ns[2], GreedyHashNs: ns[3],
-			LeapfrogSpeedup: float64(ns[1]) / float64(ns[0]),
-			TotalSpeedup:    float64(ns[3]) / float64(ns[0]),
-		}
-		fmt.Printf("%-10s %9d %14s %14s %14s %14s %7.2fx %7.2fx\n",
-			w.name, rows,
-			time.Duration(ns[0]).Round(time.Microsecond), time.Duration(ns[1]).Round(time.Microsecond),
-			time.Duration(ns[2]).Round(time.Microsecond), time.Duration(ns[3]).Round(time.Microsecond),
-			row.LeapfrogSpeedup, row.TotalSpeedup)
-		report.Workloads = append(report.Workloads, row)
+		d, rows := bestOf3(eng, q)
+		fmt.Printf("%-10s %9d %14s\n", w.name, rows, d.Round(time.Microsecond))
+		report.Workloads = append(report.Workloads, joinBenchRow{Name: w.name, Rows: rows, ExecNs: d.Nanoseconds()})
 	}
 
 	data, err := json.MarshalIndent(report, "", "  ")

@@ -22,7 +22,6 @@ func newAPI(sys *elinda.System) *api { return &api{sys: sys} }
 
 func (a *api) register(mux *http.ServeMux) {
 	mux.HandleFunc("/api/stats", a.stats)
-	mux.HandleFunc("/api/insert", a.insert)
 	mux.HandleFunc("/api/classes", a.classes)
 	mux.HandleFunc("/api/pane", a.pane)
 	mux.HandleFunc("/api/chart", a.chart)
@@ -52,53 +51,6 @@ func (a *api) stats(w http.ResponseWriter, r *http.Request) {
 		"properties":      s.Predicates,
 		"typedSubjects":   s.TypedSubjects,
 	})
-}
-
-// maxInsertBytes bounds an /api/insert request body; large loads belong
-// in the offline ingest path, not a single HTTP POST.
-const maxInsertBytes = 8 << 20
-
-// insert implements POST /api/insert with an N-Triples body.
-//
-// Deprecated endpoint: it survives as a thin alias over the live
-// mutation path — the body becomes one atomic Delta applied through
-// System.Apply, so with an attached WAL every triple counted in "added"
-// was durable before the response was written (the kill -9 recovery demo
-// still exercises it). New clients should POST SPARQL Update requests to
-// /sparql instead; the response advertises that with a Deprecation
-// header and a successor Link.
-func (a *api) insert(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST an N-Triples body", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</sparql>; rel="successor-version"`)
-	triples, err := rdf.ReadNTriples(http.MaxBytesReader(w, r.Body, maxInsertBytes))
-	if err != nil {
-		badRequest(w, "parse body: %v", err)
-		return
-	}
-	var d elinda.Delta
-	d.Insert(triples...)
-	res, err := a.sys.Apply(d)
-	if err != nil {
-		// The atomic delta either fully committed or not at all.
-		writeJSONStatus(w, http.StatusInternalServerError, map[string]any{
-			"received": len(triples),
-			"added":    0,
-			"error":    err.Error(),
-		})
-		return
-	}
-	writeJSON(w, map[string]any{"received": len(triples), "added": res.Inserted})
-}
-
-func writeJSONStatus(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
 }
 
 // classes implements GET /api/classes?q=phil — the autocomplete box.

@@ -4,7 +4,7 @@
 //
 //	/sparql   — SPARQL endpoint (SPARQL 1.1 JSON results, streamed)
 //	/api/...  — the explorer JSON API the single-page frontend consumes
-//	/healthz  — liveness probe with store statistics
+//	/healthz  — liveness probe (triple count and store generation)
 //	/readyz   — readiness probe (503 while loading, replaying, draining)
 //	/metrics  — serving-tier metrics (routes, cache, admission, latency)
 //
@@ -43,7 +43,6 @@ import (
 	"elinda/internal/metrics"
 	"elinda/internal/proxy"
 	"elinda/internal/rdf"
-	"elinda/internal/sparql"
 	"elinda/internal/store"
 	"elinda/internal/vfs"
 	"elinda/internal/wal"
@@ -75,8 +74,6 @@ func main() {
 		incRounds    = flag.Int("inc-rounds", 0, "incremental evaluation round limit k (0 = run to completion)")
 		incWorkers   = flag.Int("inc-workers", 1, "parallel shards per incremental round (<=1 = sequential)")
 		queryWorkers = flag.Int("query-workers", 0, "parallel BGP worker pool per query (0 = GOMAXPROCS, 1 = serial)")
-		planner      = flag.String("planner", "dp", "join-ordering strategy: dp | greedy | off")
-		noLeapfrog   = flag.Bool("no-leapfrog", false, "disable the multiway intersection join operator")
 
 		role = flag.String("role", "single", "process role: single | coordinator | replica | router")
 		ff   fleetFlags
@@ -86,7 +83,6 @@ func main() {
 		maxInflight    = flag.Int64("max-inflight", 0, "admission-control weight capacity for /sparql (0 = unlimited)")
 		acquireTimeout = flag.Duration("acquire-timeout", 100*time.Millisecond, "max admission wait before shedding with 429")
 		flushRows      = flag.Int("flush-rows", 0, "streaming flush cadence in rows (0 = default 256)")
-		noStreaming    = flag.Bool("no-streaming", false, "force buffered result encoding")
 	)
 	flag.StringVar(&ff.coordinator, "fleet-coordinator", "", "replica: base URL of the coordinator to pull snapshots from")
 	flag.StringVar(&ff.dir, "fleet-dir", "fleet-cache", "replica: directory for fetched snapshot files")
@@ -103,11 +99,6 @@ func main() {
 	log.SetFlags(log.LstdFlags)
 	ff.role = *role
 
-	plannerMode, err := parsePlanner(*planner)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	// The replica and router roles have their own boot paths: a replica
 	// holds no local dataset (it pulls from the coordinator) and a router
 	// holds one only as the -fleet-fallback degradation rung.
@@ -120,8 +111,6 @@ func main() {
 			DisableCoalescing: *noCoalesce,
 			CacheMaxBytes:     *cacheBytes,
 			QueryWorkers:      *queryWorkers,
-			Planner:           plannerMode,
-			DisableLeapfrog:   *noLeapfrog,
 		}, *warm, *walDir, *timeout, *drain); err != nil {
 			log.Fatal(err)
 		}
@@ -196,8 +185,6 @@ func main() {
 		DisableCoalescing: *noCoalesce,
 		CacheMaxBytes:     *cacheBytes,
 		QueryWorkers:      *queryWorkers,
-		Planner:           plannerMode,
-		DisableLeapfrog:   *noLeapfrog,
 	}
 	var sys *elinda.System
 	if *remote == "" {
@@ -252,7 +239,6 @@ func main() {
 	sparqlSrv.Timeout = *timeout
 	sparqlSrv.AcquireTimeout = *acquireTimeout
 	sparqlSrv.FlushRows = *flushRows
-	sparqlSrv.DisableStreaming = *noStreaming
 	if *maxInflight > 0 {
 		sparqlSrv.Limiter = endpoint.NewLimiter(*maxInflight)
 	}
@@ -270,11 +256,7 @@ func main() {
 		log.Printf("fleet coordinator mounted at /fleet/ (generation %d)", sys.Store.Generation())
 	}
 	mux.Handle("/readyz", &ready)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		st := sys.Store.ComputeStats()
-		fmt.Fprintf(w, "ok triples=%d classes=%d generation=%d\n",
-			st.Triples, st.Classes, sys.Store.Generation())
-	})
+	mux.HandleFunc("/healthz", healthz(sys.Store))
 	mux.HandleFunc("/metrics", func(rw http.ResponseWriter, r *http.Request) {
 		doc := map[string]any{
 			"server":       sparqlSrv.MetricsSnapshot(),
@@ -339,17 +321,13 @@ func main() {
 	log.Printf("bye")
 }
 
-// parsePlanner maps the -planner flag to the engine's PlannerMode.
-func parsePlanner(s string) (sparql.PlannerMode, error) {
-	switch s {
-	case "dp":
-		return sparql.PlannerDP, nil
-	case "greedy":
-		return sparql.PlannerGreedy, nil
-	case "off":
-		return sparql.PlannerOff, nil
+// healthz is the liveness probe. It answers from the published
+// snapshot's counters in O(1), the same line a fleet replica prints, so
+// probing a large store costs nothing.
+func healthz(st *store.Store) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, "ok triples=%d generation=%d\n", st.Len(), st.Generation())
 	}
-	return 0, fmt.Errorf("unknown -planner %q (want dp, greedy or off)", s)
 }
 
 // sweepStaleTemp removes *.tmp leftovers of interrupted atomic saves

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -10,59 +11,17 @@ import (
 	"testing"
 
 	"elinda"
+	"elinda/internal/endpoint"
 	"elinda/internal/proxy"
 	"elinda/internal/rdf"
 	"elinda/internal/store"
 	"elinda/internal/wal"
 )
 
-func postNT(t *testing.T, srv *httptest.Server, body string) (int, map[string]any) {
-	t.Helper()
-	resp, err := http.Post(srv.URL+"/api/insert", "application/n-triples", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out map[string]any
-	json.NewDecoder(resp.Body).Decode(&out)
-	return resp.StatusCode, out
-}
-
-func TestAPIInsert(t *testing.T) {
-	srv := testServer(t)
-	nt := `<http://x/s1> <http://x/p> <http://x/o1> .
-<http://x/s2> <http://x/p> "v"@en .
-`
-	code, out := postNT(t, srv, nt)
-	if code != 200 {
-		t.Fatalf("status = %d (%v)", code, out)
-	}
-	if out["received"].(float64) != 2 || out["added"].(float64) != 2 {
-		t.Fatalf("first insert = %v", out)
-	}
-	// Re-posting the same triples adds nothing.
-	code, out = postNT(t, srv, nt)
-	if code != 200 || out["added"].(float64) != 0 {
-		t.Fatalf("duplicate insert = %d %v", code, out)
-	}
-	// Malformed bodies are client errors.
-	if code, _ := postNT(t, srv, "this is not n-triples"); code != http.StatusBadRequest {
-		t.Errorf("garbage body status = %d", code)
-	}
-	// Only POST is accepted.
-	resp, err := http.Get(srv.URL + "/api/insert")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET status = %d", resp.StatusCode)
-	}
-}
-
 // TestInsertDurableBeforeAck is the kill -9 demo as a test: triples
-// acknowledged by /api/insert on a WAL-attached store must be fully
-// recoverable from the log alone — no shutdown, no snapshot save.
+// acknowledged by an INSERT DATA on POST /sparql against a WAL-attached
+// store must be fully recoverable from the log alone — no shutdown, no
+// snapshot save.
 func TestInsertDurableBeforeAck(t *testing.T) {
 	walDir := t.TempDir()
 	w, err := wal.Open(walDir, wal.Options{Policy: wal.SyncAlways})
@@ -72,17 +31,24 @@ func TestInsertDurableBeforeAck(t *testing.T) {
 	st := store.New(0)
 	st.AttachWAL(w)
 	sys := elinda.NewSystemFromStore(st, proxy.Options{})
-	mux := http.NewServeMux()
-	newAPI(sys).register(mux)
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewServer(sys.Endpoint())
 	defer srv.Close()
 
-	code, out := postNT(t, srv, `<http://x/a> <http://x/p> <http://x/b> .
-<http://x/a> <http://x/p> "lit" .
-<http://x/c> <http://x/p> <http://x/d> .
-`)
-	if code != 200 || out["added"].(float64) != 3 {
-		t.Fatalf("insert = %d %v", code, out)
+	resp, err := http.Post(srv.URL, endpoint.UpdateContentType, strings.NewReader(`INSERT DATA {
+  <http://x/a> <http://x/p> <http://x/b> .
+  <http://x/a> <http://x/p> "lit" .
+  <http://x/c> <http://x/p> <http://x/d> .
+}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ack endpoint.UpdateStats
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || ack.Inserted != 3 {
+		t.Fatalf("update = %d %+v", resp.StatusCode, ack)
 	}
 	// Simulated kill -9: never Close the WAL, just reopen the directory
 	// and replay into a fresh store, exactly like the boot sequence.
@@ -101,6 +67,47 @@ func TestInsertDurableBeforeAck(t *testing.T) {
 	}
 	if n != 3 || recovered.Len() != 3 {
 		t.Fatalf("recovered %d records, store has %d triples, want 3", n, recovered.Len())
+	}
+}
+
+// TestHealthz pins the liveness line and that producing it does not walk
+// the store: a stats walk builds per-class maps, so its allocations grow
+// with the store (about +45 from 300 to 3000 classes); the probe's may
+// not, beyond the noise of the recorder and the race detector.
+func TestHealthz(t *testing.T) {
+	probe := func(n int) float64 {
+		st := store.New(0)
+		for i := 0; i < n; i++ {
+			// One class per subject.
+			st.Add(rdf.Triple{S: rdf.NewIRI(fmt.Sprintf("http://x/s%d", i)), P: rdf.TypeIRI, O: rdf.NewIRI(fmt.Sprintf("http://x/C%d", i))})
+		}
+		h := healthz(st)
+		rec := httptest.NewRecorder()
+		h(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		want := fmt.Sprintf("ok triples=%d generation=%d\n", n, st.Generation())
+		if rec.Code != http.StatusOK || rec.Body.String() != want {
+			t.Fatalf("healthz = %d %q, want 200 %q", rec.Code, rec.Body.String(), want)
+		}
+		return testing.AllocsPerRun(20, func() {
+			h(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		})
+	}
+	if small, large := probe(300), probe(3000); large > small+8 {
+		t.Errorf("healthz allocations grow with the store (%v at 300 triples, %v at 3000): it must not scan", small, large)
+	}
+}
+
+// TestAPIInsertGone: the deprecated N-Triples alias is removed; writes go
+// through POST /sparql.
+func TestAPIInsertGone(t *testing.T) {
+	srv := testServer(t)
+	resp, err := http.Post(srv.URL+"/api/insert", "application/n-triples", strings.NewReader("<http://x/s> <http://x/p> <http://x/o> .\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /api/insert = %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -3,8 +3,7 @@
 // evaluation datasets. The real DBpedia/YAGO/LinkedGeoData dumps are not
 // available offline, and eLinda's algorithms depend only on the class
 // hierarchy, the type distribution and the property-coverage distribution
-// — exactly the quantities these generators control (see DESIGN.md,
-// substitution table).
+// — exactly the quantities these generators control.
 //
 // Reproduced facts:
 //
@@ -79,7 +78,7 @@ func PaperScaleConfig(persons int) Config {
 }
 
 // Facts records the ground-truth numbers the generator promises, so tests
-// and EXPERIMENTS.md can assert the paper's figures.
+// and benchmarks can assert the paper's figures.
 type Facts struct {
 	// TopLevelClasses is the number of direct subclasses of owl:Thing (49).
 	TopLevelClasses int

@@ -3,6 +3,7 @@ package endpoint
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -44,6 +45,35 @@ func TestServerExplain(t *testing.T) {
 		}
 		if rep.Mode != "dp" || len(rep.Steps) != 2 {
 			t.Errorf("%s report = %+v", name, rep)
+		}
+	}
+}
+
+// TestServerExplainReportsOrderer: the mode in the explain document is
+// the orderer that ran — DP for a 10-pattern chain, greedy once an 11th
+// pattern takes the BGP past the subset DP's size limit.
+func TestServerExplainReportsOrderer(t *testing.T) {
+	srv := httptest.NewServer(NewServer(newTestEngine(t)))
+	defer srv.Close()
+	for patterns, want := range map[int]string{10: "dp", 11: "greedy"} {
+		var q strings.Builder
+		q.WriteString("SELECT * WHERE {")
+		for i := 0; i < patterns; i++ {
+			fmt.Fprintf(&q, " ?v%d <http://example.org/born> ?v%d .", i, i+1)
+		}
+		q.WriteString(" }")
+		resp, err := http.Get(srv.URL + "?query=" + url.QueryEscape(q.String()) + "&explain=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep sparql.PlanReport
+		err = json.NewDecoder(resp.Body).Decode(&rep)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%d patterns: status %d, decode: %v", patterns, resp.StatusCode, err)
+		}
+		if rep.Mode != want || len(rep.Patterns) != patterns {
+			t.Errorf("%d patterns: mode = %q over %d patterns, want %q", patterns, rep.Mode, len(rep.Patterns), want)
 		}
 	}
 }

@@ -118,9 +118,6 @@ type Server struct {
 	Cost func(query string) int64
 	// FlushRows is the streaming flush cadence (0 = DefaultFlushRows).
 	FlushRows int
-	// DisableStreaming forces the buffered encode path even for
-	// streaming-capable executors and formats.
-	DisableStreaming bool
 
 	inFlight     metrics.Gauge
 	admitted     metrics.Counter
@@ -279,13 +276,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	if !s.DisableStreaming {
-		if rexec, ok := s.exec.(sparql.RowExecutor); ok {
-			flusher, _ := w.(http.Flusher)
-			if contentType, streamer, ok := NegotiateStreamer(r.Header.Get("Accept"), w, flusher, s.FlushRows); ok {
-				s.serveStreaming(ctx, w, rexec, query, contentType, streamer)
-				return
-			}
+	if rexec, ok := s.exec.(sparql.RowExecutor); ok {
+		flusher, _ := w.(http.Flusher)
+		if contentType, streamer, ok := NegotiateStreamer(r.Header.Get("Accept"), w, flusher, s.FlushRows); ok {
+			s.serveStreaming(ctx, w, rexec, query, contentType, streamer)
+			return
 		}
 	}
 	s.serveBuffered(ctx, w, r, query)

@@ -234,8 +234,8 @@ var streamingCorpus = []string{
 // streamed HTTP body must equal the buffered encoder's output exactly.
 func TestStreamingEncodersByteIdentical(t *testing.T) {
 	eng := streamingFixtureEngine(t)
-	buffered := NewServer(eng)
-	buffered.DisableStreaming = true
+	// An executor that is not a sparql.RowExecutor takes the buffered path.
+	buffered := NewServer(ExecutorFunc(eng.Query))
 	streaming := NewServer(eng)
 	streaming.FlushRows = 2 // aggressive cadence: many flush boundaries
 

@@ -83,14 +83,6 @@ type Options struct {
 	// (0 = GOMAXPROCS, 1 = serial). Only applies when the proxy builds
 	// its own local engine (New); remote backends ignore it.
 	QueryWorkers int
-	// Planner selects the backend engine's join-ordering strategy (the
-	// zero value is the cost-based DP orderer). Only applies when the
-	// proxy builds its own local engine (New).
-	Planner sparql.PlannerMode
-	// DisableLeapfrog turns off the backend engine's multiway
-	// intersection operator, forcing cascaded binary joins. Only applies
-	// when the proxy builds its own local engine (New).
-	DisableLeapfrog bool
 }
 
 // Proxy is the query router. It is safe for concurrent use.
@@ -152,8 +144,6 @@ type Trace struct {
 func New(st *store.Store, opts Options) *Proxy {
 	eng := sparql.NewEngine(st)
 	eng.Workers = opts.QueryWorkers
-	eng.Planner = opts.Planner
-	eng.DisableLeapfrog = opts.DisableLeapfrog
 	return NewWithBackend(st, eng, opts)
 }
 

@@ -266,8 +266,10 @@ func TestExplainLocalAndRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Mode != "dp" {
-		t.Errorf("mode = %q, want dp", rep.Mode)
+	// plainQuery has one pattern: the report comes from the local
+	// engine, and no orderer had anything to do.
+	if rep.Mode != "none" || len(rep.Steps) != 1 {
+		t.Errorf("report = %+v, want mode none with one step", rep)
 	}
 
 	// A remote-backed proxy has no local engine to describe: 501-class.

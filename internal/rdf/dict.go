@@ -48,7 +48,7 @@ type dictRead struct {
 // ID allocation serializes on a tiny critical section. Term/TermOK decode
 // through the published arena without locking. The store keeps one Dict
 // per dataset; dictionary encoding is what lets the decomposer's aggregate
-// indexes fit in memory (see DESIGN.md "Dictionary encoding" ablation).
+// indexes fit in memory.
 //
 // Terms are cloned on insert, so callers may intern terms whose strings
 // alias large parse buffers without pinning those buffers.

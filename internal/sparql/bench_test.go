@@ -116,31 +116,23 @@ var queryEngineWorkloads = []struct {
 	{"optional-filter", `SELECT ?s ?o WHERE { ?s a owl:Thing . OPTIONAL { ?s <http://example.org/p3> ?o . } FILTER (BOUND(?o)) }`},
 }
 
-// BenchmarkQueryEngine measures the ID-space streaming executor against
-// the legacy map-based path on identical workloads. The streaming path
-// must show at least 2x fewer allocs/op on the multi-pattern BGP joins.
+// BenchmarkQueryEngine measures the ID-space streaming executor's time
+// and allocations per query on the workloads above.
 func BenchmarkQueryEngine(b *testing.B) {
-	stream := benchEngine(2000)
-	legacy := NewEngine(stream.Store())
-	legacy.UseLegacy = true
+	e := benchEngine(2000)
 	for _, w := range queryEngineWorkloads {
 		q, err := Parse(w.Query)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, cfg := range []struct {
-			name string
-			e    *Engine
-		}{{"stream", stream}, {"legacy", legacy}} {
-			b.Run(w.Name+"/"+cfg.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := cfg.e.Execute(context.Background(), q); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(w.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Execute(context.Background(), q); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

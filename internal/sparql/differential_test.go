@@ -3,6 +3,7 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -12,10 +13,10 @@ import (
 )
 
 // This file differentially tests the ID-space streaming executor against
-// the legacy map-based evaluator: for random datasets and random queries
-// spanning BGP joins, VALUES, UNION, OPTIONAL, FILTER, subselects,
-// DISTINCT, GROUP BY aggregates and ORDER BY, both paths must return
-// identical row sets. It reuses the random-store style of quick_test.go.
+// the map-based oracle (oracle_test.go): for random datasets and random
+// queries spanning BGP joins, VALUES, UNION, OPTIONAL, FILTER, subselects,
+// DISTINCT, GROUP BY aggregates and ORDER BY, both must return identical
+// row sets. It reuses the random-store style of quick_test.go.
 
 // genDiffStore builds a random store over small constant pools so joins
 // actually produce matches. About a third of the objects are drawn from
@@ -234,8 +235,7 @@ func diffTrials(t *testing.T, seed int64) {
 	for trial := 0; trial < 400; trial++ {
 		st, _ := genDiffStore(r)
 		stream := NewEngine(st)
-		legacy := NewEngine(st)
-		legacy.UseLegacy = true
+		legacy := newOracle(st)
 		q := genDiffQuery(r)
 
 		resS, errS := stream.Execute(ctx, q)
@@ -274,11 +274,10 @@ func TestStreamingMatchesLegacyMaxIntermediate(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		st, _ := genDiffStore(r)
 		stream := NewEngine(st)
-		legacy := NewEngine(st)
-		legacy.UseLegacy = true
+		legacy := newOracle(st)
 		max := 1 + r.Intn(40)
 		stream.MaxIntermediate = max
-		legacy.MaxIntermediate = max
+		legacy.maxIntermediate = max
 		q := genDiffQuery(r)
 
 		resS, errS := stream.Execute(ctx, q)
@@ -310,19 +309,20 @@ func TestStreamingCancellationMidJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := `SELECT ?a ?b ?c WHERE { ?a ?p1 ?x . ?b ?p2 ?y . ?c ?p3 ?z . }`
-	for _, legacy := range []bool{false, true} {
-		e := NewEngine(st)
-		e.UseLegacy = legacy
+	for name, query := range map[string]func(context.Context, string) (*Result, error){
+		"stream": NewEngine(st).Query,
+		"oracle": newOracle(st).Query,
+	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
-			_, err := e.Query(ctx, src)
+			_, err := query(ctx, src)
 			done <- err
 		}()
 		cancel()
 		err := <-done
 		if err == nil {
-			t.Fatalf("legacy=%v: cancelled mid-join query should fail", legacy)
+			t.Fatalf("%s: cancelled mid-join query should fail", name)
 		}
 	}
 }
@@ -384,9 +384,13 @@ func genCyclicQuery(r *rand.Rand) *Query {
 }
 
 // TestCyclicStarDifferential drives the cyclic and star shapes through
-// every executor variant: the legacy oracle must agree on the row set,
-// and the streaming executor must be bit-identical — including row
-// order — across worker counts and with the leapfrog operator disabled.
+// every path the executor chooses between: the oracle must agree on the
+// row set, and the streaming executor must be bit-identical — including
+// row order — across worker counts within one path. The paths are
+// reached the way production reaches them: a MaxIntermediate guard (too
+// large to ever trip) makes the BGP run serially on cascaded probes
+// instead of leapfrog groups, and a BGP longer than dpMaxPatterns is
+// ordered by orderGreedy instead of orderDP.
 func TestCyclicStarDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(512))
 	ctx := context.Background()
@@ -394,43 +398,53 @@ func TestCyclicStarDifferential(t *testing.T) {
 		st, _ := genDiffStore(r)
 		q := genCyclicQuery(r)
 
-		legacy := NewEngine(st)
-		legacy.UseLegacy = true
-		resL, err := legacy.Execute(ctx, q)
+		resL, err := newOracle(st).Execute(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 
+		// Repeating a pattern whose variables are all bound re-probes a
+		// triple that is known to be there: the solution multiset is
+		// unchanged, only the orderer that plans the BGP is.
+		padded := *q
+		padded.Where = &GroupPattern{Triples: append([]TriplePattern(nil), q.Where.Triples...)}
+		for len(padded.Where.Triples) <= dpMaxPatterns {
+			padded.Where.Triples = append(padded.Where.Triples, q.Where.Triples...)
+		}
+
 		// ordered[class] collects row slices that must be bit-identical —
 		// same plan and same operators, only the worker count varies.
-		// Different operator configs (leapfrog off, greedy plan) may
-		// legitimately order the same row set differently, so they are
-		// only held to multiset equality with the oracle.
+		// Different paths (cascaded probes, greedy plan) may legitimately
+		// order the same row set differently, so they are only held to
+		// multiset equality with the oracle.
 		ordered := map[string][][]Solution{}
 		for _, cfg := range []struct {
 			workers int
-			noLeap  bool
-			noDP    bool
+			guard   bool
+			greedy  bool
 		}{
 			{workers: 1}, {workers: 0}, {workers: 3},
-			{workers: 1, noLeap: true}, {workers: 0, noLeap: true},
-			{workers: 0, noDP: true},
+			{workers: 1, guard: true}, {workers: 0, guard: true},
+			{workers: 0, greedy: true},
 		} {
 			e := NewEngine(st)
 			e.Workers = cfg.workers
-			e.DisableLeapfrog = cfg.noLeap
-			if cfg.noDP {
-				e.Planner = PlannerGreedy
+			if cfg.guard {
+				e.MaxIntermediate = math.MaxInt
 			}
-			res, err := e.Execute(ctx, q)
+			run := q
+			if cfg.greedy {
+				run = &padded
+			}
+			res, err := e.Execute(ctx, run)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !sameSolutions(res.Rows, resL.Rows) {
-				t.Fatalf("trial %d cfg %+v: row set diverges from legacy (%d vs %d rows)\nquery:\n%s",
-					trial, cfg, len(res.Rows), len(resL.Rows), q)
+				t.Fatalf("trial %d cfg %+v: row set diverges from oracle (%d vs %d rows)\nquery:\n%s",
+					trial, cfg, len(res.Rows), len(resL.Rows), run)
 			}
-			class := fmt.Sprintf("leap=%v dp=%v", !cfg.noLeap, !cfg.noDP)
+			class := fmt.Sprintf("leap=%v dp=%v", !cfg.guard, !cfg.greedy)
 			ordered[class] = append(ordered[class], res.Rows)
 		}
 		for class, runs := range ordered {
@@ -469,8 +483,7 @@ func TestMergeLeafIntersection(t *testing.T) {
   ?s a <http://example.org/B> .
   ?s <http://example.org/p> ?v . }`
 	stream := NewEngine(st)
-	legacy := NewEngine(st)
-	legacy.UseLegacy = true
+	legacy := newOracle(st)
 	rs, err := stream.Query(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)

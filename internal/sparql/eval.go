@@ -14,15 +14,6 @@ import (
 // Solution is one variable binding row.
 type Solution map[string]rdf.Term
 
-// clone copies the solution.
-func (s Solution) clone() Solution {
-	out := make(Solution, len(s)+1)
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
 // Result is the outcome of executing a query: the projected variable names
 // in order and the solution rows. For ASK queries, Ask holds the answer
 // and Rows is empty.
@@ -38,13 +29,10 @@ type Result struct {
 // the decomposer — it still evaluates the query's join structure, so heavy
 // expansion queries pay for their intermediate results.
 //
-// By default execution runs in ID space (see idexec.go): rows are compact
-// []rdf.ID slot vectors flowing through a streaming pattern-join pipeline,
-// and IDs decode to terms only at projection. The historical map-based
-// evaluator below is kept behind UseLegacy as the differential-testing
-// oracle; it materializes a map[string]rdf.Term per row per join step
-// ("a complex join with hundreds of millions of tuples as an intermediate
-// result, which delays the response").
+// Execution runs in ID space (see idexec.go): rows are compact []rdf.ID
+// slot vectors flowing through a streaming pattern-join pipeline, and IDs
+// decode to terms only at projection. The map-based evaluator this
+// replaced is the differential-testing oracle in oracle_test.go.
 type Engine struct {
 	st *store.Store
 	// MaxIntermediate bounds the intermediate result size (0 = unlimited);
@@ -52,23 +40,6 @@ type Engine struct {
 	// set, BGP execution stays serial so the per-stage counts it guards
 	// are deterministic.
 	MaxIntermediate int
-	// DisablePlanner turns off join ordering entirely (for the planner
-	// ablation bench). Equivalent to Planner = PlannerOff.
-	DisablePlanner bool
-	// Planner selects the join-ordering strategy. The zero value is the
-	// cost-based dynamic-programming orderer (PlannerDP); PlannerGreedy
-	// restores the previous greedy ordering; PlannerOff evaluates patterns
-	// in query order.
-	Planner PlannerMode
-	// DisableLeapfrog turns off the multiway sorted-merge intersection
-	// operator, forcing cascaded binary joins (for the join bench's
-	// ablation arm).
-	DisableLeapfrog bool
-	// UseLegacy routes execution through the map-based evaluator instead
-	// of the ID-space streaming executor. Both must return identical row
-	// sets; the legacy path exists as the oracle for differential tests
-	// and as the baseline for BenchmarkQueryEngine.
-	UseLegacy bool
 	// Workers sizes the worker pool that the streaming executor fans a
 	// BGP's root-pattern candidate rows across (snapshot reads are
 	// lock-free, so workers share nothing but immutable data). 0 means
@@ -94,119 +65,6 @@ func (e *Engine) Query(ctx context.Context, src string) (*Result, error) {
 		return nil, err
 	}
 	return e.Execute(ctx, q)
-}
-
-// Execute runs a parsed query on the ID-space streaming executor, or on
-// the legacy map-based evaluator when UseLegacy is set.
-func (e *Engine) Execute(ctx context.Context, q *Query) (*Result, error) {
-	if e.UseLegacy {
-		return e.executeLegacy(ctx, q)
-	}
-	return e.executeStream(ctx, q)
-}
-
-// executeLegacy is the map-based evaluation path (the differential-test
-// oracle). Like the streaming path it binds one store snapshot for the
-// whole execution, so both paths answer from the same frozen view.
-func (e *Engine) executeLegacy(ctx context.Context, q *Query) (*Result, error) {
-	return e.executeLegacyOn(ctx, q, e.st.Snapshot())
-}
-
-func (e *Engine) executeLegacyOn(ctx context.Context, q *Query, snap *store.Snapshot) (*Result, error) {
-	rows, err := e.evalGroup(ctx, q.Where, snap)
-	if err != nil {
-		return nil, err
-	}
-	if q.Ask {
-		return &Result{Ask: true, AskTrue: len(rows) > 0}, nil
-	}
-	return e.finish(q, rows)
-}
-
-// finish applies grouping, projection, distinct, order and slice.
-func (e *Engine) finish(q *Query, rows []Solution) (*Result, error) {
-	var out []Solution
-	var vars []string
-
-	grouped := len(q.GroupBy) > 0 || q.HasAggregates()
-	if grouped {
-		groups := groupRows(rows, q.GroupBy)
-		if len(q.Items) == 0 && !q.Star {
-			return nil, fmt.Errorf("sparql: grouped query requires explicit projection")
-		}
-		for _, it := range q.Items {
-			vars = append(vars, it.Var)
-		}
-		for _, g := range groups {
-			// HAVING constraints.
-			keep := true
-			for _, h := range q.Having {
-				b, ok := evalWithGroup(h, g.rows).AsBool()
-				if !ok || !b {
-					keep = false
-					break
-				}
-			}
-			if !keep {
-				continue
-			}
-			row := Solution{}
-			for _, it := range q.Items {
-				var v Value
-				if it.Expr != nil {
-					v = evalWithGroup(it.Expr, g.rows)
-				} else {
-					v = (&VarExpr{Name: it.Var}).Eval(first(g.rows))
-				}
-				if t, ok := valueToTerm(v); ok {
-					row[it.Var] = t
-				}
-			}
-			out = append(out, row)
-		}
-	} else {
-		switch {
-		case q.Star:
-			seen := map[string]struct{}{}
-			for _, r := range rows {
-				for v := range r {
-					if _, dup := seen[v]; !dup {
-						seen[v] = struct{}{}
-						vars = append(vars, v)
-					}
-				}
-			}
-			sort.Strings(vars)
-			out = rows
-		default:
-			for _, it := range q.Items {
-				vars = append(vars, it.Var)
-			}
-			out = make([]Solution, 0, len(rows))
-			for _, r := range rows {
-				row := Solution{}
-				for _, it := range q.Items {
-					if it.Expr != nil {
-						if t, ok := valueToTerm(it.Expr.Eval(r)); ok {
-							row[it.Var] = t
-						}
-					} else if t, ok := r[it.Var]; ok {
-						row[it.Var] = t
-					}
-				}
-				out = append(out, row)
-			}
-		}
-	}
-
-	if q.Distinct {
-		out = dedupRows(out, vars)
-	}
-	if len(q.OrderBy) > 0 {
-		sortRows(out, q.OrderBy)
-	}
-	out = SliceSolutions(out, q.Offset, q.Limit)
-	return &Result{Vars: vars, Rows: out}, nil
 }
 
 // SortSolutions sorts rows in place by the ORDER BY keys using the
@@ -258,42 +116,6 @@ func trimFloat(f float64) string {
 		return fmt.Sprintf("%d", int64(f))
 	}
 	return fmt.Sprintf("%g", f)
-}
-
-type group struct {
-	key  string
-	rows []Solution
-}
-
-func groupRows(rows []Solution, by []string) []group {
-	if len(by) == 0 {
-		if len(rows) == 0 {
-			// Aggregates over an empty pattern still yield one group so
-			// COUNT(*) returns 0.
-			return []group{{rows: nil}}
-		}
-		return []group{{rows: rows}}
-	}
-	idx := map[string]int{}
-	var out []group
-	for _, r := range rows {
-		var b strings.Builder
-		for _, v := range by {
-			if t, ok := r[v]; ok {
-				b.WriteString(t.String())
-			}
-			b.WriteByte('\x00')
-		}
-		key := b.String()
-		i, ok := idx[key]
-		if !ok {
-			i = len(out)
-			idx[key] = i
-			out = append(out, group{key: key})
-		}
-		out[i].rows = append(out[i].rows, r)
-	}
-	return out
 }
 
 func dedupRows(rows []Solution, vars []string) []Solution {
@@ -352,306 +174,4 @@ func sortRows(rows []Solution, keys []OrderKey) {
 	sort.SliceStable(rows, func(i, j int) bool {
 		return cmpSolutionsOrder(rows[i], rows[j], keys) < 0
 	})
-}
-
-// evalGroup evaluates a group graph pattern to a list of solutions, all
-// reads going through the execution's bound snapshot.
-func (e *Engine) evalGroup(ctx context.Context, g *GroupPattern, snap *store.Snapshot) ([]Solution, error) {
-	rows := []Solution{{}}
-	var err error
-
-	// Subselects join first (they are usually the most selective part of
-	// eLinda's generated queries).
-	for _, sub := range g.SubSelects {
-		subRes, serr := e.executeLegacyOn(ctx, sub, snap)
-		if serr != nil {
-			return nil, serr
-		}
-		rows, err = e.hashJoin(rows, subRes.Rows)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Triple patterns: nested-loop joins with index-backed pattern lookup,
-	// ordered by estimated selectivity.
-	for _, tp := range e.planPatterns(snap, g.Triples) {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("sparql: %w", err)
-		}
-		rows, err = e.joinPattern(ctx, snap, rows, tp)
-		if err != nil {
-			return nil, err
-		}
-		if e.MaxIntermediate > 0 && len(rows) > e.MaxIntermediate {
-			return nil, ErrTooLarge
-		}
-	}
-
-	// VALUES blocks: compatibility join with the inline data. UNDEF
-	// entries leave the variable unbound, so a plain hash join on shared
-	// variables would be wrong — each inline row may bind a different
-	// subset. VALUES tables are small; the pairwise product is fine.
-	for _, vb := range g.Values {
-		var inline []Solution
-		for _, row := range vb.Rows {
-			sol := Solution{}
-			for i, v := range vb.Vars {
-				if i < len(row) && !row[i].IsZero() {
-					sol[v] = row[i]
-				}
-			}
-			inline = append(inline, sol)
-		}
-		var joined []Solution
-		for li, l := range rows {
-			if li%cancelCheckInterval == cancelCheckInterval-1 {
-				if err := ctx.Err(); err != nil {
-					return nil, fmt.Errorf("sparql: %w", err)
-				}
-			}
-			for _, r := range inline {
-				if !compatible(l, r) {
-					continue
-				}
-				m := l.clone()
-				for k, v := range r {
-					m[k] = v
-				}
-				joined = append(joined, m)
-				if e.MaxIntermediate > 0 && len(joined) > e.MaxIntermediate {
-					return nil, ErrTooLarge
-				}
-			}
-		}
-		rows = joined
-	}
-
-	// UNION branches.
-	for _, branches := range g.Unions {
-		var unionRows []Solution
-		for _, br := range branches {
-			brRows, berr := e.evalGroup(ctx, br, snap)
-			if berr != nil {
-				return nil, berr
-			}
-			unionRows = append(unionRows, brRows...)
-		}
-		rows, err = e.hashJoin(rows, unionRows)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// OPTIONAL: left joins.
-	for _, opt := range g.Optionals {
-		optRows, oerr := e.evalGroup(ctx, opt, snap)
-		if oerr != nil {
-			return nil, oerr
-		}
-		rows = leftJoin(rows, optRows)
-	}
-
-	// FILTER constraints.
-	for _, f := range g.Filters {
-		kept := rows[:0]
-		for ri, r := range rows {
-			if ri%cancelCheckInterval == cancelCheckInterval-1 {
-				if err := ctx.Err(); err != nil {
-					return nil, fmt.Errorf("sparql: %w", err)
-				}
-			}
-			if b, ok := f.Eval(r).AsBool(); ok && b {
-				kept = append(kept, r)
-			}
-		}
-		rows = kept
-	}
-	return rows, nil
-}
-
-// joinPattern extends each solution with bindings from matching triples.
-func (e *Engine) joinPattern(ctx context.Context, snap *store.Snapshot, rows []Solution, tp TriplePattern) ([]Solution, error) {
-	d := snap.Dict()
-	var out []Solution
-	visits := 0
-	for _, row := range rows {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("sparql: %w", err)
-		}
-		sid, sOK, sBound := resolvePos(d, row, tp.S)
-		pid, pOK, pBound := resolvePos(d, row, tp.P)
-		oid, oOK, oBound := resolvePos(d, row, tp.O)
-		if !sOK || !pOK || !oOK {
-			// A bound term that is not in the dictionary matches nothing.
-			continue
-		}
-		stop := false
-		snap.Match(sid, pid, oid, func(tr rdf.EncodedTriple) bool {
-			// A single pattern can scan a large share of the store, so the
-			// per-row context check above is not enough for prompt
-			// cancellation; re-check periodically inside the scan too.
-			visits++
-			if visits%cancelCheckInterval == 0 && ctx.Err() != nil {
-				stop = true
-				return false
-			}
-			sol := row.clone()
-			if !sBound && tp.S.IsVar {
-				sol[tp.S.Name] = d.Term(tr.S)
-			}
-			if !pBound && tp.P.IsVar {
-				sol[tp.P.Name] = d.Term(tr.P)
-			}
-			if !oBound && tp.O.IsVar {
-				sol[tp.O.Name] = d.Term(tr.O)
-			}
-			// Repeated variables within the pattern must agree.
-			if !consistent(d, sol, tp, tr) {
-				return true
-			}
-			out = append(out, sol)
-			return true
-		})
-		if stop {
-			return nil, fmt.Errorf("sparql: %w", ctx.Err())
-		}
-	}
-	return out, nil
-}
-
-// resolvePos maps a pattern position to a concrete ID (or NoID wildcard).
-// ok=false means the term cannot match anything in this store. bound
-// reports whether the position was already fixed (term or bound variable).
-func resolvePos(d *rdf.Dict, row Solution, tv TermOrVar) (id rdf.ID, ok, bound bool) {
-	if tv.IsVar {
-		if t, has := row[tv.Name]; has {
-			id, found := d.Lookup(t)
-			return id, found, true
-		}
-		return rdf.NoID, true, false
-	}
-	id, found := d.Lookup(tv.Term)
-	return id, found, true
-}
-
-// consistent verifies repeated-variable constraints like ?x ?p ?x.
-func consistent(d *rdf.Dict, sol Solution, tp TriplePattern, tr rdf.EncodedTriple) bool {
-	check := func(tv TermOrVar, got rdf.ID) bool {
-		if !tv.IsVar {
-			return true
-		}
-		want, ok := sol[tv.Name]
-		if !ok {
-			return true
-		}
-		return want == d.Term(got)
-	}
-	return check(tp.S, tr.S) && check(tp.P, tr.P) && check(tp.O, tr.O)
-}
-
-// hashJoin joins two solution sets on their shared variables.
-func (e *Engine) hashJoin(left, right []Solution) ([]Solution, error) {
-	if len(left) == 1 && len(left[0]) == 0 {
-		return right, nil
-	}
-	if len(right) == 0 || len(left) == 0 {
-		return nil, nil
-	}
-	shared := sharedVars(left[0], right)
-	if len(shared) == 0 {
-		// Cross product.
-		var out []Solution
-		for _, l := range left {
-			for _, r := range right {
-				m := l.clone()
-				for k, v := range r {
-					m[k] = v
-				}
-				out = append(out, m)
-				if e.MaxIntermediate > 0 && len(out) > e.MaxIntermediate {
-					return nil, ErrTooLarge
-				}
-			}
-		}
-		return out, nil
-	}
-	index := map[string][]Solution{}
-	for _, r := range right {
-		index[joinKey(r, shared)] = append(index[joinKey(r, shared)], r)
-	}
-	var out []Solution
-	for _, l := range left {
-		for _, r := range index[joinKey(l, shared)] {
-			if !compatible(l, r) {
-				continue
-			}
-			m := l.clone()
-			for k, v := range r {
-				m[k] = v
-			}
-			out = append(out, m)
-			if e.MaxIntermediate > 0 && len(out) > e.MaxIntermediate {
-				return nil, ErrTooLarge
-			}
-		}
-	}
-	return out, nil
-}
-
-// leftJoin implements OPTIONAL semantics: keep every left row, extend with
-// compatible right rows when any exist.
-func leftJoin(left, right []Solution) []Solution {
-	var out []Solution
-	for _, l := range left {
-		matched := false
-		for _, r := range right {
-			if compatible(l, r) {
-				m := l.clone()
-				for k, v := range r {
-					m[k] = v
-				}
-				out = append(out, m)
-				matched = true
-			}
-		}
-		if !matched {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-func compatible(a, b Solution) bool {
-	for k, v := range a {
-		if w, ok := b[k]; ok && w != v {
-			return false
-		}
-	}
-	return true
-}
-
-func sharedVars(sample Solution, right []Solution) []string {
-	if len(right) == 0 {
-		return nil
-	}
-	var shared []string
-	for v := range sample {
-		if _, ok := right[0][v]; ok {
-			shared = append(shared, v)
-		}
-	}
-	sort.Strings(shared)
-	return shared
-}
-
-func joinKey(s Solution, vars []string) string {
-	var b strings.Builder
-	for _, v := range vars {
-		if t, ok := s[v]; ok {
-			b.WriteString(t.String())
-		}
-		b.WriteByte('\x00')
-	}
-	return b.String()
 }

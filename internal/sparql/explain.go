@@ -28,8 +28,8 @@ type PlanStep struct {
 	// pattern (CardMatch on the columnar indexes).
 	Card float64 `json:"card"`
 	// EstRows is the planner's estimated cumulative rows after this
-	// step. Zero when the planner did not order (PlannerOff, single
-	// pattern, or out-of-model queries).
+	// step. Zero when the planner did not order (single pattern, or
+	// out-of-model queries).
 	EstRows float64 `json:"est_rows"`
 }
 
@@ -43,8 +43,9 @@ type PlanStatsSummary struct {
 
 // PlanReport is the full EXPLAIN document for one query.
 type PlanReport struct {
-	// Mode is the planner strategy that ordered the patterns:
-	// "dp", "greedy" or "off".
+	// Mode is the orderer that produced Steps: "dp", "greedy", or "none"
+	// when nothing was ordered (at most one pattern, or a query outside
+	// the planner's model).
 	Mode string `json:"mode"`
 	// Leapfrog reports whether multiway intersection was eligible for
 	// this query (top-level BGP, no intermediate-size guard).
@@ -83,17 +84,6 @@ func renderPattern(tp TriplePattern) string {
 	return fmt.Sprintf("%s %s %s", tp.S, tp.P, tp.O)
 }
 
-func (m PlannerMode) String() string {
-	switch m {
-	case PlannerDP:
-		return "dp"
-	case PlannerGreedy:
-		return "greedy"
-	default:
-		return "off"
-	}
-}
-
 // Explain plans src without executing it and reports the chosen join
 // order, per-step estimates and operator kinds for the query's top-level
 // BGP. Nested groups (OPTIONAL, UNION, subselects) plan independently at
@@ -109,7 +99,9 @@ func (e *Engine) Explain(ctx context.Context, src string) (*PlanReport, error) {
 	snap := e.st.Snapshot()
 	tps := q.Where.Triples
 
-	rep := &PlanReport{Mode: e.plannerMode().String()}
+	// The same ordering the executor will run, with the estimates kept.
+	planned, mode := planBGP(snap, tps)
+	rep := &PlanReport{Mode: mode}
 	if ps := snap.PlanStats(); ps != nil {
 		rep.Stats = PlanStatsSummary{Triples: ps.Triples, Preds: len(ps.Preds), CharSets: len(ps.CharSets)}
 	}
@@ -118,8 +110,6 @@ func (e *Engine) Explain(ctx context.Context, src string) (*PlanReport, error) {
 		rep.Patterns = append(rep.Patterns, renderPattern(tp))
 	}
 
-	// The same ordering the executor will run, with the estimates kept.
-	planned := e.planBGP(snap, tps)
 	ordered := tps
 	if planned != nil {
 		ordered = make([]TriplePattern, len(planned))
@@ -137,7 +127,7 @@ func (e *Engine) Explain(ctx context.Context, src string) (*PlanReport, error) {
 	for i, tp := range ordered {
 		pats[i] = compilePattern(tp, slots, env.dict)
 	}
-	rep.Leapfrog = e.MaxIntermediate == 0 && !e.DisableLeapfrog
+	rep.Leapfrog = e.MaxIntermediate == 0
 	steps := compileSteps(pats, slots.width(), rep.Leapfrog)
 
 	// Align each executor step with the planner's estimates: step j

@@ -59,45 +59,72 @@ func TestExplainTriangle(t *testing.T) {
 	}
 }
 
-func TestExplainModes(t *testing.T) {
-	st := explainFixture(t)
-	src := `SELECT * WHERE {
-  ?s a <http://example.org/Node> .
-  ?s <http://example.org/edge> ?o . }`
+// edgeChain renders an n-pattern path query ?v0 → ?v1 → … → ?vn over the
+// fixture's edge predicate.
+func edgeChain(n int) string {
+	var b strings.Builder
+	b.WriteString("SELECT * WHERE {\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "  ?v%d <http://example.org/edge> ?v%d .\n", i, i+1)
+	}
+	b.WriteString("}")
+	return b.String()
+}
 
-	off := NewEngine(st)
-	off.Planner = PlannerOff
-	rep, err := off.Explain(context.Background(), src)
+// TestExplainMode: Mode names the orderer that produced the steps, not a
+// configuration — DP up to dpMaxPatterns, greedy above, and "none" when
+// nothing was ordered (one pattern, or more than 64 variables), in which
+// case the steps keep query order and carry no row estimates.
+func TestExplainMode(t *testing.T) {
+	eng := NewEngine(explainFixture(t))
+	for _, tc := range []struct {
+		patterns int
+		want     string
+	}{
+		{1, "none"},
+		{dpMaxPatterns, "dp"},
+		{dpMaxPatterns + 1, "greedy"},
+		{64, "none"}, // 65 variables: outside the planner's bitmask model
+	} {
+		rep, err := eng.Explain(context.Background(), edgeChain(tc.patterns))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Mode != tc.want {
+			t.Errorf("%d patterns: mode = %q, want %q", tc.patterns, rep.Mode, tc.want)
+		}
+		if tc.want != "none" {
+			continue
+		}
+		if rep.Steps[0].EstRows != 0 {
+			t.Errorf("%d patterns: unordered est_rows = %v, want 0", tc.patterns, rep.Steps[0].EstRows)
+		}
+		if rep.Steps[0].Patterns[0] != rep.Patterns[0] {
+			t.Errorf("%d patterns: unordered plan must keep query order: %v vs %v",
+				tc.patterns, rep.Steps[0].Patterns, rep.Patterns)
+		}
+	}
+}
+
+// TestExplainGuardedEngine: with an intermediate-size guard set the
+// executor runs cascaded probes, and EXPLAIN must say so.
+func TestExplainGuardedEngine(t *testing.T) {
+	guarded := NewEngine(explainFixture(t))
+	guarded.MaxIntermediate = 1 << 20
+	// The triangle TestExplainTriangle sees closed by a leapfrog group.
+	rep, err := guarded.Explain(context.Background(), `SELECT * WHERE {
+  ?a <http://example.org/edge> ?b .
+  ?b <http://example.org/edge> ?c .
+  ?c <http://example.org/edge> ?a . }`)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if rep.Mode != "off" {
-		t.Errorf("mode = %q, want off", rep.Mode)
-	}
-	// Unplanned: steps keep query order and carry no row estimates.
-	if rep.Steps[0].EstRows != 0 {
-		t.Errorf("off-mode est_rows = %v, want 0", rep.Steps[0].EstRows)
-	}
-	if rep.Steps[0].Patterns[0] != rep.Patterns[0] {
-		t.Errorf("off mode must keep query order: %v vs %v", rep.Steps[0].Patterns, rep.Patterns)
-	}
-
-	noLeap := NewEngine(st)
-	noLeap.Planner = PlannerGreedy
-	noLeap.DisableLeapfrog = true
-	rep, err = noLeap.Explain(context.Background(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Mode != "greedy" {
-		t.Errorf("mode = %q, want greedy", rep.Mode)
 	}
 	if rep.Leapfrog {
 		t.Error("leapfrog must be reported off")
 	}
 	for _, s := range rep.Steps {
 		if s.Kind != "scan" {
-			t.Errorf("step %+v, want scans only with leapfrog disabled", s)
+			t.Errorf("step %+v, want scans only under a size guard", s)
 		}
 	}
 }

@@ -9,9 +9,9 @@ package sparql
 // loops never allocate per-row maps, never render Term.String() keys, and
 // compare bindings by integer equality.
 //
-// The historical map-based evaluator (evalGroup in eval.go) is kept,
-// behind Engine.UseLegacy, as the differential-testing oracle: both paths
-// must produce identical row sets (see differential_test.go).
+// The map-based evaluator this replaced lives on in oracle_test.go as the
+// differential-testing oracle: both must produce identical row sets (see
+// differential_test.go).
 
 import (
 	"context"
@@ -194,10 +194,10 @@ func groupSlots(g *GroupPattern) *slotTable {
 	return t
 }
 
-// executeStream is the ID-space execution entry point. It binds one
-// immutable store snapshot for the whole execution: consistent reads, and
-// zero lock traffic inside the join loops.
-func (e *Engine) executeStream(ctx context.Context, q *Query) (*Result, error) {
+// Execute runs a parsed query. It binds one immutable store snapshot for
+// the whole execution: consistent reads, and zero lock traffic inside the
+// join loops.
+func (e *Engine) Execute(ctx context.Context, q *Query) (*Result, error) {
 	env := newExecEnv(e.st.Snapshot())
 	rows, slots, err := e.evalGroupIDs(ctx, q.Where, env)
 	if err != nil {
@@ -210,8 +210,8 @@ func (e *Engine) executeStream(ctx context.Context, q *Query) (*Result, error) {
 }
 
 // evalGroupIDs evaluates a group graph pattern to an ID row set over the
-// group's slot table. The operator order mirrors evalGroup exactly so the
-// two paths stay differentially testable.
+// group's slot table. The operator order mirrors the oracle's evalGroup
+// (oracle_test.go) exactly so the two stay differentially testable.
 func (e *Engine) evalGroupIDs(ctx context.Context, g *GroupPattern, env *execEnv) (*idRows, *slotTable, error) {
 	slots := groupSlots(g)
 	w := slots.width()
@@ -234,7 +234,7 @@ func (e *Engine) evalGroupIDs(ctx context.Context, g *GroupPattern, env *execEnv
 	// through the whole planned pattern chain depth first, so the joined
 	// intermediate result is never materialized as maps.
 	out := newIDRows(w)
-	if err := e.runBGP(ctx, rows, e.planPatterns(env.snap, g.Triples), slots, out, env); err != nil {
+	if err := e.runBGP(ctx, rows, planPatterns(env.snap, g.Triples), slots, out, env); err != nil {
 		return nil, nil, err
 	}
 	rows = out
@@ -328,7 +328,7 @@ type slotRef struct {
 
 // filterRefs resolves the variables an expression references to slots.
 // Variables without a slot can never be bound and are omitted (exactly the
-// legacy behavior, where they are simply absent from the solution map).
+// oracle's behavior, where they are simply absent from the solution map).
 func filterRefs(f Expr, slots *slotTable) []slotRef {
 	var refs []slotRef
 	for _, name := range exprVars(f) {
@@ -582,8 +582,8 @@ func (e *Engine) bgpWorkers() int {
 
 // runBGP streams every input row through the planned pattern chain depth
 // first and appends the fully joined rows to out. With MaxIntermediate
-// set, per-depth row counts trigger on exactly the stage sizes the legacy
-// stage-at-a-time evaluator would have materialized (serial execution, so
+// set, per-depth row counts trigger on exactly the stage sizes the oracle's
+// stage-at-a-time evaluator materializes (serial execution, so
 // the counts are deterministic). Otherwise the root pattern's candidate
 // rows fan out across a worker pool — every worker reads the same
 // immutable snapshot with zero coordination — and the per-worker outputs
@@ -606,8 +606,7 @@ func (e *Engine) runBGP(ctx context.Context, in *idRows, tps []TriplePattern, sl
 	// because a group skips the per-stage intermediate rows the size
 	// guard is defined over, and to an empty seed row because the
 	// compile-time bound-slot simulation starts from nothing.
-	leapfrog := e.MaxIntermediate == 0 && !e.DisableLeapfrog &&
-		in.n == 1 && allUnbound(in.row(0))
+	leapfrog := e.MaxIntermediate == 0 && in.n == 1 && allUnbound(in.row(0))
 	steps := compileSteps(pats, in.w, leapfrog)
 
 	run := &bgpExec{ctx: ctx, snap: env.snap, steps: steps, out: out, cur: make([]rdf.ID, in.w)}
@@ -682,7 +681,7 @@ func (e *Engine) runBGPParallel(ctx context.Context, in *idRows, steps []joinSte
 }
 
 // idHashJoin joins two ID row sets on the slots bound in both sides'
-// first rows, mirroring the legacy hashJoin sample-based semantics.
+// first rows, mirroring the oracle's hashJoin sample-based semantics.
 func (e *Engine) idHashJoin(ctx context.Context, left, right *idRows) (*idRows, error) {
 	if left.n == 1 && allUnbound(left.row(0)) {
 		return right, nil
@@ -789,7 +788,7 @@ func (e *Engine) idHashJoin(ctx context.Context, left, right *idRows) (*idRows, 
 
 // idLeftJoin implements OPTIONAL semantics over ID rows. The nested loop
 // is quadratic in the worst case, so it checks the context periodically
-// for prompt cancellation (the legacy leftJoin it mirrors has no
+// for prompt cancellation (the oracle's leftJoin it mirrors has no
 // intermediate-size guard, so none is applied here either).
 func idLeftJoin(ctx context.Context, left, right *idRows, w int) (*idRows, error) {
 	out := newIDRows(w)
@@ -822,7 +821,7 @@ func idLeftJoin(ctx context.Context, left, right *idRows, w int) (*idRows, error
 // key. It reuses one byte buffer across calls; the string conversion is
 // the only per-row allocation in the join/distinct/group hash paths, and
 // at 4 bytes per column it is far cheaper than the Term.String() keys the
-// legacy path rendered.
+// oracle renders.
 type idKeyer struct {
 	buf []byte
 }
@@ -868,7 +867,7 @@ func (e *Engine) subselectIDs(ctx context.Context, sub *Query, env *execEnv, par
 
 // remapProj spreads projected columns (named by vars) onto the parent
 // slot table. Duplicate projection names collapse to the last value,
-// matching the legacy map-based rows.
+// matching the oracle's map-based rows.
 func remapProj(proj *idRows, vars []string, parentSlots *slotTable) *idRows {
 	out := newIDRows(parentSlots.width())
 	mapping := make([]int, len(vars))
@@ -957,7 +956,7 @@ func (e *Engine) projectStream(q *Query, rows *idRows, slots *slotTable, env *ex
 			for j, it := range q.Items {
 				prow[j] = rdf.NoID
 				if it.Expr == nil {
-					// Legacy semantics: the value from the group's first row.
+					// Oracle semantics: the value from the group's first row.
 					if s, has := slots.lookup(it.Var); has && len(g) > 0 {
 						prow[j] = rows.row(g[0])[s]
 					}
@@ -1312,7 +1311,7 @@ func neededRefs(q *Query, slots *slotTable) []slotRef {
 
 // groupIDRows partitions rows by the raw IDs of the GROUP BY columns,
 // preserving first-encounter order. A GROUP BY variable that can never be
-// bound keys as NoID, matching the legacy empty-string key.
+// bound keys as NoID, matching the oracle's empty-string key.
 func groupIDRows(rows *idRows, by []string, slots *slotTable) [][]int {
 	if len(by) == 0 {
 		if rows.n == 0 {

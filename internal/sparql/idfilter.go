@@ -97,7 +97,7 @@ func (e *Engine) applyFilterIDs(ctx context.Context, f Expr, rows *idRows, slots
 	if slot, want, ok := sameTermConstFilter(f, slots, env); ok {
 		// Term identity == ID identity under one execEnv; an unbound
 		// slot is NoID, which no interned term's ID can equal — exactly
-		// the legacy "sameTerm on unbound is not true" behavior.
+		// the oracle's "sameTerm on unbound is not true" behavior.
 		for i := 0; i < rows.n; i++ {
 			if err := check(i); err != nil {
 				return nil, err

@@ -157,8 +157,7 @@ func TestLeapfrogTombstoneAudit(t *testing.T) {
   ?o a <http://example.org/Hub> . }`,
 	} {
 		stream := NewEngine(live)
-		legacy := NewEngine(live)
-		legacy.UseLegacy = true
+		legacy := newOracle(live)
 		freshEng := NewEngine(fresh)
 		rs, err := stream.Query(ctx, src)
 		if err != nil {

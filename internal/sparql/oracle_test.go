@@ -1,0 +1,537 @@
+package sparql
+
+import (
+	"context"
+	"fmt"
+	"go/ast"
+	goparser "go/parser"
+	gotoken "go/token"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"elinda/internal/rdf"
+	"elinda/internal/store"
+)
+
+// This file holds the differential-testing oracle: the map-based
+// evaluator that was the engine's execution path before the ID-space
+// streaming executor (idexec.go) replaced it. It materializes a
+// map[string]rdf.Term per row per join step and joins stage at a time —
+// slow, but simple enough to be obviously right, which is what a
+// reference implementation is for. It lives in a _test.go file so the
+// product binaries link exactly one executor; TestOracleStaysOutOfProduct
+// keeps it from drifting back.
+
+// oracle evaluates queries against st with the reference evaluator.
+type oracle struct {
+	st *store.Store
+	// maxIntermediate mirrors Engine.MaxIntermediate: the stage sizes it
+	// trips on are the ones the streaming executor must reproduce.
+	maxIntermediate int
+	// order arranges each BGP's patterns before the nested-loop joins:
+	// the engine's own planPatterns unless a test that asserts "ordering
+	// never changes the answer" sets the order to compare.
+	order func(*store.Snapshot, []TriplePattern) []TriplePattern
+}
+
+// newOracle is the oracle's entry point.
+func newOracle(st *store.Store) *oracle { return &oracle{st: st, order: planPatterns} }
+
+// queryOrder keeps a BGP's patterns as written.
+func queryOrder(_ *store.Snapshot, tps []TriplePattern) []TriplePattern { return tps }
+
+// Query parses and executes src.
+func (e *oracle) Query(ctx context.Context, src string) (*Result, error) {
+	q, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return e.Execute(ctx, q)
+}
+
+// Execute runs a parsed query. Like the streaming path it binds one
+// store snapshot for the whole execution, so both answer from the same
+// frozen view.
+func (e *oracle) Execute(ctx context.Context, q *Query) (*Result, error) {
+	return e.executeOn(ctx, q, e.st.Snapshot())
+}
+
+func (e *oracle) executeOn(ctx context.Context, q *Query, snap *store.Snapshot) (*Result, error) {
+	rows, err := e.evalGroup(ctx, q.Where, snap)
+	if err != nil {
+		return nil, err
+	}
+	if q.Ask {
+		return &Result{Ask: true, AskTrue: len(rows) > 0}, nil
+	}
+	return e.finish(q, rows)
+}
+
+// finish applies grouping, projection, distinct, order and slice.
+func (e *oracle) finish(q *Query, rows []Solution) (*Result, error) {
+	var out []Solution
+	var vars []string
+
+	grouped := len(q.GroupBy) > 0 || q.HasAggregates()
+	if grouped {
+		groups := groupRows(rows, q.GroupBy)
+		if len(q.Items) == 0 && !q.Star {
+			return nil, fmt.Errorf("sparql: grouped query requires explicit projection")
+		}
+		for _, it := range q.Items {
+			vars = append(vars, it.Var)
+		}
+		for _, g := range groups {
+			// HAVING constraints.
+			keep := true
+			for _, h := range q.Having {
+				b, ok := evalWithGroup(h, g.rows).AsBool()
+				if !ok || !b {
+					keep = false
+					break
+				}
+			}
+			if !keep {
+				continue
+			}
+			row := Solution{}
+			for _, it := range q.Items {
+				var v Value
+				if it.Expr != nil {
+					v = evalWithGroup(it.Expr, g.rows)
+				} else {
+					v = (&VarExpr{Name: it.Var}).Eval(first(g.rows))
+				}
+				if t, ok := valueToTerm(v); ok {
+					row[it.Var] = t
+				}
+			}
+			out = append(out, row)
+		}
+	} else {
+		switch {
+		case q.Star:
+			seen := map[string]struct{}{}
+			for _, r := range rows {
+				for v := range r {
+					if _, dup := seen[v]; !dup {
+						seen[v] = struct{}{}
+						vars = append(vars, v)
+					}
+				}
+			}
+			sort.Strings(vars)
+			out = rows
+		default:
+			for _, it := range q.Items {
+				vars = append(vars, it.Var)
+			}
+			out = make([]Solution, 0, len(rows))
+			for _, r := range rows {
+				row := Solution{}
+				for _, it := range q.Items {
+					if it.Expr != nil {
+						if t, ok := valueToTerm(it.Expr.Eval(r)); ok {
+							row[it.Var] = t
+						}
+					} else if t, ok := r[it.Var]; ok {
+						row[it.Var] = t
+					}
+				}
+				out = append(out, row)
+			}
+		}
+	}
+
+	if q.Distinct {
+		out = dedupRows(out, vars)
+	}
+	if len(q.OrderBy) > 0 {
+		sortRows(out, q.OrderBy)
+	}
+	out = SliceSolutions(out, q.Offset, q.Limit)
+	return &Result{Vars: vars, Rows: out}, nil
+}
+
+type group struct {
+	key  string
+	rows []Solution
+}
+
+func groupRows(rows []Solution, by []string) []group {
+	if len(by) == 0 {
+		if len(rows) == 0 {
+			// Aggregates over an empty pattern still yield one group so
+			// COUNT(*) returns 0.
+			return []group{{rows: nil}}
+		}
+		return []group{{rows: rows}}
+	}
+	idx := map[string]int{}
+	var out []group
+	for _, r := range rows {
+		var b strings.Builder
+		for _, v := range by {
+			if t, ok := r[v]; ok {
+				b.WriteString(t.String())
+			}
+			b.WriteByte('\x00')
+		}
+		key := b.String()
+		i, ok := idx[key]
+		if !ok {
+			i = len(out)
+			idx[key] = i
+			out = append(out, group{key: key})
+		}
+		out[i].rows = append(out[i].rows, r)
+	}
+	return out
+}
+
+// clone copies the solution.
+func (s Solution) clone() Solution {
+	out := make(Solution, len(s)+1)
+	for k, v := range s {
+		out[k] = v
+	}
+	return out
+}
+
+// evalGroup evaluates a group graph pattern to a list of solutions, all
+// reads going through the execution's bound snapshot.
+func (e *oracle) evalGroup(ctx context.Context, g *GroupPattern, snap *store.Snapshot) ([]Solution, error) {
+	rows := []Solution{{}}
+	var err error
+
+	// Subselects join first (they are usually the most selective part of
+	// eLinda's generated queries).
+	for _, sub := range g.SubSelects {
+		subRes, serr := e.executeOn(ctx, sub, snap)
+		if serr != nil {
+			return nil, serr
+		}
+		rows, err = e.hashJoin(rows, subRes.Rows)
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	// Triple patterns: nested-loop joins with index-backed pattern lookup,
+	// ordered by estimated selectivity.
+	for _, tp := range e.order(snap, g.Triples) {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("sparql: %w", err)
+		}
+		rows, err = e.joinPattern(ctx, snap, rows, tp)
+		if err != nil {
+			return nil, err
+		}
+		if e.maxIntermediate > 0 && len(rows) > e.maxIntermediate {
+			return nil, ErrTooLarge
+		}
+	}
+
+	// VALUES blocks: compatibility join with the inline data. UNDEF
+	// entries leave the variable unbound, so a plain hash join on shared
+	// variables would be wrong — each inline row may bind a different
+	// subset. VALUES tables are small; the pairwise product is fine.
+	for _, vb := range g.Values {
+		var inline []Solution
+		for _, row := range vb.Rows {
+			sol := Solution{}
+			for i, v := range vb.Vars {
+				if i < len(row) && !row[i].IsZero() {
+					sol[v] = row[i]
+				}
+			}
+			inline = append(inline, sol)
+		}
+		var joined []Solution
+		for li, l := range rows {
+			if li%cancelCheckInterval == cancelCheckInterval-1 {
+				if err := ctx.Err(); err != nil {
+					return nil, fmt.Errorf("sparql: %w", err)
+				}
+			}
+			for _, r := range inline {
+				if !compatible(l, r) {
+					continue
+				}
+				m := l.clone()
+				for k, v := range r {
+					m[k] = v
+				}
+				joined = append(joined, m)
+				if e.maxIntermediate > 0 && len(joined) > e.maxIntermediate {
+					return nil, ErrTooLarge
+				}
+			}
+		}
+		rows = joined
+	}
+
+	// UNION branches.
+	for _, branches := range g.Unions {
+		var unionRows []Solution
+		for _, br := range branches {
+			brRows, berr := e.evalGroup(ctx, br, snap)
+			if berr != nil {
+				return nil, berr
+			}
+			unionRows = append(unionRows, brRows...)
+		}
+		rows, err = e.hashJoin(rows, unionRows)
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	// OPTIONAL: left joins.
+	for _, opt := range g.Optionals {
+		optRows, oerr := e.evalGroup(ctx, opt, snap)
+		if oerr != nil {
+			return nil, oerr
+		}
+		rows = leftJoin(rows, optRows)
+	}
+
+	// FILTER constraints.
+	for _, f := range g.Filters {
+		kept := rows[:0]
+		for ri, r := range rows {
+			if ri%cancelCheckInterval == cancelCheckInterval-1 {
+				if err := ctx.Err(); err != nil {
+					return nil, fmt.Errorf("sparql: %w", err)
+				}
+			}
+			if b, ok := f.Eval(r).AsBool(); ok && b {
+				kept = append(kept, r)
+			}
+		}
+		rows = kept
+	}
+	return rows, nil
+}
+
+// joinPattern extends each solution with bindings from matching triples.
+func (e *oracle) joinPattern(ctx context.Context, snap *store.Snapshot, rows []Solution, tp TriplePattern) ([]Solution, error) {
+	d := snap.Dict()
+	var out []Solution
+	visits := 0
+	for _, row := range rows {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("sparql: %w", err)
+		}
+		sid, sOK, sBound := resolvePos(d, row, tp.S)
+		pid, pOK, pBound := resolvePos(d, row, tp.P)
+		oid, oOK, oBound := resolvePos(d, row, tp.O)
+		if !sOK || !pOK || !oOK {
+			// A bound term that is not in the dictionary matches nothing.
+			continue
+		}
+		stop := false
+		snap.Match(sid, pid, oid, func(tr rdf.EncodedTriple) bool {
+			// A single pattern can scan a large share of the store, so the
+			// per-row context check above is not enough for prompt
+			// cancellation; re-check periodically inside the scan too.
+			visits++
+			if visits%cancelCheckInterval == 0 && ctx.Err() != nil {
+				stop = true
+				return false
+			}
+			sol := row.clone()
+			if !sBound && tp.S.IsVar {
+				sol[tp.S.Name] = d.Term(tr.S)
+			}
+			if !pBound && tp.P.IsVar {
+				sol[tp.P.Name] = d.Term(tr.P)
+			}
+			if !oBound && tp.O.IsVar {
+				sol[tp.O.Name] = d.Term(tr.O)
+			}
+			// Repeated variables within the pattern must agree.
+			if !consistent(d, sol, tp, tr) {
+				return true
+			}
+			out = append(out, sol)
+			return true
+		})
+		if stop {
+			return nil, fmt.Errorf("sparql: %w", ctx.Err())
+		}
+	}
+	return out, nil
+}
+
+// resolvePos maps a pattern position to a concrete ID (or NoID wildcard).
+// ok=false means the term cannot match anything in this store. bound
+// reports whether the position was already fixed (term or bound variable).
+func resolvePos(d *rdf.Dict, row Solution, tv TermOrVar) (id rdf.ID, ok, bound bool) {
+	if tv.IsVar {
+		if t, has := row[tv.Name]; has {
+			id, found := d.Lookup(t)
+			return id, found, true
+		}
+		return rdf.NoID, true, false
+	}
+	id, found := d.Lookup(tv.Term)
+	return id, found, true
+}
+
+// consistent verifies repeated-variable constraints like ?x ?p ?x.
+func consistent(d *rdf.Dict, sol Solution, tp TriplePattern, tr rdf.EncodedTriple) bool {
+	check := func(tv TermOrVar, got rdf.ID) bool {
+		if !tv.IsVar {
+			return true
+		}
+		want, ok := sol[tv.Name]
+		if !ok {
+			return true
+		}
+		return want == d.Term(got)
+	}
+	return check(tp.S, tr.S) && check(tp.P, tr.P) && check(tp.O, tr.O)
+}
+
+// hashJoin joins two solution sets on their shared variables.
+func (e *oracle) hashJoin(left, right []Solution) ([]Solution, error) {
+	if len(left) == 1 && len(left[0]) == 0 {
+		return right, nil
+	}
+	if len(right) == 0 || len(left) == 0 {
+		return nil, nil
+	}
+	shared := sharedVars(left[0], right)
+	if len(shared) == 0 {
+		// Cross product.
+		var out []Solution
+		for _, l := range left {
+			for _, r := range right {
+				m := l.clone()
+				for k, v := range r {
+					m[k] = v
+				}
+				out = append(out, m)
+				if e.maxIntermediate > 0 && len(out) > e.maxIntermediate {
+					return nil, ErrTooLarge
+				}
+			}
+		}
+		return out, nil
+	}
+	index := map[string][]Solution{}
+	for _, r := range right {
+		index[joinKey(r, shared)] = append(index[joinKey(r, shared)], r)
+	}
+	var out []Solution
+	for _, l := range left {
+		for _, r := range index[joinKey(l, shared)] {
+			if !compatible(l, r) {
+				continue
+			}
+			m := l.clone()
+			for k, v := range r {
+				m[k] = v
+			}
+			out = append(out, m)
+			if e.maxIntermediate > 0 && len(out) > e.maxIntermediate {
+				return nil, ErrTooLarge
+			}
+		}
+	}
+	return out, nil
+}
+
+// leftJoin implements OPTIONAL semantics: keep every left row, extend with
+// compatible right rows when any exist.
+func leftJoin(left, right []Solution) []Solution {
+	var out []Solution
+	for _, l := range left {
+		matched := false
+		for _, r := range right {
+			if compatible(l, r) {
+				m := l.clone()
+				for k, v := range r {
+					m[k] = v
+				}
+				out = append(out, m)
+				matched = true
+			}
+		}
+		if !matched {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+func compatible(a, b Solution) bool {
+	for k, v := range a {
+		if w, ok := b[k]; ok && w != v {
+			return false
+		}
+	}
+	return true
+}
+
+func sharedVars(sample Solution, right []Solution) []string {
+	if len(right) == 0 {
+		return nil
+	}
+	var shared []string
+	for v := range sample {
+		if _, ok := right[0][v]; ok {
+			shared = append(shared, v)
+		}
+	}
+	sort.Strings(shared)
+	return shared
+}
+
+func joinKey(s Solution, vars []string) string {
+	var b strings.Builder
+	for _, v := range vars {
+		if t, ok := s[v]; ok {
+			b.WriteString(t.String())
+		}
+		b.WriteByte('\x00')
+	}
+	return b.String()
+}
+
+// TestOracleStaysOutOfProduct fails if any non-test file of the query
+// stack or of a command declares or references the oracle's entry point
+// or its evaluator functions: the reference implementation may only be
+// linked into test binaries.
+func TestOracleStaysOutOfProduct(t *testing.T) {
+	banned := map[string]bool{"newOracle": true, "evalGroup": true, "joinPattern": true, "hashJoin": true, "leftJoin": true}
+	checked := 0
+	for _, pattern := range []string{"*.go", "../proxy/*.go", "../endpoint/*.go", "../../cmd/*/*.go"} {
+		paths, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := goparser.ParseFile(gotoken.NewFileSet(), path, nil, goparser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checked++
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && banned[id.Name] {
+					t.Errorf("%s mentions %s: the oracle must stay in _test.go files", path, id.Name)
+				}
+				return true
+			})
+		}
+	}
+	if checked < 30 {
+		t.Fatalf("only %d files checked: the source layout moved, fix the patterns above", checked)
+	}
+}

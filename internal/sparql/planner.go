@@ -11,46 +11,27 @@ import (
 
 // Join ordering. The engine orders a BGP's triple patterns before
 // execution so that index-backed joins run selective-first and cross
-// products are deferred as long as possible. Two strategies exist:
+// products are deferred as long as possible. The orderer is chosen from
+// the BGP's size:
 //
-//   - PlannerDP (default): cost-based dynamic programming over pattern
-//     subsets. Per-pattern cardinalities are exact (CardMatch on the
-//     columnar indexes); join cardinalities are estimated from the
-//     snapshot's statistics (per-predicate distinct subject/object
-//     counts, characteristic sets) under the independence assumption,
-//     with a characteristic-set override for subject stars. The cost
-//     metric is Cout — the sum of estimated intermediate result sizes
-//     (Neumann & Moerkotte). Left-deep plans only: the executor is a
-//     streaming pipeline, so bushy plans would buy nothing.
-//   - PlannerGreedy: the previous behaviour — cheapest pattern first,
-//     then cheapest pattern connected to the bound variable set.
+//   - Up to dpMaxPatterns patterns: cost-based dynamic programming over
+//     pattern subsets (orderDP). Per-pattern cardinalities are exact
+//     (CardMatch on the columnar indexes); join cardinalities are
+//     estimated from the snapshot's statistics (per-predicate distinct
+//     subject/object counts, characteristic sets) under the independence
+//     assumption, with a characteristic-set override for subject stars.
+//     The cost metric is Cout — the sum of estimated intermediate result
+//     sizes (Neumann & Moerkotte). Left-deep plans only: the executor is
+//     a streaming pipeline, so bushy plans would buy nothing.
+//   - Above that, where the subset DP is too expensive: greedy
+//     (orderGreedy) — cheapest pattern first, then the cheapest pattern
+//     connected to the bound variable set.
 //
-// DP is exponential in the pattern count, so BGPs larger than
-// dpMaxPatterns fall back to greedy. Both strategies are deterministic:
-// ties always resolve to the earlier candidate.
-
-// PlannerMode selects the join-ordering strategy.
-type PlannerMode int
-
-const (
-	// PlannerDP is cost-based dynamic-programming join ordering (default).
-	PlannerDP PlannerMode = iota
-	// PlannerGreedy is greedy selectivity ordering.
-	PlannerGreedy
-	// PlannerOff evaluates patterns in query order.
-	PlannerOff
-)
+// Both are deterministic: ties always resolve to the earlier candidate.
 
 // dpMaxPatterns caps the BGP size the subset-DP orderer handles; larger
 // groups fall back to greedy ordering. 10 patterns → 1024 subsets.
 const dpMaxPatterns = 10
-
-func (e *Engine) plannerMode() PlannerMode {
-	if e.DisablePlanner {
-		return PlannerOff
-	}
-	return e.Planner
-}
 
 // plannedStep is one pattern in the chosen join order, with the
 // estimates the planner used (surfaced by EXPLAIN).
@@ -61,8 +42,8 @@ type plannedStep struct {
 }
 
 // planPatterns orders a BGP's triple patterns for evaluation.
-func (e *Engine) planPatterns(snap *store.Snapshot, tps []TriplePattern) []TriplePattern {
-	steps := e.planBGP(snap, tps)
+func planPatterns(snap *store.Snapshot, tps []TriplePattern) []TriplePattern {
+	steps, _ := planBGP(snap, tps)
 	if steps == nil {
 		return tps
 	}
@@ -73,20 +54,23 @@ func (e *Engine) planPatterns(snap *store.Snapshot, tps []TriplePattern) []Tripl
 	return out
 }
 
-// planBGP runs the configured ordering strategy and returns the ordered
-// patterns with their estimates. A nil return means "keep query order".
-func (e *Engine) planBGP(snap *store.Snapshot, tps []TriplePattern) []plannedStep {
-	if e.plannerMode() == PlannerOff || len(tps) <= 1 {
-		return nil
+// planBGP orders tps and returns the ordered patterns with their
+// estimates, plus which orderer ran ("dp" or "greedy"; surfaced as
+// PlanReport.Mode). Nil steps with "none" mean "keep query order": there
+// is nothing to order (at most one pattern) or the query is out of the
+// planner's model.
+func planBGP(snap *store.Snapshot, tps []TriplePattern) ([]plannedStep, string) {
+	if len(tps) <= 1 {
+		return nil, "none"
 	}
 	infos, ok := analyzePatterns(snap, tps)
 	if !ok {
-		return nil
+		return nil, "none"
 	}
-	if e.plannerMode() == PlannerDP && len(tps) <= dpMaxPatterns {
-		return orderDP(snap.PlanStats(), infos)
+	if len(tps) <= dpMaxPatterns {
+		return orderDP(snap.PlanStats(), infos), "dp"
 	}
-	return orderGreedy(infos)
+	return orderGreedy(infos), "greedy"
 }
 
 // patInfo is the planner's per-pattern working state.

@@ -34,7 +34,7 @@ func TestPlannerOrdersBySelectivity(t *testing.T) {
 		{S: V("s"), P: T(ex("knows")), O: V("o")},        // 1000 matches
 		{S: V("s"), P: T(rdf.TypeIRI), O: T(ex("Rare"))}, // 3 matches
 	}
-	planned := e.planPatterns(e.st.Snapshot(), tps)
+	planned := planPatterns(e.st.Snapshot(), tps)
 	if planned[0].P.Term != rdf.TypeIRI {
 		t.Errorf("selective pattern not first: %v", planned[0])
 	}
@@ -49,7 +49,7 @@ func TestPlannerPrefersConnectedPatterns(t *testing.T) {
 		{S: V("s"), P: T(rdf.TypeIRI), O: T(ex("Rare"))},
 		{S: V("s"), P: T(ex("knows")), O: V("o")},
 	}
-	planned := e.planPatterns(e.st.Snapshot(), tps)
+	planned := planPatterns(e.st.Snapshot(), tps)
 	if planned[0].P.Term != rdf.TypeIRI {
 		t.Fatalf("plan[0] = %v", planned[0])
 	}
@@ -79,10 +79,9 @@ func TestPlannerSameResultsAsUnplanned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		planned := NewEngine(st)
-		unplanned := NewEngine(st)
-		unplanned.DisablePlanner = true
-		r1, err := planned.Execute(context.Background(), q)
+		unplanned := newOracle(st)
+		unplanned.order = queryOrder
+		r1, err := NewEngine(st).Execute(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +101,7 @@ func TestPlannerUnknownConstantFirst(t *testing.T) {
 		{S: V("s"), P: T(ex("knows")), O: V("o")},
 		{S: V("s"), P: T(ex("neverSeen")), O: V("z")}, // estimate 0
 	}
-	planned := e.planPatterns(e.st.Snapshot(), tps)
+	planned := planPatterns(e.st.Snapshot(), tps)
 	if planned[0].P.Term != ex("neverSeen") {
 		t.Errorf("zero-cardinality pattern should lead: %v", planned[0])
 	}
@@ -142,9 +141,9 @@ func crossProducts(tps []TriplePattern) int {
 }
 
 // TestPlannerDisconnectedBGP: a BGP with two components must cross
-// exactly once — each component is joined down before the product — in
-// every planner mode, and the results must agree with the unplanned
-// order.
+// exactly once — each component is joined down before the product —
+// under both orderers, and evaluating in either order must give the
+// rows of the query-order evaluation.
 func TestPlannerDisconnectedBGP(t *testing.T) {
 	st := store.New(1024)
 	var ts []rdf.Triple
@@ -163,27 +162,45 @@ func TestPlannerDisconnectedBGP(t *testing.T) {
 		{S: V("x"), P: T(ex("p3")), O: V("y")},
 		{S: V("b"), P: T(ex("p2")), O: V("c")},
 	}
-	for _, mode := range []PlannerMode{PlannerDP, PlannerGreedy} {
-		e := NewEngine(st)
-		e.Planner = mode
-		planned := e.planPatterns(st.Snapshot(), tps)
+	q := &Query{Star: true, Where: &GroupPattern{Triples: tps}, Limit: -1}
+	// eval runs the query's one BGP on the oracle in exactly the given order.
+	eval := func(order []TriplePattern) []Solution {
+		o := newOracle(st)
+		o.order = func(*store.Snapshot, []TriplePattern) []TriplePattern { return order }
+		res, err := o.Execute(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows
+	}
+	want := eval(tps)
+	snap := st.Snapshot()
+	infos, ok := analyzePatterns(snap, tps)
+	if !ok {
+		t.Fatal("patterns out of the planner's model")
+	}
+	for name, steps := range map[string][]plannedStep{
+		"dp":     orderDP(snap.PlanStats(), infos),
+		"greedy": orderGreedy(infos),
+	} {
+		planned := make([]TriplePattern, len(steps))
+		for i, s := range steps {
+			planned[i] = s.tp
+		}
 		if got := crossProducts(planned); got != 1 {
-			t.Errorf("mode %v: %d cross products in plan %v, want 1", mode, got, planned)
+			t.Errorf("%s: %d cross products in plan %v, want 1", name, got, planned)
 		}
-		q := &Query{Star: true, Where: &GroupPattern{Triples: tps}, Limit: -1}
-		res, err := e.Execute(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
+		if got := eval(planned); !sameSolutions(got, want) {
+			t.Errorf("%s: ordering changed results: %d vs %d rows", name, len(got), len(want))
 		}
-		off := NewEngine(st)
-		off.DisablePlanner = true
-		want, err := off.Execute(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameSolutions(res.Rows, want.Rows) {
-			t.Errorf("mode %v: planner changed results: %d vs %d rows", mode, len(res.Rows), len(want.Rows))
-		}
+	}
+	// The engine (DP at this size) agrees too.
+	res, err := NewEngine(st).Execute(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameSolutions(res.Rows, want) {
+		t.Errorf("engine: planner changed results: %d vs %d rows", len(res.Rows), len(want))
 	}
 }
 
@@ -215,34 +232,4 @@ func TestGreedyCrossProductBlowup(t *testing.T) {
 	if steps[1].tp.P.Term != ex("wideRoot") {
 		t.Errorf("fallback picked %v, want wideRoot (smallest estimated blowup)", steps[1].tp)
 	}
-}
-
-// BenchmarkPlannerEffect quantifies the ordering win on the selective
-// fixture (the planner ablation).
-func BenchmarkPlannerEffect(b *testing.B) {
-	e := plannerFixture(b)
-	src := `SELECT ?s ?o WHERE {
-  ?s <http://example.org/knows> ?o .
-  ?s a <http://example.org/Rare> .
-}`
-	q, err := Parse(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("planned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := e.Execute(context.Background(), q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("unplanned", func(b *testing.B) {
-		e2 := NewEngine(e.Store())
-		e2.DisablePlanner = true
-		for i := 0; i < b.N; i++ {
-			if _, err := e2.Execute(context.Background(), q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -47,9 +47,9 @@ func (e *Engine) QueryRows(ctx context.Context, src string, sink RowSink) error 
 // ExecuteRows runs a parsed query, streaming the result into sink. The
 // row set and order are identical to Execute's: both share the ID-row
 // pipeline, and paths that need every row before the first can be emitted
-// (ORDER BY, the legacy oracle) materialize internally and replay.
+// (ORDER BY) materialize internally and replay.
 func (e *Engine) ExecuteRows(ctx context.Context, q *Query, sink RowSink) error {
-	if e.UseLegacy || len(q.OrderBy) > 0 {
+	if len(q.OrderBy) > 0 {
 		res, err := e.Execute(ctx, q)
 		if err != nil {
 			return err

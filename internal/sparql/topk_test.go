@@ -91,8 +91,7 @@ func TestOrderByLimitMatchesLegacy(t *testing.T) {
 		})
 	}
 	stream := NewEngine(st)
-	legacy := NewEngine(st)
-	legacy.UseLegacy = true
+	legacy := newOracle(st)
 
 	cases := []string{
 		`SELECT ?s ?v WHERE { ?s <http://example.org/val> ?v . } ORDER BY ?v LIMIT 10`,
