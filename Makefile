@@ -31,8 +31,7 @@ bench_query  := ./cmd/elinda-bench -experiment query-engine
 full_query   := -persons 5000
 quick_query  := -persons 2000
 bench_store  := ./cmd/elinda-bench -experiment store-snapshot
-full_store   := -persons 5000
-quick_store  := -persons 2000 -triples 200000
+quick_store  := -triples 200000
 bench_ingest := ./cmd/elinda-bench -experiment ingest
 quick_ingest := -triples 200000
 bench_wal    := ./cmd/elinda-bench -experiment wal

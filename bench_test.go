@@ -191,34 +191,6 @@ func BenchmarkIncrementalSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalParallel measures the parallel sharded evaluator on
-// the DBpedia-like dataset for P = 1, 2, 4, 8 workers: the Philosopher
-// pane's incremental property chart (the paper's running example — a
-// chart-expansion workload where the membership-filtered scan dominates
-// and shard merges stay small, so the shards scale). Speedup over P=1
-// requires GOMAXPROCS cores to run the shards on.
-func BenchmarkIncrementalParallel(b *testing.B) {
-	sys := system(b)
-	total := sys.Store.Len()
-	pid, ok := sys.Store.Dict().Lookup(datagen.Ont("Philosopher"))
-	if !ok {
-		b.Fatal("Philosopher class missing")
-	}
-	set := sys.Store.SubjectsOfType(pid)
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			ev := incremental.New(sys.Store, incremental.Config{ChunkSize: total/5 + 1, Workers: p})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				agg := incremental.NewPropertyAggregator(set, false)
-				if _, err := ev.Run(context.Background(), agg, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkErrorDetection regenerates T5: the birthPlace object expansion
 // on Person that surfaces the erroneous Food bar.
 func BenchmarkErrorDetection(b *testing.B) {

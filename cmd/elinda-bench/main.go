@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io/fs"
 	"log"
-	"maps"
 	"math/rand"
 	"os"
 	"runtime"
@@ -57,7 +56,7 @@ import (
 
 func main() {
 	var (
-		experiment  = flag.String("experiment", "all", "fig4 | facts | incremental | incremental-parallel | ablation-hvs | ablation-decomposer | query-engine | join | store-snapshot | ingest | wal | fleet | update | all")
+		experiment  = flag.String("experiment", "all", "fig4 | facts | incremental | ablation-hvs | ablation-decomposer | query-engine | join | store-snapshot | ingest | wal | fleet | update | all")
 		persons     = flag.Int("persons", 20000, "synthetic dataset size for timing experiments")
 		factsSize   = flag.Int("facts-persons", 2000, "dataset size for the text-fact experiments")
 		jsonOut     = flag.String("json-out", "BENCH_query.json", "machine-readable output path for the query-engine experiment")
@@ -89,8 +88,6 @@ func main() {
 		runFacts(*factsSize)
 	case "incremental":
 		runIncremental(*persons)
-	case "incremental-parallel":
-		runIncrementalParallel(*persons)
 	case "ablation-hvs":
 		runAblationHVS(*persons)
 	case "ablation-decomposer":
@@ -100,7 +97,7 @@ func main() {
 	case "join":
 		runJoin(*joinNodes, *joinOut, *joinExplain)
 	case "store-snapshot":
-		runStoreSnapshot(*triples, *persons, *storeOut)
+		runStoreSnapshot(*triples, *storeOut)
 	case "ingest":
 		runIngest(*triples, *ingestOut)
 	case "wal":
@@ -116,8 +113,6 @@ func main() {
 		fmt.Println()
 		runIncremental(*persons)
 		fmt.Println()
-		runIncrementalParallel(*persons)
-		fmt.Println()
 		runAblationHVS(*persons)
 		fmt.Println()
 		runAblationDecomposer(*persons)
@@ -126,7 +121,7 @@ func main() {
 		fmt.Println()
 		runJoin(*joinNodes, *joinOut, *joinExplain)
 		fmt.Println()
-		runStoreSnapshot(*triples, *persons, *storeOut)
+		runStoreSnapshot(*triples, *storeOut)
 		fmt.Println()
 		runIngest(*triples, *ingestOut)
 		fmt.Println()
@@ -304,64 +299,6 @@ func runIncremental(persons int) {
 		}
 	}
 	fmt.Println("\ninvariant verified: every sweep converges to the single-shot chart")
-}
-
-// runIncrementalParallel measures the parallel sharded evaluator for
-// P = 1, 2, 4, 8 workers on two workloads: the level-zero property chart
-// over every subject (merge-bound: nearly every triple contributes a
-// distinct pair, so shard merging rivals the scan itself) and the Person
-// pane's property chart (scan-bound: the membership filter parallelizes
-// across shards and merges stay small). Wall-clock speedup additionally
-// requires GOMAXPROCS cores to run the shards on.
-func runIncrementalParallel(persons int) {
-	fmt.Println("== Parallel incremental evaluation (sharded rounds) ==")
-	sys := buildSystem(persons)
-	total := sys.Store.Len()
-	chunk := total/5 + 1
-	fmt.Printf("dataset: %d triples, N=%d (5 rounds), GOMAXPROCS=%d\n",
-		total, chunk, runtime.GOMAXPROCS(0))
-
-	personID, ok := sys.Store.Dict().Lookup(datagen.Ont("Person"))
-	if !ok {
-		log.Fatal("Person class missing from the generated dataset")
-	}
-	workloads := []struct {
-		name string
-		set  []rdf.ID
-	}{
-		{"level-zero (all subjects)", nil},
-		{"Person pane", append([]rdf.ID(nil), sys.Store.SubjectsOfType(personID)...)},
-	}
-	for _, w := range workloads {
-		want := incremental.NewPropertyAggregator(w.set, false)
-		sys.Store.Scan(0, 0, func(e rdf.EncodedTriple) bool { want.Observe(e); return true })
-		wantCounts := want.Counts()
-
-		fmt.Printf("\n-- %s --\n", w.name)
-		fmt.Printf("%8s %14s %16s %9s\n", "P", "t(total)", "triples/s", "speedup")
-		var base time.Duration
-		for _, p := range []int{1, 2, 4, 8} {
-			ev := incremental.New(sys.Store, incremental.Config{ChunkSize: chunk, Workers: p})
-			agg := incremental.NewPropertyAggregator(w.set, false)
-			start := time.Now()
-			final, err := ev.Run(context.Background(), agg, nil)
-			if err != nil {
-				log.Fatal(err)
-			}
-			elapsed := time.Since(start)
-			if !maps.Equal(final.Counts, wantCounts) {
-				log.Fatalf("P=%d diverged from the sequential counts", p)
-			}
-			if base == 0 {
-				base = elapsed
-			}
-			fmt.Printf("%8d %14s %16.0f %8.2fx\n", p,
-				elapsed.Round(time.Microsecond),
-				float64(total)/elapsed.Seconds(),
-				float64(base)/float64(elapsed))
-		}
-	}
-	fmt.Println("\ninvariant verified: every worker count converges to the sequential chart")
 }
 
 // queryBenchRow is one workload measurement in BENCH_query.json.
@@ -549,13 +486,6 @@ type storeBenchReport struct {
 		Goroutines             int     `json:"goroutines"`
 		ConcurrentSnapshotNsOp float64 `json:"concurrent_snapshot_ns_op"`
 	} `json:"read_latency"`
-
-	ParallelBGP []struct {
-		Workers int     `json:"workers"`
-		Ns      int64   `json:"ns"`
-		Rows    int     `json:"rows"`
-		Speedup float64 `json:"speedup"`
-	} `json:"parallel_bgp"`
 }
 
 // storeBenchTriples builds the bulk-load workload: the DBpedia-like
@@ -572,10 +502,10 @@ func storeBenchTriples(n int) []rdf.Triple {
 }
 
 // runStoreSnapshot measures the immutable-snapshot store: sort-once bulk
-// load, lock-free snapshot reads serial and concurrent, and the parallel
-// BGP fan-out at P = 1/2/4/8. Writes BENCH_store.json.
-func runStoreSnapshot(triples, persons int, jsonOut string) {
-	fmt.Println("== Store snapshot: columnar bulk load, lock-free reads, parallel BGP ==")
+// load and lock-free snapshot reads serial and concurrent. Writes
+// BENCH_store.json.
+func runStoreSnapshot(triples int, jsonOut string) {
+	fmt.Println("== Store snapshot: columnar bulk load, lock-free reads ==")
 	var report storeBenchReport
 	report.Experiment = "store-snapshot"
 	report.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
@@ -602,8 +532,8 @@ func runStoreSnapshot(triples, persons int, jsonOut string) {
 		}
 	})
 	triples = st.Len()
-	// Release the raw triples before the latency and query sections so
-	// their GC pressure does not leak into them.
+	// Release the raw triples before the latency section so their GC
+	// pressure does not leak into it.
 	ts = nil
 	runtime.GC()
 
@@ -675,38 +605,6 @@ func runStoreSnapshot(triples, persons int, jsonOut string) {
 	fmt.Printf("read latency (Objects probe): %.0f ns/op; at %d goroutines %.0f ns/op\n",
 		report.ReadLatency.SnapshotNsOp, goroutines, report.ReadLatency.ConcurrentSnapshotNsOp)
 
-	// --- Parallel BGP: root-pattern fan-out at P = 1/2/4/8 ---
-	// Drop the bulk-load store first, for the same GC-isolation reason.
-	st, snap, subjects, preds = nil, nil, nil, nil
-	runtime.GC()
-	sys := buildSystem(persons)
-	src := `SELECT ?s ?o ?l WHERE {
-  ?s a <` + datagen.OntNS + `Person> .
-  ?s <` + datagen.OntNS + `birthPlace> ?o .
-  ?s <` + rdf.LabelIRI.Value + `> ?l . }`
-	q, err := sparql.Parse(src)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("parallel BGP (%d triples): %8s %14s %9s\n", sys.Store.Len(), "P", "t(best of 3)", "speedup")
-	var base time.Duration
-	for _, p := range []int{1, 2, 4, 8} {
-		e := sparql.NewEngine(sys.Store)
-		e.Workers = p
-		best, rows := bestOf3(e, q)
-		if base == 0 {
-			base = best
-		}
-		speedup := float64(base) / float64(best)
-		fmt.Printf("%35d %14s %8.2fx\n", p, best.Round(time.Microsecond), speedup)
-		report.ParallelBGP = append(report.ParallelBGP, struct {
-			Workers int     `json:"workers"`
-			Ns      int64   `json:"ns"`
-			Rows    int     `json:"rows"`
-			Speedup float64 `json:"speedup"`
-		}{Workers: p, Ns: best.Nanoseconds(), Rows: rows, Speedup: speedup})
-	}
-
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		log.Fatal(err)
@@ -735,9 +633,9 @@ func bestOf2(f func()) time.Duration {
 }
 
 // ingestBenchReport is the machine-readable result of the ingest
-// experiment (BENCH_ingest.json): the parallel streaming load against
-// the PR 3 materialize-then-encode path, and the binary-snapshot warm
-// start against re-parsing.
+// experiment (BENCH_ingest.json): the streaming load (a GOMAXPROCS-wide
+// pool, recorded as gomaxprocs) against the PR 3 materialize-then-encode
+// path, and the binary-snapshot warm start against re-parsing.
 type ingestBenchReport struct {
 	Experiment  string `json:"experiment"`
 	GeneratedAt string `json:"generated_at"`
@@ -750,7 +648,12 @@ type ingestBenchReport struct {
 	// dictionary — the exact load path PR 3 shipped.
 	SerialNs int64 `json:"serial_ns"`
 
-	Stream []ingestStreamResult `json:"stream"`
+	Stream struct {
+		LoadNs        int64   `json:"load_ns"`
+		TriplesPerSec float64 `json:"triples_per_sec"`
+		// Speedup is against SerialNs.
+		Speedup float64 `json:"speedup"`
+	} `json:"stream"`
 
 	Snapshot struct {
 		FileBytes int64 `json:"file_bytes"`
@@ -759,18 +662,9 @@ type ingestBenchReport struct {
 		// SpeedupVsReparse is snapshot load against the serial parse
 		// baseline — the cold start a warm restart replaces.
 		SpeedupVsReparse float64 `json:"speedup_vs_reparse"`
-		// SpeedupVsStream compares against the fastest streaming load.
+		// SpeedupVsStream compares against the streaming load.
 		SpeedupVsStream float64 `json:"speedup_vs_stream"`
 	} `json:"snapshot"`
-}
-
-// ingestStreamResult is one worker-count measurement of the streaming
-// parallel load.
-type ingestStreamResult struct {
-	Workers       int     `json:"workers"`
-	LoadNs        int64   `json:"load_ns"`
-	TriplesPerSec float64 `json:"triples_per_sec"`
-	Speedup       float64 `json:"speedup"`
 }
 
 // runIngest measures the streaming parallel ingest pipeline and binary
@@ -811,35 +705,21 @@ func runIngest(triples int, jsonOut string) {
 	fmt.Printf("serial baseline (parse + Load): %s (%.0f triples/s)\n\n",
 		serialT.Round(time.Millisecond), float64(serialStore.Len())/serialT.Seconds())
 
-	// Streaming parallel ingest at P = 1/2/4/8.
-	fmt.Printf("%8s %14s %16s %9s\n", "P", "t(best of 2)", "triples/s", "speedup")
-	var bestStream time.Duration
 	var streamStore *store.Store
-	for _, p := range []int{1, 2, 4, 8} {
-		var st *store.Store
-		d := bestOf2(func() {
-			st = store.New(0)
-			if _, err := st.LoadStream(bytes.NewReader(doc), store.StreamOptions{Workers: p}); err != nil {
-				log.Fatal(err)
-			}
-		})
-		if st.Len() != serialStore.Len() {
-			log.Fatalf("stream load (P=%d) produced %d triples, serial %d", p, st.Len(), serialStore.Len())
+	streamT := bestOf2(func() {
+		streamStore = store.New(0)
+		if _, err := streamStore.LoadStream(bytes.NewReader(doc), store.StreamOptions{}); err != nil {
+			log.Fatal(err)
 		}
-		if bestStream == 0 || d < bestStream {
-			bestStream = d
-			streamStore = st
-		}
-		speedup := float64(serialT) / float64(d)
-		fmt.Printf("%8d %14s %16.0f %8.2fx\n", p, d.Round(time.Millisecond),
-			float64(st.Len())/d.Seconds(), speedup)
-		report.Stream = append(report.Stream, ingestStreamResult{
-			Workers:       p,
-			LoadNs:        d.Nanoseconds(),
-			TriplesPerSec: float64(st.Len()) / d.Seconds(),
-			Speedup:       speedup,
-		})
+	})
+	if streamStore.Len() != serialStore.Len() {
+		log.Fatalf("stream load produced %d triples, serial %d", streamStore.Len(), serialStore.Len())
 	}
+	report.Stream.LoadNs = streamT.Nanoseconds()
+	report.Stream.TriplesPerSec = float64(streamStore.Len()) / streamT.Seconds()
+	report.Stream.Speedup = float64(serialT) / float64(streamT)
+	fmt.Printf("streaming ingest (LoadStream):  %s (%.0f triples/s, %.2fx)\n",
+		streamT.Round(time.Millisecond), report.Stream.TriplesPerSec, report.Stream.Speedup)
 
 	// Binary snapshot: save once, then measure the warm start.
 	dir, err := os.MkdirTemp("", "elinda-ingest-bench")
@@ -873,8 +753,8 @@ func runIngest(triples int, jsonOut string) {
 	report.Snapshot.SaveNs = saveT.Nanoseconds()
 	report.Snapshot.LoadNs = loadT.Nanoseconds()
 	report.Snapshot.SpeedupVsReparse = float64(serialT) / float64(loadT)
-	report.Snapshot.SpeedupVsStream = float64(bestStream) / float64(loadT)
-	fmt.Printf("\nsnapshot: %.1f MiB, save %s, load %s — warm start %.1fx faster than re-parsing (%.1fx vs parallel ingest)\n",
+	report.Snapshot.SpeedupVsStream = float64(streamT) / float64(loadT)
+	fmt.Printf("\nsnapshot: %.1f MiB, save %s, load %s — warm start %.1fx faster than re-parsing (%.1fx vs streaming ingest)\n",
 		float64(fi.Size())/(1<<20), saveT.Round(time.Millisecond), loadT.Round(time.Millisecond),
 		report.Snapshot.SpeedupVsReparse, report.Snapshot.SpeedupVsStream)
 
@@ -1047,9 +927,8 @@ func runWAL(records int, jsonOut string) {
 
 // updateBenchReport is the machine-readable result of the update
 // experiment (BENCH_update.json): the cost of one atomic Apply per delta
-// size, what footprint-based retention saves over the paper's wholesale
-// cache clear, and what delta maintenance of a chart aggregator saves
-// over a full rescan.
+// size, and what footprint-based retention saves over the paper's
+// wholesale cache clear.
 type updateBenchReport struct {
 	Experiment  string `json:"experiment"`
 	GeneratedAt string `json:"generated_at"`
@@ -1066,16 +945,6 @@ type updateBenchReport struct {
 		ServeWholesaleNs int64   `json:"serve_wholesale_ns"`
 		Speedup          float64 `json:"speedup"`
 	} `json:"hvs"`
-
-	Incremental struct {
-		Deltas          int     `json:"deltas"`
-		DeltaSize       int     `json:"delta_size"`
-		MaintainTotalNs int64   `json:"maintain_total_ns"`
-		MaintainNsOp    float64 `json:"maintain_ns_op"`
-		RescanTotalNs   int64   `json:"rescan_total_ns"`
-		RescanNsOp      float64 `json:"rescan_ns_op"`
-		Speedup         float64 `json:"speedup"`
-	} `json:"incremental"`
 }
 
 // updateApplyResult is the Apply measurement at one delta size.
@@ -1127,12 +996,11 @@ func updateWorkload(base []rdf.Triple, deltas, size int) []store.Delta {
 }
 
 // runUpdate measures the live mutation path end to end: Store.Apply
-// latency per delta size (tombstone deletes included), footprint-based
-// HVS retention against the wholesale clear it replaces, and delta
-// maintenance of a chart aggregator against the full rescan it replaces.
-// Writes BENCH_update.json.
+// latency per delta size (tombstone deletes included) and footprint-based
+// HVS retention against the wholesale clear it replaces. Writes
+// BENCH_update.json.
 func runUpdate(persons int, jsonOut string) {
-	fmt.Println("== Update: Apply latency, HVS delta retention, incremental chart maintenance ==")
+	fmt.Println("== Update: Apply latency, HVS delta retention ==")
 	var report updateBenchReport
 	report.Experiment = "update"
 	report.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
@@ -1253,49 +1121,6 @@ func runUpdate(persons int, jsonOut string) {
 	fmt.Printf("serving the %d survivors: retained %s vs wholesale-clear %s (%.1fx)\n",
 		len(survivors), retainedServe.Round(time.Microsecond),
 		wholesaleServe.Round(time.Microsecond), report.HVS.Speedup)
-
-	// --- Incremental chart maintenance vs rescan ---
-	// A property-expansion aggregator tracks the store through a stream
-	// of deltas two ways: Maintain consumes each ApplyResult; the rescan
-	// rebuilds from the full log, which is what the chart layer did
-	// before deltas existed. Both must land on identical charts.
-	st := store.New(len(base))
-	if _, err := st.Load(base); err != nil {
-		log.Fatal(err)
-	}
-	const incDeltas, incSize = 32, 16
-	maintained := incremental.NewPropertyAggregator(nil, false)
-	st.Scan(0, 0, func(e rdf.EncodedTriple) bool { maintained.Observe(e); return true })
-	var maintainNs, rescanNs time.Duration
-	var fresh *incremental.PropertyAggregator
-	for _, d := range updateWorkload(base, incDeltas, incSize) {
-		res, err := st.Apply(d)
-		if err != nil {
-			log.Fatal(err)
-		}
-		start := time.Now()
-		incremental.Maintain(maintained, res)
-		maintainNs += time.Since(start)
-		start = time.Now()
-		fresh = incremental.NewPropertyAggregator(nil, false)
-		st.Scan(0, 0, func(e rdf.EncodedTriple) bool { fresh.Observe(e); return true })
-		rescanNs += time.Since(start)
-	}
-	if !maps.Equal(maintained.Counts(), fresh.Counts()) {
-		log.Fatal("maintained chart diverged from rescan")
-	}
-	report.Incremental.Deltas = incDeltas
-	report.Incremental.DeltaSize = incSize
-	report.Incremental.MaintainTotalNs = maintainNs.Nanoseconds()
-	report.Incremental.MaintainNsOp = float64(maintainNs.Nanoseconds()) / float64(incDeltas)
-	report.Incremental.RescanTotalNs = rescanNs.Nanoseconds()
-	report.Incremental.RescanNsOp = float64(rescanNs.Nanoseconds()) / float64(incDeltas)
-	if maintainNs > 0 {
-		report.Incremental.Speedup = float64(rescanNs) / float64(maintainNs)
-	}
-	fmt.Printf("\nchart maintenance over %d deltas of %d ops: maintain %s vs rescan %s (%.0fx)\n",
-		incDeltas, incSize, maintainNs.Round(time.Microsecond), rescanNs.Round(time.Microsecond),
-		report.Incremental.Speedup)
 
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

@@ -12,8 +12,8 @@
 // With no -url it is self-contained: it builds the bundled synthetic
 // dataset, mounts the full serving stack (proxy with HVS + coalescing
 // behind the admission-controlled streaming endpoint) on a loopback
-// listener, runs the load twice — once with the cache tiers on, once
-// ablated to the bare backend — and writes the comparison (including the
+// listener, runs the load twice — once with the HVS on, once with it
+// off (the backend tier alone, still coalescing) — and writes the comparison (including the
 // cached-vs-uncached throughput speedup) to BENCH_serve.json:
 //
 //	elinda-loadgen -concurrency 32 -duration 5s -mix 0.9
@@ -112,9 +112,9 @@ func main() {
 		report.Triples = sys.Store.Len()
 		fmt.Printf("dataset: %d triples, serving on %s\n\n", sys.Store.Len(), addr)
 
-		// Pass 1: the serving tier — HVS + coalescing on. The decomposer is
-		// off in BOTH passes so the measured speedup is attributable to the
-		// cache and coalescing alone.
+		// Pass 1: the serving tier with the HVS on. The decomposer is off
+		// and backend coalescing on in BOTH passes, so the measured speedup
+		// is attributable to the cache alone.
 		sys.Proxy.SetOptions(proxy.Options{
 			HeavyThreshold:    *heavy,
 			DisableDecomposer: true,
@@ -130,7 +130,6 @@ func main() {
 				HeavyThreshold:    *heavy,
 				DisableHVS:        true,
 				DisableDecomposer: true,
-				DisableCoalescing: true,
 			})
 			sys.Proxy.HVS().Invalidate()
 			ablated := runPass("backend-only", addr, accept, gen, *concurrency, *duration)

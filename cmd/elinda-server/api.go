@@ -56,7 +56,7 @@ func (a *api) stats(w http.ResponseWriter, r *http.Request) {
 // classes implements GET /api/classes?q=phil — the autocomplete box.
 func (a *api) classes(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
-	var out []map[string]string
+	out := []map[string]string{} // no match encodes as [], not null
 	for _, id := range a.sys.Store.SearchClasses(q) {
 		out = append(out, map[string]string{
 			"iri":   a.sys.Store.Dict().Term(id).Value,
@@ -179,8 +179,10 @@ func (a *api) connections(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, chartJSON(chart, r.URL.Query().Get("sparql") == "1"))
 }
 
-// table implements GET /api/table?class=IRI&props=IRI,IRI&filterProp=IRI
-// &filterValue=IRI — the data table with its generated SPARQL.
+// table implements GET /api/table?class=IRI&props=IRI&props=IRI
+// &filterProp=IRI&filterValue=IRI (props repeats once per column; in place
+// of filterValue, filterContains=TEXT matches substrings) — the data table
+// with its generated SPARQL.
 func (a *api) table(w http.ResponseWriter, r *http.Request) {
 	p, err := a.paneFor(r)
 	if err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -70,6 +71,24 @@ func TestAPIClassesSearch(t *testing.T) {
 	}
 	if len(classes) != 1 || classes[0]["label"] != "Philosopher" {
 		t.Errorf("classes = %v", classes)
+	}
+}
+
+// TestAPIClassesEmptyIsArray: a search that matches nothing answers the
+// empty JSON array the UI iterates over, not null.
+func TestAPIClassesEmptyIsArray(t *testing.T) {
+	srv := testServer(t)
+	resp, err := http.Get(srv.URL + "/api/classes?q=nosuchclassanywhere")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.TrimSpace(string(body)); resp.StatusCode != 200 || got != "[]" {
+		t.Errorf("GET /api/classes without a match = %d %q, want 200 []", resp.StatusCode, got)
 	}
 }
 
@@ -212,7 +231,7 @@ func TestBuildStoreFromFiles(t *testing.T) {
 	if _, err := createAndWriteNT(ntPath, ds); err != nil {
 		t.Fatal(err)
 	}
-	st, fromSnap, err := buildStore("", ntPath, 0, 2)
+	st, fromSnap, err := buildStore("", ntPath, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +247,11 @@ func TestBuildStoreFromFiles(t *testing.T) {
 	if st.Len() != ref.Len() {
 		t.Errorf("streamed %d triples, serial load has %d", st.Len(), ref.Len())
 	}
-	if _, _, err := buildStore("", dir+"/missing.nt", 0, 0); err == nil {
+	if _, _, err := buildStore("", dir+"/missing.nt", 0); err == nil {
 		t.Error("missing file accepted")
 	}
 	// No path: generate.
-	gen, _, err := buildStore("", "", 50, 0)
+	gen, _, err := buildStore("", "", 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +264,7 @@ func TestBuildStoreFromFiles(t *testing.T) {
 	if err := st.SaveSnapshot(snapPath); err != nil {
 		t.Fatal(err)
 	}
-	warm, fromSnap, err := buildStore(snapPath, ntPath, 0, 0)
+	warm, fromSnap, err := buildStore(snapPath, ntPath, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +275,7 @@ func TestBuildStoreFromFiles(t *testing.T) {
 		t.Errorf("warm boot diverges: len %d/%d gen %d/%d", warm.Len(), st.Len(), warm.Generation(), st.Generation())
 	}
 	// A missing snapshot path falls back to the cold load.
-	cold, fromSnap, err := buildStore(dir+"/none.snap", ntPath, 0, 0)
+	cold, fromSnap, err := buildStore(dir+"/none.snap", ntPath, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +286,7 @@ func TestBuildStoreFromFiles(t *testing.T) {
 	if err := os.WriteFile(dir+"/corrupt.snap", []byte("ELINDSN\x01garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := buildStore(dir+"/corrupt.snap", ntPath, 0, 0); err == nil {
+	if _, _, err := buildStore(dir+"/corrupt.snap", ntPath, 0); err == nil {
 		t.Error("corrupt snapshot accepted")
 	}
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
@@ -14,7 +13,6 @@ import (
 
 	"elinda/internal/endpoint"
 	"elinda/internal/fleet"
-	"elinda/internal/metrics"
 	"elinda/internal/proxy"
 	"elinda/internal/router"
 )
@@ -37,12 +35,13 @@ type fleetFlags struct {
 
 // serveWithDrain runs an HTTP server until SIGINT/SIGTERM, then drains:
 // the readiness flip happens via beginDrain before Shutdown so load
-// balancers and the fleet router route around the instance first.
-func serveWithDrain(addr string, handler http.Handler, drain time.Duration, beginDrain func(), bg func(ctx context.Context)) error {
-	var panics metrics.Counter
+// balancers and the fleet router route around the instance first, and the
+// savers run once the drain is over. Every role serves through it; handler
+// already recovers its own panics (endpoint.Ops).
+func serveWithDrain(addr string, handler http.Handler, drain time.Duration, beginDrain func(), bg func(ctx context.Context), savers []saver) error {
 	srv := &http.Server{
 		Addr:              addr,
-		Handler:           endpoint.RecoverPanics(handler, &panics, log.Printf),
+		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -56,7 +55,7 @@ func serveWithDrain(addr string, handler http.Handler, drain time.Duration, begi
 	case err := <-errc:
 		return err
 	case <-ctx.Done():
-		stop()
+		stop() // a second signal kills immediately instead of queueing
 	}
 	if beginDrain != nil {
 		beginDrain()
@@ -67,6 +66,7 @@ func serveWithDrain(addr string, handler http.Handler, drain time.Duration, begi
 	if err := srv.Shutdown(drainCtx); err != nil {
 		log.Printf("drain incomplete: %v", err)
 	}
+	runSavers(savers)
 	log.Printf("bye")
 	return nil
 }
@@ -88,7 +88,7 @@ func runReplica(addr string, ff fleetFlags, popts proxy.Options, warm bool, walD
 		Logf:           log.Printf,
 	})
 	log.Printf("eLinda replica on %s (coordinator=%s dir=%s poll=%s)", addr, ff.coordinator, ff.dir, ff.poll)
-	return serveWithDrain(addr, r.Handler(), drain, r.BeginDrain, r.Run)
+	return serveWithDrain(addr, r.Handler(), drain, r.BeginDrain, r.Run, nil)
 }
 
 // runRouter boots the fleet front tier.
@@ -120,15 +120,14 @@ func runRouter(addr string, ff fleetFlags, fallback http.Handler, drain time.Dur
 	})
 	log.Printf("eLinda router on %s (%d replicas, probe=%s, hedging=%v, local fallback=%v)",
 		addr, len(cfgs), ff.probe, !ff.noHedge, fallback != nil)
-	return serveWithDrain(addr, rt.Handler(), drain, nil, rt.Run)
+	return serveWithDrain(addr, rt.Handler(), drain, nil, rt.Run, nil)
 }
 
-// mountCoordinator attaches the fleet publication endpoints and folds
-// the coordinator's counters into the /metrics document builder.
+// mountCoordinator attaches the fleet publication endpoints and the
+// coordinator-only metrics document.
 func mountCoordinator(mux *http.ServeMux, c *fleet.Coordinator) {
 	c.Register(mux)
 	mux.HandleFunc("/fleet/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"coordinator": c.MetricsSnapshot()})
+		endpoint.WriteMetricsDoc(w, map[string]any{"coordinator": c.MetricsSnapshot()})
 	})
 }

@@ -22,8 +22,6 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -31,16 +29,13 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 	"time"
 
 	"elinda"
 	"elinda/internal/datagen"
 	"elinda/internal/endpoint"
 	"elinda/internal/fleet"
-	"elinda/internal/metrics"
 	"elinda/internal/proxy"
 	"elinda/internal/rdf"
 	"elinda/internal/store"
@@ -48,86 +43,106 @@ import (
 	"elinda/internal/wal"
 )
 
+// config is the parsed flag surface. defineFlags is the only place a
+// server flag is declared; TestFlagSurface pins the list and holds
+// README's flag tables to it.
+type config struct {
+	addr      string
+	load      string
+	persons   int
+	heavy     time.Duration
+	noHVS     bool
+	noDecomp  bool
+	remote    string
+	warm      bool
+	timeout   time.Duration
+	hvsSnap   string
+	snapLoad  string
+	snapSave  string
+	walDir    string
+	walSync   string
+	walEvery  time.Duration
+	drain     time.Duration
+	cacheMax  int64
+	inflight  int64
+	admitWait time.Duration
+	fleet     fleetFlags
+}
+
+func defineFlags(fs *flag.FlagSet) *config {
+	c := new(config)
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&c.load, "load", "", "load dataset from an .nt or .ttl file instead of generating")
+	fs.IntVar(&c.persons, "persons", 2000, "synthetic dataset size (Person subtree)")
+	fs.DurationVar(&c.heavy, "heavy", time.Second, "HVS heaviness threshold")
+	fs.BoolVar(&c.noHVS, "no-hvs", false, "disable the heavy query store")
+	fs.BoolVar(&c.noDecomp, "no-decomposer", false, "disable the decomposer")
+	fs.StringVar(&c.remote, "remote", "", "route queries to a remote SPARQL endpoint URL")
+	fs.BoolVar(&c.warm, "warm", true, "precompute level-zero aggregates at startup")
+	fs.DurationVar(&c.timeout, "timeout", 2*time.Minute, "per-query execution timeout")
+	fs.StringVar(&c.hvsSnap, "hvs-snapshot", "", "persist the heavy query store to this file (restored at boot, saved on shutdown)")
+
+	fs.StringVar(&c.snapLoad, "snapshot-load", "", "restore the triple store from this binary snapshot (skips parsing entirely; falls back to a cold load when missing)")
+	fs.StringVar(&c.snapSave, "snapshot-save", "", "save the triple store to this binary snapshot after loading and on SIGTERM")
+
+	fs.StringVar(&c.walDir, "wal-dir", "", "write-ahead-log directory: inserts are durable before they are acknowledged and replayed at boot")
+	fs.StringVar(&c.walSync, "wal-sync", "always", "WAL fsync policy: always | interval | off")
+	fs.DurationVar(&c.walEvery, "wal-sync-interval", wal.DefaultSyncInterval, "background fsync cadence for -wal-sync=interval")
+	fs.DurationVar(&c.drain, "drain", 10*time.Second, "graceful shutdown deadline for in-flight requests")
+
+	fs.Int64Var(&c.cacheMax, "cache-bytes", 0, "HVS byte budget with LRU eviction (0 = unlimited)")
+	fs.Int64Var(&c.inflight, "max-inflight", 0, "admission-control weight capacity for /sparql (0 = unlimited)")
+	fs.DurationVar(&c.admitWait, "acquire-timeout", 100*time.Millisecond, "max admission wait before shedding with 429")
+
+	ff := &c.fleet
+	fs.StringVar(&ff.role, "role", "single", "process role: single | coordinator | replica | router")
+	fs.StringVar(&ff.coordinator, "fleet-coordinator", "", "replica: base URL of the coordinator to pull snapshots from")
+	fs.StringVar(&ff.dir, "fleet-dir", "fleet-cache", "replica: directory for fetched snapshot files")
+	fs.DurationVar(&ff.poll, "fleet-poll", 2*time.Second, "replica: coordinator manifest poll interval")
+	fs.StringVar(&ff.replicas, "fleet-replicas", "", "router: comma-separated replica list, each [name=]url")
+	fs.DurationVar(&ff.probe, "probe-interval", time.Second, "router: replica /readyz probe interval")
+	fs.IntVar(&ff.retryBudget, "retry-budget", 3, "router: max attempts per request, hedges included")
+	fs.DurationVar(&ff.hedgeDelay, "hedge-delay", 0, "router: tail-latency hedge delay (0 = derive from observed p95)")
+	fs.BoolVar(&ff.noHedge, "no-hedge", false, "router: disable tail-latency hedging")
+	fs.IntVar(&ff.breakerFail, "breaker-failures", 5, "router: consecutive failures that trip a replica's circuit breaker")
+	fs.DurationVar(&ff.breakerOpen, "breaker-open", 2*time.Second, "router: how long a tripped breaker rejects before a half-open trial")
+	fs.BoolVar(&ff.fallback, "fleet-fallback", false, "router: serve from an embedded local store when every replica is down (uses the data flags)")
+	return c
+}
+
 func main() {
-	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		load      = flag.String("load", "", "load dataset from an .nt or .ttl file instead of generating")
-		persons   = flag.Int("persons", 2000, "synthetic dataset size (Person subtree)")
-		threshold = flag.Duration("heavy", time.Second, "HVS heaviness threshold")
-		noHVS     = flag.Bool("no-hvs", false, "disable the heavy query store")
-		noDecomp  = flag.Bool("no-decomposer", false, "disable the decomposer")
-		remote    = flag.String("remote", "", "route queries to a remote SPARQL endpoint URL")
-		warm      = flag.Bool("warm", true, "precompute level-zero aggregates at startup")
-		timeout   = flag.Duration("timeout", 2*time.Minute, "per-query execution timeout")
-		hvsSnap   = flag.String("hvs-snapshot", "", "persist the heavy query store to this file (restored at boot, saved on shutdown)")
-
-		snapLoad      = flag.String("snapshot-load", "", "restore the triple store from this binary snapshot (skips parsing entirely; falls back to a cold load when missing)")
-		snapSave      = flag.String("snapshot-save", "", "save the triple store to this binary snapshot after loading and on SIGTERM")
-		ingestWorkers = flag.Int("ingest-workers", 0, "parallel parse/intern workers for -load streaming ingest (0 = GOMAXPROCS)")
-
-		walDir      = flag.String("wal-dir", "", "write-ahead-log directory: inserts are durable before they are acknowledged and replayed at boot")
-		walSync     = flag.String("wal-sync", "always", "WAL fsync policy: always | interval | off")
-		walInterval = flag.Duration("wal-sync-interval", wal.DefaultSyncInterval, "background fsync cadence for -wal-sync=interval")
-		drain       = flag.Duration("drain", 10*time.Second, "graceful shutdown deadline for in-flight requests")
-
-		incChunk     = flag.Int("inc-chunk", 0, "incremental evaluation chunk size N (0 = library default)")
-		incRounds    = flag.Int("inc-rounds", 0, "incremental evaluation round limit k (0 = run to completion)")
-		incWorkers   = flag.Int("inc-workers", 1, "parallel shards per incremental round (<=1 = sequential)")
-		queryWorkers = flag.Int("query-workers", 0, "parallel BGP worker pool per query (0 = GOMAXPROCS, 1 = serial)")
-
-		role = flag.String("role", "single", "process role: single | coordinator | replica | router")
-		ff   fleetFlags
-
-		noCoalesce     = flag.Bool("no-coalesce", false, "disable singleflight coalescing of identical in-flight queries")
-		cacheBytes     = flag.Int64("cache-bytes", 0, "HVS byte budget with LRU eviction (0 = unlimited)")
-		maxInflight    = flag.Int64("max-inflight", 0, "admission-control weight capacity for /sparql (0 = unlimited)")
-		acquireTimeout = flag.Duration("acquire-timeout", 100*time.Millisecond, "max admission wait before shedding with 429")
-		flushRows      = flag.Int("flush-rows", 0, "streaming flush cadence in rows (0 = default 256)")
-	)
-	flag.StringVar(&ff.coordinator, "fleet-coordinator", "", "replica: base URL of the coordinator to pull snapshots from")
-	flag.StringVar(&ff.dir, "fleet-dir", "fleet-cache", "replica: directory for fetched snapshot files")
-	flag.DurationVar(&ff.poll, "fleet-poll", 2*time.Second, "replica: coordinator manifest poll interval")
-	flag.StringVar(&ff.replicas, "fleet-replicas", "", "router: comma-separated replica list, each [name=]url")
-	flag.DurationVar(&ff.probe, "probe-interval", time.Second, "router: replica /readyz probe interval")
-	flag.IntVar(&ff.retryBudget, "retry-budget", 3, "router: max attempts per request, hedges included")
-	flag.DurationVar(&ff.hedgeDelay, "hedge-delay", 0, "router: tail-latency hedge delay (0 = derive from observed p95)")
-	flag.BoolVar(&ff.noHedge, "no-hedge", false, "router: disable tail-latency hedging")
-	flag.IntVar(&ff.breakerFail, "breaker-failures", 5, "router: consecutive failures that trip a replica's circuit breaker")
-	flag.DurationVar(&ff.breakerOpen, "breaker-open", 2*time.Second, "router: how long a tripped breaker rejects before a half-open trial")
-	flag.BoolVar(&ff.fallback, "fleet-fallback", false, "router: serve from an embedded local store when every replica is down (uses the data flags)")
+	c := defineFlags(flag.CommandLine)
 	flag.Parse()
 	log.SetFlags(log.LstdFlags)
-	ff.role = *role
+	ff := c.fleet
 
 	// The replica and router roles have their own boot paths: a replica
 	// holds no local dataset (it pulls from the coordinator) and a router
 	// holds one only as the -fleet-fallback degradation rung.
 	switch ff.role {
 	case "replica":
-		if err := runReplica(*addr, ff, proxy.Options{
-			HeavyThreshold:    *threshold,
-			DisableHVS:        *noHVS,
-			DisableDecomposer: *noDecomp,
-			DisableCoalescing: *noCoalesce,
-			CacheMaxBytes:     *cacheBytes,
-			QueryWorkers:      *queryWorkers,
-		}, *warm, *walDir, *timeout, *drain); err != nil {
+		if err := runReplica(c.addr, ff, proxy.Options{
+			HeavyThreshold:    c.heavy,
+			DisableHVS:        c.noHVS,
+			DisableDecomposer: c.noDecomp,
+			CacheMaxBytes:     c.cacheMax,
+		}, c.warm, c.walDir, c.timeout, c.drain); err != nil {
 			log.Fatal(err)
 		}
 		return
 	case "router":
 		var fallback http.Handler
 		if ff.fallback {
-			st, _, err := buildStore(*snapLoad, *load, *persons, *ingestWorkers)
+			st, _, err := buildStore(c.snapLoad, c.load, c.persons)
 			if err != nil {
 				log.Fatalf("building fallback store: %v", err)
 			}
-			fsys := elinda.NewSystemFromStore(st, proxy.Options{HeavyThreshold: *threshold})
+			fsys := elinda.NewSystemFromStore(st, proxy.Options{HeavyThreshold: c.heavy})
 			fsrv := fsys.Endpoint()
-			fsrv.Timeout = *timeout
+			fsrv.Timeout = c.timeout
 			fallback = fsrv
 		}
-		if err := runRouter(*addr, ff, fallback, *drain); err != nil {
+		if err := runRouter(c.addr, ff, fallback, c.drain); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -142,9 +157,9 @@ func main() {
 
 	// Interrupted atomic saves leave *.tmp files next to their targets;
 	// clear them before anything reads or rewrites those directories.
-	sweepStaleTemp(*snapLoad, *snapSave, *hvsSnap)
+	sweepStaleTemp(c.snapLoad, c.snapSave, c.hvsSnap)
 
-	st, fromSnapshot, err := buildStore(*snapLoad, *load, *persons, *ingestWorkers)
+	st, fromSnapshot, err := buildStore(c.snapLoad, c.load, c.persons)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -154,13 +169,13 @@ func main() {
 	// are not appended to the log a second time.
 	var w *wal.WAL
 	replayed := 0
-	if *walDir != "" {
-		policy, err := wal.ParseSyncPolicy(*walSync)
+	if c.walDir != "" {
+		policy, err := wal.ParseSyncPolicy(c.walSync)
 		if err != nil {
 			log.Fatal(err)
 		}
 		ready.Set("wal-replay")
-		w, err = wal.Open(*walDir, wal.Options{Policy: policy, Interval: *walInterval})
+		w, err = wal.Open(c.walDir, wal.Options{Policy: policy, Interval: c.walEvery})
 		if err != nil {
 			log.Fatalf("wal open: %v", err)
 		}
@@ -179,41 +194,33 @@ func main() {
 	}
 
 	opts := proxy.Options{
-		HeavyThreshold:    *threshold,
-		DisableHVS:        *noHVS,
-		DisableDecomposer: *noDecomp || *remote != "",
-		DisableCoalescing: *noCoalesce,
-		CacheMaxBytes:     *cacheBytes,
-		QueryWorkers:      *queryWorkers,
+		HeavyThreshold:    c.heavy,
+		DisableHVS:        c.noHVS,
+		DisableDecomposer: c.noDecomp || c.remote != "",
+		CacheMaxBytes:     c.cacheMax,
 	}
 	var sys *elinda.System
-	if *remote == "" {
+	if c.remote == "" {
 		sys = elinda.NewSystemFromStore(st, opts)
 	} else {
 		sys = &elinda.System{Store: st}
-		sys.Proxy = proxy.NewWithBackend(st, endpoint.NewClient(*remote), opts)
+		sys.Proxy = proxy.NewWithBackend(st, endpoint.NewClient(c.remote), opts)
 	}
 
 	// A startup save also checkpoints the WAL (replayed records are
 	// folded into the snapshot and the old segments truncated), so do it
 	// whenever the store holds anything the snapshot does not.
-	if *snapSave != "" && (!fromSnapshot || replayed > 0) {
+	if c.snapSave != "" && (!fromSnapshot || replayed > 0) {
 		start := time.Now()
-		if err := sys.Store.SaveSnapshot(*snapSave); err != nil {
+		if err := sys.Store.SaveSnapshot(c.snapSave); err != nil {
 			log.Printf("store snapshot save failed: %v", err)
 		} else {
 			log.Printf("store snapshot saved to %s in %s (next boot warm-starts with -snapshot-load)",
-				*snapSave, time.Since(start).Round(time.Millisecond))
+				c.snapSave, time.Since(start).Round(time.Millisecond))
 		}
 	}
 
-	sys.SetIncrementalDefaults(elinda.IncrementalOptions{
-		ChunkSize: *incChunk,
-		MaxRounds: *incRounds,
-		Workers:   *incWorkers,
-	})
-
-	if *warm && *remote == "" {
+	if c.warm && c.remote == "" {
 		ready.Set("warming")
 		start := time.Now()
 		sys.Warm()
@@ -221,51 +228,66 @@ func main() {
 	}
 
 	var savers []saver
-	if *hvsSnap != "" {
-		if err := restoreHVS(sys, *hvsSnap); err != nil {
+	if c.hvsSnap != "" {
+		if err := restoreHVS(sys, c.hvsSnap); err != nil {
 			log.Printf("hvs snapshot restore skipped: %v", err)
 		} else {
-			log.Printf("hvs restored from %s (%d entries)", *hvsSnap, sys.Proxy.HVS().Len())
+			log.Printf("hvs restored from %s (%d entries)", c.hvsSnap, sys.Proxy.HVS().Len())
 		}
-		hvsPath := *hvsSnap
-		savers = append(savers, saver{name: "hvs snapshot " + hvsPath, save: func() error { return saveHVS(sys, hvsPath) }})
+		savers = append(savers, saver{name: "hvs snapshot " + c.hvsSnap, save: func() error { return saveHVS(sys, c.hvsSnap) }})
 	}
-	if *snapSave != "" {
-		snapPath := *snapSave
-		savers = append(savers, saver{name: "store snapshot " + snapPath, save: func() error { return sys.Store.SaveSnapshot(snapPath) }})
+	if c.snapSave != "" {
+		savers = append(savers, saver{name: "store snapshot " + c.snapSave, save: func() error { return sys.Store.SaveSnapshot(c.snapSave) }})
 	}
 
 	sparqlSrv := sys.Endpoint()
-	sparqlSrv.Timeout = *timeout
-	sparqlSrv.AcquireTimeout = *acquireTimeout
-	sparqlSrv.FlushRows = *flushRows
-	if *maxInflight > 0 {
-		sparqlSrv.Limiter = endpoint.NewLimiter(*maxInflight)
+	sparqlSrv.Timeout = c.timeout
+	sparqlSrv.AcquireTimeout = c.admitWait
+	if c.inflight > 0 {
+		sparqlSrv.Limiter = endpoint.NewLimiter(c.inflight)
 	}
-
-	var panics metrics.Counter
-	mux := http.NewServeMux()
-	mux.Handle("/sparql", sparqlSrv)
-	api := newAPI(sys)
-	api.register(mux)
-	registerUI(mux)
 	var coord *fleet.Coordinator
 	if ff.role == "coordinator" {
 		coord = fleet.NewCoordinator(sys.Store)
-		mountCoordinator(mux, coord)
 		log.Printf("fleet coordinator mounted at /fleet/ (generation %d)", sys.Store.Generation())
 	}
-	mux.Handle("/readyz", &ready)
+
+	log.Printf("eLinda server on %s (triples=%d hvs=%v decomposer=%v remote=%q wal=%q)",
+		c.addr, sys.Store.Len(), !opts.DisableHVS, !opts.DisableDecomposer, c.remote, c.walDir)
+	ready.Ready()
+	// Graceful shutdown: flip the readiness probe so load balancers stop
+	// routing here, drain in-flight requests up to the deadline, then
+	// persist. The store save checkpoints the WAL; Close seals it.
+	err = serveWithDrain(c.addr, writerHandler(sys, sparqlSrv, &ready, w, coord), c.drain,
+		func() { ready.Set("draining") }, nil, savers)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if w != nil {
+		if err := w.Close(); err != nil {
+			log.Printf("wal close: %v", err)
+		}
+	}
+}
+
+// writerHandler assembles the HTTP surface of the single and coordinator
+// roles; w and coord are nil without -wal-dir and outside -role=coordinator.
+func writerHandler(sys *elinda.System, sparqlSrv *endpoint.Server, ready *endpoint.Readiness, w *wal.WAL, coord *fleet.Coordinator) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/sparql", sparqlSrv)
+	newAPI(sys).register(mux)
+	registerUI(mux)
+	if coord != nil {
+		mountCoordinator(mux, coord)
+	}
+	mux.Handle("/readyz", ready)
 	mux.HandleFunc("/healthz", healthz(sys.Store))
-	mux.HandleFunc("/metrics", func(rw http.ResponseWriter, r *http.Request) {
-		doc := map[string]any{
-			"server":       sparqlSrv.MetricsSnapshot(),
-			"proxy":        sys.Proxy.MetricsSnapshot(),
-			"panics_total": panics.Value(),
-			"store": map[string]any{
-				"triples":    sys.Store.Len(),
-				"generation": sys.Store.Generation(),
-			},
+	return endpoint.Ops(mux, log.Printf, func(doc map[string]any) {
+		doc["server"] = sparqlSrv.MetricsSnapshot()
+		doc["proxy"] = sys.Proxy.MetricsSnapshot()
+		doc["store"] = map[string]any{
+			"triples":    sys.Store.Len(),
+			"generation": sys.Store.Generation(),
 		}
 		if w != nil {
 			doc["wal"] = w.Stats()
@@ -273,52 +295,7 @@ func main() {
 		if coord != nil {
 			doc["coordinator"] = coord.MetricsSnapshot()
 		}
-		rw.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(rw)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			log.Printf("metrics encode: %v", err)
-		}
 	})
-
-	log.Printf("eLinda server on %s (triples=%d hvs=%v decomposer=%v remote=%q wal=%q)",
-		*addr, sys.Store.Len(), !opts.DisableHVS, !opts.DisableDecomposer, *remote, *walDir)
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           endpoint.RecoverPanics(mux, &panics, log.Printf),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	ready.Ready()
-
-	select {
-	case err := <-errc:
-		log.Fatal(err)
-	case <-ctx.Done():
-		stop() // a second signal kills immediately instead of queueing
-	}
-
-	// Graceful shutdown: flip the readiness probe so load balancers stop
-	// routing here, drain in-flight requests up to the deadline, then
-	// persist. The store save checkpoints the WAL; Close seals it.
-	ready.Set("draining")
-	log.Printf("shutdown signal received; draining for up to %s", *drain)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		log.Printf("drain incomplete: %v", err)
-	}
-	runSavers(savers)
-	if w != nil {
-		if err := w.Close(); err != nil {
-			log.Printf("wal close: %v", err)
-		}
-	}
-	log.Printf("bye")
 }
 
 // healthz is the liveness probe. It answers from the published
@@ -360,7 +337,7 @@ func sweepStaleTemp(paths ...string) {
 // ingest of a dataset file, or the synthetic generator. The second result
 // reports whether the store came from the snapshot, so the caller can
 // skip the redundant startup save.
-func buildStore(snapPath, load string, persons, ingestWorkers int) (*store.Store, bool, error) {
+func buildStore(snapPath, load string, persons int) (*store.Store, bool, error) {
 	if snapPath != "" {
 		start := time.Now()
 		st, err := store.OpenSnapshot(snapPath)
@@ -384,10 +361,7 @@ func buildStore(snapPath, load string, persons, ingestWorkers int) (*store.Store
 		defer f.Close()
 		st := store.New(0)
 		start := time.Now()
-		n, err := st.LoadStream(f, store.StreamOptions{
-			Syntax:  rdf.DetectFormat(load),
-			Workers: ingestWorkers,
-		})
+		n, err := st.LoadStream(f, store.StreamOptions{Syntax: rdf.DetectFormat(load)})
 		if err != nil {
 			return nil, false, err
 		}

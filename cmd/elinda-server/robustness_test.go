@@ -1,19 +1,23 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"elinda"
+	"elinda/internal/core"
 	"elinda/internal/endpoint"
 	"elinda/internal/proxy"
 	"elinda/internal/rdf"
+	"elinda/internal/sparql"
 	"elinda/internal/store"
 	"elinda/internal/wal"
 )
@@ -128,5 +132,45 @@ func TestSweepStaleTemp(t *testing.T) {
 	}
 	if _, err := os.Stat(keepSnap); err != nil {
 		t.Errorf("real snapshot was swept: %v", err)
+	}
+}
+
+// TestWriterMetricsCountPanics: a handler panic under the single role
+// costs that request a 500 and shows up as panics_total in /metrics, next
+// to the server, proxy, store and (with a WAL attached) wal sections.
+func TestWriterMetricsCountPanics(t *testing.T) {
+	w, err := wal.Open(t.TempDir(), wal.Options{Policy: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	st := store.New(0)
+	st.AttachWAL(w)
+	boom := endpoint.ExecutorFunc(func(ctx context.Context, src string) (*sparql.Result, error) { panic("kaboom") })
+	sys := &elinda.System{Store: st, Explorer: core.NewExplorer(st)}
+	sys.Proxy = proxy.NewWithBackend(st, boom, proxy.Options{DisableDecomposer: true})
+	var ready endpoint.Readiness
+	srv := httptest.NewServer(writerHandler(sys, sys.Endpoint(), &ready, w, nil))
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape("SELECT ?s WHERE { ?s ?p ?o . }"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking backend answered %d, want 500", resp.StatusCode)
+	}
+	var doc map[string]json.RawMessage
+	if code := getJSON(t, srv, "/metrics", &doc); code != http.StatusOK {
+		t.Fatalf("/metrics = %d", code)
+	}
+	if got := string(doc["panics_total"]); got != "1" {
+		t.Errorf("panics_total = %s, want 1", got)
+	}
+	for _, section := range []string{"server", "proxy", "store", "wal"} {
+		if _, ok := doc[section]; !ok {
+			t.Errorf("metrics document has no %q section: %v", section, doc)
+		}
 	}
 }

@@ -181,13 +181,13 @@ searchBox.addEventListener("input", async () => {
   if (!q) { suggestions.hidden = true; return; }
   const hits = await getJSON("/api/classes?q=" + encodeURIComponent(q));
   suggestions.innerHTML = "";
-  for (const h of (hits || []).slice(0, 12)) {
+  for (const h of hits.slice(0, 12)) {
     const d = document.createElement("div");
     d.textContent = h.label;
     d.onclick = () => { suggestions.hidden = true; searchBox.value = ""; openPane(h.iri, h.label); };
     suggestions.append(d);
   }
-  suggestions.hidden = !hits || hits.length === 0;
+  suggestions.hidden = hits.length === 0;
 });
 
 loadStats();

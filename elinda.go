@@ -25,22 +25,13 @@
 // exercise everything, and cmd/elinda-server, cmd/elinda-bench,
 // cmd/elinda, and cmd/elinda-gen are the binaries.
 //
-// # Incremental evaluation and the Workers knob
+// # Incremental evaluation
 //
 // Streaming chart construction (Pane.StreamPropertyChart,
 // StreamSubclassChart, StreamConnectionsChart) scans the store's
 // insertion-order triple log in chunks of N triples, emitting a partial
-// chart after every round. IncrementalOptions.Workers additionally
-// parallelizes each round: the chunk is partitioned into Workers
-// contiguous shards, each scanned by its own goroutine into a fresh
-// aggregator clone, and the clones are merged into the round snapshot.
-// The three chart aggregators count through order-independent
-// deduplicating sets, which makes the merge exact: a parallel round is
-// indistinguishable from a sequential scan of the same chunk, and
-// Workers <= 1 runs the original sequential path. Configure defaults
-// per system with SetIncrementalDefaults, per server with the
-// -inc-chunk/-inc-rounds/-inc-workers flags of cmd/elinda-server, and
-// per call via IncrementalOptions.
+// chart after every round for at most k rounds. N and k are the
+// IncrementalOptions argument of each call.
 package elinda
 
 import (
@@ -194,22 +185,9 @@ func (s *System) Warm() {
 	}
 }
 
-// IncrementalOptions configures streaming (chunked, optionally parallel)
-// chart construction: the administrator's N (ChunkSize), k (MaxRounds),
-// and the per-round worker-pool size (Workers).
+// IncrementalOptions configures streaming (chunked) chart construction:
+// the administrator's N (ChunkSize) and k (MaxRounds).
 type IncrementalOptions = core.IncrementalOptions
-
-// SetIncrementalDefaults installs system-wide defaults for streaming
-// chart evaluation; zero fields of a call's IncrementalOptions inherit
-// them. It corresponds to the paper's administrator configuration of N
-// and k, extended with the parallel worker count. It is a no-op on a
-// system without a local explorer (remote compatibility mode).
-func (s *System) SetIncrementalDefaults(opts IncrementalOptions) {
-	if s.Explorer == nil {
-		return
-	}
-	s.Explorer.IncrementalDefaults = opts
-}
 
 // --- Re-exported configuration and helpers ---
 

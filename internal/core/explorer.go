@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"elinda/internal/decomposer"
 	"elinda/internal/ontology"
 	"elinda/internal/rdf"
 	"elinda/internal/store"
@@ -16,36 +15,14 @@ import (
 const DefaultCoverageThreshold = 0.20
 
 // Explorer evaluates bar expansions over a store. It owns an ontology
-// snapshot (rebuilt automatically when the store changes) and a decomposer
-// for the fast property aggregates.
+// snapshot (rebuilt automatically when the store changes).
 type Explorer struct {
-	st  *store.Store
-	mu  sync.Mutex // guards h
-	h   *ontology.Hierarchy
-	dec *decomposer.Decomposer
+	st *store.Store
+	mu sync.Mutex // guards h
+	h  *ontology.Hierarchy
 
 	// CoverageThreshold is the default property-chart cutoff.
 	CoverageThreshold float64
-
-	// IncrementalDefaults fills in the administrator-configured N, k, and
-	// parallel worker count for streaming chart evaluations whose caller
-	// left the corresponding IncrementalOptions field zero.
-	IncrementalDefaults IncrementalOptions
-}
-
-// fillIncremental overlays the explorer-wide incremental defaults onto
-// zero fields of opts.
-func (e *Explorer) fillIncremental(opts IncrementalOptions) IncrementalOptions {
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = e.IncrementalDefaults.ChunkSize
-	}
-	if opts.MaxRounds <= 0 {
-		opts.MaxRounds = e.IncrementalDefaults.MaxRounds
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = e.IncrementalDefaults.Workers
-	}
-	return opts
 }
 
 // NewExplorer builds an explorer over st.
@@ -53,7 +30,6 @@ func NewExplorer(st *store.Store) *Explorer {
 	return &Explorer{
 		st:                st,
 		h:                 ontology.Build(st),
-		dec:               decomposer.New(st),
 		CoverageThreshold: DefaultCoverageThreshold,
 	}
 }
@@ -72,9 +48,6 @@ func (e *Explorer) Hierarchy() *ontology.Hierarchy {
 	}
 	return e.h
 }
-
-// Decomposer returns the property-aggregate engine.
-func (e *Explorer) Decomposer() *decomposer.Decomposer { return e.dec }
 
 // label returns the display label for a term.
 func (e *Explorer) label(t rdf.Term) string {

@@ -188,7 +188,7 @@ func TestPropertyExpansionMatchesDecomposer(t *testing.T) {
 	for _, incoming := range []bool{false, true} {
 		chart := e.propertyExpansion(phil, incoming)
 		dir := dirOf(incoming)
-		stats := e.dec.PropertyStats(philID, dir)
+		stats := decomposer.New(e.st).PropertyStats(philID, dir)
 		if len(chart.Bars) != len(stats) {
 			t.Fatalf("incoming=%v: %d bars vs %d decomposer stats", incoming, len(chart.Bars), len(stats))
 		}

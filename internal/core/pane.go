@@ -126,7 +126,7 @@ func (p *Pane) nonNilSet() []rdf.ID {
 // the round's state already folded in; onPartial returning false stops the
 // stream early. The chart of the final observed state is returned.
 func (p *Pane) streamChart(ctx context.Context, opts IncrementalOptions, agg incremental.Aggregator, build func() *Chart, onPartial func(*Chart, incremental.Snapshot) bool) (*Chart, error) {
-	ev := incremental.New(p.expl.st, opts.config())
+	ev := incremental.New(p.expl.st, incremental.Config(opts))
 	var final *Chart
 	_, err := ev.Run(ctx, agg, func(s incremental.Snapshot) bool {
 		chart := build()
@@ -155,7 +155,6 @@ func (p *Pane) streamChart(ctx context.Context, opts IncrementalOptions, agg inc
 func (p *Pane) StreamSubclassChart(ctx context.Context, opts IncrementalOptions, onPartial func(*Chart, incremental.Snapshot) bool) (*Chart, error) {
 	st := p.expl.st
 	h := p.expl.Hierarchy()
-	opts = p.expl.fillIncremental(opts)
 
 	var subclasses []rdf.ID
 	if p.bar.Label.IsZero() {
@@ -193,7 +192,6 @@ func (p *Pane) StreamSubclassChart(ctx context.Context, opts IncrementalOptions,
 // error — for a property the set does not feature.
 func (p *Pane) StreamConnectionsChart(ctx context.Context, prop rdf.Term, incoming bool, opts IncrementalOptions, onPartial func(*Chart, incremental.Snapshot) bool) (*Chart, error) {
 	st := p.expl.st
-	opts = p.expl.fillIncremental(opts)
 	kind := ObjectExpansion
 	if incoming {
 		kind = IncomingObjectExpansion

@@ -46,7 +46,7 @@ func TestConcurrentChartEvaluationWithWrites(t *testing.T) {
 		readers.Add(1)
 		go func(g int) {
 			defer readers.Done()
-			opts := IncrementalOptions{ChunkSize: 32, Workers: 4}
+			opts := IncrementalOptions{ChunkSize: 32}
 			for i := 0; i < 8; i++ {
 				final, err := pane.StreamPropertyChart(ctx, false, opts, nil)
 				if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"elinda/internal/datagen"
+	"elinda/internal/decomposer"
 	"elinda/internal/rdf"
 	"elinda/internal/sparql"
 )
@@ -163,7 +164,7 @@ func TestPaperQueryDetectedByDecomposer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, ok := e.Decomposer().TryExecute(q)
+		res, ok := decomposer.New(e.Store()).TryExecute(q)
 		if !ok {
 			t.Fatalf("incoming=%v: generated query not detected:\n%s", incoming, src)
 		}

@@ -126,15 +126,6 @@ type IncrementalOptions struct {
 	ChunkSize int
 	// MaxRounds is the administrator's k (0 = run to completion).
 	MaxRounds int
-	// Workers is the parallel shard count per round: each chunk is split
-	// into Workers contiguous shards aggregated concurrently and merged.
-	// Values <= 1 evaluate sequentially.
-	Workers int
-}
-
-// config converts the options to the evaluator's configuration.
-func (o IncrementalOptions) config() incremental.Config {
-	return incremental.Config{ChunkSize: o.ChunkSize, MaxRounds: o.MaxRounds, Workers: o.Workers}
 }
 
 // StreamPropertyChart computes the pane's property chart incrementally,
@@ -144,7 +135,6 @@ func (o IncrementalOptions) config() incremental.Config {
 // latency for user interaction".
 func (p *Pane) StreamPropertyChart(ctx context.Context, incoming bool, opts IncrementalOptions, onPartial func(*Chart, incremental.Snapshot) bool) (*Chart, error) {
 	st := p.expl.st
-	opts = p.expl.fillIncremental(opts)
 	agg := incremental.NewPropertyAggregator(p.nonNilSet(), incoming)
 
 	kind := PropertyExpansion

@@ -235,41 +235,6 @@ func TestStreamConnectionsChartConvergesToDirect(t *testing.T) {
 	}
 }
 
-// TestStreamChartsParallelWorkers: every streamed chart kind converges to
-// its direct counterpart when evaluated by a worker pool.
-func TestStreamChartsParallelWorkers(t *testing.T) {
-	e := testFixture(t)
-	pane := e.OpenPane(ont("Philosopher"))
-	for _, workers := range []int{2, 4, 8} {
-		opts := IncrementalOptions{ChunkSize: 3, Workers: workers}
-		prop, err := pane.StreamPropertyChart(context.Background(), false, opts, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !chartsEqual(prop, pane.PropertyChart(false, -1)) {
-			t.Errorf("workers=%d: parallel property chart differs from direct", workers)
-		}
-		sub, err := pane.StreamSubclassChart(context.Background(), opts, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !chartsEqual(sub, pane.SubclassChart()) {
-			t.Errorf("workers=%d: parallel subclass chart differs from direct", workers)
-		}
-		direct, err := pane.ConnectionsChart(ont("influencedBy"), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn, err := pane.StreamConnectionsChart(context.Background(), ont("influencedBy"), false, opts, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !chartsEqual(conn, direct) {
-			t.Errorf("workers=%d: parallel connections chart differs from direct", workers)
-		}
-	}
-}
-
 // TestStreamChartsEmptyPane: a pane over a class with no instances has a
 // nil set, which must stream an empty chart — not fall into the
 // aggregators' "nil means all subjects" mode and chart the whole store.
@@ -291,39 +256,6 @@ func TestStreamChartsEmptyPane(t *testing.T) {
 		if b.Count != 0 {
 			t.Errorf("empty pane streamed subclass bar %s=%d", b.LabelText, b.Count)
 		}
-	}
-}
-
-// TestExplorerIncrementalDefaults: zero option fields inherit the
-// explorer-wide administrator configuration.
-func TestExplorerIncrementalDefaults(t *testing.T) {
-	e := testFixture(t)
-	e.IncrementalDefaults = IncrementalOptions{ChunkSize: 3, Workers: 4}
-	pane := e.OpenPane(ont("Philosopher"))
-	rounds := 0
-	final, err := pane.StreamPropertyChart(context.Background(), false, IncrementalOptions{},
-		func(c *Chart, s incremental.Snapshot) bool {
-			rounds = s.Round
-			return true
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rounds < 2 {
-		t.Errorf("default ChunkSize not applied: %d rounds", rounds)
-	}
-	if !chartsEqual(final, pane.PropertyChart(false, -1)) {
-		t.Error("defaulted stream differs from direct")
-	}
-	// Explicit options still win over the defaults.
-	rounds = 0
-	if _, err := pane.StreamPropertyChart(context.Background(), false,
-		IncrementalOptions{ChunkSize: 1 << 20},
-		func(c *Chart, s incremental.Snapshot) bool { rounds = s.Round; return true }); err != nil {
-		t.Fatal(err)
-	}
-	if rounds != 1 {
-		t.Errorf("explicit ChunkSize overridden: %d rounds", rounds)
 	}
 }
 

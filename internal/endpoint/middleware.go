@@ -1,6 +1,7 @@
 package endpoint
 
 import (
+	"encoding/json"
 	"net/http"
 	"runtime/debug"
 	"sync/atomic"
@@ -35,6 +36,31 @@ func RecoverPanics(next http.Handler, panics *metrics.Counter, logf func(format 
 		}()
 		next.ServeHTTP(w, r)
 	})
+}
+
+// WriteMetricsDoc renders one metrics document: every /metrics and
+// /fleet/metrics answer of every role is written here.
+func WriteMetricsDoc(w http.ResponseWriter, doc map[string]any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	// The sections are counters and strings, so Encode can only fail on
+	// the write: the client has gone and nobody is left to tell.
+	_ = enc.Encode(doc)
+}
+
+// Ops finishes a role's HTTP surface. It mounts /metrics on mux — the
+// sections fill adds, plus panics_total — and returns mux behind
+// RecoverPanics counting into that same field, so no role can recover
+// panics into a counter its document does not show.
+func Ops(mux *http.ServeMux, logf func(format string, args ...any), fill func(doc map[string]any)) http.Handler {
+	panics := new(metrics.Counter)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		doc := map[string]any{"panics_total": panics.Value()}
+		fill(doc)
+		WriteMetricsDoc(w, doc)
+	})
+	return RecoverPanics(mux, panics, logf)
 }
 
 // Readiness is the /readyz probe state: distinct from liveness, it

@@ -97,7 +97,7 @@ const maxUpdateBytes = 8 << 20
 //     cut off inside the engine's join loops and answered with 504.
 //   - Streaming results: when the executor implements sparql.RowExecutor
 //     and the negotiated format has a streaming encoder (JSON, TSV), rows
-//     are encoded and flushed every FlushRows rows instead of
+//     are encoded and flushed every DefaultFlushRows rows instead of
 //     materializing the whole result and its serialized body.
 type Server struct {
 	exec Executor
@@ -112,12 +112,11 @@ type Server struct {
 	// AcquireTimeout bounds how long a request may wait for admission
 	// when the limiter is saturated (0 = fail immediately).
 	AcquireTimeout time.Duration
-	// Cost maps a query to its admission weight (nil = every query
-	// weighs 1). Heavier weights let one expensive query hold more of
-	// the limiter's capacity.
-	Cost func(query string) int64
-	// FlushRows is the streaming flush cadence (0 = DefaultFlushRows).
-	FlushRows int
+
+	// flushRows overrides the streaming flush cadence (0 =
+	// DefaultFlushRows); only the in-package tests set it, to cross many
+	// flush boundaries with small results.
+	flushRows int
 
 	inFlight     metrics.Gauge
 	admitted     metrics.Counter
@@ -229,13 +228,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	start := time.Now()
 
-	// Admission control: acquire the query's weight, waiting at most
-	// AcquireTimeout, before any execution work starts.
+	// Admission control: acquire one unit of the limiter's capacity,
+	// waiting at most AcquireTimeout, before any execution work starts.
 	if s.Limiter != nil {
-		weight := int64(1)
-		if s.Cost != nil {
-			weight = s.Cost(query)
-		}
+		const weight = 1
 		acquireCtx := ctx
 		var cancelAcquire context.CancelFunc
 		if s.AcquireTimeout > 0 {
@@ -278,7 +274,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	if rexec, ok := s.exec.(sparql.RowExecutor); ok {
 		flusher, _ := w.(http.Flusher)
-		if contentType, streamer, ok := NegotiateStreamer(r.Header.Get("Accept"), w, flusher, s.FlushRows); ok {
+		if contentType, streamer, ok := NegotiateStreamer(r.Header.Get("Accept"), w, flusher, s.flushRows); ok {
 			s.serveStreaming(ctx, w, rexec, query, contentType, streamer)
 			return
 		}

@@ -237,7 +237,7 @@ func TestStreamingEncodersByteIdentical(t *testing.T) {
 	// An executor that is not a sparql.RowExecutor takes the buffered path.
 	buffered := NewServer(ExecutorFunc(eng.Query))
 	streaming := NewServer(eng)
-	streaming.FlushRows = 2 // aggressive cadence: many flush boundaries
+	streaming.flushRows = 2 // aggressive cadence: many flush boundaries
 
 	for _, accept := range []string{ContentType, ContentTypeTSV} {
 		for _, src := range streamingCorpus {
@@ -261,12 +261,12 @@ func TestStreamingEncodersByteIdentical(t *testing.T) {
 	}
 }
 
-// TestStreamingFlushes: with FlushRows=1 the recorder must see a flush
+// TestStreamingFlushes: with flushRows=1 the recorder must see a flush
 // before the response completes.
 func TestStreamingFlushes(t *testing.T) {
 	eng := streamingFixtureEngine(t)
 	s := NewServer(eng)
-	s.FlushRows = 1
+	s.flushRows = 1
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(`SELECT * WHERE { ?s ?p ?o . }`), nil)
 	s.ServeHTTP(rec, req)

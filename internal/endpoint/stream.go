@@ -5,7 +5,7 @@ package endpoint
 // for large results that doubles peak memory and delays the first byte
 // until the last row is computed. The streamers below implement
 // sparql.RowSink and emit the SPARQL 1.1 JSON and TSV formats row by row,
-// flushing the HTTP response every FlushRows rows so clients see results
+// flushing the HTTP response every DefaultFlushRows rows so clients see results
 // while the query is still producing. Their output is byte-identical to
 // the buffered encoders — the differential test in stream_test.go holds
 // the two paths together.
@@ -20,9 +20,8 @@ import (
 	"elinda/internal/sparql"
 )
 
-// DefaultFlushRows is the streaming flush cadence when the server does
-// not configure one: every 256 rows the encoder pushes buffered bytes to
-// the client.
+// DefaultFlushRows is the streaming flush cadence: every 256 rows the
+// encoder pushes buffered bytes to the client.
 const DefaultFlushRows = 256
 
 // ResultStreamer is a sparql.RowSink that serializes a result

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"elinda/internal/netsim"
 	"elinda/internal/proxy"
 	"elinda/internal/rdf"
+	"elinda/internal/sparql"
 	"elinda/internal/store"
 	"elinda/internal/wal"
 )
@@ -346,5 +348,35 @@ func TestReplicaHydrationSurvivesCoordinatorOutage(t *testing.T) {
 	}
 	if got := r.MetricsSnapshot().SyncErrors; got != 1 {
 		t.Errorf("sync errors = %d, want 1", got)
+	}
+}
+
+// TestReplicaMetricsCountPanics: a handler panic under the replica role
+// costs that request a 500 and shows up as panics_total in the replica's
+// own /metrics document, next to the sections it always had.
+func TestReplicaMetricsCountPanics(t *testing.T) {
+	st := seedStore(t)
+	boom := endpoint.ExecutorFunc(func(ctx context.Context, src string) (*sparql.Result, error) { panic("kaboom") })
+	px := proxy.NewWithBackend(st, boom, proxy.Options{DisableDecomposer: true})
+	r := NewReplica(ReplicaOptions{CoordinatorURL: "http://unused.invalid", Dir: t.TempDir()})
+	r.cur.Store(&replicaState{st: st, px: px, srv: endpoint.NewServer(px), gen: st.Generation()})
+	rep := httptest.NewServer(r.Handler())
+	defer rep.Close()
+
+	if status, body := getBody(t, sparqlURL(rep.URL, philosophersQuery)); status != http.StatusInternalServerError {
+		t.Fatalf("panicking backend answered %d %q, want 500", status, body)
+	}
+	_, body := getBody(t, rep.URL+"/metrics")
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("metrics document: %v\n%s", err, body)
+	}
+	if got := string(doc["panics_total"]); got != "1" {
+		t.Errorf("panics_total = %s, want 1", got)
+	}
+	for _, section := range []string{"replica", "server", "proxy", "store"} {
+		if _, ok := doc[section]; !ok {
+			t.Errorf("metrics document lost its %q section:\n%s", section, body)
+		}
 	}
 }

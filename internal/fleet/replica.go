@@ -500,17 +500,14 @@ func (r *Replica) Handler() http.Handler {
 	mux.HandleFunc("/fleet/generation", func(w http.ResponseWriter, req *http.Request) {
 		fmt.Fprintf(w, "%d\n", r.Generation())
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		doc := map[string]any{"replica": r.MetricsSnapshot()}
+	return endpoint.Ops(mux, r.opts.Logf, func(doc map[string]any) {
+		doc["replica"] = r.MetricsSnapshot()
 		if s := r.cur.Load(); s != nil {
 			doc["server"] = s.srv.MetricsSnapshot()
 			doc["proxy"] = s.px.MetricsSnapshot()
 			doc["store"] = map[string]any{"triples": s.st.Len(), "generation": s.gen}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(doc)
 	})
-	return mux
 }
 
 // ReplicaMetrics is the replica agent's /metrics section.

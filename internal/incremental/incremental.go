@@ -12,23 +12,12 @@
 // user interaction". It works against any triple source that supports
 // offset scans, which is why it also functions in the remote compatibility
 // mode (a remote endpoint can serve OFFSET/LIMIT windows).
-//
-// When Config.Workers > 1 each round's chunk is partitioned into
-// contiguous shards scanned concurrently, one fresh aggregator clone per
-// shard; the clones are merged into the round aggregator in shard order.
-// All three chart aggregators have order-independent counting state
-// (deduplicating pair sets, and for the object expansion the
-// connected/classOf candidate sets that already tolerate either arrival
-// order of a link and its type assertion), which is what makes the merge
-// exact: a merged round is indistinguishable from a sequential scan of
-// the same chunk.
 package incremental
 
 import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
 	"elinda/internal/rdf"
 	"elinda/internal/store"
@@ -42,13 +31,6 @@ type Config struct {
 	// MaxRounds is k, the number of rounds before the evaluator stops even
 	// if the scan is incomplete. 0 means scan to completion.
 	MaxRounds int
-	// Workers is P, the number of goroutines scanning each round's chunk.
-	// Each worker aggregates one contiguous shard of the chunk into a
-	// fresh clone of the round aggregator; the clones are merged in shard
-	// order once the round's scan completes. Values <= 1 select the
-	// sequential path, whose snapshot sequence is identical to the
-	// pre-parallel evaluator.
-	Workers int
 }
 
 // DefaultChunkSize is the default N.
@@ -62,48 +44,6 @@ type Aggregator interface {
 	// Counts returns the current per-label counts. The returned map is a
 	// snapshot; the aggregator keeps ownership of its internal state.
 	Counts() map[rdf.ID]int
-	// CloneEmpty returns a fresh aggregator with the receiver's
-	// configuration (query parameters, candidate sets) but empty counting
-	// state, for use as a shard worker. Configuration must be shared
-	// strictly read-only: clones and the parent may all observe triples
-	// concurrently with one another (the evaluator scans one shard with
-	// the parent itself).
-	CloneEmpty() Aggregator
-	// Merge folds the counting state of other — which must be a clone of
-	// the receiver observing the same configuration — into the receiver.
-	// Double counting is impossible: merged state deduplicates against
-	// what the receiver has already seen. An empty receiver may adopt
-	// other's state wholesale, so other must not be observed again after
-	// the merge. Merging an aggregator of a different concrete type or
-	// configuration panics.
-	Merge(other Aggregator)
-}
-
-// DeltaAggregator is an Aggregator that can additionally retract a
-// triple, enabling exact chart maintenance under the live mutation path
-// (store.Store.Apply) without rescanning the log. All three concrete
-// aggregators implement it.
-type DeltaAggregator interface {
-	Aggregator
-	// Unobserve retracts one triple previously observed. The triple must
-	// actually have been observed (the store's net-delta contract: a
-	// NetDelete was present in the log the aggregator scanned); retracting
-	// a never-observed triple corrupts the counts.
-	Unobserve(e rdf.EncodedTriple)
-}
-
-// Maintain applies a mutation's net effect to an aggregator that has
-// already scanned the pre-mutation log: retractions first, then
-// insertions. The result is exactly the state a fresh aggregator reaches
-// by scanning the post-mutation log — the maintained aggregator never
-// needs a rescan.
-func Maintain(agg DeltaAggregator, res store.ApplyResult) {
-	for _, e := range res.NetDeletes {
-		agg.Unobserve(e)
-	}
-	for _, e := range res.NetInserts {
-		agg.Observe(e)
-	}
 }
 
 // Snapshot is the state published after each round.
@@ -148,10 +88,13 @@ func (ev *Evaluator) Run(ctx context.Context, agg Aggregator, onRound func(Snaps
 			return Snapshot{}, fmt.Errorf("incremental: %w", err)
 		}
 		// Each round binds one immutable store snapshot: the window is
-		// frozen up front, shards scan it lock-free, and completeness is
-		// judged against exactly the state the round observed.
+		// frozen up front and completeness is judged against exactly the
+		// state the round observed.
 		view := ev.st.Snapshot()
-		offset += ev.scanRound(view, agg, offset)
+		offset += view.Scan(offset, ev.cfg.ChunkSize, func(e rdf.EncodedTriple) bool {
+			agg.Observe(e)
+			return true
+		})
 		round++
 		snap := Snapshot{
 			Round:       round,
@@ -168,92 +111,6 @@ func (ev *Evaluator) Run(ctx context.Context, agg Aggregator, onRound func(Snaps
 			return snap, nil
 		}
 	}
-}
-
-// scanRound feeds one chunk of the bound snapshot starting at offset to
-// agg and returns the number of triples scanned. With Workers <= 1 it is
-// a single sequential Scan; otherwise the snapshot's window is
-// partitioned into contiguous shards scanned by one goroutine each — the
-// first directly into agg, the rest into fresh clones that are then
-// folded into agg. The snapshot is immutable, so concurrent store writes
-// can neither move triples inside the window nor open holes between
-// shards.
-func (ev *Evaluator) scanRound(view *store.Snapshot, agg Aggregator, offset int) int {
-	if ev.cfg.Workers <= 1 {
-		return view.Scan(offset, ev.cfg.ChunkSize, func(e rdf.EncodedTriple) bool {
-			agg.Observe(e)
-			return true
-		})
-	}
-	avail := view.Len() - offset
-	if avail > ev.cfg.ChunkSize {
-		avail = ev.cfg.ChunkSize
-	}
-	if avail <= 0 {
-		return 0
-	}
-	workers := ev.cfg.Workers
-	if workers > avail {
-		workers = avail
-	}
-	shard := (avail + workers - 1) / workers
-	clones := make([]Aggregator, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		start := offset + i*shard
-		limit := shard
-		if rest := avail - i*shard; rest < limit {
-			limit = rest
-		}
-		if limit <= 0 {
-			break
-		}
-		// Shard 0 observes directly into agg — nobody else touches agg
-		// during the scan phase, and deduplicating against the
-		// accumulated state once is cheaper than a clone insert plus a
-		// merge re-insert.
-		c := agg
-		if i > 0 {
-			c = agg.CloneEmpty()
-		}
-		clones[i] = c
-		wg.Add(1)
-		go func(start, limit int, c Aggregator) {
-			defer wg.Done()
-			view.Scan(start, limit, func(e rdf.EncodedTriple) bool {
-				c.Observe(e)
-				return true
-			})
-		}(start, limit, c)
-	}
-	wg.Wait()
-	live := make([]Aggregator, 0, len(clones)-1)
-	for _, c := range clones[1:] {
-		if c != nil {
-			live = append(live, c)
-		}
-	}
-	// Fold the clones as a pairwise tree — each level merges
-	// concurrently, so the sequential tail is one merge plus the fold
-	// into agg. Merge order cannot affect the result: all counting state
-	// is order-independent.
-	for len(live) > 1 {
-		half := (len(live) + 1) / 2
-		var mg sync.WaitGroup
-		for i := 0; i+half < len(live); i++ {
-			mg.Add(1)
-			go func(dst, src Aggregator) {
-				defer mg.Done()
-				dst.Merge(src)
-			}(live[i], live[i+half])
-		}
-		mg.Wait()
-		live = live[:half]
-	}
-	if len(live) == 1 {
-		agg.Merge(live[0])
-	}
-	return avail
 }
 
 // --- Concrete aggregators for the three expansions of Section 2 ---
@@ -307,69 +164,19 @@ func (a *SubclassAggregator) Observe(e rdf.EncodedTriple) {
 	a.counts[e.O]++
 }
 
-// Unobserve implements DeltaAggregator: a type assertion maps one-to-one
-// to its (subject, class) pair — the store holds each triple at most once
-// — so retraction deletes the pair and decrements the class count.
-func (a *SubclassAggregator) Unobserve(e rdf.EncodedTriple) {
-	if e.P != a.typeID {
-		return
-	}
-	key := [2]rdf.ID{e.S, e.O}
-	if _, ok := a.seen[key]; !ok {
-		return
-	}
-	delete(a.seen, key)
-	if a.counts[e.O]--; a.counts[e.O] == 0 {
-		delete(a.counts, e.O)
-	}
-}
-
 // Counts implements Aggregator.
 func (a *SubclassAggregator) Counts() map[rdf.ID]int { return copyCounts(a.counts) }
-
-// CloneEmpty implements Aggregator: the clone shares the read-only typeID,
-// URI set, and subclass label set, with fresh counting state.
-func (a *SubclassAggregator) CloneEmpty() Aggregator {
-	return &SubclassAggregator{
-		typeID:     a.typeID,
-		s:          a.s,
-		subclasses: a.subclasses,
-		seen:       make(map[[2]rdf.ID]struct{}),
-		counts:     make(map[rdf.ID]int),
-	}
-}
-
-// Merge implements Aggregator: the union of the deduplicating
-// (subject, class) pair sets determines the merged counts.
-func (a *SubclassAggregator) Merge(other Aggregator) {
-	b := other.(*SubclassAggregator)
-	if len(a.seen) == 0 {
-		a.seen, a.counts = b.seen, b.counts
-		return
-	}
-	for key := range b.seen {
-		if _, dup := a.seen[key]; dup {
-			continue
-		}
-		a.seen[key] = struct{}{}
-		a.counts[key[1]]++
-	}
-}
 
 // PropertyAggregator counts, per property, the distinct members of S that
 // feature the property (outgoing) or are targeted by it (incoming) — the
 // coverage numerator of the property chart.
-//
-// seen holds support counts — how many scanned triples back each
-// (anchor, property) pair — rather than a plain dedup set: retracting one
-// of several supporting triples must not drop the pair, so exact delta
-// maintenance (Unobserve) needs the multiplicity.
 type PropertyAggregator struct {
 	s        map[rdf.ID]struct{}
 	incoming bool
-	seen     map[[2]rdf.ID]int
-	counts   map[rdf.ID]int
-	triples  map[rdf.ID]int
+	// seen deduplicates (anchor, property) pairs across chunks.
+	seen    map[[2]rdf.ID]struct{}
+	counts  map[rdf.ID]int
+	triples map[rdf.ID]int
 }
 
 // NewPropertyAggregator builds a property-chart aggregator over the URI
@@ -377,7 +184,7 @@ type PropertyAggregator struct {
 func NewPropertyAggregator(s []rdf.ID, incoming bool) *PropertyAggregator {
 	a := &PropertyAggregator{
 		incoming: incoming,
-		seen:     make(map[[2]rdf.ID]int),
+		seen:     make(map[[2]rdf.ID]struct{}),
 		counts:   make(map[rdf.ID]int),
 		triples:  make(map[rdf.ID]int),
 	}
@@ -400,33 +207,9 @@ func (a *PropertyAggregator) Observe(e rdf.EncodedTriple) {
 	}
 	a.triples[e.P]++
 	key := [2]rdf.ID{anchor, e.P}
-	if a.seen[key]++; a.seen[key] == 1 {
+	if _, dup := a.seen[key]; !dup {
+		a.seen[key] = struct{}{}
 		a.counts[e.P]++
-	}
-}
-
-// Unobserve implements DeltaAggregator: the pair's support count drops by
-// one, and the property loses the anchor only when no supporting triple
-// remains.
-func (a *PropertyAggregator) Unobserve(e rdf.EncodedTriple) {
-	anchor := e.S
-	if a.incoming {
-		anchor = e.O
-	}
-	if a.s != nil {
-		if _, in := a.s[anchor]; !in {
-			return
-		}
-	}
-	if a.triples[e.P]--; a.triples[e.P] == 0 {
-		delete(a.triples, e.P)
-	}
-	key := [2]rdf.ID{anchor, e.P}
-	if a.seen[key]--; a.seen[key] == 0 {
-		delete(a.seen, key)
-		if a.counts[e.P]--; a.counts[e.P] == 0 {
-			delete(a.counts, e.P)
-		}
 	}
 }
 
@@ -436,38 +219,6 @@ func (a *PropertyAggregator) Counts() map[rdf.ID]int { return copyCounts(a.count
 // TripleCounts returns the per-property triple totals (the SUM(?sp) of the
 // paper's query).
 func (a *PropertyAggregator) TripleCounts() map[rdf.ID]int { return copyCounts(a.triples) }
-
-// CloneEmpty implements Aggregator: the clone shares the read-only URI set
-// and direction, with fresh counting state.
-func (a *PropertyAggregator) CloneEmpty() Aggregator {
-	return &PropertyAggregator{
-		s:        a.s,
-		incoming: a.incoming,
-		seen:     make(map[[2]rdf.ID]int),
-		counts:   make(map[rdf.ID]int),
-		triples:  make(map[rdf.ID]int),
-	}
-}
-
-// Merge implements Aggregator: per-property triple totals and pair
-// support counts add (shards scan disjoint triples), while a property
-// gains an anchor only when the pair is new to the receiver.
-func (a *PropertyAggregator) Merge(other Aggregator) {
-	b := other.(*PropertyAggregator)
-	if len(a.seen) == 0 && len(a.triples) == 0 {
-		a.seen, a.counts, a.triples = b.seen, b.counts, b.triples
-		return
-	}
-	for p, n := range b.triples {
-		a.triples[p] += n
-	}
-	for key, n := range b.seen {
-		if a.seen[key] == 0 {
-			a.counts[key[1]]++
-		}
-		a.seen[key] += n
-	}
-}
 
 // ObjectAggregator implements the object expansion: for a fixed property
 // λ and subject set S, it counts objects o of each class τ with
@@ -480,11 +231,9 @@ type ObjectAggregator struct {
 	s        map[rdf.ID]struct{}
 	incoming bool
 
-	// connected counts, per object o, the connecting triples (s, λ, o)
-	// with s ∈ S seen so far. The multiplicity (not just membership)
-	// matters for exact delta maintenance: o stays connected until its
-	// last connecting triple is retracted.
-	connected map[rdf.ID]int
+	// connected holds the objects o with a connecting triple (s, λ, o),
+	// s ∈ S, seen so far.
+	connected map[rdf.ID]struct{}
 	// classOf accumulates type assertions for all nodes seen so far.
 	classOf map[rdf.ID][]rdf.ID
 	// counted deduplicates (object, class) pairs.
@@ -501,7 +250,7 @@ func NewObjectAggregator(typeID, property rdf.ID, s []rdf.ID, incoming bool) *Ob
 		property:  property,
 		s:         idSet(s),
 		incoming:  incoming,
-		connected: make(map[rdf.ID]int),
+		connected: make(map[rdf.ID]struct{}),
 		classOf:   make(map[rdf.ID][]rdf.ID),
 		counted:   make(map[[2]rdf.ID]struct{}),
 		counts:    make(map[rdf.ID]int),
@@ -512,7 +261,7 @@ func NewObjectAggregator(typeID, property rdf.ID, s []rdf.ID, incoming bool) *Ob
 func (a *ObjectAggregator) Observe(e rdf.EncodedTriple) {
 	if e.P == a.typeID {
 		a.classOf[e.S] = append(a.classOf[e.S], e.O)
-		if a.connected[e.S] > 0 {
+		if _, ok := a.connected[e.S]; ok {
 			a.count(e.S, e.O)
 		}
 		return
@@ -527,51 +276,10 @@ func (a *ObjectAggregator) Observe(e rdf.EncodedTriple) {
 	if _, in := a.s[anchor]; !in {
 		return
 	}
-	if a.connected[other]++; a.connected[other] == 1 {
+	if _, was := a.connected[other]; !was {
+		a.connected[other] = struct{}{}
 		for _, c := range a.classOf[other] {
 			a.count(other, c)
-		}
-	}
-}
-
-// Unobserve implements DeltaAggregator, mirroring Observe: retracting a
-// type assertion removes its classOf entry and uncounts the pair while
-// the object stays connected; retracting the last connecting triple
-// disconnects the object and uncounts all its classes.
-func (a *ObjectAggregator) Unobserve(e rdf.EncodedTriple) {
-	if e.P == a.typeID {
-		cs := a.classOf[e.S]
-		for i, c := range cs {
-			if c == e.O {
-				cs[i] = cs[len(cs)-1]
-				cs = cs[:len(cs)-1]
-				break
-			}
-		}
-		if len(cs) == 0 {
-			delete(a.classOf, e.S)
-		} else {
-			a.classOf[e.S] = cs
-		}
-		if a.connected[e.S] > 0 {
-			a.uncount(e.S, e.O)
-		}
-		return
-	}
-	if e.P != a.property {
-		return
-	}
-	anchor, other := e.S, e.O
-	if a.incoming {
-		anchor, other = e.O, e.S
-	}
-	if _, in := a.s[anchor]; !in {
-		return
-	}
-	if a.connected[other]--; a.connected[other] == 0 {
-		delete(a.connected, other)
-		for _, c := range a.classOf[other] {
-			a.uncount(other, c)
 		}
 	}
 }
@@ -585,64 +293,8 @@ func (a *ObjectAggregator) count(obj, class rdf.ID) {
 	a.counts[class]++
 }
 
-func (a *ObjectAggregator) uncount(obj, class rdf.ID) {
-	key := [2]rdf.ID{obj, class}
-	if _, ok := a.counted[key]; !ok {
-		return
-	}
-	delete(a.counted, key)
-	if a.counts[class]--; a.counts[class] == 0 {
-		delete(a.counts, class)
-	}
-}
-
 // Counts implements Aggregator.
 func (a *ObjectAggregator) Counts() map[rdf.ID]int { return copyCounts(a.counts) }
-
-// CloneEmpty implements Aggregator: the clone shares the read-only query
-// parameters and URI set, with fresh candidate and counting state.
-func (a *ObjectAggregator) CloneEmpty() Aggregator {
-	return &ObjectAggregator{
-		typeID:    a.typeID,
-		property:  a.property,
-		s:         a.s,
-		incoming:  a.incoming,
-		connected: make(map[rdf.ID]int),
-		classOf:   make(map[rdf.ID][]rdf.ID),
-		counted:   make(map[[2]rdf.ID]struct{}),
-		counts:    make(map[rdf.ID]int),
-	}
-}
-
-// Merge implements Aggregator. The connecting triple and the type
-// assertion of an object may land in different shards, so neither side
-// alone counted the pair; merging unions the candidate sets first and then
-// re-derives every (object, class) pair that gained a side, with the
-// counted set suppressing pairs either party already counted.
-func (a *ObjectAggregator) Merge(other Aggregator) {
-	b := other.(*ObjectAggregator)
-	if len(a.connected) == 0 && len(a.classOf) == 0 {
-		a.connected, a.classOf, a.counted, a.counts = b.connected, b.classOf, b.counted, b.counts
-		return
-	}
-	for o, cs := range b.classOf {
-		a.classOf[o] = append(a.classOf[o], cs...)
-	}
-	for o, n := range b.connected {
-		a.connected[o] += n
-		for _, c := range a.classOf[o] {
-			a.count(o, c)
-		}
-	}
-	for o, cs := range b.classOf {
-		if a.connected[o] == 0 {
-			continue
-		}
-		for _, c := range cs {
-			a.count(o, c)
-		}
-	}
-}
 
 // ConnectedObjects returns the set Osp of objects connected to S via the
 // property, for continuing the exploration on the narrowed set.

@@ -321,162 +321,6 @@ func TestObjectAggregatorIncoming(t *testing.T) {
 	}
 }
 
-// --- Merge semantics and the parallel sharded evaluator ---
-
-// scanInto observes the log window [off, off+n) with agg.
-func scanInto(st *store.Store, agg Aggregator, off, n int) {
-	st.Scan(off, n, func(e rdf.EncodedTriple) bool { agg.Observe(e); return true })
-}
-
-// TestMergeEqualsSequential: for every aggregator kind, splitting the log
-// at every possible point, scanning the halves into separate clones, and
-// merging must equal the sequential scan — including overlapping windows,
-// which the pair sets must deduplicate across the merge.
-func TestMergeEqualsSequential(t *testing.T) {
-	st, _ := buildGraph(t, 11, 120)
-	typeID := st.TypeID()
-	root := id(t, st, "Root")
-	instances := st.SubjectsOfType(root)
-	subclasses := make([]rdf.ID, 5)
-	for i := range subclasses {
-		subclasses[i] = id(t, st, fmt.Sprintf("C%d", i))
-	}
-	p0 := id(t, st, "p0")
-
-	kinds := map[string]func() Aggregator{
-		"subclass":     func() Aggregator { return NewSubclassAggregator(typeID, instances, subclasses) },
-		"property-out": func() Aggregator { return NewPropertyAggregator(instances, false) },
-		"property-in":  func() Aggregator { return NewPropertyAggregator(instances, true) },
-		"object":       func() Aggregator { return NewObjectAggregator(typeID, p0, instances, false) },
-	}
-	total := st.Len()
-	for name, mk := range kinds {
-		want := mk()
-		scanInto(st, want, 0, 0)
-		for _, cut := range []int{0, 1, total / 3, total / 2, total - 1, total} {
-			merged := mk()
-			left := merged.CloneEmpty()
-			right := merged.CloneEmpty()
-			scanInto(st, left, 0, cut)
-			scanInto(st, right, cut, 0)
-			merged.Merge(left)
-			merged.Merge(right)
-			if !reflect.DeepEqual(merged.Counts(), want.Counts()) {
-				t.Errorf("%s cut=%d: merged counts differ from sequential", name, cut)
-			}
-			// Overlap: re-merge a window already covered; counts must not move.
-			overlap := merged.CloneEmpty()
-			scanInto(st, overlap, 0, total/2)
-			merged.Merge(overlap)
-			if !reflect.DeepEqual(merged.Counts(), want.Counts()) {
-				t.Errorf("%s cut=%d: overlapping merge double-counted", name, cut)
-			}
-		}
-	}
-}
-
-// TestPropertyAggregatorMergeTripleCounts: per-property triple totals add
-// across disjoint shards.
-func TestPropertyAggregatorMergeTripleCounts(t *testing.T) {
-	st := store.New(8)
-	st.Load([]rdf.Triple{
-		{S: ex("s"), P: ex("p"), O: ex("o1")},
-		{S: ex("s"), P: ex("p"), O: ex("o2")},
-		{S: ex("t"), P: ex("p"), O: ex("o3")},
-	})
-	agg := NewPropertyAggregator(nil, false)
-	left := agg.CloneEmpty()
-	right := agg.CloneEmpty()
-	scanInto(st, left, 0, 2)
-	scanInto(st, right, 2, 0)
-	agg.Merge(left)
-	agg.Merge(right)
-	p := id(t, st, "p")
-	if agg.Counts()[p] != 2 {
-		t.Errorf("merged subject count = %d, want 2", agg.Counts()[p])
-	}
-	if agg.TripleCounts()[p] != 3 {
-		t.Errorf("merged triple count = %d, want 3", agg.TripleCounts()[p])
-	}
-}
-
-// TestObjectAggregatorMergeCrossShard: the connecting triple and the type
-// assertion land in different shards, so neither clone counts alone; the
-// merge must surface the pair regardless of which shard holds which.
-func TestObjectAggregatorMergeCrossShard(t *testing.T) {
-	for _, linkFirst := range []bool{true, false} {
-		st := store.New(8)
-		link := rdf.Triple{S: ex("s"), P: ex("influencedBy"), O: ex("obj")}
-		typ := rdf.Triple{S: ex("obj"), P: rdf.TypeIRI, O: ex("Scientist")}
-		if linkFirst {
-			st.Load([]rdf.Triple{link, typ})
-		} else {
-			st.Load([]rdf.Triple{typ, link})
-		}
-		s := id(t, st, "s")
-		p := id(t, st, "influencedBy")
-		agg := NewObjectAggregator(st.TypeID(), p, []rdf.ID{s}, false)
-		left := agg.CloneEmpty()
-		right := agg.CloneEmpty()
-		scanInto(st, left, 0, 1)
-		scanInto(st, right, 1, 0)
-		if got := len(left.Counts()) + len(right.Counts()); got != 0 {
-			t.Fatalf("linkFirst=%v: shards counted alone: %d", linkFirst, got)
-		}
-		agg.Merge(left)
-		agg.Merge(right)
-		sci := id(t, st, "Scientist")
-		if agg.Counts()[sci] != 1 {
-			t.Errorf("linkFirst=%v: merged counts = %v, want Scientist:1", linkFirst, agg.Counts())
-		}
-	}
-}
-
-// TestParallelMatchesSequentialSnapshots: the parallel evaluator must emit
-// the exact snapshot sequence of the sequential one — same rounds, same
-// TriplesSeen, same per-round counts — for every aggregator kind and for
-// worker counts beyond the shard supply.
-func TestParallelMatchesSequentialSnapshots(t *testing.T) {
-	st, _ := buildGraph(t, 12, 300)
-	typeID := st.TypeID()
-	root := id(t, st, "Root")
-	instances := st.SubjectsOfType(root)
-	subclasses := make([]rdf.ID, 5)
-	for i := range subclasses {
-		subclasses[i] = id(t, st, fmt.Sprintf("C%d", i))
-	}
-	p1 := id(t, st, "p1")
-
-	kinds := map[string]func() Aggregator{
-		"subclass":     func() Aggregator { return NewSubclassAggregator(typeID, instances, subclasses) },
-		"property-out": func() Aggregator { return NewPropertyAggregator(instances, false) },
-		"object":       func() Aggregator { return NewObjectAggregator(typeID, p1, instances, false) },
-	}
-	run := func(workers, chunk int, mk func() Aggregator) []Snapshot {
-		ev := New(st, Config{ChunkSize: chunk, Workers: workers})
-		var out []Snapshot
-		if _, err := ev.Run(context.Background(), mk(), func(s Snapshot) bool {
-			out = append(out, s)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	for name, mk := range kinds {
-		for _, chunk := range []int{3, 64, 1_000_000} {
-			seq := run(1, chunk, mk)
-			for _, workers := range []int{2, 4, 8, 1000} {
-				par := run(workers, chunk, mk)
-				if !reflect.DeepEqual(seq, par) {
-					t.Errorf("%s chunk=%d workers=%d: snapshot sequence differs from sequential",
-						name, chunk, workers)
-				}
-			}
-		}
-	}
-}
-
 func TestEmptyStoreRun(t *testing.T) {
 	st := store.New(0)
 	ev := New(st, Config{ChunkSize: 10})

@@ -108,10 +108,10 @@ func TestCoalescingStreamingSingleExecution(t *testing.T) {
 	const K = 32
 	start := make(chan struct{})
 	var wg sync.WaitGroup
-	sinks := make([]*sparql.CollectSink, K)
+	sinks := make([]*collectSink, K)
 	errs := make([]error, K)
 	for i := 0; i < K; i++ {
-		sinks[i] = &sparql.CollectSink{}
+		sinks[i] = &collectSink{}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -129,8 +129,8 @@ func TestCoalescingStreamingSingleExecution(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("request %d: %v", i, errs[i])
 		}
-		if len(sinks[i].Result.Rows) != 2 {
-			t.Fatalf("request %d: rows = %d", i, len(sinks[i].Result.Rows))
+		if len(sinks[i].res.Rows) != 2 {
+			t.Fatalf("request %d: rows = %d", i, len(sinks[i].res.Rows))
 		}
 	}
 }
@@ -154,31 +154,6 @@ func TestCoalescingDistinctQueries(t *testing.T) {
 	wg.Wait()
 	if got := exec.count(); got != 4 {
 		t.Errorf("backend executions = %d, want 4", got)
-	}
-}
-
-// TestCoalescingDisabled: the ablation knob must restore one execution
-// per request.
-func TestCoalescingDisabled(t *testing.T) {
-	p, exec := coalesceFixture(t, 30*time.Millisecond,
-		Options{DisableHVS: true, DisableDecomposer: true, DisableCoalescing: true, HeavyThreshold: time.Hour})
-	const K = 8
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < K; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			if _, err := p.Query(context.Background(), plainQuery); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	if got := exec.count(); got != K {
-		t.Errorf("backend executions = %d, want %d", got, K)
 	}
 }
 
@@ -272,44 +247,7 @@ func TestCoalescedResultStillCached(t *testing.T) {
 	}
 }
 
-// TestStreamingTeeCapDropsCollection: on the true-streaming path
-// (-no-coalesce, HVS on), a result past the tee cap still reaches the
-// client in full but is never cached.
-func TestStreamingTeeCapDropsCollection(t *testing.T) {
-	rows := make([]sparql.Solution, 64)
-	for i := range rows {
-		rows[i] = sparql.Solution{"s": ex(fmt.Sprintf("r%d", i))}
-	}
-	exec := &countingExec{res: &sparql.Result{Vars: []string{"s"}, Rows: rows}}
-	p := NewWithBackend(fixture(t), exec,
-		Options{DisableDecomposer: true, DisableCoalescing: true, HeavyThreshold: time.Millisecond,
-			CacheMaxBytes: 256}) // tee cap = cache budget = far below 64 rows
-	var sink sparql.CollectSink
-	if err := p.QueryRows(context.Background(), plainQuery, &sink); err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.Result.Rows) != 64 {
-		t.Fatalf("client saw %d rows, want 64", len(sink.Result.Rows))
-	}
-	if p.HVS().Len() != 0 {
-		t.Errorf("over-cap result cached: %d entries", p.HVS().Len())
-	}
-	// A small result on the same path IS cached.
-	small := &countingExec{res: &sparql.Result{Vars: []string{"s"}, Rows: rows[:2]}}
-	p2 := NewWithBackend(fixture(t), small,
-		Options{DisableDecomposer: true, DisableCoalescing: true, HeavyThreshold: time.Nanosecond,
-			CacheMaxBytes: 1 << 20})
-	var s2 sparql.CollectSink
-	if err := p2.QueryRows(context.Background(), plainQuery, &s2); err != nil {
-		t.Fatal(err)
-	}
-	if p2.HVS().Len() != 1 {
-		t.Errorf("under-cap heavy result not cached: %d entries", p2.HVS().Len())
-	}
-}
-
-// TestCoalescedStreamingSharesExecutionOnly: with coalescing on, a
-// follower must be released as soon as the leader's EXECUTION finishes —
+// TestCoalescedStreamingSharesExecutionOnly: a follower must be released as soon as the leader's EXECUTION finishes —
 // never waiting on the leader's client drain — and the cached runtime is
 // execution-only. The leader's sink here blocks after the first row to
 // simulate a slow client.
@@ -323,7 +261,7 @@ func TestCoalescedStreamingSharesExecutionOnly(t *testing.T) {
 	time.Sleep(10 * time.Millisecond) // leader registered its flight
 
 	// The follower must complete while the leader's client is stuck.
-	var follower sparql.CollectSink
+	var follower collectSink
 	done := make(chan error, 1)
 	go func() { done <- p.QueryRows(context.Background(), plainQuery, &follower) }()
 	select {
@@ -334,8 +272,8 @@ func TestCoalescedStreamingSharesExecutionOnly(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("follower blocked on the leader's slow client")
 	}
-	if len(follower.Result.Rows) != 2 {
-		t.Fatalf("follower rows = %d", len(follower.Result.Rows))
+	if len(follower.res.Rows) != 2 {
+		t.Fatalf("follower rows = %d", len(follower.res.Rows))
 	}
 	if got := exec.count(); got != 1 {
 		t.Errorf("backend executions = %d, want 1", got)

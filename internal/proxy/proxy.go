@@ -72,17 +72,10 @@ type Options struct {
 	DisableHVS bool
 	// DisableDecomposer turns the index tier off.
 	DisableDecomposer bool
-	// DisableCoalescing turns off singleflight execution of concurrent
-	// identical backend queries (for ablation runs and benchmarks).
-	DisableCoalescing bool
 	// CacheMaxBytes is the HVS byte budget: the approximate total result
 	// bytes the cache may hold before LRU eviction kicks in (0 =
 	// unlimited). Generation invalidation still clears everything.
 	CacheMaxBytes int64
-	// QueryWorkers sizes the backend engine's parallel-BGP worker pool
-	// (0 = GOMAXPROCS, 1 = serial). Only applies when the proxy builds
-	// its own local engine (New); remote backends ignore it.
-	QueryWorkers int
 }
 
 // Proxy is the query router. It is safe for concurrent use.
@@ -97,7 +90,6 @@ type Proxy struct {
 	opts Options
 
 	mu   sync.Mutex
-	log  []Trace
 	hits map[Route]int
 
 	// flights holds the in-progress backend executions for coalescing,
@@ -142,9 +134,7 @@ type Trace struct {
 // generic engine over the same store; use NewWithBackend to route to a
 // remote endpoint instead.
 func New(st *store.Store, opts Options) *Proxy {
-	eng := sparql.NewEngine(st)
-	eng.Workers = opts.QueryWorkers
-	return NewWithBackend(st, eng, opts)
+	return NewWithBackend(st, sparql.NewEngine(st), opts)
 }
 
 // NewWithBackend builds a proxy whose cache/index tiers use st but whose
@@ -250,42 +240,15 @@ func (p *Proxy) QueryTraced(ctx context.Context, src string) (*sparql.Result, Tr
 	return p.backendCoalesced(ctx, src, gen, start)
 }
 
-// QueryRows implements sparql.RowExecutor: the three-tier routing with
-// results delivered incrementally. Cache and decomposer answers replay
-// their materialized results. With coalescing enabled (the default),
-// backend execution is shared exactly like the buffered path — the
-// leader materializes the result, so followers wait only on execution
-// (never on another client's download speed) and the recorded runtime is
+// QueryRows implements sparql.RowExecutor: the same three-tier routing
+// as Query, with the materialized answer replayed into sink. Backend
+// execution is shared exactly like the buffered path — the leader
+// materializes the result, so followers wait only on execution (never on
+// another client's download speed) and the recorded runtime is
 // execution-only — and each participant then streams the ENCODING of the
-// shared result through its own sink at its own client's pace. True
-// row-by-row streaming of the execution itself (memory bounded by one
-// row) is the -no-coalesce configuration: with the HVS on it tees into a
-// byte-capped buffer for cache recording, with the HVS off nothing
-// buffers at all.
+// shared result through its own sink at its own client's pace.
 func (p *Proxy) QueryRows(ctx context.Context, src string, sink sparql.RowSink) error {
-	start := time.Now()
-	gen := p.st.Generation()
-	if res, _, served := p.tryCacheTiers(src, gen, start); served {
-		return sparql.ReplayResult(res, sink)
-	}
-	se, canStream := p.backend.(sparql.RowExecutor)
-	if canStream && p.coalescingDisabled() {
-		if p.hvsEnabled() {
-			_, _, err := p.streamBackend(ctx, src, gen, start, se, sink)
-			var abort *sinkAbortError
-			if errors.As(err, &abort) {
-				return abort.err
-			}
-			return err
-		}
-		// Pure streaming: no cache, no coalescing — nothing buffers.
-		if err := se.QueryRows(ctx, src, sink); err != nil {
-			return err
-		}
-		p.record(Trace{Query: hvs.Normalize(src), Route: RouteBackend, Runtime: time.Since(start)})
-		return nil
-	}
-	res, _, err := p.backendCoalesced(ctx, src, gen, start)
+	res, err := p.Query(ctx, src)
 	if err != nil {
 		return err
 	}
@@ -323,7 +286,7 @@ func (p *Proxy) tryCacheTiers(src string, gen uint64, start time.Time) (*sparql.
 	return nil, Trace{}, false
 }
 
-// backendDirect runs the backend tier without coalescing.
+// backendDirect runs the backend tier for one flight's leader.
 func (p *Proxy) backendDirect(ctx context.Context, src string, gen uint64, start time.Time) (*sparql.Result, Trace, error) {
 	res, err := p.backend.Query(ctx, src)
 	runtime := time.Since(start)
@@ -359,11 +322,8 @@ func flightKey(src string, gen uint64) string {
 }
 
 // backendCoalesced runs the backend tier, sharing one execution among
-// concurrent identical requests when coalescing is enabled.
+// concurrent identical requests.
 func (p *Proxy) backendCoalesced(ctx context.Context, src string, gen uint64, start time.Time) (*sparql.Result, Trace, error) {
-	if p.coalescingDisabled() {
-		return p.backendDirect(ctx, src, gen, start)
-	}
 	key := flightKey(src, gen)
 	for {
 		res, tr, err, lead := p.joinOrLead(ctx, key, start, func(f *flight) {
@@ -433,106 +393,10 @@ func (p *Proxy) shouldRetryAsFollower(ctx context.Context, err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// sinkAbortError wraps errors returned by the downstream RowSink so
-// QueryRows can tell "the query failed" from "the client went away"
-// while keeping the original error for the caller.
-type sinkAbortError struct{ err error }
-
-func (e *sinkAbortError) Error() string { return "proxy: sink aborted: " + e.err.Error() }
-func (e *sinkAbortError) Unwrap() error { return e.err }
-
-// defaultCollectCap bounds the streaming tee's retained copy of a
-// result. Beyond it, collection is dropped: the response keeps
-// streaming, but nothing is retained for the HVS or for coalescing
-// followers — a streamed result that large must not silently restore
-// the buffered path's unbounded per-request memory.
-const defaultCollectCap = 64 << 20
-
-// collectLimit is the tee budget: the cache budget when one is set and
-// tighter (an entry above it could never be stored anyway), else the
-// default cap.
-func (p *Proxy) collectLimit() int64 {
-	if b := p.Options().CacheMaxBytes; b > 0 && b < defaultCollectCap {
-		return b
-	}
-	return defaultCollectCap
-}
-
-// teeSink forwards rows to the client sink while collecting up to limit
-// bytes of them for the HVS and coalescing followers. Downstream errors
-// are wrapped in sinkAbortError.
-type teeSink struct {
-	sink    sparql.RowSink
-	collect sparql.CollectSink
-	limit   int64
-	bytes   int64
-	// dropped means the result outgrew limit: the retained copy was
-	// discarded and only the client stream continues.
-	dropped bool
-}
-
-func (t *teeSink) Head(vars []string, ask, askTrue bool) error {
-	_ = t.collect.Head(vars, ask, askTrue)
-	if err := t.sink.Head(vars, ask, askTrue); err != nil {
-		return &sinkAbortError{err: err}
-	}
-	return nil
-}
-
-func (t *teeSink) Row(sol sparql.Solution) error {
-	if !t.dropped {
-		t.bytes += hvs.SolutionBytes(sol)
-		if t.limit > 0 && t.bytes > t.limit {
-			t.dropped = true
-			t.collect.Result.Rows = nil
-		} else {
-			_ = t.collect.Row(sol)
-		}
-	}
-	if err := t.sink.Row(sol); err != nil {
-		return &sinkAbortError{err: err}
-	}
-	return nil
-}
-
-// streamBackend runs the backend tier streaming into sink through a
-// byte-capped tee so heavy results can still be recorded into the HVS
-// (only reached with coalescing disabled). A result that outgrew the tee
-// cap returns res=nil with a nil error: it streamed fine, but nothing
-// was retained to cache. Note the observed runtime on this path includes
-// the client's drain time — row production is coupled to the sink — so
-// a slow consumer can classify a cheap query heavy; an over-classified
-// entry still competes under the cache's byte budget and LRU.
-func (p *Proxy) streamBackend(ctx context.Context, src string, gen uint64, start time.Time, se sparql.RowExecutor, sink sparql.RowSink) (*sparql.Result, Trace, error) {
-	tee := &teeSink{sink: sink, limit: p.collectLimit()}
-	err := se.QueryRows(ctx, src, tee)
-	runtime := time.Since(start)
-	tr := Trace{Query: hvs.Normalize(src), Route: RouteBackend, Runtime: runtime}
-	if err != nil {
-		return nil, tr, err
-	}
-	if tee.dropped {
-		p.record(tr)
-		return nil, tr, nil
-	}
-	res := &tee.collect.Result
-	if p.hvsEnabled() {
-		tr.Heavy = p.recordHeavy(src, res, runtime, gen)
-	}
-	p.record(tr)
-	return res, tr, nil
-}
-
 func (p *Proxy) hvsEnabled() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return !p.opts.DisableHVS
-}
-
-func (p *Proxy) coalescingDisabled() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.opts.DisableCoalescing
 }
 
 func (p *Proxy) record(tr Trace) {
@@ -543,9 +407,6 @@ func (p *Proxy) record(tr Trace) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.hits[tr.Route]++
-	if len(p.log) < 10000 {
-		p.log = append(p.log, tr)
-	}
 }
 
 // HVS exposes the cache tier (for stats and explicit invalidation).
@@ -562,15 +423,6 @@ func (p *Proxy) RouteCounts() map[Route]int {
 	for k, v := range p.hits {
 		out[k] = v
 	}
-	return out
-}
-
-// Traces returns a copy of the request log.
-func (p *Proxy) Traces() []Trace {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]Trace, len(p.log))
-	copy(out, p.log)
 	return out
 }
 

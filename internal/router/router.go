@@ -37,7 +37,6 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -636,11 +635,9 @@ func (rt *Router) Handler() http.Handler {
 		}
 		fmt.Fprintf(w, "ok replicas=%d/%d\n", healthy, len(rt.members))
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"router": rt.MetricsSnapshot()})
+	return endpoint.Ops(mux, rt.opts.Logf, func(doc map[string]any) {
+		doc["router"] = rt.MetricsSnapshot()
 	})
-	return mux
 }
 
 // ReplicaStatus is one replica's row in the router metrics.

@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -445,5 +446,46 @@ func TestNoReplicaNoFallbackIs503(t *testing.T) {
 	}
 	if w.Header().Get("Retry-After") == "" {
 		t.Error("503 without Retry-After")
+	}
+}
+
+// TestRouterMetricsCountPanics: a handler panic under the router role
+// costs that request a 500 and shows up as panics_total in the router's
+// own /metrics document, next to the router section it always had.
+func TestRouterMetricsCountPanics(t *testing.T) {
+	a := newFake(t, "a", 1)
+	rt := newTestRouter(t, func(o *Options) {
+		o.Fallback = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { panic("kaboom") })
+	}, a)
+	a.setReady(false, 0)
+	rt.ProbeNow(context.Background())
+	srv := httptest.NewServer(rt.Handler())
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape("SELECT ?s WHERE { ?s ?p ?o . }"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking fallback answered %d, want 500", resp.StatusCode)
+	}
+	resp, err = http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		Panics uint64         `json:"panics_total"`
+		Router *RouterMetrics `json:"router"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Panics != 1 {
+		t.Errorf("panics_total = %d, want 1", doc.Panics)
+	}
+	if doc.Router == nil || doc.Router.LocalFallbacks != 1 {
+		t.Errorf("router section = %+v, want it present with the fallback counted", doc.Router)
 	}
 }

@@ -428,7 +428,6 @@ func TestCyclicStarDifferential(t *testing.T) {
 			{workers: 0, greedy: true},
 		} {
 			e := NewEngine(st)
-			e.Workers = cfg.workers
 			if cfg.guard {
 				e.MaxIntermediate = math.MaxInt
 			}
@@ -436,7 +435,9 @@ func TestCyclicStarDifferential(t *testing.T) {
 			if cfg.greedy {
 				run = &padded
 			}
-			res, err := e.Execute(ctx, run)
+			var res *Result
+			var err error
+			atGOMAXPROCS(cfg.workers, func() { res, err = e.Execute(ctx, run) })
 			if err != nil {
 				t.Fatal(err)
 			}

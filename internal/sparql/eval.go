@@ -40,12 +40,6 @@ type Engine struct {
 	// set, BGP execution stays serial so the per-stage counts it guards
 	// are deterministic.
 	MaxIntermediate int
-	// Workers sizes the worker pool that the streaming executor fans a
-	// BGP's root-pattern candidate rows across (snapshot reads are
-	// lock-free, so workers share nothing but immutable data). 0 means
-	// GOMAXPROCS; 1 forces serial execution. Results — including row
-	// order — are identical at every setting.
-	Workers int
 }
 
 // ErrTooLarge is returned when an intermediate result exceeds the

@@ -571,21 +571,12 @@ func (r *bgpExec) run(in *idRows) error {
 // the goroutine handoff costs more than the join work it parallelizes.
 const parallelMinRows = 64
 
-// bgpWorkers resolves the engine's worker-pool size: Workers if set,
-// otherwise GOMAXPROCS.
-func (e *Engine) bgpWorkers() int {
-	if e.Workers > 0 {
-		return e.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // runBGP streams every input row through the planned pattern chain depth
 // first and appends the fully joined rows to out. With MaxIntermediate
 // set, per-depth row counts trigger on exactly the stage sizes the oracle's
 // stage-at-a-time evaluator materializes (serial execution, so
 // the counts are deterministic). Otherwise the root pattern's candidate
-// rows fan out across a worker pool — every worker reads the same
+// rows fan out across GOMAXPROCS workers — every worker reads the same
 // immutable snapshot with zero coordination — and the per-worker outputs
 // concatenate in chunk order, so the row order is identical to a serial
 // run.
@@ -615,7 +606,7 @@ func (e *Engine) runBGP(ctx context.Context, in *idRows, tps []TriplePattern, sl
 		run.counts = make([]int, len(steps))
 		return run.run(in)
 	}
-	if workers := e.bgpWorkers(); workers > 1 && len(steps) > 1 {
+	if workers := runtime.GOMAXPROCS(0); workers > 1 && len(steps) > 1 {
 		return e.runBGPParallel(ctx, in, steps, out, env, workers)
 	}
 	return run.run(in)

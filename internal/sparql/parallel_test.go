@@ -4,12 +4,23 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"elinda/internal/rdf"
 	"elinda/internal/store"
 )
+
+// atGOMAXPROCS runs fn with the scheduler — and therefore the root-BGP
+// worker pool, which sizes itself from it — set to n procs; n = 0 leaves
+// the process default.
+func atGOMAXPROCS(n int, fn func()) {
+	if n > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	}
+	fn()
+}
 
 // TestParallelBGPMatchesSerial: the parallel root-BGP fan-out must return
 // exactly the serial executor's rows — including row order, since the
@@ -20,14 +31,13 @@ func TestParallelBGPMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	for trial := 0; trial < 200; trial++ {
 		st, _ := genDiffStore(r)
-		serial := NewEngine(st)
-		serial.Workers = 1
-		parallel := NewEngine(st)
-		parallel.Workers = 4
+		e := NewEngine(st)
 		q := genDiffQuery(r)
 
-		resS, errS := serial.Execute(ctx, q)
-		resP, errP := parallel.Execute(ctx, q)
+		var resS, resP *Result
+		var errS, errP error
+		atGOMAXPROCS(1, func() { resS, errS = e.Execute(ctx, q) })
+		atGOMAXPROCS(4, func() { resP, errP = e.Execute(ctx, q) })
 		if (errS == nil) != (errP == nil) {
 			t.Fatalf("trial %d: error mismatch: serial=%v parallel=%v\nquery:\n%s", trial, errS, errP, q)
 		}
@@ -70,17 +80,13 @@ func TestParallelBGPLargeFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := `SELECT ?s ?o ?v WHERE { ?s a owl:Thing . ?s <http://example.org/p> ?o . ?s <http://example.org/q> ?v . }`
-	serial := NewEngine(st)
-	serial.Workers = 1
-	parallel := NewEngine(st)
-	parallel.Workers = 8
-	rs, err := serial.Query(context.Background(), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := parallel.Query(context.Background(), src)
-	if err != nil {
-		t.Fatal(err)
+	e := NewEngine(st)
+	var rs, rp *Result
+	var errS, errP error
+	atGOMAXPROCS(1, func() { rs, errS = e.Query(context.Background(), src) })
+	atGOMAXPROCS(8, func() { rp, errP = e.Query(context.Background(), src) })
+	if errS != nil || errP != nil {
+		t.Fatalf("serial=%v parallel=%v", errS, errP)
 	}
 	if len(rs.Rows) != 2000 || len(rp.Rows) != 2000 {
 		t.Fatalf("row counts: serial=%d parallel=%d, want 2000", len(rs.Rows), len(rp.Rows))

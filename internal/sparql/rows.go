@@ -132,24 +132,3 @@ func replayRows(vars []string, rows []Solution, sink RowSink) error {
 	}
 	return nil
 }
-
-// CollectSink buffers a streamed result back into a *Result — the inverse
-// of ReplayResult, used by tees that must both stream and retain (e.g.
-// the proxy recording a heavy result into the HVS while serving it).
-type CollectSink struct {
-	Result Result
-}
-
-// Head implements RowSink.
-func (c *CollectSink) Head(vars []string, ask, askTrue bool) error {
-	c.Result.Vars = vars
-	c.Result.Ask = ask
-	c.Result.AskTrue = askTrue
-	return nil
-}
-
-// Row implements RowSink.
-func (c *CollectSink) Row(sol Solution) error {
-	c.Result.Rows = append(c.Result.Rows, sol)
-	return nil
-}

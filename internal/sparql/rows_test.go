@@ -12,6 +12,24 @@ import (
 	"elinda/internal/store"
 )
 
+// collectSink buffers a streamed result back into a Result — the inverse
+// of ReplayResult — so the streamed rows can be compared with Execute's.
+type collectSink struct {
+	Result Result
+}
+
+func (c *collectSink) Head(vars []string, ask, askTrue bool) error {
+	c.Result.Vars = vars
+	c.Result.Ask = ask
+	c.Result.AskTrue = askTrue
+	return nil
+}
+
+func (c *collectSink) Row(sol Solution) error {
+	c.Result.Rows = append(c.Result.Rows, sol)
+	return nil
+}
+
 // TestExecuteRowsMatchesExecuteDifferential is the row-callback
 // equivalence property: on random queries (the PR 2 generator), the
 // streamed rows must equal Execute's rows in content AND order —
@@ -25,7 +43,7 @@ func TestExecuteRowsMatchesExecuteDifferential(t *testing.T) {
 		q := genDiffQuery(r)
 
 		res, errExec := e.Execute(ctx, q)
-		var sink CollectSink
+		var sink collectSink
 		errRows := e.ExecuteRows(ctx, q, &sink)
 		if (errExec == nil) != (errRows == nil) {
 			t.Fatalf("trial %d: error mismatch: exec=%v rows=%v\nquery:\n%s", trial, errExec, errRows, q)
@@ -84,7 +102,7 @@ func TestExecuteRowsOffsetLimitAtEdge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sink CollectSink
+		var sink collectSink
 		if err := e.ExecuteRows(context.Background(), q, &sink); err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +151,7 @@ func TestReplayResultRoundTrip(t *testing.T) {
 			{"a": rdf.NewIRI("http://x/2")},
 		},
 	}
-	var sink CollectSink
+	var sink collectSink
 	if err := ReplayResult(res, &sink); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +159,7 @@ func TestReplayResultRoundTrip(t *testing.T) {
 		t.Errorf("round trip diverged: %+v", sink.Result)
 	}
 	ask := &Result{Ask: true, AskTrue: true}
-	var askSink CollectSink
+	var askSink collectSink
 	if err := ReplayResult(ask, &askSink); err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,9 @@ import (
 // instead pipelines the whole ingest over an io.Reader:
 //
 //	chunker  — one goroutine cuts the input on line/statement boundaries
-//	workers  — parse chunks and intern terms concurrently through a
-//	           dictionary batch (sharded maps, provisional IDs)
+//	workers  — GOMAXPROCS goroutines parse chunks and intern terms
+//	           concurrently through a dictionary batch (sharded maps,
+//	           provisional IDs)
 //	commit   — new terms get canonical dense IDs in first-occurrence
 //	           order, the provisional log is remapped in parallel, and the
 //	           batch flows into the usual packed-key dedup + sort-once
@@ -36,8 +37,6 @@ import (
 type StreamOptions struct {
 	// Syntax is the input syntax (rdf.SyntaxNTriples or rdf.SyntaxTurtle).
 	Syntax rdf.Syntax
-	// Workers is the parse/intern worker-pool size; 0 means GOMAXPROCS.
-	Workers int
 	// ChunkBytes is the target chunk size; 0 means the rdf default (1 MiB).
 	ChunkBytes int
 }
@@ -54,10 +53,7 @@ type ingestChunk struct {
 // and returns the number actually added. See the file comment for the
 // pipeline; on error nothing is applied.
 func (s *Store) LoadStream(r io.Reader, opts StreamOptions) (int, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()

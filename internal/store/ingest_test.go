@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -40,6 +41,13 @@ func snapshotBytes(t *testing.T, st *Store) []byte {
 	return buf.Bytes()
 }
 
+// loadStreamAt runs LoadStream with the scheduler — and therefore the
+// ingest worker pool, which sizes itself from it — set to procs.
+func loadStreamAt(procs int, st *Store, doc string, opts StreamOptions) (int, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return st.LoadStream(strings.NewReader(doc), opts)
+}
+
 // TestLoadStreamMatchesLoad: the streaming parallel path must produce a
 // store byte-identical to the serial materialize-then-Load path — same
 // dictionary IDs, same log, same indexes, same generation.
@@ -59,7 +67,7 @@ func TestLoadStreamMatchesLoad(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		st := New(len(ts))
-		added, err := st.LoadStream(strings.NewReader(doc), StreamOptions{Workers: workers, ChunkBytes: 512})
+		added, err := loadStreamAt(workers, st, doc, StreamOptions{ChunkBytes: 512})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -81,7 +89,7 @@ func TestLoadStreamDeterministicAcrossChunkSizes(t *testing.T) {
 	var want []byte
 	for _, chunk := range []int{64, 999, 1 << 20} {
 		st := New(0)
-		if _, err := st.LoadStream(strings.NewReader(doc), StreamOptions{Workers: 3, ChunkBytes: chunk}); err != nil {
+		if _, err := loadStreamAt(3, st, doc, StreamOptions{ChunkBytes: chunk}); err != nil {
 			t.Fatal(err)
 		}
 		got := snapshotBytes(t, st)
@@ -109,7 +117,7 @@ ex:a ex:p ex:z .
 		t.Fatal(err)
 	}
 	st := New(0)
-	added, err := st.LoadStream(strings.NewReader(doc), StreamOptions{Syntax: rdf.SyntaxTurtle, Workers: 4, ChunkBytes: 1})
+	added, err := loadStreamAt(4, st, doc, StreamOptions{Syntax: rdf.SyntaxTurtle, ChunkBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +140,7 @@ func TestLoadStreamErrorLeavesStoreUntouched(t *testing.T) {
 	lenBefore, dictBefore, genBefore := st.Len(), st.Dict().Len(), st.Generation()
 
 	doc := rdf.FormatNTriples(ingestCorpus(80)) + "this is not a triple\n"
-	if _, err := st.LoadStream(strings.NewReader(doc), StreamOptions{Workers: 4, ChunkBytes: 128}); err == nil {
+	if _, err := loadStreamAt(4, st, doc, StreamOptions{ChunkBytes: 128}); err == nil {
 		t.Fatal("want parse error")
 	}
 	if st.Len() != lenBefore || st.Dict().Len() != dictBefore || st.Generation() != genBefore {
@@ -159,7 +167,7 @@ func TestLoadStreamIntoPopulatedStore(t *testing.T) {
 	if _, err := st.Load(half); err != nil {
 		t.Fatal(err)
 	}
-	added, err := st.LoadStream(strings.NewReader(rdf.FormatNTriples(all)), StreamOptions{Workers: 4, ChunkBytes: 256})
+	added, err := loadStreamAt(4, st, rdf.FormatNTriples(all), StreamOptions{ChunkBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

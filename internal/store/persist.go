@@ -32,19 +32,19 @@ import (
 //	log:  [3*nTriples]u32 (S,P,O per triple, insertion order)
 //	3 × permutation index (SPO, POS, OSP), each 5 arrays prefixed with a
 //	      u32 count: aKeys, aOff, bKeys, bOff, c
-//	planner statistics (version ≥ 2; see planstats.go):
+//	planner statistics (see planstats.go):
 //	      u32 nPreds, then nPreds × (u32 pred, count, distinctS, distinctO)
 //	      u32 charSetSubjects, u32 nCharSets, then per set:
 //	      u32 k, [k]u32 preds, u32 count, [k]u32 occ
 //	u32  CRC-32 (IEEE) of every preceding byte
 //
-// Version 1 files (no statistics section) still load; their statistics
-// are recomputed from the indexes after hydration.
+// The reader accepts exactly the version it writes: a file of any other
+// version (version 1 had no statistics section) is rejected by name and
+// must be rebuilt from its source data.
 
 const (
-	snapshotMagic      = "ELINDSN\x02" // bump the final byte on format changes
-	snapshotVersionMin = 1             // oldest version the reader accepts
-	snapshotMaxSane    = 1 << 31       // upper bound for any count field
+	snapshotMagic   = "ELINDSN\x02" // bump the final byte on format changes
+	snapshotMaxSane = 1 << 31       // upper bound for any count field
 )
 
 // --- writing ---
@@ -486,9 +486,8 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 	if string(magic[:7]) != snapshotMagic[:7] {
 		return nil, snapErr("bad magic %q: not an eLinda snapshot", magic)
 	}
-	version := int(magic[7])
-	if version < snapshotVersionMin || version > int(snapshotMagic[7]) {
-		return nil, snapErr("unsupported snapshot version %d (want %d..%d)", version, snapshotVersionMin, snapshotMagic[7])
+	if magic[7] != snapshotMagic[7] {
+		return nil, snapErr("unsupported snapshot version %d (this build reads only version %d)", magic[7], snapshotMagic[7])
 	}
 
 	generation, err := cr.readU64()
@@ -584,16 +583,8 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 		}
 	}
 
-	// Planner statistics: hydrated from version ≥ 2 files, recomputed
-	// from the indexes for version 1.
-	if version >= 2 {
-		stats, err := readPlanStats(cr, base, nTerms, scratch)
-		if err != nil {
-			return nil, snapErr("planner statistics: %v", err)
-		}
-		base.stats = stats
-	} else {
-		base.stats = computePlanStats(base)
+	if base.stats, err = readPlanStats(cr, base, nTerms, scratch); err != nil {
+		return nil, snapErr("planner statistics: %v", err)
 	}
 
 	// Checksum trailer (compare before trusting anything further).

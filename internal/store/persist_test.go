@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -169,13 +170,19 @@ func TestSnapshotTruncationFailsLoudly(t *testing.T) {
 
 func TestSnapshotWrongVersionFailsLoudly(t *testing.T) {
 	data := validSnapshot(t)
-	bumped := append([]byte(nil), data...)
-	bumped[7]++ // version byte
-	_, err := ReadSnapshot(bytes.NewReader(bumped))
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("want version error, got %v", err)
+	// One past the current version, and the retired version 1: both are
+	// refused by the version byte alone, naming what was found and what
+	// this build reads.
+	for _, version := range []byte{data[7] + 1, 1} {
+		other := append([]byte(nil), data...)
+		other[7] = version
+		_, err := ReadSnapshot(bytes.NewReader(other))
+		want := fmt.Sprintf("version %d (this build reads only version %d)", version, data[7])
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version byte %d: want an error naming %q, got %v", version, want, err)
+		}
 	}
-	_, err = ReadSnapshot(strings.NewReader("definitely not a snapshot file"))
+	_, err := ReadSnapshot(strings.NewReader("definitely not a snapshot file"))
 	if err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("want magic error, got %v", err)
 	}

@@ -248,49 +248,6 @@ func TestPlanStatsPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPlanStatsVersion1Compat: a version-1 file (no statistics section)
-// still loads, and its statistics are recomputed at load time.
-func TestPlanStatsVersion1Compat(t *testing.T) {
-	st := New(0)
-	if _, err := st.Load(ingestCorpus(300)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := st.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	// Measure the statistics section so we can strip it: serialize it
-	// standalone through the same writer.
-	var statsBuf bytes.Buffer
-	cw := &crcWriter{w: bufio.NewWriter(&statsBuf)}
-	if err := writePlanStats(cw, st.Snapshot().PlanStats(), make([]byte, 1<<16)); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	statsLen := statsBuf.Len()
-
-	v1 := append([]byte(nil), data[:len(data)-4-statsLen]...)
-	v1[7] = 1 // version byte
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(v1))
-	v1 = append(v1, crc[:]...)
-
-	loaded, err := ReadSnapshot(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("version-1 snapshot rejected: %v", err)
-	}
-	if loaded.Len() != st.Len() {
-		t.Fatalf("v1 load has %d triples, want %d", loaded.Len(), st.Len())
-	}
-	if !reflect.DeepEqual(loaded.Snapshot().PlanStats(), st.Snapshot().PlanStats()) {
-		t.Fatal("v1 load should recompute statistics identical to the original")
-	}
-}
-
 // TestPlanStatsCorruptStatsFailLoudly: statistics that disagree with the
 // file's own indexes are rejected even when the CRC is fixed up.
 func TestPlanStatsCorruptStatsFailLoudly(t *testing.T) {
