@@ -544,7 +544,7 @@ func runStoreSnapshot(triples int, jsonOut string) {
 		triples, bulkT.Round(time.Millisecond), report.BulkLoad.TriplesPerSec, encodeT.Round(time.Millisecond))
 
 	// --- Read latency: zero-copy lock-free snapshot probes ---
-	// Probe (subject, predicate) pairs sampled evenly from the loaded log.
+	// Probe (subject, predicate) pairs sampled evenly from a full scan.
 	snap := st.Snapshot()
 	nProbes := 1 << 14
 	if nProbes > snap.Len() {
@@ -814,6 +814,10 @@ func runWAL(records int, jsonOut string) {
 	if len(ts) > records {
 		ts = ts[:records]
 	}
+	ops := make([]rdf.TripleOp, len(ts))
+	for i, t := range ts {
+		ops[i] = rdf.Insert(t)
+	}
 
 	policies := []struct {
 		name   string
@@ -837,8 +841,8 @@ func runWAL(records int, jsonOut string) {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		for _, t := range ts[:pc.n] {
-			if err := w.Append(t); err != nil {
+		for i := range ops[:pc.n] {
+			if err := w.AppendOps(ops[i : i+1]); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -873,7 +877,7 @@ func runWAL(records int, jsonOut string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := w.AppendBatch(ts); err != nil {
+	if err := w.AppendOps(ops); err != nil {
 		log.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -894,7 +898,7 @@ func runWAL(records int, jsonOut string) {
 			log.Fatal(err)
 		}
 		replayed = 0
-		n, err := r.Replay(func(rdf.Triple) error { replayed++; return nil })
+		n, err := r.ReplayOps(func(rdf.TripleOp) error { replayed++; return nil })
 		if err != nil {
 			log.Fatal(err)
 		}

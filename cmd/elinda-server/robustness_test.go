@@ -62,8 +62,8 @@ func TestInsertDurableBeforeAck(t *testing.T) {
 	}
 	defer w2.Close()
 	recovered := store.New(0)
-	n, err := w2.Replay(func(tr rdf.Triple) error {
-		_, err := recovered.Add(tr)
+	n, err := w2.ReplayOps(func(op rdf.TripleOp) error {
+		_, err := recovered.Apply(store.DeltaOf(op))
 		return err
 	})
 	if err != nil {

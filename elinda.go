@@ -28,9 +28,10 @@
 // # Incremental evaluation
 //
 // Streaming chart construction (Pane.StreamPropertyChart,
-// StreamSubclassChart, StreamConnectionsChart) scans the store's
-// insertion-order triple log in chunks of N triples, emitting a partial
-// chart after every round for at most k rounds. N and k are the
+// StreamSubclassChart, StreamConnectionsChart) pages through one
+// snapshot of the store's triple set in windows of N triples (index
+// order — the store is a set and keeps no arrival order), emitting a
+// partial chart after every round for at most k rounds. N and k are the
 // IncrementalOptions argument of each call.
 package elinda
 

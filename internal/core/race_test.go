@@ -11,8 +11,8 @@ import (
 
 // TestConcurrentChartEvaluationWithWrites pins down the reader/writer
 // contract of the store under exploration load: all store read methods are
-// safe for concurrent use, Add takes an exclusive lock, and the insertion-
-// order log only ever grows. Several goroutines evaluate charts — direct
+// safe for concurrent use, Add takes an exclusive lock, and a stream reads
+// the one snapshot it was bound to. Several goroutines evaluate charts — direct
 // and streamed, the streamed ones with a parallel worker pool, so shard
 // scans race the writer too — while one goroutine keeps mutating the KB.
 // Run under -race, the test verifies the synchronization itself; the
@@ -27,11 +27,8 @@ func TestConcurrentChartEvaluationWithWrites(t *testing.T) {
 
 	var readers, writer sync.WaitGroup
 
-	// The writer: grow the KB with a bounded burst of fresh typed
-	// subjects and property triples. Bounded, because a stream judges
-	// completeness against the live log length — an unbounded writer
-	// outrunning a small ChunkSize would keep the readers scanning
-	// forever.
+	// The writer: grow the KB with a burst of fresh typed subjects and
+	// property triples while the readers stream.
 	writer.Add(1)
 	go func() {
 		defer writer.Done()

@@ -124,10 +124,10 @@ func TestReplicaReadyzPhaseTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Replay(func(rdf.Triple) error { return nil }); err != nil {
+	if _, err := w.ReplayOps(func(rdf.TripleOp) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(rdf.Triple{S: ex("socrates"), P: rdf.TypeIRI, O: ex("Philosopher")}); err != nil {
+	if err := w.AppendOps([]rdf.TripleOp{rdf.Insert(rdf.Triple{S: ex("socrates"), P: rdf.TypeIRI, O: ex("Philosopher")})}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -6,12 +6,14 @@
 // current implementation, the parameters N and k are determined by an
 // administrator's configuration."
 //
-// The evaluator scans the store's triple log in chunks of N, feeds each
-// chunk to a chart Aggregator, and emits a partial snapshot after every
-// round — the frontend-side aggregation that gives "effective latency for
-// user interaction". It works against any triple source that supports
-// offset scans, which is why it also functions in the remote compatibility
-// mode (a remote endpoint can serve OFFSET/LIMIT windows).
+// The evaluator pages through one snapshot of the store's triple set in
+// windows of N (in the snapshot's index order — the paper pages ?s ?p ?o
+// by LIMIT/OFFSET in whatever order its endpoint has), feeds each window
+// to a chart Aggregator, and emits a partial snapshot after every round —
+// the frontend-side aggregation that gives "effective latency for user
+// interaction". It works against any triple source that supports offset
+// scans, which is why it also functions in the remote compatibility mode
+// (a remote endpoint can serve OFFSET/LIMIT windows).
 package incremental
 
 import (
@@ -54,7 +56,8 @@ type Snapshot struct {
 	TriplesSeen int
 	// Counts maps chart labels to their partial counts.
 	Counts map[rdf.ID]int
-	// Complete reports whether the full log has been scanned.
+	// Complete reports whether every triple of the snapshot the run is
+	// bound to has been scanned.
 	Complete bool
 }
 
@@ -77,20 +80,21 @@ func New(st *store.Store, cfg Config) *Evaluator {
 // The final snapshot is returned. Run honors ctx cancellation between
 // rounds.
 //
-// Completeness is judged by the scan position against the log length, not
-// by a short round: a log whose length is an exact multiple of ChunkSize
-// completes on its last full round instead of burning an extra empty one.
+// The whole run reads the one store snapshot bound when it starts: scan
+// positions only mean something within a snapshot, so a write landing
+// between rounds neither shifts the windows (skipping or repeating
+// triples) nor moves the length completeness is judged against. That
+// judgement is the scan position against the snapshot's length, not a
+// short round: a length that is an exact multiple of ChunkSize completes
+// on its last full round instead of burning an extra empty one.
 func (ev *Evaluator) Run(ctx context.Context, agg Aggregator, onRound func(Snapshot) bool) (Snapshot, error) {
+	view := ev.st.Snapshot()
 	offset := 0
 	round := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return Snapshot{}, fmt.Errorf("incremental: %w", err)
 		}
-		// Each round binds one immutable store snapshot: the window is
-		// frozen up front and completeness is judged against exactly the
-		// state the round observed.
-		view := ev.st.Snapshot()
 		offset += view.Scan(offset, ev.cfg.ChunkSize, func(e rdf.EncodedTriple) bool {
 			agg.Observe(e)
 			return true

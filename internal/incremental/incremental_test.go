@@ -81,7 +81,7 @@ func TestRunRoundsAndCompletion(t *testing.T) {
 }
 
 // TestRunExactMultipleBoundary is the regression test for the spurious
-// empty round: a log whose length is an exact multiple of ChunkSize must
+// empty round: a store whose size is an exact multiple of ChunkSize must
 // report completion on its last full round, not on an extra empty one.
 func TestRunExactMultipleBoundary(t *testing.T) {
 	st := store.New(32)
@@ -102,6 +102,46 @@ func TestRunExactMultipleBoundary(t *testing.T) {
 	}
 	if !final.Complete || final.Round != 2 || final.TriplesSeen != 20 {
 		t.Errorf("final snapshot = %+v, want complete round 2 with 20 triples", final)
+	}
+}
+
+// TestRunReadsOneSnapshot: a run is bound to the snapshot it started on.
+// A write landing between rounds (here from inside onRound: one insert,
+// one delete of a triple the scan has not reached) must neither shift the
+// windows nor move the completeness target — the final counts equal a
+// full scan of the snapshot pinned before the run.
+func TestRunReadsOneSnapshot(t *testing.T) {
+	st, _ := buildGraph(t, 7, 100)
+	pinned := st.Snapshot()
+	want := NewPropertyAggregator(nil, false)
+	var victim rdf.EncodedTriple
+	pinned.Scan(0, 0, func(e rdf.EncodedTriple) bool {
+		want.Observe(e)
+		victim = e // the last triple in scan order
+		return true
+	})
+
+	agg := NewPropertyAggregator(nil, false)
+	final, err := New(st, Config{ChunkSize: 16}).Run(context.Background(), agg, func(s Snapshot) bool {
+		if s.Round == 1 {
+			_, err := st.Apply(store.DeltaOf(
+				rdf.Insert(rdf.Triple{S: ex("aaa-late"), P: ex("p0"), O: ex("obj0")}),
+				rdf.Delete(pinned.Triple(victim))))
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !final.Complete || final.TriplesSeen != pinned.Len() {
+		t.Errorf("final = %+v, want complete after the pinned snapshot's %d triples", final, pinned.Len())
+	}
+	if !reflect.DeepEqual(final.Counts, want.Counts()) || !reflect.DeepEqual(agg.TripleCounts(), want.TripleCounts()) {
+		t.Errorf("counts diverge from a full scan of the pinned snapshot:\n got %v / %v\nwant %v / %v",
+			final.Counts, agg.TripleCounts(), want.Counts(), want.TripleCounts())
 	}
 }
 

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -12,16 +14,16 @@ import (
 // The differential delete oracle: drive Store.Apply with random
 // insert/delete interleavings and check, after every delta, that the
 // mutated store is observationally equivalent to a fresh store loaded
-// with exactly the surviving triples in surviving insertion order. The
-// model is a plain ordered slice; anything the two stores disagree on —
-// length, scan order, membership, pattern cardinalities, match sets,
-// predicate indexes — is a bug in the tombstone/overlay bookkeeping.
+// with exactly the surviving triples. The model is a plain set; anything
+// the two stores disagree on — length, the scanned set, paging,
+// membership, pattern cardinalities, match sets, predicate indexes — is a
+// bug in the tombstone/overlay bookkeeping. Scan order is not a
+// behaviour: the store is a set.
 
 // oracleModel is the reference implementation of the mutation
-// semantics: an insertion-ordered survivor list.
+// semantics: the set of surviving triples.
 type oracleModel struct {
-	order []rdf.Triple
-	seen  map[rdf.Triple]bool
+	seen map[rdf.Triple]bool
 }
 
 func newOracleModel() *oracleModel {
@@ -31,23 +33,25 @@ func newOracleModel() *oracleModel {
 // apply mutates the model with one op and reports whether the op was
 // effective (changed membership).
 func (m *oracleModel) apply(op rdf.TripleOp) bool {
-	present := m.seen[op.Triple]
-	if op.Del != present {
+	if op.Del != m.seen[op.Triple] {
 		return false
 	}
 	if op.Del {
 		delete(m.seen, op.Triple)
-		for i, t := range m.order {
-			if t == op.Triple {
-				m.order = append(m.order[:i], m.order[i+1:]...)
-				break
-			}
-		}
 	} else {
 		m.seen[op.Triple] = true
-		m.order = append(m.order, op.Triple)
 	}
 	return true
+}
+
+// survivors lists the model's triples in a deterministic order.
+func (m *oracleModel) survivors() []rdf.Triple {
+	out := make([]rdf.Triple, 0, len(m.seen))
+	for t := range m.seen {
+		out = append(out, t)
+	}
+	sort.Slice(out, func(i, j int) bool { return tripleLess(out[i], out[j]) })
+	return out
 }
 
 // oracleUniverse builds a small dense triple universe so random ops
@@ -68,24 +72,56 @@ func oracleUniverse() []rdf.Triple {
 	return u
 }
 
+// scanPages concatenates the Scan windows of the given chunk size (0 =
+// one unbounded window) over one pinned snapshot.
+func scanPages(snap *Snapshot, chunk int) []rdf.EncodedTriple {
+	var out []rdf.EncodedTriple
+	for {
+		n := snap.Scan(len(out), chunk, func(e rdf.EncodedTriple) bool {
+			out = append(out, e)
+			return true
+		})
+		if n == 0 || chunk == 0 {
+			return out
+		}
+	}
+}
+
+// assertScanPartitions is the paging property: for chunk sizes 1, 3, 7
+// and 0 the concatenated Scan windows of one snapshot equal Scan(0, 0),
+// hold each survivor of the model exactly once, and Len() is their count.
+func assertScanPartitions(t *testing.T, snap *Snapshot, model *oracleModel) {
+	t.Helper()
+	full := scanPages(snap, 0)
+	if snap.Len() != len(model.seen) || len(full) != len(model.seen) {
+		t.Fatalf("Len = %d, Scan visited %d, model has %d survivors", snap.Len(), len(full), len(model.seen))
+	}
+	visited := make(map[rdf.Triple]bool, len(full))
+	for _, e := range full {
+		tr := snap.Triple(e)
+		if !model.seen[tr] {
+			t.Fatalf("Scan visited %v, which the model says is absent", tr)
+		}
+		if visited[tr] {
+			t.Fatalf("Scan visited %v twice", tr)
+		}
+		visited[tr] = true
+	}
+	for _, chunk := range []int{1, 3, 7} {
+		if paged := scanPages(snap, chunk); !reflect.DeepEqual(paged, full) {
+			t.Fatalf("chunk %d: concatenated pages differ from Scan(0, 0):\n got %v\nwant %v", chunk, paged, full)
+		}
+	}
+	if n := snap.Scan(len(full), 0, func(rdf.EncodedTriple) bool { return true }); n != 0 {
+		t.Fatalf("Scan past the end visited %d triples", n)
+	}
+}
+
 // assertStoreMatchesModel checks every observable read surface of st
-// against both the model order and a fresh Load of the same survivors.
+// against both the model and a fresh Load of the same survivors.
 func assertStoreMatchesModel(t *testing.T, st *Store, model *oracleModel, universe []rdf.Triple) {
 	t.Helper()
-
-	// Length and insertion-order scan.
-	if st.Len() != len(model.order) {
-		t.Fatalf("Len = %d, model has %d survivors", st.Len(), len(model.order))
-	}
-	snap := st.Snapshot()
-	var scanned []rdf.Triple
-	snap.Scan(0, 0, func(e rdf.EncodedTriple) bool {
-		scanned = append(scanned, snap.Triple(e))
-		return true
-	})
-	if !reflect.DeepEqual(scanned, model.order) && !(len(scanned) == 0 && len(model.order) == 0) {
-		t.Fatalf("scan order diverged from model:\n got %v\nwant %v", scanned, model.order)
-	}
+	assertScanPartitions(t, st.Snapshot(), model)
 
 	// Membership over the whole universe.
 	for _, u := range universe {
@@ -96,8 +132,8 @@ func assertStoreMatchesModel(t *testing.T, st *Store, model *oracleModel, univer
 
 	// A fresh store loaded with the survivors is the ground truth for
 	// everything pattern-shaped.
-	fresh := New(len(model.order))
-	if _, err := fresh.Load(append([]rdf.Triple(nil), model.order...)); err != nil {
+	fresh := New(len(model.seen))
+	if _, err := fresh.Load(model.survivors()); err != nil {
 		t.Fatalf("fresh load: %v", err)
 	}
 	assertSameReadSurface(t, st, fresh, universe)
@@ -266,63 +302,135 @@ func TestApplyDeleteOracle(t *testing.T) {
 			// the universe), membership-only in between.
 			if d%5 == 4 || d == deltas-1 {
 				assertStoreMatchesModel(t, st, model, universe)
-			} else if st.Len() != len(model.order) {
-				t.Fatalf("seed %d delta %d: Len = %d, model %d", seed, d, st.Len(), len(model.order))
+			} else if st.Len() != len(model.seen) {
+				t.Fatalf("seed %d delta %d: Len = %d, model %d", seed, d, st.Len(), len(model.seen))
 			}
 		}
 	}
 }
 
 // assertNetAgainstModel checks the reported net membership changes
-// against the model's before/after sets.
+// against the model's before/after sets: exactly the triples whose
+// membership differs, each once.
 func assertNetAgainstModel(t *testing.T, st *Store, res ApplyResult, before, after map[rdf.Triple]bool) {
 	t.Helper()
-	wantIns := make(map[rdf.Triple]bool)
-	wantDel := make(map[rdf.Triple]bool)
-	for k := range after {
-		if !before[k] {
-			wantIns[k] = true
+	check := func(name string, got []rdf.EncodedTriple, from, to map[rdf.Triple]bool) {
+		want := 0
+		for k := range to {
+			if !from[k] {
+				want++
+			}
+		}
+		seen := make(map[rdf.Triple]bool, len(got))
+		for _, e := range got {
+			tr := st.Triple(e)
+			if from[tr] || !to[tr] || seen[tr] {
+				t.Fatalf("%s holds %v, which is not a net change (or is listed twice)", name, tr)
+			}
+			seen[tr] = true
+		}
+		if len(got) != want {
+			t.Fatalf("%s has %d entries, the model diff has %d", name, len(got), want)
 		}
 	}
-	for k := range before {
-		if !after[k] {
-			wantDel[k] = true
-		}
-	}
-	// Re-log moves (delete + re-insert of a present triple in one delta)
-	// legitimately appear in both slices; membership-net entries must
-	// cover exactly the model diff.
-	gotIns := make(map[rdf.Triple]bool)
-	for _, e := range res.NetInserts {
-		gotIns[st.Triple(e)] = true
-	}
-	gotDel := make(map[rdf.Triple]bool)
-	for _, e := range res.NetDeletes {
-		gotDel[st.Triple(e)] = true
-	}
-	for k := range wantIns {
-		if !gotIns[k] {
-			t.Fatalf("NetInserts missing %v", k)
-		}
-	}
-	for k := range wantDel {
-		if !gotDel[k] {
-			t.Fatalf("NetDeletes missing %v", k)
-		}
-	}
-	for k := range gotIns {
-		if !wantIns[k] && !gotDel[k] {
-			t.Fatalf("NetInserts contains %v which the model says was already present", k)
-		}
-	}
-	for k := range gotDel {
-		if !wantDel[k] && !gotIns[k] {
-			t.Fatalf("NetDeletes contains %v which the model says stayed present", k)
-		}
-	}
+	check("NetInserts", res.NetInserts, before, after)
+	check("NetDeletes", res.NetDeletes, after, before)
 	if res.Inserted != len(res.NetInserts) || res.Deleted != len(res.NetDeletes) {
 		t.Fatalf("counters disagree with slices: %d/%d vs %d/%d",
 			res.Inserted, res.Deleted, len(res.NetInserts), len(res.NetDeletes))
+	}
+}
+
+// TestScanPagingAcrossLayers is the paging property on a snapshot that
+// has every layer at once: a columnar base, a sorted delta, an unsorted
+// tail, tombstones, and a tombstoned row re-inserted through the overlay.
+func TestScanPagingAcrossLayers(t *testing.T) {
+	st := New(0)
+	model := newOracleModel()
+	apply := func(ops ...rdf.TripleOp) {
+		t.Helper()
+		for _, op := range ops {
+			model.apply(op)
+		}
+		if _, err := st.Apply(DeltaOf(ops...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	corpus := ingestCorpus(2 * tailMax)
+	base := corpus[:tailMax]
+	if _, err := st.Load(base); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range base {
+		model.apply(rdf.Insert(tr))
+	}
+	var bulk []rdf.TripleOp
+	for i := 0; i < tailMax; i++ { // one delta past tailMax: lands in the sorted delta
+		bulk = append(bulk, rdf.Insert(mkTriple(fmt.Sprintf("d%d", i), "p", "x")))
+	}
+	apply(bulk...)
+	for i := 0; i < 5; i++ { // small deltas: ride the tail
+		apply(rdf.Insert(mkTriple(fmt.Sprintf("t%d", i), "p", "x")))
+	}
+	// Tombstones at the first and last base rows and in between, one
+	// overlay delete from each overlay layer, one tombstoned row back in.
+	first, last := scanPages(st.Snapshot(), 0)[0], st.Snapshot().base.n-1
+	var lastRow rdf.EncodedTriple
+	st.Snapshot().Scan(last, 1, func(e rdf.EncodedTriple) bool { lastRow = e; return true })
+	apply(rdf.Delete(st.Triple(first)), rdf.Delete(st.Triple(lastRow)),
+		rdf.Delete(base[10]), rdf.Delete(base[11]), rdf.Delete(base[100]))
+	apply(rdf.Delete(mkTriple("d7", "p", "x")), rdf.Delete(mkTriple("t2", "p", "x")))
+	apply(rdf.Insert(base[11]))
+
+	snap := st.Snapshot()
+	if snap.base.n == 0 || len(snap.deltaSPO) == 0 || len(snap.tail) == 0 || len(snap.delSPO) != 5 {
+		t.Fatalf("layers not all populated: base=%d delta=%d tail=%d tombstones=%d",
+			snap.base.n, len(snap.deltaSPO), len(snap.tail), len(snap.delSPO))
+	}
+	assertScanPartitions(t, snap, model)
+}
+
+// deleteAllocBytes measures the bytes one base-resident single-triple
+// delete allocates on a bulk-loaded store of n triples, averaged over
+// distinct victims.
+func deleteAllocBytes(t *testing.T, n int) float64 {
+	t.Helper()
+	ts := make([]rdf.Triple, n)
+	for i := range ts {
+		ts[i] = mkTriple(fmt.Sprintf("s%d", i/8), fmt.Sprintf("p%d", i%8), fmt.Sprintf("o%d", i%1000))
+	}
+	st := New(0)
+	if _, err := st.Load(ts); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	deltas := make([]Delta, runs)
+	for i := range deltas {
+		deltas[i] = DeltaOf(rdf.Delete(ts[(i+1)*n/(runs+1)]))
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	for _, d := range deltas {
+		if res, err := st.Apply(d); err != nil || res.Deleted != 1 {
+			t.Fatalf("delete: %+v, %v", res, err)
+		}
+	}
+	runtime.ReadMemStats(&ms)
+	if got := len(st.Snapshot().delSPO); got != runs {
+		t.Fatalf("%d tombstones after %d base-resident deletes", got, runs)
+	}
+	return float64(ms.TotalAlloc-before) / runs
+}
+
+// TestDeleteCostIndependentOfStoreSize: a one-triple delete pays for the
+// overlay and the tombstone arrays, never for the store, so the bytes it
+// allocates do not grow with the number of triples (allocation, not wall
+// time: it is exact and does not depend on the machine).
+func TestDeleteCostIndependentOfStoreSize(t *testing.T) {
+	small, large := deleteAllocBytes(t, 20_000), deleteAllocBytes(t, 200_000)
+	if large > 2*small {
+		t.Fatalf("one delete allocates %.0f B on 200k triples vs %.0f B on 20k: the cost scales with the store", large, small)
 	}
 }
 
@@ -358,7 +466,7 @@ func TestApplyEdgeCases(t *testing.T) {
 		}
 	})
 
-	t.Run("delete then reinsert moves to log end", func(t *testing.T) {
+	t.Run("delete then reinsert is a membership no-op", func(t *testing.T) {
 		st := New(0)
 		if _, err := st.Load([]rdf.Triple{a, b}); err != nil {
 			t.Fatal(err)
@@ -370,18 +478,14 @@ func TestApplyEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Inserted != 1 || res.Deleted != 1 {
-			t.Fatalf("re-log should net one insert and one delete: %+v", res)
+		if res.To-res.From != 2 {
+			t.Fatalf("two effective ops expected, generation moved %d", res.To-res.From)
 		}
-		want := []rdf.Triple{b, a}
-		var got []rdf.Triple
-		snap := st.Snapshot()
-		snap.Scan(0, 0, func(e rdf.EncodedTriple) bool {
-			got = append(got, snap.Triple(e))
-			return true
-		})
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("log order after re-insert: got %v want %v", got, want)
+		if res.Inserted != 0 || res.Deleted != 0 || len(res.NetInserts) != 0 || len(res.NetDeletes) != 0 {
+			t.Fatalf("membership did not change, yet the result reports net changes: %+v", res)
+		}
+		if !st.ContainsTriple(a) || !st.ContainsTriple(b) || st.Len() != 2 {
+			t.Fatalf("store changed: len=%d", st.Len())
 		}
 	})
 

@@ -13,8 +13,9 @@ import (
 // durable before it is acknowledged.
 //
 // Ops apply in order, so a delta may delete a triple and re-insert it
-// (or vice versa); Apply reduces the sequence to its net effect before
-// touching the indexes. The zero value is an empty delta ready for use.
+// (or vice versa); Apply reduces the sequence to its net membership
+// change before touching the indexes. The zero value is an empty delta
+// ready for use.
 type Delta struct {
 	ops []rdf.TripleOp
 }
@@ -55,9 +56,10 @@ func (d Delta) Len() int { return len(d.ops) }
 // the store generations before and after (equal when the delta was a
 // complete no-op — all inserts already present, all deletes already
 // absent). NetInserts and NetDeletes are the net membership changes in
-// dictionary-encoded form: a triple deleted and re-inserted by the same
-// delta appears in both (its insertion-order log position moved), a
-// triple inserted and deleted by the same delta appears in neither.
+// dictionary-encoded form: a triple whose membership is the same before
+// and after the delta — inserted then deleted, or deleted then
+// re-inserted — appears in neither, though its ops still advance the
+// generation.
 type ApplyResult struct {
 	From, To uint64
 	// Inserted and Deleted count the net changes (= len of the slices).
@@ -76,15 +78,17 @@ func (r ApplyResult) Changed() bool { return r.To != r.From }
 // deletes of present ones — tracked through the delta's own ordering, so
 // an insert-then-delete is two effective ops with zero net effect),
 // makes those ops durable in one WAL batch before anything is applied or
-// acknowledged, and publishes one new snapshot with the net effect.
+// acknowledged, and publishes one new snapshot with the net membership
+// change.
 //
 // Deletes of base-resident triples become tombstones in the snapshot's
 // delta layer: the columnar base is not rewritten, reads subtract the
-// tombstoned postings, and the next fold/compaction drops the triples
-// physically. Deletes of overlay-resident triples are filtered out of
-// the overlay directly. The generation advances by the number of
-// effective ops (matching a record-at-a-time WAL replay), so any change
-// moves it even when the net membership delta is empty.
+// tombstoned postings, and the next fold drops the rows physically.
+// Deletes of overlay-resident triples are filtered out of the overlay
+// directly. Either way a delete costs the overlay and tombstone arrays,
+// never the store. The generation advances by the number of effective
+// ops (matching a record-at-a-time WAL replay), so any change moves it
+// even when the net membership delta is empty.
 func (s *Store) Apply(d Delta) (ApplyResult, error) {
 	for i, op := range d.ops {
 		if err := op.Triple.Validate(); err != nil {
@@ -98,29 +102,31 @@ func (s *Store) Apply(d Delta) (ApplyResult, error) {
 
 	// Reduce to effective ops. Membership is evaluated against the
 	// current snapshot plus the delta's own earlier ops; the lookup never
-	// grows the dictionary (see Add: durability precedes interning).
-	var pending map[rdf.Triple]bool // membership overrides within this delta
-	present := func(t rdf.Triple) bool {
-		if v, ok := pending[t]; ok {
-			return v
-		}
-		if enc, known := lookupEncoded(s.dict, t); known {
-			return snap.Contains(enc)
-		}
-		return false
-	}
+	// grows the dictionary (durability precedes interning). The effective
+	// sequence for one triple strictly alternates, starting from its
+	// pre-delta state, so its first op says whether it was present before
+	// and its last op whether it is present after.
+	type membership struct{ was, now bool }
+	touched := make(map[rdf.Triple]membership, len(d.ops))
+	order := make([]rdf.Triple, 0, len(d.ops)) // touched triples, by first effective op
 	eff := make([]rdf.TripleOp, 0, len(d.ops))
 	for _, op := range d.ops {
-		if op.Del != present(op.Triple) {
+		m, seen := touched[op.Triple]
+		if !seen {
+			if enc, known := lookupEncoded(s.dict, op.Triple); known {
+				m.was = snap.Contains(enc)
+			}
+			m.now = m.was
+		}
+		if op.Del != m.now {
 			continue // delete of an absent triple / insert of a present one
 		}
-		eff = append(eff, op)
-		if len(d.ops) > 1 {
-			if pending == nil {
-				pending = make(map[rdf.Triple]bool, len(d.ops))
-			}
-			pending[op.Triple] = !op.Del
+		if !seen {
+			order = append(order, op.Triple)
 		}
+		m.now = !op.Del
+		touched[op.Triple] = m
+		eff = append(eff, op)
 	}
 	if len(eff) == 0 {
 		return res, nil
@@ -136,42 +142,21 @@ func (s *Store) Apply(d Delta) (ApplyResult, error) {
 		}
 	}
 
-	// Net effect per distinct triple. The effective sequence for one
-	// triple strictly alternates, starting from its pre-delta state, so
-	// the first op tells us whether it was present before and the last op
-	// tells us whether it is present after. Net inserts are ordered by
-	// their last effective insert op, so the insertion log after a batch
-	// Apply is identical to applying the same ops one delta at a time
-	// (which is exactly what a record-at-a-time WAL replay does).
-	order := make([]rdf.Triple, 0, len(eff))
-	preDel := make(map[rdf.Triple]bool, len(eff))
-	var insOrder []rdf.Triple
-	dropIns := func(t rdf.Triple) {
-		for i, x := range insOrder {
-			if x == t {
-				insOrder = append(insOrder[:i], insOrder[i+1:]...)
-				return
-			}
-		}
-	}
-	for _, op := range eff {
-		if _, seen := preDel[op.Triple]; !seen {
-			preDel[op.Triple] = op.Del
-			order = append(order, op.Triple)
-		}
-		dropIns(op.Triple)
-		if !op.Del {
-			insOrder = append(insOrder, op.Triple)
-		}
-	}
+	// Net membership per touched triple. A triple whose first effective
+	// op is a delete was present, so its terms are known; every other one
+	// starts with an insert. Encoding in first-effective-op order
+	// therefore interns new terms in first-effective-insert order —
+	// transient triples included — exactly as applying the same ops one
+	// delta at a time (a record-at-a-time WAL replay) does.
 	var ins, del []rdf.EncodedTriple
 	for _, t := range order {
-		if preDel[t] {
-			del = append(del, s.dict.Encode(t))
+		e := s.dict.Encode(t)
+		switch m := touched[t]; {
+		case m.now && !m.was:
+			ins = append(ins, e)
+		case m.was && !m.now:
+			del = append(del, e)
 		}
-	}
-	for _, t := range insOrder {
-		ins = append(ins, s.dict.Encode(t))
 	}
 
 	next := applyMutations(snap, ins, del, uint64(len(eff)))
@@ -184,95 +169,59 @@ func (s *Store) Apply(d Delta) (ApplyResult, error) {
 
 // applyMutations builds the successor snapshot for a net mutation set:
 // ins are triples absent from snap (to add), del are triples present in
-// snap (to remove); a triple in both moves to the end of the insertion
-// log. gen is the generation advance. snap is never mutated.
+// snap (to remove), the two disjoint. gen is the generation advance. snap
+// is never mutated, and the cost is the overlay and tombstone arrays —
+// the base is shared until a fold.
 func applyMutations(snap *Snapshot, ins, del []rdf.EncodedTriple, gen uint64) *Snapshot {
-	if len(del) == 0 {
-		return applyInserts(snap, ins, gen)
-	}
 	next := *snap
 	next.generation = snap.generation + gen
 
-	delSet := make(map[rdf.EncodedTriple]struct{}, len(del))
-	for _, e := range del {
-		delSet[e] = struct{}{}
-	}
-
-	// The insertion-order log drops deleted triples eagerly (Scan, Len,
-	// rebuilds and persistence all read it), then grows by the inserts.
-	newLog := make([]rdf.EncodedTriple, 0, len(snap.log)-len(del)+len(ins))
-	for _, e := range snap.log {
-		if _, dead := delSet[e]; !dead {
-			newLog = append(newLog, e)
+	if len(del) > 0 {
+		// Base-resident deletes become tombstones; a triple already masked
+		// by one is not base-live, so it — like every other delete — lives
+		// in the overlay and is filtered out of it physically.
+		var baseDel []rdf.EncodedTriple
+		overlayDel := make(map[rdf.EncodedTriple]struct{})
+		for _, e := range del {
+			if snap.base.containsID(e.S, e.P, e.O) && !snap.tombstoned(e) {
+				baseDel = append(baseDel, e)
+			} else {
+				overlayDel[e] = struct{}{}
+			}
+		}
+		if len(baseDel) > 0 {
+			next.delSPO = mergeSortedTriples(snap.delSPO, baseDel, cmpSPO)
+			next.delPOS = mergeSortedTriples(snap.delPOS, baseDel, cmpPOS)
+			next.delOSP = mergeSortedTriples(snap.delOSP, baseDel, cmpOSP)
+		}
+		if len(overlayDel) > 0 {
+			next.deltaSPO = filterOps(snap.deltaSPO, overlayDel)
+			next.deltaPOS = filterOps(snap.deltaPOS, overlayDel)
+			next.deltaOSP = filterOps(snap.deltaOSP, overlayDel)
+			next.tail = filterOps(snap.tail, overlayDel)
 		}
 	}
-	newLog = append(newLog, ins...)
-	next.log = newLog
 
-	// Overlay-resident deletes are filtered out physically; base-resident
-	// ones become tombstones. A triple masked by an existing tombstone is
-	// not base-live, so it can only be deleted via its overlay copy.
-	var baseDel []rdf.EncodedTriple
-	for _, e := range del {
-		if snap.base.containsID(e.S, e.P, e.O) && !snap.tombstoned(e) {
-			baseDel = append(baseDel, e)
-		}
-	}
-	next.deltaSPO = filterOps(snap.deltaSPO, delSet)
-	next.deltaPOS = filterOps(snap.deltaPOS, delSet)
-	next.deltaOSP = filterOps(snap.deltaOSP, delSet)
-	next.tail = filterOps(snap.tail, delSet)
-	if len(baseDel) > 0 {
-		next.delSPO = mergeSortedTriples(snap.delSPO, baseDel, cmpSPO)
-		next.delPOS = mergeSortedTriples(snap.delPOS, baseDel, cmpPOS)
-		next.delOSP = mergeSortedTriples(snap.delOSP, baseDel, cmpOSP)
-	}
-
-	// Inserts merge into the (already filtered) sorted delta.
-	if len(ins) > 0 {
+	// Small insert batches ride the unsorted tail; a full tail folds,
+	// with the batch, into the sorted delta.
+	if len(next.tail)+len(ins) < tailMax {
+		next.tail = append(next.tail, ins...)
+	} else {
 		next.deltaSPO = mergeSortedTriples(foldTail(next.deltaSPO, next.tail, cmpSPO), ins, cmpSPO)
 		next.deltaPOS = mergeSortedTriples(foldTail(next.deltaPOS, next.tail, cmpPOS), ins, cmpPOS)
 		next.deltaOSP = mergeSortedTriples(foldTail(next.deltaOSP, next.tail, cmpOSP), ins, cmpOSP)
 		next.tail = nil
 	}
 
-	// Compact when the tombstone set or the delta outgrows its bound: one
-	// sort-once rebuild from the filtered log physically drops every
-	// tombstoned triple.
-	if len(next.delSPO) >= maxDelta(next.base) || len(next.deltaSPO) >= maxDelta(next.base) {
-		next.base = buildColumnar(next.log)
-		next.deltaSPO, next.deltaPOS, next.deltaOSP, next.tail = nil, nil, nil, nil
-		next.delSPO, next.delPOS, next.delOSP = nil, nil, nil
-	}
-	return &next
-}
-
-// applyInserts is the delete-free fast path: small batches ride the
-// recent-adds tail exactly like Add always has, larger ones fold into
-// the sorted delta, and a delta past its bound compacts — a linear
-// merge into a new base, or a rebuild from the log when tombstones must
-// be dropped (compacted picks).
-func applyInserts(snap *Snapshot, ins []rdf.EncodedTriple, gen uint64) *Snapshot {
-	next := *snap
-	next.generation = snap.generation + gen
-	next.log = append(snap.log, ins...)
-	if len(snap.tail)+len(ins) < tailMax {
-		next.tail = append(snap.tail, ins...)
-		return &next
-	}
-	next.deltaSPO = mergeSortedTriples(foldTail(snap.deltaSPO, snap.tail, cmpSPO), ins, cmpSPO)
-	next.deltaPOS = mergeSortedTriples(foldTail(snap.deltaPOS, snap.tail, cmpPOS), ins, cmpPOS)
-	next.deltaOSP = mergeSortedTriples(foldTail(snap.deltaOSP, snap.tail, cmpOSP), ins, cmpOSP)
-	next.tail = nil
-	if len(next.deltaSPO) >= maxDelta(next.base) {
+	// Fold when the delta or the tombstone set outgrows its bound.
+	if bound := maxDelta(next.base); len(next.deltaSPO) >= bound || len(next.delSPO) >= bound {
 		return compacted(&next)
 	}
 	return &next
 }
 
 // filterOps returns ops without the members of dead, sharing the input
-// slice when nothing matches (the common case — most deltas touch the
-// base, not the overlay).
+// slice when nothing matches.
 func filterOps(ops []rdf.EncodedTriple, dead map[rdf.EncodedTriple]struct{}) []rdf.EncodedTriple {
 	hit := false
 	for _, e := range ops {

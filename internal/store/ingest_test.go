@@ -50,7 +50,7 @@ func loadStreamAt(procs int, st *Store, doc string, opts StreamOptions) (int, er
 
 // TestLoadStreamMatchesLoad: the streaming parallel path must produce a
 // store byte-identical to the serial materialize-then-Load path — same
-// dictionary IDs, same log, same indexes, same generation.
+// dictionary IDs, same indexes, same generation.
 func TestLoadStreamMatchesLoad(t *testing.T) {
 	ts := ingestCorpus(400)
 	doc := rdf.FormatNTriples(ts)

@@ -13,23 +13,22 @@ import (
 )
 
 // This file implements durable binary snapshots: a versioned little-endian
-// dump of the dictionary arena, the insertion-order triple log, and the
-// three columnar permutation indexes, exactly as they sit in memory. A
-// warm restart therefore skips parsing, interning AND index sorting — the
-// load path is bulk []ID reads plus structural validation. Files are
-// written atomically (temp + rename) and carry a CRC-32 of the entire
-// payload; a corrupt, truncated or wrong-version file fails loudly and
-// never yields a half-loaded store.
+// dump of the dictionary arena and the three columnar permutation indexes
+// — the store's whole triple set — exactly as they sit in memory. A warm
+// restart therefore skips parsing, interning AND index sorting — the load
+// path is bulk []ID reads plus structural validation. Files are written
+// atomically (temp + rename) and carry a CRC-32 of the entire payload; a
+// corrupt, truncated or wrong-version file fails loudly and never yields
+// a half-loaded store.
 //
-// Layout (all integers little-endian):
+// Layout (all integers little-endian), four sections after the header:
 //
-//	[8]  magic "ELINDSN\x02" (version byte last)
+//	[8]  magic "ELINDSN\x03" (version byte last)
 //	u64  generation
 //	u32  nTerms, nTriples
 //	u32  typeID, subClassID, labelID
 //	dict: [nTerms]u8 kinds, then 3 string columns (value, lang, datatype),
 //	      each: [nTerms]u32 lengths, u64 blobLen, blob bytes
-//	log:  [3*nTriples]u32 (S,P,O per triple, insertion order)
 //	3 × permutation index (SPO, POS, OSP), each 5 arrays prefixed with a
 //	      u32 count: aKeys, aOff, bKeys, bOff, c
 //	planner statistics (see planstats.go):
@@ -39,11 +38,12 @@ import (
 //	u32  CRC-32 (IEEE) of every preceding byte
 //
 // The reader accepts exactly the version it writes: a file of any other
-// version (version 1 had no statistics section) is rejected by name and
-// must be rebuilt from its source data.
+// version (1 had no statistics section; 2 carried an insertion-order copy
+// of the triples between the dictionary and the permutations) is rejected
+// by name and must be rebuilt from its source data.
 
 const (
-	snapshotMagic   = "ELINDSN\x02" // bump the final byte on format changes
+	snapshotMagic   = "ELINDSN\x03" // bump the final byte on format changes
 	snapshotMaxSane = 1 << 31       // upper bound for any count field
 )
 
@@ -143,8 +143,8 @@ func writeSnapshot(snap *Snapshot, w io.Writer) error {
 
 	// Refuse to write anything the reader would reject — a snapshot that
 	// saves fine but can never load back is worse than no snapshot.
-	if len(terms) >= snapshotMaxSane || len(snap.log) >= snapshotMaxSane {
-		return fmt.Errorf("store: writing snapshot: store exceeds the format's count limits (%d terms, %d triples)", len(terms), len(snap.log))
+	if len(terms) >= snapshotMaxSane || snap.base.n >= snapshotMaxSane {
+		return fmt.Errorf("store: writing snapshot: store exceeds the format's count limits (%d terms, %d triples)", len(terms), snap.base.n)
 	}
 	var valueBytes uint64
 	for _, t := range terms {
@@ -170,7 +170,7 @@ func writeSnapshot(snap *Snapshot, w io.Writer) error {
 	if err := put(
 		func() error { return cw.writeU64(snap.generation) },
 		func() error { return cw.writeU32(uint32(len(terms))) },
-		func() error { return cw.writeU32(uint32(len(snap.log))) },
+		func() error { return cw.writeU32(uint32(snap.base.n)) },
 		func() error { return cw.writeU32(uint32(snap.typeID)) },
 		func() error { return cw.writeU32(uint32(snap.subClassID)) },
 		func() error { return cw.writeU32(uint32(snap.labelID)) },
@@ -216,21 +216,6 @@ func writeSnapshot(snap *Snapshot, w io.Writer) error {
 		}
 	}
 
-	// Triple log.
-	ids := make([]rdf.ID, 0, len(scratch)/4)
-	for _, e := range snap.log {
-		ids = append(ids, e.S, e.P, e.O)
-		if len(ids)+3 > cap(ids) {
-			if err := writeU32Slice(cw, ids, scratch); err != nil {
-				return fmt.Errorf("store: writing snapshot: %w", err)
-			}
-			ids = ids[:0]
-		}
-	}
-	if err := writeU32Slice(cw, ids, scratch); err != nil {
-		return fmt.Errorf("store: writing snapshot: %w", err)
-	}
-
 	// Columnar permutation indexes (each array prefixed with its count).
 	for _, p := range []*permIndex{&snap.base.spo, &snap.base.pos, &snap.base.osp} {
 		for _, step := range []func() error{
@@ -246,8 +231,8 @@ func writeSnapshot(snap *Snapshot, w io.Writer) error {
 		}
 	}
 
-	// Planner statistics (version 2 section): replicas hydrate them
-	// instead of recomputing at load.
+	// Planner statistics: replicas hydrate them instead of recomputing at
+	// load.
 	if err := writePlanStats(cw, snap.base.planStats(), scratch); err != nil {
 		return fmt.Errorf("store: writing snapshot: %w", err)
 	}
@@ -264,8 +249,8 @@ func writeSnapshot(snap *Snapshot, w io.Writer) error {
 	return nil
 }
 
-// writePlanStats serializes the planner statistics section (format
-// version 2); see the layout comment at the top of the file.
+// writePlanStats serializes the planner statistics section; see the
+// layout comment at the top of the file.
 func writePlanStats(cw *crcWriter, ps *PlanStats, scratch []byte) error {
 	flat := make([]uint32, 0, 4*len(ps.Preds))
 	for _, st := range ps.Preds {
@@ -562,19 +547,6 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 		return nil, snapErr("%v", err)
 	}
 
-	// Triple log.
-	flat, err := readU32Slice[rdf.ID](cr, 3*nTriples, scratch)
-	if err != nil {
-		return nil, snapErr("triple log: %v", err)
-	}
-	log := make([]rdf.EncodedTriple, nTriples)
-	for i := range log {
-		log[i] = rdf.EncodedTriple{S: flat[3*i], P: flat[3*i+1], O: flat[3*i+2]}
-		if !validSnapID(log[i].S, nTerms) || !validSnapID(log[i].P, nTerms) || !validSnapID(log[i].O, nTerms) {
-			return nil, snapErr("triple %d references an ID outside the dictionary (size %d)", i, nTerms)
-		}
-	}
-
 	// Permutation indexes.
 	base := &columnar{n: nTriples}
 	for pi, p := range []*permIndex{&base.spo, &base.pos, &base.osp} {
@@ -622,7 +594,6 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 	st.snap.Store(&Snapshot{
 		dict:       dict,
 		base:       base,
-		log:        log,
 		generation: generation,
 		typeID:     typeID,
 		subClassID: subClassID,

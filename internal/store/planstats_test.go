@@ -30,7 +30,7 @@ func TestPlanStatsBasic(t *testing.T) {
 		t.Fatalf("stats cover %d triples, snapshot has %d", ps.Triples, snap.Len())
 	}
 
-	// Brute force from the log.
+	// Brute force from a full scan.
 	type agg struct {
 		count int
 		subs  map[rdf.ID]struct{}
@@ -154,9 +154,11 @@ func TestPlanStatsOverlayAndFold(t *testing.T) {
 	}
 }
 
-// TestPlanStatsTombstoneAudit is the PR's tombstone-awareness audit for
-// statistics: deleting triples and folding must yield bit-identical
-// statistics to a fresh load of only the surviving triples.
+// TestPlanStatsTombstoneAudit audits the one fold (base − tombstones +
+// delta): deleting triples, writing more through the overlay — one of
+// them a tombstoned row coming back — and folding must equal a fresh load
+// of only the surviving triples, on every read surface and bit for bit
+// in the statistics.
 func TestPlanStatsTombstoneAudit(t *testing.T) {
 	ts := ingestCorpus(300)
 	live := New(0)
@@ -181,18 +183,29 @@ func TestPlanStatsTombstoneAudit(t *testing.T) {
 	if _, err := live.Apply(DeltaOf(ops...)); err != nil {
 		t.Fatal(err)
 	}
-	if live.Snapshot().tombEmpty() {
-		t.Fatal("expected tombstones before the fold")
+	back := ops[3].Triple
+	extra := []rdf.Triple{back, mkTriple("fold", "novelPred", "x"), mkTriple("fold", "novelPred", "y")}
+	for _, tr := range extra {
+		if _, err := live.Add(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	survivors = append(survivors, extra...)
+	if snap := live.Snapshot(); snap.tombEmpty() || snap.overlayEmpty() || !snap.tombstoned(live.dict.Encode(back)) {
+		t.Fatal("expected tombstones (one under a re-inserted triple) and an overlay before the fold")
 	}
 	folded := compacted(live.Snapshot())
+	if !folded.tombEmpty() || !folded.overlayEmpty() || folded.base.n != len(survivors) {
+		t.Fatalf("fold left tombstones or an overlay, or covers %d triples instead of %d", folded.base.n, len(survivors))
+	}
+	live.snap.Store(folded)
 
 	fresh := New(0)
 	if _, err := fresh.Load(survivors); err != nil {
 		t.Fatal(err)
 	}
-	// A sub-threshold load lands in the overlay; fold so the fresh store
-	// has a columnar base (and therefore statistics) to compare against.
-	want := canonStats(compacted(fresh.Snapshot()).PlanStats(), fresh.Dict())
+	assertSameReadSurface(t, live, fresh, append(ts, extra...))
+	want := canonStats(fresh.Snapshot().PlanStats(), fresh.Dict())
 	got := canonStats(folded.PlanStats(), live.Dict())
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-fold statistics diverge from a fresh load of the survivors:\ngot  %+v\nwant %+v", got, want)
@@ -228,7 +241,7 @@ func canonStats(ps *PlanStats, d *rdf.Dict) map[string]any {
 	}
 }
 
-// TestPlanStatsPersistRoundTrip: the v2 snapshot carries the statistics
+// TestPlanStatsPersistRoundTrip: the snapshot file carries the statistics
 // and the loader hydrates them bit-identically instead of recomputing.
 func TestPlanStatsPersistRoundTrip(t *testing.T) {
 	st := New(0)

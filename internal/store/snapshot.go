@@ -162,6 +162,26 @@ func (cur *permCursor) advance() {
 	}
 }
 
+// seek positions the cursor on row ci by binary search on the offset
+// arrays; ci == len(p.c) leaves it invalid.
+func (cur *permCursor) seek(ci int) {
+	p := cur.p
+	cur.ci = ci
+	if ci >= len(p.c) {
+		return
+	}
+	cur.bi = sort.Search(len(p.bKeys), func(j int) bool { return int(p.bOff[j+1]) > ci })
+	cur.ai = sort.Search(len(p.aKeys), func(i int) bool { return int(p.aOff[i+1]) > cur.bi })
+}
+
+// rowOf returns the row of the tuple (a, b, c), which must be present.
+func (p *permIndex) rowOf(a, b, c rdf.ID) int {
+	ai, _ := p.findA(a)
+	j, _ := p.findB(ai, b)
+	lo, hi := int(p.bOff[j]), int(p.bOff[j+1])
+	return lo + sort.Search(hi-lo, func(k int) bool { return p.c[lo+k] >= c })
+}
+
 // keySPO/keyPOS/keyOSP map an encoded triple to the (a, b, c) tuple of the
 // corresponding permutation.
 func keySPO(e rdf.EncodedTriple) (a, b, c rdf.ID) { return e.S, e.P, e.O }
@@ -205,26 +225,30 @@ func buildPerm(scratch []rdf.EncodedTriple, cmp func(x, y rdf.EncodedTriple) int
 	return pb.finish()
 }
 
-// mergePerm linearly merges a base permutation with a sorted,
-// duplicate-free delta (sorted by the same permutation order) into a new
-// columnar index — O(base+delta), no re-sort.
-func mergePerm(base *permIndex, delta []rdf.EncodedTriple, key func(rdf.EncodedTriple) (a, b, c rdf.ID)) permIndex {
-	pb := newPermBuilder(len(base.c) + len(delta))
-	cur := permCursor{p: base}
+// mergePerm is the one fold: it linearly merges a base permutation,
+// minus a sorted run of tombstoned base rows, plus a sorted duplicate-free
+// delta (both runs in the same permutation order) into a new columnar
+// index — O(base+delta), no re-sort. A delta entry may equal a tombstoned
+// row (deleted, then re-inserted): the row is dropped, the entry kept.
+func mergePerm(base *permIndex, tomb, delta []rdf.EncodedTriple, key func(rdf.EncodedTriple) (a, b, c rdf.ID)) permIndex {
+	pb := newPermBuilder(len(base.c) - len(tomb) + len(delta))
 	di := 0
-	for cur.valid() && di < len(delta) {
+	for cur := (permCursor{p: base}); cur.valid(); cur.advance() {
 		a1, b1, c1 := cur.tuple()
-		a2, b2, c2 := key(delta[di])
-		if cmpIDs3(a1, b1, c1, a2, b2, c2) < 0 {
-			pb.add(a1, b1, c1)
-			cur.advance()
-		} else {
-			pb.add(a2, b2, c2)
-			di++
+		if len(tomb) > 0 {
+			if a2, b2, c2 := key(tomb[0]); a1 == a2 && b1 == b2 && c1 == c2 {
+				tomb = tomb[1:]
+				continue
+			}
 		}
-	}
-	for ; cur.valid(); cur.advance() {
-		pb.add(cur.tuple())
+		for ; di < len(delta); di++ {
+			a2, b2, c2 := key(delta[di])
+			if cmpIDs3(a1, b1, c1, a2, b2, c2) < 0 {
+				break
+			}
+			pb.add(a2, b2, c2)
+		}
+		pb.add(a1, b1, c1)
 	}
 	for ; di < len(delta); di++ {
 		pb.add(key(delta[di]))
@@ -258,7 +282,7 @@ func buildPermPacked(log []rdf.EncodedTriple, scratch []uint64, key func(rdf.Enc
 	return pb.finish()
 }
 
-// maxIDIn returns the largest ID appearing in the log.
+// maxIDIn returns the largest ID appearing in the batch.
 func maxIDIn(log []rdf.EncodedTriple) rdf.ID {
 	var m rdf.ID
 	for _, e := range log {
@@ -276,8 +300,8 @@ func maxIDIn(log []rdf.EncodedTriple) rdf.ID {
 }
 
 // columnar is the frozen index core of a snapshot: the three permutation
-// indexes as flat sorted arrays covering one duplicate-free triple log
-// prefix. It is immutable after construction.
+// indexes as flat sorted arrays covering one duplicate-free triple set.
+// It is immutable after construction.
 type columnar struct {
 	n   int // triples covered
 	spo permIndex
@@ -288,10 +312,12 @@ type columnar struct {
 	stats *PlanStats
 }
 
-// buildColumnar packs the (duplicate-free) log into the three columnar
-// permutation indexes with one sort per permutation. The three builds are
-// independent and run concurrently; each uses packed-uint64 keys when the
-// ID space allows, falling back to comparator sorts otherwise.
+// buildColumnar packs a duplicate-free batch into the three columnar
+// permutation indexes with one sort per permutation — the bulk load into
+// an empty store; every later base comes out of mergePerm. The three
+// builds are independent and run concurrently; each uses packed-uint64
+// keys when the ID space allows, falling back to comparator sorts
+// otherwise.
 func buildColumnar(log []rdf.EncodedTriple) *columnar {
 	col := &columnar{n: len(log)}
 	packed := maxIDIn(log) < packMax

@@ -42,7 +42,7 @@ func (s *Snapshot) ComputeStats() Stats {
 	col := s.base
 
 	var st Stats
-	st.Triples = len(s.log)
+	st.Triples = s.Len()
 	st.Subjects = len(col.spo.aKeys)
 	st.Predicates = len(col.pos.aKeys)
 	st.Objects = len(col.osp.aKeys)

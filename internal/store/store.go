@@ -4,18 +4,21 @@
 // runs against it, the decomposer's specialized indexes are built from it,
 // and the incremental evaluator scans it in chunks of N triples.
 //
-// The store publishes generation-tagged immutable Snapshots. Each snapshot
-// keeps the three permutation indexes (SPO, POS, OSP) as flat, columnar,
-// sorted arrays — a two-level offset index over one contiguous []rdf.ID —
-// so reads need no lock at all and Postings/Objects/Subjects return
-// zero-copy sub-slices. Writes never mutate published state: Load
-// bulk-builds a fresh columnar base with one sort per permutation, while
-// individual Adds ride in a small overlay (a tiny insertion-order tail
-// that periodically folds into a sorted delta, which in turn merges into
-// a new columnar base once it outgrows its bound). Snapshot() is a single
-// atomic pointer load, readers scale linearly with cores, and a query
-// that binds one snapshot observes a perfectly consistent knowledge base
-// for its whole lifetime.
+// The store is a set of triples: the three permutation indexes are its
+// only representation, and nothing records the order triples arrived in.
+// It publishes generation-tagged immutable Snapshots. Each snapshot keeps
+// the permutation indexes (SPO, POS, OSP) as flat, columnar, sorted
+// arrays — a two-level offset index over one contiguous []rdf.ID — so
+// reads need no lock at all and Postings/Objects/Subjects return
+// zero-copy sub-slices. Writes never mutate published state: a Load into
+// an empty store bulk-builds the columnar base with one sort per
+// permutation, while later writes ride in a small overlay (a tiny
+// unsorted tail that periodically folds into a sorted delta, plus
+// tombstones masking deleted base rows) that one linear merge folds into
+// a new base once it outgrows its bound. Snapshot() is a single atomic
+// pointer load, readers scale linearly with cores, and a query that binds
+// one snapshot observes a perfectly consistent knowledge base for its
+// whole lifetime.
 package store
 
 import (
@@ -48,10 +51,10 @@ type Snapshot struct {
 	deltaPOS []rdf.EncodedTriple
 	deltaOSP []rdf.EncodedTriple
 
-	// tail holds the most recent Adds in insertion order, unsorted and
-	// bounded by tailMax; reads filter it linearly. Folding it into the
-	// sorted delta in batches keeps Add's copy-on-write cost amortized
-	// O(1) instead of O(delta) per insert.
+	// tail holds the most recent Adds, unsorted and bounded by tailMax;
+	// reads filter it linearly. Folding it into the sorted delta in
+	// batches keeps Add's copy-on-write cost amortized O(1) instead of
+	// O(delta) per insert.
 	tail []rdf.EncodedTriple
 
 	// Tombstones: base-resident triples deleted since the base was built,
@@ -59,16 +62,11 @@ type Snapshot struct {
 	// Reads subtract them from base results; a fold/compaction drops the
 	// triples physically. Deletes of overlay-resident triples never
 	// become tombstones — they are filtered out of the delta/tail arrays
-	// directly — so the overlay and the tombstone set are disjoint and a
-	// tombstoned triple is never in log.
+	// directly — so every tombstone masks exactly one base row, and a
+	// deleted-then-re-inserted triple is a tombstone plus an overlay entry.
 	delSPO []rdf.EncodedTriple
 	delPOS []rdf.EncodedTriple
 	delOSP []rdf.EncodedTriple
-
-	// log is the full insertion-order triple log (base + delta + tail,
-	// minus deleted triples). Between deletes writers only ever append;
-	// a delete republishes a filtered copy.
-	log []rdf.EncodedTriple
 
 	generation uint64
 
@@ -123,7 +121,6 @@ func New(n int) *Store {
 	s.snap.Store(&Snapshot{
 		dict:       s.dict,
 		base:       buildColumnar(nil),
-		log:        make([]rdf.EncodedTriple, 0, n),
 		typeID:     s.typeID,
 		subClassID: s.subClassID,
 		labelID:    s.labelID,
@@ -153,36 +150,23 @@ func (s *Store) Generation() uint64 { return s.snap.Load().generation }
 // reads; see Snapshot's doc.
 func (s *Store) Snapshot() *Snapshot { return s.snap.Load() }
 
-// compacted merges snap's overlay (delta + tail) into a fresh columnar
-// base covering the whole log — one linear merge per permutation, no
+// compacted folds snap's overlay and tombstones into a fresh columnar
+// base — one linear merge per permutation (base − tombstones + delta), no
 // re-sort. It reads snap but never mutates it (snapshots are shared
 // immutable data); publishing the result requires holding writeMu.
 func compacted(snap *Snapshot) *Snapshot {
 	out := *snap
-	if !snap.tombEmpty() {
-		// Deletes to fold in: rebuild from the log (which already excludes
-		// every deleted triple), physically dropping the tombstoned rows.
-		// A linear three-way merge (base minus tombstones plus delta)
-		// would be cheaper but the tombstone bound keeps this rare.
-		out.base = buildColumnar(snap.log)
-		out.deltaSPO, out.deltaPOS, out.deltaOSP, out.tail = nil, nil, nil, nil
-		out.delSPO, out.delPOS, out.delOSP = nil, nil, nil
-		return &out
-	}
-	out.deltaSPO = foldTail(snap.deltaSPO, snap.tail, cmpSPO)
-	out.deltaPOS = foldTail(snap.deltaPOS, snap.tail, cmpPOS)
-	out.deltaOSP = foldTail(snap.deltaOSP, snap.tail, cmpOSP)
-	out.tail = nil
 	out.base = &columnar{
-		n:   len(snap.log),
-		spo: mergePerm(&snap.base.spo, out.deltaSPO, keySPO),
-		pos: mergePerm(&snap.base.pos, out.deltaPOS, keyPOS),
-		osp: mergePerm(&snap.base.osp, out.deltaOSP, keyOSP),
+		n:   snap.Len(),
+		spo: mergePerm(&snap.base.spo, snap.delSPO, foldTail(snap.deltaSPO, snap.tail, cmpSPO), keySPO),
+		pos: mergePerm(&snap.base.pos, snap.delPOS, foldTail(snap.deltaPOS, snap.tail, cmpPOS), keyPOS),
+		osp: mergePerm(&snap.base.osp, snap.delOSP, foldTail(snap.deltaOSP, snap.tail, cmpOSP), keyOSP),
 	}
 	// Statistics are recomputed at every base publication so they always
 	// describe exactly the triples the new base covers.
 	out.base.stats = computePlanStats(out.base)
-	out.deltaSPO, out.deltaPOS, out.deltaOSP = nil, nil, nil
+	out.deltaSPO, out.deltaPOS, out.deltaOSP, out.tail = nil, nil, nil, nil
+	out.delSPO, out.delPOS, out.delOSP = nil, nil, nil
 	return &out
 }
 
@@ -264,13 +248,15 @@ func (s *Store) Load(ts []rdf.Triple) (int, error) {
 		// acknowledged set and the log in agreement, same as Add. (Unlike
 		// Add, the batch's vocabulary is already interned by the encode
 		// pass above; a failed bulk load leaves those dictionary entries
-		// behind, which wastes memory but affects no triple.)
+		// behind, which wastes memory but affects no triple.) The batch is
+		// in first-occurrence input order, so a replay interns its terms in
+		// the order the encode pass above did.
 		if s.wal != nil {
-			ts := make([]rdf.Triple, len(batch))
+			ops := make([]rdf.TripleOp, len(batch))
 			for i, e := range batch {
-				ts[i] = s.dict.Decode(e)
+				ops[i] = rdf.Insert(s.dict.Decode(e))
 			}
-			if err := s.wal.AppendBatch(ts); err != nil {
+			if err := s.wal.AppendOps(ops); err != nil {
 				return 0, fmt.Errorf("store: %w", err)
 			}
 		}
@@ -280,9 +266,9 @@ func (s *Store) Load(ts []rdf.Triple) (int, error) {
 }
 
 // dedupBatch filters enc down to the triples that are new to the
-// snapshot, keeping the first occurrence of each (in original order,
-// matching the per-insert semantics). The fast path sorts packed uint64
-// keys; huge ID spaces fall back to a comparator sort.
+// snapshot, keeping the first occurrence of each in original order (the
+// order Load hands the WAL). The fast path sorts packed uint64 keys; huge
+// ID spaces fall back to a comparator sort.
 func dedupBatch(snap *Snapshot, enc []rdf.EncodedTriple) []rdf.EncodedTriple {
 	if maxIDIn(enc) < packMax {
 		sorted := make([]uint64, len(enc))
@@ -299,7 +285,7 @@ func dedupBatch(snap *Snapshot, enc []rdf.EncodedTriple) []rdf.EncodedTriple {
 				dupCount[sorted[k]]++
 			}
 		}
-		if len(snap.log) == 0 && len(dupCount) == 0 {
+		if snap.Len() == 0 && len(dupCount) == 0 {
 			return enc
 		}
 		// Slow path (duplicates or a pre-populated store): re-derive each
@@ -309,7 +295,7 @@ func dedupBatch(snap *Snapshot, enc []rdf.EncodedTriple) []rdf.EncodedTriple {
 			packed[i] = uint64(e.S)<<(2*packBits) | uint64(e.P)<<packBits | uint64(e.O)
 		}
 		existing := map[uint64]bool{}
-		if len(snap.log) > 0 {
+		if snap.Len() > 0 {
 			sorted = slices.Compact(sorted)
 			for _, p := range sorted {
 				e := rdf.EncodedTriple{
@@ -369,31 +355,23 @@ func dedupBatch(snap *Snapshot, enc []rdf.EncodedTriple) []rdf.EncodedTriple {
 	return batch
 }
 
-// applyBatch folds a duplicate-free batch into a new snapshot: small
-// batches merge into the sorted delta overlay, large ones trigger a full
-// sort-once rebuild of the columnar base from the log.
+// applyBatch folds a duplicate-free batch of absent triples into a new
+// snapshot: a bulk load into an empty store sorts once into a columnar
+// base, anything else is an insert-only mutation of the overlay.
 func applyBatch(snap *Snapshot, batch []rdf.EncodedTriple) *Snapshot {
+	if snap.Len() > 0 {
+		return applyMutations(snap, batch, nil, uint64(len(batch)))
+	}
 	next := *snap
 	next.generation = snap.generation + uint64(len(batch))
-	next.log = append(snap.log, batch...)
-	if len(snap.deltaSPO)+len(snap.tail)+len(batch) < maxDelta(snap.base) {
-		merged := func(delta []rdf.EncodedTriple, cmp func(x, y rdf.EncodedTriple) int) []rdf.EncodedTriple {
-			return mergeSortedTriples(foldTail(delta, snap.tail, cmp), batch, cmp)
-		}
-		next.deltaSPO = merged(snap.deltaSPO, cmpSPO)
-		next.deltaPOS = merged(snap.deltaPOS, cmpPOS)
-		next.deltaOSP = merged(snap.deltaOSP, cmpOSP)
-		next.tail = nil
-		return &next
-	}
-	next.base = buildColumnar(next.log)
+	next.base = buildColumnar(batch)
 	next.deltaSPO, next.deltaPOS, next.deltaOSP, next.tail = nil, nil, nil, nil
 	next.delSPO, next.delPOS, next.delOSP = nil, nil, nil
 	return &next
 }
 
 // mergeSortedTriples merges a sorted duplicate-free run with a batch that
-// is sorted on the fly (it arrives in insertion order).
+// is sorted on the fly (it arrives in no particular order).
 func mergeSortedTriples(list, batch []rdf.EncodedTriple, cmp func(x, y rdf.EncodedTriple) int) []rdf.EncodedTriple {
 	sorted := make([]rdf.EncodedTriple, len(batch))
 	copy(sorted, batch)
@@ -427,7 +405,9 @@ func (s *Snapshot) Dict() *rdf.Dict { return s.dict }
 func (s *Snapshot) Generation() uint64 { return s.generation }
 
 // Len returns the number of distinct triples in the snapshot.
-func (s *Snapshot) Len() int { return len(s.log) }
+func (s *Snapshot) Len() int {
+	return s.base.n - len(s.delSPO) + len(s.deltaSPO) + len(s.tail)
+}
 
 // TypeID returns the interned ID of rdf:type.
 func (s *Snapshot) TypeID() rdf.ID { return s.typeID }
@@ -492,27 +472,59 @@ func (s *Snapshot) ContainsTriple(t rdf.Triple) bool {
 	return ok1 && ok2 && ok3 && s.ContainsID(st, pt, ot)
 }
 
-// Scan invokes fn on triples in insertion order, starting at offset, for
-// at most limit triples (limit <= 0 means all remaining), and returns the
-// number visited. The iteration is over immutable data: the callback may
-// freely call back into the live store, including its write methods.
+// Scan invokes fn on the snapshot's triples starting at position offset,
+// for at most limit triples (limit <= 0 means all remaining), and returns
+// the number visited. The order is fixed for one snapshot — live SPO base
+// rows, then the sorted delta, then the tail — so consecutive windows
+// partition the triple set, each triple exactly once; across snapshots
+// positions mean nothing. Positioning is a binary search, never a walk
+// over the skipped prefix. The iteration is over immutable data: the
+// callback may freely call back into the live store, including its write
+// methods.
 func (s *Snapshot) Scan(offset, limit int, fn func(rdf.EncodedTriple) bool) int {
 	if offset < 0 {
 		offset = 0
 	}
-	if offset >= len(s.log) {
-		return 0
-	}
-	end := len(s.log)
-	if limit > 0 && offset+limit < end {
-		end = offset + limit
-	}
 	n := 0
-	for _, e := range s.log[offset:end] {
+	visit := func(e rdf.EncodedTriple) bool {
 		n++
-		if !fn(e) {
-			break
+		return fn(e) && n != limit
+	}
+	spo, dead := &s.base.spo, s.delSPO
+	if live := len(spo.c) - len(dead); offset >= live {
+		offset -= live
+	} else {
+		// The row at live position offset lies past exactly the t
+		// tombstones that have at most offset live rows before them.
+		// Row minus index never decreases along the sorted tombstones, so
+		// t is a binary search and the row is offset+t.
+		t := sort.Search(len(dead), func(j int) bool { return spo.rowOf(keySPO(dead[j]))-j > offset })
+		dead = dead[t:]
+		cur := permCursor{p: spo}
+		for cur.seek(offset + t); cur.valid(); cur.advance() {
+			a, b, c := cur.tuple()
+			e := rdf.EncodedTriple{S: a, P: b, O: c}
+			if len(dead) > 0 && dead[0] == e {
+				dead = dead[1:]
+				continue
+			}
+			if !visit(e) {
+				return n
+			}
 		}
+		offset = 0
+	}
+	for _, run := range [][]rdf.EncodedTriple{s.deltaSPO, s.tail} {
+		if offset >= len(run) {
+			offset -= len(run)
+			continue
+		}
+		for _, e := range run[offset:] {
+			if !visit(e) {
+				return n
+			}
+		}
+		offset = 0
 	}
 	return n
 }
@@ -520,16 +532,12 @@ func (s *Snapshot) Scan(offset, limit int, fn func(rdf.EncodedTriple) bool) int 
 // Match iterates over every triple matching the pattern (s, p, o) where
 // rdf.NoID is a wildcard. fn returning false stops the iteration early.
 // Index-backed shapes enumerate the columnar base in sorted ID order,
-// followed by any overlay matches; the all-wildcard shape walks the
-// insertion-order log. No lock is held: the callback may re-enter the
-// store, including write methods.
+// followed by any overlay matches; the all-wildcard shape is a full Scan.
+// No lock is held: the callback may re-enter the store, including write
+// methods.
 func (s *Snapshot) Match(sub, pred, obj rdf.ID, fn func(rdf.EncodedTriple) bool) {
 	if sub == rdf.NoID && pred == rdf.NoID && obj == rdf.NoID {
-		for _, e := range s.log {
-			if !fn(e) {
-				return
-			}
-		}
+		s.Scan(0, 0, fn)
 		return
 	}
 	baseFn := fn
@@ -650,7 +658,7 @@ func (s *Snapshot) CardMatch(sub, pred, obj rdf.ID) int {
 	case obj != rdf.NoID:
 		n += len(deltaPrefix(s.deltaOSP, keyOSP, obj, rdf.NoID, false))
 	default:
-		return len(s.log)
+		return s.Len()
 	}
 	for _, e := range s.tail {
 		if matchesPattern(e, sub, pred, obj) {
@@ -933,9 +941,11 @@ func (s *Store) ContainsID(sub, pred, obj rdf.ID) bool {
 // ContainsTriple reports whether the term-level triple is present.
 func (s *Store) ContainsTriple(t rdf.Triple) bool { return s.Snapshot().ContainsTriple(t) }
 
-// Scan invokes fn on triples in insertion order, starting at offset, for
-// at most limit triples (limit <= 0 means all remaining). It returns the
-// number visited. This is the primitive behind incremental evaluation.
+// Scan invokes fn on the current snapshot's triples starting at position
+// offset, for at most limit triples (limit <= 0 means all remaining), and
+// returns the number visited; see Snapshot.Scan for the order. Positions
+// are only meaningful within one snapshot: a caller paging with several
+// calls must bind Snapshot() once and page through that.
 //
 // Scan holds no lock: it captures the current snapshot atomically and
 // iterates immutable data, so the callback may safely call back into the

@@ -141,12 +141,13 @@ func TestScanChunks(t *testing.T) {
 	if len(all) != 10 {
 		t.Fatalf("chunked scan visited %d, want 10", len(all))
 	}
-	// Insertion order must be preserved.
-	for i, e := range all {
-		want := iri(fmt.Sprintf("s%d", i))
-		if st.Dict().Term(e.S) != want {
-			t.Errorf("position %d: subject %v, want %v", i, st.Dict().Term(e.S), want)
-		}
+	// The windows partition the set: every subject exactly once.
+	subjects := make(map[rdf.ID]bool)
+	for _, e := range all {
+		subjects[e.S] = true
+	}
+	if len(subjects) != 10 {
+		t.Errorf("chunked scan visited %d distinct subjects, want 10", len(subjects))
 	}
 	if st.Scan(-5, 2, func(rdf.EncodedTriple) bool { return true }) != 2 {
 		t.Error("negative offset should clamp to 0")

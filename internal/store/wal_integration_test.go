@@ -35,8 +35,8 @@ func recoverStore(t *testing.T, m *vfs.Mem, snapPath, walDir string) *store.Stor
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if _, err := w.Replay(func(tr rdf.Triple) error {
-		_, err := st.Add(tr)
+	if _, err := w.ReplayOps(func(op rdf.TripleOp) error {
+		_, err := st.Apply(store.DeltaOf(op))
 		return err
 	}); err != nil {
 		t.Fatal(err)

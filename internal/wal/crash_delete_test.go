@@ -18,15 +18,18 @@ package wal_test
 //     effective-op batches. Under SyncAlways an acknowledged batch must
 //     contribute its whole prefix — durability before acknowledgement.
 //  2. Consistency: replaying the recovered ops onto the recovered
-//     snapshot yields exactly the survivor sequence a reference model
-//     predicts from those same ops.
-//  3. Determinism: recovering twice from the same crash image yields
+//     snapshot yields exactly the survivor set a reference model predicts
+//     from those same ops.
+//  3. Equivalence: the recovered store is byte-identical (as a snapshot)
+//     to a store built by applying the same ops — the acknowledged ones
+//     the snapshot covers, then the replayed ones — in order, one delta
+//     each.
+//  4. Determinism: recovering twice from the same crash image yields
 //     byte-identical store snapshots.
 
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 
 	"elinda/internal/rdf"
@@ -37,8 +40,9 @@ import (
 
 // opsScript is the deterministic raw delta sequence: every index
 // inserts its triple, every third batch also deletes an earlier triple,
-// every seventh deletes and re-inserts one (a re-log move), and every
-// fifth index is followed by a standalone delete delta.
+// every seventh deletes and re-inserts one (a membership no-op that still
+// logs two records), and every fifth index is followed by a standalone
+// delete delta.
 func opsScript() [][]rdf.TripleOp {
 	var batches [][]rdf.TripleOp
 	for i := 0; i < crashInserts; i++ {
@@ -57,12 +61,11 @@ func opsScript() [][]rdf.TripleOp {
 	return batches
 }
 
-// opsModel mirrors the store's membership semantics: an ordered
-// survivor list plus the effective-op reduction Apply performs (and
-// therefore the exact record sequence it hands to the WAL).
+// opsModel mirrors the store's membership semantics: the survivor set
+// plus the effective-op reduction Apply performs (and therefore the exact
+// record sequence it hands to the WAL).
 type opsModel struct {
-	order []rdf.Triple
-	seen  map[rdf.Triple]bool
+	seen map[rdf.Triple]bool
 }
 
 func newOpsModel() *opsModel { return &opsModel{seen: make(map[rdf.Triple]bool)} }
@@ -92,17 +95,23 @@ func (m *opsModel) apply(ops []rdf.TripleOp) {
 	for _, op := range ops {
 		if op.Del {
 			delete(m.seen, op.Triple)
-			for i, t := range m.order {
-				if t == op.Triple {
-					m.order = append(m.order[:i], m.order[i+1:]...)
-					break
-				}
-			}
 		} else {
 			m.seen[op.Triple] = true
-			m.order = append(m.order, op.Triple)
 		}
 	}
+}
+
+// matches reports whether the model's survivor set equals set.
+func (m *opsModel) matches(set map[rdf.Triple]bool) bool {
+	if len(m.seen) != len(set) {
+		return false
+	}
+	for t := range set {
+		if !m.seen[t] {
+			return false
+		}
+	}
+	return true
 }
 
 // step applies one replayed op if it is effective (replay hands back
@@ -137,8 +146,8 @@ func crashOpsWorkload(m *vfs.Mem, policy wal.SyncPolicy) (batches [][]rdf.Triple
 		acked = append(acked, ok)
 		if i == 13 || i == 27 {
 			// Snapshot mid-stream — the store may hold live tombstones
-			// here, which persistence must serialize through the filtered
-			// log exactly like a tombstone-free store.
+			// here, which persistence must fold away exactly like a
+			// tombstone-free store.
 			_ = st.SaveSnapshotFS(m, crashSnapshot)
 		}
 	}
@@ -147,9 +156,9 @@ func crashOpsWorkload(m *vfs.Mem, policy wal.SyncPolicy) (batches [][]rdf.Triple
 
 // crashRecoverOps performs the mutation-path recovery sequence
 // (snapshot load → ReplayOps → Apply per record) and returns the
-// recovered store, the pre-replay survivor sequence, and the replayed
-// op sequence.
-func crashRecoverOps(t *testing.T, m *vfs.Mem, desc string) (*store.Store, []rdf.Triple, []rdf.TripleOp) {
+// recovered store, the pre-replay survivor set, and the replayed op
+// sequence.
+func crashRecoverOps(t *testing.T, m *vfs.Mem, desc string) (*store.Store, map[rdf.Triple]bool, []rdf.TripleOp) {
 	t.Helper()
 	var st *store.Store
 	if _, err := m.Size(crashSnapshot); err == nil {
@@ -180,8 +189,8 @@ func crashRecoverOps(t *testing.T, m *vfs.Mem, desc string) (*store.Store, []rdf
 // opsDecomposable checks invariant 1 exactly: recovered must split into
 // per-batch prefixes in batch order. strictAcked additionally forces
 // acknowledged batches to contribute their full op list (SyncAlways).
-// Exhaustive DP, not greedy — re-log batches repeat earlier ops, so an
-// earliest-match walk could reject a valid decomposition.
+// Exhaustive DP, not greedy — delete-and-re-insert batches repeat earlier
+// ops, so an earliest-match walk could reject a valid decomposition.
 func opsDecomposable(recovered []rdf.TripleOp, batches [][]rdf.TripleOp, acked []bool, strictAcked bool) bool {
 	memo := make(map[[2]int]bool)
 	var feasible func(b, r int) bool
@@ -244,65 +253,65 @@ func assertOpsRecovery(t *testing.T, desc string, m *vfs.Mem, batches [][]rdf.Tr
 	}
 
 	// 2. Model consistency: snapshot survivors + replayed ops must
-	// predict the recovered store exactly, in order.
+	// predict the recovered triple set exactly.
 	model := newOpsModel()
-	model.apply(insertOps(pre))
+	for tr := range pre {
+		model.seen[tr] = true
+	}
 	for _, op := range ops {
 		model.step(op)
 	}
-	got := storedTriples(st)
-	if len(got) != len(model.order) {
-		t.Fatalf("%s: recovered %d survivors, model predicts %d", desc, len(got), len(model.order))
-	}
-	for i := range got {
-		if got[i] != model.order[i] {
-			t.Fatalf("%s: survivor %d = %v, model predicts %v", desc, i, got[i], model.order[i])
-		}
+	if got := storedTriples(st); !model.matches(got) || st.Len() != len(got) {
+		t.Fatalf("%s: recovered %d survivors (Len %d), model predicts %d — or the sets differ", desc, len(got), st.Len(), len(model.seen))
 	}
 
-	// 3. Determinism: a second recovery from the same image is
+	// 3. Equivalence: the same ops applied in order to an empty store —
+	// what the snapshot covers (the acknowledged batches before its
+	// point, starts[0]), then what replay handed back — serialize
+	// byte-identically to the recovered store.
+	direct := store.New(0)
+	applyEach := func(batch []rdf.TripleOp) {
+		for _, op := range batch {
+			if _, err := direct.Apply(store.DeltaOf(op)); err != nil {
+				t.Fatalf("%s: %v", desc, err)
+			}
+		}
+	}
+	for b, batch := range batches[:starts[0]] {
+		if acked[b] {
+			applyEach(batch)
+		}
+	}
+	applyEach(ops)
+	if !bytes.Equal(snapshotBytes(t, desc, st), snapshotBytes(t, desc, direct)) {
+		t.Fatalf("%s: snapshot-load + WAL-replay differs byte-wise from applying the same ops in order", desc)
+	}
+
+	// 4. Determinism: a second recovery from the same image is
 	// byte-identical.
 	st2, _, _ := crashRecoverOps(t, m, desc+"/again")
-	var a, b bytes.Buffer
-	if err := st.WriteSnapshot(&a); err != nil {
-		t.Fatalf("%s: %v", desc, err)
-	}
-	if err := st2.WriteSnapshot(&b); err != nil {
-		t.Fatalf("%s: %v", desc, err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(snapshotBytes(t, desc, st), snapshotBytes(t, desc, st2)) {
 		t.Fatalf("%s: two recoveries from one crash image diverged", desc)
 	}
 }
 
 // snapshotStarts returns the candidate replay start points: every batch
 // count up to the latest batch prefix whose acked-only model state
-// reproduces the pre-replay survivor sequence. The snapshot pins that
-// latest point; replay may start anywhere at or before it, because a
-// failed truncation leaves older (already snapshot-covered) segments
-// behind and replay legitimately re-applies them.
-func snapshotStarts(batches [][]rdf.TripleOp, acked []bool, pre []rdf.Triple) []int {
+// reproduces the pre-replay survivor set. The snapshot pins that latest
+// point; replay may start anywhere at or before it, because a failed
+// truncation leaves older (already snapshot-covered) segments behind and
+// replay legitimately re-applies them.
+func snapshotStarts(batches [][]rdf.TripleOp, acked []bool, pre map[rdf.Triple]bool) []int {
 	snapPoint := -1
 	model := newOpsModel()
-	matches := func() bool {
-		if len(model.order) != len(pre) {
-			return false
-		}
-		for i := range pre {
-			if model.order[i] != pre[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if matches() {
+	if model.matches(pre) {
 		snapPoint = 0
 	}
 	for b, batch := range batches {
 		if acked[b] {
 			model.apply(batch)
 		}
-		if matches() {
+		if model.matches(pre) {
 			snapPoint = b + 1
 		}
 	}
@@ -316,14 +325,6 @@ func snapshotStarts(batches [][]rdf.TripleOp, acked []bool, pre []rdf.Triple) []
 		starts = append(starts, b0)
 	}
 	return starts
-}
-
-func insertOps(ts []rdf.Triple) []rdf.TripleOp {
-	ops := make([]rdf.TripleOp, len(ts))
-	for i, t := range ts {
-		ops[i] = rdf.Insert(t)
-	}
-	return ops
 }
 
 // TestCrashMatrixDeletes is the exhaustive fault sweep over the
@@ -361,32 +362,5 @@ func TestCrashMatrixDeletes(t *testing.T) {
 				assertOpsRecovery(t, desc, m.Crashed(), batches, acked, policy)
 			}
 		}
-	}
-}
-
-// TestReplayRejectsDeleteRecords: the insert-only Replay must refuse a
-// log holding delete records rather than resurrect deleted triples by
-// skipping them.
-func TestReplayRejectsDeleteRecords(t *testing.T) {
-	m := vfs.NewMem()
-	w, err := wal.Open(crashDir, wal.Options{FS: m, Policy: wal.SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendOps([]rdf.TripleOp{
-		rdf.Insert(crashTriple(0)),
-		rdf.Delete(crashTriple(0)),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	w2, err := wal.Open(crashDir, wal.Options{FS: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	_, err = w2.Replay(func(rdf.Triple) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "delete") {
-		t.Fatalf("Replay over a log with delete records: err = %v, want delete-record refusal", err)
 	}
 }

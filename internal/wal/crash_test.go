@@ -6,13 +6,12 @@ package wal_test
 // mode, recover the way the server does (snapshot load → WAL replay), and
 // assert the two durability invariants:
 //
-//  1. Prefix: the recovered insertion sequence is a prefix of the
-//     acknowledged insertion sequence — never a reordering, never a write
-//     the client was told failed, never a gap. Under SyncAlways it is the
-//     whole acknowledged sequence.
+//  1. Prefix: the recovered triple set equals the set after the first k
+//     acknowledged inserts for some k — never a write the client was told
+//     failed, never a gap. Under SyncAlways k is all of them.
 //  2. Equivalence: the recovered store is byte-identical (as a snapshot)
-//     to a store built by directly adding the recovered triples — replay
-//     does not produce a structurally different store.
+//     to a store built by directly adding those first k triples in order —
+//     replay does not produce a structurally different store.
 //
 // A fault-free rehearsal run measures the number of IO operations, which
 // is the matrix width; determinism of that count is pinned by
@@ -73,8 +72,8 @@ func crashWorkload(m *vfs.Mem, policy wal.SyncPolicy) []rdf.Triple {
 }
 
 // crashRecover performs the server's recovery sequence on a crashed
-// filesystem and returns the recovered insertion-order triples.
-func crashRecover(t *testing.T, m *vfs.Mem, desc string) []rdf.Triple {
+// filesystem and returns the recovered store.
+func crashRecover(t *testing.T, m *vfs.Mem, desc string) *store.Store {
 	t.Helper()
 	var st *store.Store
 	if _, err := m.Size(crashSnapshot); err == nil {
@@ -93,80 +92,64 @@ func crashRecover(t *testing.T, m *vfs.Mem, desc string) []rdf.Triple {
 		t.Fatalf("%s: reopening WAL: %v", desc, err)
 	}
 	defer w.Close()
-	if _, err := w.Replay(func(tr rdf.Triple) error {
-		_, err := st.Add(tr)
+	if _, err := w.ReplayOps(func(op rdf.TripleOp) error {
+		_, err := st.Apply(store.DeltaOf(op))
 		return err
 	}); err != nil {
 		t.Fatalf("%s: replay: %v", desc, err)
 	}
-	return storedTriples(st)
+	return st
 }
 
-// storedTriples returns the store's insertion-order triple sequence.
-func storedTriples(st *store.Store) []rdf.Triple {
+// storedTriples returns the store's triple set.
+func storedTriples(st *store.Store) map[rdf.Triple]bool {
 	snap := st.Snapshot()
-	out := make([]rdf.Triple, 0, snap.Len())
+	out := make(map[rdf.Triple]bool, snap.Len())
 	snap.Scan(0, 0, func(e rdf.EncodedTriple) bool {
-		out = append(out, snap.Triple(e))
+		out[snap.Triple(e)] = true
 		return true
 	})
 	return out
 }
 
-// assertPrefix fails unless got is a prefix of want.
-func assertPrefix(t *testing.T, desc string, got, want []rdf.Triple) {
+// snapshotBytes serializes st for byte-level comparison.
+func snapshotBytes(t *testing.T, desc string, st *store.Store) []byte {
 	t.Helper()
-	if len(got) > len(want) {
-		t.Fatalf("%s: recovered %d triples, only %d were acknowledged", desc, len(got), len(want))
+	var buf bytes.Buffer
+	if err := st.WriteSnapshot(&buf); err != nil {
+		t.Fatalf("%s: %v", desc, err)
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: recovered triple %d = %v, acknowledged %v", desc, i, got[i], want[i])
-		}
-	}
+	return buf.Bytes()
 }
 
-// assertRecoveredStoreCanonical: replay through the recovery path must
-// serialize byte-identically to a direct load of the recovered triples —
-// snapshot-plus-replay is not a second, subtly different store shape.
-func assertRecoveredStoreCanonical(t *testing.T, desc string, m *vfs.Mem, recovered []rdf.Triple) {
+// assertPrefix checks both invariants and returns k: the recovered triple
+// set is exactly the first k acknowledged inserts (distinct triples, so k
+// is the set's size), and the recovered store serializes byte-identically
+// to a store built by adding those k in order — snapshot-plus-replay is
+// not a second, subtly different store shape.
+func assertPrefix(t *testing.T, desc string, recovered *store.Store, acked []rdf.Triple) int {
 	t.Helper()
-	var st *store.Store
-	if _, err := m.Size(crashSnapshot); err == nil {
-		st, err = store.OpenSnapshotFS(m, crashSnapshot)
-		if err != nil {
-			t.Fatalf("%s: %v", desc, err)
-		}
-	} else {
-		st = store.New(0)
+	got := storedTriples(recovered)
+	k := len(got)
+	if k != recovered.Len() {
+		t.Fatalf("%s: Scan visited %d distinct triples, Len() = %d", desc, k, recovered.Len())
 	}
-	w, err := wal.Open(crashDir, wal.Options{FS: m})
-	if err != nil {
-		t.Fatalf("%s: %v", desc, err)
-	}
-	defer w.Close()
-	if _, err := w.Replay(func(tr rdf.Triple) error {
-		_, err := st.Add(tr)
-		return err
-	}); err != nil {
-		t.Fatalf("%s: %v", desc, err)
+	if k > len(acked) {
+		t.Fatalf("%s: recovered %d triples, only %d were acknowledged", desc, k, len(acked))
 	}
 	direct := store.New(0)
-	for _, tr := range recovered {
+	for i, tr := range acked[:k] {
+		if !got[tr] {
+			t.Fatalf("%s: recovered %d triples but not acknowledged insert %d (%v)", desc, k, i, tr)
+		}
 		if _, err := direct.Add(tr); err != nil {
 			t.Fatalf("%s: %v", desc, err)
 		}
 	}
-	var viaRecovery, viaDirect bytes.Buffer
-	if err := st.WriteSnapshot(&viaRecovery); err != nil {
-		t.Fatalf("%s: %v", desc, err)
+	if !bytes.Equal(snapshotBytes(t, desc, recovered), snapshotBytes(t, desc, direct)) {
+		t.Fatalf("%s: snapshot-load + WAL-replay differs byte-wise from a direct load of the same %d triples", desc, k)
 	}
-	if err := direct.WriteSnapshot(&viaDirect); err != nil {
-		t.Fatalf("%s: %v", desc, err)
-	}
-	if !bytes.Equal(viaRecovery.Bytes(), viaDirect.Bytes()) {
-		t.Fatalf("%s: snapshot-load + WAL-replay differs byte-wise from a direct load of the same %d triples", desc, len(recovered))
-	}
+	return k
 }
 
 // TestCrashMatrix is the exhaustive fault sweep. ~3 fault modes × 2 sync
@@ -197,13 +180,13 @@ func TestCrashMatrix(t *testing.T) {
 		// Fault-free crash recovery: SyncAlways promises everything
 		// acknowledged; SyncOff loses the active segment's unsynced tail
 		// but still recovers a prefix covering every sealed segment.
-		cleanRecovered := crashRecover(t, rehearsal.Crashed(), fmt.Sprintf("%v/fault-free", policy))
-		assertPrefix(t, fmt.Sprintf("%v/fault-free", policy), cleanRecovered, acked)
-		if policy == wal.SyncAlways && len(cleanRecovered) != crashInserts {
-			t.Fatalf("fault-free SyncAlways recovery found %d of %d triples", len(cleanRecovered), crashInserts)
+		cleanDesc := fmt.Sprintf("%v/fault-free", policy)
+		cleanK := assertPrefix(t, cleanDesc, crashRecover(t, rehearsal.Crashed(), cleanDesc), acked)
+		if policy == wal.SyncAlways && cleanK != crashInserts {
+			t.Fatalf("fault-free SyncAlways recovery found %d of %d triples", cleanK, crashInserts)
 		}
-		if policy == wal.SyncOff && len(cleanRecovered) < crashInserts/2 {
-			t.Fatalf("fault-free SyncOff recovery found only %d of %d triples", len(cleanRecovered), crashInserts)
+		if policy == wal.SyncOff && cleanK < crashInserts/2 {
+			t.Fatalf("fault-free SyncOff recovery found only %d of %d triples", cleanK, crashInserts)
 		}
 
 		for _, mode := range modes {
@@ -212,13 +195,10 @@ func TestCrashMatrix(t *testing.T) {
 				m := vfs.NewMem()
 				m.InjectFault(op, mode.mode)
 				acked := crashWorkload(m, policy)
-				crashed := m.Crashed()
-				recovered := crashRecover(t, crashed, desc)
-				assertPrefix(t, desc, recovered, acked)
-				if policy == wal.SyncAlways && len(recovered) != len(acked) {
-					t.Fatalf("%s: SyncAlways recovered %d of %d acknowledged writes", desc, len(recovered), len(acked))
+				k := assertPrefix(t, desc, crashRecover(t, m.Crashed(), desc), acked)
+				if policy == wal.SyncAlways && k != len(acked) {
+					t.Fatalf("%s: SyncAlways recovered %d of %d acknowledged writes", desc, k, len(acked))
 				}
-				assertRecoveredStoreCanonical(t, desc, crashed, recovered)
 			}
 		}
 	}
@@ -265,13 +245,9 @@ func TestCrashMatrixLateFaults(t *testing.T) {
 		if err != nil && !errors.Is(err, vfs.ErrInjected) {
 			t.Fatalf("%s: unexpected error class: %v", desc, err)
 		}
-		crashed := m.Crashed()
-		recovered := crashRecover(t, crashed, desc)
-		assertPrefix(t, desc, recovered, acked)
-		if len(recovered) != len(acked) {
-			t.Fatalf("%s: SyncAlways recovered %d of %d", desc, len(recovered), len(acked))
+		if k := assertPrefix(t, desc, crashRecover(t, m.Crashed(), desc), acked); k != len(acked) {
+			t.Fatalf("%s: SyncAlways recovered %d of %d", desc, k, len(acked))
 		}
-		assertRecoveredStoreCanonical(t, desc, crashed, recovered)
 	}
 }
 
@@ -284,12 +260,10 @@ func TestRecoveryIdempotent(t *testing.T) {
 	crashed := m.Crashed()
 	first := crashRecover(t, crashed, "first")
 	second := crashRecover(t, crashed, "second")
-	if len(first) != len(acked) || len(second) != len(first) {
-		t.Fatalf("idempotence: acked=%d first=%d second=%d", len(acked), len(first), len(second))
+	if first.Len() != len(acked) || second.Len() != first.Len() {
+		t.Fatalf("idempotence: acked=%d first=%d second=%d", len(acked), first.Len(), second.Len())
 	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("recovery diverged at %d", i)
-		}
+	if !bytes.Equal(snapshotBytes(t, "first", first), snapshotBytes(t, "second", second)) {
+		t.Fatal("two recoveries from one crash image diverged")
 	}
 }

@@ -12,21 +12,6 @@ import (
 	"elinda/internal/rdf"
 )
 
-// Replay reads every decodable record in the log in append order and
-// hands each insertion to fn. It is the insert-only view of ReplayOps:
-// a log holding delete records (written through AppendOps by the live
-// mutation path) aborts with an error, because silently dropping
-// deletes would resurrect deleted triples. Recovery paths should prefer
-// ReplayOps.
-func (w *WAL) Replay(fn func(rdf.Triple) error) (int, error) {
-	return w.ReplayOps(func(op rdf.TripleOp) error {
-		if op.Del {
-			return errors.New("wal: log contains delete records; recover with ReplayOps")
-		}
-		return fn(op.Triple)
-	})
-}
-
 // ReplayOps reads every decodable record in the log in append order and
 // hands each mutation op to fn. It must run before the first append
 // (replay feeds the recovered store; appending first would interleave

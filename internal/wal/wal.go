@@ -194,8 +194,8 @@ type WAL struct {
 }
 
 // Open prepares dir as a WAL directory: creates it if needed, sweeps
-// stale *.tmp files, and indexes the existing segments for Replay. New
-// appends go to a fresh segment created lazily on the first Append, so
+// stale *.tmp files, and indexes the existing segments for ReplayOps. New
+// appends go to a fresh segment created lazily on the first AppendOps, so
 // Open never writes into files a crash may have torn.
 func Open(dir string, opts Options) (*WAL, error) {
 	if opts.FS == nil {
@@ -362,27 +362,11 @@ func (w *WAL) rotateLocked() error {
 	return nil
 }
 
-// Append logs one triple insertion. When it returns nil the record is as
-// durable as the sync policy promises (SyncAlways: on stable storage).
-func (w *WAL) Append(t rdf.Triple) error { return w.AppendOps([]rdf.TripleOp{rdf.Insert(t)}) }
-
-// AppendBatch logs a batch of insertions; see AppendOps for the batch
-// durability and failure semantics.
-func (w *WAL) AppendBatch(ts []rdf.Triple) error {
-	if len(ts) == 0 {
-		return nil
-	}
-	ops := make([]rdf.TripleOp, len(ts))
-	for i, t := range ts {
-		ops[i] = rdf.Insert(t)
-	}
-	return w.AppendOps(ops)
-}
-
 // AppendOps logs a batch of mutations (insertions and deletions) as
-// consecutive records with one durability point at the end — under
-// SyncAlways that is one fsync for the whole batch, which is what makes
-// bulk loads and multi-op update requests affordable.
+// consecutive records with one durability point at the end: when it
+// returns nil the records are as durable as the sync policy promises —
+// under SyncAlways on stable storage after one fsync for the whole batch,
+// which is what makes bulk loads and multi-op update requests affordable.
 //
 // Failure semantics are per-batch, not per-record: on error none of the
 // batch is acknowledged, but (like a timed-out commit) the outcome on
@@ -405,7 +389,7 @@ func (w *WAL) AppendOps(ops []rdf.TripleOp) error {
 	if w.closed {
 		return errors.New("wal: append on closed log")
 	}
-	w.replayed = true // appending forecloses Replay
+	w.replayed = true // appending forecloses ReplayOps
 	if w.active == nil || w.broken || w.activeSize >= w.opts.SegmentBytes {
 		if err := w.rotateLocked(); err != nil {
 			return err

@@ -29,12 +29,26 @@ func mustOpen(t *testing.T, fsys vfs.FS, dir string, opts Options) *WAL {
 	return w
 }
 
+// appendInsert and replayInserts spell the op forms (AppendOps,
+// ReplayOps) for the insert-only tests below.
+func appendInsert(w *WAL, ts ...rdf.Triple) error {
+	ops := make([]rdf.TripleOp, len(ts))
+	for i, t := range ts {
+		ops[i] = rdf.Insert(t)
+	}
+	return w.AppendOps(ops)
+}
+
+func replayInserts(w *WAL, fn func(rdf.Triple) error) (int, error) {
+	return w.ReplayOps(func(op rdf.TripleOp) error { return fn(op.Triple) })
+}
+
 func replayAll(t *testing.T, fsys vfs.FS, dir string) []rdf.Triple {
 	t.Helper()
 	w := mustOpen(t, fsys, dir, Options{})
 	defer w.Close()
 	var got []rdf.Triple
-	if _, err := w.Replay(func(tr rdf.Triple) error {
+	if _, err := replayInserts(w, func(tr rdf.Triple) error {
 		got = append(got, tr)
 		return nil
 	}); err != nil {
@@ -49,7 +63,7 @@ func TestRoundTrip(t *testing.T) {
 	var want []rdf.Triple
 	for i := 0; i < 25; i++ {
 		tr := tri(i)
-		if err := w.Append(tr); err != nil {
+		if err := appendInsert(w, tr); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, tr)
@@ -59,7 +73,7 @@ func TestRoundTrip(t *testing.T) {
 		{S: rdf.NewBlank("b1"), P: rdf.NewIRI("http://ex/p"), O: rdf.NewTypedLiteral("42", "http://www.w3.org/2001/XMLSchema#integer")},
 		{S: rdf.NewIRI("http://ex/s"), P: rdf.NewIRI("http://ex/p"), O: rdf.NewLiteral("")},
 	}
-	if err := w.AppendBatch(extra); err != nil {
+	if err := appendInsert(w, extra...); err != nil {
 		t.Fatal(err)
 	}
 	want = append(want, extra...)
@@ -83,7 +97,7 @@ func TestReplaySurvivesCrashWithoutClose(t *testing.T) {
 	m := vfs.NewMem()
 	w := mustOpen(t, m, "wal", Options{Policy: SyncAlways})
 	for i := 0; i < 10; i++ {
-		if err := w.Append(tri(i)); err != nil {
+		if err := appendInsert(w, tri(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,7 +114,7 @@ func TestTornTailTruncated(t *testing.T) {
 	m := vfs.NewMem()
 	w := mustOpen(t, m, "wal", Options{})
 	for i := 0; i < 5; i++ {
-		if err := w.Append(tri(i)); err != nil {
+		if err := appendInsert(w, tri(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,13 +159,13 @@ func flipLastByte(data []byte) []byte {
 func TestTornSegmentDoesNotHideLaterSegments(t *testing.T) {
 	m := vfs.NewMem()
 	w := mustOpen(t, m, "wal", Options{})
-	if err := w.Append(tri(0)); err != nil {
+	if err := appendInsert(w, tri(0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Cut(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(tri(1)); err != nil {
+	if err := appendInsert(w, tri(1)); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -177,7 +191,7 @@ func TestSegmentRotationBySize(t *testing.T) {
 	m := vfs.NewMem()
 	w := mustOpen(t, m, "wal", Options{SegmentBytes: 256})
 	for i := 0; i < 20; i++ {
-		if err := w.Append(tri(i)); err != nil {
+		if err := appendInsert(w, tri(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,15 +216,15 @@ func TestSegmentRotationBySize(t *testing.T) {
 func TestReopenStartsFreshSegment(t *testing.T) {
 	m := vfs.NewMem()
 	w := mustOpen(t, m, "wal", Options{})
-	if err := w.Append(tri(0)); err != nil {
+	if err := appendInsert(w, tri(0)); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
 	w2 := mustOpen(t, m, "wal", Options{})
-	if _, err := w2.Replay(func(rdf.Triple) error { return nil }); err != nil {
+	if _, err := replayInserts(w2, func(rdf.Triple) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Append(tri(1)); err != nil {
+	if err := appendInsert(w2, tri(1)); err != nil {
 		t.Fatal(err)
 	}
 	w2.Close()
@@ -230,7 +244,7 @@ func TestCutAndTruncate(t *testing.T) {
 	m := vfs.NewMem()
 	w := mustOpen(t, m, "wal", Options{})
 	for i := 0; i < 3; i++ {
-		if err := w.Append(tri(i)); err != nil {
+		if err := appendInsert(w, tri(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -238,7 +252,7 @@ func TestCutAndTruncate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(tri(3)); err != nil {
+	if err := appendInsert(w, tri(3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.TruncateBefore(cut); err != nil {
@@ -261,12 +275,12 @@ func TestCutAndTruncate(t *testing.T) {
 func TestCutOnEmptyEpoch(t *testing.T) {
 	m := vfs.NewMem()
 	w := mustOpen(t, m, "wal", Options{})
-	if err := w.Append(tri(0)); err != nil {
+	if err := appendInsert(w, tri(0)); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
 	w2 := mustOpen(t, m, "wal", Options{})
-	if _, err := w2.Replay(func(rdf.Triple) error { return nil }); err != nil {
+	if _, err := replayInserts(w2, func(rdf.Triple) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	cut, err := w2.Cut()
@@ -288,14 +302,14 @@ func TestCutOnEmptyEpoch(t *testing.T) {
 func TestAppendFailureRotates(t *testing.T) {
 	m := vfs.NewMem()
 	w := mustOpen(t, m, "wal", Options{Policy: SyncAlways})
-	if err := w.Append(tri(0)); err != nil {
+	if err := appendInsert(w, tri(0)); err != nil {
 		t.Fatal(err)
 	}
 	m.InjectFault(m.Ops(), vfs.FaultShortWrite)
-	if err := w.Append(tri(1)); !errors.Is(err, vfs.ErrInjected) {
+	if err := appendInsert(w, tri(1)); !errors.Is(err, vfs.ErrInjected) {
 		t.Fatalf("append during fault: %v", err)
 	}
-	if err := w.Append(tri(2)); err != nil {
+	if err := appendInsert(w, tri(2)); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -309,10 +323,10 @@ func TestReplayAfterAppendRejected(t *testing.T) {
 	m := vfs.NewMem()
 	w := mustOpen(t, m, "wal", Options{})
 	defer w.Close()
-	if err := w.Append(tri(0)); err != nil {
+	if err := appendInsert(w, tri(0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Replay(func(rdf.Triple) error { return nil }); err == nil {
+	if _, err := replayInserts(w, func(rdf.Triple) error { return nil }); err == nil {
 		t.Fatal("Replay after Append should fail")
 	}
 }
@@ -321,7 +335,7 @@ func TestReplayCallbackError(t *testing.T) {
 	m := vfs.NewMem()
 	w := mustOpen(t, m, "wal", Options{})
 	for i := 0; i < 5; i++ {
-		if err := w.Append(tri(i)); err != nil {
+		if err := appendInsert(w, tri(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -330,7 +344,7 @@ func TestReplayCallbackError(t *testing.T) {
 	defer w2.Close()
 	boom := errors.New("boom")
 	n := 0
-	applied, err := w2.Replay(func(rdf.Triple) error {
+	applied, err := replayInserts(w2, func(rdf.Triple) error {
 		n++
 		if n == 3 {
 			return boom
@@ -345,7 +359,7 @@ func TestReplayCallbackError(t *testing.T) {
 func TestSyncIntervalFlushes(t *testing.T) {
 	m := vfs.NewMem()
 	w := mustOpen(t, m, "wal", Options{Policy: SyncInterval, Interval: 5 * time.Millisecond})
-	if err := w.Append(tri(0)); err != nil {
+	if err := appendInsert(w, tri(0)); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -366,7 +380,7 @@ func TestSyncOffCloseDurable(t *testing.T) {
 	m := vfs.NewMem()
 	w := mustOpen(t, m, "wal", Options{Policy: SyncOff})
 	for i := 0; i < 4; i++ {
-		if err := w.Append(tri(i)); err != nil {
+		if err := appendInsert(w, tri(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -376,7 +390,7 @@ func TestSyncOffCloseDurable(t *testing.T) {
 	if got := replayAll(t, m.Crashed(), "wal"); len(got) != 4 {
 		t.Fatalf("Close under SyncOff lost records: %d of 4", len(got))
 	}
-	if err := w.Append(tri(9)); err == nil {
+	if err := appendInsert(w, tri(9)); err == nil {
 		t.Fatal("append after Close should fail")
 	}
 }
@@ -437,7 +451,7 @@ func TestOSBackend(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	w := mustOpen(t, vfs.OS, dir, Options{Policy: SyncAlways})
 	for i := 0; i < 8; i++ {
-		if err := w.Append(tri(i)); err != nil {
+		if err := appendInsert(w, tri(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
