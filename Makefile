@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fuzz-smoke bench benchjson benchjson-quick bench-compare bench-smoke cover check server
+.PHONY: all build test race vet lint fuzz-smoke bench bench-smoke benchmark cover check server
 
 all: check
 
@@ -19,58 +19,17 @@ vet:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# BENCHES lists the machine-readable trajectory files: BENCH_<name>.json
-# is written by benchjson (full size) or benchjson-quick (CI size: same
-# JSON shape, smaller datasets, so the workflow stays fast — runner
-# numbers are for trend inspection only) and checked by bench-compare.
-# Adding a bench is one name here plus its variables below: the program,
-# its full-size arguments and its CI-size arguments (unset = defaults).
-BENCHES := query store ingest wal fleet update join serve
-
-bench_query  := ./cmd/elinda-bench -experiment query-engine
-full_query   := -persons 5000
-quick_query  := -persons 2000
-bench_store  := ./cmd/elinda-bench -experiment store-snapshot
-quick_store  := -triples 200000
-bench_ingest := ./cmd/elinda-bench -experiment ingest
-quick_ingest := -triples 200000
-bench_wal    := ./cmd/elinda-bench -experiment wal
-quick_wal    := -wal-records 5000
-bench_fleet  := ./cmd/elinda-bench -experiment fleet
-quick_fleet  := -facts-persons 1000
-bench_update := ./cmd/elinda-bench -experiment update
-full_update  := -persons 5000
-quick_update := -persons 2000
-bench_join   := ./cmd/elinda-bench -experiment join
-quick_join   := -join-nodes 800
-bench_serve  := ./cmd/elinda-loadgen
-full_serve   := -persons 5000 -concurrency 16 -duration 5s
-quick_serve  := -persons 1000 -concurrency 8 -duration 2s
-
-benchjson: $(BENCHES:%=benchjson-%)
-benchjson-quick: $(BENCHES:%=benchjson-quick-%)
-
-$(BENCHES:%=benchjson-%): benchjson-%: build
-	$(GO) run $(bench_$*) $(full_$*)
-
-$(BENCHES:%=benchjson-quick-%): benchjson-quick-%: build
-	$(GO) run $(bench_$*) $(quick_$*)
-
-# bench-compare checks freshly generated BENCH_*.json files against the
-# committed CI-sized baselines (run `make benchjson-quick` first). The 3x
-# tolerance absorbs runner noise; a real regression still trips it. One
-# target per file, so `make -k bench-compare` reports every file.
-bench-compare: $(BENCHES:%=bench-compare-%)
-
-$(BENCHES:%=bench-compare-%): bench-compare-%:
-	$(GO) run ./cmd/elinda-bench -compare bench/baselines/BENCH_$*.json BENCH_$*.json -tolerance 3x
-
 # bench-smoke vets and smoke-runs the gating benchmark (its own module
 # under benchmark/, which `go test ./...` here does not descend into): a
 # change that breaks one of the seams it calls fails here, not first in
 # the gating run.
 bench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# benchmark is the gating run itself: all four BENCHMARK.json workloads
+# at the canonical 1.1M-triple scale (reports under benchmark/out/).
+benchmark:
+	bash benchmark/run.sh --workload all
 
 # lint runs the project's own invariant analyzers (internal/lint) over
 # every package: snapshot binding, zero-copy slice escapes, ctx polling

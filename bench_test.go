@@ -4,7 +4,8 @@
 //	go test -bench=. -benchmem
 //
 // The timing benchmarks use a moderate dataset size so the suite finishes
-// quickly; cmd/elinda-bench runs the same experiments at larger scales.
+// quickly; the gating benchmark (BENCHMARK.json, benchmark/) measures the
+// same interactions over HTTP at 1.1M triples.
 package elinda_test
 
 import (
@@ -33,7 +34,10 @@ var (
 	benchErr  error
 )
 
-// system lazily builds one shared dataset for all benchmarks.
+// system lazily builds one shared dataset for all benchmarks. The proxy
+// options are fixed at construction, so a benchmark that compares tier
+// configurations builds one elinda.NewSystemFromStore per configuration
+// over this system's store.
 func system(b *testing.B) *elinda.System {
 	benchOnce.Do(func() {
 		cfg := elinda.DefaultDataConfig()
@@ -93,7 +97,7 @@ func BenchmarkFig2ExplorationPath(b *testing.B) {
 // numbers: 454s/124s vs 1.5s/1.2s vs ~80ms — the claim is the ordering
 // and the orders-of-magnitude gaps, which these sub-benchmarks exhibit.
 func BenchmarkFig4(b *testing.B) {
-	sys := system(b)
+	st := system(b).Store
 	queries := map[string]string{
 		"outgoing": core.PropertyExpansionSPARQL(rdf.OWLThingIRI, false),
 		"incoming": core.PropertyExpansionSPARQL(rdf.OWLThingIRI, true),
@@ -110,8 +114,7 @@ func BenchmarkFig4(b *testing.B) {
 	for _, cfg := range configs {
 		for dir, q := range queries {
 			b.Run(cfg.name+"/"+dir, func(b *testing.B) {
-				sys.Proxy.SetOptions(cfg.opts)
-				sys.Proxy.HVS().Invalidate()
+				sys := elinda.NewSystemFromStore(st, cfg.opts)
 				if cfg.warm {
 					if _, err := sys.Proxy.Query(context.Background(), q); err != nil {
 						b.Fatal(err)
@@ -212,7 +215,7 @@ func BenchmarkErrorDetection(b *testing.B) {
 // under different heaviness thresholds — lower thresholds cache more and
 // run faster on repeats.
 func BenchmarkAblationHVSThreshold(b *testing.B) {
-	sys := system(b)
+	st := system(b).Store
 	workload := []string{
 		core.PropertyExpansionSPARQL(datagen.Ont("Person"), false),
 		core.PropertyExpansionSPARQL(datagen.Ont("Politician"), false),
@@ -220,8 +223,7 @@ func BenchmarkAblationHVSThreshold(b *testing.B) {
 	}
 	for _, th := range []time.Duration{time.Microsecond, time.Millisecond, 100 * time.Millisecond, time.Second} {
 		b.Run(th.String(), func(b *testing.B) {
-			sys.Proxy.SetOptions(proxy.Options{HeavyThreshold: th, DisableDecomposer: true})
-			sys.Proxy.HVS().Invalidate()
+			sys := elinda.NewSystemFromStore(st, proxy.Options{HeavyThreshold: th, DisableDecomposer: true})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, q := range workload {
@@ -237,12 +239,12 @@ func BenchmarkAblationHVSThreshold(b *testing.B) {
 // BenchmarkAblationDecomposer regenerates A2: generic engine vs
 // decomposer for property expansions at different hierarchy levels.
 func BenchmarkAblationDecomposer(b *testing.B) {
-	sys := system(b)
+	st := system(b).Store
 	classes := []rdf.Term{datagen.Ont("Person"), datagen.Ont("Politician"), datagen.Ont("Philosopher")}
 	for _, class := range classes {
 		q := core.PropertyExpansionSPARQL(class, false)
 		b.Run("generic/"+class.LocalName(), func(b *testing.B) {
-			sys.Proxy.SetOptions(proxy.Options{DisableHVS: true, DisableDecomposer: true})
+			sys := elinda.NewSystemFromStore(st, proxy.Options{DisableHVS: true, DisableDecomposer: true})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := sys.Proxy.Query(context.Background(), q); err != nil {
@@ -251,7 +253,7 @@ func BenchmarkAblationDecomposer(b *testing.B) {
 			}
 		})
 		b.Run("decomposed/"+class.LocalName(), func(b *testing.B) {
-			sys.Proxy.SetOptions(proxy.Options{DisableHVS: true})
+			sys := elinda.NewSystemFromStore(st, proxy.Options{DisableHVS: true})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := sys.Proxy.Query(context.Background(), q); err != nil {

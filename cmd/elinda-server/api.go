@@ -8,6 +8,7 @@ import (
 
 	"elinda"
 	"elinda/internal/core"
+	"elinda/internal/endpoint"
 	"elinda/internal/rdf"
 )
 
@@ -20,7 +21,18 @@ type api struct {
 
 func newAPI(sys *elinda.System) *api { return &api{sys: sys} }
 
+// errNoExplorer answers every /api/ route of a process without a local
+// explorer (-remote): the explorer API reads the local store, which there
+// is not the knowledge base /sparql answers from.
+var errNoExplorer = fmt.Errorf("explorer API requires a local knowledge base: %w", endpoint.ErrReadOnly)
+
 func (a *api) register(mux *http.ServeMux) {
+	if a.sys.Explorer == nil {
+		mux.HandleFunc("/api/", func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, errNoExplorer.Error(), http.StatusNotImplemented)
+		})
+		return
+	}
 	mux.HandleFunc("/api/stats", a.stats)
 	mux.HandleFunc("/api/classes", a.classes)
 	mux.HandleFunc("/api/pane", a.pane)

@@ -14,6 +14,7 @@ import (
 
 	"elinda"
 	"elinda/internal/datagen"
+	"elinda/internal/endpoint"
 	"elinda/internal/proxy"
 	"elinda/internal/rdf"
 	"elinda/internal/store"
@@ -220,6 +221,43 @@ func TestAPITableWithFilter(t *testing.T) {
 	}
 	if len(filtered.Rows) == 0 || len(filtered.Rows) >= len(unfiltered.Rows) {
 		t.Errorf("filter ineffective: %d vs %d rows", len(filtered.Rows), len(unfiltered.Rows))
+	}
+}
+
+// TestAPIRemoteNotImplemented: under -remote the process has no local
+// explorer (main builds the system without one), so every /api/ route is
+// a clean 501 rather than a nil dereference recovered as a 500, or an
+// answer from the local store that /sparql does not serve.
+func TestAPIRemoteNotImplemented(t *testing.T) {
+	st := store.New(0)
+	sys := &elinda.System{Store: st}
+	sys.Proxy = proxy.NewWithBackend(st, endpoint.NewClient("http://127.0.0.1:0/sparql"), proxy.Options{DisableDecomposer: true})
+	var ready endpoint.Readiness
+	srv := httptest.NewServer(writerHandler(sys, sys.Endpoint(), &ready, nil, nil))
+	defer srv.Close()
+
+	for _, path := range []string{
+		"/api/stats", "/api/classes?q=phil", "/api/pane", "/api/chart?kind=property",
+		"/api/connections?property=http%3A%2F%2Fx%2Fp", "/api/table?props=http%3A%2F%2Fx%2Fp",
+	} {
+		t.Run(path, func(t *testing.T) {
+			resp, err := http.Get(srv.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotImplemented || !strings.Contains(string(body), endpoint.ErrReadOnly.Error()) {
+				t.Errorf("GET %s = %d %q, want 501 naming %q", path, resp.StatusCode, body, endpoint.ErrReadOnly)
+			}
+			var doc map[string]json.RawMessage
+			if code := getJSON(t, srv, "/metrics", &doc); code != http.StatusOK {
+				t.Fatalf("/metrics = %d", code)
+			}
+			if got := string(doc["panics_total"]); got != "0" {
+				t.Errorf("panics_total = %s after GET %s, want 0", got, path)
+			}
+		})
 	}
 }
 

@@ -84,3 +84,31 @@ func TestFlagSurface(t *testing.T) {
 		}
 	}
 }
+
+// TestReadmeBinaries holds README's "Binaries" table to the directories
+// under cmd/, so an added or deleted binary cannot drift from the docs.
+func TestReadmeBinaries(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var documented []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `cmd/([a-z-]+)`").FindAllStringSubmatch(string(readme), -1) {
+		documented = append(documented, m[1])
+	}
+	entries, err := os.ReadDir("..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var binaries []string
+	for _, e := range entries {
+		if e.IsDir() {
+			binaries = append(binaries, e.Name())
+		}
+	}
+	slices.Sort(documented)
+	slices.Sort(binaries)
+	if !slices.Equal(documented, binaries) {
+		t.Errorf("README's Binaries table lists %v, cmd/ holds %v", documented, binaries)
+	}
+}

@@ -89,19 +89,6 @@ func NewSystemFromStore(st *store.Store, opts proxy.Options) *System {
 	}
 }
 
-// OpenStream builds the system by streaming triples from r through the
-// parallel ingest pipeline: the input is parsed and dictionary-encoded in
-// chunks by a worker pool and never materialized as a []rdf.Triple. The
-// result is identical — byte for byte in a saved snapshot — to Open over
-// the same parsed document.
-func OpenStream(r io.Reader, syntax rdf.Syntax, opts proxy.Options) (*System, error) {
-	st := store.New(0)
-	if _, err := st.LoadStream(r, store.StreamOptions{Syntax: syntax}); err != nil {
-		return nil, fmt.Errorf("elinda: %w", err)
-	}
-	return NewSystemFromStore(st, opts), nil
-}
-
 // OpenSnapshot restores the system from a binary store snapshot written
 // by System.Store.SaveSnapshot — a warm start that skips parsing,
 // dictionary interning and index sorting entirely.

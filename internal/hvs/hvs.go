@@ -75,9 +75,11 @@ type Stats struct {
 // Store is a threshold-gated key-value cache of SPARQL results. It is safe
 // for concurrent use.
 type Store struct {
-	mu        sync.RWMutex
-	entries   map[string]*Entry
+	// threshold is fixed at New, so reading it takes no lock.
 	threshold time.Duration
+
+	mu      sync.RWMutex
+	entries map[string]*Entry
 	// generation remembers the KB generation the cache contents belong to.
 	generation uint64
 	haveGen    bool
@@ -118,31 +120,7 @@ func New(threshold time.Duration) *Store {
 }
 
 // Threshold returns the heaviness cutoff.
-func (s *Store) Threshold() time.Duration {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.threshold
-}
-
-// SetThreshold changes the heaviness cutoff. Existing entries are kept:
-// they were observed heavy under the old policy and remain valid results.
-func (s *Store) SetThreshold(threshold time.Duration) {
-	if threshold <= 0 {
-		threshold = DefaultThreshold
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.threshold = threshold
-}
-
-// SetMaxBytes changes the byte budget (0 = unlimited) and immediately
-// evicts LRU entries if the current contents exceed the new budget.
-func (s *Store) SetMaxBytes(budget int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.MaxBytes = budget
-	s.evictOverBudgetLocked(nil)
-}
+func (s *Store) Threshold() time.Duration { return s.threshold }
 
 // Normalize canonicalizes query text so that trivially different spellings
 // of the same query share a cache slot (whitespace collapsing).
@@ -211,9 +189,7 @@ func (s *Store) Lookup(query string, generation uint64) (*sparql.Result, bool) {
 //
 // The byte-cost walk over the result happens before the store lock is
 // taken: a multi-megabyte result must not stall every concurrent Lookup
-// (the hot tier-1 path) while its cost is computed. A SetThreshold
-// racing this call classifies under whichever threshold it observed —
-// the same ambiguity a serialized interleaving has.
+// (the hot tier-1 path) while its cost is computed.
 func (s *Store) Record(query string, res *sparql.Result, runtime time.Duration, generation uint64) bool {
 	return s.RecordFootprint(query, res, runtime, generation, nil)
 }
@@ -377,17 +353,6 @@ func (s *Store) ApplyDelta(from, to uint64, ops []rdf.TripleOp) (retained, evict
 	}
 	s.generation = to
 	return retained, evicted
-}
-
-// Invalidate clears every entry unconditionally.
-func (s *Store) Invalidate() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.entries) > 0 {
-		s.clearLocked()
-		s.invalidations++
-	}
-	s.haveGen = false
 }
 
 // Len returns the number of cached entries.

@@ -96,18 +96,6 @@ func TestRecordAtNewGenerationClears(t *testing.T) {
 	}
 }
 
-func TestExplicitInvalidate(t *testing.T) {
-	s := New(time.Millisecond)
-	s.Record("q", res("a"), time.Second, 1)
-	s.Invalidate()
-	if s.Len() != 0 {
-		t.Error("Invalidate did not clear")
-	}
-	if _, ok := s.Lookup("q", 1); ok {
-		t.Error("entry survived Invalidate")
-	}
-}
-
 func TestStatsCounters(t *testing.T) {
 	s := New(time.Millisecond)
 	s.Lookup("missing", 1)
@@ -232,24 +220,6 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-func TestSetThreshold(t *testing.T) {
-	s := New(time.Hour)
-	if s.Record("q", res("a"), time.Second, 1) {
-		t.Fatal("stored under 1h threshold")
-	}
-	s.SetThreshold(time.Millisecond)
-	if s.Threshold() != time.Millisecond {
-		t.Fatalf("threshold = %v", s.Threshold())
-	}
-	if !s.Record("q", res("a"), time.Second, 1) {
-		t.Error("not stored after lowering threshold")
-	}
-	s.SetThreshold(0)
-	if s.Threshold() != DefaultThreshold {
-		t.Error("zero threshold should reset to default")
-	}
-}
-
 // resN builds a result with n rows so byte costs are controllable.
 func resN(v string, n int) *sparql.Result {
 	r := &sparql.Result{Vars: []string{"x"}}
@@ -365,22 +335,6 @@ func TestOversizedEntryNotStored(t *testing.T) {
 	}
 	if s.Bytes() != 0 {
 		t.Errorf("bytes = %d, want 0", s.Bytes())
-	}
-}
-
-// TestSetMaxBytesShrinks: lowering the budget evicts immediately.
-func TestSetMaxBytesShrinks(t *testing.T) {
-	s := New(time.Millisecond)
-	for i := 0; i < 4; i++ {
-		s.Record(fmt.Sprintf("q%d", i), resN("a", 10), time.Second, 1)
-	}
-	one := ResultBytes(resN("a", 10))
-	s.SetMaxBytes(2 * one)
-	if s.Len() != 2 {
-		t.Errorf("len = %d after shrink, want 2", s.Len())
-	}
-	if s.Bytes() > 2*one {
-		t.Errorf("bytes = %d over shrunk budget %d", s.Bytes(), 2*one)
 	}
 }
 

@@ -16,6 +16,11 @@
 // byte budget with LRU eviction, and per-tier latency histograms feed the
 // server's /metrics endpoint.
 //
+// Options are fixed at construction (the server sets them from -no-hvs /
+// -no-decomposer and friends), so the read path takes no proxy-level
+// lock; comparing configurations means building one proxy per
+// configuration over the shared store.
+//
 // The proxy implements endpoint.Executor and sparql.RowExecutor, so it
 // can be served over HTTP by endpoint.Server — buffered or streaming —
 // giving the full browser → proxy → cache/DB pipeline.
@@ -67,10 +72,11 @@ func (r Route) String() string {
 type Options struct {
 	// HeavyThreshold is the HVS heaviness cutoff (paper: 1 s).
 	HeavyThreshold time.Duration
-	// DisableHVS turns the cache tier off (for the demo's "solutions
-	// turned on and off" scenario and the Fig. 4 ablation).
+	// DisableHVS turns the cache tier off. Like every field here it is
+	// fixed at construction; the server sets it from -no-hvs.
 	DisableHVS bool
-	// DisableDecomposer turns the index tier off.
+	// DisableDecomposer turns the index tier off (the server's
+	// -no-decomposer, and always under -remote).
 	DisableDecomposer bool
 	// CacheMaxBytes is the HVS byte budget: the approximate total result
 	// bytes the cache may hold before LRU eviction kicks in (0 =
@@ -88,9 +94,6 @@ type Proxy struct {
 	// remote backends, where the mutation path (Update) is unavailable.
 	eng  *sparql.Engine
 	opts Options
-
-	mu   sync.Mutex
-	hits map[Route]int
 
 	// flights holds the in-progress backend executions for coalescing,
 	// keyed by normalized query + generation.
@@ -155,7 +158,6 @@ func NewWithBackend(st *store.Store, backend endpoint.Executor, opts Options) *P
 		dec:     decomposer.New(st),
 		eng:     eng,
 		opts:    opts,
-		hits:    make(map[Route]int),
 		flights: make(map[string]*flight),
 	}
 }
@@ -258,8 +260,7 @@ func (p *Proxy) QueryRows(ctx context.Context, src string, sink sparql.RowSink) 
 // tryCacheTiers answers from the HVS (tier 1) or the decomposer (tier 2)
 // when possible. served=false means the caller must run the backend tier.
 func (p *Proxy) tryCacheTiers(src string, gen uint64, start time.Time) (*sparql.Result, Trace, bool) {
-	opts := p.Options()
-	if !opts.DisableHVS {
+	if !p.opts.DisableHVS {
 		if cached, ok := p.cache.Lookup(src, gen); ok {
 			tr := Trace{Query: hvs.Normalize(src), Route: RouteHVS, Runtime: time.Since(start), Heavy: true}
 			p.record(tr)
@@ -268,14 +269,14 @@ func (p *Proxy) tryCacheTiers(src string, gen uint64, start time.Time) (*sparql.
 	}
 	// Tier 2: decomposer (needs a parsed query; parse errors fall through
 	// to the backend so that remote dialects we cannot parse still work).
-	if !opts.DisableDecomposer {
+	if !p.opts.DisableDecomposer {
 		if q, err := sparql.Parse(src); err == nil {
 			if res, ok := p.dec.TryExecute(q); ok {
 				runtime := time.Since(start)
 				tr := Trace{Query: hvs.Normalize(src), Route: RouteDecomposer, Runtime: runtime}
 				// Even decomposed answers can be heavy on cold indexes;
 				// cache them so repeats hit tier 1.
-				if !opts.DisableHVS {
+				if !p.opts.DisableHVS {
 					tr.Heavy = p.cache.RecordFootprint(src, res, runtime, gen, q.Footprint())
 				}
 				p.record(tr)
@@ -294,7 +295,7 @@ func (p *Proxy) backendDirect(ctx context.Context, src string, gen uint64, start
 	if err != nil {
 		return nil, tr, err
 	}
-	if p.hvsEnabled() {
+	if !p.opts.DisableHVS {
 		tr.Heavy = p.recordHeavy(src, res, runtime, gen)
 	}
 	p.record(tr)
@@ -393,35 +394,27 @@ func (p *Proxy) shouldRetryAsFollower(ctx context.Context, err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-func (p *Proxy) hvsEnabled() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return !p.opts.DisableHVS
-}
-
 func (p *Proxy) record(tr Trace) {
 	p.routeHist[tr.Route].Observe(tr.Runtime)
 	if tr.Coalesced {
 		p.coalesced.Inc()
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.hits[tr.Route]++
 }
 
-// HVS exposes the cache tier (for stats and explicit invalidation).
+// HVS exposes the cache tier (for stats and snapshot persistence).
 func (p *Proxy) HVS() *hvs.Store { return p.cache }
 
 // Decomposer exposes the index tier (for warming).
 func (p *Proxy) Decomposer() *decomposer.Decomposer { return p.dec }
 
-// RouteCounts returns how many queries each tier answered.
+// RouteCounts returns how many queries each tier answered (coalesced
+// followers included): the sample counts of the per-route histograms.
 func (p *Proxy) RouteCounts() map[Route]int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[Route]int, len(p.hits))
-	for k, v := range p.hits {
-		out[k] = v
+	out := make(map[Route]int, numRoutes)
+	for r := Route(0); r < numRoutes; r++ {
+		if n := p.routeHist[r].Snapshot().Count; n > 0 {
+			out[r] = int(n)
+		}
 	}
 	return out
 }
@@ -447,32 +440,8 @@ func (p *Proxy) MetricsSnapshot() TierMetrics {
 	for r := Route(0); r < numRoutes; r++ {
 		if s := p.routeHist[r].Snapshot(); s.Count > 0 {
 			m.Routes[r.String()] = s
+			m.Counts[r.String()] = int(s.Count)
 		}
 	}
-	for r, n := range p.RouteCounts() {
-		m.Counts[r.String()] = n
-	}
 	return m
-}
-
-// SetOptions atomically replaces the routing options — used by the demo
-// scenarios that toggle the HVS and decomposer on and off live. A changed
-// heaviness threshold or cache budget is propagated to the cache tier.
-func (p *Proxy) SetOptions(opts Options) {
-	p.mu.Lock()
-	if opts.HeavyThreshold <= 0 {
-		opts.HeavyThreshold = p.opts.HeavyThreshold
-	}
-	p.opts = opts
-	threshold := opts.HeavyThreshold
-	p.mu.Unlock()
-	p.cache.SetThreshold(threshold)
-	p.cache.SetMaxBytes(opts.CacheMaxBytes)
-}
-
-// Options returns the current routing options.
-func (p *Proxy) Options() Options {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.opts
 }

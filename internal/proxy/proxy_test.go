@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -172,19 +174,6 @@ func TestRouteCounts(t *testing.T) {
 	}
 }
 
-func TestSetOptionsLive(t *testing.T) {
-	p := New(fixture(t), Options{HeavyThreshold: time.Nanosecond})
-	p.Query(context.Background(), plainQuery)
-	p.SetOptions(Options{DisableHVS: true})
-	_, tr, _ := p.QueryTraced(context.Background(), plainQuery)
-	if tr.Route != RouteBackend {
-		t.Errorf("route after disabling HVS = %v", tr.Route)
-	}
-	if p.Options().HeavyThreshold != time.Nanosecond {
-		t.Error("SetOptions with zero threshold should keep the old one")
-	}
-}
-
 func TestProxyOverHTTP(t *testing.T) {
 	// Full Figure-3 stack: HTTP client -> endpoint.Server -> proxy ->
 	// engine, exercising both cache tiers through real HTTP.
@@ -236,22 +225,89 @@ func TestConcurrentProxyQueries(t *testing.T) {
 	}
 }
 
-func TestSetOptionsPropagatesThreshold(t *testing.T) {
-	// Regression test: changing the heaviness threshold via SetOptions
-	// must reach the cache tier, or ablation sweeps silently measure the
-	// construction-time threshold.
-	p := New(fixture(t), Options{HeavyThreshold: time.Hour, DisableDecomposer: true})
-	p.Query(context.Background(), plainQuery)
-	if p.HVS().Len() != 0 {
-		t.Fatal("query cached under 1h threshold")
+// canon renders a result as its sorted rows, so answers from different
+// tiers compare regardless of row order.
+func canon(res *sparql.Result) string {
+	rows := make([]string, len(res.Rows))
+	for i, row := range res.Rows {
+		cells := make([]string, len(res.Vars))
+		for j, v := range res.Vars {
+			cells[j] = row[v].String()
+		}
+		rows[i] = strings.Join(cells, "\t")
 	}
-	p.SetOptions(Options{HeavyThreshold: time.Nanosecond, DisableDecomposer: true})
-	if p.HVS().Threshold() != time.Nanosecond {
-		t.Fatalf("threshold not propagated: %v", p.HVS().Threshold())
+	sort.Strings(rows)
+	return strings.Join(res.Vars, "\t") + "\n" + strings.Join(rows, "\n")
+}
+
+// TestConfigurationsShareStore: options are fixed at construction, so
+// comparing configurations means one proxy per configuration over one
+// store. Hammered concurrently (run under -race), the three proxies must
+// give identical rows per query, and with no proxy-level lock left each
+// proxy's RouteCounts must still equal its per-route histogram counts and
+// add up to the requests issued, coalesced followers included.
+func TestConfigurationsShareStore(t *testing.T) {
+	st := fixture(t)
+	proxies := map[string]*Proxy{
+		"all tiers":     New(st, Options{HeavyThreshold: time.Nanosecond}),
+		"no hvs":        New(st, Options{DisableHVS: true}),
+		"no decomposer": New(st, Options{HeavyThreshold: time.Nanosecond, DisableDecomposer: true}),
 	}
-	p.Query(context.Background(), plainQuery)
-	if p.HVS().Len() != 1 {
-		t.Error("query not cached after lowering the threshold")
+	queries := []string{plainQuery, expansionQuery}
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		res, err := sparql.NewEngine(st).Query(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = canon(res)
+	}
+
+	const goroutines, rounds = 8, 40
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				for name, p := range proxies {
+					for qi, q := range queries {
+						res, err := p.Query(context.Background(), q)
+						if err != nil {
+							t.Errorf("%s: %v", name, err)
+							return
+						}
+						if got := canon(res); got != want[qi] {
+							t.Errorf("%s, query %d:\n%s\nwant:\n%s", name, qi, got, want[qi])
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	const issued = goroutines * rounds * 2
+	for name, p := range proxies {
+		counts, m := p.RouteCounts(), p.MetricsSnapshot()
+		total := 0
+		for r := Route(0); r < numRoutes; r++ {
+			total += counts[r]
+			if hist := int(m.Routes[r.String()].Count); counts[r] != hist || m.Counts[r.String()] != hist {
+				t.Errorf("%s, route %v: RouteCounts %d, metrics count %d, histogram %d",
+					name, r, counts[r], m.Counts[r.String()], hist)
+			}
+		}
+		if total != issued {
+			t.Errorf("%s: routed %d requests, issued %d (%v)", name, total, issued, counts)
+		}
+	}
+	if n := proxies["no hvs"].RouteCounts()[RouteHVS]; n != 0 {
+		t.Errorf("HVS answered %d requests while disabled", n)
+	}
+	if n := proxies["no decomposer"].RouteCounts()[RouteDecomposer]; n != 0 {
+		t.Errorf("decomposer answered %d requests while disabled", n)
 	}
 }
 

@@ -410,86 +410,37 @@ func (s *ttlStream) statement() error {
 	return nil
 }
 
-// directive parses and applies a @prefix/@base/PREFIX/BASE directive. The
-// prefix table is cloned before the update: chunks already emitted keep
-// reading their frozen table.
+// directive parses and applies a @prefix/@base/PREFIX/BASE directive with
+// the serial parser's own rule, so the unit ends exactly where ParseTurtle
+// ends it (at the '.', whatever follows it). The parser runs over a window
+// of pend that doubles until unseen bytes can no longer change the
+// outcome: the parse succeeded short of the window's end, or the window
+// holds all the input there is. The prefix table is cloned before the
+// update: chunks already emitted keep reading their frozen table.
 func (s *ttlStream) directive() error {
-	// The '@' forms end at a top-level '.'; the SPARQL forms end after
-	// the namespace IRI (with an optional trailing '.').
-	var n int
-	if s.pend[0] == '@' {
-		var err error
-		n, err = s.scanUnit()
+	for window := 256; ; window *= 2 {
+		if err := s.need(window); err != nil {
+			return err
+		}
+		w := min(window, len(s.pend))
+		next := make(map[string]string, len(s.prefixes)+1)
+		for k, v := range s.prefixes {
+			next[k] = v
+		}
+		p := &turtleParser{s: string(s.pend[:w]), line: s.line, prefixes: next, base: s.base}
+		err := p.directive()
+		sawAll := s.eof && w == len(s.pend)
+		if (err != nil || p.pos == w) && !sawAll && w <= maxStatementBytes {
+			continue
+		}
 		if err != nil {
 			return err
 		}
-	} else {
-		for {
-			gt := bytes.IndexByte(s.pend, '>')
-			if gt >= 0 {
-				n = gt + 1
-				// Include an optional trailing dot. The serial parser
-				// tolerates it separated by any whitespace or comments
-				// (even across lines), so scan the same way here or a
-				// lone '.' would be orphaned into the next statement.
-				j := n
-				inComment := false
-				for {
-					for j < len(s.pend) {
-						c := s.pend[j]
-						if inComment {
-							if c == '\n' {
-								inComment = false
-							}
-							j++
-							continue
-						}
-						if isWS(c) {
-							j++
-							continue
-						}
-						if c == '#' {
-							inComment = true
-							j++
-							continue
-						}
-						break
-					}
-					if j < len(s.pend) || s.eof || len(s.pend) > maxStatementBytes {
-						break
-					}
-					if _, err := s.fill(); err != nil {
-						return err
-					}
-				}
-				if j < len(s.pend) && s.pend[j] == '.' {
-					n = j + 1
-				}
-				break
-			}
-			if s.eof {
-				return &ParseError{Line: s.line, Msg: "unterminated directive"}
-			}
-			if len(s.pend) > maxStatementBytes {
-				return &ParseError{Line: s.line, Msg: "unterminated directive"}
-			}
-			if _, err := s.fill(); err != nil {
-				return err
-			}
-		}
+		s.prefixes = next
+		s.base = p.base
+		s.consume(p.pos)
+		return nil
 	}
-	next := make(map[string]string, len(s.prefixes)+1)
-	for k, v := range s.prefixes {
-		next[k] = v
-	}
-	p := &turtleParser{s: string(s.pend[:n]), line: s.line, prefixes: next, base: s.base}
-	if err := p.directive(); err != nil {
-		return err
-	}
-	s.prefixes = next
-	s.base = p.base
-	s.consume(n)
-	return nil
 }
 
 // flush emits the accumulated statement group as one chunk.

@@ -68,7 +68,8 @@ func TestStreamNTriplesReportsLineNumbers(t *testing.T) {
 }
 
 func TestStreamTurtleMatchesWholeDocument(t *testing.T) {
-	doc := `@prefix ex: <http://example.org/> .
+	docs := []string{
+		`@prefix ex: <http://example.org/> .
 # leading comment
 ex:alice a ex:Person ;
     ex:name "Alice \"A.\"" ;
@@ -81,22 +82,32 @@ geo:x1 geo:near ex:alice .
 PREFIX foo: <http://foo.example/>
 foo:f1 foo:p "mid . dot" ; foo:q <http://raw/iri> .
 _:b1 ex:name "blank"@de .
-`
-	want, err := ParseTurtle(doc)
-	if err != nil {
-		t.Fatal(err)
+`,
+		// A directive ends at its '.', whatever follows: the statement
+		// right behind it belongs to the next unit, not to the directive.
+		"@BAse<0>.<><><>. ",
+		"@prefix e:<http://x/>.e:a e:p e:o . ",
+		"BASE<http://x/>.<a> <p> <o> . ",
+		"PREFIX e:<http://x/>.e:a e:p e:o . ",
+		"PREFIX e>f:<http://x/> <http://x/a> <http://x/p> <http://x/o> . ",
 	}
-	if len(want) == 0 {
-		t.Fatal("reference parse produced no triples")
-	}
-	for _, chunk := range []int{1, 9, 64, 1 << 20} {
-		got := collectStream(t, doc, SyntaxTurtle, chunk)
-		if len(got) != len(want) {
-			t.Fatalf("chunk %d: %d triples, want %d", chunk, len(got), len(want))
+	for _, doc := range docs {
+		want, err := ParseTurtle(doc)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("chunk %d: triple %d = %v, want %v", chunk, i, got[i], want[i])
+		if len(want) == 0 {
+			t.Fatalf("reference parse of %q produced no triples", doc)
+		}
+		for _, chunk := range []int{1, 9, 64, 1 << 20} {
+			got := collectStream(t, doc, SyntaxTurtle, chunk)
+			if len(got) != len(want) {
+				t.Fatalf("%q, chunk %d: %d triples, want %d", doc, chunk, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%q, chunk %d: triple %d = %v, want %v", doc, chunk, i, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -122,10 +133,10 @@ p:a p:x p:b .
 
 func TestStreamTurtleErrors(t *testing.T) {
 	cases := []string{
-		"ex:a ex:b ex:c .",               // undeclared prefix
+		"ex:a ex:b ex:c .",                           // undeclared prefix
 		"<http://x/a> <http://x/p> \"unterminated .", // swallows the dot; hits EOF
-		"@prefix broken",                 // unterminated directive
-		"<http://x/a> <http://x/p> <http://x/b>", // missing terminator
+		"@prefix broken",                             // unterminated directive
+		"<http://x/a> <http://x/p> <http://x/b>",     // missing terminator
 	}
 	for _, doc := range cases {
 		err := StreamChunks(strings.NewReader(doc), SyntaxTurtle, 16, func(c Chunk) error {

@@ -140,29 +140,30 @@ func TestErrorDetectionScenario(t *testing.T) {
 }
 
 // TestScenarioPerformanceToggles covers the second demonstration kind:
-// heavy queries "with the discussed solutions turned on and off".
+// heavy queries "with the discussed solutions turned on and off" — one
+// system per configuration over the shared store, as the server builds it.
 func TestScenarioPerformanceToggles(t *testing.T) {
-	sys := testSystem(t)
+	st := testSystem(t).Store
 	q := core.PropertyExpansionSPARQL(rdf.OWLThingIRI, false)
 
-	sys.Proxy.SetOptions(proxy.Options{DisableHVS: true, DisableDecomposer: true})
-	slow, err := sys.Proxy.Query(context.Background(), q)
+	generic := elinda.NewSystemFromStore(st, proxy.Options{DisableHVS: true, DisableDecomposer: true})
+	slow, err := generic.Proxy.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Proxy.SetOptions(proxy.Options{DisableHVS: true})
-	fast, err := sys.Proxy.Query(context.Background(), q)
+	decomposed := elinda.NewSystemFromStore(st, proxy.Options{DisableHVS: true})
+	fast, err := decomposed.Proxy.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(slow.Rows) != len(fast.Rows) {
 		t.Fatalf("toggling the decomposer changed results: %d vs %d rows", len(slow.Rows), len(fast.Rows))
 	}
-	sys.Proxy.SetOptions(proxy.Options{HeavyThreshold: time.Nanosecond})
-	if _, err := sys.Proxy.Query(context.Background(), q); err != nil {
+	cached := elinda.NewSystemFromStore(st, proxy.Options{HeavyThreshold: time.Nanosecond})
+	if _, err := cached.Proxy.Query(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	_, trace, err := sys.Proxy.QueryTraced(context.Background(), q)
+	_, trace, err := cached.Proxy.QueryTraced(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
