@@ -93,18 +93,16 @@ func (x *Exploration) Back() bool {
 // Breadcrumbs renders the colored breadcrumb trail of Figure 2 as text:
 // the labels selected along the path.
 func (x *Exploration) Breadcrumbs() string {
-	parts := []string{x.rootName()}
+	snap := x.expl.st.Snapshot()
+	root := "All instances"
+	if !x.initial.SourceLabel.IsZero() {
+		root = x.expl.label(snap, x.initial.SourceLabel)
+	}
+	parts := []string{root}
 	for _, s := range x.steps {
-		parts = append(parts, x.expl.label(s.Label))
+		parts = append(parts, x.expl.label(snap, s.Label))
 	}
 	return strings.Join(parts, " → ")
-}
-
-func (x *Exploration) rootName() string {
-	if x.initial.SourceLabel.IsZero() {
-		return "All instances"
-	}
-	return x.expl.label(x.initial.SourceLabel)
 }
 
 // BarSPARQL returns the generated SPARQL for the bar labeled λ in the

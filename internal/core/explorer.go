@@ -49,10 +49,10 @@ func (e *Explorer) Hierarchy() *ontology.Hierarchy {
 	return e.h
 }
 
-// label returns the display label for a term.
-func (e *Explorer) label(t rdf.Term) string {
-	if id, ok := e.st.Dict().Lookup(t); ok {
-		return e.st.Label(id)
+// label returns the display label for a term, read through snap.
+func (e *Explorer) label(snap *store.Snapshot, t rdf.Term) string {
+	if id, ok := snap.Dict().Lookup(t); ok {
+		return snap.Label(id)
 	}
 	return t.LocalName()
 }
@@ -61,24 +61,25 @@ func (e *Explorer) label(t rdf.Term) string {
 // (owl:Thing when present), with S = all s with (s, rdf:type, τ). For
 // rootless datasets it returns a virtual bar whose set is every typed
 // subject and whose label is empty.
-func (e *Explorer) RootBar() *Bar {
+func (e *Explorer) RootBar() *Bar { return e.rootBar(e.st.Snapshot()) }
+
+func (e *Explorer) rootBar(snap *store.Snapshot) *Bar {
 	h := e.Hierarchy()
 	root := h.Root()
 	if root != rdf.NoID {
-		return e.ClassBar(e.st.Dict().Term(root))
+		return classBar(snap, snap.Dict().Term(root))
 	}
 	// Virtual root over all typed subjects (LinkedGeoData case). Subjects
 	// typed only as meta-classes (class/property declarations) are not
 	// instances and stay out of the set.
 	meta := map[rdf.ID]struct{}{}
 	for _, iri := range []rdf.Term{rdf.OWLClassIRI, rdf.RDFSClassIRI, rdf.NewIRI(rdf.RDFProperty)} {
-		if id, ok := e.st.Dict().Lookup(iri); ok {
+		if id, ok := snap.Dict().Lookup(iri); ok {
 			meta[id] = struct{}{}
 		}
 	}
 	seen := map[rdf.ID]struct{}{}
 	var set []rdf.ID
-	snap := e.st.Snapshot()
 	snap.Match(rdf.NoID, snap.TypeID(), rdf.NoID, func(t rdf.EncodedTriple) bool {
 		if _, isMeta := meta[t.O]; isMeta {
 			return true
@@ -95,10 +96,12 @@ func (e *Explorer) RootBar() *Bar {
 // ClassBar returns the bar for a class: S is every subject with
 // (s, rdf:type, class). The set is a zero-copy view of the store
 // snapshot's index — immutable, so safe to retain in the bar.
-func (e *Explorer) ClassBar(class rdf.Term) *Bar {
+func (e *Explorer) ClassBar(class rdf.Term) *Bar { return classBar(e.st.Snapshot(), class) }
+
+func classBar(snap *store.Snapshot, class rdf.Term) *Bar {
 	var set []rdf.ID
-	if cid, ok := e.st.Dict().Lookup(class); ok {
-		set = e.st.Snapshot().SubjectsOfType(cid)
+	if cid, ok := snap.Dict().Lookup(class); ok {
+		set = snap.SubjectsOfType(cid)
 	}
 	return &Bar{
 		Set:     set,
@@ -127,14 +130,14 @@ func (e *Explorer) Expand(b *Bar, kind ExpansionKind) (*Chart, error) {
 		if b.Type != PropertyBar {
 			return nil, fmt.Errorf("core: object expansion requires a property bar, got %s", b.Type)
 		}
-		return e.objectExpansion(b, kind == IncomingObjectExpansion), nil
+		return e.objectExpansion(e.st.Snapshot(), b, kind == IncomingObjectExpansion), nil
 	default:
 		return nil, fmt.Errorf("core: expansion %s is not chart-producing", kind)
 	}
 }
 
 // subclassExpansion: labels(B) = direct subclasses τ of λ; B[τ] = members
-// of S of class τ.
+// of S of class τ, in the class's (sorted) posting order.
 func (e *Explorer) subclassExpansion(b *Bar) *Chart {
 	h := e.Hierarchy()
 	chart := &Chart{Kind: SubclassExpansion, SourceLabel: b.Label, SourceSize: b.Len()}
@@ -147,15 +150,13 @@ func (e *Explorer) subclassExpansion(b *Bar) *Chart {
 	}
 
 	snap := e.st.Snapshot()
-	inSet := idSet(b.Set)
+	set := b.Set
+	if !slices.IsSorted(set) {
+		set = slices.Sorted(slices.Values(set)) // once, not per subclass
+	}
 	for _, sub := range subclasses {
-		subTerm := e.st.Dict().Term(sub)
-		var members []rdf.ID
-		for _, s := range snap.SubjectsOfType(sub) {
-			if _, in := inSet[s]; in {
-				members = append(members, s)
-			}
-		}
+		subTerm := snap.Dict().Term(sub)
+		members := store.IntersectSorted(snap.SubjectsOfType(sub), set)
 		bar := &Bar{
 			Set:     members,
 			Label:   subTerm,
@@ -164,7 +165,7 @@ func (e *Explorer) subclassExpansion(b *Bar) *Chart {
 		}
 		chart.Bars = append(chart.Bars, ChartBar{
 			Bar:       bar,
-			LabelText: e.st.Label(sub),
+			LabelText: snap.Label(sub),
 			Count:     len(members),
 		})
 	}
@@ -173,58 +174,30 @@ func (e *Explorer) subclassExpansion(b *Bar) *Chart {
 }
 
 // propertyExpansion: labels(B) = properties π with (s, π, o) for s ∈ S
-// (or (o, π, s) when incoming); B[π] = members of S featuring π. Property
-// data "aggregates all properties found within instances in S" — no
-// ontology declarations consulted.
+// (or (o, π, s) when incoming); B[π] = members of S featuring π, in set
+// order. Property data "aggregates all properties found within instances
+// in S" — no ontology declarations consulted. The distribution is the
+// store's one kernel, shared with the decomposer.
 func (e *Explorer) propertyExpansion(b *Bar, incoming bool) *Chart {
 	kind := PropertyExpansion
 	if incoming {
 		kind = IncomingPropertyExpansion
 	}
 	chart := &Chart{Kind: kind, SourceLabel: b.Label, SourceSize: b.Len()}
-
-	type agg struct {
-		members []rdf.ID
-		triples int
-	}
-	perProp := map[rdf.ID]*agg{}
 	snap := e.st.Snapshot()
-	for _, s := range b.Set {
-		var seen map[rdf.ID]bool
-		visit := func(t rdf.EncodedTriple) bool {
-			a := perProp[t.P]
-			if a == nil {
-				a = &agg{}
-				perProp[t.P] = a
-			}
-			a.triples++
-			if !seen[t.P] {
-				seen[t.P] = true
-				a.members = append(a.members, s)
-			}
-			return true
-		}
-		seen = map[rdf.ID]bool{}
-		if incoming {
-			snap.Match(rdf.NoID, rdf.NoID, s, visit)
-		} else {
-			snap.Match(s, rdf.NoID, rdf.NoID, visit)
-		}
-	}
 	denom := float64(b.Len())
-	for p, a := range perProp {
-		pTerm := e.st.Dict().Term(p)
-		bar := &Bar{
-			Set:     a.members,
-			Label:   pTerm,
-			Type:    PropertyBar,
-			pattern: b.pattern.withProperty(pTerm, incoming),
-		}
+	for _, g := range snap.PropertyDistribution(b.Set, incoming) {
+		pTerm := snap.Dict().Term(g.Property)
 		cb := ChartBar{
-			Bar:       bar,
-			LabelText: e.st.Label(p),
-			Count:     len(a.members),
-			Triples:   a.triples,
+			Bar: &Bar{
+				Set:     g.Members,
+				Label:   pTerm,
+				Type:    PropertyBar,
+				pattern: b.pattern.withProperty(pTerm, incoming),
+			},
+			LabelText: snap.Label(g.Property),
+			Count:     g.Count,
+			Triples:   g.Triples,
 		}
 		if denom > 0 {
 			cb.Coverage = float64(cb.Count) / denom
@@ -237,19 +210,19 @@ func (e *Explorer) propertyExpansion(b *Bar, incoming bool) *Chart {
 
 // objectExpansion: for property bar B = ⟨S, λ, property⟩, labels(B) = the
 // classes τ of objects o with (s, λ, o), s ∈ S; B[τ] = those objects of
-// class τ. The incoming variant reads (o, λ, s).
-func (e *Explorer) objectExpansion(b *Bar, incoming bool) *Chart {
+// class τ. The incoming variant reads (o, λ, s). Every read goes through
+// snap.
+func (e *Explorer) objectExpansion(snap *store.Snapshot, b *Bar, incoming bool) *Chart {
 	kind := ObjectExpansion
 	if incoming {
 		kind = IncomingObjectExpansion
 	}
 	chart := &Chart{Kind: kind, SourceLabel: b.Label, SourceSize: b.Len()}
-	propID, ok := e.st.Dict().Lookup(b.Label)
+	propID, ok := snap.Dict().Lookup(b.Label)
 	if !ok {
 		return chart
 	}
 	// Collect connected objects.
-	snap := e.st.Snapshot()
 	connected := map[rdf.ID]struct{}{}
 	for _, s := range b.Set {
 		if incoming {
@@ -276,7 +249,7 @@ func (e *Explorer) objectExpansion(b *Bar, incoming bool) *Chart {
 		}
 	}
 	for c, members := range perClass {
-		cTerm := e.st.Dict().Term(c)
+		cTerm := snap.Dict().Term(c)
 		bar := &Bar{
 			Set:     members,
 			Label:   cTerm,
@@ -285,7 +258,7 @@ func (e *Explorer) objectExpansion(b *Bar, incoming bool) *Chart {
 		}
 		chart.Bars = append(chart.Bars, ChartBar{
 			Bar:       bar,
-			LabelText: e.st.Label(c),
+			LabelText: snap.Label(c),
 			Count:     len(members),
 		})
 	}
@@ -333,12 +306,4 @@ func (e *Explorer) FilterByPropertyValue(b *Bar, prop rdf.Term, value rdf.Term) 
 	pattern.triples = append(pattern.triples, tpVar(pattern.anchor, prop, v))
 	pattern.filters = append(pattern.filters, eqExpr(v, value))
 	return &Bar{Set: kept, Label: b.Label, Type: b.Type, pattern: pattern}
-}
-
-func idSet(ids []rdf.ID) map[rdf.ID]struct{} {
-	m := make(map[rdf.ID]struct{}, len(ids))
-	for _, id := range ids {
-		m[id] = struct{}{}
-	}
-	return m
 }

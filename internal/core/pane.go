@@ -35,19 +35,18 @@ type Pane struct {
 
 // OpenPane opens the pane for a class with S = all its direct instances.
 func (e *Explorer) OpenPane(class rdf.Term) *Pane {
-	bar := e.ClassBar(class)
-	return &Pane{expl: e, bar: bar, Title: e.label(class)}
+	snap := e.st.Snapshot()
+	return &Pane{expl: e, bar: classBar(snap, class), Title: e.label(snap, class)}
 }
 
 // OpenRootPane opens the initial pane (owl:Thing, or a virtual root for
 // rootless datasets).
 func (e *Explorer) OpenRootPane() *Pane {
-	bar := e.RootBar()
-	title := "Thing"
-	if bar.Label.IsZero() {
-		title = "All instances"
-	} else {
-		title = e.label(bar.Label)
+	snap := e.st.Snapshot()
+	bar := e.rootBar(snap)
+	title := "All instances"
+	if !bar.Label.IsZero() {
+		title = e.label(snap, bar.Label)
 	}
 	return &Pane{expl: e, bar: bar, Title: title}
 }
@@ -56,7 +55,7 @@ func (e *Explorer) OpenRootPane() *Pane {
 // narrowed) set — the "new pane ... focusing on the aforementioned set of
 // scientists" of Section 3.4 and the filter expansion of Section 3.3.
 func (e *Explorer) OpenPaneForBar(bar *Bar) *Pane {
-	return &Pane{expl: e, bar: bar, Title: e.label(bar.Label)}
+	return &Pane{expl: e, bar: bar, Title: e.label(e.st.Snapshot(), bar.Label)}
 }
 
 // Bar returns the pane's underlying bar.
@@ -95,18 +94,25 @@ func (p *Pane) PropertyChart(incoming bool, threshold float64) *Chart {
 }
 
 // ConnectionsChart returns the Connections tab's chart for the chosen
-// property: the object expansion of the property bar.
+// property: the object expansion of the property bar. Only that bar is
+// built — S ∩ {s : (s, prop, ·)}, or the incoming form — not the pane's
+// whole property chart.
 func (p *Pane) ConnectionsChart(prop rdf.Term, incoming bool) (*Chart, error) {
-	propChart := p.expl.propertyExpansion(p.bar, incoming)
-	bar, ok := propChart.Bar(prop)
-	if !ok {
+	snap := p.expl.st.Snapshot()
+	var members []rdf.ID
+	if pid, ok := snap.Dict().Lookup(prop); ok {
+		members = snap.MembersWith(p.bar.Set, pid, incoming)
+	}
+	if len(members) == 0 {
 		return nil, fmt.Errorf("core: property %s not featured by instances of %s", prop, p.Title)
 	}
-	kind := ObjectExpansion
-	if incoming {
-		kind = IncomingObjectExpansion
+	bar := &Bar{
+		Set:     members,
+		Label:   prop,
+		Type:    PropertyBar,
+		pattern: p.bar.pattern.withProperty(prop, incoming),
 	}
-	return p.expl.Expand(bar.Bar, kind)
+	return p.expl.objectExpansion(snap, bar, incoming), nil
 }
 
 // --- Streaming charts (Section 4 wired into the pane's tabs) ---
@@ -154,6 +160,7 @@ func (p *Pane) streamChart(ctx context.Context, opts IncrementalOptions, agg inc
 // exactly like the direct SubclassChart.
 func (p *Pane) StreamSubclassChart(ctx context.Context, opts IncrementalOptions, onPartial func(*Chart, incremental.Snapshot) bool) (*Chart, error) {
 	st := p.expl.st
+	snap := st.Snapshot() // labels for every partial chart
 	h := p.expl.Hierarchy()
 
 	var subclasses []rdf.ID
@@ -175,7 +182,7 @@ func (p *Pane) StreamSubclassChart(ctx context.Context, opts IncrementalOptions,
 					Type:    ClassBar,
 					pattern: p.bar.pattern.withType(subTerm),
 				},
-				LabelText: st.Label(sub),
+				LabelText: snap.Label(sub),
 				Count:     counts[sub],
 			})
 		}
@@ -192,6 +199,7 @@ func (p *Pane) StreamSubclassChart(ctx context.Context, opts IncrementalOptions,
 // error — for a property the set does not feature.
 func (p *Pane) StreamConnectionsChart(ctx context.Context, prop rdf.Term, incoming bool, opts IncrementalOptions, onPartial func(*Chart, incremental.Snapshot) bool) (*Chart, error) {
 	st := p.expl.st
+	snap := st.Snapshot() // labels for every partial chart
 	kind := ObjectExpansion
 	if incoming {
 		kind = IncomingObjectExpansion
@@ -213,7 +221,7 @@ func (p *Pane) StreamConnectionsChart(ctx context.Context, prop rdf.Term, incomi
 					Type:    ClassBar,
 					pattern: pattern.withType(cTerm),
 				},
-				LabelText: st.Label(c),
+				LabelText: snap.Label(c),
 				Count:     n,
 			})
 		}

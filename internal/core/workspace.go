@@ -135,6 +135,7 @@ type IncrementalOptions struct {
 // latency for user interaction".
 func (p *Pane) StreamPropertyChart(ctx context.Context, incoming bool, opts IncrementalOptions, onPartial func(*Chart, incremental.Snapshot) bool) (*Chart, error) {
 	st := p.expl.st
+	snap := st.Snapshot() // labels for every partial chart
 	agg := incremental.NewPropertyAggregator(p.nonNilSet(), incoming)
 
 	kind := PropertyExpansion
@@ -153,7 +154,7 @@ func (p *Pane) StreamPropertyChart(ctx context.Context, incoming bool, opts Incr
 					Type:    PropertyBar,
 					pattern: p.bar.pattern.withProperty(propTerm, incoming),
 				},
-				LabelText: st.Label(prop),
+				LabelText: snap.Label(prop),
 				Count:     n,
 				Triples:   triples[prop],
 			}

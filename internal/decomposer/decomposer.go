@@ -14,14 +14,19 @@
 // The detector recognizes this two-level shape (and the equivalent
 // single-level COUNT(DISTINCT ?s) form) for both outgoing and incoming
 // directions, extracts the class constant, and computes the per-property
-// (subject count, triple count) aggregates with one pass over the class's
-// instances using the store's SPO/OSP indexes — the Go analogue of the
-// paper's "decomposition of SQL queries that utilizes the indexes".
+// (subject count, triple count) aggregates with the store's one
+// property-distribution kernel (store.Snapshot.PropertyCounts, the
+// counting pass the explorer's property chart shares): it reads each
+// instance's SPO or OSP group offsets instead of visiting its triples —
+// the Go analogue of the paper's "decomposition of SQL queries that
+// utilizes the indexes".
 package decomposer
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"elinda/internal/rdf"
@@ -68,7 +73,7 @@ type Decomposer struct {
 
 	mu         sync.Mutex
 	generation uint64
-	memo       map[memoKey][]PropStat
+	memo       map[memoKey]*memoEntry
 
 	// stats
 	detected, answered, rejected int
@@ -79,9 +84,18 @@ type memoKey struct {
 	dir   Direction
 }
 
+// memoEntry is one memoized aggregate and its last rendering as result
+// rows: a repeated query then costs what an HVS hit costs, not one row
+// construction per property. Guarded by Decomposer.mu.
+type memoEntry struct {
+	stats []PropStat
+	vars  [3]string // PropVar, CountVar, SumVar of rows
+	rows  []sparql.Solution
+}
+
 // New returns a decomposer over st.
 func New(st *store.Store) *Decomposer {
-	return &Decomposer{st: st, memo: make(map[memoKey][]PropStat)}
+	return &Decomposer{st: st, memo: make(map[memoKey]*memoEntry)}
 }
 
 // Detection is the outcome of analyzing a query.
@@ -285,13 +299,18 @@ func sameSet(a, b []string) bool {
 // runs over one immutable store snapshot — lock-free reads, and the memo
 // is keyed by exactly the generation the pass observed.
 func (d *Decomposer) PropertyStats(class rdf.ID, dir Direction) []PropStat {
+	return d.entry(class, dir).stats
+}
+
+// entry returns the memo entry of (class, dir), computing it on a miss.
+func (d *Decomposer) entry(class rdf.ID, dir Direction) *memoEntry {
 	snap := d.st.Snapshot()
 	gen := snap.Generation()
 	key := memoKey{class: class, dir: dir}
 
 	d.mu.Lock()
 	if d.generation != gen {
-		d.memo = make(map[memoKey][]PropStat)
+		d.memo = make(map[memoKey]*memoEntry)
 		d.generation = gen
 	}
 	if cached, ok := d.memo[key]; ok {
@@ -300,57 +319,70 @@ func (d *Decomposer) PropertyStats(class rdf.ID, dir Direction) []PropStat {
 	}
 	d.mu.Unlock()
 
-	stats := computeStats(snap, class, dir)
+	e := &memoEntry{stats: computeStats(snap, class, dir)}
 
 	d.mu.Lock()
 	if d.generation == gen {
-		d.memo[key] = stats
+		d.memo[key] = e
 	}
 	d.mu.Unlock()
-	return stats
+	return e
 }
 
+// rows renders the memo entry of (class, det.Dir) as result rows under
+// det's variable names, once per entry and naming. The rows are shared:
+// callers must not modify them.
+func (d *Decomposer) rows(class rdf.ID, det Detection) []sparql.Solution {
+	e := d.entry(class, det.Dir)
+	vars := [3]string{det.PropVar, det.CountVar, det.SumVar}
+	d.mu.Lock()
+	rows, ok := e.rows, e.vars == vars // a fresh entry's vars are all empty
+	d.mu.Unlock()
+	if ok {
+		return rows
+	}
+	rows = make([]sparql.Solution, len(e.stats))
+	for i, s := range e.stats {
+		row := sparql.Solution{
+			det.PropVar:  d.st.Dict().Term(s.Property),
+			det.CountVar: rdf.NewTypedLiteral(fmt.Sprint(s.Subjects), rdf.XSDInteger),
+		}
+		if det.SumVar != "" {
+			row[det.SumVar] = rdf.NewTypedLiteral(fmt.Sprint(s.Triples), rdf.XSDInteger)
+		}
+		rows[i] = row
+	}
+	d.mu.Lock()
+	e.vars, e.rows = vars, rows
+	d.mu.Unlock()
+	return rows
+}
+
+// computeStats is the counting pass of the store's property-distribution
+// kernel over the class's instances, ordered by descending subject count
+// then property label (each label resolved once).
 func computeStats(snap *store.Snapshot, class rdf.ID, dir Direction) []PropStat {
-	type agg struct {
-		subjects int
-		triples  int
+	groups := snap.PropertyCounts(snap.SubjectsOfType(class), dir == Incoming)
+	type labeled struct {
+		stat  PropStat
+		label string
 	}
-	perProp := make(map[rdf.ID]*agg)
-	subjects := snap.SubjectsOfType(class)
-	seenProp := make(map[rdf.ID]bool)
-	for _, s := range subjects {
-		for p := range seenProp {
-			delete(seenProp, p)
-		}
-		visit := func(e rdf.EncodedTriple) bool {
-			a := perProp[e.P]
-			if a == nil {
-				a = &agg{}
-				perProp[e.P] = a
-			}
-			a.triples++
-			if !seenProp[e.P] {
-				seenProp[e.P] = true
-				a.subjects++
-			}
-			return true
-		}
-		if dir == Outgoing {
-			snap.Match(s, rdf.NoID, rdf.NoID, visit)
-		} else {
-			snap.Match(rdf.NoID, rdf.NoID, s, visit)
-		}
+	rows := make([]labeled, len(groups))
+	for i, g := range groups {
+		rows[i] = labeled{PropStat{Property: g.Property, Subjects: g.Count, Triples: g.Triples}, snap.Label(g.Property)}
 	}
-	out := make([]PropStat, 0, len(perProp))
-	for p, a := range perProp {
-		out = append(out, PropStat{Property: p, Subjects: a.subjects, Triples: a.triples})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Subjects != out[j].Subjects {
-			return out[i].Subjects > out[j].Subjects
+	// Stable over the kernel's ascending-ID order: equal labels tie-break
+	// by property ID.
+	slices.SortStableFunc(rows, func(a, b labeled) int {
+		if c := cmp.Compare(b.stat.Subjects, a.stat.Subjects); c != 0 {
+			return c
 		}
-		return snap.Label(out[i].Property) < snap.Label(out[j].Property)
+		return strings.Compare(a.label, b.label)
 	})
+	out := make([]PropStat, len(rows))
+	for i, r := range rows {
+		out[i] = r.stat
+	}
 	return out
 }
 
@@ -369,25 +401,13 @@ func (d *Decomposer) TryExecute(q *sparql.Query) (*sparql.Result, bool) {
 	d.detected++
 	d.mu.Unlock()
 
-	classID, found := d.st.Dict().Lookup(det.Class)
-	var stats []PropStat
-	if found {
-		stats = d.PropertyStats(classID, det.Dir)
-	}
-
 	res := &sparql.Result{Vars: []string{det.PropVar, det.CountVar}}
 	if det.SumVar != "" {
 		res.Vars = append(res.Vars, det.SumVar)
 	}
-	for _, s := range stats {
-		row := sparql.Solution{
-			det.PropVar:  d.st.Dict().Term(s.Property),
-			det.CountVar: rdf.NewTypedLiteral(fmt.Sprint(s.Subjects), rdf.XSDInteger),
-		}
-		if det.SumVar != "" {
-			row[det.SumVar] = rdf.NewTypedLiteral(fmt.Sprint(s.Triples), rdf.XSDInteger)
-		}
-		res.Rows = append(res.Rows, row)
+	if classID, found := d.st.Dict().Lookup(det.Class); found {
+		// A copy of the shared rows: the modifiers sort in place.
+		res.Rows = slices.Clone(d.rows(classID, det))
 	}
 	applyModifiers(res, q)
 

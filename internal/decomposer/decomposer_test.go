@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
+	"elinda/internal/core"
 	"elinda/internal/rdf"
 	"elinda/internal/sparql"
 	"elinda/internal/store"
@@ -274,6 +276,55 @@ func TestTryExecuteHonorsModifiers(t *testing.T) {
 	}
 }
 
+// TestTryExecuteRendersOnce: repeats of a query share the memo entry's
+// rendered rows, a query with modifiers does not reorder them for the
+// next caller, and a query naming its variables differently gets rows
+// under its own names.
+func TestTryExecuteRendersOnce(t *testing.T) {
+	st := fixture(t)
+	d := New(st)
+	eng := sparql.NewEngine(st)
+	renamed := `SELECT ?prop COUNT(?prop) AS ?n SUM(?k) AS ?k2
+FROM {SELECT ?x ?prop count(*) AS ?k
+FROM {?x a <http://example.org/Philosopher>. ?x ?prop ?y.}
+GROUP BY ?x ?prop} GROUP BY ?prop`
+	for _, src := range []string{paperOutgoing, renamed, paperOutgoing, paperOutgoing + ` ORDER BY ?count`, paperOutgoing} {
+		q, err := sparql.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast, ok := d.TryExecute(q)
+		if !ok {
+			t.Fatalf("not decomposed: %s", src)
+		}
+		slow, err := eng.Execute(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fast.Vars, slow.Vars) {
+			t.Fatalf("vars %v, engine %v", fast.Vars, slow.Vars)
+		}
+		key := func(r sparql.Solution) string { return r[fast.Vars[0]].Value }
+		got, want := map[string]sparql.Solution{}, map[string]sparql.Solution{}
+		for i := range fast.Rows {
+			got[key(fast.Rows[i])] = fast.Rows[i]
+		}
+		for i := range slow.Rows {
+			want[key(slow.Rows[i])] = slow.Rows[i]
+		}
+		if len(fast.Rows) != len(slow.Rows) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s:\nfast=%v\nslow=%v", src, fast.Rows, slow.Rows)
+		}
+	}
+	phil, _ := st.Dict().Lookup(ex("Philosopher"))
+	stats := d.PropertyStats(phil, Outgoing)
+	for i, row := range d.rows(phil, Detection{Dir: Outgoing, PropVar: "p", CountVar: "count", SumVar: "sp"}) {
+		if row["p"] != st.Dict().Term(stats[i].Property) {
+			t.Fatalf("memoized rows out of stats order at %d", i)
+		}
+	}
+}
+
 func TestTryExecuteUnknownClass(t *testing.T) {
 	st := fixture(t)
 	d := New(st)
@@ -327,5 +378,130 @@ func TestWarm(t *testing.T) {
 	d.mu.Unlock()
 	if n != 2 {
 		t.Errorf("memo entries after Warm = %d, want 2", n)
+	}
+}
+
+// oracleStats is the per-triple walk PropertyStats ran before it moved
+// onto the store's property-distribution kernel: every triple of every
+// instance through a map. It stays in test code as the reference.
+func oracleStats(snap *store.Snapshot, class rdf.ID, dir Direction) map[rdf.ID]PropStat {
+	out := map[rdf.ID]PropStat{}
+	for _, s := range snap.SubjectsOfType(class) {
+		seen := map[rdf.ID]bool{}
+		visit := func(e rdf.EncodedTriple) bool {
+			ps := out[e.P]
+			ps.Property = e.P
+			ps.Triples++
+			if !seen[e.P] {
+				seen[e.P] = true
+				ps.Subjects++
+			}
+			out[e.P] = ps
+			return true
+		}
+		if dir == Outgoing {
+			snap.Match(s, rdf.NoID, rdf.NoID, visit)
+		} else {
+			snap.Match(rdf.NoID, rdf.NoID, s, visit)
+		}
+	}
+	return out
+}
+
+// TestDecomposedEqualsGenericUnderDeltas is the decomposer's write-path
+// differential: after each of a run of random insert/delete deltas (which
+// leave tails, sorted deltas and tombstones behind, and eventually fold),
+// TryExecute's rows for the explorer's own property-expansion SPARQL
+// equal the generic engine's in both directions, and PropertyStats equals
+// the oracle walk and is ordered by subject count, then label.
+func TestDecomposedEqualsGenericUnderDeltas(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	node := func() rdf.Term { return ex(fmt.Sprintf("n%d", r.Intn(60))) }
+	random := func() rdf.Triple {
+		if r.Intn(3) == 0 {
+			return rdf.Triple{S: node(), P: rdf.TypeIRI, O: ex(fmt.Sprintf("C%d", r.Intn(2)))}
+		}
+		return rdf.Triple{S: node(), P: ex(fmt.Sprintf("p%d", r.Intn(5))), O: node()}
+	}
+	st := store.New(1024)
+	var initial []rdf.Triple
+	for i := 0; i < 500; i++ {
+		initial = append(initial, random())
+	}
+	if _, err := st.Load(initial); err != nil {
+		t.Fatal(err)
+	}
+	d := New(st)
+	eng := sparql.NewEngine(st)
+	present := func() rdf.Triple {
+		var out rdf.Triple
+		st.Snapshot().Scan(r.Intn(st.Len()), 1, func(e rdf.EncodedTriple) bool {
+			out = st.Triple(e)
+			return false
+		})
+		return out
+	}
+	for step := 0; step < 80; step++ {
+		var delta store.Delta
+		k, deletes := 1+r.Intn(60), true
+		if step%40 == 39 {
+			k, deletes = 1500, false // inserts only, past the delta bound: a fold
+		}
+		for ; k > 0; k-- {
+			if deletes && r.Intn(2) == 0 {
+				delta.Delete(present())
+			} else {
+				delta.Insert(random())
+			}
+		}
+		if _, err := st.Apply(delta); err != nil {
+			t.Fatal(err)
+		}
+		snap := st.Snapshot()
+		for c := 0; c < 2; c++ {
+			class := ex(fmt.Sprintf("C%d", c))
+			for _, incoming := range []bool{false, true} {
+				q, err := sparql.Parse(core.PropertyExpansionSPARQL(class, incoming))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fast, ok := d.TryExecute(q)
+				if !ok {
+					t.Fatal("not decomposed")
+				}
+				slow, err := eng.Execute(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameRows(t, fast, slow)
+
+				cid, ok := st.Dict().Lookup(class)
+				if !ok {
+					continue
+				}
+				dir := Outgoing
+				if incoming {
+					dir = Incoming
+				}
+				stats := d.PropertyStats(cid, dir)
+				want := oracleStats(snap, cid, dir)
+				if len(stats) != len(want) {
+					t.Fatalf("step %d %v %v: %d stats, oracle %d", step, class, dir, len(stats), len(want))
+				}
+				for _, s := range stats {
+					if want[s.Property] != s {
+						t.Fatalf("step %d %v %v: %+v, oracle %+v", step, class, dir, s, want[s.Property])
+					}
+				}
+				if !sort.SliceIsSorted(stats, func(i, j int) bool {
+					if stats[i].Subjects != stats[j].Subjects {
+						return stats[i].Subjects > stats[j].Subjects
+					}
+					return snap.Label(stats[i].Property) < snap.Label(stats[j].Property)
+				}) {
+					t.Fatalf("step %d %v %v: stats not ordered by subjects, then label", step, class, dir)
+				}
+			}
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 // read through it. Two findings:
 //
 //  1. Query-scope packages (the executor, the decomposer, the
-//     incremental evaluator) calling a read method directly on
+//     incremental evaluator, the explorer) calling a read method directly on
 //     *store.Store. Each such call re-loads the current snapshot, so two
 //     calls may observe different generations mid-query — exactly the
 //     torn read the snapshot design exists to rule out.
@@ -25,7 +25,9 @@ var SnapshotBind = &Analyzer{
 
 const storePkgPath = "elinda/internal/store"
 
-// snapshotBindScope lists the query-scope packages the invariant covers.
+// snapshotBindScope lists the query-scope packages the invariant covers:
+// the executor, the decomposer, the incremental evaluator and the
+// explorer, whose charts read many labels and index groups per request.
 // The store package itself is exempt (its Store read wrappers are the
 // documented single-bind convenience API), as is serving-tier glue that
 // never spans more than one read per request.
@@ -33,6 +35,7 @@ var snapshotBindScope = map[string]bool{
 	"elinda/internal/sparql":      true,
 	"elinda/internal/decomposer":  true,
 	"elinda/internal/incremental": true,
+	"elinda/internal/core":        true,
 }
 
 // storeReadMethods are the *store.Store methods that internally bind a
