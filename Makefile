@@ -49,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDetectFormat$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/rdf
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzJSONRow$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/endpoint
 
 # cover writes the coverage profile and prints the per-function totals.
 cover:

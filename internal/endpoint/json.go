@@ -8,12 +8,17 @@ package endpoint
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strconv"
+	"unicode/utf8"
 
 	"elinda/internal/rdf"
 	"elinda/internal/sparql"
 )
 
-// jsonResults mirrors the SPARQL 1.1 Query Results JSON Format.
+// jsonResults mirrors the SPARQL 1.1 Query Results JSON Format: the
+// shape UnmarshalResult decodes. Encoding goes through the appenders
+// below instead.
 type jsonResults struct {
 	Head    jsonHead      `json:"head"`
 	Results *jsonBindings `json:"results,omitempty"`
@@ -35,29 +40,178 @@ type jsonTerm struct {
 	Datatype string `json:"datatype,omitempty"`
 }
 
-// MarshalResult encodes a query result in SPARQL 1.1 JSON.
+// MarshalResult encodes a query result in SPARQL 1.1 JSON. It writes
+// through the same appenders as JSONStreamer, so the buffered and
+// streamed bodies are one encoding; the error is always nil.
 func MarshalResult(res *sparql.Result) ([]byte, error) {
-	doc := jsonResults{}
 	if res.Ask {
-		b := res.AskTrue
-		doc.Boolean = &b
-	} else {
-		doc.Head.Vars = res.Vars
-		bindings := make([]map[string]jsonTerm, 0, len(res.Rows))
-		for _, row := range res.Rows {
-			m := make(map[string]jsonTerm, len(row))
-			for v, t := range row {
-				m[v] = termToJSON(t)
-			}
-			bindings = append(bindings, m)
+		return appendJSONAsk(nil, res.AskTrue), nil
+	}
+	out := appendJSONHead(nil, res.Vars)
+	keys := rowKeys(res.Vars)
+	for i, row := range res.Rows {
+		if i > 0 {
+			out = append(out, ',')
 		}
-		doc.Results = &jsonBindings{Bindings: bindings}
+		out = appendJSONRow(out, keys, row)
 	}
-	out, err := json.Marshal(doc)
-	if err != nil {
-		return nil, fmt.Errorf("endpoint: marshaling results: %w", err)
+	return append(out, jsonTail...), nil
+}
+
+// The appenders below write exactly the bytes encoding/json writes for
+// jsonResults with each row a map[string]jsonTerm (json_oracle_test.go
+// keeps that encoder as the reference), without reflection or a map per
+// row.
+
+// jsonTail closes the bindings array, the results object and the
+// document.
+const jsonTail = "]}}"
+
+// appendJSONAsk appends a whole ASK document.
+func appendJSONAsk(dst []byte, answer bool) []byte {
+	dst = strconv.AppendBool(append(dst, `{"head":{},"boolean":`...), answer)
+	return append(dst, '}')
+}
+
+// appendJSONHead appends a SELECT document up to the opening of its
+// bindings array. An empty vars list is omitted, as omitempty does.
+func appendJSONHead(dst []byte, vars []string) []byte {
+	dst = append(dst, `{"head":{`...)
+	if len(vars) > 0 {
+		dst = append(dst, `"vars":[`...)
+		for i, v := range vars {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONString(dst, v)
+		}
+		dst = append(dst, ']')
 	}
-	return out, nil
+	return append(dst, `},"results":{"bindings":[`...)
+}
+
+// rowKeys returns vars sorted in byte order without duplicates: the
+// order encoding/json writes a row map's keys in.
+func rowKeys(vars []string) []string {
+	keys := slices.Clone(vars)
+	slices.Sort(keys)
+	return slices.Compact(keys)
+}
+
+// appendJSONRow appends sol as one element of the bindings array. keys
+// must come from rowKeys. A row binding a name outside keys (a remote or
+// restored result) is rewritten in the order of its own sorted names.
+func appendJSONRow(dst []byte, keys []string, sol sparql.Solution) []byte {
+	start := len(dst)
+	dst = append(dst, '{')
+	n := 0
+	for _, k := range keys {
+		if t, ok := sol[k]; ok {
+			dst = appendJSONBinding(dst, n, k, t)
+			n++
+		}
+	}
+	if n != len(sol) {
+		own := make([]string, 0, len(sol))
+		for k := range sol {
+			own = append(own, k)
+		}
+		slices.Sort(own)
+		dst = append(dst[:start], '{')
+		for i, k := range own {
+			dst = appendJSONBinding(dst, i, k, sol[k])
+		}
+	}
+	return append(dst, '}')
+}
+
+// appendJSONBinding appends the i-th "name":term member of a row.
+func appendJSONBinding(dst []byte, i int, name string, t rdf.Term) []byte {
+	if i > 0 {
+		dst = append(dst, ',')
+	}
+	dst = append(appendJSONString(dst, name), ':')
+	switch t.Kind {
+	case rdf.IRI:
+		dst = appendJSONString(append(dst, `{"type":"uri","value":`...), t.Value)
+	case rdf.Blank:
+		dst = appendJSONString(append(dst, `{"type":"bnode","value":`...), t.Value)
+	default:
+		dst = appendJSONString(append(dst, `{"type":"literal","value":`...), t.Value)
+		if t.Lang != "" {
+			dst = appendJSONString(append(dst, `,"xml:lang":`...), t.Lang)
+		}
+		if t.Datatype != "" {
+			dst = appendJSONString(append(dst, `,"datatype":`...), t.Datatype)
+		}
+	}
+	return append(dst, '}')
+}
+
+// jsonSafe marks the ASCII bytes encoding/json copies unescaped: the
+// printable ones and DEL, except '"' and '\\' and, because it escapes
+// HTML by default, '<', '>' and '&'.
+var jsonSafe = func() (safe [utf8.RuneSelf]bool) {
+	for b := ' '; b < utf8.RuneSelf; b++ {
+		safe[b] = true
+	}
+	for _, b := range `"\<>&` {
+		safe[b] = false
+	}
+	return safe
+}()
+
+// appendJSONString appends s as a JSON string escaped as encoding/json
+// escapes it: short escapes for '"', '\\', \b, \f, \n, \r and \t, \u00XX
+// for the other control bytes and for '<', '>' and '&', \ufffd for each
+// byte of invalid UTF-8, and \u2028 and \u2029 for the line and paragraph
+// separators.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			if jsonSafe[b] {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
+			dst = append(dst, s[start:i]...)
+			if r == utf8.RuneError {
+				dst = append(dst, `\ufffd`...)
+			} else {
+				dst = append(dst, '\\', 'u', '2', '0', '2', hex[r&0xF])
+			}
+			start = i + size
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // UnmarshalResult decodes a SPARQL 1.1 JSON document back to a Result.
@@ -85,17 +239,6 @@ func UnmarshalResult(data []byte) (*sparql.Result, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-func termToJSON(t rdf.Term) jsonTerm {
-	switch t.Kind {
-	case rdf.IRI:
-		return jsonTerm{Type: "uri", Value: t.Value}
-	case rdf.Blank:
-		return jsonTerm{Type: "bnode", Value: t.Value}
-	default:
-		return jsonTerm{Type: "literal", Value: t.Value, Lang: t.Lang, Datatype: t.Datatype}
-	}
 }
 
 func jsonToTerm(jt jsonTerm) (rdf.Term, error) {

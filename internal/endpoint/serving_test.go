@@ -203,6 +203,7 @@ func streamingFixtureEngine(t *testing.T) *sparql.Engine {
 		{S: ex("aristotle"), P: ex("teacher"), O: ex("plato")},
 		{S: rdf.NewBlank("b0"), P: ex("teacher"), O: ex("aristotle")},
 		{S: ex("zeno"), P: rdf.TypeIRI, O: ex("Stoic")},
+		{S: ex("zeno"), P: ex("quote"), O: rdf.NewLangLiteral("<a> & \"b\" \\ \x01\u2028 Ζήνων", "grc")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -211,8 +212,10 @@ func streamingFixtureEngine(t *testing.T) *sparql.Engine {
 }
 
 // streamingCorpus exercises projection, DISTINCT, aggregates, OPTIONAL
-// with unbound cells, VALUES, UNION, ORDER BY/LIMIT/OFFSET, ASK, and
-// empty results — the differential corpus of the acceptance criteria.
+// with unbound cells (one table with two columns), VALUES (with UNDEF),
+// UNION (with branches binding different variables), ORDER BY/LIMIT/
+// OFFSET, ASK, lang and datatype tags, a literal that needs escaping, and
+// empty results.
 var streamingCorpus = []string{
 	`SELECT ?s WHERE { ?s a <http://example.org/Philosopher> . }`,
 	`SELECT * WHERE { ?s ?p ?o . }`,
@@ -225,13 +228,19 @@ var streamingCorpus = []string{
 	`SELECT ?s WHERE { { ?s a <http://example.org/Stoic> . } UNION { ?s a <http://example.org/Philosopher> . } }`,
 	`SELECT ?s WHERE { ?s a <http://example.org/Nothing> . }`,
 	`SELECT ?o WHERE { <http://example.org/plato> <http://example.org/quote> ?o . }`,
+	`SELECT ?s ?v1 ?v2 WHERE { ?s a <http://example.org/Philosopher> . OPTIONAL { ?s <http://example.org/teacher> ?v1 . } OPTIONAL { ?s <http://www.w3.org/2000/01/rdf-schema#label> ?v2 . } }`,
+	`SELECT ?s ?t ?y WHERE { ?s a ?c . { ?s <http://example.org/teacher> ?t . } UNION { ?s <http://example.org/born> ?y . } }`,
+	`SELECT ?s ?c WHERE { VALUES (?s ?c) { (<http://example.org/plato> UNDEF) (UNDEF <http://example.org/Stoic>) } ?s a ?c . }`,
+	`SELECT ?s ?l ?b WHERE { ?s <http://www.w3.org/2000/01/rdf-schema#label> ?l . ?s <http://example.org/born> ?b . }`,
+	`SELECT ?s ?o WHERE { ?s <http://example.org/quote> ?o . }`,
 	`ASK { ?s a <http://example.org/Philosopher> . }`,
 	`ASK { ?s a <http://example.org/Nothing> . }`,
 }
 
-// TestStreamingEncodersByteIdentical is the acceptance-criteria
-// differential: for every corpus query and both streaming formats, the
-// streamed HTTP body must equal the buffered encoder's output exactly.
+// TestStreamingEncodersByteIdentical: for every corpus query and both
+// streaming formats, the streamed HTTP body must equal the buffered
+// encoder's output exactly, and for JSON both must equal the
+// encoding/json oracle's (json_oracle_test.go).
 func TestStreamingEncodersByteIdentical(t *testing.T) {
 	eng := streamingFixtureEngine(t)
 	// An executor that is not a sparql.RowExecutor takes the buffered path.
@@ -253,6 +262,15 @@ func TestStreamingEncodersByteIdentical(t *testing.T) {
 			}
 			if !bytes.Equal(recB.Body.Bytes(), recS.Body.Bytes()) {
 				t.Errorf("%s %q:\nbuffered:  %s\nstreaming: %s", accept, src, recB.Body.String(), recS.Body.String())
+			}
+			if accept == ContentType {
+				res, err := eng.Query(context.Background(), src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := oracleMarshalResult(res); !bytes.Equal(recB.Body.Bytes(), want) {
+					t.Errorf("%q:\nbuffered: %s\noracle:   %s", src, recB.Body.String(), want)
+				}
 			}
 			if ct := recS.Header().Get("Content-Type"); ct != accept {
 				t.Errorf("%s %q: streaming content type = %q", accept, src, ct)

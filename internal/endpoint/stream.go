@@ -7,12 +7,11 @@ package endpoint
 // sparql.RowSink and emit the SPARQL 1.1 JSON and TSV formats row by row,
 // flushing the HTTP response every DefaultFlushRows rows so clients see results
 // while the query is still producing. Their output is byte-identical to
-// the buffered encoders — the differential test in stream_test.go holds
-// the two paths together.
+// the buffered encoders — TestStreamingEncodersByteIdentical holds the
+// two paths together.
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -114,10 +113,13 @@ func (s *streamBase) flushNow() error {
 }
 
 // JSONStreamer emits the SPARQL 1.1 Query Results JSON Format
-// incrementally, byte-identical to MarshalResult.
+// incrementally, byte-identical to MarshalResult: both write through the
+// appenders in json.go.
 type JSONStreamer struct {
 	streamBase
-	ask bool
+	ask  bool
+	keys []string // Head's vars in row-key order, sorted once
+	buf  []byte   // one row's bytes, reused for every row
 }
 
 // NewJSONStreamer returns a streamer writing to w.
@@ -128,44 +130,24 @@ func NewJSONStreamer(w io.Writer, f http.Flusher, flushEvery int) *JSONStreamer 
 // Head implements sparql.RowSink.
 func (s *JSONStreamer) Head(vars []string, ask, askTrue bool) error {
 	if ask {
-		// ASK bodies are a handful of bytes; reuse the buffered encoder
-		// so the two paths cannot drift.
 		s.ask = true
-		data, err := MarshalResult(&sparql.Result{Ask: true, AskTrue: askTrue})
-		if err != nil {
-			return err
-		}
-		_, err = s.bw.Write(data)
-		return err
+		s.buf = appendJSONAsk(s.buf[:0], askTrue)
+	} else {
+		s.keys = rowKeys(vars)
+		s.buf = appendJSONHead(s.buf[:0], vars)
 	}
-	head, err := json.Marshal(jsonHead{Vars: vars})
-	if err != nil {
-		return fmt.Errorf("endpoint: marshaling head: %w", err)
-	}
-	if _, err := fmt.Fprintf(s.bw, `{"head":%s,"results":{"bindings":[`, head); err != nil {
-		return err
-	}
-	return nil
+	_, err := s.bw.Write(s.buf)
+	return err
 }
 
-// Row implements sparql.RowSink. Each row is marshaled exactly as the
-// buffered encoder marshals the elements of its bindings array (same
-// struct, same map-key ordering from encoding/json).
+// Row implements sparql.RowSink.
 func (s *JSONStreamer) Row(sol sparql.Solution) error {
-	m := make(map[string]jsonTerm, len(sol))
-	for v, t := range sol {
-		m[v] = termToJSON(t)
-	}
-	data, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("endpoint: marshaling row: %w", err)
-	}
+	s.buf = s.buf[:0]
 	if s.rows > 0 {
-		if err := s.bw.WriteByte(','); err != nil {
-			return err
-		}
+		s.buf = append(s.buf, ',')
 	}
-	if _, err := s.bw.Write(data); err != nil {
+	s.buf = appendJSONRow(s.buf, s.keys, sol)
+	if _, err := s.bw.Write(s.buf); err != nil {
 		return err
 	}
 	return s.rowDone()
@@ -174,7 +156,7 @@ func (s *JSONStreamer) Row(sol sparql.Solution) error {
 // Close implements ResultStreamer.
 func (s *JSONStreamer) Close() error {
 	if !s.ask {
-		if _, err := s.bw.WriteString("]}}"); err != nil {
+		if _, err := s.bw.WriteString(jsonTail); err != nil {
 			return err
 		}
 	}

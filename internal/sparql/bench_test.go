@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"elinda/internal/datagen"
 	"elinda/internal/rdf"
 	"elinda/internal/store"
 )
@@ -159,4 +160,31 @@ func BenchmarkOrderByLimit(b *testing.B) {
 			_, _ = TopKSolutions(context.Background(), rows, keys, 10)
 		}
 	})
+}
+
+// BenchmarkOptionalJoin times the explorer's data-table query (a class
+// pattern plus one OPTIONAL per column) over the DBpedia-like dataset at
+// two sizes: the left joins dominate it.
+func BenchmarkOptionalJoin(b *testing.B) {
+	for _, persons := range []int{2000, 20000} {
+		cfg := datagen.DefaultConfig()
+		cfg.Persons = persons
+		st, err := datagen.Generate(cfg).NewStore()
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := NewEngine(st)
+		q, err := Parse(tableQuery(datagen.Ont("Philosopher"), datagen.Ont("influencedBy"), datagen.Ont("mainInterest")))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("persons=%d", persons), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := e.Execute(context.Background(), q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

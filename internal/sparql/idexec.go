@@ -224,7 +224,7 @@ func (e *Engine) evalGroupIDs(ctx context.Context, g *GroupPattern, env *execEnv
 		if err != nil {
 			return nil, nil, err
 		}
-		rows, err = e.idHashJoin(ctx, rows, right)
+		rows, err = e.idJoin(ctx, rows, right, false)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -239,7 +239,8 @@ func (e *Engine) evalGroupIDs(ctx context.Context, g *GroupPattern, env *execEnv
 	}
 	rows = out
 
-	// VALUES blocks: compatibility join with the inline data.
+	// VALUES blocks: joined like any other row set. UNDEF cells stay NoID,
+	// so a VALUES variable with an UNDEF row is never a join key.
 	for _, vb := range g.Values {
 		inline := newIDRows(w)
 		for _, vrow := range vb.Rows {
@@ -251,29 +252,11 @@ func (e *Engine) evalGroupIDs(ctx context.Context, g *GroupPattern, env *execEnv
 			}
 			inline.push(idrow)
 		}
-		joined := newIDRows(w)
-		scratch := make([]rdf.ID, w)
-		visits := 0
-		for i := 0; i < rows.n; i++ {
-			l := rows.row(i)
-			for j := 0; j < inline.n; j++ {
-				if visits++; visits%cancelCheckInterval == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, nil, fmt.Errorf("sparql: %w", err)
-					}
-				}
-				r := inline.row(j)
-				if !idCompatible(l, r) {
-					continue
-				}
-				mergeInto(scratch, l, r)
-				joined.push(scratch)
-				if e.MaxIntermediate > 0 && joined.n > e.MaxIntermediate {
-					return nil, nil, ErrTooLarge
-				}
-			}
+		var err error
+		rows, err = e.idJoin(ctx, rows, inline, false)
+		if err != nil {
+			return nil, nil, err
 		}
-		rows = joined
 	}
 
 	// UNION branches.
@@ -287,7 +270,7 @@ func (e *Engine) evalGroupIDs(ctx context.Context, g *GroupPattern, env *execEnv
 			remapRows(brRows, brSlots, slots, unionRows)
 		}
 		var err error
-		rows, err = e.idHashJoin(ctx, rows, unionRows)
+		rows, err = e.idJoin(ctx, rows, unionRows, false)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -301,7 +284,7 @@ func (e *Engine) evalGroupIDs(ctx context.Context, g *GroupPattern, env *execEnv
 		}
 		remapped := newIDRows(w)
 		remapRows(optRows, optSlots, slots, remapped)
-		rows, err = idLeftJoin(ctx, rows, remapped, w)
+		rows, err = e.idJoin(ctx, rows, remapped, true)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -671,146 +654,122 @@ func (e *Engine) runBGPParallel(ctx context.Context, in *idRows, steps []joinSte
 	return nil
 }
 
-// idHashJoin joins two ID row sets on the slots bound in both sides'
-// first rows, mirroring the oracle's hashJoin sample-based semantics.
-func (e *Engine) idHashJoin(ctx context.Context, left, right *idRows) (*idRows, error) {
-	if left.n == 1 && allUnbound(left.row(0)) {
+// idJoin joins two ID row sets: every compatible (left, right) pair,
+// merged, left-major with each left row's partners in right-row order —
+// the nested loop's order. With optional it is OPTIONAL's left join: a
+// left row without a compatible partner is kept unchanged, and
+// MaxIntermediate does not apply.
+//
+// Right rows are chained into buckets on up to two key columns: slots
+// bound in every row of both sides. Rows that differ on such a slot are
+// incompatible, so all of a left row's partners sit in its bucket. A slot
+// bound in only some rows (a UNION branch, an OPTIONAL hole, a VALUES
+// UNDEF) is never a key; idCompatible still decides every candidate.
+// Without a key column every right row is a candidate.
+func (e *Engine) idJoin(ctx context.Context, left, right *idRows, optional bool) (*idRows, error) {
+	if !optional && left.n == 1 && allUnbound(left.row(0)) {
 		return right, nil
 	}
-	w := left.w
-	out := newIDRows(w)
-	if right.n == 0 || left.n == 0 {
-		return out, nil
-	}
-	var shared []int
-	l0, r0 := left.row(0), right.row(0)
-	for i := 0; i < w; i++ {
-		if l0[i] != rdf.NoID && r0[i] != rdf.NoID {
-			shared = append(shared, i)
-		}
-	}
-	scratch := make([]rdf.ID, w)
+	out := newIDRows(left.w)
+	key := joinKeyColumns(left, right)
 	visits := 0
-	if len(shared) == 0 {
-		// Cross product.
-		for i := 0; i < left.n; i++ {
-			l := left.row(i)
-			for j := 0; j < right.n; j++ {
-				if visits++; visits%cancelCheckInterval == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, fmt.Errorf("sparql: %w", err)
-					}
-				}
-				mergeInto(scratch, l, right.row(j))
-				out.push(scratch)
-				if e.MaxIntermediate > 0 && out.n > e.MaxIntermediate {
-					return nil, ErrTooLarge
-				}
-			}
-		}
-		return out, nil
-	}
-	emit := func(l, r []rdf.ID) error {
-		if visits++; visits%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("sparql: %w", err)
-			}
-		}
-		if !idCompatible(l, r) {
-			return nil
-		}
-		mergeInto(scratch, l, r)
-		out.push(scratch)
-		if e.MaxIntermediate > 0 && out.n > e.MaxIntermediate {
-			return ErrTooLarge
-		}
-		return nil
-	}
-	if len(shared) <= 2 {
-		// Packed uint64 join keys: no per-row allocation.
-		var pair [2]rdf.ID
-		pack := func(row []rdf.ID) uint64 {
-			for j, c := range shared {
-				pair[j] = row[c]
-			}
-			return packPair(pair[:], len(shared))
-		}
-		index := make(map[uint64][]int, right.n)
-		for j := 0; j < right.n; j++ {
+	// head[k] is the first right row with key k and next[j] the row after
+	// j in its bucket, -1 ending the chain. Built back to front, so every
+	// chain runs in right-row order.
+	var head map[uint64]int32
+	var next []int32
+	if len(key) > 0 {
+		head = make(map[uint64]int32, right.n)
+		next = make([]int32, right.n)
+		for j := right.n - 1; j >= 0; j-- {
 			if visits++; visits%cancelCheckInterval == 0 {
 				if err := ctx.Err(); err != nil {
 					return nil, fmt.Errorf("sparql: %w", err)
 				}
 			}
-			key := pack(right.row(j))
-			index[key] = append(index[key], j)
-		}
-		for i := 0; i < left.n; i++ {
-			l := left.row(i)
-			for _, j := range index[pack(l)] {
-				if err := emit(l, right.row(j)); err != nil {
-					return nil, err
-				}
+			k := packKey(right.row(j), key)
+			next[j] = -1
+			if h, ok := head[k]; ok {
+				next[j] = h
 			}
-		}
-		return out, nil
-	}
-	keyer := newIDKeyer(len(shared))
-	index := make(map[string][]int, right.n)
-	for j := 0; j < right.n; j++ {
-		if visits++; visits%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("sparql: %w", err)
-			}
-		}
-		key := keyer.key(right.row(j), shared)
-		index[key] = append(index[key], j)
-	}
-	for i := 0; i < left.n; i++ {
-		l := left.row(i)
-		for _, j := range index[keyer.key(l, shared)] {
-			if err := emit(l, right.row(j)); err != nil {
-				return nil, err
-			}
+			head[k] = int32(j)
 		}
 	}
-	return out, nil
-}
-
-// idLeftJoin implements OPTIONAL semantics over ID rows. The nested loop
-// is quadratic in the worst case, so it checks the context periodically
-// for prompt cancellation (the oracle's leftJoin it mirrors has no
-// intermediate-size guard, so none is applied here either).
-func idLeftJoin(ctx context.Context, left, right *idRows, w int) (*idRows, error) {
-	out := newIDRows(w)
-	scratch := make([]rdf.ID, w)
-	visits := 0
+	scratch := make([]rdf.ID, left.w)
 	for i := 0; i < left.n; i++ {
 		l := left.row(i)
 		matched := false
-		for j := 0; j < right.n; j++ {
+		j := 0
+		if head != nil {
+			j = -1
+			if h, ok := head[packKey(l, key)]; ok {
+				j = int(h)
+			}
+		}
+		for j >= 0 && j < right.n {
 			if visits++; visits%cancelCheckInterval == 0 {
 				if err := ctx.Err(); err != nil {
 					return nil, fmt.Errorf("sparql: %w", err)
 				}
 			}
-			r := right.row(j)
-			if idCompatible(l, r) {
+			if r := right.row(j); idCompatible(l, r) {
 				mergeInto(scratch, l, r)
 				out.push(scratch)
 				matched = true
+				if !optional && e.MaxIntermediate > 0 && out.n > e.MaxIntermediate {
+					return nil, ErrTooLarge
+				}
+			}
+			if head != nil {
+				j = int(next[j])
+			} else {
+				j++
 			}
 		}
-		if !matched {
+		if optional && !matched {
 			out.push(l)
 		}
 	}
 	return out, nil
 }
 
+// joinKeyColumns returns the first two slots bound in every row of both
+// sides: the columns idJoin may bucket on.
+func joinKeyColumns(left, right *idRows) []int {
+	always := make([]bool, left.w)
+	for c := range always {
+		always[c] = true
+	}
+	for _, side := range []*idRows{left, right} {
+		for i := 0; i < side.n; i++ {
+			for c, id := range side.row(i) {
+				if id == rdf.NoID {
+					always[c] = false
+				}
+			}
+		}
+	}
+	var key []int
+	for c, ok := range always {
+		if ok && len(key) < 2 {
+			key = append(key, c)
+		}
+	}
+	return key
+}
+
+// packKey packs a row's one or two key columns into a uint64.
+func packKey(row []rdf.ID, key []int) uint64 {
+	k := uint64(row[key[0]])
+	if len(key) == 2 {
+		k |= uint64(row[key[1]]) << 32
+	}
+	return k
+}
+
 // idKeyer renders the IDs at the chosen columns of a row into a hashable
 // key. It reuses one byte buffer across calls; the string conversion is
-// the only per-row allocation in the join/distinct/group hash paths, and
+// the only per-row allocation in the distinct/group hash paths, and
 // at 4 bytes per column it is far cheaper than the Term.String() keys the
 // oracle renders.
 type idKeyer struct {
