@@ -10,8 +10,9 @@ import (
 	"elinda"
 )
 
-// restoreHVS loads a heavy-query-store snapshot from path if one exists.
-// A missing file is not an error on first boot.
+// restoreHVS loads a heavy-query-store snapshot from path if one exists;
+// its entries are kept only if it was saved at the store's current
+// generation. A missing file is not an error on first boot.
 func restoreHVS(sys *elinda.System, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -21,7 +22,7 @@ func restoreHVS(sys *elinda.System, path string) error {
 		return err
 	}
 	defer f.Close()
-	return sys.Proxy.HVS().Restore(f)
+	return sys.Proxy.HVS().Restore(f, sys.Store.Generation())
 }
 
 // saveHVS writes the current cache to path atomically (write to a temp

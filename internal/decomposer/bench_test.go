@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"elinda/internal/datagen"
 	"elinda/internal/rdf"
 	"elinda/internal/sparql"
 	"elinda/internal/store"
@@ -66,6 +67,77 @@ func BenchmarkPropertyStatsWarm(b *testing.B) {
 		if stats := d.PropertyStats(class, Outgoing); len(stats) == 0 {
 			b.Fatal("no stats")
 		}
+	}
+}
+
+// BenchmarkDecomposerApplyDelta prices one single-triple write for the six
+// hot property expansions of the DBpedia-like data (the property half of
+// the benchmark's hot set): "maintained" folds the write into the warm
+// memo, "cold" rebuilds the six entries with the PropertyCounts kernel,
+// which is what every write cost before the memo was maintained. Both
+// include the store apply; the writes alternately insert and delete
+// Philosopher→Scientist influencedBy links, like the benchmark's writes.
+func BenchmarkDecomposerApplyDelta(b *testing.B) {
+	hot := []struct {
+		class rdf.Term
+		dir   Direction
+	}{
+		{rdf.OWLThingIRI, Outgoing},
+		{datagen.Ont("Agent"), Outgoing},
+		{datagen.Ont("Person"), Outgoing},
+		{datagen.Ont("Politician"), Outgoing},
+		{datagen.Ont("Person"), Incoming},
+		{datagen.Ont("Philosopher"), Incoming},
+	}
+	for _, persons := range []int{2000, 20000} {
+		cfg := datagen.DefaultConfig()
+		cfg.Persons = persons
+		ds := datagen.Generate(cfg)
+		st, err := ds.NewStore()
+		if err != nil {
+			b.Fatal(err)
+		}
+		var pool []rdf.Triple
+		for i := 0; len(pool) < 64; i++ {
+			tr := rdf.Triple{
+				S: datagen.Res(fmt.Sprintf("Philosopher_%d", i%ds.Facts.Philosophers)),
+				P: datagen.Ont("influencedBy"),
+				O: datagen.Res(fmt.Sprintf("Scientist_%d", (7*i)%ds.Facts.Scientists)),
+			}
+			if !st.ContainsTriple(tr) {
+				pool = append(pool, tr)
+			}
+		}
+		write := func(i int) store.ApplyResult {
+			op := rdf.Insert(pool[i%len(pool)])
+			if (i/len(pool))%2 == 1 {
+				op = rdf.Delete(pool[i%len(pool)])
+			}
+			res, err := st.Apply(store.DeltaOf(op))
+			if err != nil {
+				b.Fatal(err)
+			}
+			return res
+		}
+		warm := func(d *Decomposer) {
+			for _, h := range hot {
+				id, _ := st.Dict().Lookup(h.class)
+				d.PropertyStats(id, h.dir)
+			}
+		}
+		b.Run(fmt.Sprintf("persons=%d/maintained", persons), func(b *testing.B) {
+			d := New(st)
+			warm(d)
+			for i := 0; i < b.N; i++ {
+				d.ApplyDelta(write(i))
+			}
+		})
+		b.Run(fmt.Sprintf("persons=%d/cold", persons), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				write(i)
+				warm(New(st))
+			}
+		})
 	}
 }
 

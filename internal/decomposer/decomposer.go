@@ -20,6 +20,13 @@
 // instance's SPO or OSP group offsets instead of visiting its triples —
 // the Go analogue of the paper's "decomposition of SQL queries that
 // utilizes the indexes".
+//
+// The aggregates are memoized per (class, direction) and maintained, not
+// dropped, across writes: ApplyDelta folds a write's net triples into
+// every entry (an incremental model merged with its delta rather than
+// rebuilt). A write that changes class membership, or one the memo did
+// not see in order, drops the memo instead, and the kernel rebuilds each
+// entry on its next read — the kernel is the only rebuild path.
 package decomposer
 
 import (
@@ -65,13 +72,17 @@ type PropStat struct {
 }
 
 // Decomposer answers detected property-expansion queries from indexes.
-// Computed aggregates are memoized per (class, direction) and invalidated
-// when the store generation moves — this memo is the "specialized index"
-// of the paper, built lazily.
+// Computed aggregates are memoized per (class, direction) — the paper's
+// "specialized index", built lazily. The memo belongs to one store
+// generation, which only moves forward: ApplyDelta carries it across a
+// write, a read at a newer generation (a write that bypassed ApplyDelta)
+// drops it, and a read at an older one computes without storing.
 type Decomposer struct {
 	st *store.Store
 
-	mu         sync.Mutex
+	mu sync.Mutex
+	// generation is the store generation every memo entry was computed
+	// or folded at.
 	generation uint64
 	memo       map[memoKey]*memoEntry
 
@@ -86,7 +97,9 @@ type memoKey struct {
 
 // memoEntry is one memoized aggregate and its last rendering as result
 // rows: a repeated query then costs what an HVS hit costs, not one row
-// construction per property. Guarded by Decomposer.mu.
+// construction per property. vars and rows are guarded by Decomposer.mu;
+// stats never change once the entry is published (ApplyDelta folds into
+// a new entry).
 type memoEntry struct {
 	stats []PropStat
 	vars  [3]string // PropVar, CountVar, SumVar of rows
@@ -299,19 +312,26 @@ func sameSet(a, b []string) bool {
 // runs over one immutable store snapshot — lock-free reads, and the memo
 // is keyed by exactly the generation the pass observed.
 func (d *Decomposer) PropertyStats(class rdf.ID, dir Direction) []PropStat {
-	return d.entry(class, dir).stats
+	return d.entry(d.st.Snapshot(), class, dir).stats
 }
 
-// entry returns the memo entry of (class, dir), computing it on a miss.
-func (d *Decomposer) entry(class rdf.ID, dir Direction) *memoEntry {
-	snap := d.st.Snapshot()
+// entry returns the memo entry of (class, dir) at snap's generation,
+// computing it on a miss. A newer generation drops the memo first; an
+// older one — a request that bound its snapshot before a write the memo
+// has already folded — computes without storing, so the memo never rolls
+// back.
+func (d *Decomposer) entry(snap *store.Snapshot, class rdf.ID, dir Direction) *memoEntry {
 	gen := snap.Generation()
 	key := memoKey{class: class, dir: dir}
 
 	d.mu.Lock()
-	if d.generation != gen {
+	switch {
+	case gen > d.generation:
 		d.memo = make(map[memoKey]*memoEntry)
 		d.generation = gen
+	case gen < d.generation:
+		d.mu.Unlock()
+		return &memoEntry{stats: computeStats(snap, class, dir)}
 	}
 	if cached, ok := d.memo[key]; ok {
 		d.mu.Unlock()
@@ -329,11 +349,11 @@ func (d *Decomposer) entry(class rdf.ID, dir Direction) *memoEntry {
 	return e
 }
 
-// rows renders the memo entry of (class, det.Dir) as result rows under
-// det's variable names, once per entry and naming. The rows are shared:
-// callers must not modify them.
-func (d *Decomposer) rows(class rdf.ID, det Detection) []sparql.Solution {
-	e := d.entry(class, det.Dir)
+// rows renders the memo entry of (class, det.Dir) at snap as result rows
+// under det's variable names, once per entry and naming. The rows are
+// shared: callers must not modify them.
+func (d *Decomposer) rows(snap *store.Snapshot, class rdf.ID, det Detection) []sparql.Solution {
+	e := d.entry(snap, class, det.Dir)
 	vars := [3]string{det.PropVar, det.CountVar, det.SumVar}
 	d.mu.Lock()
 	rows, ok := e.rows, e.vars == vars // a fresh entry's vars are all empty
@@ -344,7 +364,7 @@ func (d *Decomposer) rows(class rdf.ID, det Detection) []sparql.Solution {
 	rows = make([]sparql.Solution, len(e.stats))
 	for i, s := range e.stats {
 		row := sparql.Solution{
-			det.PropVar:  d.st.Dict().Term(s.Property),
+			det.PropVar:  snap.Dict().Term(s.Property),
 			det.CountVar: rdf.NewTypedLiteral(fmt.Sprint(s.Subjects), rdf.XSDInteger),
 		}
 		if det.SumVar != "" {
@@ -359,31 +379,174 @@ func (d *Decomposer) rows(class rdf.ID, det Detection) []sparql.Solution {
 }
 
 // computeStats is the counting pass of the store's property-distribution
-// kernel over the class's instances, ordered by descending subject count
-// then property label (each label resolved once).
+// kernel over the class's instances, in sortStats order.
 func computeStats(snap *store.Snapshot, class rdf.ID, dir Direction) []PropStat {
 	groups := snap.PropertyCounts(snap.SubjectsOfType(class), dir == Incoming)
+	stats := make([]PropStat, len(groups))
+	for i, g := range groups {
+		stats[i] = PropStat{Property: g.Property, Subjects: g.Count, Triples: g.Triples}
+	}
+	return sortStats(snap, stats)
+}
+
+// sortStats orders stats in place by descending subject count, then
+// property label, then property ID, resolving each label once, and
+// returns them.
+func sortStats(snap *store.Snapshot, stats []PropStat) []PropStat {
 	type labeled struct {
 		stat  PropStat
 		label string
 	}
-	rows := make([]labeled, len(groups))
-	for i, g := range groups {
-		rows[i] = labeled{PropStat{Property: g.Property, Subjects: g.Count, Triples: g.Triples}, snap.Label(g.Property)}
+	rows := make([]labeled, len(stats))
+	for i, s := range stats {
+		rows[i] = labeled{s, snap.Label(s.Property)}
 	}
-	// Stable over the kernel's ascending-ID order: equal labels tie-break
-	// by property ID.
-	slices.SortStableFunc(rows, func(a, b labeled) int {
+	slices.SortFunc(rows, func(a, b labeled) int {
 		if c := cmp.Compare(b.stat.Subjects, a.stat.Subjects); c != 0 {
 			return c
 		}
-		return strings.Compare(a.label, b.label)
+		if c := strings.Compare(a.label, b.label); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.stat.Property, b.stat.Property)
 	})
-	out := make([]PropStat, len(rows))
 	for i, r := range rows {
-		out[i] = r.stat
+		stats[i] = r.stat
 	}
-	return out
+	return stats
+}
+
+// ApplyDelta carries the memo across a write the store has just
+// published (res, from Store.Apply). Writes must arrive in the order the
+// store applied them. When the memo is at res.From and the store at
+// res.To, every entry is folded forward from the write's net triples;
+// otherwise — the memo missed a write, another write already followed,
+// or the write touches rdf:type or rdfs:subClassOf and so changes class
+// membership — the memo is dropped and the kernel rebuilds each entry on
+// its next read. A memo already at res.To or later is left alone.
+func (d *Decomposer) ApplyDelta(res store.ApplyResult) {
+	if !res.Changed() {
+		return
+	}
+	snap := d.st.Snapshot()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.generation >= res.To {
+		return
+	}
+	var memo map[memoKey]*memoEntry
+	if d.generation == res.From && snap.Generation() == res.To {
+		memo = foldMemo(snap, d.memo, res)
+	}
+	if memo == nil {
+		memo = make(map[memoKey]*memoEntry)
+	}
+	d.memo, d.generation = memo, res.To
+}
+
+// touch is one (node, property) pair a write changed, seen from the node:
+// Outgoing for a triple's subject, Incoming for its object.
+type touch struct {
+	node, prop rdf.ID
+	dir        Direction
+}
+
+// foldMemo returns memo folded forward over res onto snap (the snapshot
+// at res.To), or nil when the write cannot be folded.
+func foldMemo(snap *store.Snapshot, memo map[memoKey]*memoEntry, res store.ApplyResult) map[memoKey]*memoEntry {
+	// Net triple-count change per touched (node, property, direction),
+	// and the nodes whose rdfs:label changed.
+	net := make(map[touch]int)
+	relabeled := make(map[rdf.ID]bool)
+	add := func(e rdf.EncodedTriple, n int) bool {
+		switch e.P {
+		case snap.TypeID(), snap.SubClassOfID():
+			return false
+		case snap.LabelID():
+			relabeled[e.S] = true
+		}
+		net[touch{e.S, e.P, Outgoing}] += n
+		net[touch{e.O, e.P, Incoming}] += n
+		return true
+	}
+	for _, e := range res.NetInserts {
+		if !add(e, 1) {
+			return nil
+		}
+	}
+	for _, e := range res.NetDeletes {
+		if !add(e, -1) {
+			return nil
+		}
+	}
+	next := make(map[memoKey]*memoEntry, len(memo))
+	for key, e := range memo {
+		next[key] = foldEntry(snap, key, e, net, relabeled)
+	}
+	return next
+}
+
+// foldEntry returns e with net applied, or e itself when the write does
+// not reach it. For each touched node that is a direct instance of the
+// entry's class, a property's triple count moves by the node's net change
+// and its subject count by whether the node now has the property against
+// whether it had it before (now − net triples), which stays exact when
+// one write touches the same (node, property) several times.
+func foldEntry(snap *store.Snapshot, key memoKey, e *memoEntry, net map[touch]int, relabeled map[rdf.ID]bool) *memoEntry {
+	var (
+		stats  []PropStat
+		at     map[rdf.ID]int // property → index in stats
+		resort bool
+	)
+	for t, n := range net {
+		if t.dir != key.dir || !snap.ContainsID(t.node, snap.TypeID(), key.class) {
+			continue
+		}
+		if stats == nil {
+			stats = slices.Clone(e.stats)
+			at = make(map[rdf.ID]int, len(stats))
+			for i, s := range stats {
+				at[s.Property] = i
+			}
+		}
+		now := snap.CardMatch(t.node, t.prop, rdf.NoID)
+		if t.dir == Incoming {
+			now = snap.CardMatch(rdf.NoID, t.prop, t.node)
+		}
+		i, ok := at[t.prop]
+		if !ok {
+			i, resort = len(stats), true
+			at[t.prop] = i
+			//lint:ignore maporder a new stat's position is erased by the re-sort below
+			stats = append(stats, PropStat{Property: t.prop})
+		}
+		stats[i].Triples += n
+		if dSubj := b2i(now > 0) - b2i(now-n > 0); dSubj != 0 {
+			stats[i].Subjects += dSubj
+			resort = true
+		}
+	}
+	// A label change moves a property among those of equal subject count.
+	if slices.ContainsFunc(e.stats, func(s PropStat) bool { return relabeled[s.Property] }) {
+		resort = true
+		if stats == nil {
+			stats = slices.Clone(e.stats)
+		}
+	}
+	if stats == nil {
+		return e
+	}
+	if resort {
+		stats = sortStats(snap, slices.DeleteFunc(stats, func(s PropStat) bool { return s.Subjects == 0 }))
+	}
+	return &memoEntry{stats: stats}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TryExecute answers the query from indexes when it is a recognized
@@ -405,9 +568,10 @@ func (d *Decomposer) TryExecute(q *sparql.Query) (*sparql.Result, bool) {
 	if det.SumVar != "" {
 		res.Vars = append(res.Vars, det.SumVar)
 	}
-	if classID, found := d.st.Dict().Lookup(det.Class); found {
+	snap := d.st.Snapshot()
+	if classID, found := snap.Dict().Lookup(det.Class); found {
 		// A copy of the shared rows: the modifiers sort in place.
-		res.Rows = slices.Clone(d.rows(classID, det))
+		res.Rows = slices.Clone(d.rows(snap, classID, det))
 	}
 	applyModifiers(res, q)
 

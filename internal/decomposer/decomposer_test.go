@@ -3,6 +3,7 @@ package decomposer
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -318,7 +319,7 @@ GROUP BY ?x ?prop} GROUP BY ?prop`
 	}
 	phil, _ := st.Dict().Lookup(ex("Philosopher"))
 	stats := d.PropertyStats(phil, Outgoing)
-	for i, row := range d.rows(phil, Detection{Dir: Outgoing, PropVar: "p", CountVar: "count", SumVar: "sp"}) {
+	for i, row := range d.rows(st.Snapshot(), phil, Detection{Dir: Outgoing, PropVar: "p", CountVar: "count", SumVar: "sp"}) {
 		if row["p"] != st.Dict().Term(stats[i].Property) {
 			t.Fatalf("memoized rows out of stats order at %d", i)
 		}
@@ -457,51 +458,210 @@ func TestDecomposedEqualsGenericUnderDeltas(t *testing.T) {
 		if _, err := st.Apply(delta); err != nil {
 			t.Fatal(err)
 		}
-		snap := st.Snapshot()
-		for c := 0; c < 2; c++ {
-			class := ex(fmt.Sprintf("C%d", c))
-			for _, incoming := range []bool{false, true} {
-				q, err := sparql.Parse(core.PropertyExpansionSPARQL(class, incoming))
-				if err != nil {
-					t.Fatal(err)
-				}
-				fast, ok := d.TryExecute(q)
-				if !ok {
-					t.Fatal("not decomposed")
-				}
-				slow, err := eng.Execute(context.Background(), q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameRows(t, fast, slow)
+		checkExpansions(t, fmt.Sprintf("step %d", step), st, d, eng)
+	}
+}
 
-				cid, ok := st.Dict().Lookup(class)
-				if !ok {
-					continue
+// checkExpansions asserts, for both directions of classes C0 and C1, that
+// TryExecute's rows for the explorer's property-expansion SPARQL equal the
+// generic engine's, and that PropertyStats equals the oracle walk and is
+// ordered by subject count, then label, then property ID.
+func checkExpansions(t *testing.T, at string, st *store.Store, d *Decomposer, eng *sparql.Engine) {
+	t.Helper()
+	snap := st.Snapshot()
+	for c := 0; c < 2; c++ {
+		class := ex(fmt.Sprintf("C%d", c))
+		for _, dir := range []Direction{Outgoing, Incoming} {
+			q, err := sparql.Parse(core.PropertyExpansionSPARQL(class, dir == Incoming))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fast, ok := d.TryExecute(q)
+			if !ok {
+				t.Fatal("not decomposed")
+			}
+			slow, err := eng.Execute(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameRows(t, fast, slow)
+
+			cid, ok := st.Dict().Lookup(class)
+			if !ok {
+				continue
+			}
+			stats := d.PropertyStats(cid, dir)
+			want := oracleStats(snap, cid, dir)
+			if len(stats) != len(want) {
+				t.Fatalf("%s %v %v: %d stats, oracle %d", at, class, dir, len(stats), len(want))
+			}
+			for _, s := range stats {
+				if want[s.Property] != s {
+					t.Fatalf("%s %v %v: %+v, oracle %+v", at, class, dir, s, want[s.Property])
 				}
-				dir := Outgoing
-				if incoming {
-					dir = Incoming
+			}
+			if !sort.SliceIsSorted(stats, func(i, j int) bool {
+				a, b := stats[i], stats[j]
+				if a.Subjects != b.Subjects {
+					return a.Subjects > b.Subjects
 				}
-				stats := d.PropertyStats(cid, dir)
-				want := oracleStats(snap, cid, dir)
-				if len(stats) != len(want) {
-					t.Fatalf("step %d %v %v: %d stats, oracle %d", step, class, dir, len(stats), len(want))
+				if la, lb := snap.Label(a.Property), snap.Label(b.Property); la != lb {
+					return la < lb
 				}
-				for _, s := range stats {
-					if want[s.Property] != s {
-						t.Fatalf("step %d %v %v: %+v, oracle %+v", step, class, dir, s, want[s.Property])
-					}
+				return a.Property < b.Property
+			}) {
+				t.Fatalf("%s %v %v: stats not ordered by subjects, then label, then ID", at, class, dir)
+			}
+		}
+	}
+}
+
+// TestMaintainedMemoEqualsOracleUnderDeltas is the maintenance
+// differential: every delta is handed to Decomposer.ApplyDelta, and
+// checkExpansions fills all four memo entries after each one, so the
+// next delta folds them. Only every ninth delta carries an rdf:type op
+// (which must drop the memo); every other one must keep it. The deltas
+// cover plain folds, a property's first appearance and its fall to zero,
+// several ops on one (node, property), an insert and a delete of one
+// (node, property) together, rdfs:label ops on the properties the entries
+// hold, and a batch large enough to fold the store.
+func TestMaintainedMemoEqualsOracleUnderDeltas(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	node := func() rdf.Term { return ex(fmt.Sprintf("n%d", r.Intn(40))) }
+	prop := func() rdf.Term { return ex(fmt.Sprintf("p%d", r.Intn(6))) }
+	class := func() rdf.Term { return ex(fmt.Sprintf("C%d", r.Intn(2))) }
+	rare := ex("rare")
+
+	st := store.New(1024)
+	var initial []rdf.Triple
+	for i := 0; i < 36; i++ { // n36..n39 start untyped
+		initial = append(initial, rdf.Triple{S: ex(fmt.Sprintf("n%d", i)), P: rdf.TypeIRI, O: class()})
+	}
+	for i := 0; i < 300; i++ {
+		initial = append(initial, rdf.Triple{S: node(), P: prop(), O: node()})
+	}
+	if _, err := st.Load(initial); err != nil {
+		t.Fatal(err)
+	}
+	d := New(st)
+	eng := sparql.NewEngine(st)
+	// matching returns the live triples with predicate p (any when p is
+	// the zero term), never rdf:type ones.
+	matching := func(p rdf.Term) []rdf.Triple {
+		var out []rdf.Triple
+		st.Snapshot().Scan(0, 0, func(e rdf.EncodedTriple) bool {
+			if tr := st.Triple(e); tr.P != rdf.TypeIRI && (p == rdf.Term{} || tr.P == p) {
+				out = append(out, tr)
+			}
+			return true
+		})
+		return out
+	}
+	pick := func(ts []rdf.Triple) rdf.Triple { return ts[r.Intn(len(ts))] }
+	checkExpansions(t, "initial", st, d, eng)
+
+	folded := 0
+	for step := 0; step < 160; step++ {
+		var delta store.Delta
+		typeOp := step%9 == 8
+		switch kind := step % 6; {
+		case step%40 == 39: // past the delta bound: the store folds
+			for k := 0; k < 1500; k++ {
+				delta.Insert(rdf.Triple{S: node(), P: prop(), O: node()})
+			}
+		case kind == 0: // plain inserts and deletes
+			for k := 1 + r.Intn(5); k > 0; k-- {
+				if r.Intn(2) == 0 {
+					delta.Delete(pick(matching(rdf.Term{})))
+				} else {
+					delta.Insert(rdf.Triple{S: node(), P: prop(), O: node()})
 				}
-				if !sort.SliceIsSorted(stats, func(i, j int) bool {
-					if stats[i].Subjects != stats[j].Subjects {
-						return stats[i].Subjects > stats[j].Subjects
-					}
-					return snap.Label(stats[i].Property) < snap.Label(stats[j].Property)
-				}) {
-					t.Fatalf("step %d %v %v: stats not ordered by subjects, then label", step, class, dir)
+			}
+		case kind == 1: // one (node, property) several times
+			s, p := node(), prop()
+			delta.Insert(rdf.Triple{S: s, P: p, O: node()}, rdf.Triple{S: s, P: p, O: node()})
+			if ts := matching(p); len(ts) > 0 {
+				delta.Delete(pick(ts))
+			}
+		case kind == 2: // insert and delete of one (node, property)
+			old := pick(matching(rdf.Term{}))
+			delta.Delete(old)
+			delta.Insert(rdf.Triple{S: old.S, P: old.P, O: node()})
+		case kind == 3: // relabel the properties the entries hold
+			for k := 1 + r.Intn(3); k > 0; k-- {
+				delta.Insert(rdf.Triple{S: prop(), P: rdf.LabelIRI, O: rdf.NewLiteral(fmt.Sprintf("L%d", r.Intn(4)))})
+			}
+			if ts := matching(rdf.LabelIRI); len(ts) > 0 {
+				delta.Delete(pick(ts))
+			}
+		default: // a property's first appearance, or its fall to zero
+			if ts := matching(rare); len(ts) > 0 {
+				delta.Delete(ts...)
+			} else {
+				delta.Insert(rdf.Triple{S: node(), P: rare, O: node()}, rdf.Triple{S: node(), P: rare, O: node()})
+			}
+		}
+		if typeOp { // always effective: flip one membership
+			tr := rdf.Triple{S: node(), P: rdf.TypeIRI, O: class()}
+			if st.ContainsTriple(tr) {
+				delta.Delete(tr)
+			} else {
+				delta.Insert(tr)
+			}
+		}
+
+		before := maps.Clone(d.memo)
+		res, err := st.Apply(delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.ApplyDelta(res)
+		switch {
+		case !res.Changed():
+		case typeOp:
+			if len(d.memo) != 0 {
+				t.Fatalf("step %d: a delta with rdf:type ops kept the memo", step)
+			}
+		case len(d.memo) != len(before) || d.generation != res.To:
+			t.Fatalf("step %d: memo of %d entries not carried to generation %d: %d entries at %d",
+				step, len(before), res.To, len(d.memo), d.generation)
+		default:
+			for k, e := range d.memo {
+				if before[k] != e {
+					folded++
+					break
 				}
 			}
 		}
+		checkExpansions(t, fmt.Sprintf("step %d", step), st, d, eng)
+	}
+	if folded < 100 {
+		t.Fatalf("only %d of 160 deltas changed a maintained entry", folded)
+	}
+}
+
+// TestMemoNeverRollsBack: a read on a snapshot older than the memo —
+// one bound before a write the memo has already folded — gets that
+// snapshot's stats without replacing the memo or its generation.
+func TestMemoNeverRollsBack(t *testing.T) {
+	st := fixture(t)
+	d := New(st)
+	phil, _ := st.Dict().Lookup(ex("Philosopher"))
+	old := st.Snapshot()
+	before := d.PropertyStats(phil, Outgoing)
+	res, err := st.Apply(store.DeltaOf(rdf.Insert(rdf.Triple{S: ex("plato"), P: ex("diedIn"), O: ex("athens")})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.ApplyDelta(res)
+	folded := d.memo[memoKey{phil, Outgoing}]
+	if folded == nil || len(folded.stats) != len(before)+1 {
+		t.Fatalf("write not folded into the memo: %+v", folded)
+	}
+	if got := d.entry(old, phil, Outgoing).stats; !reflect.DeepEqual(got, before) {
+		t.Fatalf("stale read = %+v, want the old snapshot's %+v", got, before)
+	}
+	if d.generation != res.To || d.memo[memoKey{phil, Outgoing}] != folded {
+		t.Fatalf("stale read rolled the memo back to generation %d", d.generation)
 	}
 }

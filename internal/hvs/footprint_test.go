@@ -59,11 +59,10 @@ func TestApplyDeltaRetainsDisjoint(t *testing.T) {
 }
 
 // TestApplyDeltaNilFootprintEvicted: entries recorded without a
-// footprint (Record, or restored from an old snapshot) are treated as
-// wild and evicted by any delta.
+// footprint are treated as wild and evicted by any delta.
 func TestApplyDeltaNilFootprintEvicted(t *testing.T) {
 	s := New(time.Millisecond)
-	s.Record("q", res("a"), time.Second, 1)
+	s.RecordFootprint("q", res("a"), time.Second, 1, nil)
 	retained, evicted := s.ApplyDelta(1, 2, opsFor(triple("s", "pZ", "o")))
 	if retained != 0 || evicted != 1 {
 		t.Fatalf("ApplyDelta = (%d, %d), want (0, 1)", retained, evicted)
@@ -243,7 +242,7 @@ func TestFootprintSurvivesSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := New(time.Millisecond)
-	if err := restored.Restore(&buf); err != nil {
+	if err := restored.Restore(&buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	if retained, evicted := restored.ApplyDelta(1, 2, opsFor(triple("s", "pZ", "o"))); retained != 1 || evicted != 0 {

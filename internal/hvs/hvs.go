@@ -13,8 +13,14 @@
 // Beyond the paper, the store is production-bounded: every entry carries
 // an approximate byte cost, and an optional byte budget (MaxBytes) evicts
 // in LRU order when the cache would outgrow it, so heavy traffic cannot
-// grow the HVS past its memory allowance. Generation-based invalidation
-// is unchanged and always wins over recency.
+// grow the HVS past its memory allowance.
+//
+// The cache's generation only moves forward. A Lookup or Record at a
+// newer generation clears the cache (the paper's rule, needed for writes
+// the cache never saw); one at an older generation — a slow request that
+// started before a write — misses or is dropped and never clears or rolls
+// the cache back. ApplyDelta, called in write order by the proxy, keeps
+// entries whose footprint the write does not touch.
 package hvs
 
 import (
@@ -60,7 +66,7 @@ type Stats struct {
 	Misses int
 	// Stores counts results recorded as heavy.
 	Stores int
-	// Evictions counts entries removed to satisfy MaxEntries or MaxBytes.
+	// Evictions counts entries removed to satisfy MaxBytes.
 	Evictions int
 	// Invalidations counts whole-store clears.
 	Invalidations int
@@ -94,10 +100,6 @@ type Store struct {
 	hits, misses, stores, evictions, invalidations int
 	deltaEvictions, deltaRetained                  int
 
-	// MaxEntries bounds the cache size; 0 means unlimited. When full, the
-	// least-hit entry is evicted (heavy queries are few, so a simple scan
-	// suffices).
-	MaxEntries int
 	// MaxBytes bounds the approximate total byte cost of cached results;
 	// 0 means unlimited. Exceeding it evicts least-recently-used entries
 	// until the budget holds again. A single result larger than the whole
@@ -164,14 +166,18 @@ func SolutionBytes(row sparql.Solution) int64 {
 }
 
 // Lookup returns a cached result for the query under the given KB
-// generation. A generation different from the one the cache was filled at
-// clears the store first ("The HVS is cleared on any update"). A hit
-// refreshes the entry's recency for LRU byte-budget eviction.
+// generation. A generation newer than the cache's clears the store first
+// ("The HVS is cleared on any update"); an older one misses without
+// touching the cache. A hit refreshes the entry's recency for LRU
+// byte-budget eviction.
 func (s *Store) Lookup(query string, generation uint64) (*sparql.Result, bool) {
 	key := Normalize(query)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ensureGenerationLocked(generation)
+	if !s.admitLocked(generation) {
+		s.misses++
+		return nil, false
+	}
 	e, ok := s.entries[key]
 	if !ok {
 		s.misses++
@@ -183,21 +189,16 @@ func (s *Store) Lookup(query string, generation uint64) (*sparql.Result, bool) {
 	return e.Result, true
 }
 
-// Record reports an executed query with its observed runtime. The result
-// is stored only when the runtime exceeds the threshold. It returns
-// whether the query was classified heavy.
+// RecordFootprint reports an executed query with its observed runtime and
+// the generation it was computed at. The result is stored only when the
+// runtime reaches the threshold and the generation is not older than the
+// cache's; it returns whether the query was classified heavy. The
+// footprint lets the entry survive delta-aware invalidation (ApplyDelta)
+// for mutations disjoint from it; a nil footprint is evicted by any delta.
 //
 // The byte-cost walk over the result happens before the store lock is
 // taken: a multi-megabyte result must not stall every concurrent Lookup
 // (the hot tier-1 path) while its cost is computed.
-func (s *Store) Record(query string, res *sparql.Result, runtime time.Duration, generation uint64) bool {
-	return s.RecordFootprint(query, res, runtime, generation, nil)
-}
-
-// RecordFootprint is Record with a dependency footprint attached to the
-// stored entry, enabling the entry to survive delta-aware invalidation
-// (ApplyDelta) for mutations disjoint from the footprint. A nil footprint
-// stores a wholesale-invalidated entry, exactly like Record.
 func (s *Store) RecordFootprint(query string, res *sparql.Result, runtime time.Duration, generation uint64, fp *sparql.Footprint) bool {
 	key := Normalize(query)
 	if runtime < s.Threshold() {
@@ -206,16 +207,13 @@ func (s *Store) RecordFootprint(query string, res *sparql.Result, runtime time.D
 	bytes := ResultBytes(res)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ensureGenerationLocked(generation)
+	if !s.admitLocked(generation) {
+		return true // heavy, but computed before a write the cache has seen
+	}
 	if s.MaxBytes > 0 && bytes > s.MaxBytes {
 		// Heavy, but too large to ever fit the budget: classify without
 		// storing rather than flushing the whole cache for one result.
 		return true
-	}
-	if s.MaxEntries > 0 && len(s.entries) >= s.MaxEntries {
-		if _, exists := s.entries[key]; !exists {
-			s.evictColdestLocked()
-		}
 	}
 	if old, exists := s.entries[key]; exists {
 		s.totalBytes -= old.Bytes
@@ -267,17 +265,20 @@ func (s *Store) evictOverBudgetLocked(keep *list.Element) {
 	}
 }
 
-// ensureGenerationLocked clears the cache if the KB generation moved.
-func (s *Store) ensureGenerationLocked(generation uint64) {
-	if s.haveGen && s.generation == generation {
-		return
+// admitLocked moves the cache forward to generation, clearing it when the
+// generation is newer than the contents, and reports whether generation
+// is current. An older generation is stale: it neither clears nor rolls
+// the cache back.
+func (s *Store) admitLocked(generation uint64) bool {
+	switch {
+	case !s.haveGen:
+	case generation < s.generation:
+		return false
+	case generation > s.generation:
+		s.clearCountedLocked()
 	}
-	if s.haveGen && len(s.entries) > 0 {
-		s.clearLocked()
-		s.invalidations++
-	}
-	s.generation = generation
-	s.haveGen = true
+	s.generation, s.haveGen = generation, true
+	return true
 }
 
 // clearLocked resets the entries, the LRU order, and the byte accounting.
@@ -288,24 +289,12 @@ func (s *Store) clearLocked() {
 	s.totalBytes = 0
 }
 
-// evictColdestLocked removes the least-hit entry. A found flag tracks
-// whether any entry was seen: the empty string is a legitimate key (a
-// whitespace-only query normalizes to ""), so it cannot double as the
-// "no entry" sentinel without letting the cache exceed MaxEntries.
-func (s *Store) evictColdestLocked() {
-	var coldKey string
-	found := false
-	coldHits := 0
-	for k, e := range s.entries {
-		if !found || e.Hits < coldHits {
-			found = true
-			coldHits = e.Hits
-			coldKey = k
-		}
-	}
-	if found {
-		s.removeLocked(coldKey)
-		s.evictions++
+// clearCountedLocked is a wholesale invalidation: clearLocked, counted
+// when it dropped anything.
+func (s *Store) clearCountedLocked() {
+	if len(s.entries) > 0 {
+		s.clearLocked()
+		s.invalidations++
 	}
 }
 
@@ -313,22 +302,22 @@ func (s *Store) evictColdestLocked() {
 // the KB generation from 'from' to 'to': entries whose footprint is
 // disjoint from the mutated triples survive and are re-tagged to the new
 // generation; entries whose footprint overlaps (or is nil/wild) are
-// evicted. When the cache's contents do not belong to generation 'from'
-// — an update raced another writer, or the cache was filled elsewhere —
-// provenance is unknown and the paper's wholesale clear applies.
+// evicted. A cache already at 'to' or later has nothing to learn from the
+// delta (a reader at the new generation got there first) and is left
+// alone. A cache at any other generation missed a write, so provenance is
+// unknown and the paper's wholesale clear applies.
 //
 // It returns how many entries were retained and evicted.
 func (s *Store) ApplyDelta(from, to uint64, ops []rdf.TripleOp) (retained, evicted int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.haveGen && s.generation >= to {
+		return 0, 0
+	}
 	if !s.haveGen || s.generation != from {
 		n := len(s.entries)
-		if n > 0 {
-			s.clearLocked()
-			s.invalidations++
-		}
-		s.generation = to
-		s.haveGen = true
+		s.clearCountedLocked()
+		s.generation, s.haveGen = to, true
 		return 0, n
 	}
 	// Collect first, then remove: removeLocked mutates s.entries. The

@@ -27,13 +27,13 @@ func TestNormalize(t *testing.T) {
 
 func TestThresholdGating(t *testing.T) {
 	s := New(time.Second)
-	if s.Record("q1", res("a"), 500*time.Millisecond, 1) {
+	if s.RecordFootprint("q1", res("a"), 500*time.Millisecond, 1, nil) {
 		t.Error("sub-threshold query stored")
 	}
 	if s.Len() != 0 {
 		t.Error("store should be empty")
 	}
-	if !s.Record("q1", res("a"), 2*time.Second, 1) {
+	if !s.RecordFootprint("q1", res("a"), 2*time.Second, 1, nil) {
 		t.Error("heavy query not stored")
 	}
 	got, ok := s.Lookup("q1", 1)
@@ -56,7 +56,7 @@ func TestDefaultThreshold(t *testing.T) {
 
 func TestLookupNormalizesKeys(t *testing.T) {
 	s := New(time.Millisecond)
-	s.Record("SELECT ?s WHERE { ?s ?p ?o }", res("a"), time.Second, 1)
+	s.RecordFootprint("SELECT ?s WHERE { ?s ?p ?o }", res("a"), time.Second, 1, nil)
 	if _, ok := s.Lookup("SELECT  ?s\nWHERE  { ?s ?p ?o }", 1); !ok {
 		t.Error("whitespace variant missed the cache")
 	}
@@ -64,7 +64,7 @@ func TestLookupNormalizesKeys(t *testing.T) {
 
 func TestGenerationInvalidation(t *testing.T) {
 	s := New(time.Millisecond)
-	s.Record("q", res("a"), time.Second, 1)
+	s.RecordFootprint("q", res("a"), time.Second, 1, nil)
 	if _, ok := s.Lookup("q", 1); !ok {
 		t.Fatal("warm lookup missed")
 	}
@@ -83,8 +83,8 @@ func TestGenerationInvalidation(t *testing.T) {
 
 func TestRecordAtNewGenerationClears(t *testing.T) {
 	s := New(time.Millisecond)
-	s.Record("q1", res("a"), time.Second, 1)
-	s.Record("q2", res("b"), time.Second, 2) // generation moved
+	s.RecordFootprint("q1", res("a"), time.Second, 1, nil)
+	s.RecordFootprint("q2", res("b"), time.Second, 2, nil) // generation moved
 	if s.Len() != 1 {
 		t.Errorf("entries = %d, want 1 (q1 invalidated)", s.Len())
 	}
@@ -96,10 +96,62 @@ func TestRecordAtNewGenerationClears(t *testing.T) {
 	}
 }
 
+// TestLookupAtOlderGenerationMisses: a request that read the generation
+// before a write and looks up after the cache moved on misses, and
+// neither clears the cache nor rolls it back.
+func TestLookupAtOlderGenerationMisses(t *testing.T) {
+	s := New(time.Millisecond)
+	s.RecordFootprint("q1", res("a"), time.Second, 2, nil)
+	s.RecordFootprint("q2", res("b"), time.Second, 2, nil)
+	if _, ok := s.Lookup("q1", 1); ok {
+		t.Fatal("entry of generation 2 served at generation 1")
+	}
+	if s.Len() != 2 || s.Stats().Invalidations != 0 {
+		t.Fatalf("stale lookup cleared the cache: len=%d stats=%+v", s.Len(), s.Stats())
+	}
+	if _, ok := s.Lookup("q2", 2); !ok {
+		t.Fatal("stale lookup rolled the cache back")
+	}
+}
+
+// TestRecordAtOlderGenerationDropped: a result computed before a write
+// the cache has already seen is classified heavy but never stored, and
+// the cache keeps its generation.
+func TestRecordAtOlderGenerationDropped(t *testing.T) {
+	s := New(time.Millisecond)
+	s.RecordFootprint("q1", res("a"), time.Second, 2, nil)
+	if !s.RecordFootprint("q2", res("old"), time.Second, 1, nil) {
+		t.Error("stale heavy result not classified heavy")
+	}
+	if _, ok := s.Entry("q2"); ok {
+		t.Fatal("result of generation 1 stored in a generation-2 cache")
+	}
+	if _, ok := s.Lookup("q1", 2); !ok || s.Stats().Invalidations != 0 {
+		t.Fatal("stale record cleared the cache or moved its generation")
+	}
+}
+
+// TestApplyDeltaBehindCacheIsIgnored: a delta whose target generation the
+// cache already reached (a reader at the new generation got there first,
+// or the deltas arrived out of order) neither clears nor rolls back.
+func TestApplyDeltaBehindCacheIsIgnored(t *testing.T) {
+	s := New(time.Millisecond)
+	s.RecordFootprint("q", res("a"), time.Second, 3, nil)
+	if retained, evicted := s.ApplyDelta(1, 3, opsFor(triple("s", "p", "o"))); retained != 0 || evicted != 0 {
+		t.Fatalf("ApplyDelta(1, 3) at generation 3 = (%d, %d), want (0, 0)", retained, evicted)
+	}
+	if retained, evicted := s.ApplyDelta(0, 1, opsFor(triple("s", "p", "o"))); retained != 0 || evicted != 0 {
+		t.Fatalf("ApplyDelta(0, 1) at generation 3 = (%d, %d), want (0, 0)", retained, evicted)
+	}
+	if _, ok := s.Lookup("q", 3); !ok {
+		t.Fatal("late delta cleared the cache or rolled it back")
+	}
+}
+
 func TestStatsCounters(t *testing.T) {
 	s := New(time.Millisecond)
 	s.Lookup("missing", 1)
-	s.Record("q", res("a"), time.Second, 1)
+	s.RecordFootprint("q", res("a"), time.Second, 1, nil)
 	s.Lookup("q", 1)
 	s.Lookup("q", 1)
 	st := s.Stats()
@@ -112,48 +164,25 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-func TestEviction(t *testing.T) {
-	s := New(time.Millisecond)
-	s.MaxEntries = 2
-	s.Record("q1", res("a"), time.Second, 1)
-	s.Record("q2", res("b"), time.Second, 1)
-	s.Lookup("q1", 1) // q1 now hot
-	s.Record("q3", res("c"), time.Second, 1)
-	if s.Len() != 2 {
-		t.Fatalf("entries = %d, want 2", s.Len())
-	}
-	if _, ok := s.Entry("q2"); ok {
-		t.Error("coldest entry q2 should have been evicted")
-	}
-	if _, ok := s.Entry("q1"); !ok {
-		t.Error("hot entry q1 evicted")
-	}
-	// Overwriting an existing key when full must not evict.
-	s.Record("q1", res("a2"), time.Second, 1)
-	if s.Len() != 2 {
-		t.Errorf("overwrite changed size: %d", s.Len())
-	}
-}
-
-// TestEvictionEmptyKey is the regression test for the "" sentinel bug: a
-// whitespace-only query normalizes to the empty string, which is a
-// legitimate cache key; when it is also the coldest entry, eviction must
-// still happen, or the cache exceeds MaxEntries.
+// TestEvictionEmptyKey: a whitespace-only query normalizes to the empty
+// string, which is a legitimate cache key; when it is also the least
+// recently used entry, byte-budget eviction must still remove it, or the
+// cache outgrows its budget.
 func TestEvictionEmptyKey(t *testing.T) {
 	s := New(time.Millisecond)
-	s.MaxEntries = 2
-	s.Record("   ", res("empty"), time.Second, 1) // key normalizes to ""
+	s.MaxBytes = 2*ResultBytes(res("a")) + ResultBytes(res("a"))/2 // room for two
+	s.RecordFootprint("   ", res("a"), time.Second, 1, nil)        // key normalizes to ""
 	if _, ok := s.Entry(""); !ok {
 		t.Fatal("whitespace-only query not cached under the empty key")
 	}
-	s.Record("q1", res("a"), time.Second, 1)
-	s.Lookup("q1", 1) // "" is now the coldest entry
-	s.Record("q2", res("b"), time.Second, 1)
+	s.RecordFootprint("q1", res("a"), time.Second, 1, nil)
+	s.Lookup("q1", 1) // "" is now the least recently used entry
+	s.RecordFootprint("q2", res("b"), time.Second, 1, nil)
 	if s.Len() != 2 {
 		t.Fatalf("entries = %d, want 2 (empty-key entry not evicted)", s.Len())
 	}
 	if _, ok := s.Entry(""); ok {
-		t.Error("coldest entry (empty key) should have been evicted")
+		t.Error("least recently used entry (empty key) should have been evicted")
 	}
 	if _, ok := s.Entry("q2"); !ok {
 		t.Error("new entry q2 missing")
@@ -183,7 +212,7 @@ func TestConcurrentGenerationChurn(t *testing.T) {
 				cur := gen
 				mu.Unlock()
 				q := fmt.Sprintf("q%d", i%5)
-				s.Record(q, res(fmt.Sprintf("%s@gen%d", q, cur)), time.Second, cur)
+				s.RecordFootprint(q, res(fmt.Sprintf("%s@gen%d", q, cur)), time.Second, cur, nil)
 				if got, ok := s.Lookup(q, cur); ok {
 					want := fmt.Sprintf("http://x/%s@gen%d", q, cur)
 					if v := got.Rows[0]["x"].Value; v != want {
@@ -209,7 +238,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				q := fmt.Sprintf("q%d", i%10)
-				s.Record(q, res(q), time.Second, 1)
+				s.RecordFootprint(q, res(q), time.Second, 1, nil)
 				s.Lookup(q, 1)
 			}
 		}(g)
@@ -252,12 +281,12 @@ func TestByteBudgetLRUEviction(t *testing.T) {
 	one := ResultBytes(resN("a", 10))
 	s.MaxBytes = 2*one + one/2 // room for two entries, not three
 
-	s.Record("q1", resN("a", 10), time.Second, 1)
-	s.Record("q2", resN("b", 10), time.Second, 1)
+	s.RecordFootprint("q1", resN("a", 10), time.Second, 1, nil)
+	s.RecordFootprint("q2", resN("b", 10), time.Second, 1, nil)
 	if _, ok := s.Lookup("q1", 1); !ok { // q1 is now the most recent
 		t.Fatal("q1 missing before eviction")
 	}
-	s.Record("q3", resN("c", 10), time.Second, 1)
+	s.RecordFootprint("q3", resN("c", 10), time.Second, 1, nil)
 
 	if _, ok := s.Entry("q2"); ok {
 		t.Error("q2 (least recently used) should have been evicted")
@@ -284,9 +313,9 @@ func TestByteBudgetChainEviction(t *testing.T) {
 	small := ResultBytes(resN("a", 5))
 	s.MaxBytes = 4 * small
 	for i := 0; i < 4; i++ {
-		s.Record(fmt.Sprintf("q%d", i), resN("a", 5), time.Second, 1)
+		s.RecordFootprint(fmt.Sprintf("q%d", i), resN("a", 5), time.Second, 1, nil)
 	}
-	s.Record("big", resN("b", 15), time.Second, 1)
+	s.RecordFootprint("big", resN("b", 15), time.Second, 1, nil)
 	if _, ok := s.Entry("big"); !ok {
 		t.Fatal("big entry not stored")
 	}
@@ -303,8 +332,8 @@ func TestByteBudgetChainEviction(t *testing.T) {
 func TestByteBudgetGenerationStillWins(t *testing.T) {
 	s := New(time.Millisecond)
 	s.MaxBytes = 1 << 20
-	s.Record("q1", resN("a", 10), time.Second, 1)
-	s.Record("q2", resN("b", 10), time.Second, 1)
+	s.RecordFootprint("q1", resN("a", 10), time.Second, 1, nil)
+	s.RecordFootprint("q2", resN("b", 10), time.Second, 1, nil)
 	s.Lookup("q1", 1)
 	if _, ok := s.Lookup("q1", 2); ok { // KB update
 		t.Fatal("stale entry served after generation move")
@@ -316,7 +345,7 @@ func TestByteBudgetGenerationStillWins(t *testing.T) {
 		t.Errorf("invalidations = %d, want 1", st.Invalidations)
 	}
 	// The cache keeps working at the new generation under the budget.
-	s.Record("q3", resN("c", 10), time.Second, 2)
+	s.RecordFootprint("q3", resN("c", 10), time.Second, 2, nil)
 	if _, ok := s.Lookup("q3", 2); !ok {
 		t.Error("cache dead after invalidation")
 	}
@@ -327,7 +356,7 @@ func TestByteBudgetGenerationStillWins(t *testing.T) {
 func TestOversizedEntryNotStored(t *testing.T) {
 	s := New(time.Millisecond)
 	s.MaxBytes = 128
-	if !s.Record("huge", resN("a", 1000), time.Second, 1) {
+	if !s.RecordFootprint("huge", resN("a", 1000), time.Second, 1, nil) {
 		t.Error("oversized result should still classify heavy")
 	}
 	if s.Len() != 0 {
@@ -352,7 +381,7 @@ func TestByteBudgetConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				q := fmt.Sprintf("q%d", (g+i)%8)
-				s.Record(q, resN("a", 10), time.Second, 1)
+				s.RecordFootprint(q, resN("a", 10), time.Second, 1, nil)
 				s.Lookup(q, 1)
 			}
 		}(g)

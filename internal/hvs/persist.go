@@ -45,12 +45,15 @@ func (s *Store) Snapshot(w io.Writer) error {
 }
 
 // Restore replaces the cache contents from a snapshot, keeping the
-// store's current threshold. The snapshot's generation is kept so that
-// the first Lookup against a changed KB still invalidates correctly.
+// store's current threshold. generation is the KB generation the caller
+// serves now: the entries are kept only when the snapshot was taken at
+// exactly that generation, and otherwise the cache starts empty there —
+// the generation only moves forward afterwards, so a snapshot from
+// another history must not wait in the cache for the KB to reach its tag.
 // The LRU order and byte accounting are rebuilt (snapshots written before
 // byte accounting existed get their costs recomputed), and a configured
 // byte budget is enforced immediately.
-func (s *Store) Restore(r io.Reader) error {
+func (s *Store) Restore(r io.Reader, generation uint64) error {
 	var doc snapshotDoc
 	if err := gob.NewDecoder(r).Decode(&doc); err != nil {
 		return fmt.Errorf("hvs: decoding snapshot: %w", err)
@@ -64,6 +67,10 @@ func (s *Store) Restore(r io.Reader) error {
 		doc.Entries = map[string]*Entry{}
 	}
 	s.clearLocked()
+	s.generation, s.haveGen = generation, true
+	if !doc.HaveGen || doc.Generation != generation {
+		return nil
+	}
 	s.entries = doc.Entries
 	for key, e := range s.entries {
 		if e.Bytes == 0 {
@@ -73,7 +80,5 @@ func (s *Store) Restore(r io.Reader) error {
 		s.touchLocked(key)
 	}
 	s.evictOverBudgetLocked(nil)
-	s.generation = doc.Generation
-	s.haveGen = doc.HaveGen
 	return nil
 }

@@ -9,8 +9,8 @@ import (
 
 func TestSnapshotRestoreRoundtrip(t *testing.T) {
 	s := New(time.Millisecond)
-	s.Record("q1", res("a"), time.Second, 7)
-	s.Record("q2", res("b"), 2*time.Second, 7)
+	s.RecordFootprint("q1", res("a"), time.Second, 7, nil)
+	s.RecordFootprint("q2", res("b"), 2*time.Second, 7, nil)
 	s.Lookup("q1", 7)
 
 	var buf bytes.Buffer
@@ -19,7 +19,7 @@ func TestSnapshotRestoreRoundtrip(t *testing.T) {
 	}
 
 	restored := New(time.Millisecond)
-	if err := restored.Restore(&buf); err != nil {
+	if err := restored.Restore(&buf, 7); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Len() != 2 {
@@ -37,27 +37,35 @@ func TestSnapshotRestoreRoundtrip(t *testing.T) {
 
 func TestRestoreInvalidatesOnGenerationMismatch(t *testing.T) {
 	s := New(time.Millisecond)
-	s.Record("q", res("a"), time.Second, 7)
+	s.RecordFootprint("q", res("a"), time.Second, 7, nil)
 	var buf bytes.Buffer
 	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored := New(time.Millisecond)
-	if err := restored.Restore(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// KB moved on while we were down: the restored entries must clear.
-	if _, ok := restored.Lookup("q", 8); ok {
-		t.Error("stale snapshot entry served after KB update")
-	}
-	if restored.Len() != 0 {
-		t.Error("stale entries kept")
+	// The KB moved on while we were down (8), or the snapshot belongs to
+	// another history (5): either way the restored entries must go, and
+	// the cache must work at the KB's generation.
+	for _, gen := range []uint64{8, 5} {
+		restored := New(time.Millisecond)
+		if err := restored.Restore(bytes.NewReader(buf.Bytes()), gen); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := restored.Lookup("q", gen); ok {
+			t.Errorf("generation %d: stale snapshot entry served", gen)
+		}
+		if restored.Len() != 0 {
+			t.Errorf("generation %d: stale entries kept", gen)
+		}
+		restored.RecordFootprint("q", res("b"), time.Second, gen, nil)
+		if _, ok := restored.Lookup("q", gen); !ok {
+			t.Errorf("generation %d: cache dead after restore", gen)
+		}
 	}
 }
 
 func TestRestoreRejectsGarbage(t *testing.T) {
 	s := New(time.Millisecond)
-	if err := s.Restore(strings.NewReader("not a gob stream")); err == nil {
+	if err := s.Restore(strings.NewReader("not a gob stream"), 0); err == nil {
 		t.Error("garbage accepted")
 	}
 }
@@ -69,7 +77,7 @@ func TestSnapshotEmptyStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := New(time.Millisecond)
-	if err := restored.Restore(&buf); err != nil {
+	if err := restored.Restore(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Len() != 0 {
@@ -81,14 +89,14 @@ func TestSnapshotIsolation(t *testing.T) {
 	// Mutating the live store after Snapshot must not corrupt the bytes
 	// already produced, and restored entries must be independent copies.
 	s := New(time.Millisecond)
-	s.Record("q", res("a"), time.Second, 1)
+	s.RecordFootprint("q", res("a"), time.Second, 1, nil)
 	var buf bytes.Buffer
 	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	s.Lookup("q", 2) // the generation moved: the live store clears
 	restored := New(time.Millisecond)
-	if err := restored.Restore(&buf); err != nil {
+	if err := restored.Restore(&buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Len() != 1 {
@@ -106,7 +114,7 @@ func TestSnapshotIsolation(t *testing.T) {
 func TestRestoreRebuildsByteAccounting(t *testing.T) {
 	s := New(time.Millisecond)
 	for _, q := range []string{"q1", "q2", "q3"} {
-		s.Record(q, resN(q, 10), time.Second, 1)
+		s.RecordFootprint(q, resN(q, 10), time.Second, 1, nil)
 	}
 	wantBytes := s.Bytes()
 	if wantBytes <= 0 {
@@ -120,7 +128,7 @@ func TestRestoreRebuildsByteAccounting(t *testing.T) {
 	restored := New(time.Millisecond)
 	one := ResultBytes(resN("q1", 10))
 	restored.MaxBytes = 2 * one // tighter than the snapshot's contents
-	if err := restored.Restore(&buf); err != nil {
+	if err := restored.Restore(&buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Len() != 2 {
@@ -131,7 +139,7 @@ func TestRestoreRebuildsByteAccounting(t *testing.T) {
 	}
 	// The surviving entries keep working: a lookup hit refreshes recency
 	// and further records evict in LRU order without drift.
-	restored.Record("q4", resN("q4", 10), time.Second, 1)
+	restored.RecordFootprint("q4", resN("q4", 10), time.Second, 1, nil)
 	if restored.Bytes() > restored.MaxBytes {
 		t.Errorf("post-restore record broke the budget: %d > %d", restored.Bytes(), restored.MaxBytes)
 	}

@@ -13,8 +13,9 @@
 // are coalesced into a single execution (singleflight keyed on the
 // normalized query text plus Snapshot().Generation(), so a coalesced
 // answer can never cross a KB update), the HVS runs under an optional
-// byte budget with LRU eviction, and per-tier latency histograms feed the
-// server's /metrics endpoint.
+// byte budget with LRU eviction, writes through Apply maintain both cache
+// tiers instead of clearing them, and per-tier latency histograms feed
+// the server's /metrics endpoint.
 //
 // Options are fixed at construction (the server sets them from -no-hvs /
 // -no-decomposer and friends), so the read path takes no proxy-level
@@ -95,6 +96,11 @@ type Proxy struct {
 	eng  *sparql.Engine
 	opts Options
 
+	// applyMu makes each write one step — store apply, then HVS and
+	// decomposer maintenance — so the caches see writes in store order.
+	// Only Apply takes it; reads never do.
+	applyMu sync.Mutex
+
 	// flights holds the in-progress backend executions for coalescing,
 	// keyed by normalized query + generation.
 	flMu    sync.Mutex
@@ -162,27 +168,30 @@ func NewWithBackend(st *store.Store, backend endpoint.Executor, opts Options) *P
 	}
 }
 
-// Apply routes a mutation delta through the store and performs
-// delta-aware cache invalidation: HVS entries whose footprint is disjoint
-// from the net mutation survive, everything else is evicted, and the
-// cache is re-tagged to the new generation so the next Lookup does not
-// wholesale-clear the survivors.
+// Apply routes a mutation delta through the store and maintains both
+// cache tiers in the same step: HVS entries whose footprint is disjoint
+// from the net mutation survive and are re-tagged to the new generation
+// (the rest are evicted), and the decomposer folds the mutation into its
+// memoized aggregates. Writes serialise in the store anyway, so holding
+// applyMu across the whole step costs no write concurrency and hands the
+// caches every delta in generation order.
 func (p *Proxy) Apply(d store.Delta) (store.ApplyResult, error) {
+	p.applyMu.Lock()
+	defer p.applyMu.Unlock()
 	res, err := p.st.Apply(d)
-	if err != nil {
+	if err != nil || !res.Changed() {
 		return res, err
 	}
-	if res.Changed() {
-		dict := p.st.Dict()
-		ops := make([]rdf.TripleOp, 0, len(res.NetInserts)+len(res.NetDeletes))
-		for _, e := range res.NetInserts {
-			ops = append(ops, rdf.Insert(dict.Decode(e)))
-		}
-		for _, e := range res.NetDeletes {
-			ops = append(ops, rdf.Delete(dict.Decode(e)))
-		}
-		p.cache.ApplyDelta(res.From, res.To, ops)
+	dict := p.st.Dict()
+	ops := make([]rdf.TripleOp, 0, len(res.NetInserts)+len(res.NetDeletes))
+	for _, e := range res.NetInserts {
+		ops = append(ops, rdf.Insert(dict.Decode(e)))
 	}
+	for _, e := range res.NetDeletes {
+		ops = append(ops, rdf.Delete(dict.Decode(e)))
+	}
+	p.cache.ApplyDelta(res.From, res.To, ops)
+	p.dec.ApplyDelta(res)
 	return res, nil
 }
 

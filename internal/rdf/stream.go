@@ -336,7 +336,7 @@ func (s *ttlStream) atDirective() (bool, error) {
 
 // scanUnit returns the length of the complete statement starting at
 // pend[0], reading more input as needed. A statement ends at a top-level
-// '.' followed by whitespace, a comment, or EOF.
+// '.' followed by whitespace, a comment, an '@' directive, or EOF.
 func (s *ttlStream) scanUnit() (int, error) {
 	var (
 		i       int
@@ -369,16 +369,17 @@ func (s *ttlStream) scanUnit() (int, error) {
 			case c == '#':
 				comment = true
 			case c == '.':
-				// Terminator iff followed by whitespace/comment/EOF; a
-				// '.' inside a number or name is always followed by more
-				// token characters.
+				// Terminator iff followed by whitespace/comment/EOF or
+				// an '@' directive; a '.' inside a number or name is
+				// always followed by more token characters, and no token
+				// continues with '@'.
 				if i+1 >= len(s.pend) && !s.eof {
 					if err := s.need(i + 2); err != nil {
 						return 0, err
 					}
 					continue
 				}
-				if i+1 >= len(s.pend) || isWS(s.pend[i+1]) || s.pend[i+1] == '#' {
+				if i+1 >= len(s.pend) || isWS(s.pend[i+1]) || s.pend[i+1] == '#' || s.pend[i+1] == '@' {
 					return i + 1, nil
 				}
 			}

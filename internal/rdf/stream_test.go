@@ -113,6 +113,24 @@ _:b1 ex:name "blank"@de .
 	}
 }
 
+// TestStreamTurtleDirectiveAfterStatementDot is the mirror image of the
+// directive-then-statement case above: a statement's '.' directly
+// followed by a directive ends the statement, so the directive is applied
+// before the statements behind it are chunked.
+func TestStreamTurtleDirectiveAfterStatementDot(t *testing.T) {
+	doc := "<http://x/a> <http://x/b> <http://x/c>.@prefix x: <http://y/> . x:a x:b x:c . "
+	want, err := ParseTurtle(doc)
+	if err != nil || len(want) != 2 {
+		t.Fatalf("serial parse = %d triples, %v; want 2", len(want), err)
+	}
+	for _, chunk := range []int{1, 16, 1 << 20} {
+		got := collectStream(t, doc, SyntaxTurtle, chunk)
+		if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+			t.Fatalf("chunk %d: %v, want %v", chunk, got, want)
+		}
+	}
+}
+
 // TestStreamTurtlePrefixFreezing pins the directive semantics: a chunk
 // parsed after a redeclared prefix must use the table in effect at its
 // own position, even when chunks are tiny.
