@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 
 	"elinda/internal/datagen"
@@ -171,5 +173,27 @@ func TestPaperQueryDetectedByDecomposer(t *testing.T) {
 		if len(res.Rows) == 0 {
 			t.Errorf("incoming=%v: decomposed result empty", incoming)
 		}
+	}
+}
+
+// TestExplainObjectExpansionSemijoin: in the object chart's plan the
+// class check on ?s runs as a semi-join step behind the property scan,
+// and EXPLAIN names it.
+func TestExplainObjectExpansionSemijoin(t *testing.T) {
+	e := genExplorer(t)
+	src := ObjectExpansionSPARQL(datagen.Ont("Person"), datagen.Ont("birthPlace"), false)
+	rep, err := sparql.NewEngine(e.Store()).Explain(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for _, st := range rep.Steps {
+		kinds = append(kinds, st.Kind)
+	}
+	if fmt.Sprint(kinds) != "[scan semijoin scan]" || rep.Steps[1].Var != "s" {
+		t.Fatalf("plan:\n%s\nwant the birthPlace scan, a semi-join on ?s, then the type scan", rep)
+	}
+	if !strings.Contains(rep.String(), "semijoin ?s") {
+		t.Errorf("rendered report:\n%s", rep)
 	}
 }

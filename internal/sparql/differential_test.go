@@ -25,11 +25,18 @@ import (
 // matching. Literal objects are typed integers only: distinct literals
 // must never compare equal, or MIN/MAX tie-breaking would depend on row
 // order and the paths could legitimately diverge.
+//
+// The store passes through every overlay state a reader can meet: half
+// the triples are bulk-loaded into a columnar base, the rest arrive one
+// Add at a time (tail and sorted delta), and a random subset is deleted
+// — base-resident deletes become tombstones, some deleted triples come
+// back. In a quarter of the stores a batch of filler triples is inserted
+// and later deleted in batches large enough to fold the overlay into a
+// new base each time, the second fold dropping real deletes with it.
+// The returned triples are the store's contents.
 func genDiffStore(r *rand.Rand) (*store.Store, []rdf.Triple) {
 	st := store.New(128)
-	var triples []rdf.Triple
-	n := 30 + r.Intn(50)
-	for i := 0; i < n; i++ {
+	gen := func() rdf.Triple {
 		var o rdf.Term
 		switch {
 		case r.Intn(3) == 0:
@@ -39,16 +46,70 @@ func genDiffStore(r *rand.Rand) (*store.Store, []rdf.Triple) {
 		default:
 			o = ex(fmt.Sprintf("o%d", r.Intn(8)))
 		}
-		tr := rdf.Triple{
+		return rdf.Triple{
 			S: ex(fmt.Sprintf("s%d", r.Intn(8))),
 			P: ex(fmt.Sprintf("p%d", r.Intn(4))),
 			O: o,
 		}
-		if added, err := st.Add(tr); err == nil && added {
-			triples = append(triples, tr)
+	}
+	n := 30 + r.Intn(50)
+	var live []rdf.Triple // may repeat a triple; the store is a set
+	base := make([]rdf.Triple, n/2)
+	for i := range base {
+		base[i] = gen()
+	}
+	live = append(live, base...)
+	if _, err := st.Load(base); err != nil {
+		panic(err)
+	}
+	var fill store.Delta
+	if r.Intn(4) == 0 {
+		for i := 0; i < 1100; i++ {
+			fill.Insert(rdf.Triple{S: ex(fmt.Sprintf("f%d", i)), P: ex("fill"), O: ex(fmt.Sprintf("g%d", i))})
+		}
+		mustApply(st, fill) // folds: the delta outgrows its bound
+	}
+	for i := n / 2; i < n; i++ {
+		tr := gen()
+		live = append(live, tr)
+		if _, err := st.Add(tr); err != nil {
+			panic(err)
 		}
 	}
+	var del store.Delta
+	for i, k := 0, r.Intn(n/3+1); i < k; i++ {
+		del.Delete(live[r.Intn(len(live))])
+	}
+	if fill.Len() > 0 {
+		// The fillers' tombstones fold the store again, taking the
+		// deletes above with them; later deletes stay tombstones.
+		for _, op := range fill.Ops() {
+			del.Delete(op.Triple)
+		}
+		mustApply(st, del)
+		del = store.Delta{}
+		for i, k := 0, r.Intn(n/4+1); i < k; i++ {
+			del.Delete(live[r.Intn(len(live))])
+		}
+	}
+	mustApply(st, del)
+	for _, op := range del.Ops() {
+		if r.Intn(4) == 0 {
+			st.Add(op.Triple) // deleted, then re-inserted
+		}
+	}
+	var triples []rdf.Triple
+	st.Scan(0, 0, func(e rdf.EncodedTriple) bool {
+		triples = append(triples, st.Triple(e))
+		return true
+	})
 	return st, triples
+}
+
+func mustApply(st *store.Store, d store.Delta) {
+	if _, err := st.Apply(d); err != nil {
+		panic(err)
+	}
 }
 
 // diffVar picks a variable name.

@@ -15,14 +15,18 @@ import (
 )
 
 // PlanStep is one executor step of an explained BGP: a single-pattern
-// scan/probe, or a leapfrog intersection group binding Var.
+// scan/probe, a semi-join membership test on Var, or a leapfrog
+// intersection group binding Var.
 type PlanStep struct {
-	// Kind is "scan" for a single-pattern step or "leapfrog" for a
+	// Kind is "scan" for a single-pattern step, "semijoin" for a
+	// single-pattern step that tests an already bound variable against
+	// a set built once from the pattern's postings, or "leapfrog" for a
 	// multiway intersection group.
 	Kind string `json:"kind"`
 	// Patterns renders the step's triple patterns in execution order.
 	Patterns []string `json:"patterns"`
-	// Var is the variable a leapfrog group binds (empty for scans).
+	// Var is the variable a leapfrog group binds or a semi-join tests
+	// (empty for scans).
 	Var string `json:"var,omitempty"`
 	// Card is the exact standalone cardinality of the step's first
 	// pattern (CardMatch on the columnar indexes).
@@ -110,13 +114,7 @@ func (e *Engine) Explain(ctx context.Context, src string) (*PlanReport, error) {
 		rep.Patterns = append(rep.Patterns, renderPattern(tp))
 	}
 
-	ordered := tps
-	if planned != nil {
-		ordered = make([]TriplePattern, len(planned))
-		for i, s := range planned {
-			ordered[i] = s.tp
-		}
-	}
+	ordered := planOrder(tps, planned)
 
 	// The same step compilation runBGP performs for a root BGP: leapfrog
 	// is eligible exactly when no intermediate-size guard is set.
@@ -128,7 +126,7 @@ func (e *Engine) Explain(ctx context.Context, src string) (*PlanReport, error) {
 		pats[i] = compilePattern(tp, slots, env.dict)
 	}
 	rep.Leapfrog = e.MaxIntermediate == 0
-	steps := compileSteps(pats, slots.width(), rep.Leapfrog)
+	steps := compileSteps(pats, planned, slots.width(), rep.Leapfrog)
 
 	// Align each executor step with the planner's estimates: step j
 	// consumes len(step.pats) consecutive planned patterns.
@@ -136,9 +134,13 @@ func (e *Engine) Explain(ctx context.Context, src string) (*PlanReport, error) {
 	//lint:ignore ctxloop bounded by the query's pattern count, not by data size
 	for _, st := range steps {
 		ps := PlanStep{Kind: "scan"}
-		if st.slot >= 0 {
+		switch {
+		case st.slot >= 0:
 			ps.Kind = "leapfrog"
 			ps.Var = slots.names[st.slot]
+		case st.semi != nil:
+			ps.Kind = "semijoin"
+			ps.Var = slots.names[st.semi.slot]
 		}
 		for range st.pats {
 			ps.Patterns = append(ps.Patterns, renderPattern(ordered[next]))

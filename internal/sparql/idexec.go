@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -115,9 +116,25 @@ func newIDRows(w int) *idRows { return &idRows{w: w} }
 
 func (r *idRows) row(i int) []rdf.ID { return r.data[i*r.w : (i+1)*r.w] }
 
+// push appends one row, doubling the block when it is full: append's
+// ~1.25x step for large slices would copy the rows several times over.
 func (r *idRows) push(row []rdf.ID) {
+	if len(r.data)+len(row) > cap(r.data) {
+		r.reserve(max(r.n, 16))
+	}
 	r.data = append(r.data, row...)
 	r.n++
+}
+
+// reserve makes room for k more rows without a further reallocation.
+func (r *idRows) reserve(k int) {
+	need := len(r.data) + k*r.w
+	if need <= cap(r.data) {
+		return
+	}
+	data := make([]rdf.ID, len(r.data), need)
+	copy(data, r.data)
+	r.data = data
 }
 
 // allUnbound reports whether every slot of row is NoID.
@@ -234,7 +251,7 @@ func (e *Engine) evalGroupIDs(ctx context.Context, g *GroupPattern, env *execEnv
 	// through the whole planned pattern chain depth first, so the joined
 	// intermediate result is never materialized as maps.
 	out := newIDRows(w)
-	if err := e.runBGP(ctx, rows, planPatterns(env.snap, g.Triples), slots, out, env); err != nil {
+	if err := e.runBGP(ctx, rows, g.Triples, slots, out, env); err != nil {
 		return nil, nil, err
 	}
 	rows = out
@@ -381,6 +398,7 @@ func remapRows(src *idRows, srcSlots *slotTable, dstSlots *slotTable, dst *idRow
 	for j, name := range srcSlots.names {
 		mapping[j] = dstSlots.index[name]
 	}
+	dst.reserve(src.n)
 	row := make([]rdf.ID, dst.w)
 	for i := 0; i < src.n; i++ {
 		for k := range row {
@@ -458,6 +476,13 @@ func (r *bgpExec) step(depth int) error {
 	if st.slot >= 0 {
 		return r.stepLeapfrog(st, depth)
 	}
+	if st.semi != nil {
+		in, err := st.semi.contains(r.ctx, r.snap, r.cur[st.semi.slot])
+		if err != nil || !in {
+			return err
+		}
+		return r.advance(depth)
+	}
 	cp := st.pats[0]
 	if cp.dead {
 		return nil
@@ -474,20 +499,10 @@ func (r *bgpExec) step(depth int) error {
 		}
 	}
 
-	advance := func() error {
-		if r.counts != nil {
-			r.counts[depth]++
-			if r.counts[depth] > r.maxIntermediate {
-				return ErrTooLarge
-			}
-		}
-		return r.step(depth + 1)
-	}
-
 	if !free {
 		// Fully bound: an O(log n) membership probe instead of a scan.
 		if r.snap.ContainsID(want[0], want[1], want[2]) {
-			return advance()
+			return r.advance(depth)
 		}
 		return nil
 	}
@@ -521,7 +536,7 @@ func (r *bgpExec) step(depth int) error {
 			}
 		}
 		if ok {
-			stepErr = advance()
+			stepErr = r.advance(depth)
 		}
 		for i := 0; i < nt; i++ {
 			r.cur[touched[i]] = rdf.NoID
@@ -529,6 +544,18 @@ func (r *bgpExec) step(depth int) error {
 		return stepErr == nil
 	})
 	return stepErr
+}
+
+// advance counts one row past steps[depth] against the intermediate-size
+// guard and recurses into the next step.
+func (r *bgpExec) advance(depth int) error {
+	if r.counts != nil {
+		r.counts[depth]++
+		if r.counts[depth] > r.maxIntermediate {
+			return ErrTooLarge
+		}
+	}
+	return r.step(depth + 1)
 }
 
 // run streams every input row through the pattern chain.
@@ -554,13 +581,14 @@ func (r *bgpExec) run(in *idRows) error {
 // the goroutine handoff costs more than the join work it parallelizes.
 const parallelMinRows = 64
 
-// runBGP streams every input row through the planned pattern chain depth
-// first and appends the fully joined rows to out. With MaxIntermediate
-// set, per-depth row counts trigger on exactly the stage sizes the oracle's
-// stage-at-a-time evaluator materializes (serial execution, so
-// the counts are deterministic). Otherwise the root pattern's candidate
-// rows fan out across GOMAXPROCS workers — every worker reads the same
-// immutable snapshot with zero coordination — and the per-worker outputs
+// runBGP plans the BGP tps, then streams every input row through the
+// pattern chain depth first and appends the fully joined rows to out.
+// With MaxIntermediate set, per-depth row counts trigger on exactly the
+// stage sizes the oracle's stage-at-a-time evaluator materializes (serial
+// execution, so the counts are deterministic). Otherwise the root
+// pattern's candidate rows fan out across GOMAXPROCS workers — every
+// worker reads the same immutable snapshot with zero coordination — and
+// the per-worker outputs
 // concatenate in chunk order, so the row order is identical to a serial
 // run.
 func (e *Engine) runBGP(ctx context.Context, in *idRows, tps []TriplePattern, slots *slotTable, out *idRows, env *execEnv) error {
@@ -569,9 +597,10 @@ func (e *Engine) runBGP(ctx context.Context, in *idRows, tps []TriplePattern, sl
 		out.n += in.n
 		return nil
 	}
+	plan, _ := planBGP(env.snap, tps)
 	pats := make([]compiledPattern, len(tps))
 	//lint:ignore ctxloop bounded by the query's pattern count, not by data size
-	for i, tp := range tps {
+	for i, tp := range planOrder(tps, plan) {
 		pats[i] = compilePattern(tp, slots, env.dict)
 	}
 	// Leapfrog grouping: when several patterns co-constrain the same
@@ -581,7 +610,7 @@ func (e *Engine) runBGP(ctx context.Context, in *idRows, tps []TriplePattern, sl
 	// guard is defined over, and to an empty seed row because the
 	// compile-time bound-slot simulation starts from nothing.
 	leapfrog := e.MaxIntermediate == 0 && in.n == 1 && allUnbound(in.row(0))
-	steps := compileSteps(pats, in.w, leapfrog)
+	steps := compileSteps(pats, plan, in.w, leapfrog)
 
 	run := &bgpExec{ctx: ctx, snap: env.snap, steps: steps, out: out, cur: make([]rdf.ID, in.w)}
 	if e.MaxIntermediate > 0 {
@@ -630,6 +659,7 @@ func (e *Engine) runBGPParallel(ctx context.Context, in *idRows, steps []joinSte
 			break
 		}
 		wout := newIDRows(in.w)
+		wout.reserve(hi - lo) // one output row per candidate to start
 		outs[wi] = wout
 		wg.Add(1)
 		go func(wi, lo, hi int, wout *idRows) {
@@ -645,6 +675,18 @@ func (e *Engine) runBGPParallel(ctx context.Context, in *idRows, steps []joinSte
 			return err
 		}
 	}
+	if out.n == 0 {
+		// The first chunk's block becomes the output: its doubling slack
+		// usually holds the other chunks, so nothing is copied twice.
+		*out, outs = *outs[0], outs[1:]
+	}
+	total := 0
+	for _, wout := range outs {
+		if wout != nil {
+			total += wout.n
+		}
+	}
+	out.reserve(total)
 	for _, wout := range outs {
 		if wout != nil {
 			out.data = append(out.data, wout.data...)
@@ -827,6 +869,7 @@ func remapProj(proj *idRows, vars []string, parentSlots *slotTable) *idRows {
 			mapping[j] = i
 		}
 	}
+	out.reserve(proj.n)
 	row := make([]rdf.ID, out.w)
 	for i := 0; i < proj.n; i++ {
 		for k := range row {
@@ -900,19 +943,23 @@ func (e *Engine) projectStream(q *Query, rows *idRows, slots *slotTable, env *ex
 		for _, it := range q.Items {
 			vars = append(vars, it.Var)
 		}
+		groups := groupIDRows(rows, q.GroupBy, slots)
 		proj = newIDRows(len(q.Items))
+		proj.reserve(groups.len())
 		prow := make([]rdf.ID, len(q.Items))
-		for _, g := range groupIDRows(rows, q.GroupBy, slots) {
+		var sc aggScratch
+		for gi := 0; gi < groups.len(); gi++ {
+			g := groups.group(gi)
 			for j, it := range q.Items {
 				prow[j] = rdf.NoID
 				if it.Expr == nil {
 					// Oracle semantics: the value from the group's first row.
 					if s, has := slots.lookup(it.Var); has && len(g) > 0 {
-						prow[j] = rows.row(g[0])[s]
+						prow[j] = rows.row(int(g[0]))[s]
 					}
 					continue
 				}
-				v := applyAggIDs(it.Expr.(*AggExpr), g, rows, slots, env)
+				v := applyAggIDs(it.Expr.(*AggExpr), g, rows, slots, env, &sc)
 				if t, tok := valueToTerm(v); tok {
 					prow[j] = env.encode(t)
 				}
@@ -923,6 +970,7 @@ func (e *Engine) projectStream(q *Query, rows *idRows, slots *slotTable, env *ex
 		boundSlots, starVars := boundColumns(rows, slots)
 		vars = starVars
 		proj = newIDRows(len(boundSlots))
+		proj.reserve(rows.n)
 		prow := make([]rdf.ID, len(boundSlots))
 		for i := 0; i < rows.n; i++ {
 			row := rows.row(i)
@@ -938,6 +986,7 @@ func (e *Engine) projectStream(q *Query, rows *idRows, slots *slotTable, env *ex
 			vars = append(vars, it.Var)
 		}
 		proj = newIDRows(len(q.Items))
+		proj.reserve(rows.n)
 		prow := make([]rdf.ID, len(q.Items))
 		// Per-item slot-keyed scratch solutions: bindings overwrite in
 		// place across rows instead of clearing and rebuilding the map.
@@ -965,10 +1014,44 @@ func (e *Engine) projectStream(q *Query, rows *idRows, slots *slotTable, env *ex
 			proj.push(prow)
 		}
 	}
-	if q.Distinct {
+	if q.Distinct && (grouped || !distinctByConstruction(q)) {
 		proj = dedupIDRows(proj)
 	}
 	return proj, vars, true
+}
+
+// distinctByConstruction reports whether an ungrouped query's projected
+// rows are distinct without a DISTINCT pass: its group is one triple
+// pattern and nothing else, and the projection keeps every variable of
+// that pattern. The store is a set, so each row is one distinct triple,
+// and rows that keep all of a triple's variables stay distinct.
+func distinctByConstruction(q *Query) bool {
+	g := q.Where
+	if len(g.Triples) != 1 || len(g.SubSelects) > 0 || len(g.Values) > 0 ||
+		len(g.Unions) > 0 || len(g.Optionals) > 0 || len(g.Filters) > 0 {
+		return false
+	}
+	if q.Star {
+		return true
+	}
+	tp := g.Triples[0]
+	for _, tv := range []TermOrVar{tp.S, tp.P, tp.O} {
+		if tv.IsVar && !projectsVar(q, tv.Name) {
+			return false
+		}
+	}
+	return true
+}
+
+// projectsVar reports whether a plain projection item carries variable
+// name.
+func projectsVar(q *Query, name string) bool {
+	for _, it := range q.Items {
+		if it.Expr == nil && it.Var == name {
+			return true
+		}
+	}
+	return false
 }
 
 // simpleAggItems reports whether every projection item is a plain
@@ -1002,30 +1085,32 @@ func simpleAggItems(q *Query) bool {
 // applyAggIDs mirrors AggExpr.Apply over a group of ID rows: bound IDs
 // stand in for values (term equality is ID equality under one execEnv),
 // and terms decode one at a time only where numeric or string views are
-// needed — never into per-row solution maps.
-func applyAggIDs(agg *AggExpr, group []int, rows *idRows, slots *slotTable, env *execEnv) Value {
+// needed — never into per-row solution maps. DISTINCT sorts instead of
+// hashing: COUNT(DISTINCT) counts the runs of the sorted IDs, and the
+// other aggregates keep each ID's first occurrence in row order, which
+// SAMPLE, GROUP_CONCAT and float SUM depend on. sc is scratch reused
+// across calls.
+func applyAggIDs(agg *AggExpr, group []int32, rows *idRows, slots *slotTable, env *execEnv, sc *aggScratch) Value {
 	if agg.Star && agg.Op == "COUNT" {
 		return NumValue(float64(len(group)))
 	}
-	var ids []rdf.ID
+	if cap(sc.ids) < len(group) {
+		sc.ids = make([]rdf.ID, 0, len(group))
+	}
+	ids := sc.ids[:0]
 	if slot, ok := slots.lookup(agg.Arg.(*VarExpr).Name); ok {
 		for _, ri := range group {
-			if id := rows.row(ri)[slot]; id != rdf.NoID {
+			if id := rows.row(int(ri))[slot]; id != rdf.NoID {
 				ids = append(ids, id)
 			}
 		}
 	}
+	sc.ids = ids
 	if agg.Distinct && len(ids) > 1 {
-		seen := make(map[rdf.ID]struct{}, len(ids))
-		kept := ids[:0]
-		for _, id := range ids {
-			if _, dup := seen[id]; dup {
-				continue
-			}
-			seen[id] = struct{}{}
-			kept = append(kept, id)
+		if agg.Op == "COUNT" {
+			return NumValue(float64(countRuns(ids)))
 		}
-		ids = kept
+		ids = sc.firstOccurrences(ids)
 	}
 	switch agg.Op {
 	case "COUNT":
@@ -1108,10 +1193,12 @@ func (e *Engine) finishGroupedGeneral(q *Query, rows *idRows, slots *slotTable, 
 		vars = append(vars, it.Var)
 	}
 	needed := neededRefs(q, slots)
-	for _, g := range groupIDRows(rows, q.GroupBy, slots) {
+	groups := groupIDRows(rows, q.GroupBy, slots)
+	for gi := 0; gi < groups.len(); gi++ {
+		g := groups.group(gi)
 		sols := make([]Solution, len(g))
 		for i, ri := range g {
-			row := rows.row(ri)
+			row := rows.row(int(ri))
 			sol := make(Solution, len(needed))
 			for _, ref := range needed {
 				if id := row[ref.slot]; id != rdf.NoID {
@@ -1259,21 +1346,30 @@ func neededRefs(q *Query, slots *slotTable) []slotRef {
 	return refs
 }
 
+// idGroups is a grouping of row indexes in flat form: group g holds
+// rows[start[g]:start[g+1]], in ascending row order, and groups are
+// numbered in first-encounter order.
+type idGroups struct {
+	start []int32
+	rows  []int32
+}
+
+func (g idGroups) len() int { return len(g.start) - 1 }
+
+func (g idGroups) group(i int) []int32 { return g.rows[g.start[i]:g.start[i+1]] }
+
 // groupIDRows partitions rows by the raw IDs of the GROUP BY columns,
 // preserving first-encounter order. A GROUP BY variable that can never be
-// bound keys as NoID, matching the oracle's empty-string key.
-func groupIDRows(rows *idRows, by []string, slots *slotTable) [][]int {
+// bound keys as NoID, matching the oracle's empty-string key. One pass
+// assigns each row its group, a counting sort lays the groups out flat.
+func groupIDRows(rows *idRows, by []string, slots *slotTable) idGroups {
 	if len(by) == 0 {
-		if rows.n == 0 {
-			// Aggregates over an empty pattern still yield one group so
-			// COUNT(*) returns 0.
-			return [][]int{nil}
-		}
-		all := make([]int, rows.n)
+		// One group — even over an empty pattern, so COUNT(*) returns 0.
+		all := make([]int32, rows.n)
 		for i := range all {
-			all[i] = i
+			all[i] = int32(i)
 		}
-		return [][]int{all}
+		return idGroups{start: []int32{0, int32(rows.n)}, rows: all}
 	}
 	cols := make([]int, 0, len(by))
 	for _, v := range by {
@@ -1281,11 +1377,12 @@ func groupIDRows(rows *idRows, by []string, slots *slotTable) [][]int {
 			cols = append(cols, i)
 		}
 	}
-	var groups [][]int
+	gid := make([]int32, rows.n)
+	var sizes []int32
 	if len(cols) <= 2 {
 		// Packed uint64 keys: no per-row allocation for the common one-
 		// and two-variable GROUP BY shapes.
-		idx := map[uint64]int{}
+		idx := map[uint64]int32{}
 		var pair [2]rdf.ID
 		for i := 0; i < rows.n; i++ {
 			row := rows.row(i)
@@ -1295,25 +1392,90 @@ func groupIDRows(rows *idRows, by []string, slots *slotTable) [][]int {
 			key := packPair(pair[:], len(cols))
 			g, ok := idx[key]
 			if !ok {
-				g = len(groups)
+				g = int32(len(sizes))
 				idx[key] = g
-				groups = append(groups, nil)
+				sizes = append(sizes, 0)
 			}
-			groups[g] = append(groups[g], i)
+			gid[i] = g
+			sizes[g]++
 		}
-		return groups
-	}
-	keyer := newIDKeyer(len(cols))
-	idx := map[string]int{}
-	for i := 0; i < rows.n; i++ {
-		key := keyer.key(rows.row(i), cols)
-		g, ok := idx[key]
-		if !ok {
-			g = len(groups)
-			idx[key] = g
-			groups = append(groups, nil)
+	} else {
+		keyer := newIDKeyer(len(cols))
+		idx := map[string]int32{}
+		for i := 0; i < rows.n; i++ {
+			key := keyer.key(rows.row(i), cols)
+			g, ok := idx[key]
+			if !ok {
+				g = int32(len(sizes))
+				idx[key] = g
+				sizes = append(sizes, 0)
+			}
+			gid[i] = g
+			sizes[g]++
 		}
-		groups[g] = append(groups[g], i)
 	}
-	return groups
+	start := make([]int32, len(sizes)+1)
+	for g, n := range sizes {
+		start[g+1] = start[g] + n
+	}
+	// sizes becomes each group's fill cursor.
+	copy(sizes, start[:len(sizes)])
+	flat := make([]int32, rows.n)
+	for i, g := range gid {
+		flat[sizes[g]] = int32(i)
+		sizes[g]++
+	}
+	return idGroups{start: start, rows: flat}
+}
+
+// aggScratch is the per-projection scratch applyAggIDs gathers each
+// group's IDs into, reused across groups and items.
+type aggScratch struct {
+	ids  []rdf.ID
+	keys []uint64
+}
+
+// countRuns sorts ids in place and returns the number of distinct IDs:
+// the number of runs of equal values.
+func countRuns(ids []rdf.ID) int {
+	slices.Sort(ids)
+	n := 0
+	prev := rdf.NoID // bound IDs are never NoID
+	for _, id := range ids {
+		if id != prev {
+			n++
+			prev = id
+		}
+	}
+	return n
+}
+
+// firstOccurrences returns the distinct IDs of ids, each at its first
+// occurrence, in order. It sorts (ID, position) keys instead of hashing
+// and overwrites ids.
+func (sc *aggScratch) firstOccurrences(ids []rdf.ID) []rdf.ID {
+	keys := sc.keys[:0]
+	for i, id := range ids {
+		keys = append(keys, uint64(id)<<32|uint64(i))
+	}
+	slices.Sort(keys)
+	// Keep the first key of each ID's run — its smallest position — with
+	// the position moved to the high half, then restore row order.
+	n := 0
+	prev := rdf.NoID
+	for _, k := range keys {
+		if id := rdf.ID(k >> 32); id != prev {
+			keys[n] = k<<32 | uint64(id)
+			n++
+			prev = id
+		}
+	}
+	keys = keys[:n]
+	slices.Sort(keys)
+	out := ids[:0]
+	for _, k := range keys {
+		out = append(out, rdf.ID(k))
+	}
+	sc.keys = keys
+	return out
 }

@@ -11,8 +11,8 @@ package sparql
 // list, not by the intermediate result a cascaded binary join would
 // materialize.
 //
-// The chain compiles to joinSteps up front: a step is either a single
-// pattern (scan/probe, exactly the previous behaviour) or a leapfrog
+// The chain compiles to joinSteps up front: a step is a single pattern
+// (scan/probe), a single-pattern semi-join (semijoin.go) or a leapfrog
 // group. Compilation simulates the bound-slot set in plan order, so a
 // pattern joins a group only when its remaining positions are all
 // available at that depth; pulling it forward never changes the result
@@ -29,10 +29,13 @@ import (
 )
 
 // joinStep is one node of the compiled pattern chain: a single pattern
-// (slot < 0) or a leapfrog group intersecting on slot.
+// (slot < 0) scanned or probed per row, a single-pattern semi-join
+// (semi != nil, see semijoin.go), or a leapfrog group intersecting on
+// slot.
 type joinStep struct {
 	pats []compiledPattern
 	slot int
+	semi *semiSet
 }
 
 // maxLeapfrogGroup caps a group's size so the executor can hold the
@@ -41,19 +44,16 @@ type joinStep struct {
 // posting views).
 const maxLeapfrogGroup = 8
 
-// compileSteps folds the compiled patterns into joinSteps. With leapfrog
-// disabled every pattern becomes its own step, which is byte-for-byte
-// the previous execution. Grouping requires the initial binding row to
-// be empty (the caller gates on it), because the bound-slot simulation
-// below starts from nothing.
-func compileSteps(pats []compiledPattern, width int, leapfrog bool) []joinStep {
+// compileSteps folds the compiled patterns into joinSteps, simulating
+// the bound-slot set in chain order from nothing (slots the input rows
+// bind are not counted, which only forgoes a step kind). With leapfrog
+// disabled no pattern moves and no group forms; grouping requires the
+// initial binding row to be empty (the caller gates on it). A pattern
+// whose one variable an earlier step binds becomes a semi-join when the
+// planner's estimates say the set pays for itself; plan, when non-nil,
+// holds those estimates aligned with pats.
+func compileSteps(pats []compiledPattern, plan []plannedStep, width int, leapfrog bool) []joinStep {
 	steps := make([]joinStep, 0, len(pats))
-	if !leapfrog {
-		for i := range pats {
-			steps = append(steps, joinStep{pats: pats[i : i+1], slot: -1})
-		}
-		return steps
-	}
 	bound := make([]bool, width)
 	consumed := make([]bool, len(pats))
 	//lint:ignore ctxloop bounded by the query's pattern count, not by data size
@@ -63,7 +63,14 @@ func compileSteps(pats []compiledPattern, width int, leapfrog bool) []joinStep {
 		}
 		consumed[i] = true
 		cp := pats[i]
-		if slot, ok := soleFreeSlot(cp, bound); ok && !cp.dead {
+		// A semi-join candidate follows the step that bound its variable,
+		// so plan[i-1]'s estimate is the rows it will probe. Without
+		// estimates the lazy set still costs nothing when no row arrives.
+		if slot, ok := semiJoinSlot(cp, bound); ok && (plan == nil || semiJoinPays(plan[i-1].estRows, plan[i].card)) {
+			steps = append(steps, joinStep{pats: pats[i : i+1], slot: -1, semi: newSemiSet(cp, slot)})
+			continue
+		}
+		if slot, ok := soleFreeSlot(cp, bound); ok && leapfrog && !cp.dead {
 			group := []compiledPattern{cp}
 			for j := i + 1; j < len(pats) && len(group) < maxLeapfrogGroup; j++ {
 				if consumed[j] || pats[j].dead {

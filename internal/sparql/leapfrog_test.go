@@ -17,7 +17,7 @@ func compileFor(st *store.Store, tps []TriplePattern) ([]joinStep, *slotTable) {
 	for i, tp := range tps {
 		pats[i] = compilePattern(tp, slots, env.dict)
 	}
-	return compileSteps(pats, slots.width(), true), slots
+	return compileSteps(pats, nil, slots.width(), true), slots
 }
 
 // TestCompileStepsStar: two fully-constant-but-one patterns over the

@@ -39,6 +39,12 @@ type oracle struct {
 // newOracle is the oracle's entry point.
 func newOracle(st *store.Store) *oracle { return &oracle{st: st, order: planPatterns} }
 
+// planPatterns orders a BGP's triple patterns the way the engine does.
+func planPatterns(snap *store.Snapshot, tps []TriplePattern) []TriplePattern {
+	steps, _ := planBGP(snap, tps)
+	return planOrder(tps, steps)
+}
+
 // queryOrder keeps a BGP's patterns as written.
 func queryOrder(_ *store.Snapshot, tps []TriplePattern) []TriplePattern { return tps }
 

@@ -41,9 +41,9 @@ type plannedStep struct {
 	estRows float64 // estimated cumulative rows after joining it
 }
 
-// planPatterns orders a BGP's triple patterns for evaluation.
-func planPatterns(snap *store.Snapshot, tps []TriplePattern) []TriplePattern {
-	steps, _ := planBGP(snap, tps)
+// planOrder returns the patterns of a planBGP result in chosen order:
+// tps itself when the planner kept query order (nil steps).
+func planOrder(tps []TriplePattern, steps []plannedStep) []TriplePattern {
 	if steps == nil {
 		return tps
 	}

@@ -686,6 +686,9 @@ func readPerm(cr *crcReader, p *permIndex, nTriples, nTerms int, scratch []byte)
 		}
 	}
 	p.aKeys, p.aOff, p.bKeys, p.bOff, p.c = aKeys, aOff, bKeys, bOff, c
+	// Only now, with every key bounded by nTerms, is the dense index's
+	// size known to be sane.
+	p.aPos = densePositions(aKeys)
 	return nil
 }
 

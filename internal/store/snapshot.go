@@ -12,21 +12,42 @@ import (
 // two-level offset index over a contiguous sorted ID array. For the SPO
 // permutation, aKeys holds the distinct subjects in ascending order,
 // bKeys[aOff[i]:aOff[i+1]] the sorted predicates of aKeys[i], and
-// c[bOff[j]:bOff[j+1]] the sorted posting list of bKeys[j]. Lookups are
-// two binary searches; posting lists are returned as sub-slices of c
-// without copying. The structure is immutable after construction.
+// c[bOff[j]:bOff[j+1]] the sorted posting list of bKeys[j]. The
+// first-level lookup is one load from aPos, the second a binary search;
+// posting lists are returned as sub-slices of c without copying. The
+// structure is immutable after construction.
 type permIndex struct {
 	aKeys []rdf.ID
 	aOff  []uint32 // len(aKeys)+1, offsets into bKeys
 	bKeys []rdf.ID
 	bOff  []uint32 // len(bKeys)+1, offsets into c
 	c     []rdf.ID
+	// aPos is the dense first-level position index: aPos[id] is the
+	// group index of key id plus one, 0 when id is not a key. It spans
+	// [0, last key] — 4 bytes per dictionary term at most — and is
+	// derived from aKeys, never persisted.
+	aPos []uint32
 }
 
-// findA binary-searches the first-level keys.
+// findA returns the group index of first-level key a in O(1).
 func (p *permIndex) findA(a rdf.ID) (int, bool) {
-	i := sort.Search(len(p.aKeys), func(i int) bool { return p.aKeys[i] >= a })
-	return i, i < len(p.aKeys) && p.aKeys[i] == a
+	if int(a) >= len(p.aPos) || p.aPos[a] == 0 {
+		return 0, false
+	}
+	return int(p.aPos[a]) - 1, true
+}
+
+// densePositions builds a permIndex's aPos from its sorted first-level
+// keys.
+func densePositions(aKeys []rdf.ID) []uint32 {
+	if len(aKeys) == 0 {
+		return nil
+	}
+	pos := make([]uint32, int(aKeys[len(aKeys)-1])+1)
+	for i, k := range aKeys {
+		pos[k] = uint32(i) + 1
+	}
+	return pos
 }
 
 // findB binary-searches the second-level keys of group ai.
@@ -133,6 +154,7 @@ func (pb *permBuilder) add(a, b, c rdf.ID) {
 func (pb *permBuilder) finish() permIndex {
 	pb.idx.aOff = append(pb.idx.aOff, uint32(len(pb.idx.bKeys)))
 	pb.idx.bOff = append(pb.idx.bOff, uint32(len(pb.idx.c)))
+	pb.idx.aPos = densePositions(pb.idx.aKeys)
 	return pb.idx
 }
 
