@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"cmp"
 	"hash/maphash"
 	"slices"
 	"sync"
@@ -92,10 +93,11 @@ func (b *DictBatch) Intern(pos uint64, t Term) ID {
 // pairs into provisional IDs.
 const dictShardBits = 6
 
-// Commit sorts the batch's new terms by first occurrence, interns them
-// into the dictionary in that canonical order, and records the
-// provisional→canonical mapping for Canonical. It returns the number of
-// terms added.
+// Commit sorts the batch's new terms by first occurrence and publishes
+// them into the dictionary in that canonical order with one read-map
+// rebuild, recording the provisional→canonical mapping for Canonical. A
+// batch term that a plain Dict.Intern added after NewBatch keeps the ID
+// it got there. It returns the number of terms added.
 func (b *DictBatch) Commit() int {
 	type pending struct {
 		pos   uint64
@@ -112,24 +114,12 @@ func (b *DictBatch) Commit() int {
 	}
 	// Occurrence keys are unique per (statement, position), so this is a
 	// deterministic total order regardless of worker interleaving.
-	slices.SortFunc(all, func(x, y pending) int {
-		switch {
-		case x.pos < y.pos:
-			return -1
-		case x.pos > y.pos:
-			return 1
-		default:
-			return 0
-		}
-	})
-	for _, p := range all {
-		// The shard already holds a clone the dictionary may own, so the
-		// committed intern skips the defensive copy.
-		t := b.shards[p.shard].terms[p.local]
-		b.remap[p.shard][p.local] = b.d.intern(t, true)
-	}
-	b.d.PublishReads()
-	return len(all)
+	slices.SortFunc(all, func(x, y pending) int { return cmp.Compare(x.pos, y.pos) })
+	// The shards hold clones the dictionary may own, so the terms go in
+	// without a defensive copy.
+	return b.d.publish(len(all), len(b.base.byVal),
+		func(i int) Term { return b.shards[all[i].shard].terms[all[i].local] },
+		func(i int, id ID) { b.remap[all[i].shard][all[i].local] = id })
 }
 
 // Canonical maps an ID returned by Intern to its post-Commit canonical

@@ -3,6 +3,7 @@ package rdf
 import (
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -97,11 +98,7 @@ func cloneTerm(t Term) Term {
 }
 
 // Intern returns the ID for t, assigning a fresh one if t is new.
-func (d *Dict) Intern(t Term) ID { return d.intern(t, false) }
-
-// intern implements Intern. owned callers (the batch committer) pass
-// terms the dictionary may keep as is, skipping the defensive clone.
-func (d *Dict) intern(t Term, owned bool) ID {
+func (d *Dict) Intern(t Term) ID {
 	if id, ok := d.read.Load().byVal[t]; ok {
 		return id
 	}
@@ -110,17 +107,14 @@ func (d *Dict) intern(t Term, owned bool) ID {
 	id, ok := sh.byVal[t]
 	if !ok {
 		// Re-check the read side now that the shard lock is held: a
-		// concurrent publishReads may have folded this shard's entries
+		// concurrent publish may have folded this shard's entries
 		// into a fresh read map (published before it released the shard
 		// lock we just acquired) and cleared the shard.
 		if pubID, pub := d.read.Load().byVal[t]; pub {
 			sh.mu.Unlock()
 			return pubID
 		}
-		key := t
-		if !owned {
-			key = cloneTerm(t)
-		}
+		key := cloneTerm(t)
 		id = d.alloc(key)
 		sh.byVal[key] = id
 	}
@@ -144,11 +138,7 @@ func (d *Dict) alloc(t Term) ID {
 		// Rebuild the frozen read map from the arena so recent terms get
 		// lock-free hits again. The geometric threshold keeps the total
 		// rebuild work linear in the dictionary size.
-		m := make(map[Term]ID, len(d.arena)+len(d.arena)/4)
-		for i, at := range d.arena {
-			m[at] = ID(i + 1)
-		}
-		next.byVal = m
+		next.byVal = readMap(d.arena, len(d.arena))
 		d.stale = 0
 	}
 	d.read.Store(next)
@@ -156,30 +146,64 @@ func (d *Dict) alloc(t Term) ID {
 	return id
 }
 
+// readMap indexes the arena (arena[i] has ID i+1) in a map sized for n
+// terms.
+func readMap(arena []Term, n int) map[Term]ID {
+	m := make(map[Term]ID, n)
+	for i, t := range arena {
+		m[t] = ID(i + 1)
+	}
+	return m
+}
+
 // PublishReads rebuilds the read map immediately so every interned term
 // is findable without a shard lock, and empties the write shards — their
 // entries are now redundant with the published map, so dropping them
 // keeps the dictionary at one map's worth of memory instead of two.
 // Bulk loaders call this once per batch; ad-hoc Interns fold in lazily.
-//
-// Lock order: all shard locks (in index order), then mu — the same
-// shard-before-mu order intern uses, so the two cannot deadlock.
-func (d *Dict) PublishReads() {
+func (d *Dict) PublishReads() { d.publish(0, 0, nil, nil) }
+
+// publish is the one locked read-side rebuild, shared by PublishReads
+// and DictBatch.Commit. Under every shard lock (in index order), then mu
+// — the shard-before-mu order Intern uses, so the two cannot deadlock —
+// it appends n distinct new terms, term(0) … term(n-1), to the arena in
+// that order, builds one read map over the whole arena, publishes it and
+// empties the write shards. assign(i, id) receives term(i)'s ID. A new
+// term that a plain Intern added after the read map of size known was
+// published keeps that ID; the probe for it runs only when the arena has
+// grown past known. The terms' strings must already be owned by the
+// dictionary. It returns the number of terms appended.
+func (d *Dict) publish(n, known int, term func(i int) Term, assign func(i int, id ID)) int {
 	for i := range d.shards {
 		d.shards[i].mu.Lock()
 	}
+	defer func() {
+		for i := range d.shards {
+			clear(d.shards[i].byVal)
+			d.shards[i].mu.Unlock()
+		}
+	}()
 	d.mu.Lock()
-	m := make(map[Term]ID, len(d.arena)+len(d.arena)/4)
-	for i, at := range d.arena {
-		m[at] = ID(i + 1)
+	defer d.mu.Unlock()
+	before := len(d.arena)
+	probe := before > known
+	m := readMap(d.arena, before+n)
+	d.arena = slices.Grow(d.arena, n)
+	for i := 0; i < n; i++ {
+		t := term(i)
+		if probe {
+			if id, ok := m[t]; ok {
+				assign(i, id)
+				continue
+			}
+		}
+		d.arena = append(d.arena, t)
+		m[t] = ID(len(d.arena))
+		assign(i, ID(len(d.arena)))
 	}
 	d.read.Store(&dictRead{byVal: m, byID: d.arena})
 	d.stale = 0
-	d.mu.Unlock()
-	for i := range d.shards {
-		clear(d.shards[i].byVal)
-		d.shards[i].mu.Unlock()
-	}
+	return len(d.arena) - before
 }
 
 // Lookup returns the ID for t without inserting. The second result reports
@@ -194,8 +218,8 @@ func (d *Dict) Lookup(t Term) (ID, bool) {
 	sh.mu.Unlock()
 	if !ok {
 		// The entry may have moved shard→read under a concurrent
-		// publishReads; the republished map is visible once the shard
-		// lock we just held has been released by it.
+		// publish; the republished map is visible once the shard lock
+		// we just held has been released by it.
 		id, ok = d.read.Load().byVal[t]
 	}
 	return id, ok

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -246,6 +247,102 @@ func TestDictConcurrentInternWithPublish(t *testing.T) {
 	for name, id := range seen[0] {
 		if got, ok := d.Lookup(NewIRI(name)); !ok || got != id {
 			t.Fatalf("Lookup(%s) = (%d,%v), want %d", name, got, ok, id)
+		}
+	}
+}
+
+// TestDictBatchCommitReusesConcurrentInterns: a batch term that a plain
+// Intern added after NewBatch keeps that ID at Commit, which counts only
+// the terms it appended. An interner racing the Commit itself must see
+// IDs stay dense, no term enter the arena twice, every term round-trip,
+// and the write shards emptied by the publish.
+func TestDictBatchCommitReusesConcurrentInterns(t *testing.T) {
+	d := NewDict(0)
+	d.Intern(NewIRI("http://x/pre"))
+	b := d.NewBatch()
+	terms := make([]Term, 5000)
+	prov := make([]ID, len(terms))
+	for i := range terms {
+		terms[i] = NewIRI(fmt.Sprintf("http://x/batch/%d", i))
+		prov[i] = b.Intern(uint64(i), terms[i])
+	}
+	direct := map[int]ID{}
+	for i := 0; i < len(terms); i += 3 {
+		direct[i] = d.Intern(terms[i])
+	}
+
+	// The racer interns terms of its own and looks up batch terms until
+	// Commit has returned; a batch term it finds must already carry the
+	// ID Commit gives it.
+	racerIDs := map[Term]ID{}
+	found := map[int]ID{}
+	stop, started := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			rt := NewIRI(fmt.Sprintf("http://x/racer/%d", i))
+			racerIDs[rt] = d.Intern(rt)
+			if id, ok := d.Lookup(terms[i%len(terms)]); ok {
+				found[i%len(terms)] = id
+			}
+			if i == 0 {
+				close(started)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	<-started
+	added := b.Commit()
+	close(stop)
+	wg.Wait()
+
+	if want := len(terms) - len(direct); added != want {
+		t.Errorf("Commit added %d, want %d", added, want)
+	}
+	var maxBatch ID
+	for i, term := range terms {
+		id := b.Canonical(prov[i])
+		if want, ok := direct[i]; ok && id != want {
+			t.Fatalf("term %d: canonical %d, want the mid-batch Intern's %d", i, id, want)
+		}
+		if got, ok := found[i]; ok && got != id {
+			t.Fatalf("term %d: racer looked up %d, canonical %d", i, got, id)
+		}
+		if got, ok := d.Lookup(term); !ok || got != id || d.Term(id) != term {
+			t.Fatalf("term %d: Lookup (%d,%v), canonical %d, Term %v", i, got, ok, id, d.Term(id))
+		}
+		maxBatch = max(maxBatch, id)
+	}
+	for rt, id := range racerIDs {
+		if got, ok := d.Lookup(rt); !ok || got != id || d.Term(id) != rt {
+			t.Fatalf("racer term %v: Lookup (%d,%v), interned as %d", rt, got, ok, id)
+		}
+	}
+	// Dense and duplicate-free: the arena holds exactly the distinct
+	// terms interned, each once.
+	seen := map[Term]bool{}
+	for _, term := range d.Terms() {
+		if seen[term] {
+			t.Fatalf("%v appears twice in the arena", term)
+		}
+		seen[term] = true
+	}
+	if want := 1 + len(terms) + len(racerIDs); d.Len() != want {
+		t.Fatalf("Len = %d, want %d", d.Len(), want)
+	}
+	// Commit emptied the shards: whatever sits in one now was interned
+	// by the racer after Commit published.
+	for i := range d.shards {
+		for term, id := range d.shards[i].byVal {
+			if id <= maxBatch {
+				t.Fatalf("shard %d still holds %v (ID %d) after Commit", i, term, id)
+			}
 		}
 	}
 }

@@ -1,11 +1,16 @@
-package store
+package store_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"elinda/internal/datagen"
 	"elinda/internal/rdf"
+	"elinda/internal/store"
 )
+
+func iri(s string) rdf.Term { return rdf.NewIRI("http://x/" + s) }
 
 func benchTriples(n int) []rdf.Triple {
 	out := make([]rdf.Triple, 0, n)
@@ -25,7 +30,7 @@ func BenchmarkLoad(b *testing.B) {
 	ts := benchTriples(50_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := New(len(ts))
+		st := store.New(len(ts))
 		if _, err := st.Load(ts); err != nil {
 			b.Fatal(err)
 		}
@@ -33,8 +38,28 @@ func BenchmarkLoad(b *testing.B) {
 	b.SetBytes(int64(len(ts)))
 }
 
+// BenchmarkLoadStream times the cold streaming ingest — parse, intern,
+// dictionary commit and the columnar base build, the server's -load boot —
+// over N-Triples generated once in memory at two generator sizes.
+func BenchmarkLoadStream(b *testing.B) {
+	for _, persons := range []int{2000, 20000} {
+		cfg := datagen.DefaultConfig()
+		cfg.Persons = persons
+		doc := rdf.FormatNTriples(datagen.Generate(cfg).Triples)
+		b.Run(fmt.Sprintf("persons=%d", persons), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(doc)))
+			for i := 0; i < b.N; i++ {
+				if _, err := store.New(0).LoadStream(strings.NewReader(doc), store.StreamOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkMatchBySubject(b *testing.B) {
-	st := New(0)
+	st := store.New(0)
 	st.Load(benchTriples(50_000))
 	s, _ := st.Dict().Lookup(iri("s42"))
 	b.ResetTimer()
@@ -48,7 +73,7 @@ func BenchmarkMatchBySubject(b *testing.B) {
 }
 
 func BenchmarkMatchByPredicate(b *testing.B) {
-	st := New(0)
+	st := store.New(0)
 	st.Load(benchTriples(50_000))
 	p, _ := st.Dict().Lookup(iri("p2"))
 	b.ResetTimer()
@@ -62,7 +87,7 @@ func BenchmarkMatchByPredicate(b *testing.B) {
 }
 
 func BenchmarkScanChunked(b *testing.B) {
-	st := New(0)
+	st := store.New(0)
 	st.Load(benchTriples(50_000))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -78,7 +103,7 @@ func BenchmarkScanChunked(b *testing.B) {
 }
 
 func BenchmarkComputeStats(b *testing.B) {
-	st := New(0)
+	st := store.New(0)
 	st.Load(benchTriples(50_000))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -91,7 +116,7 @@ func BenchmarkComputeStats(b *testing.B) {
 // BenchmarkSnapshotObjects measures the zero-copy lock-free posting-list
 // probe on a published snapshot — the executor's hottest read.
 func BenchmarkSnapshotObjects(b *testing.B) {
-	st := New(0)
+	st := store.New(0)
 	st.Load(benchTriples(50_000))
 	snap := st.Snapshot()
 	s, _ := st.Dict().Lookup(iri("s42"))
@@ -108,7 +133,7 @@ func BenchmarkSnapshotObjects(b *testing.B) {
 // BenchmarkSnapshotPublish measures Snapshot() with a small pending delta
 // — the linear merge of the overlay into a new columnar base.
 func BenchmarkSnapshotPublish(b *testing.B) {
-	st := New(0)
+	st := store.New(0)
 	st.Load(benchTriples(50_000))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -123,7 +148,7 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 
 // BenchmarkAddDelta measures the copy-on-write sorted-delta insert path.
 func BenchmarkAddDelta(b *testing.B) {
-	st := New(0)
+	st := store.New(0)
 	st.Load(benchTriples(50_000))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

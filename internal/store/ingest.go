@@ -19,9 +19,11 @@ import (
 //	           concurrently through a dictionary batch (sharded maps,
 //	           provisional IDs)
 //	commit   — new terms get canonical dense IDs in first-occurrence
-//	           order, the provisional log is remapped in parallel, and the
-//	           batch flows into the usual packed-key dedup + sort-once
-//	           columnar build
+//	           order and are published into the dictionary in one step
+//	           (one read-map build), the provisional log is remapped in
+//	           parallel, and the batch flows into the packed-key dedup,
+//	           whose one sort also orders the columnar build: SPO is the
+//	           sorted keys, OSP and POS follow by counting passes
 //
 // String triples exist only per chunk; the only corpus-sized allocations
 // are ID arrays. Because canonical IDs equal the IDs a serial pass would
@@ -161,9 +163,9 @@ func (s *Store) LoadStream(r io.Reader, opts StreamOptions) (int, error) {
 	remapParallel(log, batch, workers)
 
 	snap := s.snap.Load()
-	added := dedupBatch(snap, log)
+	added, spo := dedupBatch(snap, log)
 	if len(added) > 0 {
-		s.snap.Store(applyBatch(snap, added))
+		s.snap.Store(applyBatch(snap, added, spo))
 	}
 	return len(added), nil
 }

@@ -1,9 +1,7 @@
 package store
 
 import (
-	"slices"
 	"sort"
-	"sync"
 
 	"elinda/internal/rdf"
 )
@@ -236,12 +234,11 @@ func cmpSPO(x, y rdf.EncodedTriple) int { return cmpIDs3(x.S, x.P, x.O, y.S, y.P
 func cmpPOS(x, y rdf.EncodedTriple) int { return cmpIDs3(x.P, x.O, x.S, y.P, y.O, y.S) }
 func cmpOSP(x, y rdf.EncodedTriple) int { return cmpIDs3(x.O, x.S, x.P, y.O, y.S, y.P) }
 
-// buildPerm sorts scratch in the permutation's order and packs it into
-// columnar form. scratch must be duplicate-free.
-func buildPerm(scratch []rdf.EncodedTriple, cmp func(x, y rdf.EncodedTriple) int, key func(rdf.EncodedTriple) (a, b, c rdf.ID)) permIndex {
-	slices.SortFunc(scratch, cmp)
-	pb := newPermBuilder(len(scratch))
-	for _, e := range scratch {
+// buildPerm packs triples already sorted in the permutation's order into
+// columnar form. sorted must be duplicate-free.
+func buildPerm(sorted []rdf.EncodedTriple, key func(rdf.EncodedTriple) (a, b, c rdf.ID)) permIndex {
+	pb := newPermBuilder(len(sorted))
+	for _, e := range sorted {
 		pb.add(key(e))
 	}
 	return pb.finish()
@@ -287,21 +284,15 @@ const (
 	packMask = uint64(packMax - 1)
 )
 
-// buildPermPacked builds one permutation by packing each (a, b, c) tuple
-// into a uint64 and sorting the plain integer slice — far faster than a
-// comparator sort over structs, and the sorted keys unpack straight into
-// the columnar builder.
-func buildPermPacked(log []rdf.EncodedTriple, scratch []uint64, key func(rdf.EncodedTriple) (a, b, c rdf.ID)) permIndex {
-	for i, e := range log {
-		a, b, c := key(e)
-		scratch[i] = uint64(a)<<(2*packBits) | uint64(b)<<packBits | uint64(c)
-	}
-	slices.Sort(scratch)
-	pb := newPermBuilder(len(log))
-	for _, p := range scratch {
-		pb.add(rdf.ID(p>>(2*packBits)), rdf.ID(p>>packBits)&rdf.ID(packMask), rdf.ID(p)&rdf.ID(packMask))
-	}
-	return pb.finish()
+// packSPO packs a triple into one uint64 sort key in SPO order; every ID
+// must be below packMax.
+func packSPO(e rdf.EncodedTriple) uint64 {
+	return uint64(e.S)<<(2*packBits) | uint64(e.P)<<packBits | uint64(e.O)
+}
+
+// unpackSPO inverts packSPO.
+func unpackSPO(k uint64) rdf.EncodedTriple {
+	return rdf.EncodedTriple{S: rdf.ID(k >> (2 * packBits)), P: rdf.ID(k>>packBits) & rdf.ID(packMask), O: rdf.ID(k) & rdf.ID(packMask)}
 }
 
 // maxIDIn returns the largest ID appearing in the batch.
@@ -334,40 +325,41 @@ type columnar struct {
 	stats *PlanStats
 }
 
-// buildColumnar packs a duplicate-free batch into the three columnar
-// permutation indexes with one sort per permutation — the bulk load into
-// an empty store; every later base comes out of mergePerm. The three
-// builds are independent and run concurrently; each uses packed-uint64
-// keys when the ID space allows, falling back to comparator sorts
-// otherwise.
-func buildColumnar(log []rdf.EncodedTriple) *columnar {
-	col := &columnar{n: len(log)}
-	packed := maxIDIn(log) < packMax
-	build := func(idx *permIndex, cmp func(x, y rdf.EncodedTriple) int, key func(rdf.EncodedTriple) (a, b, c rdf.ID)) {
-		if packed {
-			*idx = buildPermPacked(log, make([]uint64, len(log)), key)
-			return
-		}
-		scratch := make([]rdf.EncodedTriple, len(log))
-		copy(scratch, log)
-		*idx = buildPerm(scratch, cmp, key)
-	}
-	if len(log) < 1<<14 {
-		build(&col.spo, cmpSPO, keySPO)
-		build(&col.pos, cmpPOS, keyPOS)
-		build(&col.osp, cmpOSP, keyOSP)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { defer wg.Done(); build(&col.pos, cmpPOS, keyPOS) }()
-		go func() { defer wg.Done(); build(&col.osp, cmpOSP, keyOSP) }()
-		build(&col.spo, cmpSPO, keySPO)
-		wg.Wait()
-	}
-	// Planner statistics are part of every base build: one linear pass,
-	// far cheaper than the three sorts above.
+// buildColumnar packs SPO-sorted, duplicate-free triples into the three
+// columnar permutation indexes — the bulk load into an empty store; every
+// later base comes out of mergePerm. The SPO order is the batch's one
+// sort (dedupBatch's); the other two orders are derived from it by stable
+// counting passes. OSP is a pass by object over SPO order, which leaves
+// each object's (S, P) tuples in order; POS is a pass by predicate over
+// OSP order, which leaves each predicate's (O, S) tuples in order. spo's
+// array is reused as scratch.
+func buildColumnar(spo []rdf.EncodedTriple) *columnar {
+	col := &columnar{n: len(spo), spo: buildPerm(spo, keySPO)}
+	limit := maxIDIn(spo) + 1
+	osp := countingSort(make([]rdf.EncodedTriple, len(spo)), spo, limit, func(e rdf.EncodedTriple) rdf.ID { return e.O })
+	col.osp = buildPerm(osp, keyOSP)
+	col.pos = buildPerm(countingSort(spo, osp, limit, func(e rdf.EncodedTriple) rdf.ID { return e.P }), keyPOS)
+	// Planner statistics are part of every base build: one linear pass.
 	col.stats = computePlanStats(col)
 	return col
+}
+
+// countingSort stably reorders src into dst by key, whose values are
+// below limit, and returns dst.
+func countingSort(dst, src []rdf.EncodedTriple, limit rdf.ID, key func(rdf.EncodedTriple) rdf.ID) []rdf.EncodedTriple {
+	next := make([]uint32, int(limit)+1)
+	for _, e := range src {
+		next[key(e)+1]++
+	}
+	for k := 1; k < len(next); k++ {
+		next[k] += next[k-1]
+	}
+	for _, e := range src {
+		k := key(e)
+		dst[next[k]] = e
+		next[k]++
+	}
+	return dst
 }
 
 // containsID reports membership via the SPO index.

@@ -11,11 +11,11 @@
 // arrays — a two-level offset index over one contiguous []rdf.ID — so
 // reads need no lock at all and Postings/Objects/Subjects return
 // zero-copy sub-slices. Writes never mutate published state: a Load into
-// an empty store bulk-builds the columnar base with one sort per
-// permutation, while later writes ride in a small overlay (a tiny
-// unsorted tail that periodically folds into a sorted delta, plus
-// tombstones masking deleted base rows) that one linear merge folds into
-// a new base once it outgrows its bound. Snapshot() is a single atomic
+// an empty store bulk-builds the columnar base from one sort (SPO; the
+// other two orders follow by counting passes), while later writes ride
+// in a small overlay (a tiny unsorted tail that periodically folds into
+// a sorted delta, plus tombstones masking deleted base rows) that one
+// linear merge folds into a new base once it outgrows its bound. Snapshot() is a single atomic
 // pointer load, readers scale linearly with cores, and a query that binds
 // one snapshot observes a perfectly consistent knowledge base for its
 // whole lifetime.
@@ -217,10 +217,11 @@ func lookupEncoded(d *rdf.Dict, t rdf.Triple) (rdf.EncodedTriple, bool) {
 
 // Load bulk-inserts triples, skipping duplicates, and returns the number
 // actually added. Instead of per-insert index maintenance it encodes and
-// deduplicates the whole batch, then sorts each permutation once and
-// builds the columnar base directly (small batches fold into the overlay
-// instead). Invalid triples abort the load with an error; triples added
-// before the failure remain (the generation still advances).
+// deduplicates the whole batch with one sort and, into an empty store,
+// builds the columnar base straight from that sort (a populated store
+// takes the batch into its overlay instead). Invalid triples abort the
+// load with an error; triples added before the failure remain (the
+// generation still advances).
 func (s *Store) Load(ts []rdf.Triple) (int, error) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
@@ -241,7 +242,7 @@ func (s *Store) Load(ts []rdf.Triple) (int, error) {
 	// published read side (and empty the write shards): later lookups go
 	// lock-free and the shard maps stop duplicating the read map.
 	s.dict.PublishReads()
-	batch := dedupBatch(snap, enc)
+	batch, spo := dedupBatch(snap, enc)
 	if len(batch) > 0 {
 		// Durability before acknowledgement, one durability point for the
 		// whole batch. On failure nothing is applied: Load keeps the
@@ -260,20 +261,23 @@ func (s *Store) Load(ts []rdf.Triple) (int, error) {
 				return 0, fmt.Errorf("store: %w", err)
 			}
 		}
-		s.snap.Store(applyBatch(snap, batch))
+		s.snap.Store(applyBatch(snap, batch, spo))
 	}
 	return len(batch), loadErr
 }
 
 // dedupBatch filters enc down to the triples that are new to the
 // snapshot, keeping the first occurrence of each in original order (the
-// order Load hands the WAL). The fast path sorts packed uint64 keys; huge
+// order Load hands the WAL). On an empty snapshot it also returns the
+// same triples in SPO order — its one sort, reused by the base build —
+// and spo is nil otherwise. The fast path sorts packed uint64 keys; huge
 // ID spaces fall back to a comparator sort.
-func dedupBatch(snap *Snapshot, enc []rdf.EncodedTriple) []rdf.EncodedTriple {
+func dedupBatch(snap *Snapshot, enc []rdf.EncodedTriple) (batch, spo []rdf.EncodedTriple) {
+	fresh := snap.Len() == 0
 	if maxIDIn(enc) < packMax {
 		sorted := make([]uint64, len(enc))
 		for i, e := range enc {
-			sorted[i] = uint64(e.S)<<(2*packBits) | uint64(e.P)<<packBits | uint64(e.O)
+			sorted[i] = packSPO(e)
 		}
 		slices.Sort(sorted)
 		// Collect the values that occur more than once; bulk loads are
@@ -285,32 +289,29 @@ func dedupBatch(snap *Snapshot, enc []rdf.EncodedTriple) []rdf.EncodedTriple {
 				dupCount[sorted[k]]++
 			}
 		}
-		if snap.Len() == 0 && len(dupCount) == 0 {
-			return enc
+		sorted = slices.Compact(sorted)
+		if fresh {
+			spo = make([]rdf.EncodedTriple, len(sorted))
+			for i, k := range sorted {
+				spo[i] = unpackSPO(k)
+			}
+			if len(dupCount) == 0 {
+				return enc, spo
+			}
 		}
 		// Slow path (duplicates or a pre-populated store): re-derive each
 		// element's key in original order.
-		packed := make([]uint64, len(enc))
-		for i, e := range enc {
-			packed[i] = uint64(e.S)<<(2*packBits) | uint64(e.P)<<packBits | uint64(e.O)
-		}
 		existing := map[uint64]bool{}
-		if snap.Len() > 0 {
-			sorted = slices.Compact(sorted)
+		if !fresh {
 			for _, p := range sorted {
-				e := rdf.EncodedTriple{
-					S: rdf.ID(p >> (2 * packBits)),
-					P: rdf.ID(p>>packBits) & rdf.ID(packMask),
-					O: rdf.ID(p) & rdf.ID(packMask),
-				}
-				if snap.Contains(e) {
+				if snap.Contains(unpackSPO(p)) {
 					existing[p] = true
 				}
 			}
 		}
-		batch := enc[:0]
-		for i, e := range enc {
-			p := packed[i]
+		batch = enc[:0]
+		for _, e := range enc {
+			p := packSPO(e)
 			if existing[p] {
 				continue
 			}
@@ -322,7 +323,7 @@ func dedupBatch(snap *Snapshot, enc []rdf.EncodedTriple) []rdf.EncodedTriple {
 			}
 			batch = append(batch, e)
 		}
-		return batch
+		return batch, spo
 	}
 	type posTriple struct {
 		e rdf.EncodedTriple
@@ -340,31 +341,35 @@ func dedupBatch(snap *Snapshot, enc []rdf.EncodedTriple) []rdf.EncodedTriple {
 	})
 	drop := make([]bool, len(enc))
 	for k := range byVal {
-		if k > 0 && byVal[k].e == byVal[k-1].e {
+		switch {
+		case k > 0 && byVal[k].e == byVal[k-1].e:
 			drop[byVal[k].i] = true // later duplicate within the batch
-		} else if snap.Contains(byVal[k].e) {
+		case fresh:
+			spo = append(spo, byVal[k].e)
+		case snap.Contains(byVal[k].e):
 			drop[byVal[k].i] = true // already in the store
 		}
 	}
-	batch := enc[:0]
+	batch = enc[:0]
 	for i, e := range enc {
 		if !drop[i] {
 			batch = append(batch, e)
 		}
 	}
-	return batch
+	return batch, spo
 }
 
 // applyBatch folds a duplicate-free batch of absent triples into a new
-// snapshot: a bulk load into an empty store sorts once into a columnar
-// base, anything else is an insert-only mutation of the overlay.
-func applyBatch(snap *Snapshot, batch []rdf.EncodedTriple) *Snapshot {
+// snapshot: a bulk load into an empty store builds a columnar base from
+// spo, the same triples in SPO order (see dedupBatch); anything else is
+// an insert-only mutation of the overlay.
+func applyBatch(snap *Snapshot, batch, spo []rdf.EncodedTriple) *Snapshot {
 	if snap.Len() > 0 {
 		return applyMutations(snap, batch, nil, uint64(len(batch)))
 	}
 	next := *snap
 	next.generation = snap.generation + uint64(len(batch))
-	next.base = buildColumnar(batch)
+	next.base = buildColumnar(spo)
 	next.deltaSPO, next.deltaPOS, next.deltaOSP, next.tail = nil, nil, nil, nil
 	next.delSPO, next.delPOS, next.delOSP = nil, nil, nil
 	return &next
