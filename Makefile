@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fuzz-smoke bench bench-smoke benchmark cover check server
+.PHONY: all build test race vet lint fuzz-smoke bench bench-smoke benchmark cover loc check server
 
 all: check
 
@@ -55,6 +55,12 @@ fuzz-smoke:
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -1
+
+# loc prints the number of non-test Go lines outside benchmark/: the
+# size the ROADMAP and CHANGES.md track from change to change. It counts
+# committed files only (git ls-files), so stage new files first.
+loc:
+	@git ls-files '*.go' ':!:*_test.go' ':!:benchmark/**' | xargs cat | wc -l
 
 # check runs the tier-1 gate plus vet and the race detector as one
 # command. The race run includes the snapshot concurrency tests

@@ -188,11 +188,11 @@ func TestErrorScenarioPresent(t *testing.T) {
 		t.Fatal("Food missing")
 	}
 	foods := map[rdf.ID]struct{}{}
-	for _, f := range st.SubjectsOfType(foodID) {
+	for _, f := range st.Snapshot().SubjectsOfType(foodID) {
 		foods[f] = struct{}{}
 	}
 	errs := 0
-	st.Match(rdf.NoID, birthPlace, rdf.NoID, func(e rdf.EncodedTriple) bool {
+	st.Snapshot().Match(rdf.NoID, birthPlace, rdf.NoID, func(e rdf.EncodedTriple) bool {
 		if _, isFood := foods[e.O]; isFood {
 			errs++
 		}
@@ -217,11 +217,11 @@ func TestInfluencedByConnectsToScientists(t *testing.T) {
 	}
 	sciID, _ := st.Dict().Lookup(Ont("Scientist"))
 	scientists := map[rdf.ID]struct{}{}
-	for _, s := range st.SubjectsOfType(sciID) {
+	for _, s := range st.Snapshot().SubjectsOfType(sciID) {
 		scientists[s] = struct{}{}
 	}
 	hits := 0
-	st.Match(rdf.NoID, infBy, rdf.NoID, func(e rdf.EncodedTriple) bool {
+	st.Snapshot().Match(rdf.NoID, infBy, rdf.NoID, func(e rdf.EncodedTriple) bool {
 		if _, isSci := scientists[e.O]; isSci {
 			hits++
 		}
@@ -244,9 +244,9 @@ func TestPersonTypedAsAncestors(t *testing.T) {
 	agentID, _ := st.Dict().Lookup(Ont("Agent"))
 	thingID, _ := st.Dict().Lookup(rdf.OWLThingIRI)
 	typeID := st.TypeID()
-	for _, p := range st.SubjectsOfType(philID) {
+	for _, p := range st.Snapshot().SubjectsOfType(philID) {
 		for _, anc := range []rdf.ID{persID, agentID, thingID} {
-			if st.CountMatch(p, typeID, anc) != 1 {
+			if st.Snapshot().CountMatch(p, typeID, anc) != 1 {
 				t.Fatalf("philosopher %v missing ancestor type %v",
 					st.Dict().Term(p), st.Dict().Term(anc))
 			}
@@ -273,7 +273,7 @@ func TestGenerateLGDRootless(t *testing.T) {
 	if !ok {
 		t.Fatal("Cafe missing")
 	}
-	if len(st.SubjectsOfType(cafe)) == 0 {
+	if len(st.Snapshot().SubjectsOfType(cafe)) == 0 {
 		t.Error("no cafes generated")
 	}
 }

@@ -104,7 +104,7 @@ func BenchmarkDecomposerApplyDelta(b *testing.B) {
 				P: datagen.Ont("influencedBy"),
 				O: datagen.Res(fmt.Sprintf("Scientist_%d", (7*i)%ds.Facts.Scientists)),
 			}
-			if !st.ContainsTriple(tr) {
+			if !st.Snapshot().ContainsTriple(tr) {
 				pool = append(pool, tr)
 			}
 		}

@@ -437,7 +437,7 @@ func TestDecomposedEqualsGenericUnderDeltas(t *testing.T) {
 	present := func() rdf.Triple {
 		var out rdf.Triple
 		st.Snapshot().Scan(r.Intn(st.Len()), 1, func(e rdf.EncodedTriple) bool {
-			out = st.Triple(e)
+			out = st.Dict().Decode(e)
 			return false
 		})
 		return out
@@ -550,7 +550,7 @@ func TestMaintainedMemoEqualsOracleUnderDeltas(t *testing.T) {
 	matching := func(p rdf.Term) []rdf.Triple {
 		var out []rdf.Triple
 		st.Snapshot().Scan(0, 0, func(e rdf.EncodedTriple) bool {
-			if tr := st.Triple(e); tr.P != rdf.TypeIRI && (p == rdf.Term{} || tr.P == p) {
+			if tr := st.Dict().Decode(e); tr.P != rdf.TypeIRI && (p == rdf.Term{} || tr.P == p) {
 				out = append(out, tr)
 			}
 			return true
@@ -603,7 +603,7 @@ func TestMaintainedMemoEqualsOracleUnderDeltas(t *testing.T) {
 		}
 		if typeOp { // always effective: flip one membership
 			tr := rdf.Triple{S: node(), P: rdf.TypeIRI, O: class()}
-			if st.ContainsTriple(tr) {
+			if st.Snapshot().ContainsTriple(tr) {
 				delta.Delete(tr)
 			} else {
 				delta.Insert(tr)

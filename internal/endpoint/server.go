@@ -283,9 +283,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveStreaming answers through a row-streaming encoder. Errors raised
-// before the first byte (parse errors, saturation inside the engine,
-// deadline during evaluation) still produce proper HTTP statuses; once
-// the header is on the wire the response can only be truncated.
+// before the first byte (parse errors, deadline during evaluation) still
+// produce proper HTTP statuses; once the header is on the wire the
+// response can only be truncated.
 func (s *Server) serveStreaming(ctx context.Context, w http.ResponseWriter, rexec sparql.RowExecutor, query, contentType string, streamer ResultStreamer) {
 	// The Content-Type header must be set before the streamer's first
 	// write commits the response header, and the completeness trailer
@@ -434,9 +434,6 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		status = http.StatusGatewayTimeout
 		s.timeouts.Inc()
-	case errors.Is(err, sparql.ErrTooLarge):
-		status = http.StatusInsufficientStorage
-		s.failures.Inc()
 	case errors.Is(err, ErrReadOnly):
 		status = http.StatusNotImplemented
 		s.failures.Inc()

@@ -211,6 +211,19 @@ func streamingFixtureEngine(t *testing.T) *sparql.Engine {
 	return sparql.NewEngine(st)
 }
 
+// rowEngine serves an engine through the streaming encoders the way the
+// serving proxy does: execute the query, then replay the result into the
+// sink.
+type rowEngine struct{ *sparql.Engine }
+
+func (e rowEngine) QueryRows(ctx context.Context, src string, sink sparql.RowSink) error {
+	res, err := e.Query(ctx, src)
+	if err != nil {
+		return err
+	}
+	return sparql.ReplayResult(res, sink)
+}
+
 // streamingCorpus exercises projection, DISTINCT, aggregates, OPTIONAL
 // with unbound cells (one table with two columns), VALUES (with UNDEF),
 // UNION (with branches binding different variables), ORDER BY/LIMIT/
@@ -245,7 +258,7 @@ func TestStreamingEncodersByteIdentical(t *testing.T) {
 	eng := streamingFixtureEngine(t)
 	// An executor that is not a sparql.RowExecutor takes the buffered path.
 	buffered := NewServer(ExecutorFunc(eng.Query))
-	streaming := NewServer(eng)
+	streaming := NewServer(rowEngine{eng})
 	streaming.flushRows = 2 // aggressive cadence: many flush boundaries
 
 	for _, accept := range []string{ContentType, ContentTypeTSV} {
@@ -283,7 +296,7 @@ func TestStreamingEncodersByteIdentical(t *testing.T) {
 // before the response completes.
 func TestStreamingFlushes(t *testing.T) {
 	eng := streamingFixtureEngine(t)
-	s := NewServer(eng)
+	s := NewServer(rowEngine{eng})
 	s.flushRows = 1
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(`SELECT * WHERE { ?s ?p ?o . }`), nil)
@@ -301,7 +314,7 @@ func TestStreamingFlushes(t *testing.T) {
 // streaming path.
 func TestStreamingErrorsKeepStatusCodes(t *testing.T) {
 	eng := streamingFixtureEngine(t)
-	s := NewServer(eng)
+	s := NewServer(rowEngine{eng})
 
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape("NOT SPARQL"), nil))
@@ -321,7 +334,7 @@ func TestStreamingErrorsKeepStatusCodes(t *testing.T) {
 // still work through the buffered path (with Content-Length set).
 func TestStreamingCSVFallsBackBuffered(t *testing.T) {
 	eng := streamingFixtureEngine(t)
-	s := NewServer(eng)
+	s := NewServer(rowEngine{eng})
 	req := httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(`SELECT ?s WHERE { ?s a <http://example.org/Stoic> . }`), nil)
 	req.Header.Set("Accept", ContentTypeCSV)
 	rec := httptest.NewRecorder()

@@ -76,10 +76,10 @@ INSERT DATA { ex:hegel ex:influencedBy ex:kant }`))
 	if stats.Generation != st.Generation() {
 		t.Fatalf("ack generation %d, store at %d", stats.Generation, st.Generation())
 	}
-	if st.ContainsTriple(rdf.Triple{S: exIRI("kant"), P: exIRI("influencedBy"), O: exIRI("hume")}) {
+	if st.Snapshot().ContainsTriple(rdf.Triple{S: exIRI("kant"), P: exIRI("influencedBy"), O: exIRI("hume")}) {
 		t.Fatal("DELETE WHERE target survived")
 	}
-	if !st.ContainsTriple(rdf.Triple{S: exIRI("hegel"), P: exIRI("influencedBy"), O: exIRI("kant")}) {
+	if !st.Snapshot().ContainsTriple(rdf.Triple{S: exIRI("hegel"), P: exIRI("influencedBy"), O: exIRI("kant")}) {
 		t.Fatal("INSERT DATA triple missing")
 	}
 

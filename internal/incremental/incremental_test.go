@@ -196,7 +196,7 @@ func TestIncrementalConvergence(t *testing.T) {
 	st, _ := buildGraph(t, 5, 300)
 	typeID := st.TypeID()
 	root := id(t, st, "Root")
-	instances := st.SubjectsOfType(root)
+	instances := st.Snapshot().SubjectsOfType(root)
 
 	subclasses := make([]rdf.ID, 5)
 	for i := range subclasses {
@@ -205,7 +205,7 @@ func TestIncrementalConvergence(t *testing.T) {
 
 	fullScan := func(mk func() Aggregator) map[rdf.ID]int {
 		agg := mk()
-		st.Scan(0, 0, func(e rdf.EncodedTriple) bool {
+		st.Snapshot().Scan(0, 0, func(e rdf.EncodedTriple) bool {
 			agg.Observe(e)
 			return true
 		})
@@ -270,7 +270,7 @@ func TestSubclassAggregatorRestrictsToSet(t *testing.T) {
 	cid := id(t, st, "C")
 	aID := id(t, st, "a")
 	agg := NewSubclassAggregator(st.TypeID(), []rdf.ID{aID}, []rdf.ID{cid})
-	st.Scan(0, 0, func(e rdf.EncodedTriple) bool { agg.Observe(e); return true })
+	st.Snapshot().Scan(0, 0, func(e rdf.EncodedTriple) bool { agg.Observe(e); return true })
 	counts := agg.Counts()
 	if counts[cid] != 1 {
 		t.Errorf("restricted count = %d, want 1", counts[cid])
@@ -298,7 +298,7 @@ func TestPropertyAggregatorTripleCounts(t *testing.T) {
 		{S: ex("t"), P: ex("p"), O: ex("o1")},
 	})
 	agg := NewPropertyAggregator(nil, false)
-	st.Scan(0, 0, func(e rdf.EncodedTriple) bool { agg.Observe(e); return true })
+	st.Snapshot().Scan(0, 0, func(e rdf.EncodedTriple) bool { agg.Observe(e); return true })
 	p := id(t, st, "p")
 	if agg.Counts()[p] != 2 {
 		t.Errorf("subject count = %d, want 2", agg.Counts()[p])
@@ -317,7 +317,7 @@ func TestObjectAggregatorBothOrders(t *testing.T) {
 		s := id(t, st, "s")
 		p := id(t, st, "influencedBy")
 		agg := NewObjectAggregator(st.TypeID(), p, []rdf.ID{s}, false)
-		st.Scan(0, 0, func(e rdf.EncodedTriple) bool { agg.Observe(e); return true })
+		st.Snapshot().Scan(0, 0, func(e rdf.EncodedTriple) bool { agg.Observe(e); return true })
 		out := map[string]int{}
 		for cid, n := range agg.Counts() {
 			out[st.Dict().Term(cid).Value] = n
@@ -350,7 +350,7 @@ func TestObjectAggregatorIncoming(t *testing.T) {
 	phil := id(t, st, "phil")
 	author := id(t, st, "author")
 	agg := NewObjectAggregator(st.TypeID(), author, []rdf.ID{phil}, true)
-	st.Scan(0, 0, func(e rdf.EncodedTriple) bool { agg.Observe(e); return true })
+	st.Snapshot().Scan(0, 0, func(e rdf.EncodedTriple) bool { agg.Observe(e); return true })
 	book := id(t, st, "Book")
 	if agg.Counts()[book] != 1 {
 		t.Errorf("incoming object count = %v", agg.Counts())

@@ -21,7 +21,7 @@ func TestRemoteMatchesLocal(t *testing.T) {
 
 	// Local baseline.
 	local := NewPropertyAggregator(nil, false)
-	st.Scan(0, 0, func(e rdf.EncodedTriple) bool { local.Observe(e); return true })
+	st.Snapshot().Scan(0, 0, func(e rdf.EncodedTriple) bool { local.Observe(e); return true })
 	want := decode(t, st.Dict(), local.Counts())
 
 	rev := NewRemote(endpoint.NewClient(srv.URL), nil, Config{ChunkSize: 97})

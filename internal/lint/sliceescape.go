@@ -56,23 +56,17 @@ func runSliceEscape(pass *Pass) error {
 	return nil
 }
 
-// zeroCopyCall reports whether call is a zero-copy read on the store's
-// Snapshot or Store, returning a display name like "Snapshot.Objects".
+// zeroCopyCall reports whether call is a zero-copy read on a store
+// Snapshot, returning a display name like "Snapshot.Objects".
 func zeroCopyCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	recv, name, ok := methodCall(call)
 	if !ok || !zeroCopyMethods[name] {
 		return "", false
 	}
-	t := pass.TypesInfo.TypeOf(recv)
-	if t == nil {
+	if t := pass.TypesInfo.TypeOf(recv); t == nil || !isNamed(t, storePkgPath, "Snapshot") {
 		return "", false
 	}
-	for _, typ := range []string{"Snapshot", "Store"} {
-		if isNamed(t, storePkgPath, typ) {
-			return typ + "." + name, true
-		}
-	}
-	return "", false
+	return "Snapshot." + name, true
 }
 
 // escapeSink classifies the syntactic context of call; "" means the

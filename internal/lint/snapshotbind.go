@@ -26,25 +26,24 @@ var SnapshotBind = &Analyzer{
 const storePkgPath = "elinda/internal/store"
 
 // snapshotBindScope lists the query-scope packages the invariant covers:
-// the executor, the decomposer, the incremental evaluator and the
-// explorer, whose charts read many labels and index groups per request.
-// The store package itself is exempt (its Store read wrappers are the
-// documented single-bind convenience API), as is serving-tier glue that
+// the executor, the decomposer, the incremental evaluator, the explorer,
+// whose charts read many labels and index groups per request, and the
+// ontology, whose label sorts compare many classes. The store package
+// itself is exempt (its few Store read wrappers each serve one read for
+// the server, the CLI or the benchmark), as is serving-tier glue that
 // never spans more than one read per request.
 var snapshotBindScope = map[string]bool{
 	"elinda/internal/sparql":      true,
 	"elinda/internal/decomposer":  true,
 	"elinda/internal/incremental": true,
 	"elinda/internal/core":        true,
+	"elinda/internal/ontology":    true,
 }
 
 // storeReadMethods are the *store.Store methods that internally bind a
 // fresh snapshot per call.
 var storeReadMethods = map[string]bool{
-	"Len": true, "Contains": true, "ContainsID": true, "ContainsTriple": true,
-	"Scan": true, "Match": true, "CountMatch": true, "CardMatch": true,
-	"Postings": true, "Objects": true, "Subjects": true, "SubjectsOfType": true,
-	"PredicatesOf": true, "PredicatesInto": true, "Label": true,
+	"Len": true, "Label": true, "SearchClasses": true, "ComputeStats": true,
 }
 
 func runSnapshotBind(pass *Pass) error {

@@ -35,10 +35,6 @@ func badMapElement(snap *store.Snapshot, m map[rdf.ID][]rdf.ID, s, p rdf.ID) {
 	m[s] = snap.Objects(s, p) // want `stored in element m\[s\]`
 }
 
-func badStoreWrapper(st *store.Store, s, p rdf.ID, h *holder) {
-	h.ids = st.Objects(s, p) // want `stored in struct field h\.ids`
-}
-
 // goodLocalUse keeps the slice inside the call frame.
 func goodLocalUse(snap *store.Snapshot, s, p rdf.ID) int {
 	objs := snap.Objects(s, p)

@@ -72,9 +72,9 @@ func Build(st *store.Store) *Hierarchy {
 			h.roots = append(h.roots, c)
 		}
 	}
-	sortByLabel(st, h.roots)
+	sortByLabel(snap, h.roots)
 	for _, kids := range h.children {
-		sortByLabel(st, kids)
+		sortByLabel(snap, kids)
 	}
 	return h
 }
@@ -92,9 +92,11 @@ func isMetaClass(st *store.Store, c rdf.ID) bool {
 	return false
 }
 
-func sortByLabel(st *store.Store, ids []rdf.ID) {
+// sortByLabel orders ids by their labels as of snap, breaking ties on ID.
+// The caller binds snap once, so every comparison reads one generation.
+func sortByLabel(snap *store.Snapshot, ids []rdf.ID) {
 	sort.Slice(ids, func(i, j int) bool {
-		li, lj := st.Label(ids[i]), st.Label(ids[j])
+		li, lj := snap.Label(ids[i]), snap.Label(ids[j])
 		if li != lj {
 			return li < lj
 		}
@@ -120,7 +122,7 @@ func (h *Hierarchy) Classes() []rdf.ID {
 	for c := range h.classes {
 		out = append(out, c)
 	}
-	sortByLabel(h.st, out)
+	sortByLabel(h.st.Snapshot(), out)
 	return out
 }
 
@@ -168,7 +170,7 @@ func (h *Hierarchy) SubclassClosure(c rdf.ID) []rdf.ID {
 		out = append(out, n)
 		stack = append(stack, h.children[n]...)
 	}
-	sortByLabel(h.st, out)
+	sortByLabel(h.st.Snapshot(), out)
 	return out
 }
 
@@ -187,7 +189,7 @@ func (h *Hierarchy) SuperclassClosure(c rdf.ID) []rdf.ID {
 		out = append(out, n)
 		stack = append(stack, h.parents[n]...)
 	}
-	sortByLabel(h.st, out)
+	sortByLabel(h.st.Snapshot(), out)
 	return out
 }
 
@@ -209,9 +211,10 @@ func (h *Hierarchy) DeepInstanceCount(c rdf.ID) int {
 
 // DeepInstances returns the distinct subjects typed as c or any descendant.
 func (h *Hierarchy) DeepInstances(c rdf.ID) []rdf.ID {
+	snap := h.st.Snapshot()
 	set := make(map[rdf.ID]struct{})
 	add := func(class rdf.ID) {
-		for _, s := range h.st.SubjectsOfType(class) {
+		for _, s := range snap.SubjectsOfType(class) {
 			set[s] = struct{}{}
 		}
 	}

@@ -61,7 +61,7 @@ func randomDelta(r *rand.Rand, st *store.Store) store.Delta {
 		}
 		var live rdf.Triple
 		st.Snapshot().Scan(r.Intn(st.Len()), 1, func(e rdf.EncodedTriple) bool {
-			live = st.Triple(e)
+			live = st.Dict().Decode(e)
 			return false
 		})
 		if live.P != rdf.TypeIRI {
@@ -70,7 +70,7 @@ func randomDelta(r *rand.Rand, st *store.Store) store.Delta {
 	}
 	if r.Intn(6) == 0 {
 		tr := rdf.Triple{S: ex(fmt.Sprintf("n%d", r.Intn(40))), P: rdf.TypeIRI, O: ex(fmt.Sprintf("C%d", r.Intn(2)))}
-		if st.ContainsTriple(tr) {
+		if st.Snapshot().ContainsTriple(tr) {
 			d.Delete(tr)
 		} else {
 			d.Insert(tr)
@@ -181,10 +181,10 @@ func answersUnderWrites(t *testing.T, opts Options) {
 		}
 		var d store.Delta
 		for _, e := range res.NetDeletes {
-			d.Delete(st.Triple(e))
+			d.Delete(st.Dict().Decode(e))
 		}
 		for _, e := range res.NetInserts {
-			d.Insert(st.Triple(e))
+			d.Insert(st.Dict().Decode(e))
 		}
 		if _, err := replay.Apply(d); err != nil {
 			t.Fatal(err)

@@ -1,19 +1,12 @@
 package rdf
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Triple is a single RDF statement. The subject and predicate must be IRIs
 // (or blank nodes for the subject); the object may be any term.
 type Triple struct {
 	S, P, O Term
 }
-
-// NewTriple constructs a triple from its three components.
-func NewTriple(s, p, o Term) Triple { return Triple{S: s, P: p, O: o} }
 
 // String renders the triple in N-Triples syntax including the final dot.
 func (t Triple) String() string {
@@ -63,101 +56,4 @@ func (t Triple) Compare(u Triple) int {
 		return c
 	}
 	return t.O.Compare(u.O)
-}
-
-// Graph is a finite collection of RDF triples (the paper's G). It is an
-// in-memory value type used during parsing and generation; the query-capable
-// storage lives in internal/store.
-type Graph struct {
-	triples []Triple
-	seen    map[Triple]struct{}
-}
-
-// NewGraph returns an empty graph with capacity hint n.
-func NewGraph(n int) *Graph {
-	return &Graph{
-		triples: make([]Triple, 0, n),
-		seen:    make(map[Triple]struct{}, n),
-	}
-}
-
-// Add inserts a triple unless it is already present. It reports whether the
-// triple was newly added.
-func (g *Graph) Add(t Triple) bool {
-	if _, dup := g.seen[t]; dup {
-		return false
-	}
-	g.seen[t] = struct{}{}
-	g.triples = append(g.triples, t)
-	return true
-}
-
-// AddAll inserts every triple from ts, skipping duplicates, and returns the
-// number actually added.
-func (g *Graph) AddAll(ts []Triple) int {
-	n := 0
-	for _, t := range ts {
-		if g.Add(t) {
-			n++
-		}
-	}
-	return n
-}
-
-// Contains reports whether the graph holds t.
-func (g *Graph) Contains(t Triple) bool {
-	_, ok := g.seen[t]
-	return ok
-}
-
-// Len returns the number of distinct triples.
-func (g *Graph) Len() int { return len(g.triples) }
-
-// Triples returns the triples in insertion order. The slice is shared;
-// callers must not mutate it.
-func (g *Graph) Triples() []Triple { return g.triples }
-
-// Sorted returns a new slice with the triples in canonical SPO order.
-func (g *Graph) Sorted() []Triple {
-	out := make([]Triple, len(g.triples))
-	copy(out, g.triples)
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
-}
-
-// URIs returns the set U(G): all IRIs occurring in any position.
-func (g *Graph) URIs() map[Term]struct{} {
-	set := make(map[Term]struct{})
-	for _, t := range g.triples {
-		if t.S.IsIRI() {
-			set[t.S] = struct{}{}
-		}
-		set[t.P] = struct{}{}
-		if t.O.IsIRI() {
-			set[t.O] = struct{}{}
-		}
-	}
-	return set
-}
-
-// Literals returns the set L(G): all literals occurring as objects.
-func (g *Graph) Literals() map[Term]struct{} {
-	set := make(map[Term]struct{})
-	for _, t := range g.triples {
-		if t.O.IsLiteral() {
-			set[t.O] = struct{}{}
-		}
-	}
-	return set
-}
-
-// String renders the whole graph as N-Triples, sorted canonically. Intended
-// for tests and debugging; large graphs should use WriteNTriples.
-func (g *Graph) String() string {
-	var b strings.Builder
-	for _, t := range g.Sorted() {
-		b.WriteString(t.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -2,7 +2,6 @@ package rdf
 
 import (
 	"sort"
-	"strings"
 	"testing"
 )
 
@@ -51,62 +50,5 @@ func TestTripleCompareTotalOrder(t *testing.T) {
 		if ts[i] != want[i] {
 			t.Fatalf("sorted[%d] = %v, want %v", i, ts[i], want[i])
 		}
-	}
-}
-
-func TestGraphAddDeduplicates(t *testing.T) {
-	g := NewGraph(4)
-	a := tr("http://x/s", "http://x/p", "http://x/o")
-	if !g.Add(a) {
-		t.Error("first Add should report true")
-	}
-	if g.Add(a) {
-		t.Error("duplicate Add should report false")
-	}
-	if g.Len() != 1 {
-		t.Errorf("Len = %d, want 1", g.Len())
-	}
-	if !g.Contains(a) {
-		t.Error("Contains should find the added triple")
-	}
-	n := g.AddAll([]Triple{a, tr("http://x/s", "http://x/p", "http://x/o2")})
-	if n != 1 {
-		t.Errorf("AddAll added %d, want 1", n)
-	}
-}
-
-func TestGraphURIsAndLiterals(t *testing.T) {
-	g := NewGraph(4)
-	g.Add(Triple{S: NewIRI("http://x/s"), P: NewIRI("http://x/p"), O: NewLiteral("lit")})
-	g.Add(Triple{S: NewBlank("b"), P: NewIRI("http://x/q"), O: NewIRI("http://x/o")})
-	uris := g.URIs()
-	for _, want := range []string{"http://x/s", "http://x/p", "http://x/q", "http://x/o"} {
-		if _, ok := uris[NewIRI(want)]; !ok {
-			t.Errorf("URIs missing %s", want)
-		}
-	}
-	if _, ok := uris[NewBlank("b")]; ok {
-		t.Error("URIs should not include blank nodes")
-	}
-	lits := g.Literals()
-	if len(lits) != 1 {
-		t.Errorf("Literals size = %d, want 1", len(lits))
-	}
-	if _, ok := lits[NewLiteral("lit")]; !ok {
-		t.Error("Literals missing the object literal")
-	}
-}
-
-func TestGraphStringCanonical(t *testing.T) {
-	g := NewGraph(2)
-	g.Add(tr("http://x/b", "http://x/p", "http://x/o"))
-	g.Add(tr("http://x/a", "http://x/p", "http://x/o"))
-	s := g.String()
-	lines := strings.Split(strings.TrimSpace(s), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("String produced %d lines", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "<http://x/a>") {
-		t.Errorf("canonical order broken: %q first", lines[0])
 	}
 }

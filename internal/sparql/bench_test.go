@@ -150,7 +150,7 @@ func BenchmarkOrderByLimit(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			cp := append([]Solution(nil), rows...)
-			SortSolutions(cp, keys)
+			sortRows(cp, keys)
 			_ = SliceSolutions(cp, 0, 10)
 		}
 	})

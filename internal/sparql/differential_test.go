@@ -3,7 +3,6 @@ package sparql
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -99,8 +98,8 @@ func genDiffStore(r *rand.Rand) (*store.Store, []rdf.Triple) {
 		}
 	}
 	var triples []rdf.Triple
-	st.Scan(0, 0, func(e rdf.EncodedTriple) bool {
-		triples = append(triples, st.Triple(e))
+	st.Snapshot().Scan(0, 0, func(e rdf.EncodedTriple) bool {
+		triples = append(triples, st.Dict().Decode(e))
 		return true
 	})
 	return st, triples
@@ -326,36 +325,6 @@ func diffTrials(t *testing.T, seed int64) {
 	}
 }
 
-// TestStreamingMatchesLegacyMaxIntermediate checks that the streaming
-// executor trips the intermediate-size guard under exactly the same
-// conditions as the stage-at-a-time legacy path.
-func TestStreamingMatchesLegacyMaxIntermediate(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	ctx := context.Background()
-	for trial := 0; trial < 150; trial++ {
-		st, _ := genDiffStore(r)
-		stream := NewEngine(st)
-		legacy := newOracle(st)
-		max := 1 + r.Intn(40)
-		stream.MaxIntermediate = max
-		legacy.maxIntermediate = max
-		q := genDiffQuery(r)
-
-		resS, errS := stream.Execute(ctx, q)
-		resL, errL := legacy.Execute(ctx, q)
-		if (errS == nil) != (errL == nil) {
-			t.Fatalf("trial %d (max=%d): error mismatch: stream=%v legacy=%v\nquery:\n%s",
-				trial, max, errS, errL, q)
-		}
-		if errS != nil {
-			continue
-		}
-		if !q.Ask && !sameSolutions(resS.Rows, resL.Rows) {
-			t.Fatalf("trial %d (max=%d): row sets differ\nquery:\n%s", trial, max, q)
-		}
-	}
-}
-
 // TestStreamingCancellationMidJoin asserts that cancellation aborts even a
 // single huge pattern join promptly: the query below would enumerate an
 // astronomically large cross product if the in-loop context checks did not
@@ -444,14 +413,28 @@ func genCyclicQuery(r *rand.Rand) *Query {
 	return &Query{Star: true, Where: &GroupPattern{Triples: tps}, Limit: -1}
 }
 
+// executeCascaded runs a BGP-only query the way Execute does, except that
+// its root BGP compiles without leapfrog groups: every pattern is its own
+// cascaded probe step, through the same serial and parallel runner. The
+// executor takes this path for a BGP that a subselect joins before.
+func executeCascaded(ctx context.Context, e *Engine, q *Query) (*Result, error) {
+	env := newExecEnv(e.st.Snapshot())
+	slots := groupSlots(q.Where)
+	seed := newIDRows(slots.width())
+	seed.push(make([]rdf.ID, slots.width()))
+	out := newIDRows(slots.width())
+	if err := e.runBGP(ctx, seed, q.Where.Triples, slots, out, env, false); err != nil {
+		return nil, err
+	}
+	return e.finishIDs(ctx, q, out, slots, env)
+}
+
 // TestCyclicStarDifferential drives the cyclic and star shapes through
 // every path the executor chooses between: the oracle must agree on the
 // row set, and the streaming executor must be bit-identical — including
-// row order — across worker counts within one path. The paths are
-// reached the way production reaches them: a MaxIntermediate guard (too
-// large to ever trip) makes the BGP run serially on cascaded probes
-// instead of leapfrog groups, and a BGP longer than dpMaxPatterns is
-// ordered by orderGreedy instead of orderDP.
+// row order — across worker counts within one path. The paths: leapfrog
+// groups (Execute), cascaded probes (executeCascaded), and a BGP longer
+// than dpMaxPatterns, which orderGreedy orders instead of orderDP.
 func TestCyclicStarDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(512))
 	ctx := context.Background()
@@ -480,17 +463,18 @@ func TestCyclicStarDifferential(t *testing.T) {
 		// multiset equality with the oracle.
 		ordered := map[string][][]Solution{}
 		for _, cfg := range []struct {
-			workers int
-			guard   bool
-			greedy  bool
+			workers  int
+			cascaded bool
+			greedy   bool
 		}{
 			{workers: 1}, {workers: 0}, {workers: 3},
-			{workers: 1, guard: true}, {workers: 0, guard: true},
+			{workers: 1, cascaded: true}, {workers: 0, cascaded: true}, {workers: 3, cascaded: true},
 			{workers: 0, greedy: true},
 		} {
 			e := NewEngine(st)
-			if cfg.guard {
-				e.MaxIntermediate = math.MaxInt
+			exec := e.Execute
+			if cfg.cascaded {
+				exec = func(ctx context.Context, q *Query) (*Result, error) { return executeCascaded(ctx, e, q) }
 			}
 			run := q
 			if cfg.greedy {
@@ -498,7 +482,7 @@ func TestCyclicStarDifferential(t *testing.T) {
 			}
 			var res *Result
 			var err error
-			atGOMAXPROCS(cfg.workers, func() { res, err = e.Execute(ctx, run) })
+			atGOMAXPROCS(cfg.workers, func() { res, err = exec(ctx, run) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -506,7 +490,7 @@ func TestCyclicStarDifferential(t *testing.T) {
 				t.Fatalf("trial %d cfg %+v: row set diverges from oracle (%d vs %d rows)\nquery:\n%s",
 					trial, cfg, len(res.Rows), len(resL.Rows), run)
 			}
-			class := fmt.Sprintf("leap=%v dp=%v", !cfg.guard, !cfg.greedy)
+			class := fmt.Sprintf("leap=%v dp=%v", !cfg.cascaded, !cfg.greedy)
 			ordered[class] = append(ordered[class], res.Rows)
 		}
 		for class, runs := range ordered {

@@ -2,7 +2,6 @@ package sparql
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -35,16 +34,7 @@ type Result struct {
 // replaced is the differential-testing oracle in oracle_test.go.
 type Engine struct {
 	st *store.Store
-	// MaxIntermediate bounds the intermediate result size (0 = unlimited);
-	// exceeding it aborts with ErrTooLarge to protect the endpoint. When
-	// set, BGP execution stays serial so the per-stage counts it guards
-	// are deterministic.
-	MaxIntermediate int
 }
-
-// ErrTooLarge is returned when an intermediate result exceeds the
-// engine's configured bound.
-var ErrTooLarge = errors.New("sparql: intermediate result exceeds configured bound")
 
 // NewEngine returns an engine over st.
 func NewEngine(st *store.Store) *Engine { return &Engine{st: st} }
@@ -60,13 +50,6 @@ func (e *Engine) Query(ctx context.Context, src string) (*Result, error) {
 	}
 	return e.Execute(ctx, q)
 }
-
-// SortSolutions sorts rows in place by the ORDER BY keys using the
-// engine's comparison semantics (numeric when both sides coerce, else
-// lexical; unbound sorts first ascending). It is exported so result
-// producers outside the engine — the decomposer's index-backed fast path —
-// apply exactly the same ordering the generic evaluator would.
-func SortSolutions(rows []Solution, keys []OrderKey) { sortRows(rows, keys) }
 
 // SliceSolutions applies OFFSET/LIMIT solution modifiers (limit < 0 means
 // unlimited).

@@ -318,15 +318,6 @@ func TestEvalContextCancellation(t *testing.T) {
 	}
 }
 
-func TestEvalMaxIntermediate(t *testing.T) {
-	e := evalFixture(t)
-	e.MaxIntermediate = 2
-	_, err := e.Query(context.Background(), `SELECT ?s ?p ?o WHERE { ?s ?p ?o . }`)
-	if err != ErrTooLarge {
-		t.Errorf("err = %v, want ErrTooLarge", err)
-	}
-}
-
 func TestEvalUnboundTermNoMatch(t *testing.T) {
 	e := evalFixture(t)
 	res := runQ(t, e, `SELECT ?s WHERE { ?s a <http://never.interned/X> . }`)

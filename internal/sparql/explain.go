@@ -52,7 +52,7 @@ type PlanReport struct {
 	// the planner's model).
 	Mode string `json:"mode"`
 	// Leapfrog reports whether multiway intersection was eligible for
-	// this query (top-level BGP, no intermediate-size guard).
+	// the top-level BGP: no subselect joins before it.
 	Leapfrog bool `json:"leapfrog"`
 	// Patterns is the BGP in query order, before planning.
 	Patterns []string `json:"patterns"`
@@ -116,8 +116,8 @@ func (e *Engine) Explain(ctx context.Context, src string) (*PlanReport, error) {
 
 	ordered := planOrder(tps, planned)
 
-	// The same step compilation runBGP performs for a root BGP: leapfrog
-	// is eligible exactly when no intermediate-size guard is set.
+	// The same step compilation runBGP performs for the top-level BGP,
+	// decided by the same leapfrog predicate.
 	slots := groupSlots(q.Where)
 	env := newExecEnv(snap)
 	pats := make([]compiledPattern, len(ordered))
@@ -125,7 +125,7 @@ func (e *Engine) Explain(ctx context.Context, src string) (*PlanReport, error) {
 	for i, tp := range ordered {
 		pats[i] = compilePattern(tp, slots, env.dict)
 	}
-	rep.Leapfrog = e.MaxIntermediate == 0
+	rep.Leapfrog = leapfrogEligible(q.Where)
 	steps := compileSteps(pats, planned, slots.width(), rep.Leapfrog)
 
 	// Align each executor step with the planner's estimates: step j

@@ -106,13 +106,13 @@ func TestExplainMode(t *testing.T) {
 	}
 }
 
-// TestExplainGuardedEngine: with an intermediate-size guard set the
-// executor runs cascaded probes, and EXPLAIN must say so.
-func TestExplainGuardedEngine(t *testing.T) {
-	guarded := NewEngine(explainFixture(t))
-	guarded.MaxIntermediate = 1 << 20
-	// The triangle TestExplainTriangle sees closed by a leapfrog group.
-	rep, err := guarded.Explain(context.Background(), `SELECT * WHERE {
+// TestExplainSubselectFirst: a subselect joined before the BGP seeds it
+// with bound rows, so the executor runs the triangle as cascaded probes,
+// and EXPLAIN must report the same plan: leapfrog off, no leapfrog step.
+func TestExplainSubselectFirst(t *testing.T) {
+	eng := NewEngine(explainFixture(t))
+	rep, err := eng.Explain(context.Background(), `SELECT * WHERE {
+  { SELECT ?a WHERE { ?a a <http://example.org/Node> } }
   ?a <http://example.org/edge> ?b .
   ?b <http://example.org/edge> ?c .
   ?c <http://example.org/edge> ?a . }`)
@@ -120,12 +120,18 @@ func TestExplainGuardedEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Leapfrog {
-		t.Error("leapfrog must be reported off")
+		t.Error("leapfrog must be reported off after a subselect")
+	}
+	if len(rep.Steps) != 3 {
+		t.Errorf("steps = %+v, want one step per pattern", rep.Steps)
 	}
 	for _, s := range rep.Steps {
-		if s.Kind != "scan" {
-			t.Errorf("step %+v, want scans only under a size guard", s)
+		if s.Kind == "leapfrog" {
+			t.Errorf("step %+v: the executor runs no leapfrog group here", s)
 		}
+	}
+	if s := rep.String(); strings.Contains(s, "leapfrog ?") || !strings.Contains(s, "leapfrog=false") {
+		t.Errorf("rendered report:\n%s", s)
 	}
 }
 

@@ -220,6 +220,12 @@ func (e *Engine) Execute(ctx context.Context, q *Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The eval loops poll the context only every cancelCheckInterval
+	// visits: a deadline that fired during a small evaluation surfaces
+	// here, before any caller encodes the result.
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("sparql: %w", err)
+	}
 	if q.Ask {
 		return &Result{Ask: true, AskTrue: rows.n > 0}, nil
 	}
@@ -241,7 +247,7 @@ func (e *Engine) evalGroupIDs(ctx context.Context, g *GroupPattern, env *execEnv
 		if err != nil {
 			return nil, nil, err
 		}
-		rows, err = e.idJoin(ctx, rows, right, false)
+		rows, err = idJoin(ctx, rows, right, false)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -251,7 +257,7 @@ func (e *Engine) evalGroupIDs(ctx context.Context, g *GroupPattern, env *execEnv
 	// through the whole planned pattern chain depth first, so the joined
 	// intermediate result is never materialized as maps.
 	out := newIDRows(w)
-	if err := e.runBGP(ctx, rows, g.Triples, slots, out, env); err != nil {
+	if err := e.runBGP(ctx, rows, g.Triples, slots, out, env, leapfrogEligible(g)); err != nil {
 		return nil, nil, err
 	}
 	rows = out
@@ -270,7 +276,7 @@ func (e *Engine) evalGroupIDs(ctx context.Context, g *GroupPattern, env *execEnv
 			inline.push(idrow)
 		}
 		var err error
-		rows, err = e.idJoin(ctx, rows, inline, false)
+		rows, err = idJoin(ctx, rows, inline, false)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -287,7 +293,7 @@ func (e *Engine) evalGroupIDs(ctx context.Context, g *GroupPattern, env *execEnv
 			remapRows(brRows, brSlots, slots, unionRows)
 		}
 		var err error
-		rows, err = e.idJoin(ctx, rows, unionRows, false)
+		rows, err = idJoin(ctx, rows, unionRows, false)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -301,7 +307,7 @@ func (e *Engine) evalGroupIDs(ctx context.Context, g *GroupPattern, env *execEnv
 		}
 		remapped := newIDRows(w)
 		remapRows(optRows, optSlots, slots, remapped)
-		rows, err = e.idJoin(ctx, rows, remapped, true)
+		rows, err = idJoin(ctx, rows, remapped, true)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -448,14 +454,12 @@ const cancelCheckInterval = 2048
 // Workers of a parallel BGP each own an independent bgpExec over the
 // same snapshot.
 type bgpExec struct {
-	ctx             context.Context
-	snap            *store.Snapshot
-	steps           []joinStep
-	maxIntermediate int
-	counts          []int // per-depth row counts; nil when unguarded
-	cur             []rdf.ID
-	out             *idRows
-	visits          int
+	ctx    context.Context
+	snap   *store.Snapshot
+	steps  []joinStep
+	cur    []rdf.ID
+	out    *idRows
+	visits int
 }
 
 // step extends cur with every match of steps[depth] and recurses.
@@ -481,7 +485,7 @@ func (r *bgpExec) step(depth int) error {
 		if err != nil || !in {
 			return err
 		}
-		return r.advance(depth)
+		return r.step(depth + 1)
 	}
 	cp := st.pats[0]
 	if cp.dead {
@@ -502,7 +506,7 @@ func (r *bgpExec) step(depth int) error {
 	if !free {
 		// Fully bound: an O(log n) membership probe instead of a scan.
 		if r.snap.ContainsID(want[0], want[1], want[2]) {
-			return r.advance(depth)
+			return r.step(depth + 1)
 		}
 		return nil
 	}
@@ -536,7 +540,7 @@ func (r *bgpExec) step(depth int) error {
 			}
 		}
 		if ok {
-			stepErr = r.advance(depth)
+			stepErr = r.step(depth + 1)
 		}
 		for i := 0; i < nt; i++ {
 			r.cur[touched[i]] = rdf.NoID
@@ -544,18 +548,6 @@ func (r *bgpExec) step(depth int) error {
 		return stepErr == nil
 	})
 	return stepErr
-}
-
-// advance counts one row past steps[depth] against the intermediate-size
-// guard and recurses into the next step.
-func (r *bgpExec) advance(depth int) error {
-	if r.counts != nil {
-		r.counts[depth]++
-		if r.counts[depth] > r.maxIntermediate {
-			return ErrTooLarge
-		}
-	}
-	return r.step(depth + 1)
 }
 
 // run streams every input row through the pattern chain.
@@ -581,17 +573,21 @@ func (r *bgpExec) run(in *idRows) error {
 // the goroutine handoff costs more than the join work it parallelizes.
 const parallelMinRows = 64
 
+// leapfrogEligible reports whether g's BGP compiles with leapfrog groups:
+// exactly when no subselect joins before it, so the BGP's seed is the one
+// all-unbound row the compile-time bound-slot simulation starts from.
+// runBGP and Explain both decide by it.
+func leapfrogEligible(g *GroupPattern) bool { return len(g.SubSelects) == 0 }
+
 // runBGP plans the BGP tps, then streams every input row through the
 // pattern chain depth first and appends the fully joined rows to out.
-// With MaxIntermediate set, per-depth row counts trigger on exactly the
-// stage sizes the oracle's stage-at-a-time evaluator materializes (serial
-// execution, so the counts are deterministic). Otherwise the root
-// pattern's candidate rows fan out across GOMAXPROCS workers — every
-// worker reads the same immutable snapshot with zero coordination — and
-// the per-worker outputs
+// With leapfrog, patterns that co-constrain one free variable fuse into
+// an intersection group (see leapfrog.go). The root pattern's candidate
+// rows fan out across GOMAXPROCS workers — every worker reads the same
+// immutable snapshot with zero coordination — and the per-worker outputs
 // concatenate in chunk order, so the row order is identical to a serial
 // run.
-func (e *Engine) runBGP(ctx context.Context, in *idRows, tps []TriplePattern, slots *slotTable, out *idRows, env *execEnv) error {
+func (e *Engine) runBGP(ctx context.Context, in *idRows, tps []TriplePattern, slots *slotTable, out *idRows, env *execEnv, leapfrog bool) error {
 	if len(tps) == 0 {
 		out.data = append(out.data, in.data...)
 		out.n += in.n
@@ -603,24 +599,11 @@ func (e *Engine) runBGP(ctx context.Context, in *idRows, tps []TriplePattern, sl
 	for i, tp := range planOrder(tps, plan) {
 		pats[i] = compilePattern(tp, slots, env.dict)
 	}
-	// Leapfrog grouping: when several patterns co-constrain the same
-	// single free variable, intersect their sorted posting lists
-	// simultaneously (see leapfrog.go). Gated to MaxIntermediate == 0
-	// because a group skips the per-stage intermediate rows the size
-	// guard is defined over, and to an empty seed row because the
-	// compile-time bound-slot simulation starts from nothing.
-	leapfrog := e.MaxIntermediate == 0 && in.n == 1 && allUnbound(in.row(0))
 	steps := compileSteps(pats, plan, in.w, leapfrog)
-
-	run := &bgpExec{ctx: ctx, snap: env.snap, steps: steps, out: out, cur: make([]rdf.ID, in.w)}
-	if e.MaxIntermediate > 0 {
-		run.maxIntermediate = e.MaxIntermediate
-		run.counts = make([]int, len(steps))
-		return run.run(in)
-	}
 	if workers := runtime.GOMAXPROCS(0); workers > 1 && len(steps) > 1 {
 		return e.runBGPParallel(ctx, in, steps, out, env, workers)
 	}
+	run := &bgpExec{ctx: ctx, snap: env.snap, steps: steps, out: out, cur: make([]rdf.ID, in.w)}
 	return run.run(in)
 }
 
@@ -699,8 +682,7 @@ func (e *Engine) runBGPParallel(ctx context.Context, in *idRows, steps []joinSte
 // idJoin joins two ID row sets: every compatible (left, right) pair,
 // merged, left-major with each left row's partners in right-row order —
 // the nested loop's order. With optional it is OPTIONAL's left join: a
-// left row without a compatible partner is kept unchanged, and
-// MaxIntermediate does not apply.
+// left row without a compatible partner is kept unchanged.
 //
 // Right rows are chained into buckets on up to two key columns: slots
 // bound in every row of both sides. Rows that differ on such a slot are
@@ -708,7 +690,7 @@ func (e *Engine) runBGPParallel(ctx context.Context, in *idRows, steps []joinSte
 // bound in only some rows (a UNION branch, an OPTIONAL hole, a VALUES
 // UNDEF) is never a key; idCompatible still decides every candidate.
 // Without a key column every right row is a candidate.
-func (e *Engine) idJoin(ctx context.Context, left, right *idRows, optional bool) (*idRows, error) {
+func idJoin(ctx context.Context, left, right *idRows, optional bool) (*idRows, error) {
 	if !optional && left.n == 1 && allUnbound(left.row(0)) {
 		return right, nil
 	}
@@ -758,9 +740,6 @@ func (e *Engine) idJoin(ctx context.Context, left, right *idRows, optional bool)
 				mergeInto(scratch, l, r)
 				out.push(scratch)
 				matched = true
-				if !optional && e.MaxIntermediate > 0 && out.n > e.MaxIntermediate {
-					return nil, ErrTooLarge
-				}
 			}
 			if head != nil {
 				j = int(next[j])

@@ -61,7 +61,6 @@ func randJoinSide(r *rand.Rand, w, n int, always []bool) *idRows {
 // lone empty left row, and both modes.
 func TestIDJoinMatchesNestedLoop(t *testing.T) {
 	r := rand.New(rand.NewSource(25))
-	e := &Engine{}
 	ctx := context.Background()
 	keyLens := map[int]int{}
 	for trial := 0; trial < 3000; trial++ {
@@ -79,7 +78,7 @@ func TestIDJoinMatchesNestedLoop(t *testing.T) {
 		optional := r.Intn(2) == 0
 		keyLens[len(joinKeyColumns(left, right))]++
 
-		got, err := e.idJoin(ctx, left, right, optional)
+		got, err := idJoin(ctx, left, right, optional)
 		if err != nil {
 			t.Fatal(err)
 		}

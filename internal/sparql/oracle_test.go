@@ -27,9 +27,6 @@ import (
 // oracle evaluates queries against st with the reference evaluator.
 type oracle struct {
 	st *store.Store
-	// maxIntermediate mirrors Engine.MaxIntermediate: the stage sizes it
-	// trips on are the ones the streaming executor must reproduce.
-	maxIntermediate int
 	// order arranges each BGP's patterns before the nested-loop joins:
 	// the engine's own planPatterns unless a test that asserts "ordering
 	// never changes the answer" sets the order to compare.
@@ -219,10 +216,7 @@ func (e *oracle) evalGroup(ctx context.Context, g *GroupPattern, snap *store.Sna
 		if serr != nil {
 			return nil, serr
 		}
-		rows, err = e.joinSolutions(rows, subRes.Rows, false)
-		if err != nil {
-			return nil, err
-		}
+		rows = e.joinSolutions(rows, subRes.Rows, false)
 	}
 
 	// Triple patterns: nested-loop joins with index-backed pattern lookup,
@@ -234,9 +228,6 @@ func (e *oracle) evalGroup(ctx context.Context, g *GroupPattern, snap *store.Sna
 		rows, err = e.joinPattern(ctx, snap, rows, tp)
 		if err != nil {
 			return nil, err
-		}
-		if e.maxIntermediate > 0 && len(rows) > e.maxIntermediate {
-			return nil, ErrTooLarge
 		}
 	}
 
@@ -253,10 +244,7 @@ func (e *oracle) evalGroup(ctx context.Context, g *GroupPattern, snap *store.Sna
 			}
 			inline = append(inline, sol)
 		}
-		rows, err = e.joinSolutions(rows, inline, false)
-		if err != nil {
-			return nil, err
-		}
+		rows = e.joinSolutions(rows, inline, false)
 	}
 
 	// UNION branches.
@@ -269,10 +257,7 @@ func (e *oracle) evalGroup(ctx context.Context, g *GroupPattern, snap *store.Sna
 			}
 			unionRows = append(unionRows, brRows...)
 		}
-		rows, err = e.joinSolutions(rows, unionRows, false)
-		if err != nil {
-			return nil, err
-		}
+		rows = e.joinSolutions(rows, unionRows, false)
 	}
 
 	// OPTIONAL: left joins.
@@ -281,10 +266,7 @@ func (e *oracle) evalGroup(ctx context.Context, g *GroupPattern, snap *store.Sna
 		if oerr != nil {
 			return nil, oerr
 		}
-		rows, err = e.joinSolutions(rows, optRows, true)
-		if err != nil {
-			return nil, err
-		}
+		rows = e.joinSolutions(rows, optRows, true)
 	}
 
 	// FILTER constraints.
@@ -389,11 +371,10 @@ func consistent(d *rdf.Dict, sol Solution, tp TriplePattern, tr rdf.EncodedTripl
 // every compatible (left, right) pair merged, left-major, each left row's
 // partners in right-row order. No key is sampled from any row, so the
 // answer cannot depend on which rows come first. With optional it is
-// OPTIONAL's left join: a left row with no compatible partner is kept,
-// and maxIntermediate does not apply.
-func (e *oracle) joinSolutions(left, right []Solution, optional bool) ([]Solution, error) {
+// OPTIONAL's left join: a left row with no compatible partner is kept.
+func (e *oracle) joinSolutions(left, right []Solution, optional bool) []Solution {
 	if !optional && len(left) == 1 && len(left[0]) == 0 {
-		return right, nil
+		return right
 	}
 	var out []Solution
 	for _, l := range left {
@@ -408,15 +389,12 @@ func (e *oracle) joinSolutions(left, right []Solution, optional bool) ([]Solutio
 			}
 			out = append(out, m)
 			matched = true
-			if !optional && e.maxIntermediate > 0 && len(out) > e.maxIntermediate {
-				return nil, ErrTooLarge
-			}
 		}
 		if optional && !matched {
 			out = append(out, l)
 		}
 	}
-	return out, nil
+	return out
 }
 
 func compatible(a, b Solution) bool {

@@ -101,7 +101,7 @@ func TestEngineMatchesReferenceSinglePattern(t *testing.T) {
 				P: ex(fmt.Sprintf("p%d", r.Intn(4))),
 				O: ex(fmt.Sprintf("o%d", r.Intn(8))),
 			}
-			if st.ContainsTriple(tr) {
+			if st.Snapshot().ContainsTriple(tr) {
 				continue
 			}
 			st.Add(tr)

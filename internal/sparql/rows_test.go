@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -13,7 +12,7 @@ import (
 )
 
 // collectSink buffers a streamed result back into a Result — the inverse
-// of ReplayResult — so the streamed rows can be compared with Execute's.
+// of ReplayResult.
 type collectSink struct {
 	Result Result
 }
@@ -30,53 +29,9 @@ func (c *collectSink) Row(sol Solution) error {
 	return nil
 }
 
-// TestExecuteRowsMatchesExecuteDifferential is the row-callback
-// equivalence property: on random queries (the PR 2 generator), the
-// streamed rows must equal Execute's rows in content AND order —
-// byte-identical streaming encoders depend on it.
-func TestExecuteRowsMatchesExecuteDifferential(t *testing.T) {
-	r := rand.New(rand.NewSource(41))
-	ctx := context.Background()
-	for trial := 0; trial < 400; trial++ {
-		st, _ := genDiffStore(r)
-		e := NewEngine(st)
-		q := genDiffQuery(r)
-
-		res, errExec := e.Execute(ctx, q)
-		var sink collectSink
-		errRows := e.ExecuteRows(ctx, q, &sink)
-		if (errExec == nil) != (errRows == nil) {
-			t.Fatalf("trial %d: error mismatch: exec=%v rows=%v\nquery:\n%s", trial, errExec, errRows, q)
-		}
-		if errExec != nil {
-			continue
-		}
-		got := &sink.Result
-		if q.Ask {
-			if got.Ask != true || got.AskTrue != res.AskTrue {
-				t.Fatalf("trial %d: ASK mismatch: exec=%v rows=%+v\nquery:\n%s", trial, res.AskTrue, got, q)
-			}
-			continue
-		}
-		if !reflect.DeepEqual(res.Vars, got.Vars) {
-			t.Fatalf("trial %d: vars mismatch: exec=%v rows=%v\nquery:\n%s", trial, res.Vars, got.Vars, q)
-		}
-		if len(res.Rows) != len(got.Rows) {
-			t.Fatalf("trial %d: row counts differ: exec=%d rows=%d\nquery:\n%s", trial, len(res.Rows), len(got.Rows), q)
-		}
-		for i := range res.Rows {
-			if !reflect.DeepEqual(res.Rows[i], got.Rows[i]) {
-				t.Fatalf("trial %d: row %d differs (order matters):\nexec: %v\nrows: %v\nquery:\n%s",
-					trial, i, res.Rows[i], got.Rows[i], q)
-			}
-		}
-	}
-}
-
-// TestExecuteRowsOffsetLimitAtEdge: the streaming path applies
-// OFFSET/LIMIT at the decode edge; the slice semantics must match
-// Execute exactly, including out-of-range offsets.
-func TestExecuteRowsOffsetLimitAtEdge(t *testing.T) {
+// TestExecuteOffsetLimitAtEdge: OFFSET/LIMIT slice the ten matching rows,
+// including offsets at and past the end.
+func TestExecuteOffsetLimitAtEdge(t *testing.T) {
 	st := store.New(16)
 	var ts []rdf.Triple
 	for i := 0; i < 10; i++ {
@@ -90,8 +45,8 @@ func TestExecuteRowsOffsetLimitAtEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(st)
-	for _, tc := range []struct{ offset, limit int }{
-		{0, -1}, {0, 3}, {4, 3}, {4, -1}, {9, 5}, {10, -1}, {50, 2},
+	for _, tc := range []struct{ offset, limit, want int }{
+		{0, -1, 10}, {0, 3, 3}, {4, 3, 3}, {4, -1, 6}, {9, 5, 1}, {10, -1, 0}, {50, 2, 0},
 	} {
 		q, err := Parse(`SELECT ?s WHERE { ?s <http://x/p> ?o . }`)
 		if err != nil {
@@ -102,12 +57,8 @@ func TestExecuteRowsOffsetLimitAtEdge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sink collectSink
-		if err := e.ExecuteRows(context.Background(), q, &sink); err != nil {
-			t.Fatal(err)
-		}
-		if len(sink.Result.Rows) != len(res.Rows) {
-			t.Errorf("offset=%d limit=%d: rows=%d want %d", tc.offset, tc.limit, len(sink.Result.Rows), len(res.Rows))
+		if len(res.Rows) != tc.want {
+			t.Errorf("offset=%d limit=%d: rows=%d want %d", tc.offset, tc.limit, len(res.Rows), tc.want)
 		}
 	}
 }
@@ -127,7 +78,7 @@ func (s *errSink) Row(sol Solution) error {
 	return nil
 }
 
-func TestExecuteRowsSinkErrorPropagates(t *testing.T) {
+func TestReplayResultSinkErrorPropagates(t *testing.T) {
 	st := store.New(16)
 	if _, err := st.Load([]rdf.Triple{
 		{S: rdf.NewIRI("http://x/a"), P: rdf.NewIRI("http://x/p"), O: rdf.NewIRI("http://x/b")},
@@ -135,9 +86,12 @@ func TestExecuteRowsSinkErrorPropagates(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	res, err := NewEngine(st).Query(context.Background(), `SELECT ?s WHERE { ?s <http://x/p> ?o . }`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	boom := errors.New("sink full")
-	sink := &errSink{n: 1, err: boom}
-	err := NewEngine(st).QueryRows(context.Background(), `SELECT ?s WHERE { ?s <http://x/p> ?o . }`, sink)
+	err = ReplayResult(res, &errSink{n: 1, err: boom})
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want the sink's error", err)
 	}

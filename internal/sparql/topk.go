@@ -36,7 +36,7 @@ func topKBound(q *Query, n int) (int, bool) {
 }
 
 // TopKSolutions returns the first k rows of the stable ORDER BY sort of
-// rows — the exact prefix SortSolutions followed by rows[:k] would
+// rows — the exact prefix sortRows followed by rows[:k] would
 // produce — without sorting the full slice. The input is not modified.
 // The scan over rows polls ctx so a hung-up client stops paying for its
 // ordering pass.

@@ -210,13 +210,13 @@ INSERT DATA { ex:x ex:p ex:y }`)
 	if res.Inserted != 1 || res.Deleted != 1 {
 		t.Fatalf("ApplyResult = %+v", res)
 	}
-	if st.ContainsTriple(rdf.Triple{S: ex("a"), P: ex("p"), O: ex("b")}) {
+	if st.Snapshot().ContainsTriple(rdf.Triple{S: ex("a"), P: ex("p"), O: ex("b")}) {
 		t.Fatal("deleted triple still present")
 	}
-	if !st.ContainsTriple(rdf.Triple{S: ex("x"), P: ex("p"), O: ex("y")}) {
+	if !st.Snapshot().ContainsTriple(rdf.Triple{S: ex("x"), P: ex("p"), O: ex("y")}) {
 		t.Fatal("inserted triple missing")
 	}
-	if !st.ContainsTriple(rdf.Triple{S: ex("a"), P: ex("q"), O: ex("c")}) {
+	if !st.Snapshot().ContainsTriple(rdf.Triple{S: ex("a"), P: ex("q"), O: ex("c")}) {
 		t.Fatal("unrelated triple vanished")
 	}
 }

@@ -65,7 +65,7 @@ func BenchmarkMatchBySubject(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		st.Match(s, rdf.NoID, rdf.NoID, func(rdf.EncodedTriple) bool { n++; return true })
+		st.Snapshot().Match(s, rdf.NoID, rdf.NoID, func(rdf.EncodedTriple) bool { n++; return true })
 		if n == 0 {
 			b.Fatal("no matches")
 		}
@@ -79,7 +79,7 @@ func BenchmarkMatchByPredicate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		st.Match(rdf.NoID, p, rdf.NoID, func(rdf.EncodedTriple) bool { n++; return true })
+		st.Snapshot().Match(rdf.NoID, p, rdf.NoID, func(rdf.EncodedTriple) bool { n++; return true })
 		if n == 0 {
 			b.Fatal("no matches")
 		}
@@ -93,7 +93,7 @@ func BenchmarkScanChunked(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		offset := 0
 		for {
-			n := st.Scan(offset, 4096, func(rdf.EncodedTriple) bool { return true })
+			n := st.Snapshot().Scan(offset, 4096, func(rdf.EncodedTriple) bool { return true })
 			if n == 0 {
 				break
 			}

@@ -52,7 +52,7 @@ func TestDerivedPermutationsMatchSorts(t *testing.T) {
 		t.Fatal(err)
 	}
 	var gen []rdf.EncodedTriple
-	st.Scan(0, st.Len(), func(e rdf.EncodedTriple) bool { gen = append(gen, e); return true })
+	st.Snapshot().Scan(0, st.Len(), func(e rdf.EncodedTriple) bool { gen = append(gen, e); return true })
 	r.Shuffle(len(gen), func(i, j int) { gen[i], gen[j] = gen[j], gen[i] })
 	cases["datagen"] = append(gen, gen[:len(gen)/10]...)
 	for name, enc := range cases {

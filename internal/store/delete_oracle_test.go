@@ -125,7 +125,7 @@ func assertStoreMatchesModel(t *testing.T, st *Store, model *oracleModel, univer
 
 	// Membership over the whole universe.
 	for _, u := range universe {
-		if got, want := st.ContainsTriple(u), model.seen[u]; got != want {
+		if got, want := st.Snapshot().ContainsTriple(u), model.seen[u]; got != want {
 			t.Fatalf("ContainsTriple(%v) = %v, model says %v", u, got, want)
 		}
 	}
@@ -166,8 +166,8 @@ func assertSameReadSurface(t *testing.T, mutated, fresh *Store, universe []rdf.T
 			return nil
 		}
 		var out []rdf.Triple
-		st.Match(sid, pid, oid, func(e rdf.EncodedTriple) bool {
-			out = append(out, st.Triple(e))
+		st.Snapshot().Match(sid, pid, oid, func(e rdf.EncodedTriple) bool {
+			out = append(out, st.Dict().Decode(e))
 			return true
 		})
 		sort.Slice(out, func(i, j int) bool { return tripleLess(out[i], out[j]) })
@@ -203,13 +203,13 @@ func assertSameReadSurface(t *testing.T, mutated, fresh *Store, universe []rdf.T
 
 	// Predicate indexes per node.
 	for tm := range terms {
-		gp := decodedIDs(mutated, mutated.PredicatesOf(lookup(mutated, tm)))
-		fp := decodedIDs(fresh, fresh.PredicatesOf(lookup(fresh, tm)))
+		gp := decodedIDs(mutated, mutated.Snapshot().PredicatesOf(lookup(mutated, tm)))
+		fp := decodedIDs(fresh, fresh.Snapshot().PredicatesOf(lookup(fresh, tm)))
 		if !reflect.DeepEqual(gp, fp) && !(len(gp) == 0 && len(fp) == 0) {
 			t.Fatalf("PredicatesOf(%v) diverged: got %v want %v", tm, gp, fp)
 		}
-		gi := decodedIDs(mutated, mutated.PredicatesInto(lookup(mutated, tm)))
-		fi := decodedIDs(fresh, fresh.PredicatesInto(lookup(fresh, tm)))
+		gi := decodedIDs(mutated, mutated.Snapshot().PredicatesInto(lookup(mutated, tm)))
+		fi := decodedIDs(fresh, fresh.Snapshot().PredicatesInto(lookup(fresh, tm)))
 		if !reflect.DeepEqual(gi, fi) && !(len(gi) == 0 && len(fi) == 0) {
 			t.Fatalf("PredicatesInto(%v) diverged: got %v want %v", tm, gi, fi)
 		}
@@ -229,7 +229,7 @@ func cardOf(st *Store, pat [3]rdf.Term, lookup func(*Store, rdf.Term) rdf.ID) in
 			return 0
 		}
 	}
-	return st.CardMatch(ids[0], ids[1], ids[2])
+	return st.Snapshot().CardMatch(ids[0], ids[1], ids[2])
 }
 
 func decodedIDs(st *Store, ids []rdf.ID) []string {
@@ -323,7 +323,7 @@ func assertNetAgainstModel(t *testing.T, st *Store, res ApplyResult, before, aft
 		}
 		seen := make(map[rdf.Triple]bool, len(got))
 		for _, e := range got {
-			tr := st.Triple(e)
+			tr := st.Dict().Decode(e)
 			if from[tr] || !to[tr] || seen[tr] {
 				t.Fatalf("%s holds %v, which is not a net change (or is listed twice)", name, tr)
 			}
@@ -377,7 +377,7 @@ func TestScanPagingAcrossLayers(t *testing.T) {
 	first, last := scanPages(st.Snapshot(), 0)[0], st.Snapshot().base.n-1
 	var lastRow rdf.EncodedTriple
 	st.Snapshot().Scan(last, 1, func(e rdf.EncodedTriple) bool { lastRow = e; return true })
-	apply(rdf.Delete(st.Triple(first)), rdf.Delete(st.Triple(lastRow)),
+	apply(rdf.Delete(st.Dict().Decode(first)), rdf.Delete(st.Dict().Decode(lastRow)),
 		rdf.Delete(base[10]), rdf.Delete(base[11]), rdf.Delete(base[100]))
 	apply(rdf.Delete(mkTriple("d7", "p", "x")), rdf.Delete(mkTriple("t2", "p", "x")))
 	apply(rdf.Insert(base[11]))
@@ -461,7 +461,7 @@ func TestApplyEdgeCases(t *testing.T) {
 		if res.Inserted != 0 || res.Deleted != 0 || st.Len() != 0 {
 			t.Fatalf("transient triple leaked: %+v len=%d", res, st.Len())
 		}
-		if st.ContainsTriple(a) {
+		if st.Snapshot().ContainsTriple(a) {
 			t.Fatal("transient triple still visible")
 		}
 	})
@@ -484,7 +484,7 @@ func TestApplyEdgeCases(t *testing.T) {
 		if res.Inserted != 0 || res.Deleted != 0 || len(res.NetInserts) != 0 || len(res.NetDeletes) != 0 {
 			t.Fatalf("membership did not change, yet the result reports net changes: %+v", res)
 		}
-		if !st.ContainsTriple(a) || !st.ContainsTriple(b) || st.Len() != 2 {
+		if snap := st.Snapshot(); !snap.ContainsTriple(a) || !snap.ContainsTriple(b) || snap.Len() != 2 {
 			t.Fatalf("store changed: len=%d", st.Len())
 		}
 	})
@@ -539,7 +539,7 @@ func TestApplySnapshotReadersUnaffected(t *testing.T) {
 	if !old.ContainsTriple(a) || old.Len() != 2 {
 		t.Fatal("pinned snapshot observed the delete")
 	}
-	if st.ContainsTriple(a) || st.Len() != 1 {
+	if st.Snapshot().ContainsTriple(a) || st.Len() != 1 {
 		t.Fatal("live store missed the delete")
 	}
 }

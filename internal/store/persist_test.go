@@ -34,8 +34,8 @@ func buildPersistStore(t *testing.T) *Store {
 // (scan order differs between a store with an overlay and its reload).
 func storeTriples(st *Store) []rdf.Triple {
 	var out []rdf.Triple
-	st.Scan(0, 0, func(e rdf.EncodedTriple) bool {
-		out = append(out, st.Triple(e))
+	st.Snapshot().Scan(0, 0, func(e rdf.EncodedTriple) bool {
+		out = append(out, st.Dict().Decode(e))
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })

@@ -11,16 +11,8 @@ import (
 	"elinda/internal/rdf"
 )
 
-// collectMatch gathers a pattern's matches from any reader into a set.
-type reader interface {
-	Match(s, p, o rdf.ID, fn func(rdf.EncodedTriple) bool)
-	CardMatch(s, p, o rdf.ID) int
-	Postings(s, p, o rdf.ID) ([]rdf.ID, bool)
-	PredicatesOf(sub rdf.ID) []rdf.ID
-	PredicatesInto(obj rdf.ID) []rdf.ID
-}
-
-func matchSet(r reader, s, p, o rdf.ID) map[rdf.EncodedTriple]struct{} {
+// matchSet gathers a pattern's matches from r into a set.
+func matchSet(r *Snapshot, s, p, o rdf.ID) map[rdf.EncodedTriple]struct{} {
 	got := map[rdf.EncodedTriple]struct{}{}
 	r.Match(s, p, o, func(e rdf.EncodedTriple) bool {
 		got[e] = struct{}{}
@@ -33,8 +25,9 @@ func matchSet(r reader, s, p, o rdf.ID) map[rdf.EncodedTriple]struct{} {
 // property: for random datasets built through a mix of Load batches and
 // individual Adds (so both the bulk sort-once path and the sorted delta
 // overlay are exercised), every read — Match, CardMatch, Postings,
-// PredicatesOf, PredicatesInto — must agree between the live store and
-// its published snapshot, for every pattern shape.
+// PredicatesOf, PredicatesInto — must agree between the snapshot the
+// store publishes on each load and one snapshot held throughout, for
+// every pattern shape, and CardMatch must count exactly Match's triples.
 func TestSnapshotAgreesWithLiveStore(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 25; trial++ {
@@ -76,8 +69,8 @@ func TestSnapshotAgreesWithLiveStore(t *testing.T) {
 		before := make([]map[rdf.EncodedTriple]struct{}, len(probes))
 		cards := make([]int, len(probes))
 		for i, pr := range probes {
-			before[i] = matchSet(st, pr.s, pr.p, pr.o)
-			cards[i] = st.CardMatch(pr.s, pr.p, pr.o)
+			before[i] = matchSet(st.Snapshot(), pr.s, pr.p, pr.o)
+			cards[i] = st.Snapshot().CardMatch(pr.s, pr.p, pr.o)
 		}
 
 		snap := st.Snapshot()
@@ -88,13 +81,13 @@ func TestSnapshotAgreesWithLiveStore(t *testing.T) {
 			if got := snap.CardMatch(pr.s, pr.p, pr.o); got != cards[i] {
 				t.Fatalf("trial %d: snapshot CardMatch(%v) = %d, live = %d", trial, pr, got, cards[i])
 			}
-			if got := matchSet(st, pr.s, pr.p, pr.o); !reflect.DeepEqual(got, before[i]) {
+			if got := matchSet(st.Snapshot(), pr.s, pr.p, pr.o); !reflect.DeepEqual(got, before[i]) {
 				t.Fatalf("trial %d: live store answers changed between reads", trial)
 			}
 			if len(before[i]) != cards[i] {
 				t.Fatalf("trial %d: CardMatch(%v) = %d but %d matches", trial, pr, cards[i], len(before[i]))
 			}
-			liveP, okL := st.Postings(pr.s, pr.p, pr.o)
+			liveP, okL := st.Snapshot().Postings(pr.s, pr.p, pr.o)
 			snapP, okS := snap.Postings(pr.s, pr.p, pr.o)
 			if okL != okS || !reflect.DeepEqual(append([]rdf.ID{}, liveP...), append([]rdf.ID{}, snapP...)) {
 				t.Fatalf("trial %d: Postings(%v) diverge: live=%v snap=%v", trial, pr, liveP, snapP)
@@ -103,10 +96,10 @@ func TestSnapshotAgreesWithLiveStore(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			sid, _ := st.Dict().Lookup(iri(fmt.Sprintf("s%d", r.Intn(10))))
 			oid, _ := st.Dict().Lookup(iri(fmt.Sprintf("o%d", r.Intn(10))))
-			if !reflect.DeepEqual(st.PredicatesOf(sid), snap.PredicatesOf(sid)) {
+			if !reflect.DeepEqual(st.Snapshot().PredicatesOf(sid), snap.PredicatesOf(sid)) {
 				t.Fatalf("trial %d: PredicatesOf diverge", trial)
 			}
-			if !reflect.DeepEqual(st.PredicatesInto(oid), snap.PredicatesInto(oid)) {
+			if !reflect.DeepEqual(st.Snapshot().PredicatesInto(oid), snap.PredicatesInto(oid)) {
 				t.Fatalf("trial %d: PredicatesInto diverge", trial)
 			}
 		}
@@ -137,7 +130,7 @@ func TestSnapshotImmutableUnderWrites(t *testing.T) {
 	if got := snap.Subjects(pid, xid); len(got) != 2 {
 		t.Errorf("snapshot Subjects changed after Add: %v", got)
 	}
-	if got := st.Subjects(pid, xid); len(got) != 3 {
+	if got := st.Snapshot().Subjects(pid, xid); len(got) != 3 {
 		t.Errorf("live Subjects = %d, want 3", len(got))
 	}
 	snap2 := st.Snapshot()
@@ -160,7 +153,7 @@ func TestScanCallbackMayWrite(t *testing.T) {
 		st.Add(mkTriple(fmt.Sprintf("s%d", i), "p", "o"))
 	}
 	visited := 0
-	st.Scan(0, 0, func(e rdf.EncodedTriple) bool {
+	st.Snapshot().Scan(0, 0, func(e rdf.EncodedTriple) bool {
 		visited++
 		if _, err := st.Add(mkTriple(fmt.Sprintf("mid%d", visited), "p", "o")); err != nil {
 			t.Errorf("re-entrant Add failed: %v", err)
@@ -175,7 +168,7 @@ func TestScanCallbackMayWrite(t *testing.T) {
 	}
 	// Same for Match.
 	n := 0
-	st.Match(rdf.NoID, rdf.NoID, rdf.NoID, func(e rdf.EncodedTriple) bool {
+	st.Snapshot().Match(rdf.NoID, rdf.NoID, rdf.NoID, func(e rdf.EncodedTriple) bool {
 		n++
 		st.Add(mkTriple("match-reentry", fmt.Sprintf("q%d", n), "o"))
 		return n < 3
@@ -197,19 +190,19 @@ func TestPredicatesIntoSortedDeduped(t *testing.T) {
 		mkTriple("s5", "p3", "o"),
 	})
 	oid, _ := st.Dict().Lookup(iri("o"))
-	got := st.PredicatesInto(oid)
+	got := st.Snapshot().PredicatesInto(oid)
 	if len(got) != 3 {
 		t.Fatalf("PredicatesInto = %v, want 3 distinct predicates", got)
 	}
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
 		t.Errorf("PredicatesInto not sorted: %v", got)
 	}
-	if again := st.PredicatesInto(oid); !reflect.DeepEqual(got, again) {
+	if again := st.Snapshot().PredicatesInto(oid); !reflect.DeepEqual(got, again) {
 		t.Errorf("PredicatesInto not deterministic: %v vs %v", got, again)
 	}
 	// Delta path: an Add introducing a new predicate keeps the contract.
 	st.Add(mkTriple("s6", "a1", "o"))
-	got = st.PredicatesInto(oid)
+	got = st.Snapshot().PredicatesInto(oid)
 	if len(got) != 4 || !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
 		t.Errorf("PredicatesInto after delta Add: %v", got)
 	}
@@ -236,21 +229,21 @@ func TestDeltaCompaction(t *testing.T) {
 			want++
 		}
 	}
-	if got := st.CardMatch(sid, rdf.NoID, rdf.NoID); got != want {
+	if got := st.Snapshot().CardMatch(sid, rdf.NoID, rdf.NoID); got != want {
 		t.Errorf("CardMatch(s7,?,?) = %d, want %d", got, want)
 	}
 	// Every triple is findable after compactions.
 	for i := 0; i < n; i += 97 {
-		if !st.ContainsTriple(mkTriple(fmt.Sprintf("s%d", i%50), fmt.Sprintf("p%d", i%7), fmt.Sprintf("o%d", i))) {
+		if !st.Snapshot().ContainsTriple(mkTriple(fmt.Sprintf("s%d", i%50), fmt.Sprintf("p%d", i%7), fmt.Sprintf("o%d", i))) {
 			t.Fatalf("triple %d lost across compaction", i)
 		}
 	}
 	// A scan visits every triple exactly once across compactions (each
 	// has its own object).
 	seen := make(map[rdf.ID]bool, n)
-	st.Scan(0, 0, func(e rdf.EncodedTriple) bool {
+	st.Snapshot().Scan(0, 0, func(e rdf.EncodedTriple) bool {
 		if seen[e.O] {
-			t.Fatalf("scan visited %v twice", st.Triple(e))
+			t.Fatalf("scan visited %v twice", st.Dict().Decode(e))
 		}
 		seen[e.O] = true
 		return true
@@ -287,8 +280,8 @@ func TestSnapshotConcurrentWithWrites(t *testing.T) {
 					return
 				}
 				// And live-store reads must never fail mid-write.
-				st.CardMatch(rdf.NoID, rdf.NoID, rdf.NoID)
-				st.Scan(0, 64, func(rdf.EncodedTriple) bool { return true })
+				st.Snapshot().CardMatch(rdf.NoID, rdf.NoID, rdf.NoID)
+				st.Snapshot().Scan(0, 64, func(rdf.EncodedTriple) bool { return true })
 			}
 		}(g)
 	}

@@ -122,10 +122,6 @@ func (s *Snapshot) ComputeStats() Stats {
 }
 
 // DeclaredClassList returns the IDs of every subject declared as
-// owl:Class or rdfs:Class, sorted by label (current snapshot).
-func (s *Store) DeclaredClassList() []rdf.ID { return s.Snapshot().DeclaredClassList() }
-
-// DeclaredClassList returns the IDs of every subject declared as
 // owl:Class or rdfs:Class, sorted by label. This populates the paper's
 // autocomplete search box (Section 3.2).
 func (s *Snapshot) DeclaredClassList() []rdf.ID {

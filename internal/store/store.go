@@ -933,83 +933,6 @@ func (s *Snapshot) Label(id rdf.ID) string {
 // Len returns the number of distinct triples.
 func (s *Store) Len() int { return s.Snapshot().Len() }
 
-// Contains reports whether the encoded triple is present. O(log n), no
-// locks.
-func (s *Store) Contains(e rdf.EncodedTriple) bool { return s.Snapshot().Contains(e) }
-
-// ContainsID reports whether the fully bound triple (sub, pred, obj) is
-// present.
-func (s *Store) ContainsID(sub, pred, obj rdf.ID) bool {
-	return s.Snapshot().ContainsID(sub, pred, obj)
-}
-
-// ContainsTriple reports whether the term-level triple is present.
-func (s *Store) ContainsTriple(t rdf.Triple) bool { return s.Snapshot().ContainsTriple(t) }
-
-// Scan invokes fn on the current snapshot's triples starting at position
-// offset, for at most limit triples (limit <= 0 means all remaining), and
-// returns the number visited; see Snapshot.Scan for the order. Positions
-// are only meaningful within one snapshot: a caller paging with several
-// calls must bind Snapshot() once and page through that.
-//
-// Scan holds no lock: it captures the current snapshot atomically and
-// iterates immutable data, so the callback may safely call back into the
-// store — including Add and Load. Triples written during the scan belong
-// to a newer snapshot and are not visited by the in-flight iteration.
-func (s *Store) Scan(offset, limit int, fn func(rdf.EncodedTriple) bool) int {
-	return s.Snapshot().Scan(offset, limit, fn)
-}
-
-// Match iterates over every triple matching the pattern (s, p, o) where
-// rdf.NoID is a wildcard. fn returning false stops the iteration early.
-// Like all store reads it is lock-free — the callback may re-enter the
-// store, including its write methods; it observes the state from before
-// the call.
-func (s *Store) Match(sub, pred, obj rdf.ID, fn func(rdf.EncodedTriple) bool) {
-	s.Snapshot().Match(sub, pred, obj, fn)
-}
-
-// CountMatch returns the number of triples matching the pattern. It
-// delegates to CardMatch — index offsets, never a walk over matches.
-func (s *Store) CountMatch(sub, pred, obj rdf.ID) int { return s.CardMatch(sub, pred, obj) }
-
-// CardMatch returns the exact number of triples matching the pattern
-// (rdf.NoID is a wildcard) from index offsets: O(log n) for every pattern
-// shape. This is what the query planner's selectivity estimates are built
-// on.
-func (s *Store) CardMatch(sub, pred, obj rdf.ID) int {
-	return s.Snapshot().CardMatch(sub, pred, obj)
-}
-
-// Postings returns the sorted ID list for the single wildcard position of
-// the pattern; see Snapshot.Postings for the contract. The returned slice
-// is safe to retain and must not be modified.
-func (s *Store) Postings(sub, pred, obj rdf.ID) (ids []rdf.ID, ok bool) {
-	return s.Snapshot().Postings(sub, pred, obj)
-}
-
-// Objects returns the sorted object IDs of triples (sub, pred, ?) —
-// shared immutable data, do not modify.
-func (s *Store) Objects(sub, pred rdf.ID) []rdf.ID { return s.Snapshot().Objects(sub, pred) }
-
-// Subjects returns the sorted subject IDs of triples (?, pred, obj) —
-// shared immutable data, do not modify.
-func (s *Store) Subjects(pred, obj rdf.ID) []rdf.ID { return s.Snapshot().Subjects(pred, obj) }
-
-// SubjectsOfType returns the subjects s with (s, rdf:type, class).
-func (s *Store) SubjectsOfType(class rdf.ID) []rdf.ID { return s.Snapshot().SubjectsOfType(class) }
-
-// PredicatesOf returns the distinct predicate IDs on subject sub, sorted
-// ascending.
-func (s *Store) PredicatesOf(sub rdf.ID) []rdf.ID { return s.Snapshot().PredicatesOf(sub) }
-
-// PredicatesInto returns the distinct predicate IDs arriving at object
-// obj as a sorted, deduplicated slice, deterministic across calls.
-func (s *Store) PredicatesInto(obj rdf.ID) []rdf.ID { return s.Snapshot().PredicatesInto(obj) }
-
-// Triple decodes e back to term form.
-func (s *Store) Triple(e rdf.EncodedTriple) rdf.Triple { return s.dict.Decode(e) }
-
 // Label returns the rdfs:label of the node if one exists, otherwise the
 // IRI's local name (Section 3.1: "eLinda makes extensive use of standard
 // rdfs:label properties").

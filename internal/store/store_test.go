@@ -30,10 +30,10 @@ func TestAddAndContains(t *testing.T) {
 	if st.Len() != 1 {
 		t.Errorf("Len = %d", st.Len())
 	}
-	if !st.ContainsTriple(mkTriple("s", "p", "o")) {
+	if !st.Snapshot().ContainsTriple(mkTriple("s", "p", "o")) {
 		t.Error("ContainsTriple should find added triple")
 	}
-	if st.ContainsTriple(mkTriple("s", "p", "other")) {
+	if st.Snapshot().ContainsTriple(mkTriple("s", "p", "other")) {
 		t.Error("ContainsTriple found absent triple")
 	}
 }
@@ -98,7 +98,7 @@ func TestMatchAllPatterns(t *testing.T) {
 		{id("s2"), id("p2"), id("o1"), 0},
 	}
 	for i, c := range cases {
-		if got := st.CountMatch(c.s, c.p, c.o); got != c.want {
+		if got := st.Snapshot().CountMatch(c.s, c.p, c.o); got != c.want {
 			t.Errorf("case %d: CountMatch = %d, want %d", i, got, c.want)
 		}
 	}
@@ -110,7 +110,7 @@ func TestMatchEarlyStop(t *testing.T) {
 		st.Add(mkTriple(fmt.Sprintf("s%d", i), "p", "o"))
 	}
 	n := 0
-	st.Match(rdf.NoID, rdf.NoID, rdf.NoID, func(rdf.EncodedTriple) bool {
+	st.Snapshot().Match(rdf.NoID, rdf.NoID, rdf.NoID, func(rdf.EncodedTriple) bool {
 		n++
 		return n < 3
 	})
@@ -128,7 +128,7 @@ func TestScanChunks(t *testing.T) {
 	offset := 0
 	for {
 		var chunk []rdf.EncodedTriple
-		n := st.Scan(offset, 3, func(e rdf.EncodedTriple) bool {
+		n := st.Snapshot().Scan(offset, 3, func(e rdf.EncodedTriple) bool {
 			chunk = append(chunk, e)
 			return true
 		})
@@ -149,13 +149,13 @@ func TestScanChunks(t *testing.T) {
 	if len(subjects) != 10 {
 		t.Errorf("chunked scan visited %d distinct subjects, want 10", len(subjects))
 	}
-	if st.Scan(-5, 2, func(rdf.EncodedTriple) bool { return true }) != 2 {
+	if st.Snapshot().Scan(-5, 2, func(rdf.EncodedTriple) bool { return true }) != 2 {
 		t.Error("negative offset should clamp to 0")
 	}
-	if st.Scan(100, 5, func(rdf.EncodedTriple) bool { return true }) != 0 {
+	if st.Snapshot().Scan(100, 5, func(rdf.EncodedTriple) bool { return true }) != 0 {
 		t.Error("offset beyond end should visit nothing")
 	}
-	if st.Scan(8, 0, func(rdf.EncodedTriple) bool { return true }) != 2 {
+	if st.Snapshot().Scan(8, 0, func(rdf.EncodedTriple) bool { return true }) != 2 {
 		t.Error("limit<=0 should scan to the end")
 	}
 }
@@ -182,8 +182,8 @@ func TestIndexConsistencyProperty(t *testing.T) {
 
 	collect := func(s, p, o rdf.ID) map[rdf.Triple]struct{} {
 		got := map[rdf.Triple]struct{}{}
-		st.Match(s, p, o, func(e rdf.EncodedTriple) bool {
-			got[st.Triple(e)] = struct{}{}
+		st.Snapshot().Match(s, p, o, func(e rdf.EncodedTriple) bool {
+			got[st.Dict().Decode(e)] = struct{}{}
 			return true
 		})
 		return got
@@ -245,20 +245,20 @@ func TestObjectsSubjectsHelpers(t *testing.T) {
 	s1, _ := d.Lookup(iri("s1"))
 	p, _ := d.Lookup(iri("p"))
 	o1, _ := d.Lookup(iri("o1"))
-	if got := st.Objects(s1, p); len(got) != 2 {
+	if got := st.Snapshot().Objects(s1, p); len(got) != 2 {
 		t.Errorf("Objects = %d, want 2", len(got))
 	}
-	if got := st.Subjects(p, o1); len(got) != 2 {
+	if got := st.Snapshot().Subjects(p, o1); len(got) != 2 {
 		t.Errorf("Subjects = %d, want 2", len(got))
 	}
-	if got := st.Objects(o1, p); got != nil {
+	if got := st.Snapshot().Objects(o1, p); got != nil {
 		t.Errorf("Objects of non-subject should be nil, got %v", got)
 	}
-	preds := st.PredicatesOf(s1)
+	preds := st.Snapshot().PredicatesOf(s1)
 	if len(preds) != 2 {
 		t.Errorf("PredicatesOf = %d, want 2", len(preds))
 	}
-	into := st.PredicatesInto(o1)
+	into := st.Snapshot().PredicatesInto(o1)
 	if len(into) != 1 {
 		t.Errorf("PredicatesInto = %d, want 1", len(into))
 	}
@@ -271,7 +271,7 @@ func TestSubjectsOfType(t *testing.T) {
 	st.Add(rdf.Triple{S: iri("bob"), P: rdf.TypeIRI, O: person})
 	st.Add(rdf.Triple{S: iri("rex"), P: rdf.TypeIRI, O: iri("Dog")})
 	pid, _ := st.Dict().Lookup(person)
-	got := st.SubjectsOfType(pid)
+	got := st.Snapshot().SubjectsOfType(pid)
 	if len(got) != 2 {
 		t.Errorf("SubjectsOfType = %d, want 2", len(got))
 	}
@@ -306,7 +306,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 					return
 				default:
 				}
-				st.CountMatch(rdf.NoID, rdf.NoID, rdf.NoID)
+				st.Snapshot().CountMatch(rdf.NoID, rdf.NoID, rdf.NoID)
 				st.ComputeStats()
 			}
 		}()
@@ -357,7 +357,7 @@ func TestDeclaredClassListAndSearch(t *testing.T) {
 		{S: iri("Politician"), P: rdf.TypeIRI, O: rdf.OWLClassIRI},
 		{S: iri("Place"), P: rdf.TypeIRI, O: rdf.RDFSClassIRI},
 	})
-	all := st.DeclaredClassList()
+	all := st.Snapshot().DeclaredClassList()
 	if len(all) != 3 {
 		t.Fatalf("DeclaredClassList = %d, want 3", len(all))
 	}
@@ -431,8 +431,8 @@ func TestCardMatchAgreesWithCountMatch(t *testing.T) {
 		}
 		for probe := 0; probe < 40; probe++ {
 			s, p, o := pick("s", 9), pick("p", 4), pick("o", 9)
-			want := st.CountMatch(s, p, o)
-			if got := st.CardMatch(s, p, o); got != want {
+			want := st.Snapshot().CountMatch(s, p, o)
+			if got := st.Snapshot().CardMatch(s, p, o); got != want {
 				t.Fatalf("CardMatch(%d,%d,%d) = %d, CountMatch = %d", s, p, o, got, want)
 			}
 		}
@@ -456,7 +456,7 @@ func TestPostingsSorted(t *testing.T) {
 				{rdf.NoID, id("p", pi), id("o", si)},
 				{id("s", si), rdf.NoID, id("o", si)},
 			} {
-				got, ok := st.Postings(pat[0], pat[1], pat[2])
+				got, ok := st.Snapshot().Postings(pat[0], pat[1], pat[2])
 				if !ok {
 					t.Fatalf("Postings(%v) not ok", pat)
 				}
@@ -464,7 +464,7 @@ func TestPostingsSorted(t *testing.T) {
 					t.Fatalf("Postings(%v) not sorted: %v", pat, got)
 				}
 				var want []rdf.ID
-				st.Match(pat[0], pat[1], pat[2], func(e rdf.EncodedTriple) bool {
+				st.Snapshot().Match(pat[0], pat[1], pat[2], func(e rdf.EncodedTriple) bool {
 					switch {
 					case pat[2] == rdf.NoID:
 						want = append(want, e.O)
@@ -491,7 +491,7 @@ func TestPostingsSorted(t *testing.T) {
 		{id("s", 0), rdf.NoID, rdf.NoID},
 		{id("s", 0), id("p", 0), id("o", 0)},
 	} {
-		if _, ok := st.Postings(pat[0], pat[1], pat[2]); ok {
+		if _, ok := st.Snapshot().Postings(pat[0], pat[1], pat[2]); ok {
 			t.Errorf("Postings(%v) should not be ok", pat)
 		}
 	}
@@ -518,14 +518,14 @@ func TestContainsIDAndSortedDedup(t *testing.T) {
 	pid, _ := st.Dict().Lookup(iri("p"))
 	for _, o := range []string{"z", "a", "m"} {
 		oid, _ := st.Dict().Lookup(iri(o))
-		if !st.ContainsID(sid, pid, oid) {
+		if !st.Snapshot().ContainsID(sid, pid, oid) {
 			t.Errorf("ContainsID(s,p,%s) = false", o)
 		}
 	}
-	if st.ContainsID(sid, pid, sid) {
+	if st.Snapshot().ContainsID(sid, pid, sid) {
 		t.Error("ContainsID found absent triple")
 	}
-	objs := st.Objects(sid, pid)
+	objs := st.Snapshot().Objects(sid, pid)
 	if !sort.SliceIsSorted(objs, func(i, j int) bool { return objs[i] < objs[j] }) {
 		t.Errorf("Objects not sorted after out-of-order inserts: %v", objs)
 	}

@@ -69,7 +69,7 @@ func TestAttachedWALSurvivesCrash(t *testing.T) {
 		t.Fatalf("recovered %d of 10 triples", rec.Len())
 	}
 	for i := 0; i < 10; i++ {
-		if !rec.ContainsTriple(walTriple(i)) {
+		if !rec.Snapshot().ContainsTriple(walTriple(i)) {
 			t.Fatalf("triple %d missing after recovery", i)
 		}
 	}
@@ -168,7 +168,7 @@ func TestWALAppendFailureRejectsWrite(t *testing.T) {
 	if st.Len() != 1 || st.Generation() != gen {
 		t.Fatalf("rejected write leaked into the store: len=%d gen=%d", st.Len(), st.Generation())
 	}
-	if st.ContainsTriple(walTriple(1)) {
+	if st.Snapshot().ContainsTriple(walTriple(1)) {
 		t.Fatal("rejected triple is visible")
 	}
 	// The store recovers on the next write.
