@@ -27,6 +27,11 @@
 // rebuilt). A write that changes class membership, or one the memo did
 // not see in order, drops the memo instead, and the kernel rebuilds each
 // entry on its next read — the kernel is the only rebuild path.
+//
+// The package also recognises the explorer's object expansion
+// (DetectObject), which it does not answer: the engine computes it and
+// the HVS keeps it, and FoldObject merges each write into the cached
+// answer in the same incremental style.
 package decomposer
 
 import (
@@ -134,6 +139,9 @@ func Detect(q *sparql.Query) (Detection, bool) {
 	groupVar := q.GroupBy[0]
 
 	// Two-level (paper) form: subselect GROUP BY ?s ?p with COUNT(*).
+	if len(q.Where.Values) > 0 {
+		return Detection{}, false // VALUES restricts the rows the indexes would count
+	}
 	if len(q.Where.SubSelects) == 1 && len(q.Where.Triples) == 0 &&
 		len(q.Where.Filters) == 0 && len(q.Where.Optionals) == 0 && len(q.Where.Unions) == 0 {
 		return detectTwoLevel(q, groupVar)
@@ -151,7 +159,7 @@ func detectTwoLevel(q *sparql.Query, groupVar string) (Detection, bool) {
 	if sub.Distinct || sub.Limit >= 0 || sub.Offset > 0 || len(sub.GroupBy) != 2 {
 		return Detection{}, false
 	}
-	if len(sub.Where.Triples) != 2 || len(sub.Where.SubSelects) != 0 ||
+	if len(sub.Where.Triples) != 2 || len(sub.Where.SubSelects) != 0 || len(sub.Where.Values) != 0 ||
 		len(sub.Where.Filters) != 0 || len(sub.Where.Optionals) != 0 || len(sub.Where.Unions) != 0 {
 		return Detection{}, false
 	}

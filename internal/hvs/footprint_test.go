@@ -39,10 +39,10 @@ func TestApplyDeltaRetainsDisjoint(t *testing.T) {
 	s := New(time.Millisecond)
 	disjoint := "SELECT ?s WHERE { ?s <http://x/pA> ?o }"
 	overlapping := "SELECT ?s WHERE { ?s <http://x/pB> ?o }"
-	s.RecordFootprint(disjoint, res("a"), time.Second, 1, fpOf(t, disjoint))
-	s.RecordFootprint(overlapping, res("b"), time.Second, 1, fpOf(t, overlapping))
+	s.RecordFootprint(disjoint, res("a"), time.Second, 1, fpOf(t, disjoint), nil)
+	s.RecordFootprint(overlapping, res("b"), time.Second, 1, fpOf(t, overlapping), nil)
 
-	retained, evicted := s.ApplyDelta(1, 3, opsFor(triple("s1", "pB", "o1")))
+	retained, evicted := s.ApplyDelta(1, 3, opsFor(triple("s1", "pB", "o1")), refuse)
 	if retained != 1 || evicted != 1 {
 		t.Fatalf("ApplyDelta = (%d retained, %d evicted), want (1, 1)", retained, evicted)
 	}
@@ -62,8 +62,8 @@ func TestApplyDeltaRetainsDisjoint(t *testing.T) {
 // footprint are treated as wild and evicted by any delta.
 func TestApplyDeltaNilFootprintEvicted(t *testing.T) {
 	s := New(time.Millisecond)
-	s.RecordFootprint("q", res("a"), time.Second, 1, nil)
-	retained, evicted := s.ApplyDelta(1, 2, opsFor(triple("s", "pZ", "o")))
+	s.RecordFootprint("q", res("a"), time.Second, 1, nil, nil)
+	retained, evicted := s.ApplyDelta(1, 2, opsFor(triple("s", "pZ", "o")), refuse)
 	if retained != 0 || evicted != 1 {
 		t.Fatalf("ApplyDelta = (%d, %d), want (0, 1)", retained, evicted)
 	}
@@ -76,8 +76,8 @@ func TestApplyDeltaNilFootprintEvicted(t *testing.T) {
 // (unsummarizable query) never survives.
 func TestApplyDeltaWildFootprintEvicted(t *testing.T) {
 	s := New(time.Millisecond)
-	s.RecordFootprint("q", res("a"), time.Second, 1, sparql.WildFootprint())
-	if retained, evicted := s.ApplyDelta(1, 2, opsFor(triple("s", "p", "o"))); retained != 0 || evicted != 1 {
+	s.RecordFootprint("q", res("a"), time.Second, 1, sparql.WildFootprint(), nil)
+	if retained, evicted := s.ApplyDelta(1, 2, opsFor(triple("s", "p", "o")), refuse); retained != 0 || evicted != 1 {
 		t.Fatalf("ApplyDelta = (%d, %d), want (0, 1)", retained, evicted)
 	}
 }
@@ -88,9 +88,9 @@ func TestApplyDeltaWildFootprintEvicted(t *testing.T) {
 func TestApplyDeltaGenerationMismatch(t *testing.T) {
 	s := New(time.Millisecond)
 	q := "SELECT ?s WHERE { ?s <http://x/pA> ?o }"
-	s.RecordFootprint(q, res("a"), time.Second, 1, fpOf(t, q))
+	s.RecordFootprint(q, res("a"), time.Second, 1, fpOf(t, q), nil)
 	// Delta from generation 5: the cache only saw generation 1.
-	retained, evicted := s.ApplyDelta(5, 7, opsFor(triple("s", "pZ", "o")))
+	retained, evicted := s.ApplyDelta(5, 7, opsFor(triple("s", "pZ", "o")), refuse)
 	if retained != 0 || evicted != 1 {
 		t.Fatalf("mismatched delta = (%d, %d), want wholesale (0, 1)", retained, evicted)
 	}
@@ -105,8 +105,8 @@ func TestApplyDeltaGenerationMismatch(t *testing.T) {
 func TestApplyDeltaGenerationSemantics(t *testing.T) {
 	s := New(time.Millisecond)
 	q := "SELECT ?s WHERE { ?s <http://x/pA> ?o }"
-	s.RecordFootprint(q, res("a"), time.Second, 1, fpOf(t, q))
-	s.ApplyDelta(1, 4, opsFor(triple("s", "pZ", "o")))
+	s.RecordFootprint(q, res("a"), time.Second, 1, fpOf(t, q), nil)
+	s.ApplyDelta(1, 4, opsFor(triple("s", "pZ", "o")), refuse)
 	if _, ok := s.Lookup(q, 4); !ok {
 		t.Fatal("survivor not re-tagged to the delta's target generation")
 	}
@@ -152,11 +152,11 @@ func TestApplyDeltaGuardPositions(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			s := New(time.Millisecond)
-			s.RecordFootprint(c.query, res("a"), time.Second, 1, fpOf(t, c.query))
-			if retained, evicted := s.ApplyDelta(1, 2, []rdf.TripleOp{rdf.Insert(c.miss)}); retained != 1 || evicted != 0 {
+			s.RecordFootprint(c.query, res("a"), time.Second, 1, fpOf(t, c.query), nil)
+			if retained, evicted := s.ApplyDelta(1, 2, []rdf.TripleOp{rdf.Insert(c.miss)}, refuse); retained != 1 || evicted != 0 {
 				t.Fatalf("miss triple evicted the entry: (%d, %d)", retained, evicted)
 			}
-			if retained, evicted := s.ApplyDelta(2, 3, []rdf.TripleOp{rdf.Insert(c.hit)}); retained != 0 || evicted != 1 {
+			if retained, evicted := s.ApplyDelta(2, 3, []rdf.TripleOp{rdf.Insert(c.hit)}, refuse); retained != 0 || evicted != 1 {
 				t.Fatalf("hit triple retained the entry: (%d, %d)", retained, evicted)
 			}
 		})
@@ -168,8 +168,8 @@ func TestApplyDeltaGuardPositions(t *testing.T) {
 func TestApplyDeltaDeleteOpsCount(t *testing.T) {
 	s := New(time.Millisecond)
 	q := "SELECT ?s WHERE { ?s <http://x/pA> ?o }"
-	s.RecordFootprint(q, res("a"), time.Second, 1, fpOf(t, q))
-	if retained, evicted := s.ApplyDelta(1, 2, []rdf.TripleOp{rdf.Delete(triple("s", "pA", "o"))}); retained != 0 || evicted != 1 {
+	s.RecordFootprint(q, res("a"), time.Second, 1, fpOf(t, q), nil)
+	if retained, evicted := s.ApplyDelta(1, 2, []rdf.TripleOp{rdf.Delete(triple("s", "pA", "o"))}, refuse); retained != 0 || evicted != 1 {
 		t.Fatalf("delete op ignored by invalidation: (%d, %d)", retained, evicted)
 	}
 }
@@ -188,7 +188,7 @@ func TestFootprintRetentionProperty(t *testing.T) {
 		for _, p := range preds {
 			q := fmt.Sprintf("SELECT ?s WHERE { ?s <http://x/%s> ?o }", p)
 			queries[q] = p
-			s.RecordFootprint(q, res(p), time.Second, gen, fpOf(t, q))
+			s.RecordFootprint(q, res(p), time.Second, gen, fpOf(t, q), nil)
 		}
 		// A few deltas in sequence, each touching a random predicate set.
 		alive := make(map[string]bool, len(queries))
@@ -215,7 +215,7 @@ func TestFootprintRetentionProperty(t *testing.T) {
 					wantRetained++
 				}
 			}
-			retained, evicted := s.ApplyDelta(gen, gen+1, ops)
+			retained, evicted := s.ApplyDelta(gen, gen+1, ops, refuse)
 			gen++
 			if retained != wantRetained || evicted != wantEvicted {
 				t.Fatalf("round %d delta %d: ApplyDelta = (%d, %d), want (%d, %d)",
@@ -236,7 +236,7 @@ func TestFootprintRetentionProperty(t *testing.T) {
 func TestFootprintSurvivesSnapshot(t *testing.T) {
 	s := New(time.Millisecond)
 	q := "SELECT ?s WHERE { ?s <http://x/pA> ?o }"
-	s.RecordFootprint(q, res("a"), time.Second, 1, fpOf(t, q))
+	s.RecordFootprint(q, res("a"), time.Second, 1, fpOf(t, q), nil)
 	var buf bytes.Buffer
 	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -245,10 +245,69 @@ func TestFootprintSurvivesSnapshot(t *testing.T) {
 	if err := restored.Restore(&buf, 1); err != nil {
 		t.Fatal(err)
 	}
-	if retained, evicted := restored.ApplyDelta(1, 2, opsFor(triple("s", "pZ", "o"))); retained != 1 || evicted != 0 {
+	if retained, evicted := restored.ApplyDelta(1, 2, opsFor(triple("s", "pZ", "o")), refuse); retained != 1 || evicted != 0 {
 		t.Fatalf("restored entry lost its footprint: (%d, %d)", retained, evicted)
 	}
 	if _, ok := restored.Lookup(q, 2); !ok {
 		t.Fatal("restored disjoint entry not served after delta")
+	}
+}
+
+// TestApplyDeltaFold: an overlapping entry is offered to the fold with
+// its key and Shape. Keeping the answer retains the entry unchanged, a
+// rewritten answer replaces it (re-costed, counted as folded and as
+// retained), and a refusal or a rewrite past MaxBytes evicts.
+// Disjoint entries are never offered. The Shape is not persisted.
+func TestApplyDeltaFold(t *testing.T) {
+	s := New(time.Millisecond)
+	s.MaxBytes = 4 * ResultBytes(resN("x", 10))
+	q := func(name string) string { return "SELECT ?s WHERE { ?s <http://x/" + name + "> ?o }" }
+	for _, name := range []string{"keep", "rewrite", "refuse", "grow"} {
+		s.RecordFootprint(q(name), res(name), time.Second, 1, fpOf(t, q(name)), name)
+	}
+	s.RecordFootprint(q("other"), res("other"), time.Second, 1, fpOf(t, q("other")), "other")
+	ops := opsFor(triple("s", "keep", "o"), triple("s", "rewrite", "o"), triple("s", "refuse", "o"), triple("s", "grow", "o"))
+
+	offered := map[string]bool{}
+	fold := func(key string, e *Entry) (*sparql.Result, bool) {
+		offered[e.Shape.(string)] = true
+		switch e.Shape {
+		case "keep":
+			return e.Result, true
+		case "rewrite":
+			return res("rewritten"), true
+		case "grow":
+			return resN("big", 50), true
+		}
+		return nil, false
+	}
+	retained, evicted := s.ApplyDelta(1, 2, ops, fold)
+	if retained != 3 || evicted != 2 || len(offered) != 4 || offered["other"] {
+		t.Fatalf("ApplyDelta = (%d, %d) offering %v, want (3, 2) offering the four overlapping entries", retained, evicted, offered)
+	}
+	if got, ok := s.Lookup(q("rewrite"), 2); !ok || got.Rows[0]["x"].Value != "http://x/rewritten" {
+		t.Fatalf("rewritten entry = (%v, %v)", got, ok)
+	}
+	if _, ok := s.Lookup(q("keep"), 2); !ok {
+		t.Fatal("kept entry lost")
+	}
+	want := ResultBytes(res("keep")) + ResultBytes(res("rewritten")) + ResultBytes(res("other"))
+	if st := s.Stats(); st.DeltaFolded != 1 || st.DeltaRetained != 3 || st.DeltaEvictions != 2 || st.Bytes != want {
+		t.Fatalf("stats = %+v, want 1 folded, 3 retained, 2 evicted, %d bytes", st, want)
+	}
+	if retained, evicted := s.ApplyDelta(2, 3, ops, refuse); retained != 1 || evicted != 2 {
+		t.Fatalf("refusing fold: ApplyDelta = (%d, %d), want (1, 2)", retained, evicted)
+	}
+
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored := New(time.Millisecond)
+	if err := restored.Restore(&buf, 3); err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := restored.Entry(q("other")); !ok || e.Shape != nil {
+		t.Fatalf("restored entry = (%+v, %v), want one without a Shape", e, ok)
 	}
 }

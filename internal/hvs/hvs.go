@@ -21,6 +21,17 @@
 // started before a write — misses or is dropped and never clears or rolls
 // the cache back. ApplyDelta, called in write order by the proxy, keeps
 // entries whose footprint the write does not touch.
+//
+// Where the paper clears the HVS on any update, an entry whose footprint
+// a write does touch is first offered to the caller's fold, which may
+// merge the write into the cached answer instead of dropping it — dbt's
+// incremental model, merged with its delta rather than rebuilt. The proxy
+// folds object expansions (decomposer.FoldObject: a write on the chart's
+// link property moves only the counts of the objects whose support
+// crosses zero). Everything else a write touches is still evicted: a
+// write on rdf:type (class membership or an object's types), an object
+// expansion under LIMIT or OFFSET, and every shape the fold does not
+// recognise.
 package hvs
 
 import (
@@ -52,6 +63,10 @@ type Entry struct {
 	// delta-aware invalidation (ApplyDelta). nil means unknown: the entry
 	// is treated as depending on everything and evicted by any delta.
 	Footprint *sparql.Footprint
+	// Shape is what the recorder derived from the query for ApplyDelta's
+	// fold (the proxy keeps its object-expansion detection here). It is
+	// opaque to the store and not persisted: a restored entry has none.
+	Shape any
 }
 
 // Stats summarizes store activity.
@@ -74,8 +89,12 @@ type Stats struct {
 	// because their footprint overlapped a mutation.
 	DeltaEvictions int
 	// DeltaRetained counts entries that survived a delta-aware
-	// invalidation because their footprint was disjoint from the mutation.
+	// invalidation: their footprint was disjoint from the mutation, or the
+	// fold carried their answer across it.
 	DeltaRetained int
+	// DeltaFolded counts the retained entries whose answer the fold
+	// rewrote (a subset of DeltaRetained).
+	DeltaFolded int
 }
 
 // Store is a threshold-gated key-value cache of SPARQL results. It is safe
@@ -98,7 +117,7 @@ type Store struct {
 	totalBytes int64
 
 	hits, misses, stores, evictions, invalidations int
-	deltaEvictions, deltaRetained                  int
+	deltaEvictions, deltaRetained, deltaFolded     int
 
 	// MaxBytes bounds the approximate total byte cost of cached results;
 	// 0 means unlimited. Exceeding it evicts least-recently-used entries
@@ -195,11 +214,12 @@ func (s *Store) Lookup(query string, generation uint64) (*sparql.Result, bool) {
 // cache's; it returns whether the query was classified heavy. The
 // footprint lets the entry survive delta-aware invalidation (ApplyDelta)
 // for mutations disjoint from it; a nil footprint is evicted by any delta.
+// shape is stored as the entry's Shape, for ApplyDelta's fold.
 //
 // The byte-cost walk over the result happens before the store lock is
 // taken: a multi-megabyte result must not stall every concurrent Lookup
 // (the hot tier-1 path) while its cost is computed.
-func (s *Store) RecordFootprint(query string, res *sparql.Result, runtime time.Duration, generation uint64, fp *sparql.Footprint) bool {
+func (s *Store) RecordFootprint(query string, res *sparql.Result, runtime time.Duration, generation uint64, fp *sparql.Footprint, shape any) bool {
 	key := Normalize(query)
 	if runtime < s.Threshold() {
 		return false
@@ -218,7 +238,7 @@ func (s *Store) RecordFootprint(query string, res *sparql.Result, runtime time.D
 	if old, exists := s.entries[key]; exists {
 		s.totalBytes -= old.Bytes
 	}
-	s.entries[key] = &Entry{Result: res, Runtime: runtime, StoredAt: time.Now(), Bytes: bytes, Footprint: fp}
+	s.entries[key] = &Entry{Result: res, Runtime: runtime, StoredAt: time.Now(), Bytes: bytes, Footprint: fp, Shape: shape}
 	s.totalBytes += bytes
 	s.touchLocked(key)
 	s.stores++
@@ -301,14 +321,21 @@ func (s *Store) clearCountedLocked() {
 // ApplyDelta performs delta-aware invalidation for a mutation that moved
 // the KB generation from 'from' to 'to': entries whose footprint is
 // disjoint from the mutated triples survive and are re-tagged to the new
-// generation; entries whose footprint overlaps (or is nil/wild) are
-// evicted. A cache already at 'to' or later has nothing to learn from the
-// delta (a reader at the new generation got there first) and is left
-// alone. A cache at any other generation missed a write, so provenance is
-// unknown and the paper's wholesale clear applies.
+// generation. An entry whose footprint overlaps (or is nil/wild) is
+// offered to fold, which returns the entry's answer at 'to' (its own
+// Result when the mutation leaves it unchanged) or ok=false; only a
+// refusal evicts it. fold runs under the store's lock
+// and may fill in a restored entry's Shape. A rewritten answer is
+// re-costed, and one larger than MaxBytes is evicted like a refusal; the
+// budget then evicts in LRU order as usual. A cache already at 'to' or
+// later has nothing to learn from the delta (a reader at the new
+// generation got there first) and is left alone. A cache at any other
+// generation missed a write, so provenance is unknown and the paper's
+// wholesale clear applies.
 //
-// It returns how many entries were retained and evicted.
-func (s *Store) ApplyDelta(from, to uint64, ops []rdf.TripleOp) (retained, evicted int) {
+// It returns how many entries were retained (folded ones included) and
+// evicted.
+func (s *Store) ApplyDelta(from, to uint64, ops []rdf.TripleOp, fold func(key string, e *Entry) (*sparql.Result, bool)) (retained, evicted int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.haveGen && s.generation >= to {
@@ -320,12 +347,28 @@ func (s *Store) ApplyDelta(from, to uint64, ops []rdf.TripleOp) (retained, evict
 		s.generation, s.haveGen = to, true
 		return 0, n
 	}
-	// Collect first, then remove: removeLocked mutates s.entries. The
-	// surviving set is order-independent, so map iteration order cannot
-	// change the outcome.
+	// Collect first, then remove: removeLocked mutates s.entries. Each
+	// entry's outcome depends on that entry alone, so map iteration order
+	// cannot change the outcome.
 	var dead []string
+	folded := 0
 	for k, e := range s.entries {
-		if e.Footprint.Overlaps(ops) {
+		if !e.Footprint.Overlaps(ops) {
+			continue
+		}
+		//lint:ignore maporder each fold reads its own entry and the snapshot alone; the outcome is per-entry, so call order cannot reach output
+		res, ok := fold(k, e)
+		if ok && res != e.Result {
+			bytes := ResultBytes(res)
+			if ok = s.MaxBytes <= 0 || bytes <= s.MaxBytes; ok {
+				next := *e
+				next.Result, next.Bytes = res, bytes
+				s.entries[k] = &next
+				s.totalBytes += bytes - e.Bytes
+				folded++
+			}
+		}
+		if !ok {
 			//lint:ignore maporder dead is a removal set; removeLocked is per-key and the counts are set-sized, order cannot reach output
 			dead = append(dead, k)
 		}
@@ -333,10 +376,12 @@ func (s *Store) ApplyDelta(from, to uint64, ops []rdf.TripleOp) (retained, evict
 	for _, k := range dead {
 		s.removeLocked(k)
 	}
+	s.evictOverBudgetLocked(nil)
 	retained = len(s.entries)
 	evicted = len(dead)
 	s.deltaEvictions += evicted
 	s.deltaRetained += retained
+	s.deltaFolded += folded
 	if evicted > 0 && retained == 0 {
 		s.invalidations++
 	}
@@ -372,6 +417,7 @@ func (s *Store) Stats() Stats {
 		Invalidations:  s.invalidations,
 		DeltaEvictions: s.deltaEvictions,
 		DeltaRetained:  s.deltaRetained,
+		DeltaFolded:    s.deltaFolded,
 	}
 }
 

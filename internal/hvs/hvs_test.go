@@ -17,6 +17,10 @@ func res(v string) *sparql.Result {
 	}
 }
 
+// refuse is an ApplyDelta fold that folds nothing, so every overlapping
+// entry is evicted.
+func refuse(string, *Entry) (*sparql.Result, bool) { return nil, false }
+
 func TestNormalize(t *testing.T) {
 	a := Normalize("SELECT ?s  WHERE {\n  ?s ?p ?o .\n}")
 	b := Normalize("SELECT ?s WHERE { ?s ?p ?o . }")
@@ -27,13 +31,13 @@ func TestNormalize(t *testing.T) {
 
 func TestThresholdGating(t *testing.T) {
 	s := New(time.Second)
-	if s.RecordFootprint("q1", res("a"), 500*time.Millisecond, 1, nil) {
+	if s.RecordFootprint("q1", res("a"), 500*time.Millisecond, 1, nil, nil) {
 		t.Error("sub-threshold query stored")
 	}
 	if s.Len() != 0 {
 		t.Error("store should be empty")
 	}
-	if !s.RecordFootprint("q1", res("a"), 2*time.Second, 1, nil) {
+	if !s.RecordFootprint("q1", res("a"), 2*time.Second, 1, nil, nil) {
 		t.Error("heavy query not stored")
 	}
 	got, ok := s.Lookup("q1", 1)
@@ -56,7 +60,7 @@ func TestDefaultThreshold(t *testing.T) {
 
 func TestLookupNormalizesKeys(t *testing.T) {
 	s := New(time.Millisecond)
-	s.RecordFootprint("SELECT ?s WHERE { ?s ?p ?o }", res("a"), time.Second, 1, nil)
+	s.RecordFootprint("SELECT ?s WHERE { ?s ?p ?o }", res("a"), time.Second, 1, nil, nil)
 	if _, ok := s.Lookup("SELECT  ?s\nWHERE  { ?s ?p ?o }", 1); !ok {
 		t.Error("whitespace variant missed the cache")
 	}
@@ -64,7 +68,7 @@ func TestLookupNormalizesKeys(t *testing.T) {
 
 func TestGenerationInvalidation(t *testing.T) {
 	s := New(time.Millisecond)
-	s.RecordFootprint("q", res("a"), time.Second, 1, nil)
+	s.RecordFootprint("q", res("a"), time.Second, 1, nil, nil)
 	if _, ok := s.Lookup("q", 1); !ok {
 		t.Fatal("warm lookup missed")
 	}
@@ -83,8 +87,8 @@ func TestGenerationInvalidation(t *testing.T) {
 
 func TestRecordAtNewGenerationClears(t *testing.T) {
 	s := New(time.Millisecond)
-	s.RecordFootprint("q1", res("a"), time.Second, 1, nil)
-	s.RecordFootprint("q2", res("b"), time.Second, 2, nil) // generation moved
+	s.RecordFootprint("q1", res("a"), time.Second, 1, nil, nil)
+	s.RecordFootprint("q2", res("b"), time.Second, 2, nil, nil) // generation moved
 	if s.Len() != 1 {
 		t.Errorf("entries = %d, want 1 (q1 invalidated)", s.Len())
 	}
@@ -101,8 +105,8 @@ func TestRecordAtNewGenerationClears(t *testing.T) {
 // neither clears the cache nor rolls it back.
 func TestLookupAtOlderGenerationMisses(t *testing.T) {
 	s := New(time.Millisecond)
-	s.RecordFootprint("q1", res("a"), time.Second, 2, nil)
-	s.RecordFootprint("q2", res("b"), time.Second, 2, nil)
+	s.RecordFootprint("q1", res("a"), time.Second, 2, nil, nil)
+	s.RecordFootprint("q2", res("b"), time.Second, 2, nil, nil)
 	if _, ok := s.Lookup("q1", 1); ok {
 		t.Fatal("entry of generation 2 served at generation 1")
 	}
@@ -119,8 +123,8 @@ func TestLookupAtOlderGenerationMisses(t *testing.T) {
 // the cache keeps its generation.
 func TestRecordAtOlderGenerationDropped(t *testing.T) {
 	s := New(time.Millisecond)
-	s.RecordFootprint("q1", res("a"), time.Second, 2, nil)
-	if !s.RecordFootprint("q2", res("old"), time.Second, 1, nil) {
+	s.RecordFootprint("q1", res("a"), time.Second, 2, nil, nil)
+	if !s.RecordFootprint("q2", res("old"), time.Second, 1, nil, nil) {
 		t.Error("stale heavy result not classified heavy")
 	}
 	if _, ok := s.Entry("q2"); ok {
@@ -136,11 +140,11 @@ func TestRecordAtOlderGenerationDropped(t *testing.T) {
 // or the deltas arrived out of order) neither clears nor rolls back.
 func TestApplyDeltaBehindCacheIsIgnored(t *testing.T) {
 	s := New(time.Millisecond)
-	s.RecordFootprint("q", res("a"), time.Second, 3, nil)
-	if retained, evicted := s.ApplyDelta(1, 3, opsFor(triple("s", "p", "o"))); retained != 0 || evicted != 0 {
+	s.RecordFootprint("q", res("a"), time.Second, 3, nil, nil)
+	if retained, evicted := s.ApplyDelta(1, 3, opsFor(triple("s", "p", "o")), refuse); retained != 0 || evicted != 0 {
 		t.Fatalf("ApplyDelta(1, 3) at generation 3 = (%d, %d), want (0, 0)", retained, evicted)
 	}
-	if retained, evicted := s.ApplyDelta(0, 1, opsFor(triple("s", "p", "o"))); retained != 0 || evicted != 0 {
+	if retained, evicted := s.ApplyDelta(0, 1, opsFor(triple("s", "p", "o")), refuse); retained != 0 || evicted != 0 {
 		t.Fatalf("ApplyDelta(0, 1) at generation 3 = (%d, %d), want (0, 0)", retained, evicted)
 	}
 	if _, ok := s.Lookup("q", 3); !ok {
@@ -151,7 +155,7 @@ func TestApplyDeltaBehindCacheIsIgnored(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	s := New(time.Millisecond)
 	s.Lookup("missing", 1)
-	s.RecordFootprint("q", res("a"), time.Second, 1, nil)
+	s.RecordFootprint("q", res("a"), time.Second, 1, nil, nil)
 	s.Lookup("q", 1)
 	s.Lookup("q", 1)
 	st := s.Stats()
@@ -171,13 +175,13 @@ func TestStatsCounters(t *testing.T) {
 func TestEvictionEmptyKey(t *testing.T) {
 	s := New(time.Millisecond)
 	s.MaxBytes = 2*ResultBytes(res("a")) + ResultBytes(res("a"))/2 // room for two
-	s.RecordFootprint("   ", res("a"), time.Second, 1, nil)        // key normalizes to ""
+	s.RecordFootprint("   ", res("a"), time.Second, 1, nil, nil)   // key normalizes to ""
 	if _, ok := s.Entry(""); !ok {
 		t.Fatal("whitespace-only query not cached under the empty key")
 	}
-	s.RecordFootprint("q1", res("a"), time.Second, 1, nil)
+	s.RecordFootprint("q1", res("a"), time.Second, 1, nil, nil)
 	s.Lookup("q1", 1) // "" is now the least recently used entry
-	s.RecordFootprint("q2", res("b"), time.Second, 1, nil)
+	s.RecordFootprint("q2", res("b"), time.Second, 1, nil, nil)
 	if s.Len() != 2 {
 		t.Fatalf("entries = %d, want 2 (empty-key entry not evicted)", s.Len())
 	}
@@ -212,7 +216,7 @@ func TestConcurrentGenerationChurn(t *testing.T) {
 				cur := gen
 				mu.Unlock()
 				q := fmt.Sprintf("q%d", i%5)
-				s.RecordFootprint(q, res(fmt.Sprintf("%s@gen%d", q, cur)), time.Second, cur, nil)
+				s.RecordFootprint(q, res(fmt.Sprintf("%s@gen%d", q, cur)), time.Second, cur, nil, nil)
 				if got, ok := s.Lookup(q, cur); ok {
 					want := fmt.Sprintf("http://x/%s@gen%d", q, cur)
 					if v := got.Rows[0]["x"].Value; v != want {
@@ -238,7 +242,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				q := fmt.Sprintf("q%d", i%10)
-				s.RecordFootprint(q, res(q), time.Second, 1, nil)
+				s.RecordFootprint(q, res(q), time.Second, 1, nil, nil)
 				s.Lookup(q, 1)
 			}
 		}(g)
@@ -281,12 +285,12 @@ func TestByteBudgetLRUEviction(t *testing.T) {
 	one := ResultBytes(resN("a", 10))
 	s.MaxBytes = 2*one + one/2 // room for two entries, not three
 
-	s.RecordFootprint("q1", resN("a", 10), time.Second, 1, nil)
-	s.RecordFootprint("q2", resN("b", 10), time.Second, 1, nil)
+	s.RecordFootprint("q1", resN("a", 10), time.Second, 1, nil, nil)
+	s.RecordFootprint("q2", resN("b", 10), time.Second, 1, nil, nil)
 	if _, ok := s.Lookup("q1", 1); !ok { // q1 is now the most recent
 		t.Fatal("q1 missing before eviction")
 	}
-	s.RecordFootprint("q3", resN("c", 10), time.Second, 1, nil)
+	s.RecordFootprint("q3", resN("c", 10), time.Second, 1, nil, nil)
 
 	if _, ok := s.Entry("q2"); ok {
 		t.Error("q2 (least recently used) should have been evicted")
@@ -313,9 +317,9 @@ func TestByteBudgetChainEviction(t *testing.T) {
 	small := ResultBytes(resN("a", 5))
 	s.MaxBytes = 4 * small
 	for i := 0; i < 4; i++ {
-		s.RecordFootprint(fmt.Sprintf("q%d", i), resN("a", 5), time.Second, 1, nil)
+		s.RecordFootprint(fmt.Sprintf("q%d", i), resN("a", 5), time.Second, 1, nil, nil)
 	}
-	s.RecordFootprint("big", resN("b", 15), time.Second, 1, nil)
+	s.RecordFootprint("big", resN("b", 15), time.Second, 1, nil, nil)
 	if _, ok := s.Entry("big"); !ok {
 		t.Fatal("big entry not stored")
 	}
@@ -332,8 +336,8 @@ func TestByteBudgetChainEviction(t *testing.T) {
 func TestByteBudgetGenerationStillWins(t *testing.T) {
 	s := New(time.Millisecond)
 	s.MaxBytes = 1 << 20
-	s.RecordFootprint("q1", resN("a", 10), time.Second, 1, nil)
-	s.RecordFootprint("q2", resN("b", 10), time.Second, 1, nil)
+	s.RecordFootprint("q1", resN("a", 10), time.Second, 1, nil, nil)
+	s.RecordFootprint("q2", resN("b", 10), time.Second, 1, nil, nil)
 	s.Lookup("q1", 1)
 	if _, ok := s.Lookup("q1", 2); ok { // KB update
 		t.Fatal("stale entry served after generation move")
@@ -345,7 +349,7 @@ func TestByteBudgetGenerationStillWins(t *testing.T) {
 		t.Errorf("invalidations = %d, want 1", st.Invalidations)
 	}
 	// The cache keeps working at the new generation under the budget.
-	s.RecordFootprint("q3", resN("c", 10), time.Second, 2, nil)
+	s.RecordFootprint("q3", resN("c", 10), time.Second, 2, nil, nil)
 	if _, ok := s.Lookup("q3", 2); !ok {
 		t.Error("cache dead after invalidation")
 	}
@@ -356,7 +360,7 @@ func TestByteBudgetGenerationStillWins(t *testing.T) {
 func TestOversizedEntryNotStored(t *testing.T) {
 	s := New(time.Millisecond)
 	s.MaxBytes = 128
-	if !s.RecordFootprint("huge", resN("a", 1000), time.Second, 1, nil) {
+	if !s.RecordFootprint("huge", resN("a", 1000), time.Second, 1, nil, nil) {
 		t.Error("oversized result should still classify heavy")
 	}
 	if s.Len() != 0 {
@@ -381,7 +385,7 @@ func TestByteBudgetConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				q := fmt.Sprintf("q%d", (g+i)%8)
-				s.RecordFootprint(q, resN("a", 10), time.Second, 1, nil)
+				s.RecordFootprint(q, resN("a", 10), time.Second, 1, nil, nil)
 				s.Lookup(q, 1)
 			}
 		}(g)

@@ -35,6 +35,7 @@ func (s *Store) Snapshot(w io.Writer) error {
 	}
 	for k, e := range s.entries {
 		copied := *e
+		copied.Shape = nil // the recorder's, re-derived from the key
 		doc.Entries[k] = &copied
 	}
 	s.mu.RUnlock()

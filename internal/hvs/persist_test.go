@@ -9,8 +9,8 @@ import (
 
 func TestSnapshotRestoreRoundtrip(t *testing.T) {
 	s := New(time.Millisecond)
-	s.RecordFootprint("q1", res("a"), time.Second, 7, nil)
-	s.RecordFootprint("q2", res("b"), 2*time.Second, 7, nil)
+	s.RecordFootprint("q1", res("a"), time.Second, 7, nil, nil)
+	s.RecordFootprint("q2", res("b"), 2*time.Second, 7, nil, nil)
 	s.Lookup("q1", 7)
 
 	var buf bytes.Buffer
@@ -37,7 +37,7 @@ func TestSnapshotRestoreRoundtrip(t *testing.T) {
 
 func TestRestoreInvalidatesOnGenerationMismatch(t *testing.T) {
 	s := New(time.Millisecond)
-	s.RecordFootprint("q", res("a"), time.Second, 7, nil)
+	s.RecordFootprint("q", res("a"), time.Second, 7, nil, nil)
 	var buf bytes.Buffer
 	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestRestoreInvalidatesOnGenerationMismatch(t *testing.T) {
 		if restored.Len() != 0 {
 			t.Errorf("generation %d: stale entries kept", gen)
 		}
-		restored.RecordFootprint("q", res("b"), time.Second, gen, nil)
+		restored.RecordFootprint("q", res("b"), time.Second, gen, nil, nil)
 		if _, ok := restored.Lookup("q", gen); !ok {
 			t.Errorf("generation %d: cache dead after restore", gen)
 		}
@@ -89,7 +89,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	// Mutating the live store after Snapshot must not corrupt the bytes
 	// already produced, and restored entries must be independent copies.
 	s := New(time.Millisecond)
-	s.RecordFootprint("q", res("a"), time.Second, 1, nil)
+	s.RecordFootprint("q", res("a"), time.Second, 1, nil, nil)
 	var buf bytes.Buffer
 	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestSnapshotIsolation(t *testing.T) {
 func TestRestoreRebuildsByteAccounting(t *testing.T) {
 	s := New(time.Millisecond)
 	for _, q := range []string{"q1", "q2", "q3"} {
-		s.RecordFootprint(q, resN(q, 10), time.Second, 1, nil)
+		s.RecordFootprint(q, resN(q, 10), time.Second, 1, nil, nil)
 	}
 	wantBytes := s.Bytes()
 	if wantBytes <= 0 {
@@ -139,7 +139,7 @@ func TestRestoreRebuildsByteAccounting(t *testing.T) {
 	}
 	// The surviving entries keep working: a lookup hit refreshes recency
 	// and further records evict in LRU order without drift.
-	restored.RecordFootprint("q4", resN("q4", 10), time.Second, 1, nil)
+	restored.RecordFootprint("q4", resN("q4", 10), time.Second, 1, nil, nil)
 	if restored.Bytes() > restored.MaxBytes {
 		t.Errorf("post-restore record broke the budget: %d > %d", restored.Bytes(), restored.MaxBytes)
 	}

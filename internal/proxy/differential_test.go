@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -229,10 +230,14 @@ func engineAnswers(t *testing.T, eng *sparql.Engine, queries []string) []string 
 
 // TestConcurrentAppliesKeepCaches: concurrent writers through Apply hand
 // the caches their deltas in generation order, so the HVS is never
-// cleared wholesale and the decomposer memo never dropped. The writes are
-// disjoint from the object expansions' footprints, so those answers stay
-// cached; the property expansions' footprints name every predicate, so
-// those answers leave the HVS and are served from the maintained memo.
+// cleared wholesale and the decomposer memo never dropped. The first
+// writes are disjoint from the object expansions' footprints, so those
+// answers stay cached; the property expansions' footprints name every
+// predicate, so those answers leave the HVS and are served from the
+// maintained memo. The second writes link and unlink C0 members to
+// objects no member reached, on the link property of C0's outgoing object
+// expansion: every write crosses zero, and the entry stays cached with
+// the writes folded into it.
 func TestConcurrentAppliesKeepCaches(t *testing.T) {
 	st, _, queries := chartStore(t, 12)
 	p := New(st, Options{HeavyThreshold: time.Nanosecond})
@@ -281,4 +286,70 @@ func TestConcurrentAppliesKeepCaches(t *testing.T) {
 			t.Fatalf("concurrent writes dropped memo entry %d", i)
 		}
 	}
+
+	// One (member, object) pair per writer: an object no C0 member links
+	// to via p0, so each insert moves its support 0 → 1 and each delete
+	// 1 → 0.
+	snap := st.Snapshot()
+	dict := st.Dict()
+	typeID, p0 := snap.TypeID(), mustLookup(t, st, ex("p0"))
+	c0 := mustLookup(t, st, ex("C0"))
+	members := snap.SubjectsOfType(c0)
+	var pairs [][2]rdf.Term
+	for i := 0; i < 40 && len(pairs) < 4; i++ {
+		x := mustLookup(t, st, ex(fmt.Sprintf("n%d", i)))
+		supported := slices.ContainsFunc(snap.Subjects(p0, x), func(m rdf.ID) bool { return snap.ContainsID(m, typeID, c0) })
+		if !supported {
+			pairs = append(pairs, [2]rdf.Term{dict.Term(members[len(pairs)]), dict.Term(x)})
+		}
+	}
+	if len(pairs) < 4 {
+		t.Fatalf("only %d unsupported objects", len(pairs))
+	}
+	folded := p.HVS().Stats().DeltaFolded
+	for _, pair := range pairs {
+		wg.Add(1)
+		go func(pair [2]rdf.Term) {
+			defer wg.Done()
+			tr := rdf.Triple{S: pair[0], P: ex("p0"), O: pair[1]}
+			for i := 0; i < 50; i++ {
+				d := store.DeltaOf(rdf.Insert(tr))
+				if i%2 == 1 {
+					d = store.DeltaOf(rdf.Delete(tr))
+				}
+				if _, err := p.Apply(d); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(pair)
+	}
+	wg.Wait()
+	s := p.HVS().Stats()
+	if s.Entries != 4 || s.Invalidations != 0 || s.DeltaFolded-folded != 4*50 {
+		t.Fatalf("crossing writes on an object expansion's link evicted it or folded nothing: %+v", s)
+	}
+	eng := sparql.NewEngine(st)
+	for _, q := range queries {
+		e, cached := p.HVS().Entry(q)
+		if !cached {
+			continue // a property expansion, served by the memo
+		}
+		want, err := eng.Query(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if canon(e.Result) != canon(want) {
+			t.Fatalf("cached %q\n%s\nengine\n%s", q, canon(e.Result), canon(want))
+		}
+	}
+}
+
+func mustLookup(t *testing.T, st *store.Store, term rdf.Term) rdf.ID {
+	t.Helper()
+	id, ok := st.Dict().Lookup(term)
+	if !ok {
+		t.Fatalf("%v not in the dictionary", term)
+	}
+	return id
 }

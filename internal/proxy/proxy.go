@@ -170,11 +170,13 @@ func NewWithBackend(st *store.Store, backend endpoint.Executor, opts Options) *P
 
 // Apply routes a mutation delta through the store and maintains both
 // cache tiers in the same step: HVS entries whose footprint is disjoint
-// from the net mutation survive and are re-tagged to the new generation
-// (the rest are evicted), and the decomposer folds the mutation into its
-// memoized aggregates. Writes serialise in the store anyway, so holding
-// applyMu across the whole step costs no write concurrency and hands the
-// caches every delta in generation order.
+// from the net mutation survive and are re-tagged to the new generation,
+// cached object expansions the mutation touches have it folded into
+// their answer (decomposer.FoldObject; the rest are evicted), and the
+// decomposer folds the mutation into its memoized aggregates. Writes
+// serialise in the store anyway, so holding applyMu across the whole step
+// costs no write concurrency and hands the caches every delta in
+// generation order.
 func (p *Proxy) Apply(d store.Delta) (store.ApplyResult, error) {
 	p.applyMu.Lock()
 	defer p.applyMu.Unlock()
@@ -182,6 +184,13 @@ func (p *Proxy) Apply(d store.Delta) (store.ApplyResult, error) {
 	if err != nil || !res.Changed() {
 		return res, err
 	}
+	p.maintainLocked(res)
+	return res, nil
+}
+
+// maintainLocked brings both cache tiers from res.From to res.To once the
+// store has published res. The caller holds applyMu.
+func (p *Proxy) maintainLocked(res store.ApplyResult) {
 	dict := p.st.Dict()
 	ops := make([]rdf.TripleOp, 0, len(res.NetInserts)+len(res.NetDeletes))
 	for _, e := range res.NetInserts {
@@ -190,9 +199,36 @@ func (p *Proxy) Apply(d store.Delta) (store.ApplyResult, error) {
 	for _, e := range res.NetDeletes {
 		ops = append(ops, rdf.Delete(dict.Decode(e)))
 	}
-	p.cache.ApplyDelta(res.From, res.To, ops)
+	snap := p.st.Snapshot()
+	p.cache.ApplyDelta(res.From, res.To, ops, func(key string, e *hvs.Entry) (*sparql.Result, bool) {
+		sh, recorded := e.Shape.(objectShape)
+		if !recorded { // restored from disk: derive it once from the key
+			sh = shapeOf(sparql.Parse(key))
+			e.Shape = sh
+		}
+		if !sh.ok {
+			return nil, false
+		}
+		return decomposer.FoldObject(snap, sh.det, e.Result, res)
+	})
 	p.dec.ApplyDelta(res)
-	return res, nil
+}
+
+// objectShape is an HVS entry's Shape: whether its query is an object
+// expansion, which Apply folds writes into instead of evicting it.
+type objectShape struct {
+	det decomposer.ObjectDetection
+	ok  bool
+}
+
+// shapeOf derives the Shape of a query from its parse; an unparseable
+// query (e.g. a remote dialect) is never folded.
+func shapeOf(q *sparql.Query, err error) objectShape {
+	if err != nil {
+		return objectShape{}
+	}
+	det, ok := decomposer.DetectObject(q)
+	return objectShape{det, ok}
 }
 
 // ErrNoUpdate is returned by Update when the proxy fronts a remote
@@ -286,7 +322,7 @@ func (p *Proxy) tryCacheTiers(src string, gen uint64, start time.Time) (*sparql.
 				// Even decomposed answers can be heavy on cold indexes;
 				// cache them so repeats hit tier 1.
 				if !p.opts.DisableHVS {
-					tr.Heavy = p.cache.RecordFootprint(src, res, runtime, gen, q.Footprint())
+					tr.Heavy = p.cache.RecordFootprint(src, res, runtime, gen, q.Footprint(), objectShape{})
 				}
 				p.record(tr)
 				return res, tr, true
@@ -313,15 +349,29 @@ func (p *Proxy) backendDirect(ctx context.Context, src string, gen uint64, start
 
 // recordHeavy stores a result in the HVS tagged with its dependency
 // footprint, so delta-aware invalidation can keep it across disjoint
-// writes. The footprint is computed only when the result will actually be
+// writes, and with its Shape, so Apply can fold writes into an object
+// expansion. Both are derived only when the result will actually be
 // stored (runtime at or above the threshold): re-parsing every light
 // query to tag nothing would tax the hot path.
+//
+// The backend binds its own snapshot, so the result is known to be the
+// answer at gen only if the store is still at gen once it returns
+// (generations only move forward). A result that may already hold a
+// later write is not stored: tagged gen, that write's fold would count
+// it a second time.
 func (p *Proxy) recordHeavy(src string, res *sparql.Result, runtime time.Duration, gen uint64) bool {
-	var fp *sparql.Footprint
-	if runtime >= p.cache.Threshold() {
-		fp = sparql.QueryFootprint(src)
+	if runtime < p.cache.Threshold() {
+		return false
 	}
-	return p.cache.RecordFootprint(src, res, runtime, gen, fp)
+	if p.st.Generation() != gen {
+		return true // heavy, but not known to be the answer at gen
+	}
+	q, err := sparql.Parse(src)
+	fp := sparql.WildFootprint()
+	if err == nil {
+		fp = q.Footprint()
+	}
+	return p.cache.RecordFootprint(src, res, runtime, gen, fp, shapeOf(q, err))
 }
 
 // flightKey is the coalescing identity: normalized query text plus the

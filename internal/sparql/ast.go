@@ -146,10 +146,14 @@ func (q *Query) writeBody(b *strings.Builder, depth int) {
 	if len(q.OrderBy) > 0 {
 		b.WriteString(" ORDER BY")
 		for _, k := range q.OrderBy {
-			if k.Desc {
+			_, isVar := k.Expr.(*VarExpr)
+			switch {
+			case k.Desc:
 				fmt.Fprintf(b, " DESC(%s)", k.Expr)
-			} else {
+			case isVar:
 				fmt.Fprintf(b, " %s", k.Expr)
+			default: // an ascending expression key needs its brackets
+				fmt.Fprintf(b, " (%s)", k.Expr)
 			}
 		}
 	}
