@@ -233,7 +233,7 @@ func TestAPIRemoteNotImplemented(t *testing.T) {
 	sys := &elinda.System{Store: st}
 	sys.Proxy = proxy.NewWithBackend(st, endpoint.NewClient("http://127.0.0.1:0/sparql"), proxy.Options{DisableDecomposer: true})
 	var ready endpoint.Readiness
-	srv := httptest.NewServer(writerHandler(sys, sys.Endpoint(), &ready, nil, nil))
+	srv := httptest.NewServer(writerHandler(sys, sys.Endpoint(), &ready, nil))
 	defer srv.Close()
 
 	for _, path := range []string{

@@ -13,18 +13,18 @@ import (
 // flagSurface is the complete elinda-server flag list. A new flag is a
 // reviewed change to this list and to README's tables.
 var flagSurface = []string{
-	"acquire-timeout", "addr", "breaker-failures", "breaker-open", "cache-bytes",
-	"drain", "fleet-coordinator", "fleet-dir", "fleet-fallback", "fleet-poll",
-	"fleet-replicas", "heavy", "hedge-delay", "hvs-snapshot", "load",
-	"max-inflight", "no-decomposer", "no-hedge", "no-hvs", "persons",
-	"probe-interval", "remote", "retry-budget", "role", "snapshot-load",
-	"snapshot-save", "timeout", "wal-dir", "wal-sync", "wal-sync-interval", "warm",
+	"acquire-timeout", "addr", "cache-bytes", "drain", "heavy", "hvs-snapshot",
+	"load", "max-inflight", "no-decomposer", "no-hvs", "persons", "remote",
+	"snapshot-load", "snapshot-save", "timeout", "wal-dir", "wal-sync",
+	"wal-sync-interval", "warm",
 }
 
 // removedFlags selected paths that no longer exist; each must be rejected
 // as unknown rather than silently accepted.
 var removedFlags = []string{
 	"no-coalesce", "ingest-workers", "query-workers", "inc-workers", "inc-chunk", "inc-rounds", "flush-rows",
+	"role", "fleet-coordinator", "fleet-dir", "fleet-poll", "fleet-replicas", "fleet-fallback",
+	"probe-interval", "retry-budget", "hedge-delay", "no-hedge", "breaker-failures", "breaker-open",
 }
 
 func newFlagSet() *flag.FlagSet {

@@ -22,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -29,13 +30,14 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"os/signal"
 	"path/filepath"
+	"syscall"
 	"time"
 
 	"elinda"
 	"elinda/internal/datagen"
 	"elinda/internal/endpoint"
-	"elinda/internal/fleet"
 	"elinda/internal/proxy"
 	"elinda/internal/rdf"
 	"elinda/internal/store"
@@ -66,7 +68,6 @@ type config struct {
 	cacheMax  int64
 	inflight  int64
 	admitWait time.Duration
-	fleet     fleetFlags
 }
 
 func defineFlags(fs *flag.FlagSet) *config {
@@ -93,20 +94,6 @@ func defineFlags(fs *flag.FlagSet) *config {
 	fs.Int64Var(&c.cacheMax, "cache-bytes", 0, "HVS byte budget with LRU eviction (0 = unlimited)")
 	fs.Int64Var(&c.inflight, "max-inflight", 0, "admission-control weight capacity for /sparql (0 = unlimited)")
 	fs.DurationVar(&c.admitWait, "acquire-timeout", 100*time.Millisecond, "max admission wait before shedding with 429")
-
-	ff := &c.fleet
-	fs.StringVar(&ff.role, "role", "single", "process role: single | coordinator | replica | router")
-	fs.StringVar(&ff.coordinator, "fleet-coordinator", "", "replica: base URL of the coordinator to pull snapshots from")
-	fs.StringVar(&ff.dir, "fleet-dir", "fleet-cache", "replica: directory for fetched snapshot files")
-	fs.DurationVar(&ff.poll, "fleet-poll", 2*time.Second, "replica: coordinator manifest poll interval")
-	fs.StringVar(&ff.replicas, "fleet-replicas", "", "router: comma-separated replica list, each [name=]url")
-	fs.DurationVar(&ff.probe, "probe-interval", time.Second, "router: replica /readyz probe interval")
-	fs.IntVar(&ff.retryBudget, "retry-budget", 3, "router: max attempts per request, hedges included")
-	fs.DurationVar(&ff.hedgeDelay, "hedge-delay", 0, "router: tail-latency hedge delay (0 = derive from observed p95)")
-	fs.BoolVar(&ff.noHedge, "no-hedge", false, "router: disable tail-latency hedging")
-	fs.IntVar(&ff.breakerFail, "breaker-failures", 5, "router: consecutive failures that trip a replica's circuit breaker")
-	fs.DurationVar(&ff.breakerOpen, "breaker-open", 2*time.Second, "router: how long a tripped breaker rejects before a half-open trial")
-	fs.BoolVar(&ff.fallback, "fleet-fallback", false, "router: serve from an embedded local store when every replica is down (uses the data flags)")
 	return c
 }
 
@@ -114,43 +101,6 @@ func main() {
 	c := defineFlags(flag.CommandLine)
 	flag.Parse()
 	log.SetFlags(log.LstdFlags)
-	ff := c.fleet
-
-	// The replica and router roles have their own boot paths: a replica
-	// holds no local dataset (it pulls from the coordinator) and a router
-	// holds one only as the -fleet-fallback degradation rung.
-	switch ff.role {
-	case "replica":
-		if err := runReplica(c.addr, ff, proxy.Options{
-			HeavyThreshold:    c.heavy,
-			DisableHVS:        c.noHVS,
-			DisableDecomposer: c.noDecomp,
-			CacheMaxBytes:     c.cacheMax,
-		}, c.warm, c.walDir, c.timeout, c.drain); err != nil {
-			log.Fatal(err)
-		}
-		return
-	case "router":
-		var fallback http.Handler
-		if ff.fallback {
-			st, _, err := buildStore(c.snapLoad, c.load, c.persons)
-			if err != nil {
-				log.Fatalf("building fallback store: %v", err)
-			}
-			fsys := elinda.NewSystemFromStore(st, proxy.Options{HeavyThreshold: c.heavy})
-			fsrv := fsys.Endpoint()
-			fsrv.Timeout = c.timeout
-			fallback = fsrv
-		}
-		if err := runRouter(c.addr, ff, fallback, c.drain); err != nil {
-			log.Fatal(err)
-		}
-		return
-	case "single", "coordinator":
-		// fall through to the standard writer boot below.
-	default:
-		log.Fatalf("unknown -role %q (want single, coordinator, replica or router)", ff.role)
-	}
 
 	var ready endpoint.Readiness
 	ready.Set("loading")
@@ -246,11 +196,6 @@ func main() {
 	if c.inflight > 0 {
 		sparqlSrv.Limiter = endpoint.NewLimiter(c.inflight)
 	}
-	var coord *fleet.Coordinator
-	if ff.role == "coordinator" {
-		coord = fleet.NewCoordinator(sys.Store)
-		log.Printf("fleet coordinator mounted at /fleet/ (generation %d)", sys.Store.Generation())
-	}
 
 	log.Printf("eLinda server on %s (triples=%d hvs=%v decomposer=%v remote=%q wal=%q)",
 		c.addr, sys.Store.Len(), !opts.DisableHVS, !opts.DisableDecomposer, c.remote, c.walDir)
@@ -258,8 +203,7 @@ func main() {
 	// Graceful shutdown: flip the readiness probe so load balancers stop
 	// routing here, drain in-flight requests up to the deadline, then
 	// persist. The store save checkpoints the WAL; Close seals it.
-	err = serveWithDrain(c.addr, writerHandler(sys, sparqlSrv, &ready, w, coord), c.drain,
-		func() { ready.Set("draining") }, nil, savers)
+	err = serveWithDrain(c.addr, writerHandler(sys, sparqlSrv, &ready, w), c.drain, &ready, savers)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -270,16 +214,13 @@ func main() {
 	}
 }
 
-// writerHandler assembles the HTTP surface of the single and coordinator
-// roles; w and coord are nil without -wal-dir and outside -role=coordinator.
-func writerHandler(sys *elinda.System, sparqlSrv *endpoint.Server, ready *endpoint.Readiness, w *wal.WAL, coord *fleet.Coordinator) http.Handler {
+// writerHandler assembles the server's HTTP surface; w is nil without
+// -wal-dir.
+func writerHandler(sys *elinda.System, sparqlSrv *endpoint.Server, ready *endpoint.Readiness, w *wal.WAL) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/sparql", sparqlSrv)
 	newAPI(sys).register(mux)
 	registerUI(mux)
-	if coord != nil {
-		mountCoordinator(mux, coord)
-	}
 	mux.Handle("/readyz", ready)
 	mux.HandleFunc("/healthz", healthz(sys.Store))
 	return endpoint.Ops(mux, log.Printf, func(doc map[string]any) {
@@ -292,15 +233,43 @@ func writerHandler(sys *elinda.System, sparqlSrv *endpoint.Server, ready *endpoi
 		if w != nil {
 			doc["wal"] = w.Stats()
 		}
-		if coord != nil {
-			doc["coordinator"] = coord.MetricsSnapshot()
-		}
 	})
 }
 
+// serveWithDrain runs an HTTP server until SIGINT/SIGTERM, then drains:
+// the readiness probe flips to "draining" before Shutdown so load
+// balancers route around the instance first, and the savers run once the
+// drain is over. handler already recovers its own panics (endpoint.Ops).
+func serveWithDrain(addr string, handler http.Handler, drain time.Duration, ready *endpoint.Readiness, savers []saver) error {
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: 10 * time.Second,
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	errc := make(chan error, 1)
+	go func() { errc <- srv.ListenAndServe() }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+		stop() // a second signal kills immediately instead of queueing
+	}
+	ready.Set("draining")
+	log.Printf("shutdown signal received; draining for up to %s", drain)
+	drainCtx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := srv.Shutdown(drainCtx); err != nil {
+		log.Printf("drain incomplete: %v", err)
+	}
+	runSavers(savers)
+	log.Printf("bye")
+	return nil
+}
+
 // healthz is the liveness probe. It answers from the published
-// snapshot's counters in O(1), the same line a fleet replica prints, so
-// probing a large store costs nothing.
+// snapshot's counters in O(1), so probing a large store costs nothing.
 func healthz(st *store.Store) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "ok triples=%d generation=%d\n", st.Len(), st.Generation())

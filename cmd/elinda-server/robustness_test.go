@@ -135,7 +135,7 @@ func TestSweepStaleTemp(t *testing.T) {
 	}
 }
 
-// TestWriterMetricsCountPanics: a handler panic under the single role
+// TestWriterMetricsCountPanics: a handler panic in the server
 // costs that request a 500 and shows up as panics_total in /metrics, next
 // to the server, proxy, store and (with a WAL attached) wal sections.
 func TestWriterMetricsCountPanics(t *testing.T) {
@@ -150,7 +150,7 @@ func TestWriterMetricsCountPanics(t *testing.T) {
 	sys := &elinda.System{Store: st, Explorer: core.NewExplorer(st)}
 	sys.Proxy = proxy.NewWithBackend(st, boom, proxy.Options{DisableDecomposer: true})
 	var ready endpoint.Readiness
-	srv := httptest.NewServer(writerHandler(sys, sys.Endpoint(), &ready, w, nil))
+	srv := httptest.NewServer(writerHandler(sys, sys.Endpoint(), &ready, w))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape("SELECT ?s WHERE { ?s ?p ?o . }"))

@@ -22,8 +22,8 @@
 //
 // The repository is the single Go module "elinda"; `go build ./...` and
 // `go test ./...` (or `make check`, which adds vet and the race detector)
-// exercise everything, and cmd/elinda-server, cmd/elinda-bench,
-// cmd/elinda, and cmd/elinda-gen are the binaries.
+// exercise everything, and cmd/elinda-server, cmd/elinda,
+// cmd/elinda-gen and cmd/elinda-lint are the binaries.
 //
 // # Incremental evaluation
 //

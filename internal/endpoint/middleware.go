@@ -38,27 +38,21 @@ func RecoverPanics(next http.Handler, panics *metrics.Counter, logf func(format 
 	})
 }
 
-// WriteMetricsDoc renders one metrics document: every /metrics and
-// /fleet/metrics answer of every role is written here.
-func WriteMetricsDoc(w http.ResponseWriter, doc map[string]any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	// The sections are counters and strings, so Encode can only fail on
-	// the write: the client has gone and nobody is left to tell.
-	_ = enc.Encode(doc)
-}
-
-// Ops finishes a role's HTTP surface. It mounts /metrics on mux — the
-// sections fill adds, plus panics_total — and returns mux behind
-// RecoverPanics counting into that same field, so no role can recover
-// panics into a counter its document does not show.
+// Ops finishes the server's HTTP surface. It mounts /metrics on mux —
+// the sections fill adds, plus panics_total — and returns mux behind
+// RecoverPanics counting into that same field, so no handler can recover
+// panics into a counter the document does not show.
 func Ops(mux *http.ServeMux, logf func(format string, args ...any), fill func(doc map[string]any)) http.Handler {
 	panics := new(metrics.Counter)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		doc := map[string]any{"panics_total": panics.Value()}
 		fill(doc)
-		WriteMetricsDoc(w, doc)
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		// The sections are counters and strings, so Encode can only fail
+		// on the write: the client has gone and nobody is left to tell.
+		_ = enc.Encode(doc)
 	})
 	return RecoverPanics(mux, panics, logf)
 }
@@ -84,9 +78,6 @@ func (r *Readiness) Set(phase string) {
 func (r *Readiness) Ready() {
 	r.ready.Store(true)
 }
-
-// IsReady reports the current state.
-func (r *Readiness) IsReady() bool { return r.ready.Load() }
 
 // ServeHTTP answers 200 "ready" or 503 "not ready: <phase>".
 func (r *Readiness) ServeHTTP(w http.ResponseWriter, req *http.Request) {

@@ -75,9 +75,6 @@ func TestReadiness(t *testing.T) {
 	if code, body := probe(); code != http.StatusOK || body != "ready\n" {
 		t.Fatalf("ready probe: %d %q", code, body)
 	}
-	if !r.IsReady() {
-		t.Fatal("IsReady() = false after Ready()")
-	}
 	r.Set("draining")
 	if code, body := probe(); code != http.StatusServiceUnavailable || body != "not ready: draining\n" {
 		t.Fatalf("during drain: %d %q", code, body)

@@ -23,10 +23,10 @@ const ContentType = "application/sparql-results+json"
 // the result document was fully written. Chunked transfer encoding ends
 // a mid-stream abort with perfectly clean framing — the body is
 // syntactically truncated but the HTTP layer looks complete — so a
-// relaying tier (the fleet router) cannot rely on framing alone. The
-// trailer is the explicit completeness signal: absent means the stream
-// was cut, and the relay must treat the attempt as failed rather than
-// forward half a body as success.
+// client or relaying proxy cannot rely on framing alone. The trailer is
+// the explicit completeness signal: absent means the stream was cut, and
+// the reader must treat the response as failed rather than take half a
+// body as success.
 const CompleteTrailer = "X-Elinda-Complete"
 
 // Executor answers SPARQL queries. *sparql.Engine satisfies it; the proxy
@@ -57,9 +57,9 @@ type Explainer interface {
 }
 
 // ErrReadOnly marks an update rejected because this process does not
-// own the data it serves (a remote-backed proxy, a fleet replica). An
-// Updater returning an error wrapping it is answered with 501, same as
-// having no Updater at all.
+// own the data it serves (a remote-backed proxy). An Updater returning
+// an error wrapping it is answered with 501, same as having no Updater
+// at all.
 var ErrReadOnly = errors.New("endpoint: read-only")
 
 // UpdateStats is the JSON body acknowledging an applied update. The

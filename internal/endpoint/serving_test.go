@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -347,6 +348,53 @@ func TestStreamingCSVFallsBackBuffered(t *testing.T) {
 	}
 	if _, err := io.ReadAll(rec.Result().Body); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// failsAfterOneRow streams one row, then fails: the response header is
+// already on the wire, so only the missing trailer can tell a client
+// the result is truncated.
+type failsAfterOneRow struct{ rowEngine }
+
+func (failsAfterOneRow) QueryRows(ctx context.Context, src string, sink sparql.RowSink) error {
+	if err := sink.Head([]string{"s"}, false, false); err != nil {
+		return err
+	}
+	if err := sink.Row(sparql.Solution{"s": ex("a")}); err != nil {
+		return err
+	}
+	return errors.New("backend lost mid-stream")
+}
+
+// TestStreamingCompleteTrailer: a streamed response declares the
+// X-Elinda-Complete trailer and sets it only when the document was
+// written whole; a failure after the first flushed row leaves a 200 with
+// the trailer absent.
+func TestStreamingCompleteTrailer(t *testing.T) {
+	eng := streamingFixtureEngine(t)
+	src := `SELECT * WHERE { ?s ?p ?o . }`
+	for _, tc := range []struct {
+		name string
+		exec Executor
+		want string
+	}{
+		{"complete", rowEngine{eng}, "1"},
+		{"cut mid-stream", failsAfterOneRow{rowEngine{eng}}, ""},
+	} {
+		s := NewServer(tc.exec)
+		s.flushRows = 1
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(src), nil))
+		res := rec.Result()
+		if res.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d", tc.name, res.StatusCode)
+		}
+		if got := res.Header.Get("Trailer"); got != CompleteTrailer {
+			t.Errorf("%s: Trailer header = %q, want %q", tc.name, got, CompleteTrailer)
+		}
+		if got := res.Trailer.Get(CompleteTrailer); got != tc.want {
+			t.Errorf("%s: %s trailer = %q, want %q", tc.name, CompleteTrailer, got, tc.want)
+		}
 	}
 }
 

@@ -35,10 +35,6 @@ func TestFsyncDiscipline(t *testing.T) {
 	linttest.Run(t, lint.FsyncDiscipline, "elinda/internal/wal")
 }
 
-func TestNetRetry(t *testing.T) {
-	linttest.Run(t, lint.NetRetry, "elinda/internal/router")
-}
-
 func TestByName(t *testing.T) {
 	for _, a := range lint.All() {
 		if got := lint.ByName(a.Name); got != a {

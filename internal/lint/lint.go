@@ -80,7 +80,6 @@ func All() []*Analyzer {
 		MapOrder,
 		LockBalance,
 		FsyncDiscipline,
-		NetRetry,
 	}
 }
 

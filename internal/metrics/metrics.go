@@ -122,9 +122,6 @@ func (s *HistogramSnapshot) quantile(p float64) time.Duration {
 // is ready to use.
 type Counter struct{ v atomic.Uint64 }
 
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
@@ -139,9 +136,6 @@ func (g *Gauge) Inc() { g.v.Add(1) }
 
 // Dec decrements the gauge.
 func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }

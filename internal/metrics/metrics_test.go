@@ -84,8 +84,8 @@ func TestHistogramConcurrent(t *testing.T) {
 func TestCounterGauge(t *testing.T) {
 	var c Counter
 	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
+	c.Inc()
+	if c.Value() != 2 {
 		t.Errorf("counter = %d", c.Value())
 	}
 	var g Gauge
@@ -93,10 +93,6 @@ func TestCounterGauge(t *testing.T) {
 	g.Inc()
 	g.Dec()
 	if g.Value() != 1 {
-		t.Errorf("gauge = %d", g.Value())
-	}
-	g.Set(-3)
-	if g.Value() != -3 {
 		t.Errorf("gauge = %d", g.Value())
 	}
 }

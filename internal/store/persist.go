@@ -120,15 +120,6 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 	return writeSnapshot(s.Snapshot(), w)
 }
 
-// WriteSnapshot serializes this pinned snapshot to w. The fleet
-// coordinator publishes through this entry point: it pins a snapshot,
-// reads its generation, and serializes exactly that version, so the
-// generation it advertises in the manifest and the bytes it serves can
-// never drift apart under concurrent writes.
-func (s *Snapshot) WriteSnapshot(w io.Writer) error {
-	return writeSnapshot(s, w)
-}
-
 // writeSnapshot serializes one pinned snapshot — the savers pin a
 // snapshot under writeMu together with the WAL cut point and must write
 // exactly that version, not whatever is current by the time the bytes
@@ -231,8 +222,8 @@ func writeSnapshot(snap *Snapshot, w io.Writer) error {
 		}
 	}
 
-	// Planner statistics: replicas hydrate them instead of recomputing at
-	// load.
+	// Planner statistics: a snapshot load reads them instead of
+	// recomputing them.
 	if err := writePlanStats(cw, snap.base.planStats(), scratch); err != nil {
 		return fmt.Errorf("store: writing snapshot: %w", err)
 	}

@@ -13,7 +13,7 @@ import (
 // carry, with occurrence totals. Everything derives from the columnar
 // permutation indexes in one linear pass, is computed once when a
 // columnar base is built (bulk load, fold, compaction), and is persisted
-// in the binary snapshot format so replicas hydrate it for free.
+// in the binary snapshot format so a snapshot load gets it for free.
 //
 // The statistics describe the columnar base only. Overlay triples and
 // tombstones ride on top of a base until the next fold; estimates from a

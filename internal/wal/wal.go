@@ -157,9 +157,8 @@ type Stats struct {
 	// LastCheckpointSegment is the cut boundary of the most recent
 	// checkpoint: every segment below it has been folded into a snapshot
 	// and removed. Together with ActiveSegment it bounds the write-side
-	// lag a fleet dashboard needs: segments in
-	// [LastCheckpointSegment, ActiveSegment] hold records no snapshot
-	// covers yet.
+	// lag: segments in [LastCheckpointSegment, ActiveSegment] hold
+	// records no snapshot covers yet.
 	LastCheckpointSegment uint64 `json:"last_checkpoint_segment"`
 	// ReplayedRecords and ReplayDuration describe the boot-time recovery
 	// pass (zero when the process started from a clean checkpoint).
