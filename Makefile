@@ -51,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONRow$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/endpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/sparql
+	$(GO) test -run '^$$' -fuzz '^FuzzParseUpdate$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/sparql
 
 # cover writes the coverage profile and prints the per-function totals.
 cover:

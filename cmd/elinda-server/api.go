@@ -52,28 +52,42 @@ func badRequest(w http.ResponseWriter, format string, args ...any) {
 	http.Error(w, fmt.Sprintf(format, args...), http.StatusBadRequest)
 }
 
+// The response bodies are structs whose fields are declared in sorted
+// key order, so they encode exactly as the maps they replaced did.
+
+type statsJSON struct {
+	Classes         int `json:"classes"`
+	DeclaredClasses int `json:"declaredClasses"`
+	Properties      int `json:"properties"`
+	Subjects        int `json:"subjects"`
+	Triples         int `json:"triples"`
+	TypedSubjects   int `json:"typedSubjects"`
+}
+
 // stats implements GET /api/stats — the "very first queries" of §3.1.
 func (a *api) stats(w http.ResponseWriter, r *http.Request) {
 	s := a.sys.Store.ComputeStats()
-	writeJSON(w, map[string]any{
-		"triples":         s.Triples,
-		"classes":         s.Classes,
-		"declaredClasses": s.DeclaredClasses,
-		"subjects":        s.Subjects,
-		"properties":      s.Predicates,
-		"typedSubjects":   s.TypedSubjects,
+	writeJSON(w, statsJSON{
+		Classes:         s.Classes,
+		DeclaredClasses: s.DeclaredClasses,
+		Properties:      s.Predicates,
+		Subjects:        s.Subjects,
+		Triples:         s.Triples,
+		TypedSubjects:   s.TypedSubjects,
 	})
+}
+
+type classJSON struct {
+	IRI   string `json:"iri"`
+	Label string `json:"label"`
 }
 
 // classes implements GET /api/classes?q=phil — the autocomplete box.
 func (a *api) classes(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
-	out := []map[string]string{} // no match encodes as [], not null
+	out := []classJSON{} // no match encodes as [], not null
 	for _, id := range a.sys.Store.SearchClasses(q) {
-		out = append(out, map[string]string{
-			"iri":   a.sys.Store.Dict().Term(id).Value,
-			"label": a.sys.Store.Label(id),
-		})
+		out = append(out, classJSON{IRI: a.sys.Store.Dict().Term(id).Value, Label: a.sys.Store.Label(id)})
 	}
 	writeJSON(w, out)
 }
@@ -95,12 +109,19 @@ func (a *api) pane(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := p.Stats()
-	writeJSON(w, map[string]any{
-		"title":              p.Title,
-		"instances":          st.Instances,
-		"directSubclasses":   st.DirectSubclasses,
-		"indirectSubclasses": st.IndirectSubclasses,
+	writeJSON(w, paneJSON{
+		DirectSubclasses:   st.DirectSubclasses,
+		IndirectSubclasses: st.IndirectSubclasses,
+		Instances:          st.Instances,
+		Title:              p.Title,
 	})
+}
+
+type paneJSON struct {
+	DirectSubclasses   int    `json:"directSubclasses"`
+	IndirectSubclasses int    `json:"indirectSubclasses"`
+	Instances          int    `json:"instances"`
+	Title              string `json:"title"`
 }
 
 type chartBarJSON struct {
@@ -112,7 +133,13 @@ type chartBarJSON struct {
 	SPARQL   string  `json:"sparql,omitempty"`
 }
 
-func chartJSON(c *core.Chart, withSPARQL bool) map[string]any {
+type chartJSON struct {
+	Bars       []chartBarJSON `json:"bars"`
+	Kind       string         `json:"kind"`
+	SourceSize int            `json:"sourceSize"`
+}
+
+func newChartJSON(c *core.Chart, withSPARQL bool) chartJSON {
 	bars := make([]chartBarJSON, 0, len(c.Bars))
 	for _, b := range c.Bars {
 		cb := chartBarJSON{
@@ -127,11 +154,7 @@ func chartJSON(c *core.Chart, withSPARQL bool) map[string]any {
 		}
 		bars = append(bars, cb)
 	}
-	return map[string]any{
-		"kind":       c.Kind.String(),
-		"sourceSize": c.SourceSize,
-		"bars":       bars,
-	}
+	return chartJSON{Bars: bars, Kind: c.Kind.String(), SourceSize: c.SourceSize}
 }
 
 // chart implements GET /api/chart?class=IRI&kind=subclass|property|property-in
@@ -166,7 +189,7 @@ func (a *api) chart(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "unknown chart kind %q", kind)
 		return
 	}
-	writeJSON(w, chartJSON(chart, r.URL.Query().Get("sparql") == "1"))
+	writeJSON(w, newChartJSON(chart, r.URL.Query().Get("sparql") == "1"))
 }
 
 // connections implements GET /api/connections?class=IRI&property=IRI
@@ -188,7 +211,7 @@ func (a *api) connections(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "%v", err)
 		return
 	}
-	writeJSON(w, chartJSON(chart, r.URL.Query().Get("sparql") == "1"))
+	writeJSON(w, newChartJSON(chart, r.URL.Query().Get("sparql") == "1"))
 }
 
 // table implements GET /api/table?class=IRI&props=IRI&props=IRI
@@ -220,7 +243,7 @@ func (a *api) table(w http.ResponseWriter, r *http.Request) {
 		filters = append(filters, f)
 	}
 	table := p.DataTable(props, filters)
-	rows := make([]map[string]any, 0, len(table.Rows))
+	rows := make([]tableRowJSON, 0, len(table.Rows))
 	for _, row := range table.Rows {
 		cells := make([][]string, len(row.Values))
 		for i, vals := range row.Values {
@@ -228,16 +251,20 @@ func (a *api) table(w http.ResponseWriter, r *http.Request) {
 				cells[i] = append(cells[i], v.Value)
 			}
 		}
-		rows = append(rows, map[string]any{
-			"instance": row.Instance.Value,
-			"values":   cells,
-		})
+		rows = append(rows, tableRowJSON{Instance: row.Instance.Value, Values: cells})
 	}
-	writeJSON(w, map[string]any{
-		"columns": columnIRIs(table.Columns),
-		"rows":    rows,
-		"sparql":  table.Query,
-	})
+	writeJSON(w, tableJSON{Columns: columnIRIs(table.Columns), Rows: rows, SPARQL: table.Query})
+}
+
+type tableJSON struct {
+	Columns []string       `json:"columns"`
+	Rows    []tableRowJSON `json:"rows"`
+	SPARQL  string         `json:"sparql"`
+}
+
+type tableRowJSON struct {
+	Instance string     `json:"instance"`
+	Values   [][]string `json:"values"`
 }
 
 func columnIRIs(cols []rdf.Term) []string {

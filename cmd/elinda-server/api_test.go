@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"elinda"
+	"elinda/internal/core"
 	"elinda/internal/datagen"
 	"elinda/internal/endpoint"
 	"elinda/internal/proxy"
@@ -22,11 +24,21 @@ import (
 
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
+	return serveAPI(t, testSystem(t))
+}
+
+func testSystem(t *testing.T) *elinda.System {
+	t.Helper()
 	ds := elinda.GenerateDBpediaLike(elinda.DataConfig{Seed: 1, Persons: 300, PoliticianProps: 50})
 	sys, err := elinda.Open(ds.Triples)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sys
+}
+
+func serveAPI(t *testing.T, sys *elinda.System) *httptest.Server {
+	t.Helper()
 	mux := http.NewServeMux()
 	mux.Handle("/sparql", sys.Endpoint())
 	newAPI(sys).register(mux)
@@ -48,6 +60,138 @@ func getJSON(t *testing.T, srv *httptest.Server, path string, out any) int {
 		}
 	}
 	return resp.StatusCode
+}
+
+// The map encoding the /api handlers used before their bodies became
+// structs. It is the oracle the struct bodies must match byte for byte:
+// encoding/json writes a map's keys sorted, so the structs declare their
+// fields in that order.
+
+func oracleStats(sys *elinda.System) any {
+	s := sys.Store.ComputeStats()
+	return map[string]any{
+		"triples":         s.Triples,
+		"classes":         s.Classes,
+		"declaredClasses": s.DeclaredClasses,
+		"subjects":        s.Subjects,
+		"properties":      s.Predicates,
+		"typedSubjects":   s.TypedSubjects,
+	}
+}
+
+func oracleClasses(sys *elinda.System, q string) any {
+	out := []map[string]string{}
+	for _, id := range sys.Store.SearchClasses(q) {
+		out = append(out, map[string]string{
+			"iri":   sys.Store.Dict().Term(id).Value,
+			"label": sys.Store.Label(id),
+		})
+	}
+	return out
+}
+
+func oraclePane(p *core.Pane) any {
+	st := p.Stats()
+	return map[string]any{
+		"title":              p.Title,
+		"instances":          st.Instances,
+		"directSubclasses":   st.DirectSubclasses,
+		"indirectSubclasses": st.IndirectSubclasses,
+	}
+}
+
+func oracleChart(c *core.Chart, withSPARQL bool) any {
+	bars := make([]chartBarJSON, 0, len(c.Bars)) // a struct already then
+	for _, b := range c.Bars {
+		cb := chartBarJSON{Label: b.LabelText, IRI: b.Bar.Label.Value, Count: b.Count, Coverage: b.Coverage, Triples: b.Triples}
+		if withSPARQL {
+			cb.SPARQL = b.Bar.SPARQL()
+		}
+		bars = append(bars, cb)
+	}
+	return map[string]any{
+		"kind":       c.Kind.String(),
+		"sourceSize": c.SourceSize,
+		"bars":       bars,
+	}
+}
+
+func oracleTable(table *core.DataTable) any {
+	rows := make([]map[string]any, 0, len(table.Rows))
+	for _, row := range table.Rows {
+		cells := make([][]string, len(row.Values))
+		for i, vals := range row.Values {
+			for _, v := range vals {
+				cells[i] = append(cells[i], v.Value)
+			}
+		}
+		rows = append(rows, map[string]any{
+			"instance": row.Instance.Value,
+			"values":   cells,
+		})
+	}
+	columns := make([]string, len(table.Columns))
+	for i, c := range table.Columns {
+		columns[i] = c.Value
+	}
+	return map[string]any{
+		"columns": columns,
+		"rows":    rows,
+		"sparql":  table.Query,
+	}
+}
+
+// TestAPIBodiesMatchMapEncoding GETs every /api route on a fixed store
+// and compares each body byte for byte with the map-encoded oracle built
+// from the same explorer calls.
+func TestAPIBodiesMatchMapEncoding(t *testing.T) {
+	sys := testSystem(t)
+	srv := serveAPI(t, sys)
+	expl := sys.Explorer
+	ont := func(name string) string { return datagen.OntNS + name }
+	q := url.QueryEscape
+	root, phil, person := expl.OpenRootPane(), expl.OpenPane(rdf.NewIRI(ont("Philosopher"))), expl.OpenPane(rdf.NewIRI(ont("Person")))
+	conns, err := phil.ConnectionsChart(rdf.NewIRI(ont("influencedBy")), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	columns := []rdf.Term{rdf.NewIRI(ont("birthPlace")), rdf.NewIRI(ont("influencedBy"))}
+	filter := core.TableFilter{Property: columns[0], Contains: "Place_1"}
+	cols := "&props=" + q(ont("birthPlace")) + "&props=" + q(ont("influencedBy"))
+	for _, c := range []struct {
+		path string
+		want any
+	}{
+		{"/api/stats", oracleStats(sys)},
+		{"/api/classes?q=phil", oracleClasses(sys, "phil")},
+		{"/api/classes?q=nosuchclassanywhere", oracleClasses(sys, "nosuchclassanywhere")},
+		{"/api/pane", oraclePane(root)},
+		{"/api/pane?class=" + q(ont("Philosopher")), oraclePane(phil)},
+		{"/api/chart?sparql=1", oracleChart(root.SubclassChart(), true)},
+		{"/api/chart?class=" + q(ont("Person")) + "&kind=property", oracleChart(person.PropertyChart(false, -1), false)},
+		{"/api/chart?class=" + q(ont("Philosopher")) + "&kind=property-in&threshold=0.2&sparql=1", oracleChart(phil.PropertyChart(true, 0.2), true)},
+		{"/api/connections?class=" + q(ont("Philosopher")) + "&property=" + q(ont("influencedBy")) + "&incoming=1&sparql=1", oracleChart(conns, true)},
+		{"/api/table?class=" + q(ont("Philosopher")) + cols, oracleTable(phil.DataTable(columns, nil))},
+		{"/api/table?class=" + q(ont("Philosopher")) + cols + "&filterProp=" + q(ont("birthPlace")) + "&filterContains=Place_1",
+			oracleTable(phil.DataTable(columns, []core.TableFilter{filter}))},
+	} {
+		resp, err := http.Get(srv.URL + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(c.want); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want.Bytes()) {
+			t.Errorf("GET %s = %d\n%s\nmap encoding\n%s", c.path, resp.StatusCode, body, want.Bytes())
+		}
+	}
 }
 
 func TestAPIStats(t *testing.T) {

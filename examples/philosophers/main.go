@@ -89,7 +89,7 @@ func main() {
 		// Continue the exploration on the narrowed set Osp.
 		sciPane := e.OpenPaneForBar(sci.Bar)
 		fmt.Printf("Opening a pane on that narrowed set: |S| = %d (not all %d scientists)\n",
-			sciPane.Stats().Instances, len(e.ClassBar(datagen.Ont("Scientist")).Set))
+			sciPane.Stats().Instances, e.ClassBar(datagen.Ont("Scientist")).Len())
 	}
 }
 

@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"elinda/internal/rdf"
 	"elinda/internal/sparql"
@@ -36,19 +37,52 @@ func (t BarType) String() string {
 // t. Each bar additionally carries the query pattern that defines its set,
 // so eLinda can "generate SPARQL code to extract each of the bars along
 // the exploration".
+//
+// A chart is a histogram of counts; a bar's set matters only once the bar
+// is expanded or opened. So the bars of subclass and property charts know
+// |S| from the chart's count and build S on first read, from the store
+// snapshot the chart was counted on — a write landing in between does not
+// change it. Class bars (an index view), filtered bars and the bars of a
+// direct object expansion (whose one pass produces every list) hold S from
+// the start.
 type Bar struct {
-	// Set is S, the URIs represented by the bar (dictionary-encoded).
-	Set []rdf.ID
 	// Label is λ.
 	Label rdf.Term
 	// Type is t.
 	Type BarType
 	// pattern defines the set as a SPARQL pattern over variable anchor.
 	pattern *patternBuilder
+
+	n     int // |S|
+	once  sync.Once
+	build func() []rdf.ID // S, for a bar built on first read
+	set   []rdf.ID
 }
 
-// Len returns |S|.
-func (b *Bar) Len() int { return len(b.Set) }
+// newBar returns a bar holding its set.
+func newBar(set []rdf.ID, label rdf.Term, typ BarType, pattern *patternBuilder) *Bar {
+	return &Bar{Label: label, Type: typ, pattern: pattern, n: len(set), set: set}
+}
+
+// lazyBar returns a bar of n members whose set build returns on first
+// read; build must read a fixed snapshot and return exactly n members.
+func lazyBar(n int, build func() []rdf.ID, label rdf.Term, typ BarType, pattern *patternBuilder) *Bar {
+	return &Bar{Label: label, Type: typ, pattern: pattern, n: n, build: build}
+}
+
+// Set returns S, the URIs represented by the bar (dictionary-encoded). It
+// is built once, on the first call, and is safe for concurrent use.
+func (b *Bar) Set() []rdf.ID {
+	b.once.Do(func() {
+		if b.build != nil {
+			b.set, b.build = b.build(), nil
+		}
+	})
+	return b.set
+}
+
+// Len returns |S| without building S.
+func (b *Bar) Len() int { return b.n }
 
 // SPARQL returns a SELECT query extracting the bar's URI set.
 func (b *Bar) SPARQL() string {

@@ -119,3 +119,26 @@ func BenchmarkSubclassChart(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPropertyChart times Pane.PropertyChart, outgoing and incoming,
+// on the root (owl:Thing) and Person panes at two sizes, clean and over an
+// overlay: the chart /api/chart?kind=property serves, which reads counts
+// and builds no bar's member set.
+func BenchmarkPropertyChart(b *testing.B) {
+	for _, persons := range []int{2000, 20000} {
+		for _, overlay := range []bool{false, true} {
+			e := NewExplorer(chartBenchStore(b, persons, overlay))
+			for _, pane := range []*Pane{e.OpenRootPane(), e.OpenPane(datagen.Ont("Person"))} {
+				for _, incoming := range []bool{false, true} {
+					name := fmt.Sprintf("persons=%d/overlay=%v/%s/incoming=%v", persons, overlay, pane.Title, incoming)
+					b.Run(name, func(b *testing.B) {
+						b.ReportAllocs()
+						for b.Loop() {
+							pane.PropertyChart(incoming, -1)
+						}
+					})
+				}
+			}
+		}
+	}
+}

@@ -90,7 +90,7 @@ func (e *Explorer) rootBar(snap *store.Snapshot) *Bar {
 		}
 		return true
 	})
-	return &Bar{Set: set, Label: rdf.Term{}, Type: ClassBar, pattern: newPatternBuilder()}
+	return newBar(set, rdf.Term{}, ClassBar, newPatternBuilder())
 }
 
 // ClassBar returns the bar for a class: S is every subject with
@@ -103,12 +103,7 @@ func classBar(snap *store.Snapshot, class rdf.Term) *Bar {
 	if cid, ok := snap.Dict().Lookup(class); ok {
 		set = snap.SubjectsOfType(cid)
 	}
-	return &Bar{
-		Set:     set,
-		Label:   class,
-		Type:    ClassBar,
-		pattern: newPatternBuilder().withType(class),
-	}
+	return newBar(set, class, ClassBar, newPatternBuilder().withType(class))
 }
 
 // Expand applies the expansion kind to the bar. ObjectExpansion requires a
@@ -137,75 +132,96 @@ func (e *Explorer) Expand(b *Bar, kind ExpansionKind) (*Chart, error) {
 }
 
 // subclassExpansion: labels(B) = direct subclasses τ of λ; B[τ] = members
-// of S of class τ, in the class's (sorted) posting order.
+// of S of class τ, in the class's (sorted) posting order. The chart counts
+// each intersection; a bar builds its own on first read.
 func (e *Explorer) subclassExpansion(b *Bar) *Chart {
-	h := e.Hierarchy()
 	chart := &Chart{Kind: SubclassExpansion, SourceLabel: b.Label, SourceSize: b.Len()}
-
-	var subclasses []rdf.ID
-	if b.Label.IsZero() {
-		subclasses = h.TopLevelClasses()
-	} else if cid, ok := e.st.Dict().Lookup(b.Label); ok {
-		subclasses = h.DirectSubclasses(cid)
-	}
-
 	snap := e.st.Snapshot()
-	set := b.Set
-	if !slices.IsSorted(set) {
-		set = slices.Sorted(slices.Values(set)) // once, not per subclass
-	}
-	for _, sub := range subclasses {
-		subTerm := snap.Dict().Term(sub)
-		members := store.IntersectSorted(snap.SubjectsOfType(sub), set)
-		bar := &Bar{
-			Set:     members,
-			Label:   subTerm,
-			Type:    ClassBar,
-			pattern: b.pattern.withType(subTerm),
-		}
-		chart.Bars = append(chart.Bars, ChartBar{
-			Bar:       bar,
-			LabelText: snap.Label(sub),
-			Count:     len(members),
-		})
+	set := sortedSet(b)
+	for _, sub := range e.subclassesOf(b) {
+		n := store.CountIntersectSorted(snap.SubjectsOfType(sub), set)
+		chart.Bars = append(chart.Bars, subclassBar(snap, b, set, sub, n))
 	}
 	sortBars(chart.Bars)
 	return chart
 }
 
+// subclassesOf returns the labels of b's subclass chart: the direct
+// subclasses of its class, or the top-level classes for the virtual root.
+func (e *Explorer) subclassesOf(b *Bar) []rdf.ID {
+	h := e.Hierarchy()
+	if b.Label.IsZero() {
+		return h.TopLevelClasses()
+	}
+	if cid, ok := e.st.Dict().Lookup(b.Label); ok {
+		return h.DirectSubclasses(cid)
+	}
+	return nil
+}
+
+// sortedSet returns b's set in ascending order, sorting a copy only when
+// it is not already.
+func sortedSet(b *Bar) []rdf.ID {
+	set := b.Set()
+	if !slices.IsSorted(set) {
+		set = slices.Sorted(slices.Values(set))
+	}
+	return set
+}
+
+// subclassBar is B[τ] of the subclass expansion of parent over snap, for
+// τ = sub: the n members of the sorted parent set that snap types sub,
+// intersected on first read.
+func subclassBar(snap *store.Snapshot, parent *Bar, sorted []rdf.ID, sub rdf.ID, n int) ChartBar {
+	subTerm := snap.Dict().Term(sub)
+	members := func() []rdf.ID { return store.IntersectSorted(snap.SubjectsOfType(sub), sorted) }
+	return ChartBar{
+		Bar:       lazyBar(n, members, subTerm, ClassBar, parent.pattern.withType(subTerm)),
+		LabelText: snap.Label(sub),
+		Count:     n,
+	}
+}
+
 // propertyExpansion: labels(B) = properties π with (s, π, o) for s ∈ S
 // (or (o, π, s) when incoming); B[π] = members of S featuring π, in set
 // order. Property data "aggregates all properties found within instances
-// in S" — no ontology declarations consulted. The distribution is the
-// store's one kernel, shared with the decomposer.
+// in S" — no ontology declarations consulted. The counts are the store's
+// one kernel, shared with the decomposer; a bar reads its members with
+// MembersWith on first read.
 func (e *Explorer) propertyExpansion(b *Bar, incoming bool) *Chart {
-	kind := PropertyExpansion
-	if incoming {
-		kind = IncomingPropertyExpansion
-	}
-	chart := &Chart{Kind: kind, SourceLabel: b.Label, SourceSize: b.Len()}
+	chart := &Chart{Kind: propertyKind(incoming), SourceLabel: b.Label, SourceSize: b.Len()}
 	snap := e.st.Snapshot()
-	denom := float64(b.Len())
-	for _, g := range snap.PropertyDistribution(b.Set, incoming) {
-		pTerm := snap.Dict().Term(g.Property)
-		cb := ChartBar{
-			Bar: &Bar{
-				Set:     g.Members,
-				Label:   pTerm,
-				Type:    PropertyBar,
-				pattern: b.pattern.withProperty(pTerm, incoming),
-			},
-			LabelText: snap.Label(g.Property),
-			Count:     g.Count,
-			Triples:   g.Triples,
-		}
-		if denom > 0 {
-			cb.Coverage = float64(cb.Count) / denom
-		}
-		chart.Bars = append(chart.Bars, cb)
+	set := b.Set()
+	for _, g := range snap.PropertyCounts(set, incoming) {
+		members := func() []rdf.ID { return snap.MembersWith(set, g.Property, incoming) }
+		chart.Bars = append(chart.Bars, propertyBar(snap, b, g.Property, incoming, g.Count, g.Triples, members))
 	}
 	sortBars(chart.Bars)
 	return chart
+}
+
+func propertyKind(incoming bool) ExpansionKind {
+	if incoming {
+		return IncomingPropertyExpansion
+	}
+	return PropertyExpansion
+}
+
+// propertyBar is B[π] of the property expansion of parent over snap, for
+// π = prop: n members with triples triples between them, which members
+// returns on first read.
+func propertyBar(snap *store.Snapshot, parent *Bar, prop rdf.ID, incoming bool, n, triples int, members func() []rdf.ID) ChartBar {
+	pTerm := snap.Dict().Term(prop)
+	cb := ChartBar{
+		Bar:       lazyBar(n, members, pTerm, PropertyBar, parent.pattern.withProperty(pTerm, incoming)),
+		LabelText: snap.Label(prop),
+		Count:     n,
+		Triples:   triples,
+	}
+	if denom := float64(parent.Len()); denom > 0 {
+		cb.Coverage = float64(n) / denom
+	}
+	return cb
 }
 
 // objectExpansion: for property bar B = ⟨S, λ, property⟩, labels(B) = the
@@ -213,18 +229,43 @@ func (e *Explorer) propertyExpansion(b *Bar, incoming bool) *Chart {
 // class τ. The incoming variant reads (o, λ, s). Every read goes through
 // snap.
 func (e *Explorer) objectExpansion(snap *store.Snapshot, b *Bar, incoming bool) *Chart {
-	kind := ObjectExpansion
-	if incoming {
-		kind = IncomingObjectExpansion
-	}
-	chart := &Chart{Kind: kind, SourceLabel: b.Label, SourceSize: b.Len()}
+	chart := &Chart{Kind: objectKind(incoming), SourceLabel: b.Label, SourceSize: b.Len()}
 	propID, ok := snap.Dict().Lookup(b.Label)
 	if !ok {
 		return chart
 	}
-	// Collect connected objects.
+	pattern := b.pattern.hopObject(b.Label, incoming)
+	for c, members := range objectsByClass(snap, b.Set(), propID, incoming) {
+		chart.Bars = append(chart.Bars, objectBar(snap, pattern, c, len(members), func() []rdf.ID { return members }))
+	}
+	sortBars(chart.Bars)
+	return chart
+}
+
+func objectKind(incoming bool) ExpansionKind {
+	if incoming {
+		return IncomingObjectExpansion
+	}
+	return ObjectExpansion
+}
+
+// objectBar is B[τ] of an object expansion whose objects the pattern
+// anchors, for τ = class: n objects, which members returns.
+func objectBar(snap *store.Snapshot, pattern *patternBuilder, class rdf.ID, n int, members func() []rdf.ID) ChartBar {
+	cTerm := snap.Dict().Term(class)
+	return ChartBar{
+		Bar:       lazyBar(n, members, cTerm, ClassBar, pattern.withType(cTerm)),
+		LabelText: snap.Label(class),
+		Count:     n,
+	}
+}
+
+// objectsByClass distributes the objects reached from set via propID (the
+// subjects reaching it, when incoming) over their classes in snap. Each
+// class's objects come in ID order, the same on every run.
+func objectsByClass(snap *store.Snapshot, set []rdf.ID, propID rdf.ID, incoming bool) map[rdf.ID][]rdf.ID {
 	connected := map[rdf.ID]struct{}{}
-	for _, s := range b.Set {
+	for _, s := range set {
 		if incoming {
 			for _, o := range snap.Subjects(propID, s) {
 				connected[o] = struct{}{}
@@ -235,8 +276,6 @@ func (e *Explorer) objectExpansion(snap *store.Snapshot, b *Bar, incoming bool) 
 			}
 		}
 	}
-	// Distribute by class, visiting objects in ID order so each class's
-	// member list comes out the same on every run.
 	objs := make([]rdf.ID, 0, len(connected))
 	for o := range connected {
 		objs = append(objs, o)
@@ -248,22 +287,7 @@ func (e *Explorer) objectExpansion(snap *store.Snapshot, b *Bar, incoming bool) 
 			perClass[c] = append(perClass[c], o)
 		}
 	}
-	for c, members := range perClass {
-		cTerm := snap.Dict().Term(c)
-		bar := &Bar{
-			Set:     members,
-			Label:   cTerm,
-			Type:    ClassBar,
-			pattern: b.pattern.hopObject(b.Label, incoming).withType(cTerm),
-		}
-		chart.Bars = append(chart.Bars, ChartBar{
-			Bar:       bar,
-			LabelText: snap.Label(c),
-			Count:     len(members),
-		})
-	}
-	sortBars(chart.Bars)
-	return chart
+	return perClass
 }
 
 // Filter applies the paper's filter operation: it "removes from each bar B
@@ -273,7 +297,7 @@ func (e *Explorer) objectExpansion(snap *store.Snapshot, b *Bar, incoming bool) 
 // generation.
 func (e *Explorer) Filter(b *Bar, keep func(rdf.Term) bool, sparqlCond func(anchorVar string) sparqlExpr) *Bar {
 	var kept []rdf.ID
-	for _, id := range b.Set {
+	for _, id := range b.Set() {
 		if t, ok := e.st.Dict().TermOK(id); ok && keep(t) {
 			kept = append(kept, id)
 		}
@@ -282,7 +306,7 @@ func (e *Explorer) Filter(b *Bar, keep func(rdf.Term) bool, sparqlCond func(anch
 	if sparqlCond != nil {
 		pattern = pattern.withFilter(func(anchor string) sparqlExpr { return sparqlCond(anchor) })
 	}
-	return &Bar{Set: kept, Label: b.Label, Type: b.Type, pattern: pattern}
+	return newBar(kept, b.Label, b.Type, pattern)
 }
 
 // FilterByPropertyValue narrows a class bar to members whose property
@@ -295,7 +319,7 @@ func (e *Explorer) FilterByPropertyValue(b *Bar, prop rdf.Term, value rdf.Term) 
 	var kept []rdf.ID
 	if okP && okV {
 		snap := e.st.Snapshot()
-		for _, s := range b.Set {
+		for _, s := range b.Set() {
 			if snap.ContainsID(s, propID, valID) {
 				kept = append(kept, s)
 			}
@@ -305,5 +329,5 @@ func (e *Explorer) FilterByPropertyValue(b *Bar, prop rdf.Term, value rdf.Term) 
 	v := pattern.freshVar("f")
 	pattern.triples = append(pattern.triples, tpVar(pattern.anchor, prop, v))
 	pattern.filters = append(pattern.filters, eqExpr(v, value))
-	return &Bar{Set: kept, Label: b.Label, Type: b.Type, pattern: pattern}
+	return newBar(kept, b.Label, b.Type, pattern)
 }

@@ -123,12 +123,12 @@ func TestSubclassExpansionInvariant(t *testing.T) {
 	e := testFixture(t)
 	parent := e.ClassBar(ont("Person"))
 	chart := e.subclassExpansion(parent)
-	parentSet := idSet(parent.Set)
+	parentSet := idSet(parent.Set())
 	for _, b := range chart.Bars {
-		if b.Count != len(b.Bar.Set) {
-			t.Errorf("%s: count %d != |set| %d", b.LabelText, b.Count, len(b.Bar.Set))
+		if b.Count != len(b.Bar.Set()) {
+			t.Errorf("%s: count %d != |set| %d", b.LabelText, b.Count, len(b.Bar.Set()))
 		}
-		for _, id := range b.Bar.Set {
+		for _, id := range b.Bar.Set() {
 			if _, in := parentSet[id]; !in {
 				t.Errorf("%s: member %v outside parent set", b.LabelText, id)
 			}
@@ -281,7 +281,7 @@ func TestFilterByPropertyValue(t *testing.T) {
 	if vienna.Len() != 1 {
 		t.Fatalf("philosophers born in vienna = %d, want 1", vienna.Len())
 	}
-	term := e.st.Dict().Term(vienna.Set[0])
+	term := e.st.Dict().Term(vienna.Set()[0])
 	if term != res("kant") {
 		t.Errorf("filtered member = %v, want kant", term)
 	}
@@ -331,7 +331,7 @@ func assertSPARQLSet(t *testing.T, e *Explorer, b *Bar) {
 		got[row[v]] = struct{}{}
 	}
 	want := map[rdf.Term]struct{}{}
-	for _, id := range b.Set {
+	for _, id := range b.Set() {
 		want[e.st.Dict().Term(id)] = struct{}{}
 	}
 	if len(got) != len(want) {
@@ -389,8 +389,8 @@ func TestExpansionSetInvariantsRandom(t *testing.T) {
 			// Object expansion bars contain objects, not members of S;
 			// only check sortedness and count consistency.
 			for _, b := range objChart.Bars {
-				if b.Count != len(b.Bar.Set) {
-					t.Fatalf("object bar count %d != set %d", b.Count, len(b.Bar.Set))
+				if b.Count != len(b.Bar.Set()) {
+					t.Fatalf("object bar count %d != set %d", b.Count, len(b.Bar.Set()))
 				}
 			}
 			assertSorted(t, objChart)
@@ -400,12 +400,12 @@ func TestExpansionSetInvariantsRandom(t *testing.T) {
 
 func assertChartInvariants(t *testing.T, c *Chart, source *Bar) {
 	t.Helper()
-	srcSet := idSet(source.Set)
+	srcSet := idSet(source.Set())
 	for _, b := range c.Bars {
-		if b.Count != len(b.Bar.Set) {
-			t.Fatalf("count %d != |set| %d", b.Count, len(b.Bar.Set))
+		if b.Count != len(b.Bar.Set()) {
+			t.Fatalf("count %d != |set| %d", b.Count, len(b.Bar.Set()))
 		}
-		for _, id := range b.Bar.Set {
+		for _, id := range b.Bar.Set() {
 			if _, in := srcSet[id]; !in {
 				t.Fatalf("bar %s member outside source set", b.LabelText)
 			}

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -15,7 +15,8 @@ import (
 // The chart oracle: the per-triple walks the explorer used before its
 // property chart moved onto the store's property-distribution kernel and
 // its subclass chart onto sorted intersections. They stay here, in test
-// code only, as the reference the production charts must reproduce.
+// code only, as the reference the production charts must reproduce —
+// member lists included, which the production bars build only when read.
 
 func idSet(ids []rdf.ID) map[rdf.ID]struct{} {
 	m := make(map[rdf.ID]struct{}, len(ids))
@@ -37,7 +38,7 @@ func oracleSubclassChart(e *Explorer, b *Bar) *Chart {
 		subclasses = h.DirectSubclasses(cid)
 	}
 	snap := e.st.Snapshot()
-	inSet := idSet(b.Set)
+	inSet := idSet(b.Set())
 	for _, sub := range subclasses {
 		subTerm := snap.Dict().Term(sub)
 		var members []rdf.ID
@@ -47,7 +48,7 @@ func oracleSubclassChart(e *Explorer, b *Bar) *Chart {
 			}
 		}
 		chart.Bars = append(chart.Bars, ChartBar{
-			Bar:       &Bar{Set: members, Label: subTerm, Type: ClassBar, pattern: b.pattern.withType(subTerm)},
+			Bar:       newBar(members, subTerm, ClassBar, b.pattern.withType(subTerm)),
 			LabelText: snap.Label(sub),
 			Count:     len(members),
 		})
@@ -69,7 +70,7 @@ func oraclePropertyChart(e *Explorer, b *Bar, incoming bool) *Chart {
 	}
 	perProp := map[rdf.ID]*agg{}
 	snap := e.st.Snapshot()
-	for _, s := range b.Set {
+	for _, s := range b.Set() {
 		seen := map[rdf.ID]bool{}
 		visit := func(t rdf.EncodedTriple) bool {
 			a := perProp[t.P]
@@ -94,7 +95,7 @@ func oraclePropertyChart(e *Explorer, b *Bar, incoming bool) *Chart {
 	for p, a := range perProp {
 		pTerm := snap.Dict().Term(p)
 		cb := ChartBar{
-			Bar:       &Bar{Set: a.members, Label: pTerm, Type: PropertyBar, pattern: b.pattern.withProperty(pTerm, incoming)},
+			Bar:       newBar(a.members, pTerm, PropertyBar, b.pattern.withProperty(pTerm, incoming)),
 			LabelText: snap.Label(p),
 			Count:     len(a.members),
 			Triples:   a.triples,
@@ -119,8 +120,9 @@ func oracleConnectionsChart(p *Pane, prop rdf.Term, incoming bool) (*Chart, erro
 }
 
 // assertSameChart compares two charts bar by bar — label, text, count,
-// coverage, triples, member list (order included) and generated SPARQL.
-// Bars tied on count and label text are compared in IRI order.
+// coverage, triples, member list (order included) and generated SPARQL —
+// and holds every bar of got to len(Set()) = Count = Len(). Bars tied on
+// count and label text are compared in IRI order.
 func assertSameChart(t *testing.T, what string, got, want *Chart) {
 	t.Helper()
 	if got.Kind != want.Kind || got.SourceLabel != want.SourceLabel || got.SourceSize != want.SourceSize {
@@ -152,10 +154,10 @@ func assertSameChart(t *testing.T, what string, got, want *Chart) {
 				gb.Bar.Label, gb.LabelText, gb.Count, gb.Coverage, gb.Triples,
 				wb.Bar.Label, wb.LabelText, wb.Count, wb.Coverage, wb.Triples)
 		}
-		if len(gb.Bar.Set) != 0 || len(wb.Bar.Set) != 0 {
-			if !reflect.DeepEqual(gb.Bar.Set, wb.Bar.Set) {
-				t.Fatalf("%s: bar %v members differ from the oracle", what, gb.Bar.Label)
-			}
+		if set := gb.Bar.Set(); !slices.Equal(set, wb.Bar.Set()) {
+			t.Fatalf("%s: bar %v members %v, oracle %v", what, gb.Bar.Label, set, wb.Bar.Set())
+		} else if len(set) != gb.Count || gb.Bar.Len() != gb.Count {
+			t.Fatalf("%s: bar %v has %d members, Len %d, count %d", what, gb.Bar.Label, len(set), gb.Bar.Len(), gb.Count)
 		}
 		if gs, ws := gb.Bar.SPARQL(), wb.Bar.SPARQL(); gs != ws {
 			t.Fatalf("%s: bar %v SPARQL\n%s\noracle\n%s", what, gb.Bar.Label, gs, ws)
@@ -267,4 +269,86 @@ func mustID(t *testing.T, st *store.Store, term rdf.Term) rdf.ID {
 		t.Fatalf("%v not interned", term)
 	}
 	return id
+}
+
+// TestBarSetsPinnedToChartSnapshot drives a store through the overlay
+// states Apply leaves behind — clean base, tail only, sorted delta,
+// tombstones, delete-then-reinsert — and counts the root, Person and
+// Philosopher panes' subclass, property and incoming property charts in
+// each, with the oracle's beside them. Every bar's set is read only after
+// the next write has landed: it must still be the oracle's member list of
+// the snapshot the chart was counted on.
+func TestBarSetsPinnedToChartSnapshot(t *testing.T) {
+	st, err := datagen.Generate(datagen.Config{Seed: 2, Persons: 300, PoliticianProps: 40, ErrorRate: 0.02}).NewStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewExplorer(st)
+	type counted struct {
+		what      string
+		got, want *Chart
+	}
+	var held []counted
+	count := func(state string) {
+		panes := []*Pane{e.OpenRootPane(), e.OpenPane(datagen.Ont("Person")), e.OpenPane(datagen.Ont("Philosopher"))}
+		for _, p := range panes {
+			what := state + " " + p.Title
+			held = append(held, counted{what + " subclass", p.SubclassChart(), oracleSubclassChart(e, p.bar)})
+			for _, incoming := range []bool{false, true} {
+				held = append(held, counted{fmt.Sprintf("%s property incoming=%v", what, incoming),
+					p.PropertyChart(incoming, -1), oraclePropertyChart(e, p.bar, incoming)})
+			}
+		}
+	}
+	verify := func() {
+		t.Helper()
+		for _, c := range held {
+			assertSameChart(t, c.what, c.got, c.want)
+		}
+		held = nil
+	}
+	apply := func(ops ...rdf.TripleOp) {
+		t.Helper()
+		if _, err := st.Apply(store.DeltaOf(ops...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	phils := st.Snapshot().SubjectsOfType(mustID(t, st, datagen.Ont("Philosopher")))
+	person := func(i int) rdf.Term { return st.Dict().Term(phils[i%len(phils)]) }
+
+	count("clean")
+	for i := 0; i < 5; i++ { // one op per Apply: the tail
+		apply(rdf.Insert(rdf.Triple{S: person(i), P: datagen.Ont("overlayProp"), O: datagen.Res(fmt.Sprintf("x%d", i))}))
+	}
+	verify()
+	count("tail")
+	var bulk []rdf.TripleOp // more ops than the tail holds: the sorted delta
+	for i := 0; i < 300; i++ {
+		nu := datagen.Res(fmt.Sprintf("newPhil%d", i))
+		bulk = append(bulk,
+			rdf.Insert(rdf.Triple{S: nu, P: rdf.TypeIRI, O: datagen.Ont("Philosopher")}),
+			rdf.Insert(rdf.Triple{S: nu, P: datagen.Ont("influencedBy"), O: person(i)}))
+	}
+	apply(bulk...)
+	verify()
+	count("delta")
+	var deleted []rdf.TripleOp
+	snap := st.Snapshot()
+	for i := 0; i < len(phils)/2; i++ {
+		snap.Match(phils[i], rdf.NoID, rdf.NoID, func(tr rdf.EncodedTriple) bool {
+			deleted = append(deleted, rdf.Delete(snap.Triple(tr)))
+			return i%2 == 0 // every triple of even members, types included
+		})
+	}
+	apply(deleted...)
+	verify()
+	count("tombstones")
+	var again []rdf.TripleOp
+	for i := 0; i < len(deleted); i += 2 {
+		again = append(again, rdf.Insert(deleted[i].Triple))
+	}
+	apply(again...)
+	verify()
+	count("delete then reinsert")
+	verify()
 }

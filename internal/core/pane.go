@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 
 	"elinda/internal/incremental"
 	"elinda/internal/rdf"
 	"elinda/internal/sparql"
+	"elinda/internal/store"
 )
 
 // PaneStats are the numbers shown at the upper-left corner of a pane:
@@ -62,7 +64,7 @@ func (e *Explorer) OpenPaneForBar(bar *Bar) *Pane {
 func (p *Pane) Bar() *Bar { return p.bar }
 
 // Set returns S.
-func (p *Pane) Set() []rdf.ID { return p.bar.Set }
+func (p *Pane) Set() []rdf.ID { return p.bar.Set() }
 
 // Stats computes the pane-header statistics.
 func (p *Pane) Stats() PaneStats {
@@ -99,20 +101,16 @@ func (p *Pane) PropertyChart(incoming bool, threshold float64) *Chart {
 // whole property chart.
 func (p *Pane) ConnectionsChart(prop rdf.Term, incoming bool) (*Chart, error) {
 	snap := p.expl.st.Snapshot()
+	pid, ok := snap.Dict().Lookup(prop)
 	var members []rdf.ID
-	if pid, ok := snap.Dict().Lookup(prop); ok {
-		members = snap.MembersWith(p.bar.Set, pid, incoming)
+	if ok {
+		members = snap.MembersWith(p.bar.Set(), pid, incoming)
 	}
 	if len(members) == 0 {
 		return nil, fmt.Errorf("core: property %s not featured by instances of %s", prop, p.Title)
 	}
-	bar := &Bar{
-		Set:     members,
-		Label:   prop,
-		Type:    PropertyBar,
-		pattern: p.bar.pattern.withProperty(prop, incoming),
-	}
-	return p.expl.objectExpansion(snap, bar, incoming), nil
+	bar := propertyBar(snap, p.bar, pid, incoming, len(members), 0, func() []rdf.ID { return members })
+	return p.expl.objectExpansion(snap, bar.Bar, incoming), nil
 }
 
 // --- Streaming charts (Section 4 wired into the pane's tabs) ---
@@ -121,21 +119,23 @@ func (p *Pane) ConnectionsChart(prop rdf.Term, incoming bool) (*Chart, error) {
 // aggregators read a nil set as "all subjects", while an empty pane must
 // count nothing.
 func (p *Pane) nonNilSet() []rdf.ID {
-	if p.bar.Set == nil {
-		return []rdf.ID{}
+	if set := p.bar.Set(); set != nil {
+		return set
 	}
-	return p.bar.Set
+	return []rdf.ID{}
 }
 
 // streamChart drives an incremental evaluation of agg, rebuilding the
 // chart from the aggregator state after each round. build is called with
-// the round's state already folded in; onPartial returning false stops the
-// stream early. The chart of the final observed state is returned.
-func (p *Pane) streamChart(ctx context.Context, opts IncrementalOptions, agg incremental.Aggregator, build func() *Chart, onPartial func(*Chart, incremental.Snapshot) bool) (*Chart, error) {
+// the round's state already folded in and the store snapshot the stream
+// reads, which labels the bars and from which they build their sets;
+// onPartial returning false stops the stream early. The chart of the final
+// observed state is returned.
+func (p *Pane) streamChart(ctx context.Context, opts IncrementalOptions, agg incremental.Aggregator, build func(*store.Snapshot) *Chart, onPartial func(*Chart, incremental.Snapshot) bool) (*Chart, error) {
 	ev := incremental.New(p.expl.st, incremental.Config(opts))
 	var final *Chart
-	_, err := ev.Run(ctx, agg, func(s incremental.Snapshot) bool {
-		chart := build()
+	last, err := ev.Run(ctx, agg, func(s incremental.Snapshot) bool {
+		chart := build(s.View)
 		if s.Complete {
 			final = chart
 		}
@@ -148,43 +148,27 @@ func (p *Pane) streamChart(ctx context.Context, opts IncrementalOptions, agg inc
 		return nil, err
 	}
 	if final == nil {
-		final = build()
+		final = build(last.View)
 	}
 	return final, nil
 }
 
 // StreamSubclassChart computes the pane's subclass chart incrementally,
-// invoking onPartial after every chunk of N triples. Bars carry labels and
-// counts but not member sets (counting is what the chunked scan buys);
-// candidate subclasses that have not yet been seen show with count zero,
-// exactly like the direct SubclassChart.
+// invoking onPartial after every chunk of N triples. Candidate subclasses
+// that have not yet been seen show with count zero, exactly like the
+// direct SubclassChart. Every bar builds its set on first read, from the
+// snapshot the stream reads: on the final chart that is the set its count
+// counts, on a partial chart the set its count is still converging to.
 func (p *Pane) StreamSubclassChart(ctx context.Context, opts IncrementalOptions, onPartial func(*Chart, incremental.Snapshot) bool) (*Chart, error) {
-	st := p.expl.st
-	snap := st.Snapshot() // labels for every partial chart
-	h := p.expl.Hierarchy()
+	subclasses := p.expl.subclassesOf(p.bar)
+	agg := incremental.NewSubclassAggregator(p.expl.st.TypeID(), p.nonNilSet(), subclasses)
+	set := sortedSet(p.bar)
 
-	var subclasses []rdf.ID
-	if p.bar.Label.IsZero() {
-		subclasses = h.TopLevelClasses()
-	} else if cid, ok := st.Dict().Lookup(p.bar.Label); ok {
-		subclasses = h.DirectSubclasses(cid)
-	}
-	agg := incremental.NewSubclassAggregator(st.TypeID(), p.nonNilSet(), subclasses)
-
-	build := func() *Chart {
+	build := func(view *store.Snapshot) *Chart {
 		counts := agg.Counts()
 		chart := &Chart{Kind: SubclassExpansion, SourceLabel: p.bar.Label, SourceSize: p.bar.Len()}
 		for _, sub := range subclasses {
-			subTerm := st.Dict().Term(sub)
-			chart.Bars = append(chart.Bars, ChartBar{
-				Bar: &Bar{
-					Label:   subTerm,
-					Type:    ClassBar,
-					pattern: p.bar.pattern.withType(subTerm),
-				},
-				LabelText: snap.Label(sub),
-				Count:     counts[sub],
-			})
+			chart.Bars = append(chart.Bars, subclassBar(view, p.bar, set, sub, counts[sub]))
 		}
 		sortBars(chart.Bars)
 		return chart
@@ -196,34 +180,24 @@ func (p *Pane) StreamSubclassChart(ctx context.Context, opts IncrementalOptions,
 // expansion for the chosen property) incrementally. Unlike
 // ConnectionsChart it does not first materialize the property bar, so it
 // reports the pane's |S| as SourceSize and yields an empty chart — not an
-// error — for a property the set does not feature.
+// error — for a property the set does not feature. Bars build their sets
+// on first read, as StreamSubclassChart's do; the bars of one chart share
+// one object distribution.
 func (p *Pane) StreamConnectionsChart(ctx context.Context, prop rdf.Term, incoming bool, opts IncrementalOptions, onPartial func(*Chart, incremental.Snapshot) bool) (*Chart, error) {
 	st := p.expl.st
-	snap := st.Snapshot() // labels for every partial chart
-	kind := ObjectExpansion
-	if incoming {
-		kind = IncomingObjectExpansion
-	}
 	propID, ok := st.Dict().Lookup(prop)
 	if !ok {
-		return &Chart{Kind: kind, SourceLabel: prop, SourceSize: p.bar.Len()}, nil
+		return &Chart{Kind: objectKind(incoming), SourceLabel: prop, SourceSize: p.bar.Len()}, nil
 	}
-	agg := incremental.NewObjectAggregator(st.TypeID(), propID, p.bar.Set, incoming)
+	set := p.bar.Set()
+	agg := incremental.NewObjectAggregator(st.TypeID(), propID, set, incoming)
 	pattern := p.bar.pattern.withProperty(prop, incoming).hopObject(prop, incoming)
 
-	build := func() *Chart {
-		chart := &Chart{Kind: kind, SourceLabel: prop, SourceSize: p.bar.Len()}
+	build := func(view *store.Snapshot) *Chart {
+		byClass := sync.OnceValue(func() map[rdf.ID][]rdf.ID { return objectsByClass(view, set, propID, incoming) })
+		chart := &Chart{Kind: objectKind(incoming), SourceLabel: prop, SourceSize: p.bar.Len()}
 		for c, n := range agg.Counts() {
-			cTerm := st.Dict().Term(c)
-			chart.Bars = append(chart.Bars, ChartBar{
-				Bar: &Bar{
-					Label:   cTerm,
-					Type:    ClassBar,
-					pattern: pattern.withType(cTerm),
-				},
-				LabelText: snap.Label(c),
-				Count:     n,
-			})
+			chart.Bars = append(chart.Bars, objectBar(view, pattern, c, n, func() []rdf.ID { return byClass()[c] }))
 		}
 		sortBars(chart.Bars)
 		return chart
@@ -292,38 +266,8 @@ func (p *Pane) DataTable(props []rdf.Term, filters []TableFilter) *DataTable {
 	for i, pr := range props {
 		propIDs[i], _ = d.Lookup(pr)
 	}
-	filterIdx := map[rdf.ID][]TableFilter{}
-	for _, f := range filters {
-		if fid, ok := d.Lookup(f.Property); ok {
-			filterIdx[fid] = append(filterIdx[fid], f)
-		}
-	}
-
-	for _, s := range p.bar.Set {
+	for _, s := range p.filtered(snap, filters) {
 		row := TableRow{Instance: d.Term(s), Values: make([][]rdf.Term, len(props))}
-		keep := true
-		for fid, fs := range filterIdx {
-			objs := snap.Objects(s, fid)
-			for _, f := range fs {
-				ok := false
-				for _, o := range objs {
-					if t, valid := d.TermOK(o); valid && f.matches(t) {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					keep = false
-					break
-				}
-			}
-			if !keep {
-				break
-			}
-		}
-		if !keep {
-			continue
-		}
 		for i, pid := range propIDs {
 			if pid == rdf.NoID {
 				continue
@@ -333,16 +277,40 @@ func (p *Pane) DataTable(props []rdf.Term, filters []TableFilter) *DataTable {
 					row.Values[i] = append(row.Values[i], t)
 				}
 			}
-			sort.Slice(row.Values[i], func(a, b int) bool {
-				return row.Values[i][a].Compare(row.Values[i][b]) < 0
-			})
+			slices.SortFunc(row.Values[i], rdf.Term.Compare)
 		}
 		table.Rows = append(table.Rows, row)
 	}
-	sort.Slice(table.Rows, func(i, j int) bool {
-		return table.Rows[i].Instance.Compare(table.Rows[j].Instance) < 0
-	})
+	slices.SortFunc(table.Rows, func(a, b TableRow) int { return a.Instance.Compare(b.Instance) })
 	return table
+}
+
+// filtered returns the members of S that satisfy every filter in snap: a
+// member needs, per filter, one value of the filter's property that
+// matches it. A filter on a property the store has never seen is ignored.
+func (p *Pane) filtered(snap *store.Snapshot, filters []TableFilter) []rdf.ID {
+	d := snap.Dict()
+	var known []TableFilter
+	var props []rdf.ID
+	for _, f := range filters {
+		if fid, ok := d.Lookup(f.Property); ok {
+			known, props = append(known, f), append(props, fid)
+		}
+	}
+	var kept []rdf.ID
+members:
+	for _, s := range p.bar.Set() {
+		for i, f := range known {
+			if !slices.ContainsFunc(snap.Objects(s, props[i]), func(o rdf.ID) bool {
+				t, valid := d.TermOK(o)
+				return valid && f.matches(t)
+			}) {
+				continue members
+			}
+		}
+		kept = append(kept, s)
+	}
+	return kept
 }
 
 // tableSPARQL renders the query a data table was generated from: the
@@ -379,40 +347,7 @@ func (p *Pane) tableSPARQL(props []rdf.Term, filters []TableFilter) string {
 // filters — for exploration "using all available expansions that will now
 // operate on a narrowed set" (Section 3.3).
 func (p *Pane) FilterExpansion(filters []TableFilter) *Bar {
-	d := p.expl.st.Dict()
-	snap := p.expl.st.Snapshot()
-	filterIdx := map[rdf.ID][]TableFilter{}
-	for _, f := range filters {
-		if fid, ok := d.Lookup(f.Property); ok {
-			filterIdx[fid] = append(filterIdx[fid], f)
-		}
-	}
-	var kept []rdf.ID
-	for _, s := range p.bar.Set {
-		keep := true
-		for fid, fs := range filterIdx {
-			objs := snap.Objects(s, fid)
-			for _, f := range fs {
-				ok := false
-				for _, o := range objs {
-					if t, valid := d.TermOK(o); valid && f.matches(t) {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					keep = false
-					break
-				}
-			}
-			if !keep {
-				break
-			}
-		}
-		if keep {
-			kept = append(kept, s)
-		}
-	}
+	kept := p.filtered(p.expl.st.Snapshot(), filters)
 	pattern := p.bar.pattern.clone()
 	for _, f := range filters {
 		v := pattern.freshVar("f")
@@ -423,5 +358,5 @@ func (p *Pane) FilterExpansion(filters []TableFilter) *Bar {
 			pattern.filters = append(pattern.filters, containsExpr(v, f.Contains))
 		}
 	}
-	return &Bar{Set: kept, Label: p.bar.Label, Type: ClassBar, pattern: pattern}
+	return newBar(kept, p.bar.Label, ClassBar, pattern)
 }

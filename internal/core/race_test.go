@@ -15,10 +15,12 @@ import (
 // the one snapshot it was bound to. Several goroutines evaluate charts — direct
 // and streamed, the streamed ones with a parallel worker pool, so shard
 // scans race the writer too — while one goroutine keeps mutating the KB.
+// The readers also share the bars of one chart counted before the writes
+// start and race each other to build their sets on first read.
 // Run under -race, the test verifies the synchronization itself; the
 // assertions verify that every observed chart is a consistent snapshot
 // (counts never shrink below the pre-mutation baseline for pre-existing
-// instances).
+// instances, and a shared bar's set is the one its count counted).
 func TestConcurrentChartEvaluationWithWrites(t *testing.T) {
 	e := testFixture(t)
 	pane := e.OpenPane(ont("Philosopher"))
@@ -53,6 +55,10 @@ func TestConcurrentChartEvaluationWithWrites(t *testing.T) {
 				// The writer never touches Philosopher instances, so the
 				// baseline bars must keep at least their counts.
 				for _, b := range baseline.Bars {
+					if n := len(b.Bar.Set()); n != b.Count {
+						t.Errorf("shared bar %s: %d members, count %d", b.LabelText, n, b.Count)
+						return
+					}
 					got, ok := final.Bar(b.Bar.Label)
 					if !ok || got.Count < b.Count {
 						t.Errorf("bar %s shrank under concurrent writes", b.LabelText)

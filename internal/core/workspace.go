@@ -6,6 +6,7 @@ import (
 
 	"elinda/internal/incremental"
 	"elinda/internal/rdf"
+	"elinda/internal/store"
 )
 
 // Workspace manages the sequence of panes a user opens during a session
@@ -132,36 +133,18 @@ type IncrementalOptions struct {
 // invoking onPartial after every chunk with the chart built from the
 // counts so far. The final chart is returned. Partial charts are sorted
 // like final ones, so the frontend can render them directly — "effective
-// latency for user interaction".
+// latency for user interaction". Bars build their sets on first read, as
+// StreamSubclassChart's do.
 func (p *Pane) StreamPropertyChart(ctx context.Context, incoming bool, opts IncrementalOptions, onPartial func(*Chart, incremental.Snapshot) bool) (*Chart, error) {
-	st := p.expl.st
-	snap := st.Snapshot() // labels for every partial chart
+	set := p.bar.Set()
 	agg := incremental.NewPropertyAggregator(p.nonNilSet(), incoming)
 
-	kind := PropertyExpansion
-	if incoming {
-		kind = IncomingPropertyExpansion
-	}
-	build := func() *Chart {
+	build := func(view *store.Snapshot) *Chart {
 		triples := agg.TripleCounts()
-		chart := &Chart{Kind: kind, SourceLabel: p.bar.Label, SourceSize: p.bar.Len()}
-		denom := float64(p.bar.Len())
+		chart := &Chart{Kind: propertyKind(incoming), SourceLabel: p.bar.Label, SourceSize: p.bar.Len()}
 		for prop, n := range agg.Counts() {
-			propTerm := st.Dict().Term(prop)
-			cb := ChartBar{
-				Bar: &Bar{
-					Label:   propTerm,
-					Type:    PropertyBar,
-					pattern: p.bar.pattern.withProperty(propTerm, incoming),
-				},
-				LabelText: snap.Label(prop),
-				Count:     n,
-				Triples:   triples[prop],
-			}
-			if denom > 0 {
-				cb.Coverage = float64(n) / denom
-			}
-			chart.Bars = append(chart.Bars, cb)
+			members := func() []rdf.ID { return view.MembersWith(set, prop, incoming) }
+			chart.Bars = append(chart.Bars, propertyBar(view, p.bar, prop, incoming, n, triples[prop], members))
 		}
 		sortBars(chart.Bars)
 		return chart

@@ -286,3 +286,45 @@ func TestExplorerConcurrentHierarchy(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestStreamedBarsExpandLikeDirect: the bars of a final streamed chart are
+// real bars. On a static store each has the direct chart's bar's set, and
+// expands to the same chart.
+func TestStreamedBarsExpandLikeDirect(t *testing.T) {
+	e := testFixture(t)
+	ctx := context.Background()
+	opts := IncrementalOptions{ChunkSize: 5}
+	sameBars := func(what string, streamed *Chart, err error, direct *Chart, kind ExpansionKind) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		assertSameChart(t, what, streamed, direct)
+		for _, sb := range streamed.Bars {
+			db, _ := direct.Bar(sb.Bar.Label)
+			got, err := e.Expand(sb.Bar, kind)
+			if err != nil {
+				t.Fatalf("%s: expanding %s: %v", what, sb.LabelText, err)
+			}
+			want, _ := e.Expand(db.Bar, kind)
+			assertSameChart(t, fmt.Sprintf("%s, %s expanded", what, sb.LabelText), got, want)
+		}
+	}
+	for _, class := range []rdf.Term{rdf.OWLThingIRI, ont("Person")} {
+		pane := e.OpenPane(class)
+		got, err := pane.StreamSubclassChart(ctx, opts, nil)
+		sameBars(class.LocalName()+" subclass", got, err, pane.SubclassChart(), PropertyExpansion)
+	}
+	phil := e.OpenPane(ont("Philosopher"))
+	for _, incoming := range []bool{false, true} {
+		got, err := phil.StreamPropertyChart(ctx, incoming, opts, nil)
+		sameBars(fmt.Sprintf("property incoming=%v", incoming), got, err, phil.PropertyChart(incoming, -1), objectKind(incoming))
+	}
+	got, err := phil.StreamConnectionsChart(ctx, ont("influencedBy"), false, opts, nil)
+	direct, derr := phil.ConnectionsChart(ont("influencedBy"), false)
+	if derr != nil {
+		t.Fatal(derr)
+	}
+	direct.SourceSize = phil.Bar().Len() // the streamed chart's documented source
+	sameBars("connections", got, err, direct, PropertyExpansion)
+}

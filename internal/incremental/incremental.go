@@ -59,6 +59,8 @@ type Snapshot struct {
 	// Complete reports whether every triple of the snapshot the run is
 	// bound to has been scanned.
 	Complete bool
+	// View is that store snapshot (nil for a remote run).
+	View *store.Snapshot
 }
 
 // Evaluator runs chunked scans over a store.
@@ -105,6 +107,7 @@ func (ev *Evaluator) Run(ctx context.Context, agg Aggregator, onRound func(Snaps
 			TriplesSeen: offset,
 			Counts:      agg.Counts(),
 			Complete:    offset >= view.Len(),
+			View:        view,
 		}
 		stop := snap.Complete ||
 			(ev.cfg.MaxRounds > 0 && round >= ev.cfg.MaxRounds)

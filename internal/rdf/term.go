@@ -158,8 +158,10 @@ func escapeLiteral(s string) string {
 	}
 	var b strings.Builder
 	b.Grow(len(s) + 8)
-	for _, r := range s {
-		switch r {
+	// Byte by byte: every escaped character is ASCII, and a byte that is
+	// not valid UTF-8 must pass through as itself, not as U+FFFD.
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
 		case '"':
 			b.WriteString(`\"`)
 		case '\\':
@@ -171,7 +173,7 @@ func escapeLiteral(s string) string {
 		case '\t':
 			b.WriteString(`\t`)
 		default:
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()

@@ -8,8 +8,8 @@ import (
 )
 
 // PropertyGroup is one property of a node set's property distribution:
-// the property, the set members featuring it, and the triples they have
-// with it.
+// the property, the number of set members featuring it, and the triples
+// they have with it.
 type PropertyGroup struct {
 	// Property is the property ID.
 	Property rdf.ID
@@ -17,18 +17,15 @@ type PropertyGroup struct {
 	Count int
 	// Triples is the number of triples those members have with Property.
 	Triples int
-	// Members lists those members in set order (nil from PropertyCounts).
-	// It is a capacity-capped view of one array shared by every group of
-	// the result.
-	Members []rdf.ID
 }
 
-// PropertyDistribution is the paper's property expansion at the index
-// level: for every property occurring on the nodes of set — as their
+// PropertyCounts is the paper's property expansion at the index level,
+// counted: for every property occurring on the nodes of set — as their
 // subject, or as their object when incoming — it returns the distinct
-// member count, the triple count and the member list, in ascending
-// property ID order. A node absent from the snapshot contributes nothing;
-// a node listed twice counts twice.
+// member count and the triple count, in ascending property ID order. A
+// node absent from the snapshot contributes nothing; a node listed twice
+// counts twice. The members of one property are MembersWith's, read when
+// a caller needs them.
 //
 // It reads the columnar index's group offsets and never visits triples
 // one by one through a map: outgoing, a node's SPO group already lists its
@@ -39,46 +36,21 @@ type PropertyGroup struct {
 // sorted delta and tail are stepped through the same way, so a node the
 // overlay or a tombstone touches also reads exactly its own entries. The
 // cost is O(|set| + overlay) plus the index's fan-out, and the answer is
-// exact under any mix of inserts and deletes. Member lists are filled by a second run of the
-// same walk into one flat array.
-func (s *Snapshot) PropertyDistribution(set []rdf.ID, incoming bool) []PropertyGroup {
-	return s.propertyDistribution(set, incoming, true)
-}
-
-// PropertyCounts is PropertyDistribution without the member lists: only
-// the counting pass runs, and every group's Members is nil.
+// exact under any mix of inserts and deletes.
 func (s *Snapshot) PropertyCounts(set []rdf.ID, incoming bool) []PropertyGroup {
-	return s.propertyDistribution(set, incoming, false)
-}
-
-func (s *Snapshot) propertyDistribution(set []rdf.ID, incoming, members bool) []PropertyGroup {
 	w := distWalk{set: set, incoming: incoming, sorted: slices.IsSorted(set), perm: &s.base.spo, over: s.overlayRuns(incoming)}
 	if incoming {
 		w.perm = &s.base.osp
 	}
 	w.tab.init()
-	w.run(nil)
+	w.run()
 
-	var flat []rdf.ID
-	if members {
-		total := 0
-		for i := range w.tab.slots {
-			w.tab.slots[i].cur = total
-			total += w.tab.slots[i].count
-		}
-		flat = make([]rdf.ID, total)
-		w.run(flat)
-	}
 	out := make([]PropertyGroup, 0, len(w.tab.slots))
 	for _, st := range w.tab.slots {
 		if st.count == 0 {
 			continue // seen only on triples the tombstones mask
 		}
-		g := PropertyGroup{Property: st.prop, Count: st.count, Triples: st.triples}
-		if members {
-			g.Members = flat[st.cur-st.count : st.cur : st.cur]
-		}
-		out = append(out, g)
+		out = append(out, PropertyGroup{Property: st.prop, Count: st.count, Triples: st.triples})
 	}
 	slices.SortFunc(out, func(a, b PropertyGroup) int { return cmp.Compare(a.Property, b.Property) })
 	return out
@@ -86,8 +58,9 @@ func (s *Snapshot) propertyDistribution(set []rdf.ID, incoming, members bool) []
 
 // MembersWith returns the members of set that have at least one triple
 // with property p — as its subject, or as its object when incoming — in
-// set order: one bar of PropertyDistribution, read node by node from the
-// same index groups and overlay runs without building the others.
+// set order: the members behind one group of PropertyCounts, read node by
+// node from the same index groups and overlay runs without building the
+// others.
 func (s *Snapshot) MembersWith(set []rdf.ID, p rdf.ID, incoming bool) []rdf.ID {
 	sorted := slices.IsSorted(set)
 	over := s.overlayRuns(incoming)
@@ -141,6 +114,19 @@ func IntersectSorted(list, set []rdf.ID) []rdf.ID {
 		}
 	}
 	return out
+}
+
+// CountIntersectSorted returns len(IntersectSorted(list, set)) by the
+// same merge, without building the intersection.
+func CountIntersectSorted(list, set []rdf.ID) int {
+	cur := keyCursor{keys: set, sorted: true}
+	n := 0
+	for _, x := range list {
+		if _, ok := cur.find(x); ok {
+			n++
+		}
+	}
+	return n
 }
 
 // overlayRuns is a snapshot's overlay and tombstone state seen from one
@@ -271,10 +257,9 @@ type distWalk struct {
 	tab      propTable
 }
 
-// run visits every node of the set once. With fill nil it counts members
-// and triples per property; otherwise it writes each node into fill at its
-// properties' cursors, which the counting pass has placed.
-func (w *distWalk) run(fill []rdf.ID) {
+// run visits every node of the set once, counting members and triples per
+// property.
+func (w *distWalk) run() {
 	p, t := w.perm, &w.tab
 	keys := keyCursor{keys: p.aKeys, sorted: w.sorted}
 	overlay := runCursor{o: &w.over, sorted: w.sorted}
@@ -289,7 +274,7 @@ func (w *distWalk) run(fill []rdf.ID) {
 			// A clean node's SPO group lists its distinct predicates; the
 			// third-level offsets give each one's triple count.
 			for j := p.aOff[ai]; j < p.aOff[ai+1]; j++ {
-				t.add(t.slot(p.bKeys[j]), node, int(p.bOff[j+1]-p.bOff[j]), fill)
+				t.add(t.slot(p.bKeys[j]), int(p.bOff[j+1]-p.bOff[j]))
 			}
 			continue
 		}
@@ -320,7 +305,7 @@ func (w *distWalk) run(fill []rdf.ID) {
 		}
 		for _, slot := range t.opened {
 			if n := t.slots[slot].net; n > 0 {
-				t.add(slot, node, n, fill)
+				t.add(slot, n)
 			}
 		}
 	}
@@ -349,7 +334,6 @@ type slotState struct {
 	net     int    // that node's triples with prop
 	count   int    // distinct members
 	triples int
-	cur     int // fill cursor
 }
 
 func (t *propTable) init() {
@@ -410,15 +394,9 @@ func (t *propTable) sum(p rdf.ID, n int) {
 	st.net += n
 }
 
-// add records node under slot: in the counting pass one more member and n
-// more triples, in the fill pass the node itself.
-func (t *propTable) add(slot int, node rdf.ID, n int, fill []rdf.ID) {
+// add records one more member with n triples under slot.
+func (t *propTable) add(slot, n int) {
 	st := &t.slots[slot]
-	if fill == nil {
-		st.count++
-		st.triples += n
-		return
-	}
-	fill[st.cur] = node
-	st.cur++
+	st.count++
+	st.triples += n
 }

@@ -10,9 +10,9 @@ import (
 	"elinda/internal/store"
 )
 
-// BenchmarkPropertyDistribution times the property-distribution kernel —
-// the store layer under the explorer's property chart and the
-// decomposer's cold pass — at two generator sizes, on the root (owl:Thing)
+// BenchmarkPropertyDistribution times the property-distribution kernel,
+// PropertyCounts — the store layer under the explorer's property chart
+// and the decomposer's cold pass — at two generator sizes, on the root (owl:Thing)
 // and Person panes, in both directions, on a clean base and after 20 000
 // single-predicate inserts between random persons (the shape of
 // mixed_rw's replayed overlay; at the small size part of it folds into
@@ -44,7 +44,7 @@ func BenchmarkPropertyDistribution(b *testing.B) {
 					name := fmt.Sprintf("persons=%d/%s/%s/%s", persons, state, pane.LocalName(), dir)
 					b.Run(name, func(b *testing.B) {
 						for b.Loop() {
-							snap.PropertyDistribution(set, incoming)
+							snap.PropertyCounts(set, incoming)
 						}
 					})
 				}
