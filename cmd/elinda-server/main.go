@@ -32,6 +32,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -335,6 +336,10 @@ func buildStore(snapPath, load string, persons int) (*store.Store, bool, error) 
 			return nil, false, err
 		}
 		log.Printf("streamed %d triples from %s in %s", n, load, time.Since(start).Round(time.Millisecond))
+		// A GC landing mid-ingest can set a heap goal twice the store's,
+		// which serving then fills (peaks varied by ~150 MB between boots):
+		// collect once so serving starts from a goal set by the store.
+		runtime.GC()
 		return st, false, nil
 	}
 	cfg := elinda.DefaultDataConfig()

@@ -40,7 +40,8 @@ type batchShard struct {
 // load yields a dictionary (and therefore a store snapshot) that is
 // byte-identical at any worker count, including worker count one.
 //
-// A batch is single-use: after Commit only Canonical may be called.
+// A batch is single-use: after Commit only Canonical may be called, and
+// the batch holds nothing but the provisional→canonical mapping.
 // Nothing is published into the Dict until Commit, so abandoning a batch
 // on error leaves the dictionary untouched.
 type DictBatch struct {
@@ -107,6 +108,7 @@ func (b *DictBatch) Commit() int {
 	var all []pending
 	for si := range b.shards {
 		sh := &b.shards[si]
+		sh.entries = nil // Intern is over; free it before publish's map
 		b.remap[si] = make([]ID, len(sh.terms))
 		for local := range sh.terms {
 			all = append(all, pending{pos: sh.firsts[local], shard: int32(si), local: int32(local)})
@@ -117,9 +119,13 @@ func (b *DictBatch) Commit() int {
 	slices.SortFunc(all, func(x, y pending) int { return cmp.Compare(x.pos, y.pos) })
 	// The shards hold clones the dictionary may own, so the terms go in
 	// without a defensive copy.
-	return b.d.publish(len(all), len(b.base.byVal),
+	n := b.d.publish(len(all), len(b.base.byVal),
 		func(i int) Term { return b.shards[all[i].shard].terms[all[i].local] },
 		func(i int, id ID) { b.remap[all[i].shard][all[i].local] = id })
+	for si := range b.shards {
+		b.shards[si].terms, b.shards[si].firsts = nil, nil
+	}
+	return n
 }
 
 // Canonical maps an ID returned by Intern to its post-Commit canonical

@@ -158,6 +158,13 @@ func TestDictBatchCanonicalOrder(t *testing.T) {
 			t.Fatalf("term %d: dict lookup (%d,%v), want %d", i, id, ok, want)
 		}
 	}
+	// Past Commit the batch keeps only the remap Canonical reads: its
+	// intern state would otherwise stay live through the rest of a load.
+	for si := range b.shards {
+		if sh := &b.shards[si]; sh.entries != nil || sh.terms != nil || sh.firsts != nil {
+			t.Fatalf("shard %d still holds intern state after Commit", si)
+		}
+	}
 }
 
 func TestDictBatchAbandonLeavesDictUntouched(t *testing.T) {
