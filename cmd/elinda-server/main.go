@@ -92,7 +92,7 @@ func defineFlags(fs *flag.FlagSet) *config {
 	fs.DurationVar(&c.walEvery, "wal-sync-interval", wal.DefaultSyncInterval, "background fsync cadence for -wal-sync=interval")
 	fs.DurationVar(&c.drain, "drain", 10*time.Second, "graceful shutdown deadline for in-flight requests")
 
-	fs.Int64Var(&c.cacheMax, "cache-bytes", 0, "HVS byte budget with LRU eviction (0 = unlimited)")
+	fs.Int64Var(&c.cacheMax, "cache-bytes", 256<<20, "HVS byte budget with LRU eviction, cached bodies included (0 = unlimited)")
 	fs.Int64Var(&c.inflight, "max-inflight", 0, "admission-control weight capacity for /sparql (0 = unlimited)")
 	fs.DurationVar(&c.admitWait, "acquire-timeout", 100*time.Millisecond, "max admission wait before shedding with 429")
 	return c

@@ -44,14 +44,20 @@ func (t BarType) String() string {
 // snapshot the chart was counted on — a write landing in between does not
 // change it. Class bars (an index view), filtered bars and the bars of a
 // direct object expansion (whose one pass produces every list) hold S from
-// the start.
+// the start. A chart's bars build their SPARQL pattern on first read too.
 type Bar struct {
 	// Label is λ.
 	Label rdf.Term
 	// Type is t.
 	Type BarType
-	// pattern defines the set as a SPARQL pattern over variable anchor.
-	pattern *patternBuilder
+
+	// pattern defines the set as a SPARQL pattern over variable anchor;
+	// read it through pat, which builds a chart bar's from its parent's,
+	// base, plus the type Label or the property Label (incoming or not).
+	pattern  *patternBuilder
+	base     *patternBuilder
+	incoming bool
+	patOnce  sync.Once
 
 	n     int // |S|
 	once  sync.Once
@@ -66,8 +72,24 @@ func newBar(set []rdf.ID, label rdf.Term, typ BarType, pattern *patternBuilder) 
 
 // lazyBar returns a bar of n members whose set build returns on first
 // read; build must read a fixed snapshot and return exactly n members.
-func lazyBar(n int, build func() []rdf.ID, label rdf.Term, typ BarType, pattern *patternBuilder) *Bar {
-	return &Bar{Label: label, Type: typ, pattern: pattern, n: n, build: build}
+func lazyBar(n int, build func() []rdf.ID, label rdf.Term, typ BarType, base *patternBuilder, incoming bool) *Bar {
+	return &Bar{Label: label, Type: typ, base: base, incoming: incoming, n: n, build: build}
+}
+
+// pat returns the bar's pattern, built on the first call; it is safe for
+// concurrent use.
+func (b *Bar) pat() *patternBuilder {
+	b.patOnce.Do(func() {
+		switch {
+		case b.base == nil:
+		case b.Type == PropertyBar:
+			b.pattern = b.base.withProperty(b.Label, b.incoming)
+		default:
+			b.pattern = b.base.withType(b.Label)
+		}
+		b.base = nil
+	})
+	return b.pattern
 }
 
 // Set returns S, the URIs represented by the bar (dictionary-encoded). It
@@ -86,7 +108,7 @@ func (b *Bar) Len() int { return b.n }
 
 // SPARQL returns a SELECT query extracting the bar's URI set.
 func (b *Bar) SPARQL() string {
-	if b.pattern == nil {
+	if b.pat() == nil {
 		return ""
 	}
 	return b.pattern.selectQuery().String()

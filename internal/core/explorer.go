@@ -176,7 +176,7 @@ func subclassBar(snap *store.Snapshot, parent *Bar, sorted []rdf.ID, sub rdf.ID,
 	subTerm := snap.Dict().Term(sub)
 	members := func() []rdf.ID { return store.IntersectSorted(snap.SubjectsOfType(sub), sorted) }
 	return ChartBar{
-		Bar:       lazyBar(n, members, subTerm, ClassBar, parent.pattern.withType(subTerm)),
+		Bar:       lazyBar(n, members, subTerm, ClassBar, parent.pat(), false),
 		LabelText: snap.Label(sub),
 		Count:     n,
 	}
@@ -213,7 +213,7 @@ func propertyKind(incoming bool) ExpansionKind {
 func propertyBar(snap *store.Snapshot, parent *Bar, prop rdf.ID, incoming bool, n, triples int, members func() []rdf.ID) ChartBar {
 	pTerm := snap.Dict().Term(prop)
 	cb := ChartBar{
-		Bar:       lazyBar(n, members, pTerm, PropertyBar, parent.pattern.withProperty(pTerm, incoming)),
+		Bar:       lazyBar(n, members, pTerm, PropertyBar, parent.pat(), incoming),
 		LabelText: snap.Label(prop),
 		Count:     n,
 		Triples:   triples,
@@ -234,7 +234,7 @@ func (e *Explorer) objectExpansion(snap *store.Snapshot, b *Bar, incoming bool) 
 	if !ok {
 		return chart
 	}
-	pattern := b.pattern.hopObject(b.Label, incoming)
+	pattern := b.pat().hopObject(b.Label, incoming)
 	for c, members := range objectsByClass(snap, b.Set(), propID, incoming) {
 		chart.Bars = append(chart.Bars, objectBar(snap, pattern, c, len(members), func() []rdf.ID { return members }))
 	}
@@ -254,7 +254,7 @@ func objectKind(incoming bool) ExpansionKind {
 func objectBar(snap *store.Snapshot, pattern *patternBuilder, class rdf.ID, n int, members func() []rdf.ID) ChartBar {
 	cTerm := snap.Dict().Term(class)
 	return ChartBar{
-		Bar:       lazyBar(n, members, cTerm, ClassBar, pattern.withType(cTerm)),
+		Bar:       lazyBar(n, members, cTerm, ClassBar, pattern, false),
 		LabelText: snap.Label(class),
 		Count:     n,
 	}
@@ -302,7 +302,7 @@ func (e *Explorer) Filter(b *Bar, keep func(rdf.Term) bool, sparqlCond func(anch
 			kept = append(kept, id)
 		}
 	}
-	pattern := b.pattern
+	pattern := b.pat()
 	if sparqlCond != nil {
 		pattern = pattern.withFilter(func(anchor string) sparqlExpr { return sparqlCond(anchor) })
 	}
@@ -325,7 +325,7 @@ func (e *Explorer) FilterByPropertyValue(b *Bar, prop rdf.Term, value rdf.Term) 
 			}
 		}
 	}
-	pattern := b.pattern.clone()
+	pattern := b.pat().clone()
 	v := pattern.freshVar("f")
 	pattern.triples = append(pattern.triples, tpVar(pattern.anchor, prop, v))
 	pattern.filters = append(pattern.filters, eqExpr(v, value))

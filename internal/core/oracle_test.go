@@ -48,7 +48,7 @@ func oracleSubclassChart(e *Explorer, b *Bar) *Chart {
 			}
 		}
 		chart.Bars = append(chart.Bars, ChartBar{
-			Bar:       newBar(members, subTerm, ClassBar, b.pattern.withType(subTerm)),
+			Bar:       newBar(members, subTerm, ClassBar, b.pat().withType(subTerm)),
 			LabelText: snap.Label(sub),
 			Count:     len(members),
 		})
@@ -95,7 +95,7 @@ func oraclePropertyChart(e *Explorer, b *Bar, incoming bool) *Chart {
 	for p, a := range perProp {
 		pTerm := snap.Dict().Term(p)
 		cb := ChartBar{
-			Bar:       newBar(a.members, pTerm, PropertyBar, b.pattern.withProperty(pTerm, incoming)),
+			Bar:       newBar(a.members, pTerm, PropertyBar, b.pat().withProperty(pTerm, incoming)),
 			LabelText: snap.Label(p),
 			Count:     len(a.members),
 			Triples:   a.triples,

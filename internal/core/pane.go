@@ -191,7 +191,7 @@ func (p *Pane) StreamConnectionsChart(ctx context.Context, prop rdf.Term, incomi
 	}
 	set := p.bar.Set()
 	agg := incremental.NewObjectAggregator(st.TypeID(), propID, set, incoming)
-	pattern := p.bar.pattern.withProperty(prop, incoming).hopObject(prop, incoming)
+	pattern := p.bar.pat().withProperty(prop, incoming).hopObject(prop, incoming)
 
 	build := func(view *store.Snapshot) *Chart {
 		byClass := sync.OnceValue(func() map[rdf.ID][]rdf.ID { return objectsByClass(view, set, propID, incoming) })
@@ -316,7 +316,7 @@ members:
 // tableSPARQL renders the query a data table was generated from: the
 // pane's pattern plus one OPTIONAL block per column and the filters.
 func (p *Pane) tableSPARQL(props []rdf.Term, filters []TableFilter) string {
-	pattern := p.bar.pattern.clone()
+	pattern := p.bar.pat().clone()
 	anchor := pattern.anchor
 	items := []sparql.SelectItem{{Var: anchor}}
 	group := &sparql.GroupPattern{
@@ -348,7 +348,7 @@ func (p *Pane) tableSPARQL(props []rdf.Term, filters []TableFilter) string {
 // operate on a narrowed set" (Section 3.3).
 func (p *Pane) FilterExpansion(filters []TableFilter) *Bar {
 	kept := p.filtered(p.expl.st.Snapshot(), filters)
-	pattern := p.bar.pattern.clone()
+	pattern := p.bar.pat().clone()
 	for _, f := range filters {
 		v := pattern.freshVar("f")
 		pattern.triples = append(pattern.triples, tpVar(pattern.anchor, f.Property, v))

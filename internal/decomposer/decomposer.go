@@ -100,16 +100,34 @@ type memoKey struct {
 	dir   Direction
 }
 
-// memoEntry is one memoized aggregate and its last rendering as result
-// rows: a repeated query then costs what an HVS hit costs, not one row
-// construction per property. vars and rows are guarded by Decomposer.mu;
-// stats never change once the entry is published (ApplyDelta folds into
-// a new entry).
+// memoEntry is one memoized aggregate and its last rendering: a repeated
+// query then costs what an HVS hit costs. shown is guarded by
+// Decomposer.mu; stats never change once the entry is published
+// (ApplyDelta folds into a new entry, so no rendering outlives its stats).
 type memoEntry struct {
 	stats []PropStat
-	vars  [3]string // PropVar, CountVar, SumVar of rows
-	rows  []sparql.Solution
+	shown *Rendering
 }
+
+// Rendering is a memo entry's answer under one naming of its variables,
+// shared by every request that names them so: the result, and the bodies
+// encoded from it, one per content type.
+type Rendering struct {
+	// Result is shared: callers must not modify it.
+	Result *sparql.Result
+	vars   [3]string // PropVar, CountVar, SumVar of Result
+	bodies sync.Map  // content type → []byte
+}
+
+// Body returns the body kept for contentType, nil when none is.
+func (r *Rendering) Body(contentType string) []byte {
+	b, _ := r.bodies.Load(contentType)
+	data, _ := b.([]byte)
+	return data
+}
+
+// KeepBody keeps data as Result encoded in contentType.
+func (r *Rendering) KeepBody(contentType string, data []byte) { r.bodies.Store(contentType, data) }
 
 // New returns a decomposer over st.
 func New(st *store.Store) *Decomposer {
@@ -168,7 +186,7 @@ func detectTwoLevel(q *sparql.Query, groupVar string) (Detection, bool) {
 		return Detection{}, false
 	}
 	// Inner grouping must be exactly {typeVar, propVar}.
-	if !sameSet(sub.GroupBy, []string{typeVar, propVar}) {
+	if !slices.Contains(sub.GroupBy, typeVar) || !slices.Contains(sub.GroupBy, propVar) {
 		return Detection{}, false
 	}
 	// Inner projection: ?s, ?p, COUNT(*) AS ?sp.
@@ -298,22 +316,6 @@ func classifyPatterns(tps []sparql.TriplePattern) (typeVar string, class rdf.Ter
 	return "", rdf.Term{}, "", 0, false
 }
 
-func sameSet(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	set := make(map[string]struct{}, len(a))
-	for _, x := range a {
-		set[x] = struct{}{}
-	}
-	for _, y := range b {
-		if _, ok := set[y]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // PropertyStats computes (or serves from the memo) the per-property
 // aggregates for the direct instances of class in the given direction,
 // sorted by descending subject count then property label. The aggregation
@@ -357,19 +359,18 @@ func (d *Decomposer) entry(snap *store.Snapshot, class rdf.ID, dir Direction) *m
 	return e
 }
 
-// rows renders the memo entry of (class, det.Dir) at snap as result rows
-// under det's variable names, once per entry and naming. The rows are
-// shared: callers must not modify them.
-func (d *Decomposer) rows(snap *store.Snapshot, class rdf.ID, det Detection) []sparql.Solution {
+// rendering returns the memo entry of (class, det.Dir) at snap rendered
+// under det's variable names, once per entry and naming.
+func (d *Decomposer) rendering(snap *store.Snapshot, class rdf.ID, det Detection) *Rendering {
 	e := d.entry(snap, class, det.Dir)
 	vars := [3]string{det.PropVar, det.CountVar, det.SumVar}
 	d.mu.Lock()
-	rows, ok := e.rows, e.vars == vars // a fresh entry's vars are all empty
+	r := e.shown
 	d.mu.Unlock()
-	if ok {
-		return rows
+	if r != nil && r.vars == vars {
+		return r
 	}
-	rows = make([]sparql.Solution, len(e.stats))
+	rows := make([]sparql.Solution, len(e.stats))
 	for i, s := range e.stats {
 		row := sparql.Solution{
 			det.PropVar:  snap.Dict().Term(s.Property),
@@ -380,10 +381,19 @@ func (d *Decomposer) rows(snap *store.Snapshot, class rdf.ID, det Detection) []s
 		}
 		rows[i] = row
 	}
+	r = &Rendering{Result: &sparql.Result{Vars: det.resultVars(), Rows: rows}, vars: vars}
 	d.mu.Lock()
-	e.vars, e.rows = vars, rows
+	e.shown = r
 	d.mu.Unlock()
-	return rows
+	return r
+}
+
+// resultVars are the variables of the answer to a detected query.
+func (det Detection) resultVars() []string {
+	if det.SumVar == "" {
+		return []string{det.PropVar, det.CountVar}
+	}
+	return []string{det.PropVar, det.CountVar, det.SumVar}
 }
 
 // computeStats is the counting pass of the store's property-distribution
@@ -561,40 +571,38 @@ func b2i(b bool) int {
 // property expansion. ok=false means the caller must route the query to
 // the generic engine.
 func (d *Decomposer) TryExecute(q *sparql.Query) (*sparql.Result, bool) {
-	det, ok := Detect(q)
-	if !ok {
-		d.mu.Lock()
-		d.rejected++
-		d.mu.Unlock()
-		return nil, false
-	}
-	d.mu.Lock()
-	d.detected++
-	d.mu.Unlock()
-
-	res := &sparql.Result{Vars: []string{det.PropVar, det.CountVar}}
-	if det.SumVar != "" {
-		res.Vars = append(res.Vars, det.SumVar)
-	}
-	snap := d.st.Snapshot()
-	if classID, found := snap.Dict().Lookup(det.Class); found {
-		// A copy of the shared rows: the modifiers sort in place.
-		res.Rows = slices.Clone(d.rows(snap, classID, det))
-	}
-	applyModifiers(res, q)
-
-	d.mu.Lock()
-	d.answered++
-	d.mu.Unlock()
-	return res, true
+	res, _, ok := d.TryAnswer(q)
+	return res, ok
 }
 
-// applyModifiers honors ORDER BY / LIMIT / OFFSET of the original query on
-// the decomposed result, using the engine's exported solution modifiers so
-// the fast path orders and slices exactly like the generic evaluator —
-// including its bounded-heap top-k shortcut for ORDER BY + LIMIT.
-func applyModifiers(res *sparql.Result, q *sparql.Query) {
-	res.Rows = sparql.OrderAndSlice(res.Rows, q)
+// TryAnswer is TryExecute that also returns the memo's Rendering when
+// the answer is its shared Result: for a query with no ORDER BY, LIMIT
+// or OFFSET. Otherwise the rendering is nil, and the engine's solution
+// modifiers order and slice a copy of the rows as the generic evaluator
+// would.
+func (d *Decomposer) TryAnswer(q *sparql.Query) (*sparql.Result, *Rendering, bool) {
+	det, ok := Detect(q)
+	d.mu.Lock()
+	if !ok {
+		d.rejected++
+		d.mu.Unlock()
+		return nil, nil, false
+	}
+	d.detected++
+	d.answered++
+	d.mu.Unlock()
+	snap := d.st.Snapshot()
+	classID, found := snap.Dict().Lookup(det.Class)
+	if !found {
+		return &sparql.Result{Vars: det.resultVars()}, nil, true
+	}
+	r := d.rendering(snap, classID, det)
+	if len(q.OrderBy) == 0 && q.Limit < 0 && q.Offset == 0 {
+		return r.Result, r, true
+	}
+	// A copy of the shared rows: the modifiers sort in place.
+	rows := sparql.OrderAndSlice(slices.Clone(r.Result.Rows), q)
+	return &sparql.Result{Vars: r.Result.Vars, Rows: rows}, nil, true
 }
 
 // Stats reports detector activity: queries detected as expansions,

@@ -319,7 +319,7 @@ GROUP BY ?x ?prop} GROUP BY ?prop`
 	}
 	phil, _ := st.Dict().Lookup(ex("Philosopher"))
 	stats := d.PropertyStats(phil, Outgoing)
-	for i, row := range d.rows(st.Snapshot(), phil, Detection{Dir: Outgoing, PropVar: "p", CountVar: "count", SumVar: "sp"}) {
+	for i, row := range d.rendering(st.Snapshot(), phil, Detection{Dir: Outgoing, PropVar: "p", CountVar: "count", SumVar: "sp"}).Result.Rows {
 		if row["p"] != st.Dict().Term(stats[i].Property) {
 			t.Fatalf("memoized rows out of stats order at %d", i)
 		}
@@ -663,5 +663,58 @@ func TestMemoNeverRollsBack(t *testing.T) {
 	}
 	if d.generation != res.To || d.memo[memoKey{phil, Outgoing}] != folded {
 		t.Fatalf("stale read rolled the memo back to generation %d", d.generation)
+	}
+}
+
+// TestRenderingSharedUntilWrite: a query with no solution modifiers is
+// answered with its rendering's shared result, the same on every repeat
+// and keeping its bodies; a modified query gets its own rows; a write
+// the memo folds, or one on rdf:type that drops it, leaves the next
+// answer a new rendering with no body, holding the new counts.
+func TestRenderingSharedUntilWrite(t *testing.T) {
+	st := fixture(t)
+	d := New(st)
+	eng := sparql.NewEngine(st)
+	q, err := sparql.Parse(paperOutgoing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, r, ok := d.TryAnswer(q)
+	if !ok || r == nil || first != r.Result {
+		t.Fatalf("unmodified query: result %p, rendering %+v", first, r)
+	}
+	r.KeepBody("text/plain", []byte("kept"))
+	again, r2, _ := d.TryAnswer(q)
+	if again != first || r2 != r || string(r2.Body("text/plain")) != "kept" {
+		t.Fatalf("repeat got a new answer or lost its body")
+	}
+	ordered, err := sparql.Parse(paperOutgoing + ` ORDER BY ?count`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, r, _ := d.TryAnswer(ordered); r != nil || &res.Rows[0] == &first.Rows[0] {
+		t.Fatal("a modified query shares the rendering's rows")
+	}
+	for _, op := range []rdf.TripleOp{
+		rdf.Insert(rdf.Triple{S: ex("plato"), P: ex("diedIn"), O: ex("athens")}),    // folded
+		rdf.Insert(rdf.Triple{S: ex("hume"), P: rdf.TypeIRI, O: ex("Philosopher")}), // drops the memo
+	} {
+		res, err := st.Apply(store.DeltaOf(op))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.ApplyDelta(res)
+		got, r, _ := d.TryAnswer(q)
+		if got == first || r.Body("text/plain") != nil {
+			t.Fatalf("after %v: the pre-write rendering survived", op)
+		}
+		want, err := eng.Execute(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Rows) != len(want.Rows) {
+			t.Fatalf("after %v: %d rows, engine %d", op, len(got.Rows), len(want.Rows))
+		}
+		first = got
 	}
 }

@@ -43,7 +43,7 @@ func TestMarshalUnmarshalRoundtrip(t *testing.T) {
 			{"s": ex("partial")}, // unbound o
 		},
 	}
-	data, err := MarshalResult(res)
+	data, err := marshalJSON(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestMarshalUnmarshalRoundtrip(t *testing.T) {
 }
 
 func TestMarshalAsk(t *testing.T) {
-	data, err := MarshalResult(&sparql.Result{Ask: true, AskTrue: true})
+	data, err := marshalJSON(&sparql.Result{Ask: true, AskTrue: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestClientQueryWithExistingQueryString(t *testing.T) {
 	var gotQuery string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gotQuery = r.URL.Query().Get("query")
-		data, _ := MarshalResult(&sparql.Result{Vars: []string{"s"}})
+		data, _ := marshalJSON(&sparql.Result{Vars: []string{"s"}})
 		w.Header().Set("Content-Type", ContentType)
 		w.Write(data)
 	}))

@@ -17,134 +17,105 @@ const (
 	ContentTypeXML = "application/sparql-results+xml"
 )
 
-// NegotiateFormat picks a result serializer for an Accept header value.
-// JSON is the default for empty, unknown, or wildcard values.
-func NegotiateFormat(accept string) (contentType string, marshal func(*sparql.Result) ([]byte, error)) {
-	for _, part := range strings.Split(accept, ",") {
-		media := strings.TrimSpace(strings.SplitN(part, ";", 2)[0])
-		switch media {
-		case ContentTypeCSV:
-			return ContentTypeCSV, MarshalCSV
-		case ContentTypeTSV:
-			return ContentTypeTSV, MarshalTSV
-		case ContentTypeXML:
-			return ContentTypeXML, MarshalXML
-		case ContentType, "application/json":
-			return ContentType, MarshalResult
-		}
-	}
-	return ContentType, MarshalResult
+// encoders holds the one encoder of each negotiable format.
+var encoders = map[string]encoder{
+	ContentType:    appendJSON,
+	ContentTypeTSV: appendTSV,
+	ContentTypeCSV: appendCSV,
+	ContentTypeXML: appendXML,
 }
 
-// MarshalCSV encodes results per the SPARQL 1.1 CSV format: a header of
-// variable names, values as plain strings (IRIs bare, literals by lexical
-// form), unbound cells empty.
-func MarshalCSV(res *sparql.Result) ([]byte, error) {
-	var sb strings.Builder
-	w := csv.NewWriter(&sb)
+// NegotiateFormat picks a results format for an Accept header value and
+// returns its media type. JSON is the default for empty, unknown, or
+// wildcard values.
+func NegotiateFormat(accept string) (contentType string) {
+	for _, part := range strings.Split(accept, ",") {
+		media := strings.TrimSpace(strings.SplitN(part, ";", 2)[0])
+		if media == "application/json" {
+			return ContentType
+		}
+		if _, ok := encoders[media]; ok {
+			return media
+		}
+	}
+	return ContentType
+}
+
+// appendTSV is the SPARQL 1.1 TSV encoder: variables prefixed with '?',
+// terms in N-Triples syntax, tab separators.
+func appendTSV(dst []byte, res *sparql.Result, spill spillFunc) ([]byte, error) {
 	if res.Ask {
-		if err := w.Write([]string{"boolean"}); err != nil {
-			return nil, fmt.Errorf("endpoint: csv: %w", err)
+		return fmt.Appendf(dst, "?boolean\n%v\n", res.AskTrue), nil
+	}
+	for i, v := range res.Vars {
+		if i > 0 {
+			dst = append(dst, '\t')
 		}
-		if err := w.Write([]string{fmt.Sprint(res.AskTrue)}); err != nil {
-			return nil, fmt.Errorf("endpoint: csv: %w", err)
-		}
-	} else {
-		if err := w.Write(res.Vars); err != nil {
-			return nil, fmt.Errorf("endpoint: csv: %w", err)
-		}
-		row := make([]string, len(res.Vars))
-		for _, sol := range res.Rows {
-			for i, v := range res.Vars {
-				if t, ok := sol[v]; ok {
-					row[i] = t.Value
-				} else {
-					row[i] = ""
-				}
+		dst = append(append(dst, '?'), v...)
+	}
+	dst = append(dst, '\n')
+	var err error
+	for _, sol := range res.Rows {
+		for i, v := range res.Vars {
+			if i > 0 {
+				dst = append(dst, '\t')
 			}
-			if err := w.Write(row); err != nil {
-				return nil, fmt.Errorf("endpoint: csv: %w", err)
+			if t, ok := sol[v]; ok {
+				// N-Triples rendering, with tabs and newlines already
+				// escaped by Term.String for literals.
+				dst = append(dst, t.String()...)
 			}
+		}
+		if dst, err = spill(append(dst, '\n')); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
+}
+
+// sliceWriter is an io.Writer appending to b, for the encoding/csv and
+// encoding/xml writers.
+type sliceWriter struct{ b []byte }
+
+func (w *sliceWriter) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
+}
+
+// appendCSV is the SPARQL 1.1 CSV encoder: a header of variable names,
+// values as plain strings (IRIs bare, literals by lexical form), unbound
+// cells empty.
+func appendCSV(dst []byte, res *sparql.Result, spill spillFunc) ([]byte, error) {
+	out := &sliceWriter{dst}
+	w := csv.NewWriter(out) // out never fails: w.Error reports any write error
+	if res.Ask {
+		err := w.WriteAll([][]string{{"boolean"}, {fmt.Sprint(res.AskTrue)}})
+		return out.b, err
+	}
+	_ = w.Write(res.Vars)
+	row := make([]string, len(res.Vars))
+	for _, sol := range res.Rows {
+		for i, v := range res.Vars {
+			row[i] = sol[v].Value // unbound: the zero Term, an empty cell
+		}
+		_ = w.Write(row)
+		w.Flush()
+		var err error
+		if out.b, err = spill(out.b); err != nil {
+			return out.b, err
 		}
 	}
 	w.Flush()
-	if err := w.Error(); err != nil {
-		return nil, fmt.Errorf("endpoint: csv: %w", err)
-	}
-	return []byte(sb.String()), nil
+	return out.b, w.Error()
 }
 
-// MarshalTSV encodes results per the SPARQL 1.1 TSV format: variables
-// prefixed with '?', terms in N-Triples syntax, tab separators. It
-// renders through the same line helpers as TSVStreamer, so the buffered
-// and streaming bodies are identical by construction.
-func MarshalTSV(res *sparql.Result) ([]byte, error) {
-	var sb strings.Builder
-	if res.Ask {
-		sb.WriteString("?boolean\n")
-		fmt.Fprintf(&sb, "%v\n", res.AskTrue)
-		return []byte(sb.String()), nil
-	}
-	sb.WriteString(tsvHeaderLine(res.Vars))
-	for _, sol := range res.Rows {
-		sb.WriteString(tsvRowLine(res.Vars, sol))
-	}
-	return []byte(sb.String()), nil
-}
-
-// tsvHeaderLine renders the '?'-prefixed variable header row.
-func tsvHeaderLine(vars []string) string {
-	var sb strings.Builder
-	for i, v := range vars {
-		if i > 0 {
-			sb.WriteByte('\t')
-		}
-		sb.WriteString("?" + v)
-	}
-	sb.WriteByte('\n')
-	return sb.String()
-}
-
-// tsvRowLine renders one solution row in variable order.
-func tsvRowLine(vars []string, sol sparql.Solution) string {
-	var sb strings.Builder
-	for i, v := range vars {
-		if i > 0 {
-			sb.WriteByte('\t')
-		}
-		if t, ok := sol[v]; ok {
-			sb.WriteString(tsvTerm(t))
-		}
-	}
-	sb.WriteByte('\n')
-	return sb.String()
-}
-
-func tsvTerm(t rdf.Term) string {
-	// N-Triples rendering, with tabs/newlines already escaped by
-	// Term.String for literals.
-	return t.String()
-}
-
-// xmlSparql mirrors the SPARQL Query Results XML Format.
-type xmlSparql struct {
-	XMLName xml.Name    `xml:"sparql"`
-	Xmlns   string      `xml:"xmlns,attr"`
-	Head    xmlHead     `xml:"head"`
-	Boolean *bool       `xml:"boolean,omitempty"`
-	Results *xmlResults `xml:"results,omitempty"`
-}
-
+// The SPARQL Query Results XML Format's elements.
 type xmlHead struct {
 	Variables []xmlVariable `xml:"variable"`
 }
 
 type xmlVariable struct {
 	Name string `xml:"name,attr"`
-}
-
-type xmlResults struct {
-	Results []xmlResult `xml:"result"`
 }
 
 type xmlResult struct {
@@ -164,41 +135,80 @@ type xmlLiteral struct {
 	Value    string `xml:",chardata"`
 }
 
-// MarshalXML encodes results per the SPARQL Query Results XML Format.
-func MarshalXML(res *sparql.Result) ([]byte, error) {
-	doc := xmlSparql{Xmlns: "http://www.w3.org/2005/sparql-results#"}
+func xmlStart(name string) xml.StartElement {
+	return xml.StartElement{Name: xml.Name{Local: name}}
+}
+
+// appendXML is the SPARQL Query Results XML encoder: the document
+// xml.MarshalIndent writes with a two-space indent, encoded one result
+// element at a time.
+func appendXML(dst []byte, res *sparql.Result, spill spillFunc) ([]byte, error) {
+	out := &sliceWriter{append(dst, xml.Header...)}
+	enc := xml.NewEncoder(out)
+	enc.Indent("", "  ")
+	root, results := xmlStart("sparql"), xmlStart("results")
+	root.Attr = []xml.Attr{{Name: xml.Name{Local: "xmlns"}, Value: "http://www.w3.org/2005/sparql-results#"}}
+	var err error
+	token := func(t xml.Token) {
+		if err == nil {
+			err = enc.EncodeToken(t)
+		}
+	}
+	element := func(v any, name string) {
+		if err == nil {
+			err = enc.EncodeElement(v, xmlStart(name))
+		}
+	}
+	token(root)
+	var head xmlHead
 	if res.Ask {
-		b := res.AskTrue
-		doc.Boolean = &b
+		element(head, "head")
+		element(res.AskTrue, "boolean")
 	} else {
 		for _, v := range res.Vars {
-			doc.Head.Variables = append(doc.Head.Variables, xmlVariable{Name: v})
+			head.Variables = append(head.Variables, xmlVariable{Name: v})
 		}
-		doc.Results = &xmlResults{}
+		element(head, "head")
+		token(results)
 		for _, sol := range res.Rows {
-			var r xmlResult
-			for _, v := range res.Vars {
-				t, ok := sol[v]
-				if !ok {
-					continue
-				}
-				b := xmlBinding{Name: v}
-				switch t.Kind {
-				case rdf.IRI:
-					b.URI = t.Value
-				case rdf.Blank:
-					b.BNode = t.Value
-				default:
-					b.Literal = &xmlLiteral{Lang: t.Lang, Datatype: t.Datatype, Value: t.Value}
-				}
-				r.Bindings = append(r.Bindings, b)
+			element(xmlResultOf(res.Vars, sol), "result")
+			if err == nil {
+				err = enc.Flush()
 			}
-			doc.Results.Results = append(doc.Results.Results, r)
+			if err == nil {
+				out.b, err = spill(out.b)
+			}
 		}
+		token(results.End())
 	}
-	out, err := xml.MarshalIndent(doc, "", "  ")
+	token(root.End())
+	if err == nil {
+		err = enc.Flush()
+	}
 	if err != nil {
-		return nil, fmt.Errorf("endpoint: xml: %w", err)
+		return out.b, fmt.Errorf("endpoint: xml: %w", err)
 	}
-	return append([]byte(xml.Header), out...), nil
+	return out.b, nil
+}
+
+// xmlResultOf is the result element of one solution.
+func xmlResultOf(vars []string, sol sparql.Solution) xmlResult {
+	var r xmlResult
+	for _, v := range vars {
+		t, ok := sol[v]
+		if !ok {
+			continue
+		}
+		b := xmlBinding{Name: v}
+		switch t.Kind {
+		case rdf.IRI:
+			b.URI = t.Value
+		case rdf.Blank:
+			b.BNode = t.Value
+		default:
+			b.Literal = &xmlLiteral{Lang: t.Lang, Datatype: t.Datatype, Value: t.Value}
+		}
+		r.Bindings = append(r.Bindings, b)
+	}
+	return r
 }

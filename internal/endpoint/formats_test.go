@@ -1,6 +1,11 @@
 package endpoint
 
 import (
+	"bytes"
+	"context"
+	"encoding/csv"
+	"encoding/xml"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -23,7 +28,7 @@ func sampleResult() *sparql.Result {
 }
 
 func TestMarshalCSV(t *testing.T) {
-	out, err := MarshalCSV(sampleResult())
+	out, err := marshalCSV(sampleResult())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +49,7 @@ func TestMarshalCSV(t *testing.T) {
 }
 
 func TestMarshalCSVAsk(t *testing.T) {
-	out, err := MarshalCSV(&sparql.Result{Ask: true, AskTrue: true})
+	out, err := marshalCSV(&sparql.Result{Ask: true, AskTrue: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +59,7 @@ func TestMarshalCSVAsk(t *testing.T) {
 }
 
 func TestMarshalTSV(t *testing.T) {
-	out, err := MarshalTSV(sampleResult())
+	out, err := marshalTSV(sampleResult())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +79,7 @@ func TestMarshalTSV(t *testing.T) {
 }
 
 func TestMarshalXML(t *testing.T) {
-	out, err := MarshalXML(sampleResult())
+	out, err := marshalXML(sampleResult())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +95,7 @@ func TestMarshalXML(t *testing.T) {
 			t.Errorf("XML missing %q:\n%s", want, s)
 		}
 	}
-	askOut, err := MarshalXML(&sparql.Result{Ask: true, AskTrue: false})
+	askOut, err := marshalXML(&sparql.Result{Ask: true, AskTrue: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +120,12 @@ func TestNegotiateFormat(t *testing.T) {
 		{"totally/bogus", ContentType},
 	}
 	for _, c := range cases {
-		got, marshal := NegotiateFormat(c.accept)
+		got := NegotiateFormat(c.accept)
 		if got != c.want {
 			t.Errorf("Negotiate(%q) = %q, want %q", c.accept, got, c.want)
 		}
-		if marshal == nil {
-			t.Errorf("Negotiate(%q) returned nil marshaler", c.accept)
+		if encoders[got] == nil {
+			t.Errorf("Negotiate(%q) picked a format without an encoder", c.accept)
 		}
 	}
 }
@@ -150,3 +155,112 @@ func TestServerContentNegotiation(t *testing.T) {
 		}
 	}
 }
+
+// xmlDoc is the whole results document as one struct: the shape the XML
+// encoder wrote with one xml.MarshalIndent before it wrote a result at a
+// time, kept as its oracle.
+type xmlDoc struct {
+	XMLName xml.Name `xml:"sparql"`
+	Xmlns   string   `xml:"xmlns,attr"`
+	Head    xmlHead  `xml:"head"`
+	Boolean *bool    `xml:"boolean,omitempty"`
+	Results *struct {
+		Results []xmlResult `xml:"result"`
+	} `xml:"results,omitempty"`
+}
+
+func oracleMarshalXML(t *testing.T, res *sparql.Result) []byte {
+	doc := xmlDoc{Xmlns: "http://www.w3.org/2005/sparql-results#"}
+	if res.Ask {
+		doc.Boolean = &res.AskTrue
+	} else {
+		for _, v := range res.Vars {
+			doc.Head.Variables = append(doc.Head.Variables, xmlVariable{Name: v})
+		}
+		doc.Results = &struct {
+			Results []xmlResult `xml:"result"`
+		}{}
+		for _, sol := range res.Rows {
+			var r xmlResult
+			for _, v := range res.Vars {
+				t, ok := sol[v]
+				if !ok {
+					continue
+				}
+				b := xmlBinding{Name: v}
+				switch t.Kind {
+				case rdf.IRI:
+					b.URI = t.Value
+				case rdf.Blank:
+					b.BNode = t.Value
+				default:
+					b.Literal = &xmlLiteral{Lang: t.Lang, Datatype: t.Datatype, Value: t.Value}
+				}
+				r.Bindings = append(r.Bindings, b)
+			}
+			doc.Results.Results = append(doc.Results.Results, r)
+		}
+	}
+	out, err := xml.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]byte(xml.Header), out...)
+}
+
+// oracleMarshalCSV is the CSV encoder before it wrote a row at a time:
+// one csv.Writer over the whole document.
+func oracleMarshalCSV(t *testing.T, res *sparql.Result) []byte {
+	var sb strings.Builder
+	w := csv.NewWriter(&sb)
+	if res.Ask {
+		w.Write([]string{"boolean"})
+		w.Write([]string{fmt.Sprint(res.AskTrue)})
+	} else {
+		w.Write(res.Vars)
+		for _, sol := range res.Rows {
+			row := make([]string, len(res.Vars))
+			for i, v := range res.Vars {
+				row[i] = sol[v].Value
+			}
+			w.Write(row)
+		}
+	}
+	w.Flush()
+	if err := w.Error(); err != nil {
+		t.Fatal(err)
+	}
+	return []byte(sb.String())
+}
+
+// TestXMLAndCSVMatchWholeDocumentOracles: the row-at-a-time XML and CSV
+// encoders write the bytes their whole-document forms wrote, over the
+// streaming corpus, the sample result and both ASK answers.
+func TestXMLAndCSVMatchWholeDocumentOracles(t *testing.T) {
+	eng := streamingFixtureEngine(t)
+	results := []*sparql.Result{sampleResult(), {Ask: true, AskTrue: true}, {Ask: true}, {Vars: []string{"s"}}}
+	for _, src := range streamingCorpus {
+		res, err := eng.Query(context.Background(), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	for i, res := range results {
+		if got, _ := marshalXML(res); !bytes.Equal(got, oracleMarshalXML(t, res)) {
+			t.Errorf("result %d: XML\n got  %s\n want %s", i, got, oracleMarshalXML(t, res))
+		}
+		if got, _ := marshalCSV(res); !bytes.Equal(got, oracleMarshalCSV(t, res)) {
+			t.Errorf("result %d: CSV\n got  %q\n want %q", i, got, oracleMarshalCSV(t, res))
+		}
+	}
+}
+
+// The whole-body encoders: each format's encoder with nothing sent
+// before the end, what the writer's output must equal on every path.
+func keepAll(b []byte) ([]byte, error) { return b, nil }
+
+func marshalJSON(res *sparql.Result) ([]byte, error) { return appendJSON(nil, res, keepAll) }
+func marshalTSV(res *sparql.Result) ([]byte, error)  { return appendTSV(nil, res, keepAll) }
+func marshalCSV(res *sparql.Result) ([]byte, error)  { return appendCSV(nil, res, keepAll) }
+func marshalXML(res *sparql.Result) ([]byte, error)  { return appendXML(nil, res, keepAll) }

@@ -40,22 +40,24 @@ type jsonTerm struct {
 	Datatype string `json:"datatype,omitempty"`
 }
 
-// MarshalResult encodes a query result in SPARQL 1.1 JSON. It writes
-// through the same appenders as JSONStreamer, so the buffered and
-// streamed bodies are one encoding; the error is always nil.
-func MarshalResult(res *sparql.Result) ([]byte, error) {
+// appendJSON is the SPARQL JSON encoder: the rows' keys sorted once per
+// result, each row appended directly.
+func appendJSON(dst []byte, res *sparql.Result, spill spillFunc) ([]byte, error) {
 	if res.Ask {
-		return appendJSONAsk(nil, res.AskTrue), nil
+		return appendJSONAsk(dst, res.AskTrue), nil
 	}
-	out := appendJSONHead(nil, res.Vars)
+	dst = appendJSONHead(dst, res.Vars)
 	keys := rowKeys(res.Vars)
+	var err error
 	for i, row := range res.Rows {
 		if i > 0 {
-			out = append(out, ',')
+			dst = append(dst, ',')
 		}
-		out = appendJSONRow(out, keys, row)
+		if dst, err = spill(appendJSONRow(dst, keys, row)); err != nil {
+			return dst, err
+		}
 	}
-	return append(out, jsonTail...), nil
+	return append(dst, jsonTail...), nil
 }
 
 // The appenders below write exactly the bytes encoding/json writes for

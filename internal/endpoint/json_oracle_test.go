@@ -2,9 +2,11 @@ package endpoint
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
-	"io"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 	"unicode/utf8"
@@ -59,18 +61,21 @@ func oracleMarshalResult(res *sparql.Result) []byte {
 	return out
 }
 
-// streamJSON encodes res through a JSONStreamer.
-func streamJSON(t testing.TB, res *sparql.Result) []byte {
+// serveThrough sends res in contentType through an answerWriter whose
+// buffer holds limit bytes, as the server sends a fresh answer, and
+// returns the recorded response.
+func serveThrough(t testing.TB, res *sparql.Result, contentType string, limit int) *httptest.ResponseRecorder {
 	t.Helper()
-	var buf bytes.Buffer
-	s := NewJSONStreamer(&buf, nil, 1)
-	if err := sparql.ReplayResult(res, s); err != nil {
+	rec := httptest.NewRecorder()
+	a := &answerWriter{ctx: context.Background(), w: rec, limit: limit}
+	body, err := encoders[contentType](nil, res, a.spill)
+	if err == nil {
+		err = a.finish(body)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return rec
 }
 
 // TestJSONWriterMatchesOracle covers the document shapes around the rows:
@@ -89,15 +94,17 @@ func TestJSONWriterMatchesOracle(t *testing.T) {
 		{Vars: []string{"é", "<v>", "\u2028"}, Rows: []sparql.Solution{{"é": lit, "<v>": ex("&"), "\u2028": rdf.NewLiteral("\x00\x7f\xff")}}},
 	} {
 		want := oracleMarshalResult(res)
-		got, err := MarshalResult(res)
+		got, err := marshalJSON(res)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("case %d: MarshalResult\n got  %s\n want %s", i, got, want)
+			t.Errorf("case %d: marshalJSON\n got  %s\n want %s", i, got, want)
 		}
-		if got := streamJSON(t, res); !bytes.Equal(got, want) {
-			t.Errorf("case %d: JSONStreamer\n got  %s\n want %s", i, got, want)
+		for _, limit := range []int{1, 16, BodyBytes} {
+			if got := serveThrough(t, res, ContentType, limit).Body.Bytes(); !bytes.Equal(got, want) {
+				t.Errorf("case %d: writer of %d bytes\n got  %s\n want %s", i, limit, got, want)
+			}
 		}
 	}
 }
@@ -120,9 +127,10 @@ func decodedTerm(t rdf.Term) rdf.Term {
 // FuzzJSONRow holds appendJSONRow to the encoding/json oracle byte for
 // byte on rows built from arbitrary strings: one bound var holding a term
 // of any kind with any value, language tag and datatype, one var left
-// unbound, and one binding outside the vars. It checks that
-// UnmarshalResult reads the row back. Its seeds are in
-// testdata/fuzz/FuzzJSONRow.
+// unbound, and one binding outside the vars. A document of the row twice
+// goes through the one writer with buffers of a few bytes, so the fuzzed
+// bytes cross chunk boundaries. It checks that UnmarshalResult reads the
+// row back. Its seeds are in testdata/fuzz/FuzzJSONRow.
 func FuzzJSONRow(f *testing.F) {
 	f.Fuzz(func(t *testing.T, name, value, lang, datatype string, kind uint8, extra string) {
 		term := rdf.Term{Kind: rdf.TermKind(kind % 3), Value: value, Lang: lang, Datatype: datatype}
@@ -137,12 +145,19 @@ func FuzzJSONRow(f *testing.F) {
 			t.Fatalf("row\n got  %s\n want %s", got, want)
 		}
 		res := &sparql.Result{Vars: vars, Rows: []sparql.Solution{sol}}
-		body, err := MarshalResult(res)
+		body, err := marshalJSON(res)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := oracleMarshalResult(res); !bytes.Equal(body, want) {
 			t.Fatalf("document\n got  %s\n want %s", body, want)
+		}
+		twice := &sparql.Result{Vars: vars, Rows: []sparql.Solution{sol, sol}}
+		want = oracleMarshalResult(twice)
+		for _, limit := range []int{1, 3 + len(value)%13, 64} {
+			if got := serveThrough(t, twice, ContentType, limit).Body.Bytes(); !bytes.Equal(got, want) {
+				t.Fatalf("writer of %d bytes\n got  %s\n want %s", limit, got, want)
+			}
 		}
 
 		back, err := UnmarshalResult(body)
@@ -164,10 +179,11 @@ func FuzzJSONRow(f *testing.F) {
 	})
 }
 
-// BenchmarkJSONStreamer times the streaming encoder per result at two
-// sizes, with rows of one IRI, one plain literal and one typed literal.
-func BenchmarkJSONStreamer(b *testing.B) {
-	for _, n := range []int{1000, 30000} {
+// BenchmarkJSONWriter times encoding and sending one fresh answer through
+// the one writer at two sizes (under and over BodyBytes), with rows of
+// one IRI, one plain literal and one typed literal.
+func BenchmarkJSONWriter(b *testing.B) {
+	for _, n := range []int{100, 30000} {
 		res := &sparql.Result{Vars: []string{"s", "label", "n"}}
 		for i := 0; i < n; i++ {
 			res.Rows = append(res.Rows, sparql.Solution{
@@ -179,14 +195,22 @@ func BenchmarkJSONStreamer(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				s := NewJSONStreamer(io.Discard, nil, 0)
-				if err := sparql.ReplayResult(res, s); err != nil {
-					b.Fatal(err)
+				a := &answerWriter{ctx: context.Background(), w: discardResponse{}, limit: BodyBytes}
+				body, err := appendJSON(nil, res, a.spill)
+				if err == nil {
+					err = a.finish(body)
 				}
-				if err := s.Close(); err != nil {
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
 }
+
+// discardResponse is a ResponseWriter that drops the body.
+type discardResponse struct{}
+
+func (discardResponse) Header() http.Header         { return http.Header{} }
+func (discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (discardResponse) WriteHeader(int)             {}

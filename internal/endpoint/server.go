@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"mime"
 	"net/http"
@@ -19,14 +18,14 @@ import (
 // ContentType is the media type of SPARQL JSON results.
 const ContentType = "application/sparql-results+json"
 
-// CompleteTrailer is the HTTP trailer a streaming response carries when
-// the result document was fully written. Chunked transfer encoding ends
-// a mid-stream abort with perfectly clean framing — the body is
-// syntactically truncated but the HTTP layer looks complete — so a
-// client or relaying proxy cannot rely on framing alone. The trailer is
-// the explicit completeness signal: absent means the stream was cut, and
-// the reader must treat the response as failed rather than take half a
-// body as success.
+// CompleteTrailer is the HTTP trailer a chunked response (a body larger
+// than BodyBytes) carries when the result document was fully written.
+// Chunked transfer encoding ends a cut answer with perfectly clean
+// framing — the body is syntactically truncated but the HTTP layer looks
+// complete — so a client or relaying proxy cannot rely on framing alone.
+// The trailer is the explicit completeness signal: absent means the
+// answer was cut, and the reader must treat the response as failed
+// rather than take half a body as success.
 const CompleteTrailer = "X-Elinda-Complete"
 
 // Executor answers SPARQL queries. *sparql.Engine satisfies it; the proxy
@@ -95,10 +94,10 @@ const maxUpdateBytes = 8 << 20
 //     stacking goroutines until the process collapses.
 //   - Per-query deadline: Timeout bounds execution; an expired query is
 //     cut off inside the engine's join loops and answered with 504.
-//   - Streaming results: when the executor implements sparql.RowExecutor
-//     and the negotiated format has a streaming encoder (JSON, TSV), rows
-//     are encoded and flushed every DefaultFlushRows rows instead of
-//     materializing the whole result and its serialized body.
+//   - One writer sized by the answer: a body that fits BodyBytes goes out
+//     in one write with Content-Length, a larger one in BodyBytes chunks
+//     (memory stays bounded) ending with the CompleteTrailer, and a
+//     BodyExecutor's cached body goes out as is.
 type Server struct {
 	exec Executor
 	// Updater handles SPARQL Update requests (POST with an
@@ -112,11 +111,6 @@ type Server struct {
 	// AcquireTimeout bounds how long a request may wait for admission
 	// when the limiter is saturated (0 = fail immediately).
 	AcquireTimeout time.Duration
-
-	// flushRows overrides the streaming flush cadence (0 =
-	// DefaultFlushRows); only the in-package tests set it, to cross many
-	// flush boundaries with small results.
-	flushRows int
 
 	inFlight     metrics.Gauge
 	admitted     metrics.Counter
@@ -150,7 +144,8 @@ type ServerMetrics struct {
 	Timeout504   uint64 `json:"timeout_504"`
 	Failures     uint64 `json:"failures"`
 	ClientAborts uint64 `json:"client_aborts"`
-	// Streamed counts responses served through a streaming encoder.
+	// Streamed counts responses that went out chunked, whole: bodies
+	// larger than BodyBytes.
 	Streamed uint64 `json:"streamed"`
 	// Updates counts successfully applied SPARQL Update requests.
 	Updates uint64 `json:"updates"`
@@ -272,93 +267,57 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	if rexec, ok := s.exec.(sparql.RowExecutor); ok {
-		flusher, _ := w.(http.Flusher)
-		if contentType, streamer, ok := NegotiateStreamer(r.Header.Get("Accept"), w, flusher, s.flushRows); ok {
-			s.serveStreaming(ctx, w, rexec, query, contentType, streamer)
-			return
-		}
-	}
-	s.serveBuffered(ctx, w, r, query)
+	s.serveQuery(ctx, w, r, query)
 }
 
-// serveStreaming answers through a row-streaming encoder. Errors raised
-// before the first byte (parse errors, deadline during evaluation) still
-// produce proper HTTP statuses; once the header is on the wire the
-// response can only be truncated.
-func (s *Server) serveStreaming(ctx context.Context, w http.ResponseWriter, rexec sparql.RowExecutor, query, contentType string, streamer ResultStreamer) {
-	// The Content-Type header must be set before the streamer's first
-	// write commits the response header, and the completeness trailer
-	// must be declared then too — trailers cannot be announced
-	// retroactively.
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Trailer", CompleteTrailer)
-	err := rexec.QueryRows(ctx, query, streamer)
-	if err != nil {
-		if !streamer.Started() {
-			// Nothing written yet: we can still change the status line.
-			w.Header().Del("Content-Type")
-			w.Header().Del("Trailer")
-			s.writeError(w, err)
-			return
-		}
-		// Mid-stream failure: abort WITHOUT the document terminator, so
-		// the body is left syntactically incomplete and the client can
-		// tell truncation from a smaller-but-complete result. Attribute
-		// the outcome: an expired deadline is a timeout; everything else
-		// that can fail once bytes are on the wire is the client side of
-		// the connection going away (a canceled request context, a broken
-		// response write) — tracked as a client abort, not a server
-		// failure worth paging on.
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.timeouts.Inc()
-		} else {
-			s.clientAborts.Inc()
-		}
-		_ = streamer.Abort()
-		return
+// serveQuery answers a query through the one writer (writer.go). Errors
+// raised before the header is on the wire keep their status codes; after
+// it, the answer can only be cut short, leaving the document
+// unterminated and the CompleteTrailer unset.
+func (s *Server) serveQuery(ctx context.Context, w http.ResponseWriter, r *http.Request, query string) {
+	contentType := NegotiateFormat(r.Header.Get("Accept"))
+	var res *sparql.Result
+	var body []byte
+	var err error
+	if bx, ok := s.exec.(BodyExecutor); ok {
+		res, body, err = bx.QueryBody(ctx, query, contentType)
+	} else {
+		res, err = s.exec.Query(ctx, query)
 	}
-	// Mark completeness BEFORE the final flush: setting a declared
-	// header field after WriteHeader turns it into a trailer, and it
-	// must be in place when the terminating chunk goes out.
-	w.Header().Set(CompleteTrailer, "1")
-	if err := streamer.Close(); err != nil {
-		// The only thing Close can fail on is the final write/flush: the
-		// client went away at the last moment.
-		s.clientAborts.Inc()
-		return
+	if err == nil {
+		// The engine checks the context inside its join loops, but a
+		// deadline can also land right after the answer is complete:
+		// spend no encoding on a request whose context is already dead.
+		err = ctx.Err()
 	}
-	s.streamed.Inc()
-}
-
-// serveBuffered is the original materialize-then-marshal path, used for
-// formats without a streaming encoder and non-streaming executors.
-func (s *Server) serveBuffered(ctx context.Context, w http.ResponseWriter, r *http.Request, query string) {
-	res, err := s.exec.Query(ctx, query)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	// The engine checks the context inside its join loops, so a timeout or
-	// client disconnect surfaces here promptly; it can also land exactly
-	// between query completion and serialization — don't spend marshal
-	// work on a request whose context is already dead.
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		s.timeouts.Inc()
-		http.Error(w, ctxErr.Error(), http.StatusGatewayTimeout)
-		return
-	}
-	contentType, marshal := NegotiateFormat(r.Header.Get("Accept"))
-	body, err := marshal(res)
-	if err != nil {
-		s.failures.Inc()
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Content-Length", fmt.Sprint(len(body)))
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	a := &answerWriter{ctx: ctx, w: w, limit: BodyBytes}
+	if body == nil {
+		body, err = encoders[contentType](nil, res, a.spill)
+	}
+	if err == nil {
+		err = a.finish(body)
+	}
+	switch {
+	case err == nil:
+		if a.chunked {
+			s.streamed.Inc()
+		}
+	case !a.sent: // the context died before the first chunk
+		w.Header().Del("Content-Type")
+		s.writeError(w, err)
+	case errors.Is(err, context.DeadlineExceeded):
+		s.timeouts.Inc()
+	default:
+		// Anything else that fails once bytes are on the wire is the
+		// client side of the connection going away: a client abort, not
+		// a server failure worth paging on.
+		s.clientAborts.Inc()
+	}
 }
 
 // serveUpdate applies a SPARQL Update request and acknowledges it with

@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -212,19 +213,6 @@ func streamingFixtureEngine(t *testing.T) *sparql.Engine {
 	return sparql.NewEngine(st)
 }
 
-// rowEngine serves an engine through the streaming encoders the way the
-// serving proxy does: execute the query, then replay the result into the
-// sink.
-type rowEngine struct{ *sparql.Engine }
-
-func (e rowEngine) QueryRows(ctx context.Context, src string, sink sparql.RowSink) error {
-	res, err := e.Query(ctx, src)
-	if err != nil {
-		return err
-	}
-	return sparql.ReplayResult(res, sink)
-}
-
 // streamingCorpus exercises projection, DISTINCT, aggregates, OPTIONAL
 // with unbound cells (one table with two columns), VALUES (with UNDEF),
 // UNION (with branches binding different variables), ORDER BY/LIMIT/
@@ -251,71 +239,77 @@ var streamingCorpus = []string{
 	`ASK { ?s a <http://example.org/Nothing> . }`,
 }
 
-// TestStreamingEncodersByteIdentical: for every corpus query and both
-// streaming formats, the streamed HTTP body must equal the buffered
-// encoder's output exactly, and for JSON both must equal the
+// marshalers are the whole-body encoders, one per format.
+var marshalers = map[string]func(*sparql.Result) ([]byte, error){
+	ContentType:    marshalJSON,
+	ContentTypeTSV: marshalTSV,
+	ContentTypeCSV: marshalCSV,
+	ContentTypeXML: marshalXML,
+}
+
+// TestStreamingEncodersByteIdentical: for every corpus query and every
+// format, the served body equals the whole-body encoder's output, and so
+// does the body sent through writers of a few bytes, which cross a chunk
+// boundary at nearly every row; for JSON all of them equal the
 // encoding/json oracle's (json_oracle_test.go).
 func TestStreamingEncodersByteIdentical(t *testing.T) {
 	eng := streamingFixtureEngine(t)
-	// An executor that is not a sparql.RowExecutor takes the buffered path.
-	buffered := NewServer(ExecutorFunc(eng.Query))
-	streaming := NewServer(rowEngine{eng})
-	streaming.flushRows = 2 // aggressive cadence: many flush boundaries
-
-	for _, accept := range []string{ContentType, ContentTypeTSV} {
+	s := NewServer(eng)
+	for accept, marshal := range marshalers {
 		for _, src := range streamingCorpus {
-			req := httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(src), nil)
-			req.Header.Set("Accept", accept)
-			recB := httptest.NewRecorder()
-			buffered.ServeHTTP(recB, req.Clone(req.Context()))
-			recS := httptest.NewRecorder()
-			streaming.ServeHTTP(recS, req)
-
-			if recB.Code != http.StatusOK || recS.Code != http.StatusOK {
-				t.Fatalf("%s %q: status buffered=%d streaming=%d", accept, src, recB.Code, recS.Code)
+			res, err := eng.Query(context.Background(), src)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !bytes.Equal(recB.Body.Bytes(), recS.Body.Bytes()) {
-				t.Errorf("%s %q:\nbuffered:  %s\nstreaming: %s", accept, src, recB.Body.String(), recS.Body.String())
+			want, err := marshal(res)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if accept == ContentType {
-				res, err := eng.Query(context.Background(), src)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := oracleMarshalResult(res); !bytes.Equal(recB.Body.Bytes(), want) {
-					t.Errorf("%q:\nbuffered: %s\noracle:   %s", src, recB.Body.String(), want)
+				if oracle := oracleMarshalResult(res); !bytes.Equal(want, oracle) {
+					t.Errorf("%q:\nMarshalResult: %s\noracle:        %s", src, want, oracle)
 				}
 			}
-			if ct := recS.Header().Get("Content-Type"); ct != accept {
-				t.Errorf("%s %q: streaming content type = %q", accept, src, ct)
+			req := httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(src), nil)
+			req.Header.Set("Accept", accept)
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s %q: status %d", accept, src, rec.Code)
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != accept {
+				t.Errorf("%s %q: content type = %q", accept, src, ct)
+			}
+			if !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Errorf("%s %q:\nserved: %s\nwhole:  %s", accept, src, rec.Body.String(), want)
+			}
+			for _, limit := range []int{1, 16} {
+				if got := serveThrough(t, res, accept, limit).Body.Bytes(); !bytes.Equal(got, want) {
+					t.Errorf("%s %q: writer of %d bytes:\n got  %s\n want %s", accept, src, limit, got, want)
+				}
 			}
 		}
 	}
 }
 
-// TestStreamingFlushes: with flushRows=1 the recorder must see a flush
-// before the response completes.
+// TestStreamingFlushes: an answer larger than the writer's buffer is
+// flushed chunk by chunk before the response completes.
 func TestStreamingFlushes(t *testing.T) {
 	eng := streamingFixtureEngine(t)
-	s := NewServer(rowEngine{eng})
-	s.flushRows = 1
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(`SELECT * WHERE { ?s ?p ?o . }`), nil)
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
+	res, err := eng.Query(context.Background(), `SELECT * WHERE { ?s ?p ?o . }`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !rec.Flushed {
-		t.Error("streaming response was never flushed")
+	if rec := serveThrough(t, res, ContentType, 16); !rec.Flushed {
+		t.Error("chunked response was never flushed")
 	}
 }
 
 // TestStreamingErrorsKeepStatusCodes: failures raised before the first
-// row (parse errors, deadlines) must still map to proper statuses on the
-// streaming path.
+// byte (parse errors, deadlines) map to proper statuses.
 func TestStreamingErrorsKeepStatusCodes(t *testing.T) {
 	eng := streamingFixtureEngine(t)
-	s := NewServer(rowEngine{eng})
+	s := NewServer(eng)
 
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape("NOT SPARQL"), nil))
@@ -331,11 +325,11 @@ func TestStreamingErrorsKeepStatusCodes(t *testing.T) {
 	}
 }
 
-// TestStreamingCSVFallsBackBuffered: formats without a streaming encoder
-// still work through the buffered path (with Content-Length set).
+// TestStreamingCSVFallsBackBuffered: CSV goes through the same writer as
+// every format, so an answer within BodyBytes carries Content-Length.
 func TestStreamingCSVFallsBackBuffered(t *testing.T) {
 	eng := streamingFixtureEngine(t)
-	s := NewServer(rowEngine{eng})
+	s := NewServer(eng)
 	req := httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(`SELECT ?s WHERE { ?s a <http://example.org/Stoic> . }`), nil)
 	req.Header.Set("Accept", ContentTypeCSV)
 	rec := httptest.NewRecorder()
@@ -343,52 +337,143 @@ func TestStreamingCSVFallsBackBuffered(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	if rec.Header().Get("Content-Length") == "" {
-		t.Error("buffered fallback should set Content-Length")
-	}
-	if _, err := io.ReadAll(rec.Result().Body); err != nil {
-		t.Fatal(err)
+	if got, want := rec.Header().Get("Content-Length"), strconv.Itoa(rec.Body.Len()); got != want {
+		t.Errorf("Content-Length = %q, want %q", got, want)
 	}
 }
 
-// failsAfterOneRow streams one row, then fails: the response header is
-// already on the wire, so only the missing trailer can tell a client
-// the result is truncated.
-type failsAfterOneRow struct{ rowEngine }
-
-func (failsAfterOneRow) QueryRows(ctx context.Context, src string, sink sparql.RowSink) error {
-	if err := sink.Head([]string{"s"}, false, false); err != nil {
-		return err
+// literalAnswer is a one-row SELECT whose JSON body is exactly n bytes
+// long (n must be at least its length with an empty literal).
+func literalAnswer(t testing.TB, n int) *sparql.Result {
+	res := &sparql.Result{Vars: []string{"s"}, Rows: []sparql.Solution{{"s": rdf.NewLiteral("")}}}
+	empty, _ := marshalJSON(res)
+	if n < len(empty) {
+		t.Fatalf("a body of %d bytes is shorter than the empty literal's %d", n, len(empty))
 	}
-	if err := sink.Row(sparql.Solution{"s": ex("a")}); err != nil {
-		return err
-	}
-	return errors.New("backend lost mid-stream")
+	res.Rows[0]["s"] = rdf.NewLiteral(strings.Repeat("a", n-len(empty)))
+	return res
 }
 
-// TestStreamingCompleteTrailer: a streamed response declares the
-// X-Elinda-Complete trailer and sets it only when the document was
-// written whole; a failure after the first flushed row leaves a 200 with
-// the trailer absent.
-func TestStreamingCompleteTrailer(t *testing.T) {
-	eng := streamingFixtureEngine(t)
-	src := `SELECT * WHERE { ?s ?p ?o . }`
+// manyRows is a SELECT of n rows, each a distinct IRI.
+func manyRows(n int) *sparql.Result {
+	res := &sparql.Result{Vars: []string{"s"}}
+	for i := range n {
+		res.Rows = append(res.Rows, sparql.Solution{"s": ex("r" + strconv.Itoa(i))})
+	}
+	return res
+}
+
+// fixedExec answers every query with res.
+type fixedExec struct{ res *sparql.Result }
+
+func (f fixedExec) Query(context.Context, string) (*sparql.Result, error) { return f.res, nil }
+
+// bodyExec is fixedExec as a BodyExecutor: it hands back res's body
+// when EncodeBody keeps it, the way the proxy hands back a cached
+// answer's.
+type bodyExec struct{ fixedExec }
+
+func (f bodyExec) QueryBody(_ context.Context, _, contentType string) (*sparql.Result, []byte, error) {
+	body, _ := EncodeBody(f.res, contentType)
+	return f.res, body, nil
+}
+
+// TestServeAroundBodyBytes: answers just under, at and over BodyBytes,
+// fresh and from kept bytes, are the oracle's bytes; a body within
+// BodyBytes carries Content-Length and no trailer, a larger one goes out
+// chunked with the CompleteTrailer set to 1. EncodeBody keeps a body
+// exactly when it fits.
+func TestServeAroundBodyBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		exec Executor
+		res  *sparql.Result
+	}{
+		{"under", literalAnswer(t, BodyBytes-1)},
+		{"at", literalAnswer(t, BodyBytes)},
+		{"over", literalAnswer(t, BodyBytes+1)},
+		{"rows over three buffers", manyRows(3 * BodyBytes / 40)},
+	} {
+		want := oracleMarshalResult(tc.res)
+		whole := len(want) <= BodyBytes
+		if body, kept := EncodeBody(tc.res, "text/html"); kept || body != nil {
+			t.Errorf("%s: EncodeBody kept a body in a type it has no encoder for", tc.name)
+		}
+		if _, kept := EncodeBody(tc.res, ContentType); kept != whole {
+			t.Errorf("%s: EncodeBody kept a %d-byte body = %v", tc.name, len(want), kept)
+		}
+		for _, exec := range []Executor{fixedExec{res: tc.res}, bodyExec{fixedExec{res: tc.res}}} {
+			srv := httptest.NewServer(NewServer(exec))
+			resp, err := http.Get(srv.URL + "?query=" + url.QueryEscape("SELECT * {}"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			srv.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s %T", tc.name, exec)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: body of %d bytes differs from the oracle's %d", name, len(got), len(want))
+			}
+			if whole {
+				if resp.ContentLength != int64(len(want)) || resp.Trailer.Get(CompleteTrailer) != "" {
+					t.Errorf("%s: Content-Length %d, trailer %q; want %d and none", name, resp.ContentLength, resp.Trailer.Get(CompleteTrailer), len(want))
+				}
+			} else if resp.ContentLength != -1 || resp.Trailer.Get(CompleteTrailer) != "1" {
+				t.Errorf("%s: Content-Length %d, trailer %q; want chunked with trailer 1", name, resp.ContentLength, resp.Trailer.Get(CompleteTrailer))
+			}
+		}
+	}
+}
+
+// cutAfterFirstChunk cancels the request's context once the first chunk
+// is flushed: a client that went away mid-answer.
+type cutAfterFirstChunk struct {
+	*httptest.ResponseRecorder
+	cancel context.CancelFunc
+}
+
+func (c cutAfterFirstChunk) Flush() {
+	c.ResponseRecorder.Flush()
+	c.cancel()
+}
+
+// serveCut serves an answer over BodyBytes, either whole or cut after its
+// first chunk, and returns the recorded response.
+func serveCut(t *testing.T, cut bool) *httptest.ResponseRecorder {
+	t.Helper()
+	s := NewServer(fixedExec{res: manyRows(2 * BodyBytes / 40)})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequestWithContext(ctx, http.MethodGet, "/sparql?query="+url.QueryEscape("SELECT * {}"), nil)
+	rec := httptest.NewRecorder()
+	var w http.ResponseWriter = rec
+	if cut {
+		w = cutAfterFirstChunk{rec, cancel}
+	}
+	s.ServeHTTP(w, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d", rec.Code)
+	}
+	return rec
+}
+
+// TestStreamingCompleteTrailer: a chunked response declares the
+// X-Elinda-Complete trailer and sets it only when the document was
+// written whole; an answer cut after its first chunk leaves a 200 with
+// the trailer absent, counted as a client abort.
+func TestStreamingCompleteTrailer(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cut  bool
 		want string
 	}{
-		{"complete", rowEngine{eng}, "1"},
-		{"cut mid-stream", failsAfterOneRow{rowEngine{eng}}, ""},
+		{"complete", false, "1"},
+		{"cut mid-answer", true, ""},
 	} {
-		s := NewServer(tc.exec)
-		s.flushRows = 1
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(src), nil))
-		res := rec.Result()
-		if res.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status = %d", tc.name, res.StatusCode)
-		}
+		res := serveCut(t, tc.cut).Result()
 		if got := res.Header.Get("Trailer"); got != CompleteTrailer {
 			t.Errorf("%s: Trailer header = %q, want %q", tc.name, got, CompleteTrailer)
 		}
@@ -398,28 +483,21 @@ func TestStreamingCompleteTrailer(t *testing.T) {
 	}
 }
 
-// TestStreamerAbortLeavesDocumentUnterminated: a mid-stream abort must
-// NOT write the JSON terminator — a truncated result has to stay
-// syntactically incomplete so clients can tell it from a complete one.
+// TestStreamerAbortLeavesDocumentUnterminated: an answer cut between
+// chunks must NOT carry the JSON terminator — a truncated result has to
+// stay syntactically incomplete so clients can tell it from a complete
+// one.
 func TestStreamerAbortLeavesDocumentUnterminated(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewJSONStreamer(&buf, nil, 1)
-	if err := s.Head([]string{"s"}, false, false); err != nil {
-		t.Fatal(err)
+	body := serveCut(t, true).Body.Bytes()
+	if len(body) != BodyBytes {
+		t.Errorf("cut body holds %d bytes, want the first chunk's %d", len(body), BodyBytes)
 	}
-	if err := s.Row(sparql.Solution{"s": ex("a")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	body := buf.String()
-	if strings.HasSuffix(body, "]}}") {
-		t.Fatalf("aborted stream was terminated as a complete document: %s", body)
+	if bytes.HasSuffix(body, []byte(jsonTail)) {
+		t.Fatalf("cut answer was terminated as a complete document: ...%s", body[len(body)-32:])
 	}
 	var doc any
-	if json.Unmarshal(buf.Bytes(), &doc) == nil {
-		t.Fatalf("aborted body parses as complete JSON: %s", body)
+	if json.Unmarshal(body, &doc) == nil {
+		t.Fatal("cut body parses as complete JSON")
 	}
 }
 

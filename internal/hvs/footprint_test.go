@@ -311,3 +311,102 @@ func TestApplyDeltaFold(t *testing.T) {
 		t.Fatalf("restored entry = (%+v, %v), want one without a Shape", e, ok)
 	}
 }
+
+// TestKeptBodies: a body kept beside an entry is returned by LookupBody
+// for its content type only, counted exactly in Bytes, kept across a
+// write that leaves the answer as it is (a retag, or a fold returning
+// the same answer), dropped with the answer when a fold rewrites it or
+// a write evicts it, and never attached to an answer the entry no longer
+// holds. A body that takes the cache over MaxBytes evicts in LRU order;
+// one its entry alone cannot hold is not kept. Snapshots carry no body.
+func TestKeptBodies(t *testing.T) {
+	q := func(name string) string { return "SELECT ?s WHERE { ?s <http://x/" + name + "> ?o }" }
+	body := []byte(`{"kept":true}`)
+	s := New(time.Millisecond)
+	for _, name := range []string{"retag", "same", "rewrite", "evict"} {
+		s.RecordFootprint(q(name), res(name), time.Second, 1, fpOf(t, q(name)), name)
+	}
+	results := s.Stats().Bytes
+	for _, name := range []string{"retag", "same", "rewrite", "evict"} {
+		r, b, ok := s.LookupBody(q(name), 1, "application/json")
+		if !ok || b != nil {
+			t.Fatalf("%s: first lookup = (%v, %q)", name, ok, b)
+		}
+		s.KeepBody(q(name), r, "application/json", body)
+	}
+	if got, want := s.Stats().Bytes, results+4*int64(len(body)); got != want {
+		t.Fatalf("Bytes = %d, want the results' %d plus four bodies: %d", got, results, want)
+	}
+	if _, b, _ := s.LookupBody(q("same"), 1, "text/csv"); b != nil {
+		t.Fatalf("another content type's lookup returned %q", b)
+	}
+	if _, b, _ := s.LookupBody(q("same"), 1, "application/json"); string(b) != string(body) {
+		t.Fatalf("kept body = %q", b)
+	}
+
+	ops := opsFor(triple("s", "same", "o"), triple("s", "rewrite", "o"), triple("s", "evict", "o"))
+	s.ApplyDelta(1, 2, ops, func(_ string, e *Entry) (*sparql.Result, bool) {
+		switch e.Shape {
+		case "same":
+			return e.Result, true
+		case "rewrite":
+			return res("rewritten"), true
+		}
+		return nil, false
+	})
+	for name, want := range map[string]string{"retag": string(body), "same": string(body), "rewrite": ""} {
+		if _, b, ok := s.LookupBody(q(name), 2, "application/json"); !ok || string(b) != want {
+			t.Errorf("%s after the write: body %q (cached %v), want %q", name, b, ok, want)
+		}
+	}
+	rewritten := ResultBytes(res("rewritten"))
+	if got, want := s.Stats().Bytes, results-ResultBytes(res("rewrite"))-ResultBytes(res("evict"))+rewritten+2*int64(len(body)); got != want {
+		t.Fatalf("Bytes after the write = %d, want %d", got, want)
+	}
+	s.KeepBody(q("rewrite"), res("rewrite"), "application/json", body) // the old answer: nothing to keep it for
+	if _, b, _ := s.LookupBody(q("rewrite"), 2, "application/json"); b != nil {
+		t.Fatalf("a body of the pre-write answer was kept: %q", b)
+	}
+
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored := New(time.Millisecond)
+	if err := restored.Restore(&buf, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := restored.Stats().Bytes, ResultBytes(res("retag"))+ResultBytes(res("same"))+rewritten; got != want {
+		t.Fatalf("restored Bytes = %d, want the results' %d", got, want)
+	}
+	if _, b, _ := restored.LookupBody(q("same"), 2, "application/json"); b != nil {
+		t.Fatalf("a restored entry has a body: %q", b)
+	}
+
+	// Budget: room for three results and one body. "a" is the least
+	// recently used when "c"'s body lands, so it goes.
+	s = New(time.Millisecond)
+	one := ResultBytes(res("a"))
+	big := make([]byte, one)
+	s.MaxBytes = 4*one + one/2
+	for _, name := range []string{"a", "b", "c"} {
+		s.RecordFootprint(q(name), res(name), time.Second, 1, nil, nil)
+	}
+	s.Lookup(q("b"), 1)
+	r, _, _ := s.LookupBody(q("c"), 1, "application/json")
+	s.KeepBody(q("c"), r, "application/json", big)
+	if _, ok := s.Entry(q("b")); !ok || s.Len() != 3 {
+		t.Fatalf("a body within budget evicted: %d entries", s.Len())
+	}
+	s.KeepBody(q("c"), r, "text/csv", big)
+	if _, ok := s.Entry(q("a")); ok || s.Len() != 2 || s.Stats().Evictions != 1 {
+		t.Fatalf("over budget: %d entries, %d evictions; want a evicted", s.Len(), s.Stats().Evictions)
+	}
+	if got, want := s.Stats().Bytes, 2*one+2*int64(len(big)); got != want || got > s.MaxBytes {
+		t.Fatalf("Bytes = %d, want %d within %d", got, want, s.MaxBytes)
+	}
+	s.KeepBody(q("c"), r, "application/xml", make([]byte, s.MaxBytes))
+	if _, b, _ := s.LookupBody(q("c"), 1, "application/xml"); b != nil || s.Len() != 2 {
+		t.Fatalf("a body larger than the budget was kept (%d entries left)", s.Len())
+	}
+}

@@ -13,7 +13,8 @@
 // Beyond the paper, the store is production-bounded: every entry carries
 // an approximate byte cost, and an optional byte budget (MaxBytes) evicts
 // in LRU order when the cache would outgrow it, so heavy traffic cannot
-// grow the HVS past its memory allowance.
+// grow the HVS past its memory allowance; the encoded bodies an entry
+// keeps beside its answer (KeepBody) count in it too.
 //
 // The cache's generation only moves forward. A Lookup or Record at a
 // newer generation clears the cache (the paper's rule, needed for writes
@@ -57,7 +58,8 @@ type Entry struct {
 	StoredAt time.Time
 	// Hits counts cache lookups served by this entry.
 	Hits int
-	// Bytes is the approximate memory cost of Result (see ResultBytes).
+	// Bytes is the approximate memory cost of Result (see ResultBytes)
+	// plus the exact length of every body kept beside it.
 	Bytes int64
 	// Footprint summarizes which triples the result depends on, for
 	// delta-aware invalidation (ApplyDelta). nil means unknown: the entry
@@ -67,6 +69,16 @@ type Entry struct {
 	// fold (the proxy keeps its object-expansion detection here). It is
 	// opaque to the store and not persisted: a restored entry has none.
 	Shape any
+
+	bodies map[string][]byte // Result encoded per content type; not persisted
+}
+
+// bodyBytes is the part of Bytes the entry's bodies take.
+func (e *Entry) bodyBytes() (n int64) {
+	for _, b := range e.bodies {
+		n += int64(len(b))
+	}
+	return n
 }
 
 // Stats summarizes store activity.
@@ -163,15 +175,13 @@ func ResultBytes(res *sparql.Result) int64 {
 		total += int64(len(v)) + 16
 	}
 	for _, row := range res.Rows {
-		total += SolutionBytes(row)
+		total += solutionBytes(row)
 	}
 	return total
 }
 
-// SolutionBytes approximates the cost of one solution row, with the same
-// accounting ResultBytes uses — exported so streaming tees can meter a
-// result incrementally.
-func SolutionBytes(row sparql.Solution) int64 {
+// solutionBytes approximates the cost of one solution row.
+func solutionBytes(row sparql.Solution) int64 {
 	const (
 		rowOverhead     = 48 // Solution map header
 		bindingOverhead = 64 // map bucket slot + Term struct
@@ -190,22 +200,52 @@ func SolutionBytes(row sparql.Solution) int64 {
 // touching the cache. A hit refreshes the entry's recency for LRU
 // byte-budget eviction.
 func (s *Store) Lookup(query string, generation uint64) (*sparql.Result, bool) {
+	res, _, ok := s.LookupBody(query, generation, "")
+	return res, ok
+}
+
+// LookupBody is Lookup that also returns the body kept beside the answer
+// for contentType (nil when none is kept).
+func (s *Store) LookupBody(query string, generation uint64, contentType string) (*sparql.Result, []byte, bool) {
 	key := Normalize(query)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.admitLocked(generation) {
 		s.misses++
-		return nil, false
+		return nil, nil, false
 	}
 	e, ok := s.entries[key]
 	if !ok {
 		s.misses++
-		return nil, false
+		return nil, nil, false
 	}
 	e.Hits++
 	s.hits++
 	s.touchLocked(key)
-	return e.Result, true
+	return e.Result, e.bodies[contentType], true
+}
+
+// KeepBody keeps data, res encoded in contentType, beside the entry of
+// query while that entry holds res: a retag keeps it, a fold's new answer
+// or an eviction drops it. Its length counts in the entry's Bytes, and
+// other entries are evicted in LRU order when it takes the cache over
+// MaxBytes; a body its entry alone cannot fit in MaxBytes is not kept.
+func (s *Store) KeepBody(query string, res *sparql.Result, contentType string, data []byte) {
+	key := Normalize(query)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[key]
+	if !ok || e.Result != res || s.MaxBytes > 0 && e.Bytes+int64(len(data)) > s.MaxBytes {
+		return
+	}
+	if e.bodies == nil {
+		e.bodies = make(map[string][]byte)
+	}
+	grown := int64(len(data) - len(e.bodies[contentType]))
+	e.bodies[contentType] = data
+	e.Bytes += grown
+	s.totalBytes += grown
+	s.evictOverBudgetLocked(s.lruOf[key])
 }
 
 // RecordFootprint reports an executed query with its observed runtime and
@@ -361,8 +401,9 @@ func (s *Store) ApplyDelta(from, to uint64, ops []rdf.TripleOp, fold func(key st
 		if ok && res != e.Result {
 			bytes := ResultBytes(res)
 			if ok = s.MaxBytes <= 0 || bytes <= s.MaxBytes; ok {
+				// A new answer: the old one's bodies do not encode it.
 				next := *e
-				next.Result, next.Bytes = res, bytes
+				next.Result, next.Bytes, next.bodies = res, bytes, nil
 				s.entries[k] = &next
 				s.totalBytes += bytes - e.Bytes
 				folded++
@@ -394,13 +435,6 @@ func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.entries)
-}
-
-// Bytes returns the approximate total byte cost of the cached results.
-func (s *Store) Bytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.totalBytes
 }
 
 // Stats returns a snapshot of activity counters.

@@ -323,7 +323,7 @@ func TestByteBudgetChainEviction(t *testing.T) {
 	if _, ok := s.Entry("big"); !ok {
 		t.Fatal("big entry not stored")
 	}
-	if got := s.Bytes(); got > s.MaxBytes {
+	if got := s.Stats().Bytes; got > s.MaxBytes {
 		t.Errorf("bytes = %d over budget %d", got, s.MaxBytes)
 	}
 	if st := s.Stats(); st.Evictions < 3 {
@@ -342,8 +342,8 @@ func TestByteBudgetGenerationStillWins(t *testing.T) {
 	if _, ok := s.Lookup("q1", 2); ok { // KB update
 		t.Fatal("stale entry served after generation move")
 	}
-	if s.Len() != 0 || s.Bytes() != 0 {
-		t.Errorf("len=%d bytes=%d after invalidation, want 0/0", s.Len(), s.Bytes())
+	if s.Len() != 0 || s.Stats().Bytes != 0 {
+		t.Errorf("len=%d bytes=%d after invalidation, want 0/0", s.Len(), s.Stats().Bytes)
 	}
 	if st := s.Stats(); st.Invalidations != 1 {
 		t.Errorf("invalidations = %d, want 1", st.Invalidations)
@@ -366,8 +366,8 @@ func TestOversizedEntryNotStored(t *testing.T) {
 	if s.Len() != 0 {
 		t.Errorf("oversized result stored: len=%d", s.Len())
 	}
-	if s.Bytes() != 0 {
-		t.Errorf("bytes = %d, want 0", s.Bytes())
+	if s.Stats().Bytes != 0 {
+		t.Errorf("bytes = %d, want 0", s.Stats().Bytes)
 	}
 }
 
@@ -391,7 +391,7 @@ func TestByteBudgetConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := s.Bytes(); got > s.MaxBytes {
+	if got := s.Stats().Bytes; got > s.MaxBytes {
 		t.Errorf("bytes = %d over budget %d", got, s.MaxBytes)
 	}
 	if s.Len() > 3 {

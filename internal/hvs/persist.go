@@ -35,7 +35,8 @@ func (s *Store) Snapshot(w io.Writer) error {
 	}
 	for k, e := range s.entries {
 		copied := *e
-		copied.Shape = nil // the recorder's, re-derived from the key
+		copied.Shape = nil            // the recorder's, re-derived from the key
+		copied.Bytes -= e.bodyBytes() // the bodies are not persisted
 		doc.Entries[k] = &copied
 	}
 	s.mu.RUnlock()

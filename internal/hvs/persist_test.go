@@ -116,7 +116,7 @@ func TestRestoreRebuildsByteAccounting(t *testing.T) {
 	for _, q := range []string{"q1", "q2", "q3"} {
 		s.RecordFootprint(q, resN(q, 10), time.Second, 1, nil, nil)
 	}
-	wantBytes := s.Bytes()
+	wantBytes := s.Stats().Bytes
 	if wantBytes <= 0 {
 		t.Fatal("source store has no byte accounting")
 	}
@@ -134,13 +134,13 @@ func TestRestoreRebuildsByteAccounting(t *testing.T) {
 	if restored.Len() != 2 {
 		t.Errorf("restored entries = %d, want 2 (budget enforced)", restored.Len())
 	}
-	if restored.Bytes() > restored.MaxBytes {
-		t.Errorf("restored bytes %d over budget %d", restored.Bytes(), restored.MaxBytes)
+	if restored.Stats().Bytes > restored.MaxBytes {
+		t.Errorf("restored bytes %d over budget %d", restored.Stats().Bytes, restored.MaxBytes)
 	}
 	// The surviving entries keep working: a lookup hit refreshes recency
 	// and further records evict in LRU order without drift.
 	restored.RecordFootprint("q4", resN("q4", 10), time.Second, 1, nil, nil)
-	if restored.Bytes() > restored.MaxBytes {
-		t.Errorf("post-restore record broke the budget: %d > %d", restored.Bytes(), restored.MaxBytes)
+	if restored.Stats().Bytes > restored.MaxBytes {
+		t.Errorf("post-restore record broke the budget: %d > %d", restored.Stats().Bytes, restored.MaxBytes)
 	}
 }

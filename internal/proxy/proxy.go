@@ -22,9 +22,11 @@
 // lock; comparing configurations means building one proxy per
 // configuration over the shared store.
 //
-// The proxy implements endpoint.Executor and sparql.RowExecutor, so it
-// can be served over HTTP by endpoint.Server — buffered or streaming —
-// giving the full browser → proxy → cache/DB pipeline.
+// The proxy implements endpoint.BodyExecutor, so it can be served over
+// HTTP by endpoint.Server, giving the full browser → proxy → cache/DB
+// pipeline. An answer a cache tier shares (an HVS entry, a decomposer
+// memo rendering) keeps its encoded body beside it from its first serve,
+// so a repeated hit is written as bytes already held.
 package proxy
 
 import (
@@ -126,8 +128,6 @@ var errLeaderAborted = errors.New("proxy: coalescing leader aborted")
 
 // Trace records one answered query for diagnostics and benchmarking.
 type Trace struct {
-	// Query is the normalized query text.
-	Query string
 	// Route is the tier that produced the answer.
 	Route Route
 	// Runtime is the wall-clock execution time of this request.
@@ -273,27 +273,39 @@ func (p *Proxy) Explain(ctx context.Context, src string) (*sparql.PlanReport, er
 
 // Query implements endpoint.Executor with the three-tier routing.
 func (p *Proxy) Query(ctx context.Context, src string) (*sparql.Result, error) {
-	res, _, err := p.QueryTraced(ctx, src)
+	res, _, _, err := p.query(ctx, src, "")
 	return res, err
 }
 
 // QueryTraced is Query plus the route/runtime trace for the request.
 func (p *Proxy) QueryTraced(ctx context.Context, src string) (*sparql.Result, Trace, error) {
-	start := time.Now()
-	gen := p.st.Generation()
-	if res, tr, served := p.tryCacheTiers(src, gen, start); served {
-		return res, tr, nil
-	}
-	return p.backendCoalesced(ctx, src, gen, start)
+	res, _, tr, err := p.query(ctx, src, "")
+	return res, tr, err
 }
 
-// QueryRows implements sparql.RowExecutor: the same three-tier routing
-// as Query, with the materialized answer replayed into sink. Backend
-// execution is shared exactly like the buffered path — the leader
-// materializes the result, so followers wait only on execution (never on
-// another client's download speed) and the recorded runtime is
-// execution-only — and each participant then streams the ENCODING of the
-// shared result through its own sink at its own client's pace.
+// QueryBody implements endpoint.BodyExecutor: Query, plus the answer's
+// body in contentType when a cache tier shares the answer and the body
+// fits endpoint.BodyBytes. A backend answer comes back without one.
+func (p *Proxy) QueryBody(ctx context.Context, src, contentType string) (*sparql.Result, []byte, error) {
+	res, body, _, err := p.query(ctx, src, contentType)
+	return res, body, err
+}
+
+// query is the three-tier routing, asking the cache tiers for the body
+// kept beside their answer in contentType ("" asks for none).
+func (p *Proxy) query(ctx context.Context, src, contentType string) (*sparql.Result, []byte, Trace, error) {
+	start := time.Now()
+	gen := p.st.Generation()
+	if res, body, tr, served := p.tryCacheTiers(src, gen, start, contentType); served {
+		return res, body, tr, nil
+	}
+	res, tr, err := p.backendCoalesced(ctx, src, gen, start)
+	return res, nil, tr, err
+}
+
+// QueryRows implements sparql.RowExecutor for in-process callers: Query,
+// with the answer replayed into sink row by row. The server does not use
+// it; it asks QueryBody.
 func (p *Proxy) QueryRows(ctx context.Context, src string, sink sparql.RowSink) error {
 	res, err := p.Query(ctx, src)
 	if err != nil {
@@ -303,40 +315,68 @@ func (p *Proxy) QueryRows(ctx context.Context, src string, sink sparql.RowSink) 
 }
 
 // tryCacheTiers answers from the HVS (tier 1) or the decomposer (tier 2)
-// when possible. served=false means the caller must run the backend tier.
-func (p *Proxy) tryCacheTiers(src string, gen uint64, start time.Time) (*sparql.Result, Trace, bool) {
+// when possible, with the body kept beside the answer for contentType.
+// served=false means the caller must run the backend tier.
+func (p *Proxy) tryCacheTiers(src string, gen uint64, start time.Time, contentType string) (*sparql.Result, []byte, Trace, bool) {
 	if !p.opts.DisableHVS {
-		if cached, ok := p.cache.Lookup(src, gen); ok {
-			tr := Trace{Query: hvs.Normalize(src), Route: RouteHVS, Runtime: time.Since(start), Heavy: true}
+		if cached, body, ok := p.cache.LookupBody(src, gen, contentType); ok {
+			tr := Trace{Route: RouteHVS, Runtime: time.Since(start), Heavy: true}
 			p.record(tr)
-			return cached, tr, true
+			body = servedBody(cached, contentType, body, func(b []byte) { p.cache.KeepBody(src, cached, contentType, b) })
+			return cached, body, tr, true
 		}
 	}
 	// Tier 2: decomposer (needs a parsed query; parse errors fall through
 	// to the backend so that remote dialects we cannot parse still work).
 	if !p.opts.DisableDecomposer {
 		if q, err := sparql.Parse(src); err == nil {
-			if res, ok := p.dec.TryExecute(q); ok {
+			if res, r, ok := p.dec.TryAnswer(q); ok {
 				runtime := time.Since(start)
-				tr := Trace{Query: hvs.Normalize(src), Route: RouteDecomposer, Runtime: runtime}
+				tr := Trace{Route: RouteDecomposer, Runtime: runtime}
 				// Even decomposed answers can be heavy on cold indexes;
 				// cache them so repeats hit tier 1.
 				if !p.opts.DisableHVS {
 					tr.Heavy = p.cache.RecordFootprint(src, res, runtime, gen, q.Footprint(), objectShape{})
 				}
 				p.record(tr)
-				return res, tr, true
+				var body []byte
+				if r != nil { // encoded after the runtime is taken: heaviness is execution alone
+					body = servedBody(res, contentType, r.Body(contentType), func(b []byte) { r.KeepBody(contentType, b) })
+				}
+				return res, body, tr, true
 			}
 		}
 	}
-	return nil, Trace{}, false
+	return nil, nil, Trace{}, false
+}
+
+// servedBody returns the body to serve a shared answer with ("" asks for
+// none): kept, or on its first serve res encoded in contentType and
+// handed to keep. A body outgrowing endpoint.BodyBytes is kept empty, so
+// that later serves do not try again, and served as nil: the server
+// encodes it itself.
+func servedBody(res *sparql.Result, contentType string, kept []byte, keep func([]byte)) []byte {
+	if contentType == "" {
+		return nil
+	}
+	if kept == nil {
+		kept, _ = endpoint.EncodeBody(res, contentType)
+		if kept == nil {
+			kept = []byte{}
+		}
+		keep(kept)
+	}
+	if len(kept) == 0 {
+		return nil
+	}
+	return kept
 }
 
 // backendDirect runs the backend tier for one flight's leader.
 func (p *Proxy) backendDirect(ctx context.Context, src string, gen uint64, start time.Time) (*sparql.Result, Trace, error) {
 	res, err := p.backend.Query(ctx, src)
 	runtime := time.Since(start)
-	tr := Trace{Query: hvs.Normalize(src), Route: RouteBackend, Runtime: runtime}
+	tr := Trace{Route: RouteBackend, Runtime: runtime}
 	if err != nil {
 		return nil, tr, err
 	}

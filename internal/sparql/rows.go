@@ -1,11 +1,8 @@
 package sparql
 
-// This file defines the row-callback interface the serving tier's
-// streaming encoders consume: instead of marshaling a whole *Result into
-// one buffer, the encoder receives the result header and then each
-// solution, and writes (and flushes) as the rows arrive. The executor
-// itself always materializes a *Result; ReplayResult is the bridge that
-// feeds one to a RowSink.
+// This file defines a row-callback interface for in-process consumers of
+// a result; ReplayResult feeds a materialized *Result to a RowSink. (The
+// HTTP server encodes a *Result directly.)
 
 import "context"
 
@@ -20,7 +17,7 @@ type RowSink interface {
 	Row(sol Solution) error
 }
 
-// RowExecutor is the streaming counterpart of the endpoint's Executor
+// RowExecutor is the row-callback counterpart of the endpoint's Executor
 // interface: implementations deliver results through a RowSink instead of
 // returning a *Result. The serving proxy implements it.
 type RowExecutor interface {
