@@ -70,5 +70,8 @@ loc:
 # and the serving-tier coalescing/limiter races.
 check: build vet lint test race
 
+# server boots on a generated 2000-person dataset (the server itself
+# starts empty without a data flag).
 server: build
-	$(GO) run ./cmd/elinda-server
+	$(GO) run ./cmd/elinda-gen -persons 2000 -o demo.nt
+	$(GO) run ./cmd/elinda-server -load demo.nt

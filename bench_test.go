@@ -19,10 +19,12 @@ import (
 	"elinda/internal/core"
 	"elinda/internal/datagen"
 	"elinda/internal/decomposer"
+	"elinda/internal/endpoint"
 	"elinda/internal/incremental"
 	"elinda/internal/ontology"
 	"elinda/internal/proxy"
 	"elinda/internal/rdf"
+	"elinda/internal/sparql"
 )
 
 // benchPersons is the dataset scale of the in-suite benchmarks.
@@ -104,27 +106,41 @@ func BenchmarkFig4(b *testing.B) {
 	}
 	configs := []struct {
 		name string
-		opts proxy.Options
+		exec func() endpoint.Executor
 		warm bool
 	}{
-		{"Virtuoso", proxy.Options{DisableHVS: true, DisableDecomposer: true}, false},
-		{"Decomposer", proxy.Options{DisableHVS: true}, false},
-		{"HVS", proxy.Options{HeavyThreshold: time.Nanosecond}, true},
+		{"Virtuoso", func() endpoint.Executor { return sparql.NewEngine(st) }, false},
+		{"Decomposer", func() endpoint.Executor { return proxy.New(st, proxy.Options{HeavyThreshold: time.Hour}) }, false},
+		{"HVS", func() endpoint.Executor { return proxy.New(st, proxy.Options{HeavyThreshold: time.Nanosecond}) }, true},
+	}
+	want := map[string]string{}
+	for dir, q := range queries {
+		res, err := sparql.NewEngine(st).Query(context.Background(), q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		want[dir] = sortedRows(res)
 	}
 	for _, cfg := range configs {
 		for dir, q := range queries {
 			b.Run(cfg.name+"/"+dir, func(b *testing.B) {
-				sys := elinda.NewSystemFromStore(st, cfg.opts)
+				exec := cfg.exec()
 				if cfg.warm {
-					if _, err := sys.Proxy.Query(context.Background(), q); err != nil {
+					if _, err := exec.Query(context.Background(), q); err != nil {
 						b.Fatal(err)
 					}
 				}
 				b.ResetTimer()
+				var res *sparql.Result
 				for i := 0; i < b.N; i++ {
-					if _, err := sys.Proxy.Query(context.Background(), q); err != nil {
+					var err error
+					if res, err = exec.Query(context.Background(), q); err != nil {
 						b.Fatal(err)
 					}
+				}
+				b.StopTimer()
+				if sortedRows(res) != want[dir] {
+					b.Fatalf("%s answers the %s expansion with other rows than the engine", cfg.name, dir)
 				}
 			})
 		}
@@ -244,19 +260,19 @@ func BenchmarkAblationDecomposer(b *testing.B) {
 	for _, class := range classes {
 		q := core.PropertyExpansionSPARQL(class, false)
 		b.Run("generic/"+class.LocalName(), func(b *testing.B) {
-			sys := elinda.NewSystemFromStore(st, proxy.Options{DisableHVS: true, DisableDecomposer: true})
+			eng := sparql.NewEngine(st)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sys.Proxy.Query(context.Background(), q); err != nil {
+				if _, err := eng.Query(context.Background(), q); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run("decomposed/"+class.LocalName(), func(b *testing.B) {
-			sys := elinda.NewSystemFromStore(st, proxy.Options{DisableHVS: true})
+			px := proxy.New(st, proxy.Options{HeavyThreshold: time.Hour})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sys.Proxy.Query(context.Background(), q); err != nil {
+				if _, err := px.Query(context.Background(), q); err != nil {
 					b.Fatal(err)
 				}
 			}

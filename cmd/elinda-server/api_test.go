@@ -11,7 +11,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"elinda"
 	"elinda/internal/core"
@@ -413,7 +412,7 @@ func TestBuildStoreFromFiles(t *testing.T) {
 	if _, err := createAndWriteNT(ntPath, ds); err != nil {
 		t.Fatal(err)
 	}
-	st, fromSnap, err := buildStore("", ntPath, 0)
+	st, fromSnap, err := buildStore("", ntPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,16 +428,22 @@ func TestBuildStoreFromFiles(t *testing.T) {
 	if st.Len() != ref.Len() {
 		t.Errorf("streamed %d triples, serial load has %d", st.Len(), ref.Len())
 	}
-	if _, _, err := buildStore("", dir+"/missing.nt", 0); err == nil {
+	if _, _, err := buildStore("", dir+"/missing.nt"); err == nil {
 		t.Error("missing file accepted")
 	}
-	// No path: generate.
-	gen, _, err := buildStore("", "", 50)
+	// No path: an empty store, which warms and answers charts.
+	empty, fromSnap, err := buildStore("", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen.Len() == 0 {
-		t.Error("generation path produced nothing")
+	if fromSnap || empty.Len() != 0 {
+		t.Errorf("no data flag: fromSnap=%v len=%d, want an empty store", fromSnap, empty.Len())
+	}
+	sys := elinda.NewSystemFromStore(empty, proxy.Options{})
+	sys.Warm()
+	res, err := sys.Proxy.Query(context.Background(), core.PropertyExpansionSPARQL(rdf.OWLThingIRI, false))
+	if err != nil || len(res.Rows) != 0 {
+		t.Errorf("root property expansion over the empty store = (%v, %v), want no rows", res, err)
 	}
 
 	// Snapshot round trip: save, then warm-boot from it.
@@ -446,7 +451,7 @@ func TestBuildStoreFromFiles(t *testing.T) {
 	if err := st.SaveSnapshot(snapPath); err != nil {
 		t.Fatal(err)
 	}
-	warm, fromSnap, err := buildStore(snapPath, ntPath, 0)
+	warm, fromSnap, err := buildStore(snapPath, ntPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +462,7 @@ func TestBuildStoreFromFiles(t *testing.T) {
 		t.Errorf("warm boot diverges: len %d/%d gen %d/%d", warm.Len(), st.Len(), warm.Generation(), st.Generation())
 	}
 	// A missing snapshot path falls back to the cold load.
-	cold, fromSnap, err := buildStore(dir+"/none.snap", ntPath, 0)
+	cold, fromSnap, err := buildStore(dir+"/none.snap", ntPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +473,7 @@ func TestBuildStoreFromFiles(t *testing.T) {
 	if err := os.WriteFile(dir+"/corrupt.snap", []byte("ELINDSN\x01garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := buildStore(dir+"/corrupt.snap", ntPath, 0); err == nil {
+	if _, _, err := buildStore(dir+"/corrupt.snap", ntPath); err == nil {
 		t.Error("corrupt snapshot accepted")
 	}
 }
@@ -514,39 +519,5 @@ func TestUIServed(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Errorf("non-root status = %d", resp2.StatusCode)
-	}
-}
-
-func TestHVSPersistRoundtrip(t *testing.T) {
-	ds := elinda.GenerateDBpediaLike(elinda.DataConfig{Seed: 6, Persons: 100, PoliticianProps: 40})
-	sys, err := elinda.OpenWithOptions(ds.Triples, proxy.Options{HeavyThreshold: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := `SELECT ?s WHERE { ?s a <` + datagen.OntNS + `Philosopher> . }`
-	if _, err := sys.Proxy.Query(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-	if sys.Proxy.HVS().Len() == 0 {
-		t.Fatal("nothing cached")
-	}
-	path := t.TempDir() + "/hvs.gob"
-	if err := saveHVS(sys, path); err != nil {
-		t.Fatal(err)
-	}
-	// A fresh system over the same data restores the cache.
-	sys2, err := elinda.OpenWithOptions(ds.Triples, proxy.Options{HeavyThreshold: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restoreHVS(sys2, path); err != nil {
-		t.Fatal(err)
-	}
-	if sys2.Proxy.HVS().Len() != sys.Proxy.HVS().Len() {
-		t.Errorf("restored %d entries, want %d", sys2.Proxy.HVS().Len(), sys.Proxy.HVS().Len())
-	}
-	// Missing snapshot is a soft error.
-	if err := restoreHVS(sys2, t.TempDir()+"/none.gob"); err == nil {
-		t.Error("missing snapshot should report an error")
 	}
 }

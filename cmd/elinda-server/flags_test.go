@@ -13,10 +13,9 @@ import (
 // flagSurface is the complete elinda-server flag list. A new flag is a
 // reviewed change to this list and to README's tables.
 var flagSurface = []string{
-	"acquire-timeout", "addr", "cache-bytes", "drain", "heavy", "hvs-snapshot",
-	"load", "max-inflight", "no-decomposer", "no-hvs", "persons", "remote",
-	"snapshot-load", "snapshot-save", "timeout", "wal-dir", "wal-sync",
-	"wal-sync-interval", "warm",
+	"acquire-timeout", "addr", "cache-bytes", "drain", "heavy", "load",
+	"max-inflight", "remote", "snapshot-load", "snapshot-save", "timeout",
+	"wal-dir", "wal-sync", "wal-sync-interval",
 }
 
 // removedFlags selected paths that no longer exist; each must be rejected
@@ -25,6 +24,7 @@ var removedFlags = []string{
 	"no-coalesce", "ingest-workers", "query-workers", "inc-workers", "inc-chunk", "inc-rounds", "flush-rows",
 	"role", "fleet-coordinator", "fleet-dir", "fleet-poll", "fleet-replicas", "fleet-fallback",
 	"probe-interval", "retry-budget", "hedge-delay", "no-hedge", "breaker-failures", "breaker-open",
+	"hvs-snapshot", "no-hvs", "no-decomposer", "warm", "persons",
 }
 
 func newFlagSet() *flag.FlagSet {

@@ -8,8 +8,9 @@
 //	/readyz   — readiness probe (503 while loading, replaying, draining)
 //	/metrics  — serving-tier metrics (routes, cache, admission, latency)
 //
-// The knowledge base is either loaded from a file (-load data.nt) or
-// generated synthetically (-persons N). Use -remote URL to proxy a remote
+// The knowledge base is loaded from a file (-load data.nt) or a binary
+// snapshot (-snapshot-load); with neither the server starts on an empty
+// store that writes fill. Use -remote URL to proxy a remote
 // Virtuoso-style endpoint instead of the local engine (the paper's
 // remote-compatibility mode; the decomposer tier is disabled there since
 // local indexes cannot mirror remote data).
@@ -18,31 +19,25 @@
 // log before it is acknowledged; after a crash the boot sequence is
 // snapshot-load → WAL-replay → serve, so no acknowledged triple is ever
 // lost. SIGINT/SIGTERM triggers a graceful drain (deadline -drain),
-// after which snapshots are saved and the WAL is checkpointed.
+// after which the store snapshot is saved and the WAL is checkpointed.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"runtime"
 	"syscall"
 	"time"
 
 	"elinda"
-	"elinda/internal/datagen"
 	"elinda/internal/endpoint"
 	"elinda/internal/proxy"
 	"elinda/internal/rdf"
 	"elinda/internal/store"
-	"elinda/internal/vfs"
 	"elinda/internal/wal"
 )
 
@@ -52,14 +47,9 @@ import (
 type config struct {
 	addr      string
 	load      string
-	persons   int
 	heavy     time.Duration
-	noHVS     bool
-	noDecomp  bool
 	remote    string
-	warm      bool
 	timeout   time.Duration
-	hvsSnap   string
 	snapLoad  string
 	snapSave  string
 	walDir    string
@@ -74,15 +64,10 @@ type config struct {
 func defineFlags(fs *flag.FlagSet) *config {
 	c := new(config)
 	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
-	fs.StringVar(&c.load, "load", "", "load dataset from an .nt or .ttl file instead of generating")
-	fs.IntVar(&c.persons, "persons", 2000, "synthetic dataset size (Person subtree)")
+	fs.StringVar(&c.load, "load", "", "load the dataset from an .nt or .ttl file (with no data flag the store starts empty)")
 	fs.DurationVar(&c.heavy, "heavy", time.Second, "HVS heaviness threshold")
-	fs.BoolVar(&c.noHVS, "no-hvs", false, "disable the heavy query store")
-	fs.BoolVar(&c.noDecomp, "no-decomposer", false, "disable the decomposer")
 	fs.StringVar(&c.remote, "remote", "", "route queries to a remote SPARQL endpoint URL")
-	fs.BoolVar(&c.warm, "warm", true, "precompute level-zero aggregates at startup")
 	fs.DurationVar(&c.timeout, "timeout", 2*time.Minute, "per-query execution timeout")
-	fs.StringVar(&c.hvsSnap, "hvs-snapshot", "", "persist the heavy query store to this file (restored at boot, saved on shutdown)")
 
 	fs.StringVar(&c.snapLoad, "snapshot-load", "", "restore the triple store from this binary snapshot (skips parsing entirely; falls back to a cold load when missing)")
 	fs.StringVar(&c.snapSave, "snapshot-save", "", "save the triple store to this binary snapshot after loading and on SIGTERM")
@@ -108,9 +93,9 @@ func main() {
 
 	// Interrupted atomic saves leave *.tmp files next to their targets;
 	// clear them before anything reads or rewrites those directories.
-	sweepStaleTemp(c.snapLoad, c.snapSave, c.hvsSnap)
+	sweepStaleTemp(c.snapLoad, c.snapSave)
 
-	st, fromSnapshot, err := buildStore(c.snapLoad, c.load, c.persons)
+	st, fromSnapshot, err := buildStore(c.snapLoad, c.load)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -144,16 +129,13 @@ func main() {
 		st.AttachWAL(w)
 	}
 
-	opts := proxy.Options{
-		HeavyThreshold:    c.heavy,
-		DisableHVS:        c.noHVS,
-		DisableDecomposer: c.noDecomp || c.remote != "",
-		CacheMaxBytes:     c.cacheMax,
-	}
+	opts := proxy.Options{HeavyThreshold: c.heavy, CacheMaxBytes: c.cacheMax}
 	var sys *elinda.System
 	if c.remote == "" {
 		sys = elinda.NewSystemFromStore(st, opts)
 	} else {
+		// Local indexes cannot mirror remote data: no decomposer tier.
+		opts.DisableDecomposer = true
 		sys = &elinda.System{Store: st}
 		sys.Proxy = proxy.NewWithBackend(st, endpoint.NewClient(c.remote), opts)
 	}
@@ -171,24 +153,11 @@ func main() {
 		}
 	}
 
-	if c.warm && c.remote == "" {
+	if c.remote == "" {
 		ready.Set("warming")
 		start := time.Now()
 		sys.Warm()
 		log.Printf("warmed level-zero aggregates in %s", time.Since(start))
-	}
-
-	var savers []saver
-	if c.hvsSnap != "" {
-		if err := restoreHVS(sys, c.hvsSnap); err != nil {
-			log.Printf("hvs snapshot restore skipped: %v", err)
-		} else {
-			log.Printf("hvs restored from %s (%d entries)", c.hvsSnap, sys.Proxy.HVS().Len())
-		}
-		savers = append(savers, saver{name: "hvs snapshot " + c.hvsSnap, save: func() error { return saveHVS(sys, c.hvsSnap) }})
-	}
-	if c.snapSave != "" {
-		savers = append(savers, saver{name: "store snapshot " + c.snapSave, save: func() error { return sys.Store.SaveSnapshot(c.snapSave) }})
 	}
 
 	sparqlSrv := sys.Endpoint()
@@ -198,21 +167,27 @@ func main() {
 		sparqlSrv.Limiter = endpoint.NewLimiter(c.inflight)
 	}
 
-	log.Printf("eLinda server on %s (triples=%d hvs=%v decomposer=%v remote=%q wal=%q)",
-		c.addr, sys.Store.Len(), !opts.DisableHVS, !opts.DisableDecomposer, c.remote, c.walDir)
+	log.Printf("eLinda server on %s (triples=%d remote=%q wal=%q)", c.addr, sys.Store.Len(), c.remote, c.walDir)
 	ready.Ready()
 	// Graceful shutdown: flip the readiness probe so load balancers stop
 	// routing here, drain in-flight requests up to the deadline, then
 	// persist. The store save checkpoints the WAL; Close seals it.
-	err = serveWithDrain(c.addr, writerHandler(sys, sparqlSrv, &ready, w), c.drain, &ready, savers)
-	if err != nil {
+	if err := serveWithDrain(c.addr, writerHandler(sys, sparqlSrv, &ready, w), c.drain, &ready); err != nil {
 		log.Fatal(err)
+	}
+	if c.snapSave != "" {
+		if err := sys.Store.SaveSnapshot(c.snapSave); err != nil {
+			log.Printf("store snapshot %s save failed: %v", c.snapSave, err)
+		} else {
+			log.Printf("store snapshot %s saved", c.snapSave)
+		}
 	}
 	if w != nil {
 		if err := w.Close(); err != nil {
 			log.Printf("wal close: %v", err)
 		}
 	}
+	log.Printf("bye")
 }
 
 // writerHandler assembles the server's HTTP surface; w is nil without
@@ -239,9 +214,9 @@ func writerHandler(sys *elinda.System, sparqlSrv *endpoint.Server, ready *endpoi
 
 // serveWithDrain runs an HTTP server until SIGINT/SIGTERM, then drains:
 // the readiness probe flips to "draining" before Shutdown so load
-// balancers route around the instance first, and the savers run once the
+// balancers route around the instance first. It returns nil once the
 // drain is over. handler already recovers its own panics (endpoint.Ops).
-func serveWithDrain(addr string, handler http.Handler, drain time.Duration, ready *endpoint.Readiness, savers []saver) error {
+func serveWithDrain(addr string, handler http.Handler, drain time.Duration, ready *endpoint.Readiness) error {
 	srv := &http.Server{
 		Addr:              addr,
 		Handler:           handler,
@@ -264,8 +239,6 @@ func serveWithDrain(addr string, handler http.Handler, drain time.Duration, read
 	if err := srv.Shutdown(drainCtx); err != nil {
 		log.Printf("drain incomplete: %v", err)
 	}
-	runSavers(savers)
-	log.Printf("bye")
 	return nil
 }
 
@@ -275,79 +248,4 @@ func healthz(st *store.Store) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "ok triples=%d generation=%d\n", st.Len(), st.Generation())
 	}
-}
-
-// sweepStaleTemp removes *.tmp leftovers of interrupted atomic saves
-// from the directory of each given persistence path. Empty paths are
-// skipped; the WAL directory is swept by wal.Open itself.
-func sweepStaleTemp(paths ...string) {
-	seen := make(map[string]bool)
-	for _, p := range paths {
-		if p == "" {
-			continue
-		}
-		dir := filepath.Dir(p)
-		if seen[dir] {
-			continue
-		}
-		seen[dir] = true
-		removed, err := vfs.SweepTemp(vfs.OS, dir)
-		if err != nil {
-			log.Printf("stale temp sweep of %s: %v", dir, err)
-			continue
-		}
-		for _, f := range removed {
-			log.Printf("removed stale temp file %s", f)
-		}
-	}
-}
-
-// buildStore assembles the triple store by the fastest route available:
-// a binary snapshot (instant warm start, no parsing), a streamed parallel
-// ingest of a dataset file, or the synthetic generator. The second result
-// reports whether the store came from the snapshot, so the caller can
-// skip the redundant startup save.
-func buildStore(snapPath, load string, persons int) (*store.Store, bool, error) {
-	if snapPath != "" {
-		start := time.Now()
-		st, err := store.OpenSnapshot(snapPath)
-		if err == nil {
-			log.Printf("restored store snapshot %s in %s (%d triples, generation %d)",
-				snapPath, time.Since(start).Round(time.Millisecond), st.Len(), st.Generation())
-			return st, true, nil
-		}
-		if !errors.Is(err, fs.ErrNotExist) {
-			// A corrupt or incompatible snapshot is an operator problem;
-			// silently re-parsing would hide it.
-			return nil, false, err
-		}
-		log.Printf("no store snapshot at %s yet; cold loading", snapPath)
-	}
-	if load != "" {
-		f, err := os.Open(load)
-		if err != nil {
-			return nil, false, fmt.Errorf("opening dataset: %w", err)
-		}
-		defer f.Close()
-		st := store.New(0)
-		start := time.Now()
-		n, err := st.LoadStream(f, store.StreamOptions{Syntax: rdf.DetectFormat(load)})
-		if err != nil {
-			return nil, false, err
-		}
-		log.Printf("streamed %d triples from %s in %s", n, load, time.Since(start).Round(time.Millisecond))
-		// A GC landing mid-ingest can set a heap goal twice the store's,
-		// which serving then fills (peaks varied by ~150 MB between boots):
-		// collect once so serving starts from a goal set by the store.
-		runtime.GC()
-		return st, false, nil
-	}
-	cfg := elinda.DefaultDataConfig()
-	cfg.Persons = persons
-	ts := datagen.Generate(cfg).Triples
-	st := store.New(len(ts))
-	if _, err := st.Load(ts); err != nil {
-		return nil, false, err
-	}
-	return st, false, nil
 }

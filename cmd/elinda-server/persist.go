@@ -6,60 +6,79 @@ import (
 	"io/fs"
 	"log"
 	"os"
+	"path/filepath"
+	"runtime"
+	"time"
 
-	"elinda"
+	"elinda/internal/rdf"
+	"elinda/internal/store"
+	"elinda/internal/vfs"
 )
 
-// restoreHVS loads a heavy-query-store snapshot from path if one exists;
-// its entries are kept only if it was saved at the store's current
-// generation. A missing file is not an error on first boot.
-func restoreHVS(sys *elinda.System, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return fmt.Errorf("no snapshot at %s yet", path)
+// sweepStaleTemp removes *.tmp leftovers of interrupted atomic saves
+// from the directory of each given persistence path. Empty paths are
+// skipped; the WAL directory is swept by wal.Open itself.
+func sweepStaleTemp(paths ...string) {
+	seen := make(map[string]bool)
+	for _, p := range paths {
+		if p == "" {
+			continue
 		}
-		return err
+		dir := filepath.Dir(p)
+		if seen[dir] {
+			continue
+		}
+		seen[dir] = true
+		removed, err := vfs.SweepTemp(vfs.OS, dir)
+		if err != nil {
+			log.Printf("stale temp sweep of %s: %v", dir, err)
+			continue
+		}
+		for _, f := range removed {
+			log.Printf("removed stale temp file %s", f)
+		}
+	}
+}
+
+// buildStore assembles the triple store by the fastest route available:
+// a binary snapshot (instant warm start, no parsing), a streamed parallel
+// ingest of a dataset file, or, with neither, an empty store. The second
+// result reports whether the store came from the snapshot, so the caller
+// can skip the redundant startup save.
+func buildStore(snapPath, load string) (*store.Store, bool, error) {
+	if snapPath != "" {
+		start := time.Now()
+		st, err := store.OpenSnapshot(snapPath)
+		if err == nil {
+			log.Printf("restored store snapshot %s in %s (%d triples, generation %d)",
+				snapPath, time.Since(start).Round(time.Millisecond), st.Len(), st.Generation())
+			return st, true, nil
+		}
+		if !errors.Is(err, fs.ErrNotExist) {
+			// A corrupt or incompatible snapshot is an operator problem;
+			// silently re-parsing would hide it.
+			return nil, false, err
+		}
+		log.Printf("no store snapshot at %s yet; cold loading", snapPath)
+	}
+	if load == "" {
+		return store.New(0), false, nil
+	}
+	f, err := os.Open(load)
+	if err != nil {
+		return nil, false, fmt.Errorf("opening dataset: %w", err)
 	}
 	defer f.Close()
-	return sys.Proxy.HVS().Restore(f, sys.Store.Generation())
-}
-
-// saveHVS writes the current cache to path atomically (write to a temp
-// file, then rename).
-func saveHVS(sys *elinda.System, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	st := store.New(0)
+	start := time.Now()
+	n, err := st.LoadStream(f, store.StreamOptions{Syntax: rdf.DetectFormat(load)})
 	if err != nil {
-		return err
+		return nil, false, err
 	}
-	if err := sys.Proxy.HVS().Snapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// saver is one persistence action run at shutdown.
-type saver struct {
-	name string
-	save func() error
-}
-
-// runSavers runs every registered saver, called after the graceful drain
-// completes — the store's binary snapshot and the HVS cache both land on
-// disk before the process exits, so the next boot warm-starts.
-func runSavers(savers []saver) {
-	for _, s := range savers {
-		if err := s.save(); err != nil {
-			log.Printf("%s save failed: %v", s.name, err)
-		} else {
-			log.Printf("%s saved", s.name)
-		}
-	}
+	log.Printf("streamed %d triples from %s in %s", n, load, time.Since(start).Round(time.Millisecond))
+	// A GC landing mid-ingest can set a heap goal twice the store's,
+	// which serving then fills (peaks varied by ~150 MB between boots):
+	// collect once so serving starts from a goal set by the store.
+	runtime.GC()
+	return st, false, nil
 }

@@ -5,7 +5,9 @@
 // configuration — plain generic engine (the Virtuoso role), eLinda
 // decomposer, and HVS hit — plus a demonstration of chunked incremental
 // evaluation. Proxy options are fixed at construction, so each
-// configuration is its own system over the one loaded store.
+// configuration is its own executor over the one loaded store: the
+// engine alone, a proxy whose heaviness threshold no answer reaches (the
+// HVS stays empty), and a proxy that caches everything.
 //
 // Usage:
 //
@@ -21,9 +23,11 @@ import (
 
 	"elinda"
 	"elinda/internal/core"
+	"elinda/internal/endpoint"
 	"elinda/internal/incremental"
 	"elinda/internal/proxy"
 	"elinda/internal/rdf"
+	"elinda/internal/sparql"
 )
 
 func main() {
@@ -47,30 +51,30 @@ func main() {
 
 	configs := []struct {
 		name string
-		opts proxy.Options
+		exec endpoint.Executor
+		warm bool
 	}{
 		{"Virtuoso (generic engine, no eLinda optimizations)",
-			proxy.Options{DisableHVS: true, DisableDecomposer: true}},
+			sparql.NewEngine(sys.Store), false},
 		{"eLinda decomposer (HVS off)",
-			proxy.Options{DisableHVS: true}},
+			proxy.New(sys.Store, proxy.Options{HeavyThreshold: time.Hour}), false},
 		{"eLinda HVS (warm cache)",
-			proxy.Options{HeavyThreshold: time.Nanosecond}},
+			proxy.New(sys.Store, proxy.Options{HeavyThreshold: time.Nanosecond}), true},
 	}
 
 	fmt.Println("Figure 4 — runtimes of level-zero property expansions:")
 	fmt.Printf("%-52s %12s %12s\n", "configuration", "outgoing", "incoming")
 	for _, c := range configs {
-		px := elinda.NewSystemFromStore(sys.Store, c.opts).Proxy
 		times := map[string]time.Duration{}
 		for dir, q := range queries {
-			if c.name == "eLinda HVS (warm cache)" {
+			if c.warm {
 				// Warm the cache with one pass first.
-				if _, err := px.Query(context.Background(), q); err != nil {
+				if _, err := c.exec.Query(context.Background(), q); err != nil {
 					log.Fatal(err)
 				}
 			}
 			start := time.Now()
-			if _, err := px.Query(context.Background(), q); err != nil {
+			if _, err := c.exec.Query(context.Background(), q); err != nil {
 				log.Fatal(err)
 			}
 			times[dir] = time.Since(start)

@@ -1,7 +1,6 @@
 package hvs
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -231,33 +230,11 @@ func TestFootprintRetentionProperty(t *testing.T) {
 	}
 }
 
-// TestFootprintSurvivesSnapshot: the footprint round-trips through the
-// gob snapshot, so a restored cache keeps its delta-retention behavior.
-func TestFootprintSurvivesSnapshot(t *testing.T) {
-	s := New(time.Millisecond)
-	q := "SELECT ?s WHERE { ?s <http://x/pA> ?o }"
-	s.RecordFootprint(q, res("a"), time.Second, 1, fpOf(t, q), nil)
-	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored := New(time.Millisecond)
-	if err := restored.Restore(&buf, 1); err != nil {
-		t.Fatal(err)
-	}
-	if retained, evicted := restored.ApplyDelta(1, 2, opsFor(triple("s", "pZ", "o")), refuse); retained != 1 || evicted != 0 {
-		t.Fatalf("restored entry lost its footprint: (%d, %d)", retained, evicted)
-	}
-	if _, ok := restored.Lookup(q, 2); !ok {
-		t.Fatal("restored disjoint entry not served after delta")
-	}
-}
-
 // TestApplyDeltaFold: an overlapping entry is offered to the fold with
-// its key and Shape. Keeping the answer retains the entry unchanged, a
+// its Shape. Keeping the answer retains the entry unchanged, a
 // rewritten answer replaces it (re-costed, counted as folded and as
 // retained), and a refusal or a rewrite past MaxBytes evicts.
-// Disjoint entries are never offered. The Shape is not persisted.
+// Disjoint entries are never offered.
 func TestApplyDeltaFold(t *testing.T) {
 	s := New(time.Millisecond)
 	s.MaxBytes = 4 * ResultBytes(resN("x", 10))
@@ -269,7 +246,7 @@ func TestApplyDeltaFold(t *testing.T) {
 	ops := opsFor(triple("s", "keep", "o"), triple("s", "rewrite", "o"), triple("s", "refuse", "o"), triple("s", "grow", "o"))
 
 	offered := map[string]bool{}
-	fold := func(key string, e *Entry) (*sparql.Result, bool) {
+	fold := func(e *Entry) (*sparql.Result, bool) {
 		offered[e.Shape.(string)] = true
 		switch e.Shape {
 		case "keep":
@@ -298,18 +275,6 @@ func TestApplyDeltaFold(t *testing.T) {
 	if retained, evicted := s.ApplyDelta(2, 3, ops, refuse); retained != 1 || evicted != 2 {
 		t.Fatalf("refusing fold: ApplyDelta = (%d, %d), want (1, 2)", retained, evicted)
 	}
-
-	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored := New(time.Millisecond)
-	if err := restored.Restore(&buf, 3); err != nil {
-		t.Fatal(err)
-	}
-	if e, ok := restored.Entry(q("other")); !ok || e.Shape != nil {
-		t.Fatalf("restored entry = (%+v, %v), want one without a Shape", e, ok)
-	}
 }
 
 // TestKeptBodies: a body kept beside an entry is returned by LookupBody
@@ -318,7 +283,7 @@ func TestApplyDeltaFold(t *testing.T) {
 // the same answer), dropped with the answer when a fold rewrites it or
 // a write evicts it, and never attached to an answer the entry no longer
 // holds. A body that takes the cache over MaxBytes evicts in LRU order;
-// one its entry alone cannot hold is not kept. Snapshots carry no body.
+// one its entry alone cannot hold is not kept.
 func TestKeptBodies(t *testing.T) {
 	q := func(name string) string { return "SELECT ?s WHERE { ?s <http://x/" + name + "> ?o }" }
 	body := []byte(`{"kept":true}`)
@@ -345,7 +310,7 @@ func TestKeptBodies(t *testing.T) {
 	}
 
 	ops := opsFor(triple("s", "same", "o"), triple("s", "rewrite", "o"), triple("s", "evict", "o"))
-	s.ApplyDelta(1, 2, ops, func(_ string, e *Entry) (*sparql.Result, bool) {
+	s.ApplyDelta(1, 2, ops, func(e *Entry) (*sparql.Result, bool) {
 		switch e.Shape {
 		case "same":
 			return e.Result, true
@@ -366,21 +331,6 @@ func TestKeptBodies(t *testing.T) {
 	s.KeepBody(q("rewrite"), res("rewrite"), "application/json", body) // the old answer: nothing to keep it for
 	if _, b, _ := s.LookupBody(q("rewrite"), 2, "application/json"); b != nil {
 		t.Fatalf("a body of the pre-write answer was kept: %q", b)
-	}
-
-	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored := New(time.Millisecond)
-	if err := restored.Restore(&buf, 2); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := restored.Stats().Bytes, ResultBytes(res("retag"))+ResultBytes(res("same"))+rewritten; got != want {
-		t.Fatalf("restored Bytes = %d, want the results' %d", got, want)
-	}
-	if _, b, _ := restored.LookupBody(q("same"), 2, "application/json"); b != nil {
-		t.Fatalf("a restored entry has a body: %q", b)
 	}
 
 	// Budget: room for three results and one body. "a" is the least

@@ -67,18 +67,10 @@ type Entry struct {
 	Footprint *sparql.Footprint
 	// Shape is what the recorder derived from the query for ApplyDelta's
 	// fold (the proxy keeps its object-expansion detection here). It is
-	// opaque to the store and not persisted: a restored entry has none.
+	// opaque to the store.
 	Shape any
 
-	bodies map[string][]byte // Result encoded per content type; not persisted
-}
-
-// bodyBytes is the part of Bytes the entry's bodies take.
-func (e *Entry) bodyBytes() (n int64) {
-	for _, b := range e.bodies {
-		n += int64(len(b))
-	}
-	return n
+	bodies map[string][]byte // Result encoded per content type
 }
 
 // Stats summarizes store activity.
@@ -335,25 +327,20 @@ func (s *Store) admitLocked(generation uint64) bool {
 	case generation < s.generation:
 		return false
 	case generation > s.generation:
-		s.clearCountedLocked()
+		s.clearLocked()
 	}
 	s.generation, s.haveGen = generation, true
 	return true
 }
 
-// clearLocked resets the entries, the LRU order, and the byte accounting.
+// clearLocked is a wholesale invalidation: it resets the entries, the
+// LRU order and the byte accounting, counted when it dropped anything.
 func (s *Store) clearLocked() {
-	s.entries = make(map[string]*Entry)
-	s.lruOf = make(map[string]*list.Element)
-	s.lru.Init()
-	s.totalBytes = 0
-}
-
-// clearCountedLocked is a wholesale invalidation: clearLocked, counted
-// when it dropped anything.
-func (s *Store) clearCountedLocked() {
 	if len(s.entries) > 0 {
-		s.clearLocked()
+		s.entries = make(map[string]*Entry)
+		s.lruOf = make(map[string]*list.Element)
+		s.lru.Init()
+		s.totalBytes = 0
 		s.invalidations++
 	}
 }
@@ -364,10 +351,9 @@ func (s *Store) clearCountedLocked() {
 // generation. An entry whose footprint overlaps (or is nil/wild) is
 // offered to fold, which returns the entry's answer at 'to' (its own
 // Result when the mutation leaves it unchanged) or ok=false; only a
-// refusal evicts it. fold runs under the store's lock
-// and may fill in a restored entry's Shape. A rewritten answer is
-// re-costed, and one larger than MaxBytes is evicted like a refusal; the
-// budget then evicts in LRU order as usual. A cache already at 'to' or
+// refusal evicts it. fold runs under the store's lock. A rewritten
+// answer is re-costed, and one larger than MaxBytes is evicted like a
+// refusal; the budget then evicts in LRU order as usual. A cache already at 'to' or
 // later has nothing to learn from the delta (a reader at the new
 // generation got there first) and is left alone. A cache at any other
 // generation missed a write, so provenance is unknown and the paper's
@@ -375,7 +361,7 @@ func (s *Store) clearCountedLocked() {
 //
 // It returns how many entries were retained (folded ones included) and
 // evicted.
-func (s *Store) ApplyDelta(from, to uint64, ops []rdf.TripleOp, fold func(key string, e *Entry) (*sparql.Result, bool)) (retained, evicted int) {
+func (s *Store) ApplyDelta(from, to uint64, ops []rdf.TripleOp, fold func(e *Entry) (*sparql.Result, bool)) (retained, evicted int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.haveGen && s.generation >= to {
@@ -383,7 +369,7 @@ func (s *Store) ApplyDelta(from, to uint64, ops []rdf.TripleOp, fold func(key st
 	}
 	if !s.haveGen || s.generation != from {
 		n := len(s.entries)
-		s.clearCountedLocked()
+		s.clearLocked()
 		s.generation, s.haveGen = to, true
 		return 0, n
 	}
@@ -397,7 +383,7 @@ func (s *Store) ApplyDelta(from, to uint64, ops []rdf.TripleOp, fold func(key st
 			continue
 		}
 		//lint:ignore maporder each fold reads its own entry and the snapshot alone; the outcome is per-entry, so call order cannot reach output
-		res, ok := fold(k, e)
+		res, ok := fold(e)
 		if ok && res != e.Result {
 			bytes := ResultBytes(res)
 			if ok = s.MaxBytes <= 0 || bytes <= s.MaxBytes; ok {

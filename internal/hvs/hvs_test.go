@@ -19,7 +19,7 @@ func res(v string) *sparql.Result {
 
 // refuse is an ApplyDelta fold that folds nothing, so every overlapping
 // entry is evicted.
-func refuse(string, *Entry) (*sparql.Result, bool) { return nil, false }
+func refuse(*Entry) (*sparql.Result, bool) { return nil, false }
 
 func TestNormalize(t *testing.T) {
 	a := Normalize("SELECT ?s  WHERE {\n  ?s ?p ?o .\n}")

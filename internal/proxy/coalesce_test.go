@@ -62,7 +62,7 @@ func coalesceFixture(t *testing.T, delay time.Duration, opts Options) (*Proxy, *
 // exactly once and all share the result.
 func TestCoalescingSingleExecution(t *testing.T) {
 	p, exec := coalesceFixture(t, 50*time.Millisecond,
-		Options{DisableHVS: true, DisableDecomposer: true, HeavyThreshold: time.Hour})
+		Options{DisableDecomposer: true, HeavyThreshold: time.Hour})
 
 	const K = 64
 	start := make(chan struct{})
@@ -103,7 +103,7 @@ func TestCoalescingSingleExecution(t *testing.T) {
 // streaming path: the leader streams, followers replay the shared result.
 func TestCoalescingStreamingSingleExecution(t *testing.T) {
 	p, exec := coalesceFixture(t, 50*time.Millisecond,
-		Options{DisableHVS: true, DisableDecomposer: true, HeavyThreshold: time.Hour})
+		Options{DisableDecomposer: true, HeavyThreshold: time.Hour})
 
 	const K = 32
 	start := make(chan struct{})
@@ -139,7 +139,7 @@ func TestCoalescingStreamingSingleExecution(t *testing.T) {
 // execution.
 func TestCoalescingDistinctQueries(t *testing.T) {
 	p, exec := coalesceFixture(t, 30*time.Millisecond,
-		Options{DisableHVS: true, DisableDecomposer: true, HeavyThreshold: time.Hour})
+		Options{DisableDecomposer: true, HeavyThreshold: time.Hour})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -162,7 +162,7 @@ func TestCoalescingDistinctQueries(t *testing.T) {
 // leader's context error.
 func TestCoalescingFollowerRetriesAfterLeaderCancel(t *testing.T) {
 	p, exec := coalesceFixture(t, 60*time.Millisecond,
-		Options{DisableHVS: true, DisableDecomposer: true, HeavyThreshold: time.Hour})
+		Options{DisableDecomposer: true, HeavyThreshold: time.Hour})
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
@@ -196,7 +196,7 @@ func TestCoalescingFollowerRetriesAfterLeaderCancel(t *testing.T) {
 // must not block on the flight.
 func TestCoalescingFollowerHonorsOwnContext(t *testing.T) {
 	p, _ := coalesceFixture(t, 80*time.Millisecond,
-		Options{DisableHVS: true, DisableDecomposer: true, HeavyThreshold: time.Hour})
+		Options{DisableDecomposer: true, HeavyThreshold: time.Hour})
 	go p.Query(context.Background(), plainQuery)
 	time.Sleep(20 * time.Millisecond)
 

@@ -88,11 +88,12 @@ func randomDelta(r *rand.Rand, st *store.Store) store.Delta {
 // order onto a fresh store, and every answer — whichever tier served it:
 // the HVS after a retag, the maintained decomposer memo, a coalesced
 // leader or the engine — must equal the engine's answer on the replay at
-// one of the generations inside its bracket. With the HVS off, every
-// property expansion reaches the decomposer memo.
+// one of the generations inside its bracket. With a threshold no answer
+// reaches the HVS stays empty, and every property expansion reaches the
+// decomposer memo.
 func TestAnswersAtSomeGenerationUnderWrites(t *testing.T) {
 	t.Run("hvs", func(t *testing.T) { answersUnderWrites(t, Options{HeavyThreshold: time.Nanosecond}) })
-	t.Run("no-hvs", func(t *testing.T) { answersUnderWrites(t, Options{DisableHVS: true}) })
+	t.Run("no-hvs", func(t *testing.T) { answersUnderWrites(t, Options{HeavyThreshold: time.Hour}) })
 }
 
 func answersUnderWrites(t *testing.T, opts Options) {
@@ -209,7 +210,10 @@ func answersUnderWrites(t *testing.T, opts Options) {
 		}
 	}
 	counts := p.RouteCounts()
-	if counts[RouteHVS] == 0 && !opts.DisableHVS || counts[RouteDecomposer] == 0 || counts[RouteBackend] == 0 {
+	if hvsOff := opts.HeavyThreshold == time.Hour; (counts[RouteHVS] == 0) != hvsOff {
+		t.Fatalf("HVS answered %d reads with a threshold of %s", counts[RouteHVS], opts.HeavyThreshold)
+	}
+	if counts[RouteDecomposer] == 0 || counts[RouteBackend] == 0 {
 		t.Fatalf("a tier never answered: %v", counts)
 	}
 	t.Logf("%d answers over %d writes checked; routes %v", len(answers), len(applied), counts)

@@ -17,10 +17,10 @@
 // tiers instead of clearing them, and per-tier latency histograms feed
 // the server's /metrics endpoint.
 //
-// Options are fixed at construction (the server sets them from -no-hvs /
-// -no-decomposer and friends), so the read path takes no proxy-level
-// lock; comparing configurations means building one proxy per
-// configuration over the shared store.
+// Options are fixed at construction, so the read path takes no
+// proxy-level lock; comparing configurations means building one proxy per
+// configuration over the shared store. A HeavyThreshold no answer reaches
+// (say time.Hour) leaves the HVS empty: the decomposer and backend alone.
 //
 // The proxy implements endpoint.BodyExecutor, so it can be served over
 // HTTP by endpoint.Server, giving the full browser → proxy → cache/DB
@@ -75,11 +75,8 @@ func (r Route) String() string {
 type Options struct {
 	// HeavyThreshold is the HVS heaviness cutoff (paper: 1 s).
 	HeavyThreshold time.Duration
-	// DisableHVS turns the cache tier off. Like every field here it is
-	// fixed at construction; the server sets it from -no-hvs.
-	DisableHVS bool
-	// DisableDecomposer turns the index tier off (the server's
-	// -no-decomposer, and always under -remote).
+	// DisableDecomposer turns the index tier off; the server sets it
+	// under -remote, where local indexes cannot mirror the remote data.
 	DisableDecomposer bool
 	// CacheMaxBytes is the HVS byte budget: the approximate total result
 	// bytes the cache may hold before LRU eviction kicks in (0 =
@@ -200,12 +197,8 @@ func (p *Proxy) maintainLocked(res store.ApplyResult) {
 		ops = append(ops, rdf.Delete(dict.Decode(e)))
 	}
 	snap := p.st.Snapshot()
-	p.cache.ApplyDelta(res.From, res.To, ops, func(key string, e *hvs.Entry) (*sparql.Result, bool) {
-		sh, recorded := e.Shape.(objectShape)
-		if !recorded { // restored from disk: derive it once from the key
-			sh = shapeOf(sparql.Parse(key))
-			e.Shape = sh
-		}
+	p.cache.ApplyDelta(res.From, res.To, ops, func(e *hvs.Entry) (*sparql.Result, bool) {
+		sh, _ := e.Shape.(objectShape)
 		if !sh.ok {
 			return nil, false
 		}
@@ -318,13 +311,11 @@ func (p *Proxy) QueryRows(ctx context.Context, src string, sink sparql.RowSink) 
 // when possible, with the body kept beside the answer for contentType.
 // served=false means the caller must run the backend tier.
 func (p *Proxy) tryCacheTiers(src string, gen uint64, start time.Time, contentType string) (*sparql.Result, []byte, Trace, bool) {
-	if !p.opts.DisableHVS {
-		if cached, body, ok := p.cache.LookupBody(src, gen, contentType); ok {
-			tr := Trace{Route: RouteHVS, Runtime: time.Since(start), Heavy: true}
-			p.record(tr)
-			body = servedBody(cached, contentType, body, func(b []byte) { p.cache.KeepBody(src, cached, contentType, b) })
-			return cached, body, tr, true
-		}
+	if cached, body, ok := p.cache.LookupBody(src, gen, contentType); ok {
+		tr := Trace{Route: RouteHVS, Runtime: time.Since(start), Heavy: true}
+		p.record(tr)
+		body = servedBody(cached, contentType, body, func(b []byte) { p.cache.KeepBody(src, cached, contentType, b) })
+		return cached, body, tr, true
 	}
 	// Tier 2: decomposer (needs a parsed query; parse errors fall through
 	// to the backend so that remote dialects we cannot parse still work).
@@ -332,12 +323,10 @@ func (p *Proxy) tryCacheTiers(src string, gen uint64, start time.Time, contentTy
 		if q, err := sparql.Parse(src); err == nil {
 			if res, r, ok := p.dec.TryAnswer(q); ok {
 				runtime := time.Since(start)
-				tr := Trace{Route: RouteDecomposer, Runtime: runtime}
 				// Even decomposed answers can be heavy on cold indexes;
 				// cache them so repeats hit tier 1.
-				if !p.opts.DisableHVS {
-					tr.Heavy = p.cache.RecordFootprint(src, res, runtime, gen, q.Footprint(), objectShape{})
-				}
+				tr := Trace{Route: RouteDecomposer, Runtime: runtime,
+					Heavy: p.cache.RecordFootprint(src, res, runtime, gen, q.Footprint(), objectShape{})}
 				p.record(tr)
 				var body []byte
 				if r != nil { // encoded after the runtime is taken: heaviness is execution alone
@@ -380,9 +369,7 @@ func (p *Proxy) backendDirect(ctx context.Context, src string, gen uint64, start
 	if err != nil {
 		return nil, tr, err
 	}
-	if !p.opts.DisableHVS {
-		tr.Heavy = p.recordHeavy(src, res, runtime, gen)
-	}
+	tr.Heavy = p.recordHeavy(src, res, runtime, gen)
 	p.record(tr)
 	return res, tr, nil
 }
@@ -500,7 +487,7 @@ func (p *Proxy) record(tr Trace) {
 	}
 }
 
-// HVS exposes the cache tier (for stats and snapshot persistence).
+// HVS exposes the cache tier (for stats and introspection).
 func (p *Proxy) HVS() *hvs.Store { return p.cache }
 
 // Decomposer exposes the index tier (for warming).

@@ -80,15 +80,17 @@ func TestHVSServesRepeats(t *testing.T) {
 	}
 }
 
+// TestHVSDisabled: a threshold no answer reaches turns the HVS off, so
+// repeats run on the backend again.
 func TestHVSDisabled(t *testing.T) {
-	p := New(fixture(t), Options{HeavyThreshold: time.Nanosecond, DisableHVS: true})
+	p := New(fixture(t), Options{HeavyThreshold: time.Hour})
 	p.Query(context.Background(), plainQuery)
 	_, tr, _ := p.QueryTraced(context.Background(), plainQuery)
-	if tr.Route != RouteBackend {
-		t.Errorf("route with HVS off = %v", tr.Route)
+	if tr.Route != RouteBackend || tr.Heavy {
+		t.Errorf("repeat with the HVS off = %+v", tr)
 	}
 	if p.HVS().Len() != 0 {
-		t.Error("HVS stored entries while disabled")
+		t.Error("HVS stored entries while off")
 	}
 }
 
@@ -250,7 +252,7 @@ func TestConfigurationsShareStore(t *testing.T) {
 	st := fixture(t)
 	proxies := map[string]*Proxy{
 		"all tiers":     New(st, Options{HeavyThreshold: time.Nanosecond}),
-		"no hvs":        New(st, Options{DisableHVS: true}),
+		"no hvs":        New(st, Options{HeavyThreshold: time.Hour}),
 		"no decomposer": New(st, Options{HeavyThreshold: time.Nanosecond, DisableDecomposer: true}),
 	}
 	queries := []string{plainQuery, expansionQuery}

@@ -56,7 +56,7 @@ func TestCachedBodiesServed(t *testing.T) {
 		route Route
 	}{
 		{"hvs", Options{HeavyThreshold: time.Nanosecond}, RouteHVS},
-		{"memo", Options{DisableHVS: true}, RouteDecomposer},
+		{"memo", Options{HeavyThreshold: time.Hour}, RouteDecomposer},
 	} {
 		p := New(st, tc.opts)
 		srv := httptest.NewServer(endpoint.NewServer(p))
@@ -110,7 +110,7 @@ func TestServedBodiesFollowWrites(t *testing.T) {
 		core.PropertyExpansionSPARQL(ex("C"), true),
 	}
 	var folds, typeWrites int
-	for _, opts := range []Options{{HeavyThreshold: time.Nanosecond}, {DisableHVS: true}} {
+	for _, opts := range []Options{{HeavyThreshold: time.Nanosecond}, {HeavyThreshold: time.Hour}} {
 		for seed := int64(1); seed <= 4; seed++ {
 			r := rand.New(rand.NewSource(seed))
 			st := foldStore(t, r)
@@ -178,7 +178,7 @@ func BenchmarkServeHot(b *testing.B) {
 		}{
 			{"object/hvs", core.ObjectExpansionSPARQL(person, datagen.Ont("birthPlace"), false), Options{HeavyThreshold: time.Nanosecond}},
 			{"property/hvs", core.PropertyExpansionSPARQL(person, false), Options{HeavyThreshold: time.Nanosecond}},
-			{"property/memo", core.PropertyExpansionSPARQL(person, false), Options{DisableHVS: true}},
+			{"property/memo", core.PropertyExpansionSPARQL(person, false), Options{HeavyThreshold: time.Hour}},
 			{"over-B/hvs", fmt.Sprintf("SELECT ?s WHERE { ?s a %s . }", person), Options{HeavyThreshold: time.Nanosecond}},
 		} {
 			b.Run(fmt.Sprintf("persons=%d/%s", persons, tc.name), func(b *testing.B) {

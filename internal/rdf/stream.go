@@ -336,7 +336,8 @@ func (s *ttlStream) atDirective() (bool, error) {
 
 // scanUnit returns the length of the complete statement starting at
 // pend[0], reading more input as needed. A statement ends at a top-level
-// '.' followed by whitespace, a comment, an '@' directive, or EOF.
+// '.' right after an IRI or a quoted literal, or at one followed by
+// whitespace, a comment, an '@' directive, or EOF.
 func (s *ttlStream) scanUnit() (int, error) {
 	var (
 		i       int
@@ -369,10 +370,15 @@ func (s *ttlStream) scanUnit() (int, error) {
 			case c == '#':
 				comment = true
 			case c == '.':
-				// Terminator iff followed by whitespace/comment/EOF or
-				// an '@' directive; a '.' inside a number or name is
-				// always followed by more token characters, and no token
+				// Terminator iff it closes an IRI or literal token (no
+				// token continues past '>' or a closing quote with '.'),
+				// or is followed by whitespace/comment/EOF or an '@'
+				// directive; a '.' inside a number or name is always
+				// followed by more token characters, and no token
 				// continues with '@'.
+				if i > 0 && (s.pend[i-1] == '>' || s.pend[i-1] == '"' || s.pend[i-1] == '\'') {
+					return i + 1, nil
+				}
 				if i+1 >= len(s.pend) && !s.eof {
 					if err := s.need(i + 2); err != nil {
 						return 0, err

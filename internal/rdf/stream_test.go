@@ -118,15 +118,20 @@ _:b1 ex:name "blank"@de .
 // followed by a directive ends the statement, so the directive is applied
 // before the statements behind it are chunked.
 func TestStreamTurtleDirectiveAfterStatementDot(t *testing.T) {
-	doc := "<http://x/a> <http://x/b> <http://x/c>.@prefix x: <http://y/> . x:a x:b x:c . "
-	want, err := ParseTurtle(doc)
-	if err != nil || len(want) != 2 {
-		t.Fatalf("serial parse = %d triples, %v; want 2", len(want), err)
-	}
-	for _, chunk := range []int{1, 16, 1 << 20} {
-		got := collectStream(t, doc, SyntaxTurtle, chunk)
-		if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-			t.Fatalf("chunk %d: %v, want %v", chunk, got, want)
+	for _, doc := range []string{
+		"<http://x/a> <http://x/b> <http://x/c>.@prefix x: <http://y/> . x:a x:b x:c . ",
+		"<http://x/a> <http://x/b> <http://x/c>.PREFIX x: <http://y/> x:a x:b x:c . ",
+		"<http://x/a> <http://x/b> \"c\".prefix x: <http://y/> x:a x:b x:c . ",
+	} {
+		want, err := ParseTurtle(doc)
+		if err != nil || len(want) != 2 {
+			t.Fatalf("%q: serial parse = %d triples, %v; want 2", doc, len(want), err)
+		}
+		for _, chunk := range []int{1, 16, 1 << 20} {
+			got := collectStream(t, doc, SyntaxTurtle, chunk)
+			if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+				t.Fatalf("%q, chunk %d: %v, want %v", doc, chunk, got, want)
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"context"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"elinda/internal/endpoint"
 	"elinda/internal/proxy"
 	"elinda/internal/rdf"
+	"elinda/internal/sparql"
 )
 
 func testSystem(t *testing.T) *elinda.System {
@@ -140,36 +142,57 @@ func TestErrorDetectionScenario(t *testing.T) {
 }
 
 // TestScenarioPerformanceToggles covers the second demonstration kind:
-// heavy queries "with the discussed solutions turned on and off" — one
-// system per configuration over the shared store, as the server builds it.
+// heavy queries "with the discussed solutions turned on and off" — the
+// engine alone, a proxy whose threshold no answer reaches (decomposer, no
+// HVS entries) and a proxy caching everything, over the shared store.
+// Each gives the engine's rows, each from its own tier.
 func TestScenarioPerformanceToggles(t *testing.T) {
 	st := testSystem(t).Store
 	q := core.PropertyExpansionSPARQL(rdf.OWLThingIRI, false)
 
-	generic := elinda.NewSystemFromStore(st, proxy.Options{DisableHVS: true, DisableDecomposer: true})
-	slow, err := generic.Proxy.Query(context.Background(), q)
+	slow, err := sparql.NewEngine(st).Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decomposed := elinda.NewSystemFromStore(st, proxy.Options{DisableHVS: true})
-	fast, err := decomposed.Proxy.Query(context.Background(), q)
-	if err != nil {
+	decomposed := proxy.New(st, proxy.Options{HeavyThreshold: time.Hour})
+	cached := proxy.New(st, proxy.Options{HeavyThreshold: time.Nanosecond})
+	if _, err := cached.Query(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	if len(slow.Rows) != len(fast.Rows) {
-		t.Fatalf("toggling the decomposer changed results: %d vs %d rows", len(slow.Rows), len(fast.Rows))
+	for _, c := range []struct {
+		name  string
+		px    *proxy.Proxy
+		route proxy.Route
+	}{{"decomposer", decomposed, proxy.RouteDecomposer}, {"hvs", cached, proxy.RouteHVS}} {
+		res, trace, err := c.px.QueryTraced(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trace.Route != c.route {
+			t.Errorf("%s: route = %v", c.name, trace.Route)
+		}
+		if sortedRows(res) != sortedRows(slow) {
+			t.Errorf("%s changed the answer:\n%s\nengine:\n%s", c.name, sortedRows(res), sortedRows(slow))
+		}
 	}
-	cached := elinda.NewSystemFromStore(st, proxy.Options{HeavyThreshold: time.Nanosecond})
-	if _, err := cached.Proxy.Query(context.Background(), q); err != nil {
-		t.Fatal(err)
+	if decomposed.HVS().Len() != 0 {
+		t.Error("the decomposer configuration cached an answer")
 	}
-	_, trace, err := cached.Proxy.QueryTraced(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// sortedRows renders a result as its variables and sorted rows, so
+// answers from different tiers compare regardless of row order.
+func sortedRows(res *sparql.Result) string {
+	rows := make([]string, len(res.Rows))
+	for i, row := range res.Rows {
+		cells := make([]string, len(res.Vars))
+		for j, v := range res.Vars {
+			cells[j] = row[v].String()
+		}
+		rows[i] = strings.Join(cells, "\t")
 	}
-	if trace.Route != proxy.RouteHVS {
-		t.Errorf("warm repeat route = %v, want hvs", trace.Route)
-	}
+	slices.Sort(rows)
+	return strings.Join(res.Vars, "\t") + "\n" + strings.Join(rows, "\n")
 }
 
 // TestFullStackOverHTTP drives the whole Figure 3 pipeline through a real
