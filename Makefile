@@ -66,7 +66,7 @@ loc:
 
 # check runs the tier-1 gate plus vet and the race detector as one
 # command. The race run includes the snapshot concurrency tests
-# (store.TestSnapshotConcurrentWithWrites, sparql parallel/differential)
+# (store.TestSnapshotConcurrentWithWrites, sparql concurrency/differential)
 # and the serving-tier coalescing/limiter races.
 check: build vet lint test race
 

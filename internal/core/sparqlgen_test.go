@@ -197,3 +197,21 @@ func TestExplainObjectExpansionSemijoin(t *testing.T) {
 		t.Errorf("rendered report:\n%s", rep)
 	}
 }
+
+// TestExplainSubclassChartStartsAtSubclasses pins the subclass chart's
+// join order: the few rdfs:subClassOf triples under the class come
+// first, and each subclass reads only its own instances. Starting from
+// every instance of the class instead (?s a Person) probes each one's
+// types, which ran three to five times slower at 60 000 persons.
+func TestExplainSubclassChartStartsAtSubclasses(t *testing.T) {
+	e := genExplorer(t)
+	person := datagen.Ont("Person")
+	rep, err := sparql.NewEngine(e.Store()).Explain(context.Background(), SubclassChartSPARQL(person))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("?c %s %s", rdf.SubClassOfIRI, person)
+	if len(rep.Steps) == 0 || len(rep.Steps[0].Patterns) != 1 || rep.Steps[0].Patterns[0] != want {
+		t.Fatalf("plan:\n%s\nwant %s first", rep, want)
+	}
+}

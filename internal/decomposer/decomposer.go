@@ -90,9 +90,6 @@ type Decomposer struct {
 	// or folded at.
 	generation uint64
 	memo       map[memoKey]*memoEntry
-
-	// stats
-	detected, answered, rejected int
 }
 
 type memoKey struct {
@@ -582,15 +579,9 @@ func (d *Decomposer) TryExecute(q *sparql.Query) (*sparql.Result, bool) {
 // would.
 func (d *Decomposer) TryAnswer(q *sparql.Query) (*sparql.Result, *Rendering, bool) {
 	det, ok := Detect(q)
-	d.mu.Lock()
 	if !ok {
-		d.rejected++
-		d.mu.Unlock()
 		return nil, nil, false
 	}
-	d.detected++
-	d.answered++
-	d.mu.Unlock()
 	snap := d.st.Snapshot()
 	classID, found := snap.Dict().Lookup(det.Class)
 	if !found {
@@ -603,14 +594,6 @@ func (d *Decomposer) TryAnswer(q *sparql.Query) (*sparql.Result, *Rendering, boo
 	// A copy of the shared rows: the modifiers sort in place.
 	rows := sparql.OrderAndSlice(slices.Clone(r.Result.Rows), q)
 	return &sparql.Result{Vars: r.Result.Vars, Rows: rows}, nil, true
-}
-
-// Stats reports detector activity: queries detected as expansions,
-// answered from indexes, and rejected (routed to the generic engine).
-func (d *Decomposer) Stats() (detected, answered, rejected int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.detected, d.answered, d.rejected
 }
 
 // Warm precomputes the level-zero aggregates for the given class in both

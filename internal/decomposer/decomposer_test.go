@@ -356,19 +356,6 @@ func TestMemoInvalidation(t *testing.T) {
 	}
 }
 
-func TestStatsCounters(t *testing.T) {
-	st := fixture(t)
-	d := New(st)
-	q1, _ := sparql.Parse(paperOutgoing)
-	q2, _ := sparql.Parse(`SELECT ?s WHERE { ?s ?p ?o . }`)
-	d.TryExecute(q1)
-	d.TryExecute(q2)
-	detected, answered, rejected := d.Stats()
-	if detected != 1 || answered != 1 || rejected != 1 {
-		t.Errorf("stats = %d/%d/%d", detected, answered, rejected)
-	}
-}
-
 func TestWarm(t *testing.T) {
 	st := fixture(t)
 	d := New(st)

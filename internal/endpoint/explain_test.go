@@ -43,19 +43,19 @@ func TestServerExplain(t *testing.T) {
 		if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 			t.Fatalf("%s decode: %v", name, err)
 		}
-		if rep.Mode != "dp" || len(rep.Steps) != 2 {
+		if rep.Mode != "greedy" || len(rep.Steps) != 2 {
 			t.Errorf("%s report = %+v", name, rep)
 		}
 	}
 }
 
-// TestServerExplainReportsOrderer: the mode in the explain document is
-// the orderer that ran — DP for a 10-pattern chain, greedy once an 11th
-// pattern takes the BGP past the subset DP's size limit.
+// TestServerExplainReportsOrderer: the mode in the explain document says
+// whether the orderer ran — greedy for a chain of any length from two
+// patterns, none for a single pattern, which keeps query order.
 func TestServerExplainReportsOrderer(t *testing.T) {
 	srv := httptest.NewServer(NewServer(newTestEngine(t)))
 	defer srv.Close()
-	for patterns, want := range map[int]string{10: "dp", 11: "greedy"} {
+	for patterns, want := range map[int]string{1: "none", 10: "greedy", 11: "greedy"} {
 		var q strings.Builder
 		q.WriteString("SELECT * WHERE {")
 		for i := 0; i < patterns; i++ {

@@ -40,15 +40,14 @@ type PlanStep struct {
 // PlanStatsSummary summarizes the snapshot statistics the plan was
 // costed on.
 type PlanStatsSummary struct {
-	Triples  int `json:"triples"`
-	Preds    int `json:"predicates"`
-	CharSets int `json:"char_sets"`
+	Triples int `json:"triples"`
+	Preds   int `json:"predicates"`
 }
 
 // PlanReport is the full EXPLAIN document for one query.
 type PlanReport struct {
-	// Mode is the orderer that produced Steps: "dp", "greedy", or "none"
-	// when nothing was ordered (at most one pattern, or a query outside
+	// Mode is "greedy" when the planner ordered Steps, or "none" when
+	// nothing was ordered (at most one pattern, or a query outside
 	// the planner's model).
 	Mode string `json:"mode"`
 	// Leapfrog reports whether multiway intersection was eligible for
@@ -64,8 +63,8 @@ type PlanReport struct {
 
 // String renders the report as the human-readable text the CLI prints.
 func (r *PlanReport) String() string {
-	s := fmt.Sprintf("plan mode=%s leapfrog=%v (stats: %d triples, %d predicates, %d characteristic sets)\n",
-		r.Mode, r.Leapfrog, r.Stats.Triples, r.Stats.Preds, r.Stats.CharSets)
+	s := fmt.Sprintf("plan mode=%s leapfrog=%v (stats: %d triples, %d predicates)\n",
+		r.Mode, r.Leapfrog, r.Stats.Triples, r.Stats.Preds)
 	for i, st := range r.Steps {
 		s += fmt.Sprintf("  %d. %s", i+1, st.Kind)
 		if st.Var != "" {
@@ -107,7 +106,7 @@ func (e *Engine) Explain(ctx context.Context, src string) (*PlanReport, error) {
 	planned, mode := planBGP(snap, tps)
 	rep := &PlanReport{Mode: mode}
 	if ps := snap.PlanStats(); ps != nil {
-		rep.Stats = PlanStatsSummary{Triples: ps.Triples, Preds: len(ps.Preds), CharSets: len(ps.CharSets)}
+		rep.Stats = PlanStatsSummary{Triples: ps.Triples, Preds: len(ps.Preds)}
 	}
 	//lint:ignore ctxloop bounded by the query's pattern count, not by data size
 	for _, tp := range tps {

@@ -33,8 +33,8 @@ func TestExplainTriangle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Mode != "dp" {
-		t.Errorf("mode = %q, want dp", rep.Mode)
+	if rep.Mode != "greedy" {
+		t.Errorf("mode = %q, want greedy", rep.Mode)
 	}
 	if !rep.Leapfrog {
 		t.Error("leapfrog should be eligible")
@@ -54,7 +54,7 @@ func TestExplainTriangle(t *testing.T) {
 	if rep.Steps[1].EstRows <= 0 {
 		t.Errorf("est_rows = %v, want > 0", rep.Steps[1].EstRows)
 	}
-	if s := rep.String(); !strings.Contains(s, "leapfrog") || !strings.Contains(s, "mode=dp") {
+	if s := rep.String(); !strings.Contains(s, "leapfrog") || !strings.Contains(s, "mode=greedy") {
 		t.Errorf("rendered report:\n%s", s)
 	}
 }
@@ -71,9 +71,9 @@ func edgeChain(n int) string {
 	return b.String()
 }
 
-// TestExplainMode: Mode names the orderer that produced the steps, not a
-// configuration — DP up to dpMaxPatterns, greedy above, and "none" when
-// nothing was ordered (one pattern, or more than 64 variables), in which
+// TestExplainMode: Mode says whether the orderer produced the steps —
+// greedy at every BGP size from two patterns, and "none" when nothing was
+// ordered (one pattern, or more than 64 variables), in which
 // case the steps keep query order and carry no row estimates.
 func TestExplainMode(t *testing.T) {
 	eng := NewEngine(explainFixture(t))
@@ -82,8 +82,9 @@ func TestExplainMode(t *testing.T) {
 		want     string
 	}{
 		{1, "none"},
-		{dpMaxPatterns, "dp"},
-		{dpMaxPatterns + 1, "greedy"},
+		{2, "greedy"},
+		{10, "greedy"},
+		{11, "greedy"},
 		{64, "none"}, // 65 variables: outside the planner's bitmask model
 	} {
 		rep, err := eng.Explain(context.Background(), edgeChain(tc.patterns))

@@ -17,10 +17,8 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"elinda/internal/rdf"
 	"elinda/internal/store"
@@ -451,8 +449,6 @@ const cancelCheckInterval = 2048
 // bgpExec is the depth-first join-chain state for one executor: the
 // bound snapshot, the compiled join steps (single patterns or leapfrog
 // groups — see leapfrog.go), one reusable row, and the output sink.
-// Workers of a parallel BGP each own an independent bgpExec over the
-// same snapshot.
 type bgpExec struct {
 	ctx    context.Context
 	snap   *store.Snapshot
@@ -568,11 +564,6 @@ func (r *bgpExec) run(in *idRows) error {
 	return nil
 }
 
-// parallelMinRows is the minimum number of first-pattern candidate rows
-// before the remaining chain fans out across the worker pool; below it
-// the goroutine handoff costs more than the join work it parallelizes.
-const parallelMinRows = 64
-
 // leapfrogEligible reports whether g's BGP compiles with leapfrog groups:
 // exactly when no subselect joins before it, so the BGP's seed is the one
 // all-unbound row the compile-time bound-slot simulation starts from.
@@ -582,11 +573,7 @@ func leapfrogEligible(g *GroupPattern) bool { return len(g.SubSelects) == 0 }
 // runBGP plans the BGP tps, then streams every input row through the
 // pattern chain depth first and appends the fully joined rows to out.
 // With leapfrog, patterns that co-constrain one free variable fuse into
-// an intersection group (see leapfrog.go). The root pattern's candidate
-// rows fan out across GOMAXPROCS workers — every worker reads the same
-// immutable snapshot with zero coordination — and the per-worker outputs
-// concatenate in chunk order, so the row order is identical to a serial
-// run.
+// an intersection group (see leapfrog.go).
 func (e *Engine) runBGP(ctx context.Context, in *idRows, tps []TriplePattern, slots *slotTable, out *idRows, env *execEnv, leapfrog bool) error {
 	if len(tps) == 0 {
 		out.data = append(out.data, in.data...)
@@ -600,83 +587,8 @@ func (e *Engine) runBGP(ctx context.Context, in *idRows, tps []TriplePattern, sl
 		pats[i] = compilePattern(tp, slots, env.dict)
 	}
 	steps := compileSteps(pats, plan, in.w, leapfrog)
-	if workers := runtime.GOMAXPROCS(0); workers > 1 && len(steps) > 1 {
-		return e.runBGPParallel(ctx, in, steps, out, env, workers)
-	}
 	run := &bgpExec{ctx: ctx, snap: env.snap, steps: steps, out: out, cur: make([]rdf.ID, in.w)}
 	return run.run(in)
-}
-
-// runBGPParallel evaluates the first join step serially (one index scan
-// or leapfrog intersection per input row), then partitions the candidate
-// rows into contiguous chunks, one goroutine per chunk, each running the
-// remaining chain into a private row set over the shared immutable
-// snapshot. The order-preserving concatenation of the chunk outputs
-// makes the result — including row order — identical to serial
-// execution.
-func (e *Engine) runBGPParallel(ctx context.Context, in *idRows, steps []joinStep, out *idRows, env *execEnv, workers int) error {
-	stage0 := newIDRows(in.w)
-	first := &bgpExec{ctx: ctx, snap: env.snap, steps: steps[:1], out: stage0, cur: make([]rdf.ID, in.w)}
-	if err := first.run(in); err != nil {
-		return err
-	}
-	rest := steps[1:]
-	if stage0.n < parallelMinRows {
-		tail := &bgpExec{ctx: ctx, snap: env.snap, steps: rest, out: out, cur: make([]rdf.ID, in.w)}
-		return tail.run(stage0)
-	}
-	if workers > stage0.n {
-		workers = stage0.n
-	}
-	chunk := (stage0.n + workers - 1) / workers
-	outs := make([]*idRows, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		lo := wi * chunk
-		hi := lo + chunk
-		if hi > stage0.n {
-			hi = stage0.n
-		}
-		if lo >= hi {
-			break
-		}
-		wout := newIDRows(in.w)
-		wout.reserve(hi - lo) // one output row per candidate to start
-		outs[wi] = wout
-		wg.Add(1)
-		go func(wi, lo, hi int, wout *idRows) {
-			defer wg.Done()
-			run := &bgpExec{ctx: ctx, snap: env.snap, steps: rest, out: wout, cur: make([]rdf.ID, in.w)}
-			part := &idRows{w: stage0.w, n: hi - lo, data: stage0.data[lo*stage0.w : hi*stage0.w]}
-			errs[wi] = run.run(part)
-		}(wi, lo, hi, wout)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	if out.n == 0 {
-		// The first chunk's block becomes the output: its doubling slack
-		// usually holds the other chunks, so nothing is copied twice.
-		*out, outs = *outs[0], outs[1:]
-	}
-	total := 0
-	for _, wout := range outs {
-		if wout != nil {
-			total += wout.n
-		}
-	}
-	out.reserve(total)
-	for _, wout := range outs {
-		if wout != nil {
-			out.data = append(out.data, wout.data...)
-			out.n += wout.n
-		}
-	}
-	return nil
 }
 
 // idJoin joins two ID row sets: every compatible (left, right) pair,

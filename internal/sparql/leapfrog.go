@@ -18,8 +18,8 @@ package sparql
 // available at that depth; pulling it forward never changes the result
 // set (joins commute). The group emits its variable in ascending ID
 // order (Postings merge-sorts base and overlay), so execution stays
-// fully deterministic — identical rows in identical order at any worker
-// count — though the order may differ from cascaded execution, whose
+// fully deterministic — identical rows in identical order on every run —
+// though the order may differ from cascaded execution, whose
 // Match enumerates the base before the overlay rather than merged.
 
 import (

@@ -2,7 +2,6 @@ package sparql
 
 import (
 	"math"
-	"slices"
 	"sort"
 
 	"elinda/internal/rdf"
@@ -11,27 +10,14 @@ import (
 
 // Join ordering. The engine orders a BGP's triple patterns before
 // execution so that index-backed joins run selective-first and cross
-// products are deferred as long as possible. The orderer is chosen from
-// the BGP's size:
-//
-//   - Up to dpMaxPatterns patterns: cost-based dynamic programming over
-//     pattern subsets (orderDP). Per-pattern cardinalities are exact
-//     (CardMatch on the columnar indexes); join cardinalities are
-//     estimated from the snapshot's statistics (per-predicate distinct
-//     subject/object counts, characteristic sets) under the independence
-//     assumption, with a characteristic-set override for subject stars.
-//     The cost metric is Cout — the sum of estimated intermediate result
-//     sizes (Neumann & Moerkotte). Left-deep plans only: the executor is
-//     a streaming pipeline, so bushy plans would buy nothing.
-//   - Above that, where the subset DP is too expensive: greedy
-//     (orderGreedy) — cheapest pattern first, then the cheapest pattern
-//     connected to the bound variable set.
-//
-// Both are deterministic: ties always resolve to the earlier candidate.
-
-// dpMaxPatterns caps the BGP size the subset-DP orderer handles; larger
-// groups fall back to greedy ordering. 10 patterns → 1024 subsets.
-const dpMaxPatterns = 10
+// products are deferred as long as possible. One orderer serves every
+// BGP size: greedy (orderGreedy) takes the cheapest pattern first, then
+// repeatedly the cheapest pattern connected to the bound variable set.
+// Per-pattern cardinalities are exact (CardMatch on the columnar
+// indexes); the estimated rows after each step, which EXPLAIN reports
+// and the semi-join choice reads, come from the snapshot's per-predicate
+// distinct subject/object counts under the independence assumption.
+// Deterministic: ties always resolve to the earlier candidate.
 
 // plannedStep is one pattern in the chosen join order, with the
 // estimates the planner used (surfaced by EXPLAIN).
@@ -55,7 +41,7 @@ func planOrder(tps []TriplePattern, steps []plannedStep) []TriplePattern {
 }
 
 // planBGP orders tps and returns the ordered patterns with their
-// estimates, plus which orderer ran ("dp" or "greedy"; surfaced as
+// estimates, plus whether the orderer ran ("greedy"; surfaced as
 // PlanReport.Mode). Nil steps with "none" mean "keep query order": there
 // is nothing to order (at most one pattern) or the query is out of the
 // planner's model.
@@ -66,9 +52,6 @@ func planBGP(snap *store.Snapshot, tps []TriplePattern) ([]plannedStep, string) 
 	infos, ok := analyzePatterns(snap, tps)
 	if !ok {
 		return nil, "none"
-	}
-	if len(tps) <= dpMaxPatterns {
-		return orderDP(snap.PlanStats(), infos), "dp"
 	}
 	return orderGreedy(infos), "greedy"
 }
@@ -187,135 +170,6 @@ func joinFactor(in *patInfo, boundVars uint64) float64 {
 // intermediate result of prevRows rows binding boundVars.
 func joinRows(prevRows float64, in *patInfo, boundVars uint64) float64 {
 	return prevRows * in.card / joinFactor(in, boundVars)
-}
-
-// starOverride replaces the independence estimate with a
-// characteristic-set estimate when the subset is a pure subject star:
-// every pattern shares the same subject variable, has a constant known
-// predicate, and its object is a constant or a variable private to that
-// pattern. Returns ok=false when the shape or the statistics don't
-// allow it.
-func starOverride(ps *store.PlanStats, infos []patInfo, mask uint64) (float64, bool) {
-	if ps == nil || bitsSet(mask) < 2 {
-		return 0, false
-	}
-	subj := -1
-	var preds []rdf.ID
-	var objVars uint64
-	for i := range infos {
-		if mask&(1<<i) == 0 {
-			continue
-		}
-		in := &infos[i]
-		if in.slot[0] < 0 || !in.predOK {
-			return 0, false
-		}
-		if subj < 0 {
-			subj = in.slot[0]
-		} else if in.slot[0] != subj {
-			return 0, false
-		}
-		if v := in.slot[2]; v >= 0 {
-			if v == subj || objVars&(1<<v) != 0 {
-				return 0, false
-			}
-			objVars |= 1 << v
-		} else {
-			// Constant objects restrict the star below what the
-			// characteristic sets describe.
-			return 0, false
-		}
-		preds = append(preds, in.pred)
-	}
-	slices.Sort(preds)
-	preds = slices.Compact(preds)
-	return ps.StarCard(preds)
-}
-
-func bitsSet(m uint64) int {
-	n := 0
-	for ; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
-}
-
-// orderDP picks the left-deep join order minimizing Cout (the sum of
-// estimated intermediate result sizes) by dynamic programming over
-// pattern subsets. Cross products are never pruned — they just cost
-// what they cost — so disconnected BGPs need no special casing: the DP
-// naturally joins each component down before crossing. Deterministic:
-// subsets ascend, candidates ascend, and only a strictly better cost
-// replaces an entry.
-func orderDP(ps *store.PlanStats, infos []patInfo) []plannedStep {
-	n := len(infos)
-	full := uint64(1)<<n - 1
-	type dpEntry struct {
-		cost float64 // Cout over the subset's intermediates
-		rows float64 // estimated rows of the subset's join result
-		last int     // pattern joined last
-		prev uint64  // subset before last was joined
-	}
-	dp := make(map[uint64]dpEntry, 1<<n)
-	for i := range infos {
-		dp[1<<uint(i)] = dpEntry{cost: 0, rows: infos[i].card, last: i, prev: 0}
-	}
-	for mask := uint64(1); mask <= full; mask++ {
-		if bitsSet(mask) < 2 {
-			continue
-		}
-		best := dpEntry{cost: math.Inf(1)}
-		var rowsOverride float64
-		hasOverride := false
-		if r, ok := starOverride(ps, infos, mask); ok {
-			rowsOverride, hasOverride = r, true
-		}
-		for i := 0; i < n; i++ {
-			if mask&(1<<uint(i)) == 0 {
-				continue
-			}
-			prev := mask &^ (1 << uint(i))
-			pe, ok := dp[prev]
-			if !ok {
-				continue
-			}
-			prevVars := subsetVars(infos, prev)
-			rows := joinRows(pe.rows, &infos[i], prevVars)
-			if hasOverride {
-				rows = rowsOverride
-			}
-			cost := pe.cost + rows
-			if cost < best.cost {
-				best = dpEntry{cost: cost, rows: rows, last: i, prev: prev}
-			}
-		}
-		if !math.IsInf(best.cost, 1) {
-			dp[mask] = best
-		}
-	}
-
-	// Reconstruct the order by walking back from the full set.
-	steps := make([]plannedStep, n)
-	for mask := full; mask != 0; {
-		en := dp[mask]
-		steps[bitsSet(mask)-1] = plannedStep{
-			tp:      infos[en.last].tp,
-			card:    infos[en.last].card,
-			estRows: en.rows,
-		}
-		mask = en.prev
-	}
-	return steps
-}
-
-func subsetVars(infos []patInfo, mask uint64) uint64 {
-	var vars uint64
-	for i := range infos {
-		if mask&(1<<uint(i)) != 0 {
-			vars |= infos[i].vars
-		}
-	}
-	return vars
 }
 
 // orderGreedy is selectivity-first greedy ordering: sort by standalone

@@ -11,10 +11,10 @@ package sparql
 // row costs one bit test.
 //
 // The set is per query and per step. It is built lazily at the step's
-// first probe, exactly once, from the snapshot the query bound, and the
-// parallel BGP's workers share it read-only. Whether a candidate step
-// becomes a semi-join is decided at compile time (compileSteps) from the
-// planner's estimates, so EXPLAIN reports exactly what will run.
+// first probe, exactly once, from the snapshot the query bound. Whether a
+// candidate step becomes a semi-join is decided at compile time
+// (compileSteps) from the planner's estimates, so EXPLAIN reports exactly
+// what will run.
 
 import (
 	"context"

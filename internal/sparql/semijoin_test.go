@@ -12,10 +12,10 @@ import (
 
 // semiJoinFixture builds a store where ?s <p> ?o (1500 rows) plans
 // before ?s a <C> (3000 instances), so the class check is a semi-join
-// step fed by more than parallelMinRows candidates. The overlay holds
-// every state the set build must merge: tombstoned base type triples, a
-// sorted delta and a tail of new instances, an overlay triple deleted
-// again, and a deleted base triple inserted again.
+// step fed by every ?s p ?o candidate. The overlay holds every state the
+// set build must merge: tombstoned base type triples, a sorted delta and
+// a tail of new instances, an overlay triple deleted again, and a
+// deleted base triple inserted again.
 func semiJoinFixture(t *testing.T) *store.Store {
 	t.Helper()
 	st := store.New(1 << 14)
@@ -57,10 +57,9 @@ func semiJoinFixture(t *testing.T) *store.Store {
 
 const semiJoinQuery = `SELECT ?s ?o WHERE { ?s a <http://example.org/C> . ?s <http://example.org/p> ?o . }`
 
-// TestParallelSemiJoinOverlay: a semi-join step behind a parallel
-// fan-out, over tombstones, delta and tail, returns the oracle's rows,
-// and the same rows in the same order at every worker count.
-func TestParallelSemiJoinOverlay(t *testing.T) {
+// TestSemiJoinOverlay: a semi-join step over tombstones, delta and tail
+// returns the oracle's rows.
+func TestSemiJoinOverlay(t *testing.T) {
 	st := semiJoinFixture(t)
 	e := NewEngine(st)
 	rep, err := e.Explain(context.Background(), semiJoinQuery)
@@ -70,38 +69,22 @@ func TestParallelSemiJoinOverlay(t *testing.T) {
 	if len(rep.Steps) != 2 || rep.Steps[1].Kind != "semijoin" || rep.Steps[1].Var != "s" {
 		t.Fatalf("plan:\n%s\nwant a scan of ?s p ?o, then a semi-join on ?s", rep)
 	}
-	if rep.Steps[0].Card < parallelMinRows {
-		t.Fatalf("the scan feeds %v candidates, below the parallel threshold", rep.Steps[0].Card)
-	}
 	want, err := newOracle(st).Query(context.Background(), semiJoinQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var serial *Result
-	for _, procs := range []int{1, 2, 4} {
-		var res *Result
-		atGOMAXPROCS(procs, func() { res, err = e.Query(context.Background(), semiJoinQuery) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameSolutions(res.Rows, want.Rows) {
-			t.Fatalf("GOMAXPROCS=%d: %d rows, oracle %d", procs, len(res.Rows), len(want.Rows))
-		}
-		if serial == nil {
-			serial = res
-			continue
-		}
-		for i := range res.Rows {
-			if fmt.Sprint(res.Rows[i]) != fmt.Sprint(serial.Rows[i]) {
-				t.Fatalf("GOMAXPROCS=%d: row %d differs from the serial run", procs, i)
-			}
-		}
+	res, err := e.Query(context.Background(), semiJoinQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameSolutions(res.Rows, want.Rows) {
+		t.Fatalf("%d rows, oracle %d", len(res.Rows), len(want.Rows))
 	}
 }
 
 // TestSemiJoinReadsBoundSnapshot: the semi-join set comes from the
-// snapshot the execution bound, in every worker, even when the store has
-// moved on before the first probe.
+// snapshot the execution bound, even when the store has moved on before
+// the first probe.
 func TestSemiJoinReadsBoundSnapshot(t *testing.T) {
 	st := semiJoinFixture(t)
 	e := NewEngine(st)
@@ -123,21 +106,17 @@ func TestSemiJoinReadsBoundSnapshot(t *testing.T) {
 		d.Insert(rdf.Triple{S: ex(fmt.Sprintf("j%d", i)), P: rdf.TypeIRI, O: ex("C")})
 	}
 	mustApply(st, d)
-	for _, procs := range []int{1, 4} {
-		var res *Result
-		atGOMAXPROCS(procs, func() {
-			env := newExecEnv(snap)
-			rows, slots, err := e.evalGroupIDs(context.Background(), q.Where, env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res, err = e.finishIDs(context.Background(), q, rows, slots, env); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if !sameSolutions(res.Rows, want.Rows) {
-			t.Fatalf("GOMAXPROCS=%d: %d rows, the bound snapshot has %d", procs, len(res.Rows), len(want.Rows))
-		}
+	env := newExecEnv(snap)
+	rows, slots, err := e.evalGroupIDs(context.Background(), q.Where, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.finishIDs(context.Background(), q, rows, slots, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameSolutions(res.Rows, want.Rows) {
+		t.Fatalf("%d rows, the bound snapshot has %d", len(res.Rows), len(want.Rows))
 	}
 }
 

@@ -50,6 +50,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("ELINDSN\x01")) // retired versions: rejected by name
 	f.Add([]byte("ELINDSN\x02"))
+	f.Add([]byte("ELINDSN\x03"))
 	f.Add([]byte("not a snapshot"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -23,7 +23,7 @@ import (
 //
 // Layout (all integers little-endian), four sections after the header:
 //
-//	[8]  magic "ELINDSN\x03" (version byte last)
+//	[8]  magic "ELINDSN\x04" (version byte last)
 //	u64  generation
 //	u32  nTerms, nTriples
 //	u32  typeID, subClassID, labelID
@@ -33,17 +33,16 @@ import (
 //	      u32 count: aKeys, aOff, bKeys, bOff, c
 //	planner statistics (see planstats.go):
 //	      u32 nPreds, then nPreds × (u32 pred, count, distinctS, distinctO)
-//	      u32 charSetSubjects, u32 nCharSets, then per set:
-//	      u32 k, [k]u32 preds, u32 count, [k]u32 occ
 //	u32  CRC-32 (IEEE) of every preceding byte
 //
 // The reader accepts exactly the version it writes: a file of any other
 // version (1 had no statistics section; 2 carried an insertion-order copy
-// of the triples between the dictionary and the permutations) is rejected
-// by name and must be rebuilt from its source data.
+// of the triples between the dictionary and the permutations; 3 appended
+// characteristic sets to the statistics) is rejected by name and must be
+// rebuilt from its source data.
 
 const (
-	snapshotMagic   = "ELINDSN\x03" // bump the final byte on format changes
+	snapshotMagic   = "ELINDSN\x04" // bump the final byte on format changes
 	snapshotMaxSane = 1 << 31       // upper bound for any count field
 )
 
@@ -250,30 +249,7 @@ func writePlanStats(cw *crcWriter, ps *PlanStats, scratch []byte) error {
 	if err := cw.writeU32(uint32(len(ps.Preds))); err != nil {
 		return err
 	}
-	if err := writeU32Slice(cw, flat, scratch); err != nil {
-		return err
-	}
-	if err := cw.writeU32(uint32(ps.CharSetSubjects)); err != nil {
-		return err
-	}
-	if err := cw.writeU32(uint32(len(ps.CharSets))); err != nil {
-		return err
-	}
-	for _, cs := range ps.CharSets {
-		if err := cw.writeU32(uint32(len(cs.Preds))); err != nil {
-			return err
-		}
-		if err := writeU32Slice(cw, cs.Preds, scratch); err != nil {
-			return err
-		}
-		if err := cw.writeU32(cs.Count); err != nil {
-			return err
-		}
-		if err := writeU32Slice(cw, cs.Occ, scratch); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeU32Slice(cw, flat, scratch)
 }
 
 // SaveSnapshot writes the snapshot to path atomically on the real
@@ -546,7 +522,7 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 		}
 	}
 
-	if base.stats, err = readPlanStats(cr, base, nTerms, scratch); err != nil {
+	if base.stats, err = readPlanStats(cr, base, scratch); err != nil {
 		return nil, snapErr("planner statistics: %v", err)
 	}
 
@@ -686,10 +662,9 @@ func readPerm(cr *crcReader, p *permIndex, nTriples, nTerms int, scratch []byte)
 // readPlanStats decodes the planner-statistics section and validates it
 // against the already-loaded indexes: the per-predicate rows must agree
 // exactly with the POS index (predicate set, triple counts, distinct
-// objects are all derivable from its offsets), and the characteristic
-// sets must be structurally sound. A file whose statistics disagree with
-// its own indexes is corrupt and fails loudly.
-func readPlanStats(cr *crcReader, base *columnar, nTerms int, scratch []byte) (*PlanStats, error) {
+// objects are all derivable from its offsets). A file whose statistics
+// disagree with its own indexes is corrupt and fails loudly.
+func readPlanStats(cr *crcReader, base *columnar, scratch []byte) (*PlanStats, error) {
 	ps := &PlanStats{
 		Triples:  base.n,
 		Subjects: len(base.spo.aKeys),
@@ -728,62 +703,6 @@ func readPlanStats(cr *crcReader, base *columnar, nTerms int, scratch []byte) (*
 			return nil, fmt.Errorf("predicate %d has implausible distinct subjects %d", st.Pred, st.DistinctS)
 		}
 		ps.Preds[i] = st
-	}
-	covered, err := cr.readU32()
-	if err != nil {
-		return nil, err
-	}
-	if int(covered) > ps.Subjects {
-		return nil, fmt.Errorf("characteristic sets cover %d subjects, store has %d", covered, ps.Subjects)
-	}
-	ps.CharSetSubjects = int(covered)
-	nSets, err := cr.readU32()
-	if err != nil {
-		return nil, err
-	}
-	if int(nSets) > ps.Subjects || nSets > uint32(maxCharSets) {
-		return nil, fmt.Errorf("implausible characteristic-set count %d", nSets)
-	}
-	ps.CharSets = make([]CharSet, nSets)
-	var sum uint64
-	for i := range ps.CharSets {
-		k, err := cr.readU32()
-		if err != nil {
-			return nil, err
-		}
-		if k == 0 || k > nPreds {
-			return nil, fmt.Errorf("characteristic set %d has implausible size %d", i, k)
-		}
-		preds, err := readU32Slice[rdf.ID](cr, int(k), scratch)
-		if err != nil {
-			return nil, err
-		}
-		for j, p := range preds {
-			if !validSnapID(p, nTerms) || (j > 0 && p <= preds[j-1]) {
-				return nil, fmt.Errorf("characteristic set %d predicates not strictly increasing valid IDs", i)
-			}
-		}
-		count, err := cr.readU32()
-		if err != nil {
-			return nil, err
-		}
-		occ, err := readU32Slice[uint32](cr, int(k), scratch)
-		if err != nil {
-			return nil, err
-		}
-		if count == 0 {
-			return nil, fmt.Errorf("characteristic set %d has zero subjects", i)
-		}
-		for _, o := range occ {
-			if o < count || int(o) > base.n {
-				return nil, fmt.Errorf("characteristic set %d has implausible occurrence counts", i)
-			}
-		}
-		sum += uint64(count)
-		ps.CharSets[i] = CharSet{Preds: preds, Count: count, Occ: occ}
-	}
-	if sum != uint64(covered) {
-		return nil, fmt.Errorf("characteristic-set subject counts sum to %d, header says %d", sum, covered)
 	}
 	return ps, nil
 }

@@ -173,10 +173,10 @@ func TestSnapshotTruncationFailsLoudly(t *testing.T) {
 
 func TestSnapshotWrongVersionFailsLoudly(t *testing.T) {
 	data := validSnapshot(t)
-	// One past the current version, and the retired versions 1 and 2: all
+	// One past the current version, and the retired versions 1–3: all
 	// are refused by the version byte alone, naming what was found and
 	// what this build reads.
-	for _, version := range []byte{data[7] + 1, 1, 2} {
+	for _, version := range []byte{data[7] + 1, 1, 2, 3} {
 		other := append([]byte(nil), data...)
 		other[7] = version
 		_, err := ReadSnapshot(bytes.NewReader(other))

@@ -6,8 +6,6 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"reflect"
-	"sort"
-	"strings"
 	"testing"
 
 	"elinda/internal/rdf"
@@ -39,7 +37,6 @@ func TestPlanStatsBasic(t *testing.T) {
 	byPred := map[rdf.ID]*agg{}
 	subjects := map[rdf.ID]struct{}{}
 	objects := map[rdf.ID]struct{}{}
-	subjPreds := map[rdf.ID]map[rdf.ID]int{}
 	snap.Scan(0, 0, func(e rdf.EncodedTriple) bool {
 		a := byPred[e.P]
 		if a == nil {
@@ -51,10 +48,6 @@ func TestPlanStatsBasic(t *testing.T) {
 		a.objs[e.O] = struct{}{}
 		subjects[e.S] = struct{}{}
 		objects[e.O] = struct{}{}
-		if subjPreds[e.S] == nil {
-			subjPreds[e.S] = map[rdf.ID]int{}
-		}
-		subjPreds[e.S][e.P]++
 		return true
 	})
 	if ps.Subjects != len(subjects) || ps.Objects != len(objects) {
@@ -81,45 +74,6 @@ func TestPlanStatsBasic(t *testing.T) {
 	}
 	if _, ok := ps.PredStatOf(rdf.ID(1 << 30)); ok {
 		t.Fatal("PredStatOf found a predicate that does not exist")
-	}
-
-	// Characteristic sets partition the subjects.
-	covered := 0
-	for _, cs := range ps.CharSets {
-		covered += int(cs.Count)
-		if len(cs.Preds) == 0 || len(cs.Occ) != len(cs.Preds) {
-			t.Fatalf("malformed characteristic set %+v", cs)
-		}
-	}
-	if covered != ps.CharSetSubjects {
-		t.Fatalf("CharSetSubjects = %d, sets sum to %d", ps.CharSetSubjects, covered)
-	}
-	if ps.CharSetSubjects != ps.Subjects {
-		t.Fatalf("uncapped corpus should be fully covered: %d of %d subjects", ps.CharSetSubjects, ps.Subjects)
-	}
-	// Every subject's exact predicate set must appear with matching
-	// occurrence totals for at least its own contribution.
-	for s, pm := range subjPreds {
-		found := false
-		for _, cs := range ps.CharSets {
-			if len(cs.Preds) != len(pm) {
-				continue
-			}
-			match := true
-			for _, p := range cs.Preds {
-				if _, ok := pm[p]; !ok {
-					match = false
-					break
-				}
-			}
-			if match {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("subject %d's predicate set missing from characteristic sets", s)
-		}
 	}
 }
 
@@ -219,25 +173,9 @@ func canonStats(ps *PlanStats, d *rdf.Dict) map[string]any {
 	for _, p := range ps.Preds {
 		preds[d.Term(p.Pred).String()] = [3]uint32{p.Count, p.DistinctS, p.DistinctO}
 	}
-	sets := map[string][]uint32{}
-	for _, cs := range ps.CharSets {
-		names := make([]string, len(cs.Preds))
-		occ := map[string]uint32{}
-		for i, p := range cs.Preds {
-			names[i] = d.Term(p).String()
-			occ[names[i]] = cs.Occ[i]
-		}
-		sort.Strings(names)
-		vals := make([]uint32, 0, len(names)+1)
-		vals = append(vals, cs.Count)
-		for _, n := range names {
-			vals = append(vals, occ[n])
-		}
-		sets[strings.Join(names, "\x00")] = vals
-	}
 	return map[string]any{
 		"triples": ps.Triples, "subjects": ps.Subjects, "objects": ps.Objects,
-		"covered": ps.CharSetSubjects, "preds": preds, "sets": sets,
+		"preds": preds,
 	}
 }
 
