@@ -65,7 +65,7 @@ func openSystem(load, dataset string, persons int) (*elinda.System, error) {
 			return nil, err
 		}
 		defer f.Close()
-		if strings.HasSuffix(load, ".ttl") {
+		if rdf.DetectFormat(load) == rdf.SyntaxTurtle {
 			return elinda.OpenTurtle(f)
 		}
 		return elinda.OpenNTriples(f)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"elinda"
+	"elinda/internal/rdf"
 )
 
 func testRepl(t *testing.T) (*repl, *bytes.Buffer) {
@@ -205,5 +206,26 @@ func TestOpenSystemFromFile(t *testing.T) {
 	}
 	if _, err := openSystem(dir+"/missing.nt", "", 0); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestOpenSystemDetectsTurtleExtension pins the server's syntax rule
+// (rdf.DetectFormat): an upper-case .TTL file is read as Turtle.
+func TestOpenSystemDetectsTurtleExtension(t *testing.T) {
+	ds := elinda.GenerateDBpediaLike(elinda.DataConfig{Seed: 4, Persons: 20, PoliticianProps: 10})
+	var doc bytes.Buffer
+	if err := rdf.WriteTurtle(&doc, ds.Triples); err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/d.TTL"
+	if err := os.WriteFile(path, doc.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := openSystem(path, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.Store.Len() != len(ds.Triples) {
+		t.Errorf("loaded %d, want %d", sys.Store.Len(), len(ds.Triples))
 	}
 }

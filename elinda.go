@@ -100,22 +100,24 @@ func OpenSnapshot(path string, opts proxy.Options) (*System, error) {
 	return NewSystemFromStore(st, opts), nil
 }
 
-// OpenTurtle reads a Turtle document and assembles the system.
+// OpenTurtle streams a Turtle document into a store (store.LoadStream)
+// and assembles the system.
 func OpenTurtle(r io.Reader) (*System, error) {
-	triples, err := rdf.ReadTurtle(r)
-	if err != nil {
-		return nil, err
-	}
-	return Open(triples)
+	return openStream(r, rdf.SyntaxTurtle)
 }
 
-// OpenNTriples reads an N-Triples document and assembles the system.
+// OpenNTriples streams an N-Triples document into a store
+// (store.LoadStream) and assembles the system.
 func OpenNTriples(r io.Reader) (*System, error) {
-	triples, err := rdf.ReadNTriples(r)
-	if err != nil {
-		return nil, err
+	return openStream(r, rdf.SyntaxNTriples)
+}
+
+func openStream(r io.Reader, syntax rdf.Syntax) (*System, error) {
+	st := store.New(0)
+	if _, err := st.LoadStream(r, store.StreamOptions{Syntax: syntax}); err != nil {
+		return nil, fmt.Errorf("elinda: %w", err)
 	}
-	return Open(triples)
+	return NewSystemFromStore(st, proxy.Options{}), nil
 }
 
 // Endpoint returns an HTTP handler exposing the system's proxy as a

@@ -8,9 +8,9 @@ import (
 // FuzzStreamChunks drives the parallel-ingest chunker with arbitrary
 // documents and checks its two contracts: it never panics, and when the
 // serial parser accepts the document, cutting it into (very small)
-// chunks and parsing each chunk independently yields exactly the same
-// triples in the same order — i.e. the chunker never splits a statement
-// and never loses or duplicates one.
+// chunks at several read sizes and parsing each chunk independently
+// yields exactly the same triples in the same order — i.e. the chunker
+// never splits a statement and never loses or duplicates one.
 func FuzzStreamChunks(f *testing.F) {
 	f.Add([]byte("<http://x/s> <http://x/p> <http://x/o> .\n"), false)
 	f.Add([]byte("<http://x/s> <http://x/p> \"lit\" .\n<http://x/a> <http://x/b> <http://x/c> .\n"), false)
@@ -33,29 +33,32 @@ func FuzzStreamChunks(f *testing.F) {
 			serial, serialErr = ReadNTriples(bytes.NewReader(data))
 		}
 
-		var chunked []Triple
-		chunkErr := StreamChunks(bytes.NewReader(data), syntax, 16, func(c Chunk) error {
-			return c.Parse(func(tr Triple) error {
-				chunked = append(chunked, tr)
-				return nil
+		// Several read sizes move the window boundaries across the input.
+		for _, chunkBytes := range []int{1, 7, 16} {
+			var chunked []Triple
+			chunkErr := StreamChunks(bytes.NewReader(data), syntax, chunkBytes, func(c Chunk) error {
+				return c.Parse(func(tr Triple) error {
+					chunked = append(chunked, tr)
+					return nil
+				})
 			})
-		})
 
-		if serialErr != nil {
-			// The serial parser rejected the document; the chunker may
-			// reject it too (usually with the same error). It just must
-			// not crash — reaching here is the invariant.
-			return
-		}
-		if chunkErr != nil {
-			t.Fatalf("serial parse accepted %d triples but chunked parse failed: %v\ninput: %q", len(serial), chunkErr, data)
-		}
-		if len(chunked) != len(serial) {
-			t.Fatalf("chunked parse returned %d triples, serial %d\ninput: %q", len(chunked), len(serial), data)
-		}
-		for i := range serial {
-			if chunked[i] != serial[i] {
-				t.Fatalf("triple %d differs: chunked %v, serial %v\ninput: %q", i, chunked[i], serial[i], data)
+			if serialErr != nil {
+				// The serial parser rejected the document; the chunker
+				// may reject it too (usually with the same error). It
+				// just must not crash — reaching here is the invariant.
+				continue
+			}
+			if chunkErr != nil {
+				t.Fatalf("chunk %d: serial parse accepted %d triples but chunked parse failed: %v\ninput: %q", chunkBytes, len(serial), chunkErr, data)
+			}
+			if len(chunked) != len(serial) {
+				t.Fatalf("chunk %d: chunked parse returned %d triples, serial %d\ninput: %q", chunkBytes, len(chunked), len(serial), data)
+			}
+			for i := range serial {
+				if chunked[i] != serial[i] {
+					t.Fatalf("chunk %d: triple %d differs: chunked %v, serial %v\ninput: %q", chunkBytes, i, chunked[i], serial[i], data)
+				}
 			}
 		}
 	})

@@ -90,6 +90,14 @@ _:b1 ex:name "blank"@de .
 		"BASE<http://x/>.<a> <p> <o> . ",
 		"PREFIX e:<http://x/>.e:a e:p e:o . ",
 		"PREFIX e>f:<http://x/> <http://x/a> <http://x/p> <http://x/o> . ",
+		// A read of 21 bytes ends this PREFIX before its optional dot.
+		"PREFIX e:<http://x/>\n.e:a e:p e:o .\n",
+	}
+	// Read sizes 1 to 64 put the first read boundary at every offset up
+	// to 64.
+	chunks := []int{1 << 20}
+	for c := 1; c <= 64; c++ {
+		chunks = append(chunks, c)
 	}
 	for _, doc := range docs {
 		want, err := ParseTurtle(doc)
@@ -99,7 +107,7 @@ _:b1 ex:name "blank"@de .
 		if len(want) == 0 {
 			t.Fatalf("reference parse of %q produced no triples", doc)
 		}
-		for _, chunk := range []int{1, 9, 64, 1 << 20} {
+		for _, chunk := range chunks {
 			got := collectStream(t, doc, SyntaxTurtle, chunk)
 			if len(got) != len(want) {
 				t.Fatalf("%q, chunk %d: %d triples, want %d", doc, chunk, len(got), len(want))
@@ -168,6 +176,41 @@ func TestStreamTurtleErrors(t *testing.T) {
 		if err == nil {
 			t.Errorf("no error for %q", doc)
 		}
+	}
+}
+
+// endlessLiteral serves the start of a literal that never closes.
+type endlessLiteral struct{ head string }
+
+func (e *endlessLiteral) Read(p []byte) (int, error) {
+	n := copy(p, e.head)
+	e.head = e.head[n:]
+	for i := n; i < len(p); i++ {
+		p[i] = 'a'
+	}
+	return len(p), nil
+}
+
+// TestStreamTurtleBoundsStatement pins the window bound: a statement that
+// never ends fails with a ParseError naming maxStatementBytes instead of
+// reading forever.
+func TestStreamTurtleBoundsStatement(t *testing.T) {
+	r := &endlessLiteral{head: `<http://x/a> <http://x/p> "`}
+	err := StreamChunks(r, SyntaxTurtle, 0, func(Chunk) error { return nil })
+	pe, ok := err.(*ParseError)
+	if !ok || pe.Line != 1 || !strings.Contains(pe.Msg, fmt.Sprint(maxStatementBytes)) {
+		t.Fatalf("want a line-1 ParseError naming %d bytes, got %v", maxStatementBytes, err)
+	}
+}
+
+// TestStreamTurtleLongSeparatorRun checks that the bound applies to
+// statements, not to the comments and blank lines between them.
+func TestStreamTurtleLongSeparatorRun(t *testing.T) {
+	line := "# " + strings.Repeat("-", 61) + "\n"
+	doc := strings.Repeat(line, maxStatementBytes/len(line)+1) + "<http://x/a> <http://x/p> <http://x/b> .\n"
+	got := collectStream(t, doc, SyntaxTurtle, 0)
+	if len(got) != 1 || got[0].S.Value != "http://x/a" {
+		t.Fatalf("got %v, want the one statement after the comments", got)
 	}
 }
 

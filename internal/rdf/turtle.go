@@ -3,6 +3,7 @@ package rdf
 import (
 	"fmt"
 	"io"
+	"maps"
 	"strings"
 	"unicode"
 )
@@ -24,47 +25,29 @@ func ReadTurtle(r io.Reader) ([]Triple, error) {
 // ParseTurtle parses a Turtle document from a string. See ReadTurtle for
 // the supported subset.
 func ParseTurtle(s string) ([]Triple, error) {
-	p := &turtleParser{
-		s:        s,
-		line:     1,
-		prefixes: map[string]string{},
-	}
-	for k, v := range WellKnownPrefixes {
-		p.prefixes[k] = v
-	}
 	var out []Triple
-	for {
-		p.skipWSAndComments()
-		if p.eof() {
-			return out, nil
-		}
-		if p.peek() == '@' || p.hasKeyword("PREFIX") || p.hasKeyword("BASE") {
-			if err := p.directive(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		ts, err := p.statement()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ts...)
+	p := &turtleParser{s: s, line: 1, prefixes: WellKnownPrefixes}
+	if err := p.parse(func(t Triple) error {
+		out = append(out, t)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
+	return out, nil
 }
 
-// parseTurtleChunk parses the statements of a streamed chunk. The chunker
-// has already extracted every directive, so prefixes and base arrive
-// frozen; the parser only reads them, which is what makes concurrent
-// chunk parsing safe.
-func parseTurtleChunk(data string, line int, prefixes map[string]string, base string, emit func(Triple) error) error {
-	p := &turtleParser{s: data, line: line, prefixes: prefixes, base: base}
+// parse runs the statement loop over the rest of p.s, invoking emit per
+// triple in document order. It is the one loop behind ParseTurtle and the
+// streamed chunks' Chunk.Parse.
+func (p *turtleParser) parse(emit func(Triple) error) error {
+	var ts []Triple
 	for {
 		p.skipWSAndComments()
 		if p.eof() {
 			return nil
 		}
-		ts, err := p.statement()
-		if err != nil {
+		var err error
+		if ts, _, err = p.unit(ts[:0]); err != nil {
 			return err
 		}
 		for _, t := range ts {
@@ -76,11 +59,25 @@ func parseTurtleChunk(data string, line int, prefixes map[string]string, base st
 }
 
 type turtleParser struct {
-	s        string
-	pos      int
-	line     int
+	s    string
+	pos  int
+	line int
+	// prefixes is copy-on-write: directive replaces the map instead of
+	// writing into it, so a saved reference stays the table it was (the
+	// streamer's rewind and the table frozen into each chunk).
 	prefixes map[string]string
 	base     string
+}
+
+// unit parses the directive or statement at p.pos, which must not be at
+// a separator or the end, and appends a statement's triples to out.
+// directive reports which of the two it was.
+func (p *turtleParser) unit(out []Triple) (_ []Triple, directive bool, err error) {
+	if p.peek() == '@' || p.hasKeyword("PREFIX") || p.hasKeyword("BASE") {
+		return out, true, p.directive()
+	}
+	out, err = p.statement(out)
+	return out, false, err
 }
 
 func (p *turtleParser) eof() bool  { return p.pos >= len(p.s) }
@@ -142,6 +139,7 @@ func (p *turtleParser) directive() error {
 		if err != nil {
 			return err
 		}
+		p.prefixes = maps.Clone(p.prefixes)
 		p.prefixes[name] = ns.Value
 	case p.hasKeyword("base"):
 		p.pos += len("base")
@@ -186,14 +184,13 @@ func (p *turtleParser) prefixName() (string, error) {
 	return name, nil
 }
 
-// statement parses subject predicateObjectList '.' and expands the
-// predicate (';') and object (',') lists into individual triples.
-func (p *turtleParser) statement() ([]Triple, error) {
+// statement parses subject predicateObjectList '.' and appends the
+// triples of its predicate (';') and object (',') lists to out.
+func (p *turtleParser) statement(out []Triple) ([]Triple, error) {
 	subj, err := p.subject()
 	if err != nil {
 		return nil, err
 	}
-	var out []Triple
 	for {
 		p.skipWSAndComments()
 		pred, err := p.predicate()
@@ -352,7 +349,7 @@ func (p *turtleParser) prefixedName() (Term, error) {
 	}
 	i++ // consume ':'
 	lstart := i
-	for i < len(p.s) && isPNLocalChar(rune(p.s[i])) {
+	for i < len(p.s) && isPNChar(rune(p.s[i])) {
 		i++
 	}
 	local := p.s[lstart:i]
@@ -450,10 +447,6 @@ done:
 
 func isPNChar(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-'
-}
-
-func isPNLocalChar(r rune) bool {
-	return isPNChar(r) || r == '.' && false /* trailing dots excluded for simplicity */
 }
 
 func excerpt(s string, at int) string {

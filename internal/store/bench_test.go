@@ -40,21 +40,36 @@ func BenchmarkLoad(b *testing.B) {
 
 // BenchmarkLoadStream times the cold streaming ingest — parse, intern,
 // dictionary commit and the columnar base build, the server's -load boot —
-// over N-Triples generated once in memory at two generator sizes.
+// over documents generated once in memory at two generator sizes:
+// N-Triples (persons=N) and Turtle written by rdf.WriteTurtle
+// (ttl/persons=N).
 func BenchmarkLoadStream(b *testing.B) {
 	for _, persons := range []int{2000, 20000} {
 		cfg := datagen.DefaultConfig()
 		cfg.Persons = persons
-		doc := rdf.FormatNTriples(datagen.Generate(cfg).Triples)
-		b.Run(fmt.Sprintf("persons=%d", persons), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(doc)))
-			for i := 0; i < b.N; i++ {
-				if _, err := store.New(0).LoadStream(strings.NewReader(doc), store.StreamOptions{}); err != nil {
-					b.Fatal(err)
+		triples := datagen.Generate(cfg).Triples
+		var ttl strings.Builder
+		if err := rdf.WriteTurtle(&ttl, triples); err != nil {
+			b.Fatal(err)
+		}
+		for _, d := range []struct {
+			name   string
+			syntax rdf.Syntax
+			doc    string
+		}{
+			{fmt.Sprintf("persons=%d", persons), rdf.SyntaxNTriples, rdf.FormatNTriples(triples)},
+			{fmt.Sprintf("ttl/persons=%d", persons), rdf.SyntaxTurtle, ttl.String()},
+		} {
+			b.Run(d.name, func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(len(d.doc)))
+				for i := 0; i < b.N; i++ {
+					if _, err := store.New(0).LoadStream(strings.NewReader(d.doc), store.StreamOptions{Syntax: d.syntax}); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -14,7 +14,10 @@ import (
 // a fully materialized []rdf.Triple and encodes it serially; LoadStream
 // instead pipelines the whole ingest over an io.Reader:
 //
-//	chunker  — one goroutine cuts the input on line/statement boundaries
+//	chunker  — one goroutine cuts the input: N-Triples at newlines,
+//	           Turtle where rdf's Turtle parser, run over the stream
+//	           by the chunker itself, ends each statement; it applies
+//	           the directives and freezes the prefix table into chunks
 //	workers  — GOMAXPROCS goroutines parse chunks and intern terms
 //	           concurrently through a dictionary batch (sharded maps,
 //	           provisional IDs)
