@@ -43,11 +43,11 @@ func NegotiateFormat(accept string) (contentType string) {
 
 // appendTSV is the SPARQL 1.1 TSV encoder: variables prefixed with '?',
 // terms in N-Triples syntax, tab separators.
-func appendTSV(dst []byte, res *sparql.Result, spill spillFunc) ([]byte, error) {
-	if res.Ask {
-		return fmt.Appendf(dst, "?boolean\n%v\n", res.AskTrue), nil
+func appendTSV(dst []byte, tab *sparql.Table, spill spillFunc) ([]byte, error) {
+	if tab.Ask {
+		return fmt.Appendf(dst, "?boolean\n%v\n", tab.AskTrue), nil
 	}
-	for i, v := range res.Vars {
+	for i, v := range tab.Vars {
 		if i > 0 {
 			dst = append(dst, '\t')
 		}
@@ -55,12 +55,12 @@ func appendTSV(dst []byte, res *sparql.Result, spill spillFunc) ([]byte, error) 
 	}
 	dst = append(dst, '\n')
 	var err error
-	for _, sol := range res.Rows {
-		for i, v := range res.Vars {
-			if i > 0 {
+	for r := 0; r < tab.Len(); r++ {
+		for c := range tab.Vars {
+			if c > 0 {
 				dst = append(dst, '\t')
 			}
-			if t, ok := sol[v]; ok {
+			if t, ok := tab.Term(r, c); ok {
 				// N-Triples rendering, with tabs and newlines already
 				// escaped by Term.String for literals.
 				dst = append(dst, t.String()...)
@@ -85,18 +85,19 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 // appendCSV is the SPARQL 1.1 CSV encoder: a header of variable names,
 // values as plain strings (IRIs bare, literals by lexical form), unbound
 // cells empty.
-func appendCSV(dst []byte, res *sparql.Result, spill spillFunc) ([]byte, error) {
+func appendCSV(dst []byte, tab *sparql.Table, spill spillFunc) ([]byte, error) {
 	out := &sliceWriter{dst}
 	w := csv.NewWriter(out) // out never fails: w.Error reports any write error
-	if res.Ask {
-		err := w.WriteAll([][]string{{"boolean"}, {fmt.Sprint(res.AskTrue)}})
+	if tab.Ask {
+		err := w.WriteAll([][]string{{"boolean"}, {fmt.Sprint(tab.AskTrue)}})
 		return out.b, err
 	}
-	_ = w.Write(res.Vars)
-	row := make([]string, len(res.Vars))
-	for _, sol := range res.Rows {
-		for i, v := range res.Vars {
-			row[i] = sol[v].Value // unbound: the zero Term, an empty cell
+	_ = w.Write(tab.Vars)
+	row := make([]string, len(tab.Vars))
+	for r := 0; r < tab.Len(); r++ {
+		for c := range row {
+			t, _ := tab.Term(r, c) // unbound: the zero Term, an empty cell
+			row[c] = t.Value
 		}
 		_ = w.Write(row)
 		w.Flush()
@@ -142,7 +143,7 @@ func xmlStart(name string) xml.StartElement {
 // appendXML is the SPARQL Query Results XML encoder: the document
 // xml.MarshalIndent writes with a two-space indent, encoded one result
 // element at a time.
-func appendXML(dst []byte, res *sparql.Result, spill spillFunc) ([]byte, error) {
+func appendXML(dst []byte, tab *sparql.Table, spill spillFunc) ([]byte, error) {
 	out := &sliceWriter{append(dst, xml.Header...)}
 	enc := xml.NewEncoder(out)
 	enc.Indent("", "  ")
@@ -161,17 +162,17 @@ func appendXML(dst []byte, res *sparql.Result, spill spillFunc) ([]byte, error) 
 	}
 	token(root)
 	var head xmlHead
-	if res.Ask {
+	if tab.Ask {
 		element(head, "head")
-		element(res.AskTrue, "boolean")
+		element(tab.AskTrue, "boolean")
 	} else {
-		for _, v := range res.Vars {
+		for _, v := range tab.Vars {
 			head.Variables = append(head.Variables, xmlVariable{Name: v})
 		}
 		element(head, "head")
 		token(results)
-		for _, sol := range res.Rows {
-			element(xmlResultOf(res.Vars, sol), "result")
+		for r := 0; r < tab.Len(); r++ {
+			element(xmlResultOf(tab, r), "result")
 			if err == nil {
 				err = enc.Flush()
 			}
@@ -191,11 +192,11 @@ func appendXML(dst []byte, res *sparql.Result, spill spillFunc) ([]byte, error) 
 	return out.b, nil
 }
 
-// xmlResultOf is the result element of one solution.
-func xmlResultOf(vars []string, sol sparql.Solution) xmlResult {
-	var r xmlResult
-	for _, v := range vars {
-		t, ok := sol[v]
+// xmlResultOf is the result element of row r.
+func xmlResultOf(tab *sparql.Table, r int) xmlResult {
+	var res xmlResult
+	for c, v := range tab.Vars {
+		t, ok := tab.Term(r, c)
 		if !ok {
 			continue
 		}
@@ -208,7 +209,7 @@ func xmlResultOf(vars []string, sol sparql.Solution) xmlResult {
 		default:
 			b.Literal = &xmlLiteral{Lang: t.Lang, Datatype: t.Datatype, Value: t.Value}
 		}
-		r.Bindings = append(r.Bindings, b)
+		res.Bindings = append(res.Bindings, b)
 	}
-	return r
+	return res
 }

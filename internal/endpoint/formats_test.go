@@ -260,7 +260,17 @@ func TestXMLAndCSVMatchWholeDocumentOracles(t *testing.T) {
 // before the end, what the writer's output must equal on every path.
 func keepAll(b []byte) ([]byte, error) { return b, nil }
 
-func marshalJSON(res *sparql.Result) ([]byte, error) { return appendJSON(nil, res, keepAll) }
-func marshalTSV(res *sparql.Result) ([]byte, error)  { return appendTSV(nil, res, keepAll) }
-func marshalCSV(res *sparql.Result) ([]byte, error)  { return appendCSV(nil, res, keepAll) }
-func marshalXML(res *sparql.Result) ([]byte, error)  { return appendXML(nil, res, keepAll) }
+// A materialised result reaches them through sparql.TableOf, as a cache
+// tier's or a remote answer does.
+func marshalJSON(res *sparql.Result) ([]byte, error) {
+	return appendJSON(nil, sparql.TableOf(res), keepAll)
+}
+func marshalTSV(res *sparql.Result) ([]byte, error) {
+	return appendTSV(nil, sparql.TableOf(res), keepAll)
+}
+func marshalCSV(res *sparql.Result) ([]byte, error) {
+	return appendCSV(nil, sparql.TableOf(res), keepAll)
+}
+func marshalXML(res *sparql.Result) ([]byte, error) {
+	return appendXML(nil, sparql.TableOf(res), keepAll)
+}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 	"unicode/utf8"
 
 	"elinda/internal/rdf"
@@ -40,27 +41,38 @@ type jsonTerm struct {
 	Datatype string `json:"datatype,omitempty"`
 }
 
-// appendJSON is the SPARQL JSON encoder: the rows' keys sorted once per
-// result, each row appended directly.
-func appendJSON(dst []byte, res *sparql.Result, spill spillFunc) ([]byte, error) {
-	if res.Ask {
-		return appendJSONAsk(dst, res.AskTrue), nil
+// appendJSON is the SPARQL JSON encoder: the table's column names sorted
+// once per answer, each row appended directly from its cells.
+func appendJSON(dst []byte, tab *sparql.Table, spill spillFunc) ([]byte, error) {
+	if tab.Ask {
+		return appendJSONAsk(dst, tab.AskTrue), nil
 	}
-	dst = appendJSONHead(dst, res.Vars)
-	keys := rowKeys(res.Vars)
+	dst = appendJSONHead(dst, tab.Vars)
+	keys := rowKeys(tab.Columns())
 	var err error
-	for i, row := range res.Rows {
+	for i := 0; i < tab.Len(); i++ {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		if dst, err = spill(appendJSONRow(dst, keys, row)); err != nil {
+		dst = append(dst, '{')
+		n := 0
+		for _, k := range keys {
+			if t, ok := tab.Term(i, k.col); ok {
+				if n > 0 {
+					dst = append(dst, ',')
+				}
+				dst = appendJSONTerm(append(appendJSONString(dst, k.name), ':'), t)
+				n++
+			}
+		}
+		if dst, err = spill(append(dst, '}')); err != nil {
 			return dst, err
 		}
 	}
 	return append(dst, jsonTail...), nil
 }
 
-// The appenders below write exactly the bytes encoding/json writes for
+// The appenders write exactly the bytes encoding/json writes for
 // jsonResults with each row a map[string]jsonTerm (json_oracle_test.go
 // keeps that encoder as the reference), without reflection or a map per
 // row.
@@ -92,47 +104,28 @@ func appendJSONHead(dst []byte, vars []string) []byte {
 	return append(dst, `},"results":{"bindings":[`...)
 }
 
-// rowKeys returns vars sorted in byte order without duplicates: the
-// order encoding/json writes a row map's keys in.
-func rowKeys(vars []string) []string {
-	keys := slices.Clone(vars)
-	slices.Sort(keys)
-	return slices.Compact(keys)
+// jsonKey is a row member's name and the column its value is read from.
+type jsonKey struct {
+	name string
+	col  int
 }
 
-// appendJSONRow appends sol as one element of the bindings array. keys
-// must come from rowKeys. A row binding a name outside keys (a remote or
-// restored result) is rewritten in the order of its own sorted names.
-func appendJSONRow(dst []byte, keys []string, sol sparql.Solution) []byte {
-	start := len(dst)
-	dst = append(dst, '{')
-	n := 0
-	for _, k := range keys {
-		if t, ok := sol[k]; ok {
-			dst = appendJSONBinding(dst, n, k, t)
-			n++
+// rowKeys returns the column names once each in byte order, the order
+// encoding/json writes a row map's keys in (a name outside Vars takes its
+// place among a row's own names); a shared name reads its first column.
+func rowKeys(cols []string) []jsonKey {
+	var keys []jsonKey
+	for c, name := range cols {
+		if !slices.Contains(cols[:c], name) {
+			keys = append(keys, jsonKey{name, c})
 		}
 	}
-	if n != len(sol) {
-		own := make([]string, 0, len(sol))
-		for k := range sol {
-			own = append(own, k)
-		}
-		slices.Sort(own)
-		dst = append(dst[:start], '{')
-		for i, k := range own {
-			dst = appendJSONBinding(dst, i, k, sol[k])
-		}
-	}
-	return append(dst, '}')
+	slices.SortFunc(keys, func(a, b jsonKey) int { return strings.Compare(a.name, b.name) })
+	return keys
 }
 
-// appendJSONBinding appends the i-th "name":term member of a row.
-func appendJSONBinding(dst []byte, i int, name string, t rdf.Term) []byte {
-	if i > 0 {
-		dst = append(dst, ',')
-	}
-	dst = append(appendJSONString(dst, name), ':')
+// appendJSONTerm appends t as a binding's term object.
+func appendJSONTerm(dst []byte, t rdf.Term) []byte {
 	switch t.Kind {
 	case rdf.IRI:
 		dst = appendJSONString(append(dst, `{"type":"uri","value":`...), t.Value)

@@ -276,13 +276,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // unterminated and the CompleteTrailer unset.
 func (s *Server) serveQuery(ctx context.Context, w http.ResponseWriter, r *http.Request, query string) {
 	contentType := NegotiateFormat(r.Header.Get("Accept"))
-	var res *sparql.Result
+	var tab *sparql.Table
 	var body []byte
 	var err error
 	if bx, ok := s.exec.(BodyExecutor); ok {
-		res, body, err = bx.QueryBody(ctx, query, contentType)
+		tab, body, err = bx.QueryBody(ctx, query, contentType)
 	} else {
-		res, err = s.exec.Query(ctx, query)
+		var res *sparql.Result
+		if res, err = s.exec.Query(ctx, query); err == nil {
+			tab = sparql.TableOf(res)
+		}
 	}
 	if err == nil {
 		// The engine checks the context inside its join loops, but a
@@ -296,11 +299,11 @@ func (s *Server) serveQuery(ctx context.Context, w http.ResponseWriter, r *http.
 	}
 	w.Header().Set("Content-Type", contentType)
 	a := &answerWriter{ctx: ctx, w: w, limit: BodyBytes}
-	if body == nil {
-		body, err = encoders[contentType](nil, res, a.spill)
-	}
-	if err == nil {
+	if body != nil {
+		// A kept body belongs to a cache tier: it is written, never pooled.
 		err = a.finish(body)
+	} else {
+		err = a.encodeFresh(tab, contentType)
 	}
 	switch {
 	case err == nil:

@@ -373,9 +373,57 @@ func (f fixedExec) Query(context.Context, string) (*sparql.Result, error) { retu
 // answer's.
 type bodyExec struct{ fixedExec }
 
-func (f bodyExec) QueryBody(_ context.Context, _, contentType string) (*sparql.Result, []byte, error) {
-	body, _ := EncodeBody(f.res, contentType)
-	return f.res, body, nil
+var _ BodyExecutor = bodyExec{}
+
+func (f bodyExec) QueryBody(_ context.Context, _, contentType string) (*sparql.Table, []byte, error) {
+	if body, ok := EncodeBody(f.res, contentType); ok {
+		return nil, body, nil
+	}
+	return sparql.TableOf(f.res), nil, nil
+}
+
+// keptOrFresh answers the query "kept" with a body it holds, as a cache
+// tier does, and any other query with res as a fresh table.
+type keptOrFresh struct {
+	kept []byte
+	res  *sparql.Result
+}
+
+func (k keptOrFresh) Query(context.Context, string) (*sparql.Result, error) { return k.res, nil }
+
+func (k keptOrFresh) QueryBody(_ context.Context, src, _ string) (*sparql.Table, []byte, error) {
+	if src == "kept" {
+		return nil, k.kept, nil
+	}
+	return sparql.TableOf(k.res), nil, nil
+}
+
+// TestKeptBodyNeverPooled: a kept body served twice, between fresh
+// answers that encode into pooled buffers (one within BodyBytes, one
+// over it), goes out unchanged and stays unchanged.
+func TestKeptBodyNeverPooled(t *testing.T) {
+	kept, ok := EncodeBody(manyRows(100), ContentType)
+	if !ok {
+		t.Fatal("EncodeBody refused a small answer")
+	}
+	want := bytes.Clone(kept)
+	for _, fresh := range []*sparql.Result{manyRows(200), manyRows(3 * BodyBytes / 40)} {
+		srv := NewServer(keptOrFresh{kept: kept, res: fresh})
+		for i, src := range []string{"kept", "fresh", "kept", "fresh", "kept"} {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sparql?query="+src, nil))
+			body := want
+			if src == "fresh" {
+				body = oracleMarshalResult(fresh)
+			}
+			if !bytes.Equal(rec.Body.Bytes(), body) {
+				t.Fatalf("request %d (%s): body of %d bytes, want %d", i, src, rec.Body.Len(), len(body))
+			}
+			if !bytes.Equal(kept, want) {
+				t.Fatalf("request %d (%s): the kept body changed", i, src)
+			}
+		}
+	}
 }
 
 // TestServeAroundBodyBytes: answers just under, at and over BodyBytes,

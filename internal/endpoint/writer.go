@@ -3,10 +3,12 @@ package endpoint
 // The one writer every answer goes out through (see Server).
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"elinda/internal/sparql"
 )
@@ -16,19 +18,19 @@ import (
 // largest body the proxy keeps beside a cached answer.
 const BodyBytes = 64 << 10
 
-// BodyExecutor is an Executor that can hand back an answer already
-// encoded: QueryBody returns the result and, when it holds one, its
-// whole body in contentType (a NegotiateFormat type), which the server
-// writes as is. *proxy.Proxy keeps its shared cached answers' bodies.
+// BodyExecutor is an Executor that hands the server its answer as ID
+// rows to encode or, when it holds one, as the whole body in contentType
+// (a NegotiateFormat type), written as is and with no table.
+// *proxy.Proxy keeps its shared cached answers' bodies.
 type BodyExecutor interface {
-	QueryBody(ctx context.Context, src, contentType string) (*sparql.Result, []byte, error)
+	QueryBody(ctx context.Context, src, contentType string) (*sparql.Table, []byte, error)
 }
 
-// An encoder appends res to dst in one results format. After each row
+// An encoder appends tab to dst in one results format. After each row
 // it hands its buffer to spill, which may send a prefix of it and
 // returns what is left to append to; an error from spill stops the
 // encoding and is returned.
-type encoder func(dst []byte, res *sparql.Result, spill spillFunc) ([]byte, error)
+type encoder func(dst []byte, tab *sparql.Table, spill spillFunc) ([]byte, error)
 
 type spillFunc func([]byte) ([]byte, error)
 
@@ -45,16 +47,42 @@ func EncodeBody(res *sparql.Result, contentType string) (body []byte, ok bool) {
 	if !ok {
 		return nil, false
 	}
-	body, err := encode(nil, res, func(b []byte) ([]byte, error) {
+	buf := bodyPool.Get().(*[]byte)
+	body, err := encode((*buf)[:0], sparql.TableOf(res), func(b []byte) ([]byte, error) {
 		if len(b) > BodyBytes {
 			return b, errTooLarge
 		}
 		return b, nil
 	})
-	if err != nil || len(body) > BodyBytes {
-		return nil, false
+	var kept []byte
+	if err == nil && len(body) <= BodyBytes {
+		kept = bytes.Clone(body) // a kept body never goes back to the pool
 	}
-	return body, true
+	putBody(buf, body)
+	return kept, kept != nil
+}
+
+// bodyPool holds encode buffers between answers, each of BodyBytes
+// capacity; one that grew past twice that is dropped (putBody).
+var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, BodyBytes); return &b }}
+
+// putBody returns buf to the pool holding b, the buffer encoded into.
+func putBody(buf *[]byte, b []byte) {
+	if cap(b) <= 2*BodyBytes {
+		*buf = b[:0]
+		bodyPool.Put(buf)
+	}
+}
+
+// encodeFresh encodes tab into a pooled buffer and sends it.
+func (a *answerWriter) encodeFresh(tab *sparql.Table, contentType string) error {
+	buf := bodyPool.Get().(*[]byte)
+	body, err := encoders[contentType]((*buf)[:0], tab, a.spill)
+	if err == nil {
+		err = a.finish(body)
+	}
+	putBody(buf, body)
+	return err
 }
 
 // answerWriter sends one answer's body on w. Before its first chunk it

@@ -24,9 +24,10 @@
 //
 // The proxy implements endpoint.BodyExecutor, so it can be served over
 // HTTP by endpoint.Server, giving the full browser → proxy → cache/DB
-// pipeline. An answer a cache tier shares (an HVS entry, a decomposer
-// memo rendering) keeps its encoded body beside it from its first serve,
-// so a repeated hit is written as bytes already held.
+// pipeline. A backend answer reaches the encoder as the engine's ID rows
+// (sparql.Table). An answer a cache tier shares (an HVS entry, a
+// decomposer memo rendering) keeps its encoded body beside it from its
+// first serve, so a repeated hit is written as bytes already held.
 package proxy
 
 import (
@@ -113,7 +114,7 @@ type Proxy struct {
 // requests attach to.
 type flight struct {
 	done chan struct{}
-	res  *sparql.Result
+	tab  *sparql.Table
 	tr   Trace
 	err  error
 }
@@ -266,34 +267,38 @@ func (p *Proxy) Explain(ctx context.Context, src string) (*sparql.PlanReport, er
 
 // Query implements endpoint.Executor with the three-tier routing.
 func (p *Proxy) Query(ctx context.Context, src string) (*sparql.Result, error) {
-	res, _, _, err := p.query(ctx, src, "")
+	res, _, err := p.QueryTraced(ctx, src)
 	return res, err
 }
 
 // QueryTraced is Query plus the route/runtime trace for the request.
 func (p *Proxy) QueryTraced(ctx context.Context, src string) (*sparql.Result, Trace, error) {
-	res, _, tr, err := p.query(ctx, src, "")
-	return res, tr, err
-}
-
-// QueryBody implements endpoint.BodyExecutor: Query, plus the answer's
-// body in contentType when a cache tier shares the answer and the body
-// fits endpoint.BodyBytes. A backend answer comes back without one.
-func (p *Proxy) QueryBody(ctx context.Context, src, contentType string) (*sparql.Result, []byte, error) {
-	res, body, _, err := p.query(ctx, src, contentType)
-	return res, body, err
-}
-
-// query is the three-tier routing, asking the cache tiers for the body
-// kept beside their answer in contentType ("" asks for none).
-func (p *Proxy) query(ctx context.Context, src, contentType string) (*sparql.Result, []byte, Trace, error) {
 	start := time.Now()
 	gen := p.st.Generation()
-	if res, body, tr, served := p.tryCacheTiers(src, gen, start, contentType); served {
-		return res, body, tr, nil
+	if res, _, tr, served := p.tryCacheTiers(src, gen, start, ""); served {
+		return res, tr, nil
 	}
-	res, tr, err := p.backendCoalesced(ctx, src, gen, start)
-	return res, nil, tr, err
+	tab, tr, err := p.backendCoalesced(ctx, src, gen, start)
+	if err != nil {
+		return nil, tr, err
+	}
+	return tab.Result(), tr, nil
+}
+
+// QueryBody implements endpoint.BodyExecutor with the three-tier routing:
+// the body a cache tier keeps beside its answer in contentType, or else
+// the answer as a table (the local engine's, or made by sparql.TableOf).
+func (p *Proxy) QueryBody(ctx context.Context, src, contentType string) (*sparql.Table, []byte, error) {
+	start := time.Now()
+	gen := p.st.Generation()
+	if res, body, _, served := p.tryCacheTiers(src, gen, start, contentType); served {
+		if body != nil {
+			return nil, body, nil
+		}
+		return sparql.TableOf(res), nil, nil
+	}
+	tab, _, err := p.backendCoalesced(ctx, src, gen, start)
+	return tab, nil, err
 }
 
 // QueryRows implements sparql.RowExecutor for in-process callers: Query,
@@ -361,32 +366,44 @@ func servedBody(res *sparql.Result, contentType string, kept []byte, keep func([
 	return kept
 }
 
-// backendDirect runs the backend tier for one flight's leader.
-func (p *Proxy) backendDirect(ctx context.Context, src string, gen uint64, start time.Time) (*sparql.Result, Trace, error) {
-	res, err := p.backend.Query(ctx, src)
+// backendDirect runs the backend tier for one flight's leader: the local
+// engine answers with ID rows, a remote backend's result is made a table.
+func (p *Proxy) backendDirect(ctx context.Context, src string, gen uint64, start time.Time) (*sparql.Table, Trace, error) {
+	var tab *sparql.Table
+	var err error
+	if p.eng == nil {
+		var res *sparql.Result
+		if res, err = p.backend.Query(ctx, src); err == nil {
+			tab = sparql.TableOf(res)
+		}
+	} else if q, perr := sparql.Parse(src); perr != nil {
+		err = perr
+	} else {
+		tab, err = p.eng.ExecuteTable(ctx, q)
+	}
 	runtime := time.Since(start)
 	tr := Trace{Route: RouteBackend, Runtime: runtime}
 	if err != nil {
 		return nil, tr, err
 	}
-	tr.Heavy = p.recordHeavy(src, res, runtime, gen)
+	tr.Heavy = p.recordHeavy(src, tab, runtime, gen)
 	p.record(tr)
-	return res, tr, nil
+	return tab, tr, nil
 }
 
 // recordHeavy stores a result in the HVS tagged with its dependency
 // footprint, so delta-aware invalidation can keep it across disjoint
 // writes, and with its Shape, so Apply can fold writes into an object
-// expansion. Both are derived only when the result will actually be
-// stored (runtime at or above the threshold): re-parsing every light
-// query to tag nothing would tax the hot path.
+// expansion. The rows as maps, the footprint and the Shape are derived
+// only for a result that will be stored (runtime at or above the
+// threshold): doing it for every light query would tax the hot path.
 //
 // The backend binds its own snapshot, so the result is known to be the
 // answer at gen only if the store is still at gen once it returns
 // (generations only move forward). A result that may already hold a
 // later write is not stored: tagged gen, that write's fold would count
 // it a second time.
-func (p *Proxy) recordHeavy(src string, res *sparql.Result, runtime time.Duration, gen uint64) bool {
+func (p *Proxy) recordHeavy(src string, tab *sparql.Table, runtime time.Duration, gen uint64) bool {
 	if runtime < p.cache.Threshold() {
 		return false
 	}
@@ -398,7 +415,7 @@ func (p *Proxy) recordHeavy(src string, res *sparql.Result, runtime time.Duratio
 	if err == nil {
 		fp = q.Footprint()
 	}
-	return p.cache.RecordFootprint(src, res, runtime, gen, fp, shapeOf(q, err))
+	return p.cache.RecordFootprint(src, tab.Result(), runtime, gen, fp, shapeOf(q, err))
 }
 
 // flightKey is the coalescing identity: normalized query text plus the
@@ -410,14 +427,14 @@ func flightKey(src string, gen uint64) string {
 
 // backendCoalesced runs the backend tier, sharing one execution among
 // concurrent identical requests.
-func (p *Proxy) backendCoalesced(ctx context.Context, src string, gen uint64, start time.Time) (*sparql.Result, Trace, error) {
+func (p *Proxy) backendCoalesced(ctx context.Context, src string, gen uint64, start time.Time) (*sparql.Table, Trace, error) {
 	key := flightKey(src, gen)
 	for {
-		res, tr, err, lead := p.joinOrLead(ctx, key, start, func(f *flight) {
-			f.res, f.tr, f.err = p.backendDirect(ctx, src, gen, start)
+		tab, tr, err, lead := p.joinOrLead(ctx, key, start, func(f *flight) {
+			f.tab, f.tr, f.err = p.backendDirect(ctx, src, gen, start)
 		})
 		if lead || !p.shouldRetryAsFollower(ctx, err) {
-			return res, tr, err
+			return tab, tr, err
 		}
 	}
 }
@@ -426,7 +443,7 @@ func (p *Proxy) backendCoalesced(ctx context.Context, src string, gen uint64, st
 // leader and runs exec. lead reports which role this call played; for
 // followers the trace is re-stamped with their own wall-clock time and
 // marked Coalesced.
-func (p *Proxy) joinOrLead(ctx context.Context, key string, start time.Time, exec func(*flight)) (res *sparql.Result, tr Trace, err error, lead bool) {
+func (p *Proxy) joinOrLead(ctx context.Context, key string, start time.Time, exec func(*flight)) (tab *sparql.Table, tr Trace, err error, lead bool) {
 	p.flMu.Lock()
 	if f, ok := p.flights[key]; ok {
 		p.flMu.Unlock()
@@ -439,7 +456,7 @@ func (p *Proxy) joinOrLead(ctx context.Context, key string, start time.Time, exe
 			tr.Coalesced = true
 			tr.Runtime = time.Since(start)
 			p.record(tr)
-			return f.res, tr, nil, false
+			return f.tab, tr, nil, false
 		case <-ctx.Done():
 			return nil, Trace{Route: RouteBackend, Runtime: time.Since(start)}, fmt.Errorf("proxy: %w", ctx.Err()), false
 		}
@@ -455,7 +472,7 @@ func (p *Proxy) joinOrLead(ctx context.Context, key string, start time.Time, exe
 	completed := false
 	defer func() {
 		if !completed {
-			f.res, f.err = nil, errLeaderAborted
+			f.tab, f.err = nil, errLeaderAborted
 		}
 		p.flMu.Lock()
 		delete(p.flights, key)
@@ -464,7 +481,7 @@ func (p *Proxy) joinOrLead(ctx context.Context, key string, start time.Time, exe
 	}()
 	exec(f)
 	completed = true
-	return f.res, f.tr, f.err, true
+	return f.tab, f.tr, f.err, true
 }
 
 // shouldRetryAsFollower decides whether a follower whose flight failed

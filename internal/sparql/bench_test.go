@@ -151,13 +151,13 @@ func BenchmarkOrderByLimit(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cp := append([]Solution(nil), rows...)
 			sortRows(cp, keys)
-			_ = SliceSolutions(cp, 0, 10)
+			_ = cp[:10]
 		}
 	})
 	b.Run("topk-10", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, _ = TopKSolutions(context.Background(), rows, keys, 10)
+			_ = OrderAndSlice(rows, &Query{OrderBy: keys, Limit: 10})
 		}
 	})
 }

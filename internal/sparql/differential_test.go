@@ -427,7 +427,11 @@ func executeCascaded(ctx context.Context, e *Engine, q *Query) (*Result, error) 
 	if err := e.runBGP(ctx, seed, q.Where.Triples, slots, out, env, false); err != nil {
 		return nil, err
 	}
-	return e.finishIDs(ctx, q, out, slots, env)
+	proj, vars, err := e.finishIDs(ctx, q, out, slots, env)
+	if err != nil {
+		return nil, err
+	}
+	return env.table(proj, vars).Result(), nil
 }
 
 // TestCyclicStarDifferential drives the cyclic and star shapes through

@@ -51,22 +51,6 @@ func (e *Engine) Query(ctx context.Context, src string) (*Result, error) {
 	return e.Execute(ctx, q)
 }
 
-// SliceSolutions applies OFFSET/LIMIT solution modifiers (limit < 0 means
-// unlimited).
-func SliceSolutions(rows []Solution, offset, limit int) []Solution {
-	if offset > 0 {
-		if offset >= len(rows) {
-			rows = nil
-		} else {
-			rows = rows[offset:]
-		}
-	}
-	if limit >= 0 && limit < len(rows) {
-		rows = rows[:limit]
-	}
-	return rows
-}
-
 func valueToTerm(v Value) (rdf.Term, bool) {
 	switch v.Kind {
 	case VTerm:
@@ -95,56 +79,37 @@ func trimFloat(f float64) string {
 	return fmt.Sprintf("%g", f)
 }
 
-func dedupRows(rows []Solution, vars []string) []Solution {
-	seen := map[string]struct{}{}
-	out := rows[:0]
-	for _, r := range rows {
-		var b strings.Builder
-		for _, v := range vars {
-			if t, ok := r[v]; ok {
-				b.WriteString(t.String())
-			}
-			b.WriteByte('\x00')
-		}
-		key := b.String()
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		out = append(out, r)
-	}
-	return out
-}
-
 // cmpSolutionsOrder compares two solutions under the ORDER BY keys,
-// returning -1/0/+1 with Desc already applied. It is the single source
-// of ordering truth shared by the stable full sort and the bounded-heap
-// top-k selection.
+// returning -1/0/+1 with Desc already applied: the map form of the
+// ordering orderSliceIDs applies to ID rows, through the same cmpOrderKey.
 func cmpSolutionsOrder(a, b Solution, keys []OrderKey) int {
 	for _, k := range keys {
-		vi := k.Expr.Eval(a)
-		vj := k.Expr.Eval(b)
-		cmp, ok := compareValues(vi, vj)
-		if !ok {
-			// Unbound sorts first (ascending).
-			switch {
-			case vi.Kind == VUnbound && vj.Kind != VUnbound:
-				cmp = -1
-			case vi.Kind != VUnbound && vj.Kind == VUnbound:
-				cmp = 1
-			default:
-				continue
-			}
+		if c := cmpOrderKey(k.Expr.Eval(a), k.Expr.Eval(b), k.Desc); c != 0 {
+			return c
 		}
-		if cmp == 0 {
-			continue
-		}
-		if k.Desc {
-			return -cmp
-		}
-		return cmp
 	}
 	return 0
+}
+
+// cmpOrderKey compares two values of one ORDER BY key like
+// cmpSolutionsOrder. Unbound sorts first; values compareValues cannot
+// order compare equal.
+func cmpOrderKey(vi, vj Value, desc bool) int {
+	cmp, ok := compareValues(vi, vj)
+	if !ok {
+		switch {
+		case vi.Kind == VUnbound && vj.Kind != VUnbound:
+			cmp = -1
+		case vi.Kind != VUnbound && vj.Kind == VUnbound:
+			cmp = 1
+		default:
+			return 0
+		}
+	}
+	if desc {
+		return -cmp
+	}
+	return cmp
 }
 
 func sortRows(rows []Solution, keys []OrderKey) {

@@ -4,10 +4,11 @@ package sparql
 // streaming executor. Queries compile to a slot table (variable name →
 // column index) and evaluate as flat []rdf.ID binding rows flowing through
 // a push-based operator pipeline (pattern scan → index-backed join →
-// filter → distinct/group). IDs decode back to rdf.Term only at
-// projection time in finishIDs — "decode at the edge" — so the hot join
-// loops never allocate per-row maps, never render Term.String() keys, and
-// compare bindings by integer equality.
+// filter → distinct/group → order → slice), and leave as a Table of ID
+// rows (table.go). Terms decode only where an expression, ORDER BY key or
+// aggregate needs a value, in a response encoder, or in Table.Result, the
+// one place that builds a Solution map per row — so the hot join loops
+// never allocate per-row maps and compare bindings by integer equality.
 //
 // The map-based evaluator this replaced lives on in oracle_test.go as the
 // differential-testing oracle: both must produce identical row sets (see
@@ -100,6 +101,13 @@ func (env *execEnv) decode(id rdf.ID) rdf.Term {
 		return env.over[id-overflowBase]
 	}
 	return env.dict.Term(id)
+}
+
+// table is the answer proj, columns named by vars, decoded through env:
+// the dictionary's terms as of now (which hold every ID of proj) and the
+// overflow terms.
+func (env *execEnv) table(proj *idRows, vars []string) *Table {
+	return &Table{Vars: vars, cols: vars, n: proj.n, ids: proj.data, terms: env.dict.Terms(), over: env.over}
 }
 
 // idRows is a compact row set: n rows of width w stored back to back in
@@ -209,10 +217,20 @@ func groupSlots(g *GroupPattern) *slotTable {
 	return t
 }
 
-// Execute runs a parsed query. It binds one immutable store snapshot for
-// the whole execution: consistent reads, and zero lock traffic inside the
-// join loops.
+// Execute runs a parsed query and returns its answer with one Solution
+// map per row: ExecuteTable's answer converted by Table.Result.
 func (e *Engine) Execute(ctx context.Context, q *Query) (*Result, error) {
+	tab, err := e.ExecuteTable(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	return tab.Result(), nil
+}
+
+// ExecuteTable runs a parsed query and returns its answer as ID rows. It
+// binds one immutable store snapshot for the whole execution: consistent
+// reads, and zero lock traffic inside the join loops.
+func (e *Engine) ExecuteTable(ctx context.Context, q *Query) (*Table, error) {
 	env := newExecEnv(e.st.Snapshot())
 	rows, slots, err := e.evalGroupIDs(ctx, q.Where, env)
 	if err != nil {
@@ -225,9 +243,13 @@ func (e *Engine) Execute(ctx context.Context, q *Query) (*Result, error) {
 		return nil, fmt.Errorf("sparql: %w", err)
 	}
 	if q.Ask {
-		return &Result{Ask: true, AskTrue: rows.n > 0}, nil
+		return &Table{Ask: true, AskTrue: rows.n > 0}, nil
 	}
-	return e.finishIDs(ctx, q, rows, slots, env)
+	proj, vars, err := e.finishIDs(ctx, q, rows, slots, env)
+	if err != nil {
+		return nil, err
+	}
+	return env.table(proj, vars), nil
 }
 
 // evalGroupIDs evaluates a group graph pattern to an ID row set over the
@@ -288,7 +310,7 @@ func (e *Engine) evalGroupIDs(ctx context.Context, g *GroupPattern, env *execEnv
 			if err != nil {
 				return nil, nil, err
 			}
-			remapRows(brRows, brSlots, slots, unionRows)
+			remapRows(brRows, brSlots.names, slots, unionRows)
 		}
 		var err error
 		rows, err = idJoin(ctx, rows, unionRows, false)
@@ -304,7 +326,7 @@ func (e *Engine) evalGroupIDs(ctx context.Context, g *GroupPattern, env *execEnv
 			return nil, nil, err
 		}
 		remapped := newIDRows(w)
-		remapRows(optRows, optSlots, slots, remapped)
+		remapRows(optRows, optSlots.names, slots, remapped)
 		rows, err = idJoin(ctx, rows, remapped, true)
 		if err != nil {
 			return nil, nil, err
@@ -375,32 +397,16 @@ func exprVars(e Expr) []string {
 	return out
 }
 
-// encodeSolutions converts term-level rows (a subselect result) to ID rows
-// over the given slot table.
-func encodeSolutions(sols []Solution, slots *slotTable, env *execEnv) *idRows {
-	out := newIDRows(slots.width())
-	row := make([]rdf.ID, slots.width())
-	for _, sol := range sols {
-		for i := range row {
-			row[i] = rdf.NoID
+// remapRows appends src's rows, whose columns names names, to dst over
+// dstSlots; a name without a dst slot is dropped. Columns sharing a name
+// hold the same value (lastBoundWins).
+func remapRows(src *idRows, names []string, dstSlots *slotTable, dst *idRows) {
+	mapping := make([]int, len(names))
+	for j, name := range names {
+		mapping[j] = -1
+		if i, ok := dstSlots.lookup(name); ok {
+			mapping[j] = i
 		}
-		for name, t := range sol {
-			if i, ok := slots.lookup(name); ok {
-				row[i] = env.encode(t)
-			}
-		}
-		out.push(row)
-	}
-	return out
-}
-
-// remapRows appends src's rows to dst, translating src's columns to dst's
-// slot table. Every src variable has a dst slot by construction
-// (groupSlots covers nested groups).
-func remapRows(src *idRows, srcSlots *slotTable, dstSlots *slotTable, dst *idRows) {
-	mapping := make([]int, srcSlots.width())
-	for j, name := range srcSlots.names {
-		mapping[j] = dstSlots.index[name]
 	}
 	dst.reserve(src.n)
 	row := make([]rdf.ID, dst.w)
@@ -408,9 +414,10 @@ func remapRows(src *idRows, srcSlots *slotTable, dstSlots *slotTable, dst *idRow
 		for k := range row {
 			row[k] = rdf.NoID
 		}
-		s := src.row(i)
-		for j, v := range s {
-			row[mapping[j]] = v
+		for j, v := range src.row(i) {
+			if mapping[j] >= 0 {
+				row[mapping[j]] = v
+			}
 		}
 		dst.push(row)
 	}
@@ -727,94 +734,36 @@ func (k *idKeyer) keyAll(row []rdf.ID) string {
 }
 
 // subselectIDs evaluates a subselect and returns its rows in ID space,
-// remapped onto the parent group's slot table. When the subselect has no
-// solution modifiers and only simple aggregates, the rows never leave ID
-// space — no decode to terms and re-encode on the way into the parent
-// join. Otherwise it falls back to the full term-level finish.
+// remapped onto the parent group's slot table: the sub-answer's rows go
+// into the parent join as they are, without a decode.
 func (e *Engine) subselectIDs(ctx context.Context, sub *Query, env *execEnv, parentSlots *slotTable) (*idRows, error) {
 	subRows, subSlots, err := e.evalGroupIDs(ctx, sub.Where, env)
 	if err != nil {
 		return nil, err
 	}
-	if len(sub.OrderBy) == 0 && sub.Limit < 0 && sub.Offset == 0 {
-		if proj, vars, ok := e.projectStream(sub, subRows, subSlots, env); ok {
-			return remapProj(proj, vars, parentSlots), nil
-		}
-	}
-	res, err := e.finishIDs(ctx, sub, subRows, subSlots, env)
+	proj, vars, err := e.finishIDs(ctx, sub, subRows, subSlots, env)
 	if err != nil {
 		return nil, err
 	}
-	return encodeSolutions(res.Rows, parentSlots, env), nil
-}
-
-// remapProj spreads projected columns (named by vars) onto the parent
-// slot table. Duplicate projection names collapse to the last value,
-// matching the oracle's map-based rows.
-func remapProj(proj *idRows, vars []string, parentSlots *slotTable) *idRows {
 	out := newIDRows(parentSlots.width())
-	mapping := make([]int, len(vars))
-	for j, name := range vars {
-		mapping[j] = -1
-		if i, ok := parentSlots.lookup(name); ok {
-			mapping[j] = i
-		}
-	}
-	out.reserve(proj.n)
-	row := make([]rdf.ID, out.w)
-	for i := 0; i < proj.n; i++ {
-		for k := range row {
-			row[k] = rdf.NoID
-		}
-		p := proj.row(i)
-		for j, v := range p {
-			if mapping[j] >= 0 {
-				row[mapping[j]] = v
-			}
-		}
-		out.push(row)
-	}
-	return out
+	remapRows(proj, vars, parentSlots, out)
+	return out, nil
 }
 
 // finishIDs applies grouping, projection, distinct, order and slice to ID
-// rows, decoding to terms only where expressions or the final result
-// require them.
-func (e *Engine) finishIDs(ctx context.Context, q *Query, rows *idRows, slots *slotTable, env *execEnv) (*Result, error) {
-	var out []Solution
-	var vars []string
-	if proj, pvars, ok := e.projectStream(q, rows, slots, env); ok {
-		// Decode at the edge: terms materialize only here.
-		vars = pvars
-		out = make([]Solution, proj.n)
-		for i := 0; i < proj.n; i++ {
-			if i%cancelCheckInterval == cancelCheckInterval-1 {
-				if err := ctx.Err(); err != nil {
-					return nil, fmt.Errorf("sparql: %w", err)
-				}
-			}
-			row := proj.row(i)
-			sol := make(Solution, len(vars))
-			for j, name := range vars {
-				if id := row[j]; id != rdf.NoID {
-					sol[name] = env.decode(id)
-				}
-			}
-			out[i] = sol
-		}
+// rows and returns the answer's rows with their column names.
+func (e *Engine) finishIDs(ctx context.Context, q *Query, rows *idRows, slots *slotTable, env *execEnv) (*idRows, []string, error) {
+	proj, vars, ok := e.projectStream(q, rows, slots, env)
+	if ok {
+		lastBoundWins(proj, vars)
 	} else {
 		var err error
-		out, vars, err = e.finishGroupedGeneral(q, rows, slots, env)
-		if err != nil {
-			return nil, err
+		if proj, vars, err = e.finishGroupedGeneral(q, rows, slots, env); err != nil {
+			return nil, nil, err
 		}
 	}
-
-	out, err := applyOrderSlice(ctx, out, q)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Vars: vars, Rows: out}, nil
+	proj, err := orderSliceIDs(ctx, proj, vars, q, env)
+	return proj, vars, err
 }
 
 // projectStream computes the projected ID rows (DISTINCT applied) without
@@ -1073,16 +1022,18 @@ func applyAggIDs(agg *AggExpr, group []int32, rows *idRows, slots *slotTable, en
 // finishGroupedGeneral is the grouped fallback for HAVING and complex
 // aggregate expressions: groups key on raw ID columns, and only the
 // variables the projection and HAVING expressions reference decode into
-// the per-group solutions evalWithGroup needs.
-func (e *Engine) finishGroupedGeneral(q *Query, rows *idRows, slots *slotTable, env *execEnv) ([]Solution, []string, error) {
+// the per-group solutions evalWithGroup needs. Each group's output row is
+// interned through env.encode.
+func (e *Engine) finishGroupedGeneral(q *Query, rows *idRows, slots *slotTable, env *execEnv) (*idRows, []string, error) {
 	if len(q.Items) == 0 && !q.Star {
 		return nil, nil, fmt.Errorf("sparql: grouped query requires explicit projection")
 	}
-	var out []Solution
 	var vars []string
 	for _, it := range q.Items {
 		vars = append(vars, it.Var)
 	}
+	out := newIDRows(len(vars))
+	prow := make([]rdf.ID, len(vars))
 	needed := neededRefs(q, slots)
 	groups := groupIDRows(rows, q.GroupBy, slots)
 	for gi := 0; gi < groups.len(); gi++ {
@@ -1109,22 +1060,23 @@ func (e *Engine) finishGroupedGeneral(q *Query, rows *idRows, slots *slotTable, 
 		if !keep {
 			continue
 		}
-		row := Solution{}
-		for _, it := range q.Items {
+		for j, it := range q.Items {
 			var v Value
 			if it.Expr != nil {
 				v = evalWithGroup(it.Expr, sols)
 			} else {
 				v = (&VarExpr{Name: it.Var}).Eval(first(sols))
 			}
+			prow[j] = rdf.NoID
 			if t, ok := valueToTerm(v); ok {
-				row[it.Var] = t
+				prow[j] = env.encode(t)
 			}
 		}
-		out = append(out, row)
+		out.push(prow)
 	}
+	lastBoundWins(out, vars)
 	if q.Distinct {
-		out = dedupRows(out, vars)
+		out = dedupIDRows(out)
 	}
 	return out, vars, nil
 }

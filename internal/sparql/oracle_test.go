@@ -154,7 +154,8 @@ func (e *oracle) finish(q *Query, rows []Solution) (*Result, error) {
 	if len(q.OrderBy) > 0 {
 		sortRows(out, q.OrderBy)
 	}
-	out = SliceSolutions(out, q.Offset, q.Limit)
+	lo, hi := window(len(out), q.Offset, q.Limit)
+	out = out[lo:hi]
 	return &Result{Vars: vars, Rows: out}, nil
 }
 
@@ -393,6 +394,27 @@ func (e *oracle) joinSolutions(left, right []Solution, optional bool) []Solution
 		if optional && !matched {
 			out = append(out, l)
 		}
+	}
+	return out
+}
+
+func dedupRows(rows []Solution, vars []string) []Solution {
+	seen := map[string]struct{}{}
+	out := rows[:0]
+	for _, r := range rows {
+		var b strings.Builder
+		for _, v := range vars {
+			if t, ok := r[v]; ok {
+				b.WriteString(t.String())
+			}
+			b.WriteByte('\x00')
+		}
+		key := b.String()
+		if _, dup := seen[key]; dup {
+			continue
+		}
+		seen[key] = struct{}{}
+		out = append(out, r)
 	}
 	return out
 }

@@ -111,10 +111,11 @@ func TestSemiJoinReadsBoundSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.finishIDs(context.Background(), q, rows, slots, env)
+	proj, vars, err := e.finishIDs(context.Background(), q, rows, slots, env)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := env.table(proj, vars).Result()
 	if !sameSolutions(res.Rows, want.Rows) {
 		t.Fatalf("%d rows, the bound snapshot has %d", len(res.Rows), len(want.Rows))
 	}

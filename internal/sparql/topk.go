@@ -3,20 +3,13 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"slices"
 )
 
-// Top-k solution selection for ORDER BY + LIMIT queries. The full-sort
-// path costs O(n log n) comparisons — each one evaluating the ORDER BY
-// expressions — even when the query only wants the first ten rows. When
-// LIMIT is set (and OFFSET is small), a bounded max-heap of size
-// offset+limit finds exactly the same prefix in O(n log k): every row is
-// compared against the current worst kept row and usually discarded with
-// a single comparison.
-//
-// Tie-breaking matters for equivalence: sortRows is a stable sort, so
-// rows comparing equal keep their pre-sort order. The heap therefore
-// breaks ties on the original row index, which makes TopKSolutions
-// return byte-identical prefixes to sortRows-then-slice.
+// Top-k selection for ORDER BY + LIMIT: a bounded max-heap of size
+// offset+limit finds the prefix of the full sort in O(n log k), every row
+// compared against the worst kept one. The full sort is stable, so the
+// heap breaks ties on the row index: its prefix is the sort's exactly.
 
 // topKMaxOffset bounds the OFFSET for which the heap path is used: a
 // huge offset forces a huge heap, at which point the full sort wins.
@@ -35,24 +28,15 @@ func topKBound(q *Query, n int) (int, bool) {
 	return k, true
 }
 
-// TopKSolutions returns the first k rows of the stable ORDER BY sort of
-// rows — the exact prefix sortRows followed by rows[:k] would
-// produce — without sorting the full slice. The input is not modified.
-// The scan over rows polls ctx so a hung-up client stops paying for its
-// ordering pass.
-func TopKSolutions(ctx context.Context, rows []Solution, keys []OrderKey, k int) ([]Solution, error) {
+// topKIndices returns, in order, the k smallest of the row indices 0..n-1
+// under cmp with the index as the stable-sort tiebreak, for k < n.
+func topKIndices(ctx context.Context, n, k int, cmp func(i, j int) int) ([]int, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	if k >= len(rows) {
-		out := append([]Solution(nil), rows...)
-		sortRows(out, keys)
-		return out, nil
-	}
-	// worse reports whether row i sorts strictly after row j, with the
-	// original index as the stable-sort tiebreak.
+	// worse reports whether row i sorts strictly after row j.
 	worse := func(i, j int) bool {
-		if c := cmpSolutionsOrder(rows[i], rows[j], keys); c != 0 {
+		if c := cmp(i, j); c != 0 {
 			return c > 0
 		}
 		return i > j
@@ -87,7 +71,7 @@ func TopKSolutions(ctx context.Context, rows []Solution, keys []OrderKey, k int)
 			p = c
 		}
 	}
-	for i := range rows {
+	for i := 0; i < n; i++ {
 		if i%cancelCheckInterval == cancelCheckInterval-1 {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("sparql: %w", err)
@@ -104,9 +88,9 @@ func TopKSolutions(ctx context.Context, rows []Solution, keys []OrderKey, k int)
 		}
 	}
 	// Pop from worst to best into the output, back to front.
-	out := make([]Solution, len(h))
+	out := make([]int, len(h))
 	for n := len(h) - 1; n >= 0; n-- {
-		out[n] = rows[h[0]]
+		out[n] = h[0]
 		h[0] = h[len(h)-1]
 		h = h[:len(h)-1]
 		siftDown()
@@ -115,29 +99,104 @@ func TopKSolutions(ctx context.Context, rows []Solution, keys []OrderKey, k int)
 }
 
 // OrderAndSlice applies the query's ORDER BY, OFFSET and LIMIT solution
-// modifiers with the engine's exact semantics, routing through the
-// bounded-heap top-k selection when LIMIT makes it cheaper. Exported for
-// result producers outside the engine (the decomposer's fast path, whose
-// index-backed results are small enough that cancellation is handled at
-// the serving tier instead).
+// modifiers to solution maps with the engine's exact semantics: the
+// stable sort, or the top-k heap when LIMIT makes it cheaper. Exported
+// for result producers outside the engine (the decomposer's fast path,
+// whose index-backed results are small enough that cancellation is
+// handled at the serving tier instead).
 func OrderAndSlice(rows []Solution, q *Query) []Solution {
-	out, _ := applyOrderSlice(context.Background(), rows, q)
-	return out
+	if k, ok := topKBound(q, len(rows)); ok {
+		best, _ := topKIndices(context.Background(), len(rows), k, func(i, j int) int {
+			return cmpSolutionsOrder(rows[i], rows[j], q.OrderBy)
+		})
+		top := make([]Solution, len(best))
+		for n, i := range best {
+			top[n] = rows[i]
+		}
+		rows = top
+	} else if len(q.OrderBy) > 0 {
+		sortRows(rows, q.OrderBy)
+	}
+	lo, hi := window(len(rows), q.Offset, q.Limit)
+	return rows[lo:hi]
 }
 
-// applyOrderSlice applies ORDER BY, OFFSET and LIMIT, routing through the
-// bounded heap when the query shape allows it.
-func applyOrderSlice(ctx context.Context, rows []Solution, q *Query) ([]Solution, error) {
-	if len(q.OrderBy) > 0 {
-		if k, ok := topKBound(q, len(rows)); ok {
-			var err error
-			rows, err = TopKSolutions(ctx, rows, q.OrderBy, k)
-			if err != nil {
-				return nil, err
+// orderSliceIDs applies ORDER BY, OFFSET and LIMIT to projected ID rows
+// (columns named by vars): each key is evaluated once per row, and the
+// stable sort or the top-k heap orders row indices.
+func orderSliceIDs(ctx context.Context, proj *idRows, vars []string, q *Query, env *execEnv) (*idRows, error) {
+	lo, hi := window(proj.n, q.Offset, q.Limit)
+	if len(q.OrderBy) == 0 {
+		return &idRows{w: proj.w, n: hi - lo, data: proj.data[lo*proj.w : hi*proj.w]}, nil
+	}
+	nk := len(q.OrderBy)
+	vals, err := orderKeyValues(ctx, proj, vars, q.OrderBy, env)
+	if err != nil {
+		return nil, err
+	}
+	cmp := func(i, j int) int {
+		//lint:ignore ctxloop bounded by the query's ORDER BY key count
+		for k, key := range q.OrderBy {
+			if c := cmpOrderKey(vals[i*nk+k], vals[j*nk+k], key.Desc); c != 0 {
+				return c
 			}
-		} else {
-			sortRows(rows, q.OrderBy)
+		}
+		return 0
+	}
+	var order []int
+	if k, ok := topKBound(q, proj.n); ok {
+		if order, err = topKIndices(ctx, proj.n, k, cmp); err != nil { // k == hi
+			return nil, err
+		}
+	} else {
+		order = make([]int, proj.n)
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, cmp)
+	}
+	out := newIDRows(proj.w)
+	out.reserve(hi - lo)
+	//lint:ignore ctxloop a copy of the rows kept, after the key pass that polls ctx
+	for _, i := range order[lo:hi] {
+		out.push(proj.row(i))
+	}
+	return out, nil
+}
+
+// orderKeyValues evaluates every ORDER BY key on every row; key k of row
+// i is at i*len(keys)+k. A key sees the row's projected variables, the
+// first column of a shared name (lastBoundWins made them equal).
+func orderKeyValues(ctx context.Context, proj *idRows, vars []string, keys []OrderKey, env *execEnv) ([]Value, error) {
+	cols := &slotTable{index: make(map[string]int, len(vars))}
+	for j := len(vars) - 1; j >= 0; j-- {
+		cols.index[vars[j]] = j
+	}
+	scratch := make([]*scratchSol, len(keys))
+	//lint:ignore ctxloop bounded by the query's ORDER BY key count
+	for k, key := range keys {
+		scratch[k] = newScratchSol(filterRefs(key.Expr, cols))
+	}
+	vals := make([]Value, 0, proj.n*len(keys))
+	for i := 0; i < proj.n; i++ {
+		if i%cancelCheckInterval == cancelCheckInterval-1 {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("sparql: %w", err)
+			}
+		}
+		for k, key := range keys {
+			vals = append(vals, key.Expr.Eval(scratch[k].fill(proj.row(i), env)))
 		}
 	}
-	return SliceSolutions(rows, q.Offset, q.Limit), nil
+	return vals, nil
+}
+
+// window returns the bounds of the rows OFFSET and LIMIT keep of n
+// (limit < 0 means unlimited).
+func window(n, offset, limit int) (lo, hi int) {
+	lo, hi = min(max(offset, 0), n), n
+	if limit >= 0 && limit < hi-lo {
+		hi = lo + limit
+	}
+	return lo, hi
 }
