@@ -130,7 +130,7 @@ func diffQueryText(r *rand.Rand) string {
 		}
 	}
 	distinct := ""
-	if !dup && r.Intn(3) == 0 {
+	if r.Intn(3) == 0 || dup && r.Intn(2) == 0 {
 		distinct = "DISTINCT "
 	}
 	if r.Intn(3) != 0 {
@@ -157,15 +157,17 @@ func diffQueryText(r *rand.Rand) string {
 // derivedRows is Execute's answer to q derived around the table's own
 // handling of solution modifiers and duplicate names: the query runs
 // without ORDER BY, OFFSET and LIMIT and with its projection names made
-// unique, the columns of a shared name are merged here (the last bound
-// wins, as in a map per row), and sparql.OrderAndSlice orders and slices
-// the maps with its stable sort or top-k heap.
+// unique (and then without DISTINCT), the columns of a shared name are
+// merged here (the last bound wins, as in a map per row), DISTINCT keeps
+// the first of the merged rows that are equal, and sparql.OrderAndSlice
+// orders and slices the maps with its stable sort or top-k heap.
 func derivedRows(t *testing.T, eng *sparql.Engine, q *sparql.Query) []sparql.Solution {
 	bare := *q
 	bare.OrderBy, bare.Offset, bare.Limit = nil, 0, -1
 	bare.Items = append([]sparql.SelectItem(nil), q.Items...)
 	renamed := len(q.GroupBy) == 0 && !q.HasAggregates() && len(q.Items) > 0
 	if renamed {
+		bare.Distinct = false
 		for j, it := range bare.Items {
 			name := fmt.Sprintf("%s#%d", it.Var, j)
 			if it.Expr == nil {
@@ -190,6 +192,24 @@ func derivedRows(t *testing.T, eng *sparql.Engine, q *sparql.Query) []sparql.Sol
 			}
 			rows[i] = merged
 		}
+	}
+	if renamed && q.Distinct {
+		seen := make(map[string]bool, len(rows))
+		kept := rows[:0]
+		for _, sol := range rows {
+			var key strings.Builder
+			for _, it := range q.Items {
+				if term, ok := sol[it.Var]; ok {
+					key.WriteString(term.String())
+				}
+				key.WriteByte(0)
+			}
+			if !seen[key.String()] {
+				seen[key.String()] = true
+				kept = append(kept, sol)
+			}
+		}
+		rows = kept
 	}
 	return sparql.OrderAndSlice(rows, q)
 }
@@ -229,7 +249,7 @@ func referenceTSV(res *sparql.Result) []byte {
 func TestAnswerBytesMatchReference(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	ctx := context.Background()
-	var ordered, dups, empty int
+	var ordered, dups, distinctDups, empty int
 	for trial := 0; trial < 300; trial++ {
 		eng := sparql.NewEngine(diffStore(r))
 		for i := 0; i < 5; i++ {
@@ -281,13 +301,17 @@ func TestAnswerBytesMatchReference(t *testing.T) {
 			}
 			if len(res.Rows) > 0 && len(tab.Vars) > 1 && tab.Vars[0] == tab.Vars[1] {
 				dups++
+				if q.Distinct {
+					distinctDups++
+				}
 			}
 			if len(res.Rows) == 0 {
 				empty++
 			}
 		}
 	}
-	if ordered < 50 || dups < 50 || empty < 10 {
-		t.Fatalf("coverage: %d ordered answers over 12 rows, %d with a duplicate name, %d empty", ordered, dups, empty)
+	if ordered < 50 || dups < 50 || distinctDups < 20 || empty < 10 {
+		t.Fatalf("coverage: %d ordered answers over 12 rows, %d with a duplicate name (%d of them DISTINCT), %d empty",
+			ordered, dups, distinctDups, empty)
 	}
 }

@@ -754,9 +754,7 @@ func (e *Engine) subselectIDs(ctx context.Context, sub *Query, env *execEnv, par
 // rows and returns the answer's rows with their column names.
 func (e *Engine) finishIDs(ctx context.Context, q *Query, rows *idRows, slots *slotTable, env *execEnv) (*idRows, []string, error) {
 	proj, vars, ok := e.projectStream(q, rows, slots, env)
-	if ok {
-		lastBoundWins(proj, vars)
-	} else {
+	if !ok {
 		var err error
 		if proj, vars, err = e.finishGroupedGeneral(q, rows, slots, env); err != nil {
 			return nil, nil, err
@@ -766,10 +764,11 @@ func (e *Engine) finishIDs(ctx context.Context, q *Query, rows *idRows, slots *s
 	return proj, vars, err
 }
 
-// projectStream computes the projected ID rows (DISTINCT applied) without
-// materializing term-level solutions. ok=false means the query needs the
-// general grouped path: HAVING constraints or aggregate expressions more
-// complex than <agg>(?var).
+// projectStream computes the projected ID rows without materializing
+// term-level solutions: the columns of a shared name resolved
+// (lastBoundWins), then DISTINCT applied. ok=false means the query needs
+// the general grouped path: HAVING constraints or aggregate expressions
+// more complex than <agg>(?var).
 func (e *Engine) projectStream(q *Query, rows *idRows, slots *slotTable, env *execEnv) (proj *idRows, vars []string, ok bool) {
 	grouped := len(q.GroupBy) > 0 || q.HasAggregates()
 	switch {
@@ -854,6 +853,7 @@ func (e *Engine) projectStream(q *Query, rows *idRows, slots *slotTable, env *ex
 			proj.push(prow)
 		}
 	}
+	lastBoundWins(proj, vars)
 	if q.Distinct && (grouped || !distinctByConstruction(q)) {
 		proj = dedupIDRows(proj)
 	}
@@ -863,8 +863,9 @@ func (e *Engine) projectStream(q *Query, rows *idRows, slots *slotTable, env *ex
 // distinctByConstruction reports whether an ungrouped query's projected
 // rows are distinct without a DISTINCT pass: its group is one triple
 // pattern and nothing else, and the projection keeps every variable of
-// that pattern. The store is a set, so each row is one distinct triple,
-// and rows that keep all of a triple's variables stay distinct.
+// that pattern under a name no other item shares. The store is a set, so
+// each row is one distinct triple, and rows that keep all of a triple's
+// variables stay distinct.
 func distinctByConstruction(q *Query) bool {
 	g := q.Where
 	if len(g.Triples) != 1 || len(g.SubSelects) > 0 || len(g.Values) > 0 ||
@@ -884,14 +885,16 @@ func distinctByConstruction(q *Query) bool {
 }
 
 // projectsVar reports whether a plain projection item carries variable
-// name.
+// name and no other item projects that name.
 func projectsVar(q *Query, name string) bool {
+	plain, items := false, 0
 	for _, it := range q.Items {
-		if it.Expr == nil && it.Var == name {
-			return true
+		if it.Var == name {
+			plain = plain || it.Expr == nil
+			items++
 		}
 	}
-	return false
+	return plain && items == 1
 }
 
 // simpleAggItems reports whether every projection item is a plain

@@ -183,6 +183,8 @@ func TestDistinctByConstruction(t *testing.T) {
 		{`SELECT DISTINCT ?s ?o WHERE { ?s <http://x/p> ?o . { ?s <http://x/q> ?x . } UNION { ?s <http://x/r> ?x . } }`, false},
 		{`SELECT DISTINCT ?s ?o WHERE { ?s <http://x/p> ?o . VALUES ?z { 1 2 } }`, false},
 		{`SELECT DISTINCT ?s ?o WHERE { ?s <http://x/p> ?o . FILTER (?o != ?s) }`, false},
+		{`SELECT DISTINCT ?s ?o (?o AS ?s) WHERE { ?s <http://x/p> ?o . }`, false}, // ?s is ?o's value
+		{`SELECT DISTINCT ?s ?s ?o WHERE { ?s <http://x/p> ?o . }`, false},
 	} {
 		q, err := Parse(tc.src)
 		if err != nil {
@@ -211,6 +213,39 @@ func TestDistinctSkipAnswers(t *testing.T) {
 		{`SELECT DISTINCT ?s ?o WHERE { ?s <http://example.org/p> ?o . OPTIONAL { ?s <http://example.org/q> ?x . } }`, 3},
 		{`SELECT DISTINCT ?s ?o WHERE { ?s <http://example.org/p> ?o . { ?s <http://example.org/q> ?x . } UNION { ?o <http://example.org/r> ?x . } }`, 2},
 		{`SELECT DISTINCT ?s ?o WHERE { ?s <http://example.org/p> ?o . VALUES ?z { 1 2 } }`, 3},
+	} {
+		res, err := NewEngine(st).Query(context.Background(), tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := newOracle(st).Query(context.Background(), tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != tc.rows || !sameSolutions(res.Rows, want.Rows) {
+			t.Errorf("%s: %d rows %v, want %d (oracle %v)", tc.src, len(res.Rows), res.Rows, tc.rows, want.Rows)
+		}
+	}
+}
+
+// TestDistinctSharedName: DISTINCT compares the rows a client sees, so
+// the columns of a projection name used twice are resolved (the last
+// bound value wins) before duplicates are removed, as the oracle's
+// solution maps resolve them.
+func TestDistinctSharedName(t *testing.T) {
+	x := func(s string) rdf.Term { return rdf.NewIRI("http://x/" + s) }
+	st := store.New(8)
+	for _, tr := range [][3]string{{"a", "p", "b"}, {"b", "p", "b"}, {"c", "p", "d"}, {"c", "q", "b"}} {
+		st.Add(rdf.Triple{S: x(tr[0]), P: x(tr[1]), O: x(tr[2])})
+	}
+	for _, tc := range []struct {
+		src  string
+		rows int
+	}{
+		{`SELECT DISTINCT ?x (?y AS ?x) WHERE { ?x <http://x/p> ?y . }`, 2},
+		{`SELECT DISTINCT ?x ?y (?y AS ?x) WHERE { ?x <http://x/p> ?y . }`, 2},
+		{`SELECT DISTINCT ?s ?p ?o (?o AS ?s) WHERE { ?s ?p ?o . }`, 3}, // one pattern, every variable kept
+		{`SELECT DISTINCT ?x (?y AS ?x) WHERE { ?x <http://x/p> ?y . } ORDER BY ?x LIMIT 5`, 2},
 	} {
 		res, err := NewEngine(st).Query(context.Background(), tc.src)
 		if err != nil {

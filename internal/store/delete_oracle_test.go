@@ -2,11 +2,13 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"elinda/internal/rdf"
 )
@@ -309,6 +311,144 @@ func TestApplyDeleteOracle(t *testing.T) {
 	}
 }
 
+// TestApplyOverlayDeleteOracle is the differential run for deletes that
+// hit every layer at once. Each seed fills the sorted delta past tailMax
+// and the unsorted tail behind it; every later delta then deletes, in one
+// Apply, several triples of each sorted run (its first two and last two
+// rows, in each run's own order, and some between), tail rows (the first,
+// the last and others), base rows, a triple it deletes and re-inserts and
+// one it inserts and deletes, beside a few inserts (in the third delta
+// enough to fold the tail into the sorted runs). Every read surface is
+// checked against the model after each delta.
+func TestApplyOverlayDeleteOracle(t *testing.T) {
+	seeds, deltas := 4, 8
+	if testing.Short() {
+		seeds, deltas = 2, 5
+	}
+	for seed := 0; seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(int64(2000 + seed)))
+		var universe []rdf.Triple
+		for _, i := range rng.Perm(24 * 4 * 24)[:700] {
+			universe = append(universe, mkTriple(fmt.Sprintf("s%d", i/96), fmt.Sprintf("p%d", i/24%4), fmt.Sprintf("o%d", i%24)))
+		}
+		st := New(0)
+		model := newOracleModel()
+		apply := func(ops []rdf.TripleOp) ApplyResult {
+			t.Helper()
+			before := make(map[rdf.Triple]bool, len(model.seen))
+			for k := range model.seen {
+				before[k] = true
+			}
+			effective := 0
+			for _, op := range ops {
+				if model.apply(op) {
+					effective++
+				}
+			}
+			res, err := st.Apply(DeltaOf(ops...))
+			if err != nil {
+				t.Fatalf("seed %d: Apply: %v", seed, err)
+			}
+			if res.To-res.From != uint64(effective) {
+				t.Fatalf("seed %d: generation advanced %d, %d ops were effective", seed, res.To-res.From, effective)
+			}
+			assertNetAgainstModel(t, st, res, before, model.seen)
+			return res
+		}
+		inserts := func(ts []rdf.Triple) []rdf.TripleOp {
+			ops := make([]rdf.TripleOp, len(ts))
+			for i, tr := range ts {
+				ops[i] = rdf.Insert(tr)
+			}
+			return ops
+		}
+		if _, err := st.Load(universe[:150]); err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range universe[:150] {
+			model.apply(rdf.Insert(tr))
+		}
+		apply(inserts(universe[150:450])) // past tailMax: the sorted delta
+		for i := 450; i < 550; i += 20 {  // small deltas: the tail
+			apply(inserts(universe[i : i+20]))
+		}
+
+		for d := 0; d < deltas; d++ {
+			snap := st.Snapshot()
+			if len(snap.deltaSPO) < 8 || len(snap.tail) < 4 || snap.base.n == 0 {
+				t.Fatalf("seed %d delta %d: layers not populated: delta=%d tail=%d base=%d",
+					seed, d, len(snap.deltaSPO), len(snap.tail), snap.base.n)
+			}
+			dead := make(map[rdf.EncodedTriple]bool)
+			for _, run := range [][]rdf.EncodedTriple{snap.deltaSPO, snap.deltaPOS, snap.deltaOSP} {
+				n := len(run)
+				for _, i := range []int{0, 1, n - 2, n - 1, rng.Intn(n), rng.Intn(n)} {
+					dead[run[i]] = true
+				}
+			}
+			n := len(snap.tail)
+			for _, i := range []int{0, n - 1, rng.Intn(n)} {
+				dead[snap.tail[i]] = true
+			}
+			var baseLive []rdf.EncodedTriple
+			snap.Scan(0, 0, func(e rdf.EncodedTriple) bool {
+				if snap.base.containsID(e.S, e.P, e.O) && !snap.tombstoned(e) {
+					baseLive = append(baseLive, e)
+				}
+				return true
+			})
+			for i := 0; i < 3 && len(baseLive) > 0; i++ {
+				dead[baseLive[rng.Intn(len(baseLive))]] = true
+			}
+			var ops []rdf.TripleOp
+			for e := range dead {
+				ops = append(ops, rdf.Delete(st.Dict().Decode(e)))
+			}
+			sort.Slice(ops, func(i, j int) bool { return tripleLess(ops[i].Triple, ops[j].Triple) })
+			rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+			// A sorted-delta row and a tail row deleted and re-inserted, an
+			// absent triple inserted and deleted, and some absent triples
+			// inserted: ten, or in the third delta enough to fold the tail.
+			for _, e := range []rdf.EncodedTriple{snap.deltaSPO[len(snap.deltaSPO)/2], snap.tail[n/2]} {
+				if tr := st.Dict().Decode(e); !dead[e] {
+					ops = append(ops, rdf.Delete(tr), rdf.Insert(tr))
+				}
+			}
+			var absent []rdf.Triple
+			for _, tr := range universe {
+				if !model.seen[tr] {
+					absent = append(absent, tr)
+				}
+			}
+			rng.Shuffle(len(absent), func(i, j int) { absent[i], absent[j] = absent[j], absent[i] })
+			ops = append(ops, rdf.Insert(absent[0]), rdf.Delete(absent[0]))
+			k := min(10, len(absent)-1)
+			if d == 2 {
+				k = min(tailMax, len(absent)-1)
+			}
+			ops = append(ops, inserts(absent[1:1+k])...)
+
+			res := apply(ops)
+			if res.Deleted != len(dead) {
+				t.Fatalf("seed %d delta %d: %d net deletes, %d triples were marked dead", seed, d, res.Deleted, len(dead))
+			}
+			assertStoreMatchesModel(t, st, model, universe)
+			if folded := len(st.Snapshot().tail) == 0; folded != (d == 2) {
+				t.Fatalf("seed %d delta %d: tail folded = %v", seed, d, folded)
+			}
+			if d == 2 { // refill the tail the fold emptied
+				var refill []rdf.Triple
+				for _, tr := range universe {
+					if !model.seen[tr] && len(refill) < 20 {
+						refill = append(refill, tr)
+					}
+				}
+				apply(inserts(refill))
+			}
+		}
+	}
+}
+
 // assertNetAgainstModel checks the reported net membership changes
 // against the model's before/after sets: exactly the triples whose
 // membership differs, each once.
@@ -431,6 +571,65 @@ func TestDeleteCostIndependentOfStoreSize(t *testing.T) {
 	small, large := deleteAllocBytes(t, 20_000), deleteAllocBytes(t, 200_000)
 	if large > 2*small {
 		t.Fatalf("one delete allocates %.0f B on 200k triples vs %.0f B on 20k: the cost scales with the store", large, small)
+	}
+}
+
+// tailDeleteTime is the least wall time, over runs tries, of one
+// tail-resident delete (the triple the previous insert put in the tail)
+// on st.
+func tailDeleteTime(t *testing.T, st *Store, runs int) time.Duration {
+	t.Helper()
+	best := time.Duration(math.MaxInt64)
+	for i := 0; i < runs; i++ {
+		tr := mkTriple("victim", "p", fmt.Sprintf("v%d", i))
+		if _, err := st.Add(tr); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		res, err := st.Apply(DeltaOf(rdf.Delete(tr)))
+		best = min(best, time.Since(start))
+		if err != nil || res.Deleted != 1 {
+			t.Fatalf("delete: %+v, %v", res, err)
+		}
+	}
+	return best
+}
+
+// TestDeleteCostIndependentOfOverlaySize: deleting a triple the overlay
+// holds costs binary searches in the sorted delta runs and a pass over
+// the bounded tail, not a pass over the runs, so the fastest of several
+// such deletes at an overlay of 40 000 triples is within 5x of the
+// fastest at 2 000 (a per-row scan of the runs reads about 20x). The
+// base is large enough that neither overlay folds.
+func TestDeleteCostIndependentOfOverlaySize(t *testing.T) {
+	const baseN = 330_000 // maxDelta = baseN/8 > 40 000
+	ts := make([]rdf.Triple, baseN)
+	for i := range ts {
+		ts[i] = mkTriple(fmt.Sprintf("s%d", i/8), fmt.Sprintf("p%d", i%8), fmt.Sprintf("o%d", i%1000))
+	}
+	st := New(0)
+	if _, err := st.Load(ts); err != nil {
+		t.Fatal(err)
+	}
+	grow := func(from, to int) {
+		var d Delta
+		for i := from; i < to; i++ {
+			d.Insert(mkTriple(fmt.Sprintf("d%d", i), "p", "x"))
+		}
+		if _, err := st.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grow(0, 2_000)
+	small := tailDeleteTime(t, st, 30)
+	grow(2_000, 40_000)
+	if n := len(st.Snapshot().deltaSPO); n != 40_000 {
+		t.Fatalf("sorted delta holds %d triples, want 40 000 (a fold ran)", n)
+	}
+	large := tailDeleteTime(t, st, 30)
+	t.Logf("fastest tail-resident delete: %v at an overlay of 2 000, %v at 40 000", small, large)
+	if large > 5*small {
+		t.Fatalf("a tail-resident delete takes %v at an overlay of 40 000 vs %v at 2 000: the cost scales with the overlay", large, small)
 	}
 }
 

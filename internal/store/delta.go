@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 
 	"elinda/internal/rdf"
 )
@@ -84,11 +85,13 @@ func (r ApplyResult) Changed() bool { return r.To != r.From }
 // Deletes of base-resident triples become tombstones in the snapshot's
 // delta layer: the columnar base is not rewritten, reads subtract the
 // tombstoned postings, and the next fold drops the rows physically.
-// Deletes of overlay-resident triples are filtered out of the overlay
-// directly. Either way a delete costs the overlay and tombstone arrays,
-// never the store. The generation advances by the number of effective
-// ops (matching a record-at-a-time WAL replay), so any change moves it
-// even when the net membership delta is empty.
+// Deletes of overlay-resident triples are dropped from the overlay
+// directly: k of them cost O(k log n) binary searches in the sorted
+// delta runs, one copy of only the runs that hold a dead triple, and a
+// linear pass over the unsorted tail (at most tailMax entries). Neither
+// kind costs the store. The generation advances by the number of
+// effective ops (matching a record-at-a-time WAL replay), so any change
+// moves it even when the net membership delta is empty.
 func (s *Store) Apply(d Delta) (ApplyResult, error) {
 	for i, op := range d.ops {
 		if err := op.Triple.Validate(); err != nil {
@@ -170,8 +173,9 @@ func (s *Store) Apply(d Delta) (ApplyResult, error) {
 // applyMutations builds the successor snapshot for a net mutation set:
 // ins are triples absent from snap (to add), del are triples present in
 // snap (to remove), the two disjoint. gen is the generation advance. snap
-// is never mutated, and the cost is the overlay and tombstone arrays —
-// the base is shared until a fold.
+// is never mutated and the base is shared until a fold. An overlay
+// delete binary-searches each sorted delta run and copies only a run
+// that holds a dead triple; the unsorted tail is filtered linearly.
 func applyMutations(snap *Snapshot, ins, del []rdf.EncodedTriple, gen uint64) *Snapshot {
 	next := *snap
 	next.generation = snap.generation + gen
@@ -179,14 +183,13 @@ func applyMutations(snap *Snapshot, ins, del []rdf.EncodedTriple, gen uint64) *S
 	if len(del) > 0 {
 		// Base-resident deletes become tombstones; a triple already masked
 		// by one is not base-live, so it — like every other delete — lives
-		// in the overlay and is filtered out of it physically.
-		var baseDel []rdf.EncodedTriple
-		overlayDel := make(map[rdf.EncodedTriple]struct{})
+		// in the overlay and is dropped from it physically.
+		var baseDel, overlayDel []rdf.EncodedTriple
 		for _, e := range del {
 			if snap.base.containsID(e.S, e.P, e.O) && !snap.tombstoned(e) {
 				baseDel = append(baseDel, e)
 			} else {
-				overlayDel[e] = struct{}{}
+				overlayDel = append(overlayDel, e)
 			}
 		}
 		if len(baseDel) > 0 {
@@ -195,21 +198,29 @@ func applyMutations(snap *Snapshot, ins, del []rdf.EncodedTriple, gen uint64) *S
 			next.delOSP = mergeSortedTriples(snap.delOSP, baseDel, cmpOSP)
 		}
 		if len(overlayDel) > 0 {
-			next.deltaSPO = filterOps(snap.deltaSPO, overlayDel)
-			next.deltaPOS = filterOps(snap.deltaPOS, overlayDel)
-			next.deltaOSP = filterOps(snap.deltaOSP, overlayDel)
-			next.tail = filterOps(snap.tail, overlayDel)
+			// overlayDel is this call's own slice: sort it in place into
+			// each run's order in turn.
+			slices.SortFunc(overlayDel, cmpSPO)
+			next.deltaSPO = dropSorted(snap.deltaSPO, overlayDel, cmpSPO)
+			next.tail = dropUnsorted(snap.tail, overlayDel)
+			slices.SortFunc(overlayDel, cmpPOS)
+			next.deltaPOS = dropSorted(snap.deltaPOS, overlayDel, cmpPOS)
+			slices.SortFunc(overlayDel, cmpOSP)
+			next.deltaOSP = dropSorted(snap.deltaOSP, overlayDel, cmpOSP)
 		}
 	}
 
 	// Small insert batches ride the unsorted tail; a full tail folds,
-	// with the batch, into the sorted delta.
+	// with the batch, into the sorted delta in one merge per run.
 	if len(next.tail)+len(ins) < tailMax {
 		next.tail = append(next.tail, ins...)
 	} else {
-		next.deltaSPO = mergeSortedTriples(foldTail(next.deltaSPO, next.tail, cmpSPO), ins, cmpSPO)
-		next.deltaPOS = mergeSortedTriples(foldTail(next.deltaPOS, next.tail, cmpPOS), ins, cmpPOS)
-		next.deltaOSP = mergeSortedTriples(foldTail(next.deltaOSP, next.tail, cmpOSP), ins, cmpOSP)
+		// tail ∪ ins in a fresh slice, so the fold never writes into the
+		// backing array the tail shares with earlier snapshots.
+		batch := slices.Concat(next.tail, ins)
+		next.deltaSPO = mergeSortedTriples(next.deltaSPO, batch, cmpSPO)
+		next.deltaPOS = mergeSortedTriples(next.deltaPOS, batch, cmpPOS)
+		next.deltaOSP = mergeSortedTriples(next.deltaOSP, batch, cmpOSP)
 		next.tail = nil
 	}
 
@@ -220,24 +231,42 @@ func applyMutations(snap *Snapshot, ins, del []rdf.EncodedTriple, gen uint64) *S
 	return &next
 }
 
-// filterOps returns ops without the members of dead, sharing the input
-// slice when nothing matches.
-func filterOps(ops []rdf.EncodedTriple, dead map[rdf.EncodedTriple]struct{}) []rdf.EncodedTriple {
-	hit := false
-	for _, e := range ops {
-		if _, d := dead[e]; d {
-			hit = true
-			break
+// dropSorted returns run without the members of dead, both sorted by cmp
+// and duplicate-free. Each dead triple is found by binary search in the
+// part of run past the previous one, so k dead triples cost O(k log n).
+// run is shared when it holds none of them, and otherwise copied once,
+// segment by segment between the hits.
+func dropSorted(run, dead []rdf.EncodedTriple, cmp func(x, y rdf.EncodedTriple) int) []rdf.EncodedTriple {
+	var out []rdf.EncodedTriple
+	copied, lo := 0, 0 // run[copied:] is not yet in out; the next search starts at lo
+	for _, e := range dead {
+		i, found := slices.BinarySearchFunc(run[lo:], e, cmp)
+		lo += i
+		if !found {
+			continue
 		}
-	}
-	if !hit {
-		return ops
-	}
-	out := make([]rdf.EncodedTriple, 0, len(ops))
-	for _, e := range ops {
-		if _, d := dead[e]; !d {
-			out = append(out, e)
+		if out == nil {
+			out = make([]rdf.EncodedTriple, 0, len(run)-1)
 		}
+		out = append(out, run[copied:lo]...)
+		lo++
+		copied = lo
 	}
-	return out
+	if out == nil {
+		return run
+	}
+	return append(out, run[copied:]...)
+}
+
+// dropUnsorted returns the unsorted tail without the members of dead
+// (sorted in SPO order), sharing tail when it holds none of them.
+func dropUnsorted(tail, dead []rdf.EncodedTriple) []rdf.EncodedTriple {
+	isDead := func(e rdf.EncodedTriple) bool {
+		_, found := slices.BinarySearchFunc(dead, e, cmpSPO)
+		return found
+	}
+	if !slices.ContainsFunc(tail, isDead) {
+		return tail
+	}
+	return slices.DeleteFunc(slices.Clone(tail), isDead)
 }
