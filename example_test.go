@@ -53,23 +53,30 @@ func ExampleExploration() {
 	// Thing → Agent → Person → Philosopher
 }
 
-// ExampleSystem_Proxy runs the paper's heavy query through the proxy
-// twice and reports the route of each answer.
+// ExampleSystem_Proxy runs the paper's heavy query and an object
+// expansion through the proxy twice each and reports the route of each
+// answer.
 func ExampleSystem_Proxy() {
 	ds := elinda.GenerateDBpediaLike(elinda.DataConfig{Seed: 1, Persons: 200, PoliticianProps: 40})
-	// A nanosecond threshold marks every query heavy, so the repeat is
-	// served from the HVS.
+	// A nanosecond threshold marks every backend answer heavy, so the
+	// object expansion's repeat is served from the HVS. The property
+	// expansion's answer lives in the decomposer memo alone.
 	sys, err := elinda.OpenWithOptions(ds.Triples, proxy.Options{HeavyThreshold: time.Nanosecond})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	q := core.PropertyExpansionSPARQL(rdf.OWLThingIRI, false)
-	_, tr1, _ := sys.Proxy.QueryTraced(context.Background(), q)
-	_, tr2, _ := sys.Proxy.QueryTraced(context.Background(), q)
-	fmt.Println(tr1.Route, "then", tr2.Route)
+	for _, q := range []string{
+		core.PropertyExpansionSPARQL(rdf.OWLThingIRI, false),
+		core.ObjectExpansionSPARQL(datagen.Ont("Person"), datagen.Ont("birthPlace"), false),
+	} {
+		_, tr1, _ := sys.Proxy.QueryTraced(context.Background(), q)
+		_, tr2, _ := sys.Proxy.QueryTraced(context.Background(), q)
+		fmt.Println(tr1.Route, "then", tr2.Route)
+	}
 	// Output:
-	// decomposer then hvs
+	// decomposer then decomposer
+	// backend then hvs
 }
 
 // ExamplePane_PropertyChart shows the coverage-threshold filter on the

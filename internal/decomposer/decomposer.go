@@ -28,6 +28,9 @@
 // not see in order, drops the memo instead, and the kernel rebuilds each
 // entry on its next read — the kernel is the only rebuild path.
 //
+// The memo is the one home of a property-expansion answer (the HVS never
+// keeps one); a repeated query text is a lookup, with no parse (Lookup).
+//
 // The package also recognises the explorer's object expansion
 // (DetectObject), which it does not answer: the engine computes it and
 // the HVS keeps it, and FoldObject merges each write into the cached
@@ -90,30 +93,30 @@ type Decomposer struct {
 	// or folded at.
 	generation uint64
 	memo       map[memoKey]*memoEntry
+	// shown maps a normalized query text (hvs.Normalize) to its
+	// rendering; cleared with the memo, and at maxShown texts.
+	shown map[string]*Rendering
 }
+
+const maxShown = 1024
 
 type memoKey struct {
 	class rdf.ID
 	dir   Direction
 }
 
-// memoEntry is one memoized aggregate and its last rendering: a repeated
-// query then costs what an HVS hit costs. shown is guarded by
-// Decomposer.mu; stats never change once the entry is published
-// (ApplyDelta folds into a new entry, so no rendering outlives its stats).
-type memoEntry struct {
-	stats []PropStat
-	shown *Rendering
-}
+// memoEntry is one memoized aggregate. Its stats never change once the
+// entry is published: ApplyDelta folds into a new entry.
+type memoEntry struct{ stats []PropStat }
 
-// Rendering is a memo entry's answer under one naming of its variables,
-// shared by every request that names them so: the result, and the bodies
-// encoded from it, one per content type.
+// Rendering is a memo entry's answer to one query text, shared by every
+// request with the text: the result, and its bodies by content type.
 type Rendering struct {
 	// Result is shared: callers must not modify it.
 	Result *sparql.Result
-	vars   [3]string // PropVar, CountVar, SumVar of Result
-	bodies sync.Map  // content type → []byte
+	key    memoKey
+	entry  *memoEntry
+	bodies sync.Map // content type → []byte
 }
 
 // Body returns the body kept for contentType, nil when none is.
@@ -128,7 +131,7 @@ func (r *Rendering) KeepBody(contentType string, data []byte) { r.bodies.Store(c
 
 // New returns a decomposer over st.
 func New(st *store.Store) *Decomposer {
-	return &Decomposer{st: st, memo: make(map[memoKey]*memoEntry)}
+	return &Decomposer{st: st, memo: make(map[memoKey]*memoEntry), shown: make(map[string]*Rendering)}
 }
 
 // Detection is the outcome of analyzing a query.
@@ -334,8 +337,8 @@ func (d *Decomposer) entry(snap *store.Snapshot, class rdf.ID, dir Direction) *m
 	d.mu.Lock()
 	switch {
 	case gen > d.generation:
-		d.memo = make(map[memoKey]*memoEntry)
-		d.generation = gen
+		d.memo, d.generation = make(map[memoKey]*memoEntry), gen
+		clear(d.shown)
 	case gen < d.generation:
 		d.mu.Unlock()
 		return &memoEntry{stats: computeStats(snap, class, dir)}
@@ -354,35 +357,6 @@ func (d *Decomposer) entry(snap *store.Snapshot, class rdf.ID, dir Direction) *m
 	}
 	d.mu.Unlock()
 	return e
-}
-
-// rendering returns the memo entry of (class, det.Dir) at snap rendered
-// under det's variable names, once per entry and naming.
-func (d *Decomposer) rendering(snap *store.Snapshot, class rdf.ID, det Detection) *Rendering {
-	e := d.entry(snap, class, det.Dir)
-	vars := [3]string{det.PropVar, det.CountVar, det.SumVar}
-	d.mu.Lock()
-	r := e.shown
-	d.mu.Unlock()
-	if r != nil && r.vars == vars {
-		return r
-	}
-	rows := make([]sparql.Solution, len(e.stats))
-	for i, s := range e.stats {
-		row := sparql.Solution{
-			det.PropVar:  snap.Dict().Term(s.Property),
-			det.CountVar: rdf.NewTypedLiteral(fmt.Sprint(s.Subjects), rdf.XSDInteger),
-		}
-		if det.SumVar != "" {
-			row[det.SumVar] = rdf.NewTypedLiteral(fmt.Sprint(s.Triples), rdf.XSDInteger)
-		}
-		rows[i] = row
-	}
-	r = &Rendering{Result: &sparql.Result{Vars: det.resultVars(), Rows: rows}, vars: vars}
-	d.mu.Lock()
-	e.shown = r
-	d.mu.Unlock()
-	return r
 }
 
 // resultVars are the variables of the answer to a detected query.
@@ -449,14 +423,14 @@ func (d *Decomposer) ApplyDelta(res store.ApplyResult) {
 	if d.generation >= res.To {
 		return
 	}
-	var memo map[memoKey]*memoEntry
 	if d.generation == res.From && snap.Generation() == res.To {
-		memo = foldMemo(snap, d.memo, res)
+		if memo := foldMemo(snap, d.memo, res); memo != nil {
+			d.memo, d.generation = memo, res.To
+			return
+		}
 	}
-	if memo == nil {
-		memo = make(map[memoKey]*memoEntry)
-	}
-	d.memo, d.generation = memo, res.To
+	d.memo, d.generation = make(map[memoKey]*memoEntry), res.To
+	clear(d.shown)
 }
 
 // touch is one (node, property) pair a write changed, seen from the node:
@@ -568,16 +542,15 @@ func b2i(b bool) int {
 // property expansion. ok=false means the caller must route the query to
 // the generic engine.
 func (d *Decomposer) TryExecute(q *sparql.Query) (*sparql.Result, bool) {
-	res, _, ok := d.TryAnswer(q)
+	res, _, ok := d.TryAnswer(q, "")
 	return res, ok
 }
 
-// TryAnswer is TryExecute that also returns the memo's Rendering when
-// the answer is its shared Result: for a query with no ORDER BY, LIMIT
-// or OFFSET. Otherwise the rendering is nil, and the engine's solution
-// modifiers order and slice a copy of the rows as the generic evaluator
-// would.
-func (d *Decomposer) TryAnswer(q *sparql.Query) (*sparql.Result, *Rendering, bool) {
+// TryAnswer is TryExecute that also returns the Rendering whose shared
+// Result the answer is, kept for Lookup under text (the query's normalized
+// text; "" keeps none), for a query with no ORDER BY, LIMIT or OFFSET;
+// the engine's solution modifiers order and slice the rows of any other.
+func (d *Decomposer) TryAnswer(q *sparql.Query, text string) (*sparql.Result, *Rendering, bool) {
 	det, ok := Detect(q)
 	if !ok {
 		return nil, nil, false
@@ -587,13 +560,45 @@ func (d *Decomposer) TryAnswer(q *sparql.Query) (*sparql.Result, *Rendering, boo
 	if !found {
 		return &sparql.Result{Vars: det.resultVars()}, nil, true
 	}
-	r := d.rendering(snap, classID, det)
-	if len(q.OrderBy) == 0 && q.Limit < 0 && q.Offset == 0 {
-		return r.Result, r, true
+	e := d.entry(snap, classID, det.Dir)
+	rows := make([]sparql.Solution, len(e.stats))
+	for i, s := range e.stats {
+		row := sparql.Solution{
+			det.PropVar:  snap.Dict().Term(s.Property),
+			det.CountVar: rdf.NewTypedLiteral(fmt.Sprint(s.Subjects), rdf.XSDInteger),
+		}
+		if det.SumVar != "" {
+			row[det.SumVar] = rdf.NewTypedLiteral(fmt.Sprint(s.Triples), rdf.XSDInteger)
+		}
+		rows[i] = row
 	}
-	// A copy of the shared rows: the modifiers sort in place.
-	rows := sparql.OrderAndSlice(slices.Clone(r.Result.Rows), q)
-	return &sparql.Result{Vars: r.Result.Vars, Rows: rows}, nil, true
+	res := &sparql.Result{Vars: det.resultVars(), Rows: rows}
+	if len(q.OrderBy) > 0 || q.Limit >= 0 || q.Offset > 0 {
+		res.Rows = sparql.OrderAndSlice(rows, q)
+		return res, nil, true
+	}
+	r := &Rendering{Result: res, key: memoKey{class: classID, dir: det.Dir}, entry: e}
+	d.mu.Lock()
+	if text != "" && d.memo[r.key] == e { // not an older snapshot's entry, nor one replaced since
+		if len(d.shown) >= maxShown {
+			clear(d.shown)
+		}
+		d.shown[text] = r
+	}
+	d.mu.Unlock()
+	return res, r, true
+}
+
+// Lookup returns the Rendering kept for a normalized query text if it is
+// the answer at generation gen: the memo is at gen and still holds the
+// entry it renders. nil means: parse the text and ask TryAnswer.
+func (d *Decomposer) Lookup(text string, gen uint64) *Rendering {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if r := d.shown[text]; r != nil && gen == d.generation && d.memo[r.key] == r.entry {
+		return r
+	}
+	return nil
 }
 
 // Warm precomputes the level-zero aggregates for the given class in both

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"elinda/internal/core"
+	"elinda/internal/hvs"
 	"elinda/internal/rdf"
 	"elinda/internal/sparql"
 	"elinda/internal/store"
@@ -277,10 +278,10 @@ func TestTryExecuteHonorsModifiers(t *testing.T) {
 	}
 }
 
-// TestTryExecuteRendersOnce: repeats of a query share the memo entry's
-// rendered rows, a query with modifiers does not reorder them for the
-// next caller, and a query naming its variables differently gets rows
-// under its own names.
+// TestTryExecuteRendersOnce: repeats of a query text share the rows
+// rendered for it on its first answer, a query with modifiers does not
+// reorder them for the next caller, and a query naming its variables
+// differently gets rows under its own names.
 func TestTryExecuteRendersOnce(t *testing.T) {
 	st := fixture(t)
 	d := New(st)
@@ -289,14 +290,27 @@ func TestTryExecuteRendersOnce(t *testing.T) {
 FROM {SELECT ?x ?prop count(*) AS ?k
 FROM {?x a <http://example.org/Philosopher>. ?x ?prop ?y.}
 GROUP BY ?x ?prop} GROUP BY ?prop`
-	for _, src := range []string{paperOutgoing, renamed, paperOutgoing, paperOutgoing + ` ORDER BY ?count`, paperOutgoing} {
+	rendered := map[string]*Rendering{}
+	for _, src := range []string{paperOutgoing, renamed, paperOutgoing, paperOutgoing + ` ORDER BY ?count`, paperOutgoing, renamed} {
 		q, err := sparql.Parse(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, ok := d.TryExecute(q)
-		if !ok {
-			t.Fatalf("not decomposed: %s", src)
+		text := hvs.Normalize(src)
+		var fast *sparql.Result
+		if r := d.Lookup(text, st.Generation()); r != nil {
+			fast = r.Result
+		} else {
+			var ok bool
+			if fast, r, ok = d.TryAnswer(q, text); !ok {
+				t.Fatalf("not decomposed: %s", src)
+			}
+			if _, seen := rendered[text]; seen {
+				t.Fatalf("a repeat of %s was rendered again", src)
+			}
+			if r != nil {
+				rendered[text] = r
+			}
 		}
 		slow, err := eng.Execute(context.Background(), q)
 		if err != nil {
@@ -319,7 +333,7 @@ GROUP BY ?x ?prop} GROUP BY ?prop`
 	}
 	phil, _ := st.Dict().Lookup(ex("Philosopher"))
 	stats := d.PropertyStats(phil, Outgoing)
-	for i, row := range d.rendering(st.Snapshot(), phil, Detection{Dir: Outgoing, PropVar: "p", CountVar: "count", SumVar: "sp"}).Result.Rows {
+	for i, row := range d.Lookup(hvs.Normalize(paperOutgoing), st.Generation()).Result.Rows {
 		if row["p"] != st.Dict().Term(stats[i].Property) {
 			t.Fatalf("memoized rows out of stats order at %d", i)
 		}
@@ -655,9 +669,10 @@ func TestMemoNeverRollsBack(t *testing.T) {
 
 // TestRenderingSharedUntilWrite: a query with no solution modifiers is
 // answered with its rendering's shared result, the same on every repeat
-// and keeping its bodies; a modified query gets its own rows; a write
-// the memo folds, or one on rdf:type that drops it, leaves the next
-// answer a new rendering with no body, holding the new counts.
+// of its text and keeping its bodies; a modified query gets its own rows;
+// after a write the memo folds, or one on rdf:type that drops it, the
+// text's rendering no longer answers, and the next answer is a new
+// rendering with no body, holding the new counts.
 func TestRenderingSharedUntilWrite(t *testing.T) {
 	st := fixture(t)
 	d := New(st)
@@ -666,20 +681,21 @@ func TestRenderingSharedUntilWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, r, ok := d.TryAnswer(q)
+	text := hvs.Normalize(paperOutgoing)
+	first, r, ok := d.TryAnswer(q, text)
 	if !ok || r == nil || first != r.Result {
 		t.Fatalf("unmodified query: result %p, rendering %+v", first, r)
 	}
 	r.KeepBody("text/plain", []byte("kept"))
-	again, r2, _ := d.TryAnswer(q)
-	if again != first || r2 != r || string(r2.Body("text/plain")) != "kept" {
+	r2 := d.Lookup(text, st.Generation())
+	if r2 != r || string(r2.Body("text/plain")) != "kept" {
 		t.Fatalf("repeat got a new answer or lost its body")
 	}
 	ordered, err := sparql.Parse(paperOutgoing + ` ORDER BY ?count`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, r, _ := d.TryAnswer(ordered); r != nil || &res.Rows[0] == &first.Rows[0] {
+	if res, r, _ := d.TryAnswer(ordered, hvs.Normalize(paperOutgoing+` ORDER BY ?count`)); r != nil || &res.Rows[0] == &first.Rows[0] {
 		t.Fatal("a modified query shares the rendering's rows")
 	}
 	for _, op := range []rdf.TripleOp{
@@ -691,7 +707,10 @@ func TestRenderingSharedUntilWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.ApplyDelta(res)
-		got, r, _ := d.TryAnswer(q)
+		if d.Lookup(text, res.To) != nil {
+			t.Fatalf("after %v: the pre-write rendering still answers", op)
+		}
+		got, r, _ := d.TryAnswer(q, text)
 		if got == first || r.Body("text/plain") != nil {
 			t.Fatalf("after %v: the pre-write rendering survived", op)
 		}

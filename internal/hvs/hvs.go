@@ -10,11 +10,13 @@
 //	the HVS. The HVS is cleared on any update to the eLinda knowledge
 //	bases."
 //
-// Beyond the paper, the store is production-bounded: every entry carries
-// an approximate byte cost, and an optional byte budget (MaxBytes) evicts
-// in LRU order when the cache would outgrow it, so heavy traffic cannot
-// grow the HVS past its memory allowance; the encoded bodies an entry
-// keeps beside its answer (KeepBody) count in it too.
+// As in the paper, only routed answers enter: the proxy records heavy
+// backend answers (generic queries, object expansions), never the
+// decomposer's property expansions, which its memo alone keeps. Beyond
+// the paper, the store is production-bounded: every entry carries an
+// approximate byte cost, and an optional byte budget (MaxBytes) evicts in
+// LRU order, so heavy traffic cannot grow the HVS past its memory
+// allowance; the bodies an entry keeps beside its answer (KeepBody) count.
 //
 // The cache's generation only moves forward. A Lookup or Record at a
 // newer generation clears the cache (the paper's rule, needed for writes
@@ -27,12 +29,10 @@
 // a write does touch is first offered to the caller's fold, which may
 // merge the write into the cached answer instead of dropping it — dbt's
 // incremental model, merged with its delta rather than rebuilt. The proxy
-// folds object expansions (decomposer.FoldObject: a write on the chart's
-// link property moves only the counts of the objects whose support
-// crosses zero). Everything else a write touches is still evicted: a
-// write on rdf:type (class membership or an object's types), an object
-// expansion under LIMIT or OFFSET, and every shape the fold does not
-// recognise.
+// folds object expansions (decomposer.FoldObject: a link write moves only
+// the objects whose support crosses zero). Everything else a write
+// touches is evicted: a write on rdf:type, an object expansion under
+// LIMIT or OFFSET, and every shape the fold does not recognise.
 package hvs
 
 import (

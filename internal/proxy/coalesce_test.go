@@ -91,7 +91,7 @@ func TestCoalescingSingleExecution(t *testing.T) {
 			t.Fatalf("request %d: rows = %d", i, len(results[i].Rows))
 		}
 	}
-	if got := p.RouteCounts()[RouteBackend]; got != K {
+	if got := p.MetricsSnapshot().Counts["backend"]; got != K {
 		t.Errorf("backend route count = %d, want %d (every request recorded)", got, K)
 	}
 	if m := p.MetricsSnapshot(); m.Coalesced != K-1 {
@@ -159,10 +159,11 @@ func TestCoalescingDistinctQueries(t *testing.T) {
 
 // TestCoalescingFollowerRetriesAfterLeaderCancel: a follower whose leader
 // was canceled re-runs the query itself instead of inheriting the
-// leader's context error.
+// leader's context error. The backend holds every execution until it is
+// released, so the leader's cancel always lands while it runs.
 func TestCoalescingFollowerRetriesAfterLeaderCancel(t *testing.T) {
-	p, exec := coalesceFixture(t, 60*time.Millisecond,
-		Options{DisableDecomposer: true, HeavyThreshold: time.Hour})
+	exec := newGatedExec()
+	p := NewWithBackend(fixture(t), exec, Options{DisableDecomposer: true, HeavyThreshold: time.Hour})
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
@@ -170,24 +171,24 @@ func TestCoalescingFollowerRetriesAfterLeaderCancel(t *testing.T) {
 		_, err := p.Query(leaderCtx, plainQuery)
 		leaderErr <- err
 	}()
-	// Let the leader register its flight, then attach a follower and kill
-	// the leader.
-	time.Sleep(20 * time.Millisecond)
+	// Once the leader runs, attach a follower and kill the leader.
+	<-exec.entered
 	followerDone := make(chan error, 1)
 	go func() {
 		_, err := p.Query(context.Background(), plainQuery)
 		followerDone <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	awaitFollower(t, p)
 	cancelLeader()
 
 	if err := <-leaderErr; err == nil {
 		t.Error("canceled leader should fail")
 	}
+	close(exec.release) // the follower's own execution may finish
 	if err := <-followerDone; err != nil {
 		t.Errorf("follower should retry and succeed, got %v", err)
 	}
-	if got := exec.count(); got < 2 {
+	if got := exec.calls.Load(); got < 2 {
 		t.Errorf("backend executions = %d, want >= 2 (leader + follower retry)", got)
 	}
 }

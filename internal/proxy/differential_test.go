@@ -209,11 +209,11 @@ func answersUnderWrites(t *testing.T, opts Options) {
 				a.route, a.query, a.before, a.after, a.canon)
 		}
 	}
-	counts := p.RouteCounts()
-	if hvsOff := opts.HeavyThreshold == time.Hour; (counts[RouteHVS] == 0) != hvsOff {
-		t.Fatalf("HVS answered %d reads with a threshold of %s", counts[RouteHVS], opts.HeavyThreshold)
+	counts := p.MetricsSnapshot().Counts
+	if hvsOff := opts.HeavyThreshold == time.Hour; (counts["hvs"] == 0) != hvsOff {
+		t.Fatalf("HVS answered %d reads with a threshold of %s", counts["hvs"], opts.HeavyThreshold)
 	}
-	if counts[RouteDecomposer] == 0 || counts[RouteBackend] == 0 {
+	if counts["decomposer"] == 0 || counts["backend"] == 0 {
 		t.Fatalf("a tier never answered: %v", counts)
 	}
 	t.Logf("%d answers over %d writes checked; routes %v", len(answers), len(applied), counts)
@@ -236,9 +236,8 @@ func engineAnswers(t *testing.T, eng *sparql.Engine, queries []string) []string 
 // the caches their deltas in generation order, so the HVS is never
 // cleared wholesale and the decomposer memo never dropped. The first
 // writes are disjoint from the object expansions' footprints, so those
-// answers stay cached; the property expansions' footprints name every
-// predicate, so those answers leave the HVS and are served from the
-// maintained memo. The second writes link and unlink C0 members to
+// answers stay in the HVS; the property expansions never enter it, and
+// the maintained memo keeps them. The second writes link and unlink C0 members to
 // objects no member reached, on the link property of C0's outgoing object
 // expansion: every write crosses zero, and the entry stays cached with
 // the writes folded into it.
@@ -250,8 +249,8 @@ func TestConcurrentAppliesKeepCaches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if cached := p.HVS().Len(); cached != len(queries) {
-		t.Fatalf("warm-up cached %d of %d answers", cached, len(queries))
+	if cached := p.HVS().Len(); cached != 4 {
+		t.Fatalf("warm-up cached %d answers, want the 4 object expansions", cached)
 	}
 	// The writes reach no instance, so a carried memo keeps every entry
 	// itself; a dropped one would be recomputed into new slices.

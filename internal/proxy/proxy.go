@@ -3,7 +3,8 @@
 //
 //  1. If the HVS holds the (heavy) query's result, serve it from the cache.
 //  2. Otherwise, if the decomposer recognizes the query as a property
-//     expansion, answer it from the specialized indexes.
+//     expansion, answer it from the specialized indexes; a text it
+//     answered before is a lookup. Its answers never enter the HVS.
 //  3. Otherwise route it to the backing SPARQL executor (local engine or
 //     remote Virtuoso endpoint), measure its runtime, and record heavy
 //     queries (> threshold) into the HVS.
@@ -130,7 +131,7 @@ type Trace struct {
 	Route Route
 	// Runtime is the wall-clock execution time of this request.
 	Runtime time.Duration
-	// Heavy reports whether the query was (re)classified heavy.
+	// Heavy reports whether the answer was classified heavy (never a decomposer's).
 	Heavy bool
 	// Coalesced reports that this request shared another in-flight
 	// request's execution instead of running its own.
@@ -199,30 +200,13 @@ func (p *Proxy) maintainLocked(res store.ApplyResult) {
 	}
 	snap := p.st.Snapshot()
 	p.cache.ApplyDelta(res.From, res.To, ops, func(e *hvs.Entry) (*sparql.Result, bool) {
-		sh, _ := e.Shape.(objectShape)
-		if !sh.ok {
+		det, ok := e.Shape.(decomposer.ObjectDetection)
+		if !ok {
 			return nil, false
 		}
-		return decomposer.FoldObject(snap, sh.det, e.Result, res)
+		return decomposer.FoldObject(snap, det, e.Result, res)
 	})
 	p.dec.ApplyDelta(res)
-}
-
-// objectShape is an HVS entry's Shape: whether its query is an object
-// expansion, which Apply folds writes into instead of evicting it.
-type objectShape struct {
-	det decomposer.ObjectDetection
-	ok  bool
-}
-
-// shapeOf derives the Shape of a query from its parse; an unparseable
-// query (e.g. a remote dialect) is never folded.
-func shapeOf(q *sparql.Query, err error) objectShape {
-	if err != nil {
-		return objectShape{}
-	}
-	det, ok := decomposer.DetectObject(q)
-	return objectShape{det, ok}
 }
 
 // ErrNoUpdate is returned by Update when the proxy fronts a remote
@@ -265,6 +249,27 @@ func (p *Proxy) Explain(ctx context.Context, src string) (*sparql.PlanReport, er
 	return p.eng.Explain(ctx, src)
 }
 
+// request is one read on its way through the tiers: its text, arrival
+// time and generation, and its parse, made once by the first tier needing it.
+type request struct {
+	src   string
+	start time.Time
+	gen   uint64
+	q     *sparql.Query
+	err   error
+}
+
+func (p *Proxy) newRequest(src string) request {
+	return request{src: src, start: time.Now(), gen: p.st.Generation()}
+}
+
+func (r *request) parse() (*sparql.Query, error) {
+	if r.q == nil && r.err == nil {
+		r.q, r.err = sparql.Parse(r.src)
+	}
+	return r.q, r.err
+}
+
 // Query implements endpoint.Executor with the three-tier routing.
 func (p *Proxy) Query(ctx context.Context, src string) (*sparql.Result, error) {
 	res, _, err := p.QueryTraced(ctx, src)
@@ -273,12 +278,11 @@ func (p *Proxy) Query(ctx context.Context, src string) (*sparql.Result, error) {
 
 // QueryTraced is Query plus the route/runtime trace for the request.
 func (p *Proxy) QueryTraced(ctx context.Context, src string) (*sparql.Result, Trace, error) {
-	start := time.Now()
-	gen := p.st.Generation()
-	if res, _, tr, served := p.tryCacheTiers(src, gen, start, ""); served {
+	req := p.newRequest(src)
+	if res, _, tr, served := p.tryCacheTiers(&req, ""); served {
 		return res, tr, nil
 	}
-	tab, tr, err := p.backendCoalesced(ctx, src, gen, start)
+	tab, tr, err := p.backendCoalesced(ctx, &req)
 	if err != nil {
 		return nil, tr, err
 	}
@@ -289,15 +293,14 @@ func (p *Proxy) QueryTraced(ctx context.Context, src string) (*sparql.Result, Tr
 // the body a cache tier keeps beside its answer in contentType, or else
 // the answer as a table (the local engine's, or made by sparql.TableOf).
 func (p *Proxy) QueryBody(ctx context.Context, src, contentType string) (*sparql.Table, []byte, error) {
-	start := time.Now()
-	gen := p.st.Generation()
-	if res, body, _, served := p.tryCacheTiers(src, gen, start, contentType); served {
+	req := p.newRequest(src)
+	if res, body, _, served := p.tryCacheTiers(&req, contentType); served {
 		if body != nil {
 			return nil, body, nil
 		}
 		return sparql.TableOf(res), nil, nil
 	}
-	tab, _, err := p.backendCoalesced(ctx, src, gen, start)
+	tab, _, err := p.backendCoalesced(ctx, &req)
 	return tab, nil, err
 }
 
@@ -315,33 +318,39 @@ func (p *Proxy) QueryRows(ctx context.Context, src string, sink sparql.RowSink) 
 // tryCacheTiers answers from the HVS (tier 1) or the decomposer (tier 2)
 // when possible, with the body kept beside the answer for contentType.
 // served=false means the caller must run the backend tier.
-func (p *Proxy) tryCacheTiers(src string, gen uint64, start time.Time, contentType string) (*sparql.Result, []byte, Trace, bool) {
-	if cached, body, ok := p.cache.LookupBody(src, gen, contentType); ok {
-		tr := Trace{Route: RouteHVS, Runtime: time.Since(start), Heavy: true}
+func (p *Proxy) tryCacheTiers(req *request, contentType string) (*sparql.Result, []byte, Trace, bool) {
+	if cached, body, ok := p.cache.LookupBody(req.src, req.gen, contentType); ok {
+		tr := Trace{Route: RouteHVS, Runtime: time.Since(req.start), Heavy: true}
 		p.record(tr)
-		body = servedBody(cached, contentType, body, func(b []byte) { p.cache.KeepBody(src, cached, contentType, b) })
+		body = servedBody(cached, contentType, body, func(b []byte) { p.cache.KeepBody(req.src, cached, contentType, b) })
 		return cached, body, tr, true
 	}
-	// Tier 2: decomposer (needs a parsed query; parse errors fall through
-	// to the backend so that remote dialects we cannot parse still work).
-	if !p.opts.DisableDecomposer {
-		if q, err := sparql.Parse(src); err == nil {
-			if res, r, ok := p.dec.TryAnswer(q); ok {
-				runtime := time.Since(start)
-				// Even decomposed answers can be heavy on cold indexes;
-				// cache them so repeats hit tier 1.
-				tr := Trace{Route: RouteDecomposer, Runtime: runtime,
-					Heavy: p.cache.RecordFootprint(src, res, runtime, gen, q.Footprint(), objectShape{})}
-				p.record(tr)
-				var body []byte
-				if r != nil { // encoded after the runtime is taken: heaviness is execution alone
-					body = servedBody(res, contentType, r.Body(contentType), func(b []byte) { r.KeepBody(contentType, b) })
-				}
-				return res, body, tr, true
-			}
-		}
+	res, r, ok := p.decompose(req)
+	if !ok {
+		return nil, nil, Trace{}, false
 	}
-	return nil, nil, Trace{}, false
+	tr := Trace{Route: RouteDecomposer, Runtime: time.Since(req.start)}
+	p.record(tr)
+	if r == nil {
+		return res, nil, tr, true
+	}
+	return res, servedBody(res, contentType, r.Body(contentType), func(b []byte) { r.KeepBody(contentType, b) }), tr, true
+}
+
+// decompose is tier 2: a text the decomposer rendered is a lookup, any
+// other is parsed (a parse error falls through to the backend).
+func (p *Proxy) decompose(req *request) (*sparql.Result, *decomposer.Rendering, bool) {
+	if p.opts.DisableDecomposer {
+		return nil, nil, false
+	}
+	text := hvs.Normalize(req.src)
+	if r := p.dec.Lookup(text, req.gen); r != nil {
+		return r.Result, r, true
+	}
+	if q, err := req.parse(); err == nil {
+		return p.dec.TryAnswer(q, text)
+	}
+	return nil, nil, false
 }
 
 // servedBody returns the body to serve a shared answer with ("" asks for
@@ -368,70 +377,68 @@ func servedBody(res *sparql.Result, contentType string, kept []byte, keep func([
 
 // backendDirect runs the backend tier for one flight's leader: the local
 // engine answers with ID rows, a remote backend's result is made a table.
-func (p *Proxy) backendDirect(ctx context.Context, src string, gen uint64, start time.Time) (*sparql.Table, Trace, error) {
+func (p *Proxy) backendDirect(ctx context.Context, req *request) (*sparql.Table, Trace, error) {
 	var tab *sparql.Table
 	var err error
 	if p.eng == nil {
 		var res *sparql.Result
-		if res, err = p.backend.Query(ctx, src); err == nil {
+		if res, err = p.backend.Query(ctx, req.src); err == nil {
 			tab = sparql.TableOf(res)
 		}
-	} else if q, perr := sparql.Parse(src); perr != nil {
+	} else if q, perr := req.parse(); perr != nil {
 		err = perr
 	} else {
 		tab, err = p.eng.ExecuteTable(ctx, q)
 	}
-	runtime := time.Since(start)
+	runtime := time.Since(req.start)
 	tr := Trace{Route: RouteBackend, Runtime: runtime}
 	if err != nil {
 		return nil, tr, err
 	}
-	tr.Heavy = p.recordHeavy(src, tab, runtime, gen)
+	tr.Heavy = p.recordHeavy(req, tab, runtime)
 	p.record(tr)
 	return tab, tr, nil
 }
 
 // recordHeavy stores a result in the HVS tagged with its dependency
 // footprint, so delta-aware invalidation can keep it across disjoint
-// writes, and with its Shape, so Apply can fold writes into an object
-// expansion. The rows as maps, the footprint and the Shape are derived
-// only for a result that will be stored (runtime at or above the
-// threshold): doing it for every light query would tax the hot path.
+// writes, and with its Shape (its object-expansion detection), so Apply
+// can fold writes into an object expansion. The rows as maps, the
+// footprint and the Shape are derived only for a result that will be
+// stored (runtime at or above the threshold): doing it for every light
+// query would tax the hot path.
 //
 // The backend binds its own snapshot, so the result is known to be the
 // answer at gen only if the store is still at gen once it returns
 // (generations only move forward). A result that may already hold a
 // later write is not stored: tagged gen, that write's fold would count
 // it a second time.
-func (p *Proxy) recordHeavy(src string, tab *sparql.Table, runtime time.Duration, gen uint64) bool {
+func (p *Proxy) recordHeavy(req *request, tab *sparql.Table, runtime time.Duration) bool {
 	if runtime < p.cache.Threshold() {
 		return false
 	}
-	if p.st.Generation() != gen {
-		return true // heavy, but not known to be the answer at gen
+	if p.st.Generation() != req.gen {
+		return true // heavy, but not known to be the answer at req.gen
 	}
-	q, err := sparql.Parse(src)
-	fp := sparql.WildFootprint()
-	if err == nil {
+	fp, shape := sparql.WildFootprint(), any(nil)
+	if q, err := req.parse(); err == nil { // an unparseable (remote dialect) query is never folded
 		fp = q.Footprint()
+		if det, ok := decomposer.DetectObject(q); ok {
+			shape = det
+		}
 	}
-	return p.cache.RecordFootprint(src, tab.Result(), runtime, gen, fp, shapeOf(q, err))
-}
-
-// flightKey is the coalescing identity: normalized query text plus the
-// store generation, so requests racing a KB update can never share a
-// stale execution.
-func flightKey(src string, gen uint64) string {
-	return fmt.Sprintf("%d\x00%s", gen, hvs.Normalize(src))
+	return p.cache.RecordFootprint(req.src, tab.Result(), runtime, req.gen, fp, shape)
 }
 
 // backendCoalesced runs the backend tier, sharing one execution among
-// concurrent identical requests.
-func (p *Proxy) backendCoalesced(ctx context.Context, src string, gen uint64, start time.Time) (*sparql.Table, Trace, error) {
-	key := flightKey(src, gen)
+// concurrent identical requests. The coalescing identity is the
+// normalized text plus the store generation, so requests racing a KB
+// update can never share a stale execution.
+func (p *Proxy) backendCoalesced(ctx context.Context, req *request) (*sparql.Table, Trace, error) {
+	key := fmt.Sprintf("%d\x00%s", req.gen, hvs.Normalize(req.src))
 	for {
-		tab, tr, err, lead := p.joinOrLead(ctx, key, start, func(f *flight) {
-			f.tab, f.tr, f.err = p.backendDirect(ctx, src, gen, start)
+		tab, tr, err, lead := p.joinOrLead(ctx, key, req.start, func(f *flight) {
+			f.tab, f.tr, f.err = p.backendDirect(ctx, req)
 		})
 		if lead || !p.shouldRetryAsFollower(ctx, err) {
 			return tab, tr, err
@@ -510,21 +517,9 @@ func (p *Proxy) HVS() *hvs.Store { return p.cache }
 // Decomposer exposes the index tier (for warming).
 func (p *Proxy) Decomposer() *decomposer.Decomposer { return p.dec }
 
-// RouteCounts returns how many queries each tier answered (coalesced
-// followers included): the sample counts of the per-route histograms.
-func (p *Proxy) RouteCounts() map[Route]int {
-	out := make(map[Route]int, numRoutes)
-	for r := Route(0); r < numRoutes; r++ {
-		if n := p.routeHist[r].Snapshot().Count; n > 0 {
-			out[r] = int(n)
-		}
-	}
-	return out
-}
-
 // TierMetrics is the proxy half of the /metrics document: per-tier
-// latency distributions, route counts, coalescing savings, and the cache
-// tier's counters.
+// latency distributions, route counts (coalesced followers included),
+// coalescing savings, and the cache tier's counters.
 type TierMetrics struct {
 	Routes    map[string]metrics.HistogramSnapshot `json:"routes"`
 	Counts    map[string]int                       `json:"counts"`

@@ -123,15 +123,23 @@ func TestKBUpdateInvalidatesCache(t *testing.T) {
 	}
 }
 
-func TestDecomposedResultsCachedAsHeavy(t *testing.T) {
+// TestDecomposedAnswersStayOutOfHVS: the decomposer memo is the one home
+// of a property-expansion answer. With every answer heavy enough for the
+// HVS, each repeat is still the decomposer's, never heavy, and the HVS
+// stays empty.
+func TestDecomposedAnswersStayOutOfHVS(t *testing.T) {
 	p := New(fixture(t), Options{HeavyThreshold: time.Nanosecond})
-	_, tr1, _ := p.QueryTraced(context.Background(), expansionQuery)
-	if tr1.Route != RouteDecomposer || !tr1.Heavy {
-		t.Fatalf("first: %+v", tr1)
+	for i := 0; i < 3; i++ {
+		_, tr, err := p.QueryTraced(context.Background(), expansionQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Route != RouteDecomposer || tr.Heavy {
+			t.Errorf("read %d: %+v, want a decomposer answer that is not heavy", i, tr)
+		}
 	}
-	_, tr2, _ := p.QueryTraced(context.Background(), expansionQuery)
-	if tr2.Route != RouteHVS {
-		t.Errorf("repeat route = %v, want hvs", tr2.Route)
+	if n := p.HVS().Len(); n != 0 {
+		t.Errorf("HVS holds %d entries, want 0", n)
 	}
 }
 
@@ -170,32 +178,35 @@ func TestRouteCounts(t *testing.T) {
 	p.Query(context.Background(), plainQuery)     // backend
 	p.Query(context.Background(), plainQuery)     // hvs
 	p.Query(context.Background(), expansionQuery) // decomposer
-	counts := p.RouteCounts()
-	if counts[RouteBackend] != 1 || counts[RouteHVS] != 1 || counts[RouteDecomposer] != 1 {
+	counts := p.MetricsSnapshot().Counts
+	if counts["backend"] != 1 || counts["hvs"] != 1 || counts["decomposer"] != 1 {
 		t.Errorf("counts = %v", counts)
 	}
 }
 
 func TestProxyOverHTTP(t *testing.T) {
 	// Full Figure-3 stack: HTTP client -> endpoint.Server -> proxy ->
-	// engine, exercising both cache tiers through real HTTP.
+	// engine, exercising both cache tiers through real HTTP: a backend
+	// answer and its HVS repeat, a decomposer answer and its memo repeat.
 	p := New(fixture(t), Options{HeavyThreshold: time.Nanosecond})
 	srv := httptest.NewServer(endpoint.NewServer(p))
 	defer srv.Close()
 	c := endpoint.NewClient(srv.URL)
-	res1, err := c.Query(context.Background(), expansionQuery)
-	if err != nil {
-		t.Fatal(err)
+	for _, q := range []string{plainQuery, expansionQuery} {
+		res1, err := c.Query(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res2, err := c.Query(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res1.Rows) != len(res2.Rows) {
+			t.Errorf("cold/warm row mismatch: %d vs %d", len(res1.Rows), len(res2.Rows))
+		}
 	}
-	res2, err := c.Query(context.Background(), expansionQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res1.Rows) != len(res2.Rows) {
-		t.Errorf("cold/warm row mismatch: %d vs %d", len(res1.Rows), len(res2.Rows))
-	}
-	counts := p.RouteCounts()
-	if counts[RouteHVS] != 1 || counts[RouteDecomposer] != 1 {
+	counts := p.MetricsSnapshot().Counts
+	if counts["backend"] != 1 || counts["hvs"] != 1 || counts["decomposer"] != 2 {
 		t.Errorf("counts over HTTP = %v", counts)
 	}
 }
@@ -220,8 +231,8 @@ func TestConcurrentProxyQueries(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	counts := p.RouteCounts()
-	total := counts[RouteBackend] + counts[RouteHVS] + counts[RouteDecomposer]
+	counts := p.MetricsSnapshot().Counts
+	total := counts["backend"] + counts["hvs"] + counts["decomposer"]
 	if total != 800 {
 		t.Errorf("total routed = %d, want 800", total)
 	}
@@ -246,7 +257,7 @@ func canon(res *sparql.Result) string {
 // comparing configurations means one proxy per configuration over one
 // store. Hammered concurrently (run under -race), the three proxies must
 // give identical rows per query, and with no proxy-level lock left each
-// proxy's RouteCounts must still equal its per-route histogram counts and
+// proxy's route counts must still equal its per-route histogram counts and
 // add up to the requests issued, coalesced followers included.
 func TestConfigurationsShareStore(t *testing.T) {
 	st := fixture(t)
@@ -292,23 +303,22 @@ func TestConfigurationsShareStore(t *testing.T) {
 
 	const issued = goroutines * rounds * 2
 	for name, p := range proxies {
-		counts, m := p.RouteCounts(), p.MetricsSnapshot()
+		m := p.MetricsSnapshot()
 		total := 0
 		for r := Route(0); r < numRoutes; r++ {
-			total += counts[r]
-			if hist := int(m.Routes[r.String()].Count); counts[r] != hist || m.Counts[r.String()] != hist {
-				t.Errorf("%s, route %v: RouteCounts %d, metrics count %d, histogram %d",
-					name, r, counts[r], m.Counts[r.String()], hist)
+			total += m.Counts[r.String()]
+			if hist := int(m.Routes[r.String()].Count); m.Counts[r.String()] != hist {
+				t.Errorf("%s, route %v: metrics count %d, histogram %d", name, r, m.Counts[r.String()], hist)
 			}
 		}
 		if total != issued {
-			t.Errorf("%s: routed %d requests, issued %d (%v)", name, total, issued, counts)
+			t.Errorf("%s: routed %d requests, issued %d (%v)", name, total, issued, m.Counts)
 		}
 	}
-	if n := proxies["no hvs"].RouteCounts()[RouteHVS]; n != 0 {
+	if n := proxies["no hvs"].MetricsSnapshot().Counts["hvs"]; n != 0 {
 		t.Errorf("HVS answered %d requests while disabled", n)
 	}
-	if n := proxies["no decomposer"].RouteCounts()[RouteDecomposer]; n != 0 {
+	if n := proxies["no decomposer"].MetricsSnapshot().Counts["decomposer"]; n != 0 {
 		t.Errorf("decomposer answered %d requests while disabled", n)
 	}
 }

@@ -110,13 +110,13 @@ func viaQueryRows(p *Proxy, src string) (*sparql.Result, error) {
 func TestQueryRowsEqualsQuery(t *testing.T) {
 	scenarios := []struct {
 		name      string
-		counts    map[Route]int
+		counts    map[string]int
 		coalesced uint64
 		// run drives a fresh proxy through read and returns the answer
 		// under comparison.
 		run func(t *testing.T, read readFn) (*sparql.Result, *Proxy)
 	}{
-		{"hvs hit", map[Route]int{RouteBackend: 1, RouteHVS: 1}, 0, func(t *testing.T, read readFn) (*sparql.Result, *Proxy) {
+		{"hvs hit", map[string]int{"backend": 1, "hvs": 1}, 0, func(t *testing.T, read readFn) (*sparql.Result, *Proxy) {
 			p := New(fixture(t), Options{HeavyThreshold: time.Nanosecond, DisableDecomposer: true})
 			if _, err := read(p, plainQuery); err != nil {
 				t.Fatal(err)
@@ -127,7 +127,7 @@ func TestQueryRowsEqualsQuery(t *testing.T) {
 			}
 			return res, p
 		}},
-		{"decomposer", map[Route]int{RouteDecomposer: 1}, 0, func(t *testing.T, read readFn) (*sparql.Result, *Proxy) {
+		{"decomposer", map[string]int{"decomposer": 1}, 0, func(t *testing.T, read readFn) (*sparql.Result, *Proxy) {
 			p := New(fixture(t), Options{HeavyThreshold: time.Hour})
 			res, err := read(p, expansionQuery)
 			if err != nil {
@@ -135,7 +135,7 @@ func TestQueryRowsEqualsQuery(t *testing.T) {
 			}
 			return res, p
 		}},
-		{"backend leader", map[Route]int{RouteBackend: 1}, 0, func(t *testing.T, read readFn) (*sparql.Result, *Proxy) {
+		{"backend leader", map[string]int{"backend": 1}, 0, func(t *testing.T, read readFn) (*sparql.Result, *Proxy) {
 			p := New(fixture(t), Options{HeavyThreshold: time.Hour, DisableDecomposer: true})
 			res, err := read(p, plainQuery)
 			if err != nil {
@@ -143,7 +143,7 @@ func TestQueryRowsEqualsQuery(t *testing.T) {
 			}
 			return res, p
 		}},
-		{"coalesced follower", map[Route]int{RouteBackend: 2}, 1, func(t *testing.T, read readFn) (*sparql.Result, *Proxy) {
+		{"coalesced follower", map[string]int{"backend": 2}, 1, func(t *testing.T, read readFn) (*sparql.Result, *Proxy) {
 			exec := newGatedExec()
 			p := NewWithBackend(fixture(t), exec, Options{HeavyThreshold: time.Hour, DisableDecomposer: true})
 			leaderErr := make(chan error, 1)
@@ -187,7 +187,7 @@ func TestQueryRowsEqualsQuery(t *testing.T) {
 				t.Errorf("QueryRows delivered %v %v, Query returned %v %v", got.Vars, got.Rows, want.Vars, want.Rows)
 			}
 			for _, p := range []*Proxy{pq, pr} {
-				if c := p.RouteCounts(); !reflect.DeepEqual(c, sc.counts) {
+				if c := p.MetricsSnapshot().Counts; !reflect.DeepEqual(c, sc.counts) {
 					t.Errorf("route counts = %v, want %v", c, sc.counts)
 				}
 				if c := p.MetricsSnapshot().Coalesced; c != sc.coalesced {

@@ -46,23 +46,24 @@ func get(t testing.TB, c *http.Client, srv *httptest.Server, src, accept string)
 	return body
 }
 
-// TestCachedBodiesServed: an HVS hit and a decomposer memo hit are
-// served from the body kept beside the answer on its first serve, per
-// content type: the same bytes every time, the encoding of the answer
-// the tier holds, and for the HVS counted in its Bytes.
+// TestCachedBodiesServed: an HVS hit (a backend answer) and a decomposer
+// memo hit are served from the body kept beside the answer on its first
+// serve, per content type: the same bytes every time, the encoding of the
+// answer the tier holds, and for the HVS counted in its Bytes.
 func TestCachedBodiesServed(t *testing.T) {
 	st := fixture(t)
 	for _, tc := range []struct {
 		name  string
+		src   string
 		opts  Options
 		route Route
 	}{
-		{"hvs", Options{HeavyThreshold: time.Nanosecond}, RouteHVS},
-		{"memo", Options{HeavyThreshold: time.Hour}, RouteDecomposer},
+		{"hvs", plainQuery, Options{HeavyThreshold: time.Nanosecond}, RouteHVS},
+		{"memo", expansionQuery, Options{HeavyThreshold: time.Hour}, RouteDecomposer},
 	} {
 		p := New(st, tc.opts)
 		srv := httptest.NewServer(endpoint.NewServer(p))
-		res, err := p.Query(context.Background(), expansionQuery) // records the HVS entry
+		res, err := p.Query(context.Background(), tc.src) // records the HVS entry or the memo's rendering
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,18 +75,18 @@ func TestCachedBodiesServed(t *testing.T) {
 				t.Fatalf("%s: EncodeBody refused a small answer", ct)
 			}
 			for i := 0; i < 3; i++ {
-				if got := get(t, srv.Client(), srv, expansionQuery, ct); !bytes.Equal(got, want) {
+				if got := get(t, srv.Client(), srv, tc.src, ct); !bytes.Equal(got, want) {
 					t.Fatalf("%s %s serve %d:\n got  %s\n want %s", tc.name, ct, i, got, want)
 				}
 			}
-			_, body, err := p.QueryBody(context.Background(), expansionQuery, ct)
+			_, body, err := p.QueryBody(context.Background(), tc.src, ct)
 			if err != nil || !bytes.Equal(body, want) {
 				t.Fatalf("%s %s: QueryBody kept %q (%v), want %q", tc.name, ct, body, err, want)
 			}
 			kept += int64(len(want))
 		}
 		srv.Close()
-		if counts := p.RouteCounts(); counts[tc.route] < 8 {
+		if counts := p.MetricsSnapshot().Counts; counts[tc.route.String()] < 8 {
 			t.Errorf("%s: routes %v, want every read after the first from %s", tc.name, counts, tc.route)
 		}
 		if tc.route == RouteHVS {
@@ -160,10 +161,9 @@ func TestServedBodiesFollowWrites(t *testing.T) {
 
 // BenchmarkServeHot times one repeated read over HTTP (httptest, one
 // keep-alive client) through the endpoint and a proxy on a datagen store
-// at two sizes: an object expansion and a property expansion the HVS
-// answers, the property expansion again from the decomposer memo (HVS
-// off), and an answer over endpoint.BodyBytes the HVS answers (every
-// Person). body_B is the response size.
+// at two sizes: an object expansion the HVS answers, a property expansion
+// the decomposer memo answers, and an answer over endpoint.BodyBytes the
+// HVS answers (every Person). body_B is the response size.
 func BenchmarkServeHot(b *testing.B) {
 	person := datagen.Ont("Person")
 	for _, persons := range []int{2000, 20000} {
@@ -179,8 +179,7 @@ func BenchmarkServeHot(b *testing.B) {
 			opts Options
 		}{
 			{"object/hvs", core.ObjectExpansionSPARQL(person, datagen.Ont("birthPlace"), false), Options{HeavyThreshold: time.Nanosecond}},
-			{"property/hvs", core.PropertyExpansionSPARQL(person, false), Options{HeavyThreshold: time.Nanosecond}},
-			{"property/memo", core.PropertyExpansionSPARQL(person, false), Options{HeavyThreshold: time.Hour}},
+			{"property/memo", core.PropertyExpansionSPARQL(person, false), Options{HeavyThreshold: time.Nanosecond}},
 			{"over-B/hvs", fmt.Sprintf("SELECT ?s WHERE { ?s a %s . }", person), Options{HeavyThreshold: time.Nanosecond}},
 		} {
 			b.Run(fmt.Sprintf("persons=%d/%s", persons, tc.name), func(b *testing.B) {
@@ -266,7 +265,8 @@ func TestConcurrentBodiesUnderWrites(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				// The cache tiers' answer with the body kept beside it;
 				// QueryBody hands out only the body.
-				res, body, _, served := p.tryCacheTiers(queries[i%2], st.Generation(), time.Now(), ct)
+				req := p.newRequest(queries[i%2])
+				res, body, _, served := p.tryCacheTiers(&req, ct)
 				if !served { // the backend answers, and the HVS records it
 					if _, _, err := p.QueryBody(context.Background(), queries[i%2], ct); err != nil {
 						t.Error(err)

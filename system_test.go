@@ -144,27 +144,30 @@ func TestErrorDetectionScenario(t *testing.T) {
 // TestScenarioPerformanceToggles covers the second demonstration kind:
 // heavy queries "with the discussed solutions turned on and off" — the
 // engine alone, a proxy whose threshold no answer reaches (decomposer, no
-// HVS entries) and a proxy caching everything, over the shared store.
-// Each gives the engine's rows, each from its own tier.
+// HVS entries) and a proxy caching every backend answer, over the shared
+// store. The decomposer answers the property expansion; the HVS answers
+// the repeat of an object expansion, since decomposer answers never enter
+// it. Each gives the engine's rows, each from its own tier.
 func TestScenarioPerformanceToggles(t *testing.T) {
 	st := testSystem(t).Store
-	q := core.PropertyExpansionSPARQL(rdf.OWLThingIRI, false)
-
-	slow, err := sparql.NewEngine(st).Query(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prop := core.PropertyExpansionSPARQL(rdf.OWLThingIRI, false)
+	obj := core.ObjectExpansionSPARQL(datagen.Ont("Person"), datagen.Ont("birthPlace"), false)
 	decomposed := proxy.New(st, proxy.Options{HeavyThreshold: time.Hour})
 	cached := proxy.New(st, proxy.Options{HeavyThreshold: time.Nanosecond})
-	if _, err := cached.Query(context.Background(), q); err != nil {
+	if _, err := cached.Query(context.Background(), obj); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
 		name  string
 		px    *proxy.Proxy
+		q     string
 		route proxy.Route
-	}{{"decomposer", decomposed, proxy.RouteDecomposer}, {"hvs", cached, proxy.RouteHVS}} {
-		res, trace, err := c.px.QueryTraced(context.Background(), q)
+	}{{"decomposer", decomposed, prop, proxy.RouteDecomposer}, {"hvs", cached, obj, proxy.RouteHVS}} {
+		slow, err := sparql.NewEngine(st).Query(context.Background(), c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, trace, err := c.px.QueryTraced(context.Background(), c.q)
 		if err != nil {
 			t.Fatal(err)
 		}
