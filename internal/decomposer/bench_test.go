@@ -108,16 +108,14 @@ func BenchmarkDecomposerApplyDelta(b *testing.B) {
 				pool = append(pool, tr)
 			}
 		}
-		write := func(i int) store.ApplyResult {
+		write := func(i int, carry ...store.Carry) {
 			op := rdf.Insert(pool[i%len(pool)])
 			if (i/len(pool))%2 == 1 {
 				op = rdf.Delete(pool[i%len(pool)])
 			}
-			res, err := st.Apply(store.DeltaOf(op))
-			if err != nil {
+			if _, err := st.Apply(store.DeltaOf(op), carry...); err != nil {
 				b.Fatal(err)
 			}
-			return res
 		}
 		warm := func(d *Decomposer) {
 			for _, h := range hot {
@@ -129,7 +127,7 @@ func BenchmarkDecomposerApplyDelta(b *testing.B) {
 			d := New(st)
 			warm(d)
 			for i := 0; i < b.N; i++ {
-				d.ApplyDelta(write(i))
+				write(i, d.ApplyDelta)
 			}
 		})
 		b.Run(fmt.Sprintf("persons=%d/cold", persons), func(b *testing.B) {

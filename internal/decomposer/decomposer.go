@@ -22,11 +22,14 @@
 // utilizes the indexes".
 //
 // The aggregates are memoized per (class, direction) and maintained, not
-// dropped, across writes: ApplyDelta folds a write's net triples into
-// every entry (an incremental model merged with its delta rather than
-// rebuilt). A write that changes class membership, or one the memo did
-// not see in order, drops the memo instead, and the kernel rebuilds each
-// entry on its next read — the kernel is the only rebuild path.
+// dropped, across writes: ApplyDelta, a store.Carry, folds a write's net
+// triples into every entry (an incremental model merged with its delta
+// rather than rebuilt) before the store publishes the write. A write that
+// changes class membership, or one the memo did not see (a bare
+// Store.Apply, WAL replay), drops the memo instead, and the kernel
+// rebuilds each entry on its next read — the kernel is the only rebuild
+// path. A kernel pass overtaken by link writes is folded forward through
+// them, not thrown away.
 //
 // The memo is the one home of a property-expansion answer (the HVS never
 // keeps one); a repeated query text is a lookup, with no parse (Lookup).
@@ -82,9 +85,12 @@ type PropStat struct {
 // Decomposer answers detected property-expansion queries from indexes.
 // Computed aggregates are memoized per (class, direction) — the paper's
 // "specialized index", built lazily. The memo belongs to one store
-// generation, which only moves forward: ApplyDelta carries it across a
-// write, a read at a newer generation (a write that bypassed ApplyDelta)
-// drops it, and a read at an older one computes without storing.
+// generation, which only moves forward and is always one the store has
+// published: ApplyDelta carries the memo across a write and publishes the
+// write under the memo's lock, a read binds its snapshot under that lock,
+// and a read finding the store newer than the memo (a write that bypassed
+// ApplyDelta) drops it. A request that arrived before a write the memo
+// has carried is answered from the memo (Lookup).
 type Decomposer struct {
 	st *store.Store
 
@@ -96,6 +102,42 @@ type Decomposer struct {
 	// shown maps a normalized query text (hvs.Normalize) to its
 	// rendering; cleared with the memo, and at maxShown texts.
 	shown map[string]*Rendering
+	// passes are the generations of the kernel passes running, oldest
+	// first; carried are the writes the memo folded since the oldest of
+	// them bound its snapshot, in order (none when no pass runs).
+	passes  []uint64
+	carried []carriedWrite
+	stats   Stats
+}
+
+// carriedWrite is one write the memo folded: res, and the snapshot at
+// res.To that the fold read.
+type carriedWrite struct {
+	res  store.ApplyResult
+	snap *store.Snapshot
+}
+
+// Stats counts the memo's drops by cause and the kernel passes by fate.
+// A drop is counted when it empties a memo holding an entry.
+type Stats struct {
+	// DropsNewerRead counts drops by a read that found the store at a
+	// newer generation than the memo: a write that bypassed ApplyDelta.
+	DropsNewerRead int
+	// DropsUnfoldable counts drops by a write on rdf:type or
+	// rdfs:subClassOf, which changes class membership.
+	DropsUnfoldable int
+	// DropsMissedWrite counts drops by ApplyDelta finding the memo behind
+	// the write's From: a write it never saw came first.
+	DropsMissedWrite int
+	// PassesStored counts kernel passes stored at the generation they
+	// computed.
+	PassesStored int
+	// PassesFolded counts kernel passes overtaken by writes and stored
+	// folded forward through them.
+	PassesFolded int
+	// PassesDiscarded counts kernel passes overtaken by a drop, or by a
+	// write that cannot be folded, whose answer served only their own read.
+	PassesDiscarded int
 }
 
 const maxShown = 1024
@@ -322,41 +364,106 @@ func classifyPatterns(tps []sparql.TriplePattern) (typeVar string, class rdf.Ter
 // runs over one immutable store snapshot — lock-free reads, and the memo
 // is keyed by exactly the generation the pass observed.
 func (d *Decomposer) PropertyStats(class rdf.ID, dir Direction) []PropStat {
-	return d.entry(d.st.Snapshot(), class, dir).stats
+	return d.entry(class, dir).stats
 }
 
-// entry returns the memo entry of (class, dir) at snap's generation,
-// computing it on a miss. A newer generation drops the memo first; an
-// older one — a request that bound its snapshot before a write the memo
-// has already folded — computes without storing, so the memo never rolls
-// back.
-func (d *Decomposer) entry(snap *store.Snapshot, class rdf.ID, dir Direction) *memoEntry {
-	gen := snap.Generation()
+// entry returns the memo entry of (class, dir), computing it on a miss.
+func (d *Decomposer) entry(class rdf.ID, dir Direction) *memoEntry {
 	key := memoKey{class: class, dir: dir}
+	snap, e := d.begin(key)
+	if e != nil {
+		return e
+	}
+	return d.finish(key, snap.Generation(), &memoEntry{stats: computeStats(snap, class, dir)})
+}
 
+// begin binds the store's snapshot under d.mu and returns the memo's
+// entry for key, or, on a miss, the snapshot for a kernel pass it
+// registers. Writes through ApplyDelta publish under d.mu, so the
+// snapshot is at the memo's generation or — after a write that bypassed
+// ApplyDelta — newer, which drops the memo.
+func (d *Decomposer) begin(key memoKey) (*store.Snapshot, *memoEntry) {
 	d.mu.Lock()
-	switch {
-	case gen > d.generation:
-		d.memo, d.generation = make(map[memoKey]*memoEntry), gen
-		clear(d.shown)
-	case gen < d.generation:
-		d.mu.Unlock()
-		return &memoEntry{stats: computeStats(snap, class, dir)}
+	defer d.mu.Unlock()
+	snap := d.st.Snapshot()
+	if gen := snap.Generation(); gen > d.generation {
+		d.dropLocked(gen, &d.stats.DropsNewerRead)
 	}
 	if cached, ok := d.memo[key]; ok {
-		d.mu.Unlock()
+		return snap, cached
+	}
+	d.passes = append(d.passes, snap.Generation())
+	return snap, nil
+}
+
+// finish ends the kernel pass begin registered at generation gen with its
+// entry e, and returns the entry to answer with. A pass still at the
+// memo's generation stores e, unless another pass stored one first. A
+// pass overtaken by writes the memo folded is folded forward through
+// them and stored; one overtaken by a drop answers its own read only.
+func (d *Decomposer) finish(key memoKey, gen uint64, e *memoEntry) *memoEntry {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	i := slices.Index(d.passes, gen)
+	d.passes = slices.Delete(d.passes, i, i+1)
+	defer d.trimLocked()
+	at := e
+	if gen < d.generation {
+		if at = d.forwardLocked(key, gen, e); at == nil {
+			d.stats.PassesDiscarded++
+			return e
+		}
+		d.stats.PassesFolded++
+	} else {
+		d.stats.PassesStored++
+	}
+	if cached, ok := d.memo[key]; ok {
 		return cached
 	}
-	d.mu.Unlock()
+	d.memo[key] = at
+	return at
+}
 
-	e := &memoEntry{stats: computeStats(snap, class, dir)}
-
-	d.mu.Lock()
-	if d.generation == gen {
-		d.memo[key] = e
+// forwardLocked folds e, an entry computed at generation gen, through the
+// carried writes to the memo's generation. It returns nil when they do
+// not reach back to gen (the memo was dropped since) or one cannot be
+// folded.
+func (d *Decomposer) forwardLocked(key memoKey, gen uint64, e *memoEntry) *memoEntry {
+	i := slices.IndexFunc(d.carried, func(w carriedWrite) bool { return w.res.From == gen })
+	if i < 0 {
+		return nil
 	}
-	d.mu.Unlock()
-	return e
+	memo := map[memoKey]*memoEntry{key: e}
+	for _, w := range d.carried[i:] {
+		if memo = foldMemo(w.snap, memo, w.res); memo == nil {
+			return nil
+		}
+	}
+	return memo[key]
+}
+
+// trimLocked forgets the carried writes no running pass can need: all of
+// them when none runs, else those before the oldest pass's generation.
+func (d *Decomposer) trimLocked() {
+	if len(d.passes) == 0 {
+		d.carried = nil
+		return
+	}
+	i := 0
+	for i < len(d.carried) && d.carried[i].res.From < d.passes[0] {
+		i++
+	}
+	d.carried = d.carried[i:]
+}
+
+// dropLocked empties the memo, moving it to generation gen, and counts a
+// drop of a memo holding an entry in cause.
+func (d *Decomposer) dropLocked(gen uint64, cause *int) {
+	if len(d.memo) > 0 {
+		*cause++
+	}
+	d.memo, d.generation, d.carried = make(map[memoKey]*memoEntry), gen, nil
+	clear(d.shown)
 }
 
 // resultVars are the variables of the answer to a detected query.
@@ -405,32 +512,39 @@ func sortStats(snap *store.Snapshot, stats []PropStat) []PropStat {
 	return stats
 }
 
-// ApplyDelta carries the memo across a write the store has just
-// published (res, from Store.Apply). Writes must arrive in the order the
-// store applied them. When the memo is at res.From and the store at
-// res.To, every entry is folded forward from the write's net triples;
-// otherwise — the memo missed a write, another write already followed,
-// or the write touches rdf:type or rdfs:subClassOf and so changes class
+// ApplyDelta is the memo's store.Carry: it carries the memo across the
+// write res that the store is about to publish as next, then publishes
+// it under the memo's lock, so no read binds res.To before the memo is
+// there. When the memo is at res.From, every entry is folded forward from
+// the write's net triples; otherwise — the memo missed a write, or the
+// write touches rdf:type or rdfs:subClassOf and so changes class
 // membership — the memo is dropped and the kernel rebuilds each entry on
-// its next read. A memo already at res.To or later is left alone.
-func (d *Decomposer) ApplyDelta(res store.ApplyResult) {
-	if !res.Changed() {
-		return
-	}
-	snap := d.st.Snapshot()
+// its next read. A folded write is kept for the kernel passes still
+// running, which fold themselves forward through it.
+func (d *Decomposer) ApplyDelta(res store.ApplyResult, next *store.Snapshot, publish func()) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.generation >= res.To {
+	defer publish()
+	if d.generation != res.From {
+		d.dropLocked(res.To, &d.stats.DropsMissedWrite)
 		return
 	}
-	if d.generation == res.From && snap.Generation() == res.To {
-		if memo := foldMemo(snap, d.memo, res); memo != nil {
-			d.memo, d.generation = memo, res.To
-			return
-		}
+	memo := foldMemo(next, d.memo, res)
+	if memo == nil {
+		d.dropLocked(res.To, &d.stats.DropsUnfoldable)
+		return
 	}
-	d.memo, d.generation = make(map[memoKey]*memoEntry), res.To
-	clear(d.shown)
+	d.memo, d.generation = memo, res.To
+	if len(d.passes) > 0 {
+		d.carried = append(d.carried, carriedWrite{res: res, snap: next})
+	}
+}
+
+// Stats returns the memo's drop and kernel-pass counters.
+func (d *Decomposer) Stats() Stats {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.stats
 }
 
 // touch is one (node, property) pair a write changed, seen from the node:
@@ -555,16 +669,16 @@ func (d *Decomposer) TryAnswer(q *sparql.Query, text string) (*sparql.Result, *R
 	if !ok {
 		return nil, nil, false
 	}
-	snap := d.st.Snapshot()
-	classID, found := snap.Dict().Lookup(det.Class)
+	dict := d.st.Dict()
+	classID, found := dict.Lookup(det.Class)
 	if !found {
 		return &sparql.Result{Vars: det.resultVars()}, nil, true
 	}
-	e := d.entry(snap, classID, det.Dir)
+	e := d.entry(classID, det.Dir)
 	rows := make([]sparql.Solution, len(e.stats))
 	for i, s := range e.stats {
 		row := sparql.Solution{
-			det.PropVar:  snap.Dict().Term(s.Property),
+			det.PropVar:  dict.Term(s.Property),
 			det.CountVar: rdf.NewTypedLiteral(fmt.Sprint(s.Subjects), rdf.XSDInteger),
 		}
 		if det.SumVar != "" {
@@ -579,7 +693,7 @@ func (d *Decomposer) TryAnswer(q *sparql.Query, text string) (*sparql.Result, *R
 	}
 	r := &Rendering{Result: res, key: memoKey{class: classID, dir: det.Dir}, entry: e}
 	d.mu.Lock()
-	if text != "" && d.memo[r.key] == e { // not an older snapshot's entry, nor one replaced since
+	if text != "" && d.memo[r.key] == e { // not a discarded pass's entry, nor one replaced since
 		if len(d.shown) >= maxShown {
 			clear(d.shown)
 		}
@@ -589,13 +703,16 @@ func (d *Decomposer) TryAnswer(q *sparql.Query, text string) (*sparql.Result, *R
 	return res, r, true
 }
 
-// Lookup returns the Rendering kept for a normalized query text if it is
-// the answer at generation gen: the memo is at gen and still holds the
-// entry it renders. nil means: parse the text and ask TryAnswer.
+// Lookup returns the Rendering kept for a normalized query text if the
+// memo still holds the entry it renders and is at generation gen or
+// later: the memo only holds generations the store has published, so for
+// a request bound to gen the rendering is the answer at a generation
+// between its arrival and its response. nil means: parse the text and ask
+// TryAnswer.
 func (d *Decomposer) Lookup(text string, gen uint64) *Rendering {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if r := d.shown[text]; r != nil && gen == d.generation && d.memo[r.key] == r.entry {
+	if r := d.shown[text]; r != nil && gen <= d.generation && d.memo[r.key] == r.entry {
 		return r
 	}
 	return nil

@@ -41,7 +41,7 @@ func TestApplyDeltaRetainsDisjoint(t *testing.T) {
 	s.RecordFootprint(disjoint, res("a"), time.Second, 1, fpOf(t, disjoint), nil)
 	s.RecordFootprint(overlapping, res("b"), time.Second, 1, fpOf(t, overlapping), nil)
 
-	retained, evicted := s.ApplyDelta(1, 3, opsFor(triple("s1", "pB", "o1")), refuse)
+	retained, evicted := s.ApplyDelta(1, 3, opsFor(triple("s1", "pB", "o1")), refuse, nil)
 	if retained != 1 || evicted != 1 {
 		t.Fatalf("ApplyDelta = (%d retained, %d evicted), want (1, 1)", retained, evicted)
 	}
@@ -62,7 +62,7 @@ func TestApplyDeltaRetainsDisjoint(t *testing.T) {
 func TestApplyDeltaNilFootprintEvicted(t *testing.T) {
 	s := New(time.Millisecond)
 	s.RecordFootprint("q", res("a"), time.Second, 1, nil, nil)
-	retained, evicted := s.ApplyDelta(1, 2, opsFor(triple("s", "pZ", "o")), refuse)
+	retained, evicted := s.ApplyDelta(1, 2, opsFor(triple("s", "pZ", "o")), refuse, nil)
 	if retained != 0 || evicted != 1 {
 		t.Fatalf("ApplyDelta = (%d, %d), want (0, 1)", retained, evicted)
 	}
@@ -76,7 +76,7 @@ func TestApplyDeltaNilFootprintEvicted(t *testing.T) {
 func TestApplyDeltaWildFootprintEvicted(t *testing.T) {
 	s := New(time.Millisecond)
 	s.RecordFootprint("q", res("a"), time.Second, 1, sparql.WildFootprint(), nil)
-	if retained, evicted := s.ApplyDelta(1, 2, opsFor(triple("s", "p", "o")), refuse); retained != 0 || evicted != 1 {
+	if retained, evicted := s.ApplyDelta(1, 2, opsFor(triple("s", "p", "o")), refuse, nil); retained != 0 || evicted != 1 {
 		t.Fatalf("ApplyDelta = (%d, %d), want (0, 1)", retained, evicted)
 	}
 }
@@ -89,7 +89,7 @@ func TestApplyDeltaGenerationMismatch(t *testing.T) {
 	q := "SELECT ?s WHERE { ?s <http://x/pA> ?o }"
 	s.RecordFootprint(q, res("a"), time.Second, 1, fpOf(t, q), nil)
 	// Delta from generation 5: the cache only saw generation 1.
-	retained, evicted := s.ApplyDelta(5, 7, opsFor(triple("s", "pZ", "o")), refuse)
+	retained, evicted := s.ApplyDelta(5, 7, opsFor(triple("s", "pZ", "o")), refuse, nil)
 	if retained != 0 || evicted != 1 {
 		t.Fatalf("mismatched delta = (%d, %d), want wholesale (0, 1)", retained, evicted)
 	}
@@ -105,7 +105,7 @@ func TestApplyDeltaGenerationSemantics(t *testing.T) {
 	s := New(time.Millisecond)
 	q := "SELECT ?s WHERE { ?s <http://x/pA> ?o }"
 	s.RecordFootprint(q, res("a"), time.Second, 1, fpOf(t, q), nil)
-	s.ApplyDelta(1, 4, opsFor(triple("s", "pZ", "o")), refuse)
+	s.ApplyDelta(1, 4, opsFor(triple("s", "pZ", "o")), refuse, nil)
 	if _, ok := s.Lookup(q, 4); !ok {
 		t.Fatal("survivor not re-tagged to the delta's target generation")
 	}
@@ -152,10 +152,10 @@ func TestApplyDeltaGuardPositions(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			s := New(time.Millisecond)
 			s.RecordFootprint(c.query, res("a"), time.Second, 1, fpOf(t, c.query), nil)
-			if retained, evicted := s.ApplyDelta(1, 2, []rdf.TripleOp{rdf.Insert(c.miss)}, refuse); retained != 1 || evicted != 0 {
+			if retained, evicted := s.ApplyDelta(1, 2, []rdf.TripleOp{rdf.Insert(c.miss)}, refuse, nil); retained != 1 || evicted != 0 {
 				t.Fatalf("miss triple evicted the entry: (%d, %d)", retained, evicted)
 			}
-			if retained, evicted := s.ApplyDelta(2, 3, []rdf.TripleOp{rdf.Insert(c.hit)}, refuse); retained != 0 || evicted != 1 {
+			if retained, evicted := s.ApplyDelta(2, 3, []rdf.TripleOp{rdf.Insert(c.hit)}, refuse, nil); retained != 0 || evicted != 1 {
 				t.Fatalf("hit triple retained the entry: (%d, %d)", retained, evicted)
 			}
 		})
@@ -168,7 +168,7 @@ func TestApplyDeltaDeleteOpsCount(t *testing.T) {
 	s := New(time.Millisecond)
 	q := "SELECT ?s WHERE { ?s <http://x/pA> ?o }"
 	s.RecordFootprint(q, res("a"), time.Second, 1, fpOf(t, q), nil)
-	if retained, evicted := s.ApplyDelta(1, 2, []rdf.TripleOp{rdf.Delete(triple("s", "pA", "o"))}, refuse); retained != 0 || evicted != 1 {
+	if retained, evicted := s.ApplyDelta(1, 2, []rdf.TripleOp{rdf.Delete(triple("s", "pA", "o"))}, refuse, nil); retained != 0 || evicted != 1 {
 		t.Fatalf("delete op ignored by invalidation: (%d, %d)", retained, evicted)
 	}
 }
@@ -214,7 +214,7 @@ func TestFootprintRetentionProperty(t *testing.T) {
 					wantRetained++
 				}
 			}
-			retained, evicted := s.ApplyDelta(gen, gen+1, ops, refuse)
+			retained, evicted := s.ApplyDelta(gen, gen+1, ops, refuse, nil)
 			gen++
 			if retained != wantRetained || evicted != wantEvicted {
 				t.Fatalf("round %d delta %d: ApplyDelta = (%d, %d), want (%d, %d)",
@@ -258,7 +258,7 @@ func TestApplyDeltaFold(t *testing.T) {
 		}
 		return nil, false
 	}
-	retained, evicted := s.ApplyDelta(1, 2, ops, fold)
+	retained, evicted := s.ApplyDelta(1, 2, ops, fold, nil)
 	if retained != 3 || evicted != 2 || len(offered) != 4 || offered["other"] {
 		t.Fatalf("ApplyDelta = (%d, %d) offering %v, want (3, 2) offering the four overlapping entries", retained, evicted, offered)
 	}
@@ -272,7 +272,7 @@ func TestApplyDeltaFold(t *testing.T) {
 	if st := s.Stats(); st.DeltaFolded != 1 || st.DeltaRetained != 3 || st.DeltaEvictions != 2 || st.Bytes != want {
 		t.Fatalf("stats = %+v, want 1 folded, 3 retained, 2 evicted, %d bytes", st, want)
 	}
-	if retained, evicted := s.ApplyDelta(2, 3, ops, refuse); retained != 1 || evicted != 2 {
+	if retained, evicted := s.ApplyDelta(2, 3, ops, refuse, nil); retained != 1 || evicted != 2 {
 		t.Fatalf("refusing fold: ApplyDelta = (%d, %d), want (1, 2)", retained, evicted)
 	}
 }
@@ -318,7 +318,7 @@ func TestKeptBodies(t *testing.T) {
 			return res("rewritten"), true
 		}
 		return nil, false
-	})
+	}, nil)
 	for name, want := range map[string]string{"retag": string(body), "same": string(body), "rewrite": ""} {
 		if _, b, ok := s.LookupBody(q(name), 2, "application/json"); !ok || string(b) != want {
 			t.Errorf("%s after the write: body %q (cached %v), want %q", name, b, ok, want)

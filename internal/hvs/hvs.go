@@ -18,12 +18,17 @@
 // LRU order, so heavy traffic cannot grow the HVS past its memory
 // allowance; the bodies an entry keeps beside its answer (KeepBody) count.
 //
-// The cache's generation only moves forward. A Lookup or Record at a
-// newer generation clears the cache (the paper's rule, needed for writes
-// the cache never saw); one at an older generation — a slow request that
-// started before a write — misses or is dropped and never clears or rolls
-// the cache back. ApplyDelta, called in write order by the proxy, keeps
-// entries whose footprint the write does not touch.
+// The cache's generation only moves forward, and only to a generation the
+// store has published: the proxy carries the cache across each write with
+// ApplyDelta, which keeps the entries whose footprint the write does not
+// touch, and publishes the write under the cache's lock. A Lookup or
+// Record at a newer generation clears the cache (the paper's rule, needed
+// for writes the cache never saw: a bare Store.Apply, WAL replay). A
+// Lookup at an older generation — a request that arrived before a write
+// the cache has already carried — is served the entry at the cache's
+// generation, an answer at some generation between the request's arrival
+// and its response; a Record at an older one is dropped. Neither clears
+// nor rolls the cache back.
 //
 // Where the paper clears the HVS on any update, an entry whose footprint
 // a write does touch is first offered to the caller's fold, which may
@@ -188,24 +193,21 @@ func solutionBytes(row sparql.Solution) int64 {
 
 // Lookup returns a cached result for the query under the given KB
 // generation. A generation newer than the cache's clears the store first
-// ("The HVS is cleared on any update"); an older one misses without
-// touching the cache. A hit refreshes the entry's recency for LRU
-// byte-budget eviction.
+// ("The HVS is cleared on any update"); at an older one the cache's
+// current entry answers and the cache is left at its generation. A hit
+// refreshes the entry's recency for LRU byte-budget eviction.
 func (s *Store) Lookup(query string, generation uint64) (*sparql.Result, bool) {
-	res, _, ok := s.LookupBody(query, generation, "")
+	res, _, ok := s.LookupBody(Normalize(query), generation, "")
 	return res, ok
 }
 
-// LookupBody is Lookup that also returns the body kept beside the answer
-// for contentType (nil when none is kept).
-func (s *Store) LookupBody(query string, generation uint64, contentType string) (*sparql.Result, []byte, bool) {
-	key := Normalize(query)
+// LookupBody is Lookup by key, the query's Normalize text, that also
+// returns the body kept beside the answer for contentType (nil when none
+// is kept).
+func (s *Store) LookupBody(key string, generation uint64, contentType string) (*sparql.Result, []byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.admitLocked(generation) {
-		s.misses++
-		return nil, nil, false
-	}
+	s.admitLocked(generation)
 	e, ok := s.entries[key]
 	if !ok {
 		s.misses++
@@ -218,12 +220,12 @@ func (s *Store) LookupBody(query string, generation uint64, contentType string) 
 }
 
 // KeepBody keeps data, res encoded in contentType, beside the entry of
-// query while that entry holds res: a retag keeps it, a fold's new answer
-// or an eviction drops it. Its length counts in the entry's Bytes, and
-// other entries are evicted in LRU order when it takes the cache over
-// MaxBytes; a body its entry alone cannot fit in MaxBytes is not kept.
-func (s *Store) KeepBody(query string, res *sparql.Result, contentType string, data []byte) {
-	key := Normalize(query)
+// key (the query's Normalize text) while that entry holds res: a retag
+// keeps it, a fold's new answer or an eviction drops it. Its length
+// counts in the entry's Bytes, and other entries are evicted in LRU order
+// when it takes the cache over MaxBytes; a body its entry alone cannot
+// fit in MaxBytes is not kept.
+func (s *Store) KeepBody(key string, res *sparql.Result, contentType string, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[key]
@@ -319,8 +321,8 @@ func (s *Store) evictOverBudgetLocked(keep *list.Element) {
 
 // admitLocked moves the cache forward to generation, clearing it when the
 // generation is newer than the contents, and reports whether generation
-// is current. An older generation is stale: it neither clears nor rolls
-// the cache back.
+// is current. An older generation neither clears nor rolls the cache
+// back.
 func (s *Store) admitLocked(generation uint64) bool {
 	switch {
 	case !s.haveGen:
@@ -345,7 +347,7 @@ func (s *Store) clearLocked() {
 	}
 }
 
-// ApplyDelta performs delta-aware invalidation for a mutation that moved
+// ApplyDelta performs delta-aware invalidation for a mutation that moves
 // the KB generation from 'from' to 'to': entries whose footprint is
 // disjoint from the mutated triples survive and are re-tagged to the new
 // generation. An entry whose footprint overlaps (or is nil/wild) is
@@ -353,17 +355,25 @@ func (s *Store) clearLocked() {
 // Result when the mutation leaves it unchanged) or ok=false; only a
 // refusal evicts it. fold runs under the store's lock. A rewritten
 // answer is re-costed, and one larger than MaxBytes is evicted like a
-// refusal; the budget then evicts in LRU order as usual. A cache already at 'to' or
-// later has nothing to learn from the delta (a reader at the new
-// generation got there first) and is left alone. A cache at any other
+// refusal; the budget then evicts in LRU order as usual. A cache already
+// at 'to' or later has nothing to learn from the delta (a delta handed
+// over after its write was published, which a reader at the new
+// generation reached first) and is left alone. A cache at any other
 // generation missed a write, so provenance is unknown and the paper's
 // wholesale clear applies.
 //
+// publish, when not nil, runs last under the cache's lock: the proxy
+// publishes the write there (a store.Carry's publish), so a reader that
+// sees 'to' finds the cache already there.
+//
 // It returns how many entries were retained (folded ones included) and
 // evicted.
-func (s *Store) ApplyDelta(from, to uint64, ops []rdf.TripleOp, fold func(e *Entry) (*sparql.Result, bool)) (retained, evicted int) {
+func (s *Store) ApplyDelta(from, to uint64, ops []rdf.TripleOp, fold func(e *Entry) (*sparql.Result, bool), publish func()) (retained, evicted int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if publish != nil {
+		defer publish()
+	}
 	if s.haveGen && s.generation >= to {
 		return 0, 0
 	}

@@ -2,6 +2,7 @@ package hvs
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -100,15 +101,17 @@ func TestRecordAtNewGenerationClears(t *testing.T) {
 	}
 }
 
-// TestLookupAtOlderGenerationMisses: a request that read the generation
-// before a write and looks up after the cache moved on misses, and
-// neither clears the cache nor rolls it back.
-func TestLookupAtOlderGenerationMisses(t *testing.T) {
+// TestLookupAtOlderGenerationServesCurrent: a request that read the
+// generation before a write and looks up after the cache moved on is
+// served the cache's entry — an answer at a generation the store
+// published after the request arrived — and neither clears the cache nor
+// rolls it back.
+func TestLookupAtOlderGenerationServesCurrent(t *testing.T) {
 	s := New(time.Millisecond)
 	s.RecordFootprint("q1", res("a"), time.Second, 2, nil, nil)
 	s.RecordFootprint("q2", res("b"), time.Second, 2, nil, nil)
-	if _, ok := s.Lookup("q1", 1); ok {
-		t.Fatal("entry of generation 2 served at generation 1")
+	if got, ok := s.Lookup("q1", 1); !ok || got.Rows[0]["x"].Value != "http://x/a" {
+		t.Fatalf("lookup at generation 1 = (%v, %v), want generation 2's entry", got, ok)
 	}
 	if s.Len() != 2 || s.Stats().Invalidations != 0 {
 		t.Fatalf("stale lookup cleared the cache: len=%d stats=%+v", s.Len(), s.Stats())
@@ -141,14 +144,42 @@ func TestRecordAtOlderGenerationDropped(t *testing.T) {
 func TestApplyDeltaBehindCacheIsIgnored(t *testing.T) {
 	s := New(time.Millisecond)
 	s.RecordFootprint("q", res("a"), time.Second, 3, nil, nil)
-	if retained, evicted := s.ApplyDelta(1, 3, opsFor(triple("s", "p", "o")), refuse); retained != 0 || evicted != 0 {
+	if retained, evicted := s.ApplyDelta(1, 3, opsFor(triple("s", "p", "o")), refuse, nil); retained != 0 || evicted != 0 {
 		t.Fatalf("ApplyDelta(1, 3) at generation 3 = (%d, %d), want (0, 0)", retained, evicted)
 	}
-	if retained, evicted := s.ApplyDelta(0, 1, opsFor(triple("s", "p", "o")), refuse); retained != 0 || evicted != 0 {
+	if retained, evicted := s.ApplyDelta(0, 1, opsFor(triple("s", "p", "o")), refuse, nil); retained != 0 || evicted != 0 {
 		t.Fatalf("ApplyDelta(0, 1) at generation 3 = (%d, %d), want (0, 0)", retained, evicted)
 	}
 	if _, ok := s.Lookup("q", 3); !ok {
 		t.Fatal("late delta cleared the cache or rolled it back")
+	}
+}
+
+// TestApplyDeltaPublishesUnderLock: publish runs once, with the cache's
+// lock held and the cache at 'to', whether the delta folds, clears a
+// cache that missed a write, or arrives behind the cache.
+func TestApplyDeltaPublishesUnderLock(t *testing.T) {
+	s := New(time.Millisecond)
+	s.RecordFootprint("q", res("a"), time.Second, 1, nil, nil)
+	for _, c := range []struct{ from, to, want uint64 }{
+		{1, 2, 2}, // folds
+		{5, 6, 6}, // missed a write: clears
+		{3, 4, 6}, // behind the cache: left alone
+	} {
+		calls := 0
+		s.ApplyDelta(c.from, c.to, opsFor(triple("s", "p", "o")), refuse, func() {
+			calls++
+			if s.mu.TryLock() {
+				s.mu.Unlock()
+				t.Errorf("ApplyDelta(%d, %d): publish ran without the cache's lock", c.from, c.to)
+			}
+			if s.generation != c.want {
+				t.Errorf("ApplyDelta(%d, %d): publish ran with the cache at %d, want %d", c.from, c.to, s.generation, c.want)
+			}
+		})
+		if calls != 1 {
+			t.Errorf("ApplyDelta(%d, %d): publish ran %d times", c.from, c.to, calls)
+		}
 	}
 }
 
@@ -196,9 +227,10 @@ func TestEvictionEmptyKey(t *testing.T) {
 // TestConcurrentGenerationChurn exercises the documented contract between
 // the store's generation counter and HVS invalidation: readers may Lookup
 // and Record under any generation while the KB generation advances; the
-// cache must never serve an entry recorded under a different generation
-// than the lookup's. Every recorded result embeds the generation it was
-// recorded under, so a hit can verify which generation produced it.
+// cache must never serve an entry recorded under a generation older than
+// the lookup's, nor one newer than the KB's when the lookup returns.
+// Every recorded result embeds the generation it was recorded under, so a
+// hit can verify which generation produced it.
 func TestConcurrentGenerationChurn(t *testing.T) {
 	s := New(time.Millisecond)
 	var gen uint64
@@ -218,9 +250,13 @@ func TestConcurrentGenerationChurn(t *testing.T) {
 				q := fmt.Sprintf("q%d", i%5)
 				s.RecordFootprint(q, res(fmt.Sprintf("%s@gen%d", q, cur)), time.Second, cur, nil, nil)
 				if got, ok := s.Lookup(q, cur); ok {
-					want := fmt.Sprintf("http://x/%s@gen%d", q, cur)
-					if v := got.Rows[0]["x"].Value; v != want {
-						t.Errorf("lookup under generation %d served %q", cur, v)
+					mu.Lock()
+					now := gen
+					mu.Unlock()
+					var at uint64
+					v := got.Rows[0]["x"].Value
+					if _, err := fmt.Sscanf(strings.TrimPrefix(v, "http://x/"+q), "@gen%d", &at); err != nil || at < cur || at > now {
+						t.Errorf("lookup under generation %d (KB at %d) served %q", cur, now, v)
 						return
 					}
 				}

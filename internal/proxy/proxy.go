@@ -14,9 +14,10 @@
 // are coalesced into a single execution (singleflight keyed on the
 // normalized query text plus Snapshot().Generation(), so a coalesced
 // answer can never cross a KB update), the HVS runs under an optional
-// byte budget with LRU eviction, writes through Apply maintain both cache
-// tiers instead of clearing them, and per-tier latency histograms feed
-// the server's /metrics endpoint.
+// byte budget with LRU eviction, writes through Apply carry both cache
+// tiers to the new generation before the store publishes it, a request
+// that arrived before a write is served the tiers' current answer, and
+// per-tier latency histograms feed the server's /metrics endpoint.
 //
 // Options are fixed at construction, so the read path takes no
 // proxy-level lock; comparing configurations means building one proxy per
@@ -97,11 +98,6 @@ type Proxy struct {
 	eng  *sparql.Engine
 	opts Options
 
-	// applyMu makes each write one step — store apply, then HVS and
-	// decomposer maintenance — so the caches see writes in store order.
-	// Only Apply takes it; reads never do.
-	applyMu sync.Mutex
-
 	// flights holds the in-progress backend executions for coalescing,
 	// keyed by normalized query + generation.
 	flMu    sync.Mutex
@@ -167,29 +163,24 @@ func NewWithBackend(st *store.Store, backend endpoint.Executor, opts Options) *P
 	}
 }
 
-// Apply routes a mutation delta through the store and maintains both
-// cache tiers in the same step: HVS entries whose footprint is disjoint
-// from the net mutation survive and are re-tagged to the new generation,
-// cached object expansions the mutation touches have it folded into
-// their answer (decomposer.FoldObject; the rest are evicted), and the
-// decomposer folds the mutation into its memoized aggregates. Writes
-// serialise in the store anyway, so holding applyMu across the whole step
-// costs no write concurrency and hands the caches every delta in
-// generation order.
+// Apply routes a mutation delta through the store and carries both cache
+// tiers across it before the store publishes it: HVS entries whose
+// footprint is disjoint from the net mutation survive and are re-tagged
+// to the new generation, cached object expansions the mutation touches
+// have it folded into their answer (decomposer.FoldObject; the rest are
+// evicted), and the decomposer folds the mutation into its memoized
+// aggregates. The store publishes the write inside the HVS's lock and
+// then the decomposer's (store.Carry), so a read that sees the new
+// generation finds both tiers there, and the store's write lock hands the
+// tiers every delta in generation order. Lock order: the store's write
+// lock, the HVS's, the decomposer's; reads never nest them.
 func (p *Proxy) Apply(d store.Delta) (store.ApplyResult, error) {
-	p.applyMu.Lock()
-	defer p.applyMu.Unlock()
-	res, err := p.st.Apply(d)
-	if err != nil || !res.Changed() {
-		return res, err
-	}
-	p.maintainLocked(res)
-	return res, nil
+	return p.st.Apply(d, p.carryHVS, p.dec.ApplyDelta)
 }
 
-// maintainLocked brings both cache tiers from res.From to res.To once the
-// store has published res. The caller holds applyMu.
-func (p *Proxy) maintainLocked(res store.ApplyResult) {
+// carryHVS is the HVS's store.Carry: it brings the cache from res.From to
+// next, the snapshot at res.To, and publishes under the cache's lock.
+func (p *Proxy) carryHVS(res store.ApplyResult, next *store.Snapshot, publish func()) {
 	dict := p.st.Dict()
 	ops := make([]rdf.TripleOp, 0, len(res.NetInserts)+len(res.NetDeletes))
 	for _, e := range res.NetInserts {
@@ -198,15 +189,13 @@ func (p *Proxy) maintainLocked(res store.ApplyResult) {
 	for _, e := range res.NetDeletes {
 		ops = append(ops, rdf.Delete(dict.Decode(e)))
 	}
-	snap := p.st.Snapshot()
 	p.cache.ApplyDelta(res.From, res.To, ops, func(e *hvs.Entry) (*sparql.Result, bool) {
 		det, ok := e.Shape.(decomposer.ObjectDetection)
 		if !ok {
 			return nil, false
 		}
-		return decomposer.FoldObject(snap, det, e.Result, res)
-	})
-	p.dec.ApplyDelta(res)
+		return decomposer.FoldObject(next, det, e.Result, res)
+	}, publish)
 }
 
 // ErrNoUpdate is returned by Update when the proxy fronts a remote
@@ -249,10 +238,13 @@ func (p *Proxy) Explain(ctx context.Context, src string) (*sparql.PlanReport, er
 	return p.eng.Explain(ctx, src)
 }
 
-// request is one read on its way through the tiers: its text, arrival
-// time and generation, and its parse, made once by the first tier needing it.
+// request is one read on its way through the tiers: its text, the
+// normalized text that keys every cache tier and the flights, its arrival
+// time and generation, and its parse, made once by the first tier needing
+// it.
 type request struct {
 	src   string
+	text  string
 	start time.Time
 	gen   uint64
 	q     *sparql.Query
@@ -260,7 +252,7 @@ type request struct {
 }
 
 func (p *Proxy) newRequest(src string) request {
-	return request{src: src, start: time.Now(), gen: p.st.Generation()}
+	return request{src: src, text: hvs.Normalize(src), start: time.Now(), gen: p.st.Generation()}
 }
 
 func (r *request) parse() (*sparql.Query, error) {
@@ -319,10 +311,10 @@ func (p *Proxy) QueryRows(ctx context.Context, src string, sink sparql.RowSink) 
 // when possible, with the body kept beside the answer for contentType.
 // served=false means the caller must run the backend tier.
 func (p *Proxy) tryCacheTiers(req *request, contentType string) (*sparql.Result, []byte, Trace, bool) {
-	if cached, body, ok := p.cache.LookupBody(req.src, req.gen, contentType); ok {
+	if cached, body, ok := p.cache.LookupBody(req.text, req.gen, contentType); ok {
 		tr := Trace{Route: RouteHVS, Runtime: time.Since(req.start), Heavy: true}
 		p.record(tr)
-		body = servedBody(cached, contentType, body, func(b []byte) { p.cache.KeepBody(req.src, cached, contentType, b) })
+		body = servedBody(cached, contentType, body, func(b []byte) { p.cache.KeepBody(req.text, cached, contentType, b) })
 		return cached, body, tr, true
 	}
 	res, r, ok := p.decompose(req)
@@ -343,12 +335,11 @@ func (p *Proxy) decompose(req *request) (*sparql.Result, *decomposer.Rendering, 
 	if p.opts.DisableDecomposer {
 		return nil, nil, false
 	}
-	text := hvs.Normalize(req.src)
-	if r := p.dec.Lookup(text, req.gen); r != nil {
+	if r := p.dec.Lookup(req.text, req.gen); r != nil {
 		return r.Result, r, true
 	}
 	if q, err := req.parse(); err == nil {
-		return p.dec.TryAnswer(q, text)
+		return p.dec.TryAnswer(q, req.text)
 	}
 	return nil, nil, false
 }
@@ -435,7 +426,7 @@ func (p *Proxy) recordHeavy(req *request, tab *sparql.Table, runtime time.Durati
 // normalized text plus the store generation, so requests racing a KB
 // update can never share a stale execution.
 func (p *Proxy) backendCoalesced(ctx context.Context, req *request) (*sparql.Table, Trace, error) {
-	key := fmt.Sprintf("%d\x00%s", req.gen, hvs.Normalize(req.src))
+	key := fmt.Sprintf("%d\x00%s", req.gen, req.text)
 	for {
 		tab, tr, err, lead := p.joinOrLead(ctx, key, req.start, func(f *flight) {
 			f.tab, f.tr, f.err = p.backendDirect(ctx, req)
@@ -519,21 +510,24 @@ func (p *Proxy) Decomposer() *decomposer.Decomposer { return p.dec }
 
 // TierMetrics is the proxy half of the /metrics document: per-tier
 // latency distributions, route counts (coalesced followers included),
-// coalescing savings, and the cache tier's counters.
+// coalescing savings, the cache tier's counters, and the index tier's
+// memo drops and kernel passes.
 type TierMetrics struct {
-	Routes    map[string]metrics.HistogramSnapshot `json:"routes"`
-	Counts    map[string]int                       `json:"counts"`
-	Coalesced uint64                               `json:"coalesced"`
-	Cache     hvs.Stats                            `json:"cache"`
+	Routes     map[string]metrics.HistogramSnapshot `json:"routes"`
+	Counts     map[string]int                       `json:"counts"`
+	Coalesced  uint64                               `json:"coalesced"`
+	Cache      hvs.Stats                            `json:"cache"`
+	Decomposer decomposer.Stats                     `json:"decomposer"`
 }
 
 // MetricsSnapshot captures the proxy's serving metrics.
 func (p *Proxy) MetricsSnapshot() TierMetrics {
 	m := TierMetrics{
-		Routes:    make(map[string]metrics.HistogramSnapshot, numRoutes),
-		Counts:    make(map[string]int, numRoutes),
-		Coalesced: p.coalesced.Value(),
-		Cache:     p.cache.Stats(),
+		Routes:     make(map[string]metrics.HistogramSnapshot, numRoutes),
+		Counts:     make(map[string]int, numRoutes),
+		Coalesced:  p.coalesced.Value(),
+		Cache:      p.cache.Stats(),
+		Decomposer: p.dec.Stats(),
 	}
 	for r := Route(0); r < numRoutes; r++ {
 		if s := p.routeHist[r].Snapshot(); s.Count > 0 {

@@ -742,3 +742,35 @@ func TestApplySnapshotReadersUnaffected(t *testing.T) {
 		t.Fatal("live store missed the delete")
 	}
 }
+
+// TestApplyCarriesBeforePublish: Apply runs its carries in order on an
+// effective write, each inside the previous one's publish, with the
+// successor snapshot while readers still see the old generation; the
+// write is visible once the last carry publishes, and a no-op delta runs
+// no carry.
+func TestApplyCarriesBeforePublish(t *testing.T) {
+	st := New(0)
+	a := mkTriple("ca", "p", "x")
+	var steps []string
+	carry := func(name string) Carry {
+		return func(res ApplyResult, next *Snapshot, publish func()) {
+			if st.Generation() != res.From || next.Generation() != res.To || !next.ContainsTriple(a) {
+				t.Errorf("%s: store at %d, next at %d, before publication of %d → %d", name, st.Generation(), next.Generation(), res.From, res.To)
+			}
+			steps = append(steps, name)
+			publish()
+			steps = append(steps, fmt.Sprintf("%s published %v", name, st.Generation() == res.To))
+		}
+	}
+	if _, err := st.Apply(DeltaOf(rdf.Insert(a)), carry("outer"), carry("inner")); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"outer", "inner", "inner published true", "outer published true"}
+	if !reflect.DeepEqual(steps, want) || !st.Snapshot().ContainsTriple(a) {
+		t.Fatalf("steps %q, want %q", steps, want)
+	}
+	steps = nil
+	if res, err := st.Apply(DeltaOf(rdf.Insert(a)), carry("no-op")); err != nil || res.Changed() || steps != nil {
+		t.Fatalf("a no-op delta ran carries %q (res %+v, err %v)", steps, res, err)
+	}
+}

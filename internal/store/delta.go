@@ -92,7 +92,11 @@ func (r ApplyResult) Changed() bool { return r.To != r.From }
 // kind costs the store. The generation advances by the number of
 // effective ops (matching a record-at-a-time WAL replay), so any change
 // moves it even when the net membership delta is empty.
-func (s *Store) Apply(d Delta) (ApplyResult, error) {
+//
+// The carries, if any, run on an effective write before it is published
+// (see Carry), so a cache can be carried to the new generation before any
+// reader can bind it.
+func (s *Store) Apply(d Delta, carry ...Carry) (ApplyResult, error) {
 	for i, op := range d.ops {
 		if err := op.Triple.Validate(); err != nil {
 			return ApplyResult{}, fmt.Errorf("store: op %d: %w", i, err)
@@ -163,11 +167,30 @@ func (s *Store) Apply(d Delta) (ApplyResult, error) {
 	}
 
 	next := applyMutations(snap, ins, del, uint64(len(eff)))
-	s.snap.Store(next)
 	res.To = next.generation
 	res.Inserted, res.Deleted = len(ins), len(del)
 	res.NetInserts, res.NetDeletes = ins, del
+	s.publish(res, next, carry)
 	return res, nil
+}
+
+// Carry carries a cache across a write Apply is about to publish: res is
+// the write and next the snapshot at res.To, which no reader can bind
+// yet. It runs under the store's write lock, so carries see writes in
+// generation order, and it must call publish once: the next carry passed
+// to Apply runs inside that call, and after the last one next is
+// published. A carry that holds its cache's lock across publish is at
+// res.To before any reader of that cache can bind res.To.
+type Carry func(res ApplyResult, next *Snapshot, publish func())
+
+// publish runs carry[0], whose publish runs carry[1], and so on; the last
+// one publishes next. Each level stores next again on its way out, so next
+// is published even if a carry never called its publish.
+func (s *Store) publish(res ApplyResult, next *Snapshot, carry []Carry) {
+	if len(carry) > 0 {
+		carry[0](res, next, func() { s.publish(res, next, carry[1:]) })
+	}
+	s.snap.Store(next)
 }
 
 // applyMutations builds the successor snapshot for a net mutation set:
