@@ -28,8 +28,8 @@
 // changes class membership, or one the memo did not see (a bare
 // Store.Apply, WAL replay), drops the memo instead, and the kernel
 // rebuilds each entry on its next read — the kernel is the only rebuild
-// path. A kernel pass overtaken by link writes is folded forward through
-// them, not thrown away.
+// path. A kernel pass overtaken by a write answers its own read and is
+// not stored.
 //
 // The memo is the one home of a property-expansion answer (the HVS never
 // keeps one); a repeated query text is a lookup, with no parse (Lookup).
@@ -102,19 +102,7 @@ type Decomposer struct {
 	// shown maps a normalized query text (hvs.Normalize) to its
 	// rendering; cleared with the memo, and at maxShown texts.
 	shown map[string]*Rendering
-	// passes are the generations of the kernel passes running, oldest
-	// first; carried are the writes the memo folded since the oldest of
-	// them bound its snapshot, in order (none when no pass runs).
-	passes  []uint64
-	carried []carriedWrite
-	stats   Stats
-}
-
-// carriedWrite is one write the memo folded: res, and the snapshot at
-// res.To that the fold read.
-type carriedWrite struct {
-	res  store.ApplyResult
-	snap *store.Snapshot
+	stats Stats
 }
 
 // Stats counts the memo's drops by cause and the kernel passes by fate.
@@ -129,14 +117,11 @@ type Stats struct {
 	// DropsMissedWrite counts drops by ApplyDelta finding the memo behind
 	// the write's From: a write it never saw came first.
 	DropsMissedWrite int
-	// PassesStored counts kernel passes stored at the generation they
-	// computed.
+	// PassesStored counts kernel passes whose entry the memo stored.
 	PassesStored int
-	// PassesFolded counts kernel passes overtaken by writes and stored
-	// folded forward through them.
-	PassesFolded int
-	// PassesDiscarded counts kernel passes overtaken by a drop, or by a
-	// write that cannot be folded, whose answer served only their own read.
+	// PassesDiscarded counts kernel passes whose entry the memo did not
+	// store: one overtaken by a write answers its own read, and one that
+	// another pass for the same entry beat answers with that pass's entry.
 	PassesDiscarded int
 }
 
@@ -361,8 +346,8 @@ func classifyPatterns(tps []sparql.TriplePattern) (typeVar string, class rdf.Ter
 // PropertyStats computes (or serves from the memo) the per-property
 // aggregates for the direct instances of class in the given direction,
 // sorted by descending subject count then property label. The aggregation
-// runs over one immutable store snapshot — lock-free reads, and the memo
-// is keyed by exactly the generation the pass observed.
+// runs over one immutable store snapshot — lock-free reads — and the memo
+// stores it only if it is still at the generation that snapshot is at.
 func (d *Decomposer) PropertyStats(class rdf.ID, dir Direction) []PropStat {
 	return d.entry(class, dir).stats
 }
@@ -378,10 +363,10 @@ func (d *Decomposer) entry(class rdf.ID, dir Direction) *memoEntry {
 }
 
 // begin binds the store's snapshot under d.mu and returns the memo's
-// entry for key, or, on a miss, the snapshot for a kernel pass it
-// registers. Writes through ApplyDelta publish under d.mu, so the
-// snapshot is at the memo's generation or — after a write that bypassed
-// ApplyDelta — newer, which drops the memo.
+// entry for key, or, on a miss, the snapshot for a kernel pass. Writes
+// through ApplyDelta publish under d.mu, so the snapshot is at the memo's
+// generation or — after a write that bypassed ApplyDelta — newer, which
+// drops the memo.
 func (d *Decomposer) begin(key memoKey) (*store.Snapshot, *memoEntry) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -389,71 +374,28 @@ func (d *Decomposer) begin(key memoKey) (*store.Snapshot, *memoEntry) {
 	if gen := snap.Generation(); gen > d.generation {
 		d.dropLocked(gen, &d.stats.DropsNewerRead)
 	}
-	if cached, ok := d.memo[key]; ok {
-		return snap, cached
-	}
-	d.passes = append(d.passes, snap.Generation())
-	return snap, nil
+	return snap, d.memo[key]
 }
 
-// finish ends the kernel pass begin registered at generation gen with its
-// entry e, and returns the entry to answer with. A pass still at the
-// memo's generation stores e, unless another pass stored one first. A
-// pass overtaken by writes the memo folded is folded forward through
-// them and stored; one overtaken by a drop answers its own read only.
+// finish ends a kernel pass begin started at generation gen with its
+// entry e, and returns the entry to answer with. The memo stores e only
+// if no other pass stored an entry for key first and no write overtook
+// the pass; an overtaken pass answers its own read, at gen, which lies
+// between its request's arrival and its response.
 func (d *Decomposer) finish(key memoKey, gen uint64, e *memoEntry) *memoEntry {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	i := slices.Index(d.passes, gen)
-	d.passes = slices.Delete(d.passes, i, i+1)
-	defer d.trimLocked()
-	at := e
-	if gen < d.generation {
-		if at = d.forwardLocked(key, gen, e); at == nil {
-			d.stats.PassesDiscarded++
-			return e
-		}
-		d.stats.PassesFolded++
-	} else {
-		d.stats.PassesStored++
-	}
 	if cached, ok := d.memo[key]; ok {
+		d.stats.PassesDiscarded++
 		return cached
 	}
-	d.memo[key] = at
-	return at
-}
-
-// forwardLocked folds e, an entry computed at generation gen, through the
-// carried writes to the memo's generation. It returns nil when they do
-// not reach back to gen (the memo was dropped since) or one cannot be
-// folded.
-func (d *Decomposer) forwardLocked(key memoKey, gen uint64, e *memoEntry) *memoEntry {
-	i := slices.IndexFunc(d.carried, func(w carriedWrite) bool { return w.res.From == gen })
-	if i < 0 {
-		return nil
+	if gen < d.generation {
+		d.stats.PassesDiscarded++
+		return e
 	}
-	memo := map[memoKey]*memoEntry{key: e}
-	for _, w := range d.carried[i:] {
-		if memo = foldMemo(w.snap, memo, w.res); memo == nil {
-			return nil
-		}
-	}
-	return memo[key]
-}
-
-// trimLocked forgets the carried writes no running pass can need: all of
-// them when none runs, else those before the oldest pass's generation.
-func (d *Decomposer) trimLocked() {
-	if len(d.passes) == 0 {
-		d.carried = nil
-		return
-	}
-	i := 0
-	for i < len(d.carried) && d.carried[i].res.From < d.passes[0] {
-		i++
-	}
-	d.carried = d.carried[i:]
+	d.stats.PassesStored++
+	d.memo[key] = e
+	return e
 }
 
 // dropLocked empties the memo, moving it to generation gen, and counts a
@@ -462,7 +404,7 @@ func (d *Decomposer) dropLocked(gen uint64, cause *int) {
 	if len(d.memo) > 0 {
 		*cause++
 	}
-	d.memo, d.generation, d.carried = make(map[memoKey]*memoEntry), gen, nil
+	d.memo, d.generation = make(map[memoKey]*memoEntry), gen
 	clear(d.shown)
 }
 
@@ -519,8 +461,7 @@ func sortStats(snap *store.Snapshot, stats []PropStat) []PropStat {
 // the write's net triples; otherwise — the memo missed a write, or the
 // write touches rdf:type or rdfs:subClassOf and so changes class
 // membership — the memo is dropped and the kernel rebuilds each entry on
-// its next read. A folded write is kept for the kernel passes still
-// running, which fold themselves forward through it.
+// its next read.
 func (d *Decomposer) ApplyDelta(res store.ApplyResult, next *store.Snapshot, publish func()) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -535,9 +476,6 @@ func (d *Decomposer) ApplyDelta(res store.ApplyResult, next *store.Snapshot, pub
 		return
 	}
 	d.memo, d.generation = memo, res.To
-	if len(d.passes) > 0 {
-		d.carried = append(d.carried, carriedWrite{res: res, snap: next})
-	}
 }
 
 // Stats returns the memo's drop and kernel-pass counters.

@@ -674,7 +674,7 @@ func TestMemoNeverRollsBack(t *testing.T) {
 	if d.generation != res.To || d.memo[memoKey{phil, Outgoing}] != folded {
 		t.Fatalf("an older request rolled the memo back to generation %d", d.generation)
 	}
-	if s := d.Stats(); s.PassesStored != 1 || s.PassesFolded+s.PassesDiscarded != 0 {
+	if s := d.Stats(); s.PassesStored != 1 || s.PassesDiscarded != 0 {
 		t.Fatalf("one kernel pass expected, stored: %+v", s)
 	}
 }
@@ -736,126 +736,45 @@ func TestRenderingSharedUntilWrite(t *testing.T) {
 	}
 }
 
-// TestOvertakenPassFoldsForward is the differential for kernel passes
-// that writes overtake: a pass registered at one generation, while the
-// memo folds k link writes (inserts, deletes, several on one node,
-// relabels of the properties counted), finishes behind the memo. It must
-// be folded forward through those writes and stored, equal to the
-// kernel's answer at the memo's generation. A pass overtaken by an
-// rdf:type write, or by a write the memo did not see, cannot be folded:
-// it answers its own read with its own snapshot's stats and is not
-// stored.
-func TestOvertakenPassFoldsForward(t *testing.T) {
-	r := rand.New(rand.NewSource(47))
-	node := func() rdf.Term { return ex(fmt.Sprintf("n%d", r.Intn(40))) }
-	prop := func() rdf.Term { return ex(fmt.Sprintf("p%d", r.Intn(6))) }
-	st := store.New(1024)
-	var initial []rdf.Triple
-	for i := 0; i < 36; i++ {
-		initial = append(initial, rdf.Triple{S: ex(fmt.Sprintf("n%d", i)), P: rdf.TypeIRI, O: ex(fmt.Sprintf("C%d", i%2))})
+// TestOvertakenPassAnswersItsOwnRead: a kernel pass that a write
+// overtakes answers its own read with its own snapshot's stats and is not
+// stored; the next read computes and stores the entry at the memo's
+// generation. Of two passes for one entry, the one that finishes second
+// answers with the first one's entry. Each pass is counted once, as
+// stored only when the memo keeps its entry.
+func TestOvertakenPassAnswersItsOwnRead(t *testing.T) {
+	st := fixture(t)
+	d := New(st)
+	phil, _ := st.Dict().Lookup(ex("Philosopher"))
+	key := memoKey{phil, Outgoing}
+	snap, hit := d.begin(key)
+	if hit != nil {
+		t.Fatal("a fresh memo hit")
 	}
-	for i := 0; i < 300; i++ {
-		initial = append(initial, rdf.Triple{S: node(), P: prop(), O: node()})
-	}
-	if _, err := st.Load(initial); err != nil {
+	if _, err := st.Apply(store.DeltaOf(rdf.Insert(rdf.Triple{S: ex("plato"), P: ex("diedIn"), O: ex("athens")})), d.ApplyDelta); err != nil {
 		t.Fatal(err)
 	}
-	toggle := func(d *store.Delta, tr rdf.Triple) {
-		if st.Snapshot().ContainsTriple(tr) {
-			d.Delete(tr)
-		} else {
-			d.Insert(tr)
-		}
+	own := computeStats(snap, phil, Outgoing)
+	got := d.finish(key, snap.Generation(), &memoEntry{stats: own})
+	if !reflect.DeepEqual(got.stats, own) || d.memo[key] != nil {
+		t.Fatalf("an overtaken pass answered %+v (want its own %+v) or was stored", got.stats, own)
 	}
-	link := func() (d store.Delta) {
-		switch r.Intn(3) {
-		case 0: // several links of one node
-			s := node()
-			for k := 1 + r.Intn(3); k > 0; k-- {
-				toggle(&d, rdf.Triple{S: s, P: prop(), O: node()})
-			}
-		case 1: // a relabel of a counted property
-			toggle(&d, rdf.Triple{S: prop(), P: rdf.LabelIRI, O: rdf.NewLiteral(fmt.Sprintf("L%d", r.Intn(3)))})
-		default:
-			toggle(&d, rdf.Triple{S: node(), P: prop(), O: node()})
-		}
-		return d
+	if s := d.Stats(); s.PassesStored != 0 || s.PassesDiscarded != 1 {
+		t.Fatalf("overtaken pass counted as %+v", s)
 	}
-	apply := func(d store.Delta, carry ...store.Carry) {
-		if _, err := st.Apply(d, carry...); err != nil {
-			t.Fatal(err)
-		}
+	if want := computeStats(st.Snapshot(), phil, Outgoing); !reflect.DeepEqual(d.PropertyStats(phil, Outgoing), want) || d.memo[key] == nil {
+		t.Fatalf("the next read got %+v, kernel %+v, or was not stored", d.memo[key], want)
 	}
 
-	var folded, stored, discarded int
-	for step := 0; step < 120; step++ {
-		d := New(st)
-		class, _ := st.Dict().Lookup(ex(fmt.Sprintf("C%d", r.Intn(2))))
-		dir := Direction(r.Intn(2))
-		key := memoKey{class, dir}
-		snap, hit := d.begin(key)
-		if hit != nil {
-			t.Fatalf("step %d: a fresh memo hit", step)
-		}
-		k := r.Intn(5)
-		for i := 0; i < k; i++ {
-			apply(link(), d.ApplyDelta)
-		}
-		unfoldable := step%6 == 5
-		if unfoldable {
-			var delta store.Delta
-			if r.Intn(2) == 0 {
-				toggle(&delta, rdf.Triple{S: node(), P: rdf.TypeIRI, O: ex(fmt.Sprintf("C%d", r.Intn(2)))})
-				apply(delta, d.ApplyDelta)
-			} else {
-				toggle(&delta, rdf.Triple{S: node(), P: prop(), O: node()})
-				apply(delta) // unseen by the memo: its next write drops it
-			}
-			apply(link(), d.ApplyDelta)
-		}
-		before := d.Stats()
-		got := d.finish(key, snap.Generation(), &memoEntry{stats: computeStats(snap, class, dir)})
-		after := d.Stats()
-		want := computeStats(st.Snapshot(), class, dir)
-		switch {
-		case unfoldable:
-			if want = computeStats(snap, class, dir); !reflect.DeepEqual(got.stats, want) || d.memo[key] != nil {
-				t.Fatalf("step %d: a pass overtaken by an unfoldable write answered %+v (want its own %+v) or was stored", step, got.stats, want)
-			}
-			discarded += after.PassesDiscarded - before.PassesDiscarded
-		case !reflect.DeepEqual(got.stats, want) || d.memo[key] != got || d.generation != st.Generation():
-			t.Fatalf("step %d: a pass overtaken by %d link writes stored %+v at generation %d, kernel at %d: %+v",
-				step, k, got.stats, d.generation, st.Generation(), want)
-		case k == 0:
-			stored += after.PassesStored - before.PassesStored
-		default:
-			folded += after.PassesFolded - before.PassesFolded
-		}
-		if d.carried != nil || len(d.passes) != 0 {
-			t.Fatalf("step %d: %d carried writes and %d passes left after the last pass finished", step, len(d.carried), len(d.passes))
-		}
+	key = memoKey{phil, Incoming}
+	snap1, _ := d.begin(key)
+	snap2, _ := d.begin(key)
+	first := d.finish(key, snap1.Generation(), &memoEntry{stats: computeStats(snap1, phil, Incoming)})
+	second := d.finish(key, snap2.Generation(), &memoEntry{stats: computeStats(snap2, phil, Incoming)})
+	if second != first || d.memo[key] != first {
+		t.Fatal("the second of two passes for one entry replaced the first one's entry")
 	}
-	if folded == 0 || stored == 0 || discarded != 20 {
-		t.Fatalf("counted %d folded, %d stored, %d discarded of 20 unfoldable passes", folded, stored, discarded)
+	if s := d.Stats(); s.PassesStored != 2 || s.PassesDiscarded != 2 {
+		t.Fatalf("want 2 stored and 2 discarded passes, got %+v", s)
 	}
-
-	// Overlapping passes: the first to finish must leave the carried
-	// writes the later one still needs.
-	d := New(st)
-	c0, _ := st.Dict().Lookup(ex("C0"))
-	c1, _ := st.Dict().Lookup(ex("C1"))
-	first, second := memoKey{c0, Outgoing}, memoKey{c1, Incoming}
-	snap1, _ := d.begin(first)
-	apply(link(), d.ApplyDelta)
-	snap2, _ := d.begin(second)
-	apply(link(), d.ApplyDelta)
-	got1 := d.finish(first, snap1.Generation(), &memoEntry{stats: computeStats(snap1, c0, Outgoing)})
-	want1 := computeStats(st.Snapshot(), c0, Outgoing)
-	apply(link(), d.ApplyDelta)
-	got2 := d.finish(second, snap2.Generation(), &memoEntry{stats: computeStats(snap2, c1, Incoming)})
-	want2 := computeStats(st.Snapshot(), c1, Incoming)
-	if !reflect.DeepEqual(got1.stats, want1) || !reflect.DeepEqual(got2.stats, want2) || d.Stats().PassesFolded != 2 {
-		t.Fatalf("overlapping passes: %+v / %+v, kernel %+v / %+v, stats %+v", got1.stats, got2.stats, want1, want2, d.Stats())
-	}
-	t.Logf("%d passes folded forward, %d stored as computed, %d discarded", folded, stored, discarded)
 }

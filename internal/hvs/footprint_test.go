@@ -277,7 +277,7 @@ func TestApplyDeltaFold(t *testing.T) {
 	}
 }
 
-// TestKeptBodies: a body kept beside an entry is returned by LookupBody
+// TestKeptBodies: a body kept beside an entry is returned by LookupKey
 // for its content type only, counted exactly in Bytes, kept across a
 // write that leaves the answer as it is (a retag, or a fold returning
 // the same answer), dropped with the answer when a fold rewrites it or
@@ -293,19 +293,19 @@ func TestKeptBodies(t *testing.T) {
 	}
 	results := s.Stats().Bytes
 	for _, name := range []string{"retag", "same", "rewrite", "evict"} {
-		r, b, ok := s.LookupBody(q(name), 1, "application/json")
+		r, b, ok := s.LookupKey(q(name), 1, "application/json")
 		if !ok || b != nil {
 			t.Fatalf("%s: first lookup = (%v, %q)", name, ok, b)
 		}
-		s.KeepBody(q(name), r, "application/json", body)
+		s.KeepBodyKey(q(name), r, "application/json", body)
 	}
 	if got, want := s.Stats().Bytes, results+4*int64(len(body)); got != want {
 		t.Fatalf("Bytes = %d, want the results' %d plus four bodies: %d", got, results, want)
 	}
-	if _, b, _ := s.LookupBody(q("same"), 1, "text/csv"); b != nil {
+	if _, b, _ := s.LookupKey(q("same"), 1, "text/csv"); b != nil {
 		t.Fatalf("another content type's lookup returned %q", b)
 	}
-	if _, b, _ := s.LookupBody(q("same"), 1, "application/json"); string(b) != string(body) {
+	if _, b, _ := s.LookupKey(q("same"), 1, "application/json"); string(b) != string(body) {
 		t.Fatalf("kept body = %q", b)
 	}
 
@@ -320,7 +320,7 @@ func TestKeptBodies(t *testing.T) {
 		return nil, false
 	}, nil)
 	for name, want := range map[string]string{"retag": string(body), "same": string(body), "rewrite": ""} {
-		if _, b, ok := s.LookupBody(q(name), 2, "application/json"); !ok || string(b) != want {
+		if _, b, ok := s.LookupKey(q(name), 2, "application/json"); !ok || string(b) != want {
 			t.Errorf("%s after the write: body %q (cached %v), want %q", name, b, ok, want)
 		}
 	}
@@ -328,8 +328,8 @@ func TestKeptBodies(t *testing.T) {
 	if got, want := s.Stats().Bytes, results-ResultBytes(res("rewrite"))-ResultBytes(res("evict"))+rewritten+2*int64(len(body)); got != want {
 		t.Fatalf("Bytes after the write = %d, want %d", got, want)
 	}
-	s.KeepBody(q("rewrite"), res("rewrite"), "application/json", body) // the old answer: nothing to keep it for
-	if _, b, _ := s.LookupBody(q("rewrite"), 2, "application/json"); b != nil {
+	s.KeepBodyKey(q("rewrite"), res("rewrite"), "application/json", body) // the old answer: nothing to keep it for
+	if _, b, _ := s.LookupKey(q("rewrite"), 2, "application/json"); b != nil {
 		t.Fatalf("a body of the pre-write answer was kept: %q", b)
 	}
 
@@ -343,20 +343,20 @@ func TestKeptBodies(t *testing.T) {
 		s.RecordFootprint(q(name), res(name), time.Second, 1, nil, nil)
 	}
 	s.Lookup(q("b"), 1)
-	r, _, _ := s.LookupBody(q("c"), 1, "application/json")
-	s.KeepBody(q("c"), r, "application/json", big)
+	r, _, _ := s.LookupKey(q("c"), 1, "application/json")
+	s.KeepBodyKey(q("c"), r, "application/json", big)
 	if _, ok := s.Entry(q("b")); !ok || s.Len() != 3 {
 		t.Fatalf("a body within budget evicted: %d entries", s.Len())
 	}
-	s.KeepBody(q("c"), r, "text/csv", big)
+	s.KeepBodyKey(q("c"), r, "text/csv", big)
 	if _, ok := s.Entry(q("a")); ok || s.Len() != 2 || s.Stats().Evictions != 1 {
 		t.Fatalf("over budget: %d entries, %d evictions; want a evicted", s.Len(), s.Stats().Evictions)
 	}
 	if got, want := s.Stats().Bytes, 2*one+2*int64(len(big)); got != want || got > s.MaxBytes {
 		t.Fatalf("Bytes = %d, want %d within %d", got, want, s.MaxBytes)
 	}
-	s.KeepBody(q("c"), r, "application/xml", make([]byte, s.MaxBytes))
-	if _, b, _ := s.LookupBody(q("c"), 1, "application/xml"); b != nil || s.Len() != 2 {
+	s.KeepBodyKey(q("c"), r, "application/xml", make([]byte, s.MaxBytes))
+	if _, b, _ := s.LookupKey(q("c"), 1, "application/xml"); b != nil || s.Len() != 2 {
 		t.Fatalf("a body larger than the budget was kept (%d entries left)", s.Len())
 	}
 }

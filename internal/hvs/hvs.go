@@ -16,7 +16,7 @@
 // the paper, the store is production-bounded: every entry carries an
 // approximate byte cost, and an optional byte budget (MaxBytes) evicts in
 // LRU order, so heavy traffic cannot grow the HVS past its memory
-// allowance; the bodies an entry keeps beside its answer (KeepBody) count.
+// allowance; the bodies an entry keeps beside its answer (KeepBodyKey) count.
 //
 // The cache's generation only moves forward, and only to a generation the
 // store has published: the proxy carries the cache across each write with
@@ -197,14 +197,14 @@ func solutionBytes(row sparql.Solution) int64 {
 // current entry answers and the cache is left at its generation. A hit
 // refreshes the entry's recency for LRU byte-budget eviction.
 func (s *Store) Lookup(query string, generation uint64) (*sparql.Result, bool) {
-	res, _, ok := s.LookupBody(Normalize(query), generation, "")
+	res, _, ok := s.LookupKey(Normalize(query), generation, "")
 	return res, ok
 }
 
-// LookupBody is Lookup by key, the query's Normalize text, that also
+// LookupKey is Lookup by key, the query's Normalize text, that also
 // returns the body kept beside the answer for contentType (nil when none
 // is kept).
-func (s *Store) LookupBody(key string, generation uint64, contentType string) (*sparql.Result, []byte, bool) {
+func (s *Store) LookupKey(key string, generation uint64, contentType string) (*sparql.Result, []byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.admitLocked(generation)
@@ -219,13 +219,13 @@ func (s *Store) LookupBody(key string, generation uint64, contentType string) (*
 	return e.Result, e.bodies[contentType], true
 }
 
-// KeepBody keeps data, res encoded in contentType, beside the entry of
+// KeepBodyKey keeps data, res encoded in contentType, beside the entry of
 // key (the query's Normalize text) while that entry holds res: a retag
 // keeps it, a fold's new answer or an eviction drops it. Its length
 // counts in the entry's Bytes, and other entries are evicted in LRU order
 // when it takes the cache over MaxBytes; a body its entry alone cannot
 // fit in MaxBytes is not kept.
-func (s *Store) KeepBody(key string, res *sparql.Result, contentType string, data []byte) {
+func (s *Store) KeepBodyKey(key string, res *sparql.Result, contentType string, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[key]

@@ -130,9 +130,8 @@ func TestReadsBesideWritesKeepCaches(t *testing.T) {
 // Apply (alternately inserting and deleting a Philosopher influencedBy
 // Scientist or a Scientist birthPlace City link) running beside the eight
 // hot chart reads through QueryBody. passes/op is the decomposer's kernel
-// passes per round after the warm-up (stored, folded forward or thrown
-// away): 0 when every write is carried into the memo before a read can
-// see it.
+// passes per round after the warm-up (stored or discarded): 0 when every
+// write is carried into the memo before a read can see it.
 func BenchmarkReadsBesideWrites(b *testing.B) {
 	ont, person := datagen.Ont, datagen.Ont("Person")
 	hot := []string{
@@ -180,7 +179,7 @@ func BenchmarkReadsBesideWrites(b *testing.B) {
 			read() // warms both tiers
 			passes := func() int {
 				s := p.Decomposer().Stats()
-				return s.PassesStored + s.PassesFolded + s.PassesDiscarded
+				return s.PassesStored + s.PassesDiscarded
 			}
 			warm, i := passes(), 0
 			for b.Loop() {

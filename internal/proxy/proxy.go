@@ -311,10 +311,10 @@ func (p *Proxy) QueryRows(ctx context.Context, src string, sink sparql.RowSink) 
 // when possible, with the body kept beside the answer for contentType.
 // served=false means the caller must run the backend tier.
 func (p *Proxy) tryCacheTiers(req *request, contentType string) (*sparql.Result, []byte, Trace, bool) {
-	if cached, body, ok := p.cache.LookupBody(req.text, req.gen, contentType); ok {
+	if cached, body, ok := p.cache.LookupKey(req.text, req.gen, contentType); ok {
 		tr := Trace{Route: RouteHVS, Runtime: time.Since(req.start), Heavy: true}
 		p.record(tr)
-		body = servedBody(cached, contentType, body, func(b []byte) { p.cache.KeepBody(req.text, cached, contentType, b) })
+		body = servedBody(cached, contentType, body, func(b []byte) { p.cache.KeepBodyKey(req.text, cached, contentType, b) })
 		return cached, body, tr, true
 	}
 	res, r, ok := p.decompose(req)

@@ -746,8 +746,8 @@ func TestApplySnapshotReadersUnaffected(t *testing.T) {
 // TestApplyCarriesBeforePublish: Apply runs its carries in order on an
 // effective write, each inside the previous one's publish, with the
 // successor snapshot while readers still see the old generation; the
-// write is visible once the last carry publishes, and a no-op delta runs
-// no carry.
+// write is visible once the last carry publishes, a no-op delta runs no
+// carry, and a carry that never calls publish panics and publishes nothing.
 func TestApplyCarriesBeforePublish(t *testing.T) {
 	st := New(0)
 	a := mkTriple("ca", "p", "x")
@@ -772,5 +772,17 @@ func TestApplyCarriesBeforePublish(t *testing.T) {
 	steps = nil
 	if res, err := st.Apply(DeltaOf(rdf.Insert(a)), carry("no-op")); err != nil || res.Changed() || steps != nil {
 		t.Fatalf("a no-op delta ran carries %q (res %+v, err %v)", steps, res, err)
+	}
+	gen, b := st.Generation(), mkTriple("cb", "p", "x")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a carry that never called publish did not panic")
+			}
+		}()
+		_, _ = st.Apply(DeltaOf(rdf.Insert(b)), func(ApplyResult, *Snapshot, func()) {})
+	}()
+	if st.Generation() != gen || st.Snapshot().ContainsTriple(b) {
+		t.Fatal("a write whose carry never called publish was published")
 	}
 }

@@ -183,14 +183,23 @@ func (s *Store) Apply(d Delta, carry ...Carry) (ApplyResult, error) {
 // res.To before any reader of that cache can bind res.To.
 type Carry func(res ApplyResult, next *Snapshot, publish func())
 
-// publish runs carry[0], whose publish runs carry[1], and so on; the last
-// one publishes next. Each level stores next again on its way out, so next
-// is published even if a carry never called its publish.
+// publish runs carry[0], whose publish runs carry[1], and so on; the
+// innermost call, with no carry left, publishes next. A carry that
+// returns without calling its publish is a bug that would leave the write
+// and every later carry undone, so it panics.
 func (s *Store) publish(res ApplyResult, next *Snapshot, carry []Carry) {
-	if len(carry) > 0 {
-		carry[0](res, next, func() { s.publish(res, next, carry[1:]) })
+	if len(carry) == 0 {
+		s.snap.Store(next)
+		return
 	}
-	s.snap.Store(next)
+	called := false
+	carry[0](res, next, func() {
+		called = true
+		s.publish(res, next, carry[1:])
+	})
+	if !called {
+		panic("store: a Carry returned without calling publish")
+	}
 }
 
 // applyMutations builds the successor snapshot for a net mutation set:
