@@ -32,7 +32,11 @@
 // not stored.
 //
 // The memo is the one home of a property-expansion answer (the HVS never
-// keeps one); a repeated query text is a lookup, with no parse (Lookup).
+// keeps one); a repeated query text is a lookup, with no parse (Lookup),
+// and after a fold the text is rendered again from the folded entry, still
+// with no parse. An answer is rendered as ID rows (a sparql.Table of the
+// entry's property terms and counts); the map per row that in-process
+// callers read is built once per rendering, on their first read.
 //
 // The package also recognises the explorer's object expansion
 // (DetectObject), which it does not answer: the engine computes it and
@@ -41,10 +45,9 @@
 package decomposer
 
 import (
-	"cmp"
-	"fmt"
 	"slices"
-	"strings"
+	"sort"
+	"strconv"
 	"sync"
 
 	"elinda/internal/rdf"
@@ -99,8 +102,9 @@ type Decomposer struct {
 	// or folded at.
 	generation uint64
 	memo       map[memoKey]*memoEntry
-	// shown maps a normalized query text (hvs.Normalize) to its
-	// rendering; cleared with the memo, and at maxShown texts.
+	// shown maps a normalized query text (hvs.Normalize) to its latest
+	// rendering, whose key the memo always holds (possibly with a newer
+	// entry); cleared with the memo, and at maxShown texts.
 	shown map[string]*Rendering
 	stats Stats
 }
@@ -132,18 +136,39 @@ type memoKey struct {
 	dir   Direction
 }
 
-// memoEntry is one memoized aggregate. Its stats never change once the
-// entry is published: ApplyDelta folds into a new entry.
-type memoEntry struct{ stats []PropStat }
+// memoEntry is one memoized aggregate: the stats in rank order and, at
+// the same index, each one's property label, which the rank reads and a
+// fold reuses. An entry never changes once it is published: ApplyDelta
+// folds into a new entry.
+type memoEntry struct {
+	stats  []PropStat
+	labels []string
+}
 
-// Rendering is a memo entry's answer to one query text, shared by every
-// request with the text: the result, and its bodies by content type.
+// Rendering is an answer to one query text, as ID rows, shared by every
+// request with the text while the memo holds the entry it renders: the
+// table, the result made from it on first demand, and its bodies by
+// content type.
 type Rendering struct {
-	// Result is shared: callers must not modify it.
-	Result *sparql.Result
-	key    memoKey
-	entry  *memoEntry
+	tab   *sparql.Table
+	key   memoKey
+	vars  []string   // the text's result variables (Detection.resultVars)
+	entry *memoEntry // nil for an answer never kept (solution modifiers, unknown class)
+
+	once   sync.Once
+	res    *sparql.Result
 	bodies sync.Map // content type → []byte
+}
+
+// Table returns the answer as ID rows. It is shared: callers must not
+// modify it.
+func (r *Rendering) Table() *sparql.Table { return r.tab }
+
+// Result returns the answer with one Solution map per row, built on the
+// first call and shared by every later one: callers must not modify it.
+func (r *Rendering) Result() *sparql.Result {
+	r.once.Do(func() { r.res = r.tab.Result() })
+	return r.res
 }
 
 // Body returns the body kept for contentType, nil when none is.
@@ -153,7 +178,7 @@ func (r *Rendering) Body(contentType string) []byte {
 	return data
 }
 
-// KeepBody keeps data as Result encoded in contentType.
+// KeepBody keeps data as the answer encoded in contentType.
 func (r *Rendering) KeepBody(contentType string, data []byte) { r.bodies.Store(contentType, data) }
 
 // New returns a decomposer over st.
@@ -187,16 +212,23 @@ func Detect(q *sparql.Query) (Detection, bool) {
 	if len(q.Where.Values) > 0 {
 		return Detection{}, false // VALUES restricts the rows the indexes would count
 	}
-	if len(q.Where.SubSelects) == 1 && len(q.Where.Triples) == 0 &&
-		len(q.Where.Filters) == 0 && len(q.Where.Optionals) == 0 && len(q.Where.Unions) == 0 {
-		return detectTwoLevel(q, groupVar)
-	}
+	var det Detection
+	var ok bool
+	switch {
+	case len(q.Where.SubSelects) == 1 && len(q.Where.Triples) == 0 &&
+		len(q.Where.Filters) == 0 && len(q.Where.Optionals) == 0 && len(q.Where.Unions) == 0:
+		det, ok = detectTwoLevel(q, groupVar)
 	// Single-level form: SELECT ?p (COUNT(DISTINCT ?s) AS ?c) [ (COUNT(*) AS ?t) ]
-	if len(q.Where.SubSelects) == 0 && len(q.Where.Triples) == 2 &&
-		len(q.Where.Filters) == 0 && len(q.Where.Optionals) == 0 && len(q.Where.Unions) == 0 {
-		return detectSingleLevel(q, groupVar)
+	case len(q.Where.SubSelects) == 0 && len(q.Where.Triples) == 2 &&
+		len(q.Where.Filters) == 0 && len(q.Where.Optionals) == 0 && len(q.Where.Unions) == 0:
+		det, ok = detectSingleLevel(q, groupVar)
 	}
-	return Detection{}, false
+	// An answer binds each result variable once: a name projected twice
+	// is the engine's to resolve.
+	if !ok || det.CountVar == det.PropVar || det.SumVar != "" && (det.SumVar == det.PropVar || det.SumVar == det.CountVar) {
+		return Detection{}, false
+	}
+	return det, true
 }
 
 func detectTwoLevel(q *sparql.Query, groupVar string) (Detection, bool) {
@@ -359,7 +391,7 @@ func (d *Decomposer) entry(class rdf.ID, dir Direction) *memoEntry {
 	if e != nil {
 		return e
 	}
-	return d.finish(key, snap.Generation(), &memoEntry{stats: computeStats(snap, class, dir)})
+	return d.finish(key, snap.Generation(), computeEntry(snap, class, dir))
 }
 
 // begin binds the store's snapshot under d.mu and returns the memo's
@@ -416,42 +448,39 @@ func (det Detection) resultVars() []string {
 	return []string{det.PropVar, det.CountVar, det.SumVar}
 }
 
-// computeStats is the counting pass of the store's property-distribution
-// kernel over the class's instances, in sortStats order.
-func computeStats(snap *store.Snapshot, class rdf.ID, dir Direction) []PropStat {
+// computeEntry is the counting pass of the store's property-distribution
+// kernel over the class's instances, labelled and in rank order.
+func computeEntry(snap *store.Snapshot, class rdf.ID, dir Direction) *memoEntry {
 	groups := snap.PropertyCounts(snap.SubjectsOfType(class), dir == Incoming)
-	stats := make([]PropStat, len(groups))
+	e := &memoEntry{stats: make([]PropStat, len(groups)), labels: make([]string, len(groups))}
 	for i, g := range groups {
-		stats[i] = PropStat{Property: g.Property, Subjects: g.Count, Triples: g.Triples}
+		e.stats[i] = PropStat{Property: g.Property, Subjects: g.Count, Triples: g.Triples}
+		e.labels[i] = snap.Label(g.Property)
 	}
-	return sortStats(snap, stats)
+	sort.Sort((*byRank)(e))
+	return e
 }
 
-// sortStats orders stats in place by descending subject count, then
-// property label, then property ID, resolving each label once, and
-// returns them.
-func sortStats(snap *store.Snapshot, stats []PropStat) []PropStat {
-	type labeled struct {
-		stat  PropStat
-		label string
+// byRank sorts an entry's stats, and their labels with them, by
+// descending subject count, then property label, then property ID.
+type byRank memoEntry
+
+func (e *byRank) Len() int { return len(e.stats) }
+
+func (e *byRank) Less(i, j int) bool {
+	a, b := e.stats[i], e.stats[j]
+	switch {
+	case a.Subjects != b.Subjects:
+		return a.Subjects > b.Subjects
+	case e.labels[i] != e.labels[j]:
+		return e.labels[i] < e.labels[j]
 	}
-	rows := make([]labeled, len(stats))
-	for i, s := range stats {
-		rows[i] = labeled{s, snap.Label(s.Property)}
-	}
-	slices.SortFunc(rows, func(a, b labeled) int {
-		if c := cmp.Compare(b.stat.Subjects, a.stat.Subjects); c != 0 {
-			return c
-		}
-		if c := strings.Compare(a.label, b.label); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.stat.Property, b.stat.Property)
-	})
-	for i, r := range rows {
-		stats[i] = r.stat
-	}
-	return stats
+	return a.Property < b.Property
+}
+
+func (e *byRank) Swap(i, j int) {
+	e.stats[i], e.stats[j] = e.stats[j], e.stats[i]
+	e.labels[i], e.labels[j] = e.labels[j], e.labels[i]
 }
 
 // ApplyDelta is the memo's store.Carry: it carries the memo across the
@@ -532,55 +561,72 @@ func foldMemo(snap *store.Snapshot, memo map[memoKey]*memoEntry, res store.Apply
 // entry's class, a property's triple count moves by the node's net change
 // and its subject count by whether the node now has the property against
 // whether it had it before (now − net triples), which stays exact when
-// one write touches the same (node, property) several times.
+// one write touches the same (node, property) several times. Labels are
+// looked up only for a property new to the entry or one the write
+// relabeled; the others keep theirs.
 func foldEntry(snap *store.Snapshot, key memoKey, e *memoEntry, net map[touch]int, relabeled map[rdf.ID]bool) *memoEntry {
 	var (
-		stats  []PropStat
-		at     map[rdf.ID]int // property → index in stats
+		next   *memoEntry // e's copy, made on the first change
 		resort bool
 	)
+	edit := func() {
+		if next == nil {
+			next = &memoEntry{stats: slices.Clone(e.stats), labels: slices.Clone(e.labels)}
+		}
+	}
 	for t, n := range net {
 		if t.dir != key.dir || !snap.ContainsID(t.node, snap.TypeID(), key.class) {
 			continue
 		}
-		if stats == nil {
-			stats = slices.Clone(e.stats)
-			at = make(map[rdf.ID]int, len(stats))
-			for i, s := range stats {
-				at[s.Property] = i
-			}
-		}
+		edit()
 		now := snap.CardMatch(t.node, t.prop, rdf.NoID)
 		if t.dir == Incoming {
 			now = snap.CardMatch(rdf.NoID, t.prop, t.node)
 		}
-		i, ok := at[t.prop]
-		if !ok {
-			i, resort = len(stats), true
-			at[t.prop] = i
+		i := slices.IndexFunc(next.stats, func(s PropStat) bool { return s.Property == t.prop })
+		if i < 0 {
+			i, resort = len(next.stats), true
 			//lint:ignore maporder a new stat's position is erased by the re-sort below
-			stats = append(stats, PropStat{Property: t.prop})
+			next.stats = append(next.stats, PropStat{Property: t.prop})
+			next.labels = append(next.labels, snap.Label(t.prop))
 		}
-		stats[i].Triples += n
+		next.stats[i].Triples += n
 		if dSubj := b2i(now > 0) - b2i(now-n > 0); dSubj != 0 {
-			stats[i].Subjects += dSubj
+			next.stats[i].Subjects += dSubj
 			resort = true
 		}
 	}
 	// A label change moves a property among those of equal subject count.
-	if slices.ContainsFunc(e.stats, func(s PropStat) bool { return relabeled[s.Property] }) {
-		resort = true
-		if stats == nil {
-			stats = slices.Clone(e.stats)
+	// A property new to the entry sits past len(e.stats), labelled at snap.
+	if len(relabeled) > 0 {
+		for i, s := range e.stats {
+			if relabeled[s.Property] {
+				edit()
+				next.labels[i], resort = snap.Label(s.Property), true
+			}
 		}
 	}
-	if stats == nil {
+	if next == nil {
 		return e
 	}
 	if resort {
-		stats = sortStats(snap, slices.DeleteFunc(stats, func(s PropStat) bool { return s.Subjects == 0 }))
+		next.dropUnused()
+		sort.Sort((*byRank)(next))
 	}
-	return &memoEntry{stats: stats}
+	return next
+}
+
+// dropUnused removes the stats, and their labels, of properties no
+// instance has any more.
+func (e *memoEntry) dropUnused() {
+	n := 0
+	for i, s := range e.stats {
+		if s.Subjects != 0 {
+			e.stats[n], e.labels[n] = s, e.labels[i]
+			n++
+		}
+	}
+	e.stats, e.labels = e.stats[:n], e.labels[:n]
 }
 
 func b2i(b bool) int {
@@ -594,66 +640,92 @@ func b2i(b bool) int {
 // property expansion. ok=false means the caller must route the query to
 // the generic engine.
 func (d *Decomposer) TryExecute(q *sparql.Query) (*sparql.Result, bool) {
-	res, _, ok := d.TryAnswer(q, "")
-	return res, ok
+	r, ok := d.TryAnswer(q, "")
+	if !ok {
+		return nil, false
+	}
+	return r.Result(), true
 }
 
-// TryAnswer is TryExecute that also returns the Rendering whose shared
-// Result the answer is, kept for Lookup under text (the query's normalized
-// text; "" keeps none), for a query with no ORDER BY, LIMIT or OFFSET;
-// the engine's solution modifiers order and slice the rows of any other.
-func (d *Decomposer) TryAnswer(q *sparql.Query, text string) (*sparql.Result, *Rendering, bool) {
+// TryAnswer is TryExecute with the answer as a Rendering. For a query
+// with no ORDER BY, LIMIT or OFFSET the rendering is kept for Lookup
+// under text (the query's normalized text; "" keeps none) while the memo
+// holds the entry it renders; the engine's solution modifiers order and
+// slice the rows of any other, whose rendering is its own.
+func (d *Decomposer) TryAnswer(q *sparql.Query, text string) (*Rendering, bool) {
 	det, ok := Detect(q)
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
-	dict := d.st.Dict()
-	classID, found := dict.Lookup(det.Class)
+	vars := det.resultVars()
+	classID, found := d.st.Dict().Lookup(det.Class)
 	if !found {
-		return &sparql.Result{Vars: det.resultVars()}, nil, true
+		return &Rendering{tab: sparql.NewTable(vars, nil)}, true
 	}
-	e := d.entry(classID, det.Dir)
-	rows := make([]sparql.Solution, len(e.stats))
-	for i, s := range e.stats {
-		row := sparql.Solution{
-			det.PropVar:  dict.Term(s.Property),
-			det.CountVar: rdf.NewTypedLiteral(fmt.Sprint(s.Subjects), rdf.XSDInteger),
-		}
-		if det.SumVar != "" {
-			row[det.SumVar] = rdf.NewTypedLiteral(fmt.Sprint(s.Triples), rdf.XSDInteger)
-		}
-		rows[i] = row
-	}
-	res := &sparql.Result{Vars: det.resultVars(), Rows: rows}
+	r := d.render(memoKey{class: classID, dir: det.Dir}, vars, d.entry(classID, det.Dir))
 	if len(q.OrderBy) > 0 || q.Limit >= 0 || q.Offset > 0 {
-		res.Rows = sparql.OrderAndSlice(rows, q)
-		return res, nil, true
+		res := r.Result()
+		return &Rendering{tab: sparql.TableOf(&sparql.Result{Vars: vars, Rows: sparql.OrderAndSlice(res.Rows, q)})}, true
 	}
-	r := &Rendering{Result: res, key: memoKey{class: classID, dir: det.Dir}, entry: e}
-	d.mu.Lock()
-	if text != "" && d.memo[r.key] == e { // not a discarded pass's entry, nor one replaced since
-		if len(d.shown) >= maxShown {
-			clear(d.shown)
-		}
-		d.shown[text] = r
+	if text != "" {
+		d.keep(text, r)
 	}
-	d.mu.Unlock()
-	return res, r, true
+	return r, true
 }
 
-// Lookup returns the Rendering kept for a normalized query text if the
-// memo still holds the entry it renders and is at generation gen or
-// later: the memo only holds generations the store has published, so for
-// a request bound to gen the rendering is the answer at a generation
-// between its arrival and its response. nil means: parse the text and ask
-// TryAnswer.
-func (d *Decomposer) Lookup(text string, gen uint64) *Rendering {
+// render builds e's answer under vars: per stat the property's term, its
+// subject count and, when vars has a third name, its triple count.
+func (d *Decomposer) render(key memoKey, vars []string, e *memoEntry) *Rendering {
+	dict := d.st.Dict()
+	cells := make([]rdf.Term, 0, len(e.stats)*len(vars))
+	for _, s := range e.stats {
+		cells = append(cells, dict.Term(s.Property), integer(s.Subjects))
+		if len(vars) == 3 {
+			cells = append(cells, integer(s.Triples))
+		}
+	}
+	return &Rendering{tab: sparql.NewTable(vars, cells), key: key, vars: vars, entry: e}
+}
+
+func integer(n int) rdf.Term { return rdf.NewTypedLiteral(strconv.Itoa(n), rdf.XSDInteger) }
+
+// keep makes r text's rendering if the memo still holds the entry r
+// renders: not a discarded pass's entry, nor one replaced since.
+func (d *Decomposer) keep(text string, r *Rendering) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if r := d.shown[text]; r != nil && gen <= d.generation && d.memo[r.key] == r.entry {
+	if d.memo[r.key] != r.entry {
+		return
+	}
+	if _, ok := d.shown[text]; !ok && len(d.shown) >= maxShown {
+		clear(d.shown)
+	}
+	d.shown[text] = r
+}
+
+// Lookup returns the Rendering of the memo's entry for a normalized query
+// text rendered before, if the memo is at generation gen or later: the
+// memo only holds generations the store has published, so for a request
+// bound to gen the rendering is the answer at a generation between its
+// arrival and its response. When a write has folded the entry since the
+// text was rendered, the text is rendered again from the memo's entry,
+// with no parse and outside the memo's lock, and kept if the memo still
+// holds that entry. nil means: parse the text and ask TryAnswer.
+func (d *Decomposer) Lookup(text string, gen uint64) *Rendering {
+	d.mu.Lock()
+	r := d.shown[text]
+	if r == nil || gen > d.generation {
+		d.mu.Unlock()
+		return nil
+	}
+	e := d.memo[r.key]
+	d.mu.Unlock()
+	if e == r.entry {
 		return r
 	}
-	return nil
+	r = d.render(r.key, r.vars, e)
+	d.keep(text, r)
+	return r
 }
 
 // Warm precomputes the level-zero aggregates for the given class in both

@@ -109,6 +109,8 @@ func TestDetectRejectsNonExpansions(t *testing.T) {
 		`SELECT DISTINCT ?p (COUNT(DISTINCT ?s) AS ?c) WHERE { ?s a <http://x/C> . ?s ?p ?o . } GROUP BY ?p`,                // DISTINCT modifier
 		`SELECT ?p (SUM(?s) AS ?c) WHERE { ?s a <http://x/C> . ?s ?p ?o . } GROUP BY ?p`,                                    // wrong aggregate
 		`ASK { ?s ?p ?o }`,
+		`SELECT ?p (COUNT(DISTINCT ?s) AS ?p) WHERE { ?s a <http://x/C> . ?s ?p ?o . } GROUP BY ?p`,                  // a result name twice
+		`SELECT ?p (COUNT(DISTINCT ?s) AS ?c) (COUNT(*) AS ?c) WHERE { ?s a <http://x/C> . ?s ?p ?o . } GROUP BY ?p`, // a result name twice
 	}
 	for i, src := range negatives {
 		q, err := sparql.Parse(src)
@@ -297,21 +299,18 @@ GROUP BY ?x ?prop} GROUP BY ?prop`
 			t.Fatal(err)
 		}
 		text := hvs.Normalize(src)
-		var fast *sparql.Result
-		if r := d.Lookup(text, st.Generation()); r != nil {
-			fast = r.Result
-		} else {
+		r := d.Lookup(text, st.Generation())
+		if r == nil {
 			var ok bool
-			if fast, r, ok = d.TryAnswer(q, text); !ok {
+			if r, ok = d.TryAnswer(q, text); !ok {
 				t.Fatalf("not decomposed: %s", src)
 			}
 			if _, seen := rendered[text]; seen {
 				t.Fatalf("a repeat of %s was rendered again", src)
 			}
-			if r != nil {
-				rendered[text] = r
-			}
+			rendered[text] = r
 		}
+		fast := r.Result()
 		slow, err := eng.Execute(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
@@ -333,7 +332,7 @@ GROUP BY ?x ?prop} GROUP BY ?prop`
 	}
 	phil, _ := st.Dict().Lookup(ex("Philosopher"))
 	stats := d.PropertyStats(phil, Outgoing)
-	for i, row := range d.Lookup(hvs.Normalize(paperOutgoing), st.Generation()).Result.Rows {
+	for i, row := range d.Lookup(hvs.Normalize(paperOutgoing), st.Generation()).Result().Rows {
 		if row["p"] != st.Dict().Term(stats[i].Property) {
 			t.Fatalf("memoized rows out of stats order at %d", i)
 		}
@@ -644,6 +643,8 @@ func TestMaintainedMemoEqualsOracleUnderDeltas(t *testing.T) {
 // memo — one that arrived before a write the memo has already folded —
 // is answered from the memo, the answer at a generation published since
 // it arrived, without replacing the memo or rolling back its generation.
+// The text is rendered again from the folded entry with no kernel pass,
+// once: the new rendering answers the next request too.
 func TestMemoNeverRollsBack(t *testing.T) {
 	st := fixture(t)
 	d := New(st)
@@ -653,23 +654,22 @@ func TestMemoNeverRollsBack(t *testing.T) {
 	}
 	text := hvs.Normalize(paperOutgoing)
 	old := st.Generation()
-	before, _, _ := d.TryAnswer(q, text)
+	before, _ := d.TryAnswer(q, text)
 	res, err := st.Apply(store.DeltaOf(rdf.Insert(rdf.Triple{S: ex("plato"), P: ex("diedIn"), O: ex("athens")})), d.ApplyDelta)
 	if err != nil {
 		t.Fatal(err)
 	}
 	phil, _ := st.Dict().Lookup(ex("Philosopher"))
 	folded := d.memo[memoKey{phil, Outgoing}]
-	if folded == nil || len(folded.stats) != len(before.Rows)+1 {
+	if folded == nil || len(folded.stats) != before.Table().Len()+1 {
 		t.Fatalf("write not folded into the memo: %+v", folded)
 	}
-	if d.Lookup(text, old) != nil {
-		t.Fatal("the pre-write rendering answers after the fold changed its entry")
+	r := d.Lookup(text, old)
+	if r == nil || r == before || r.Table().Len() != len(folded.stats) {
+		t.Fatalf("a request from generation %d got %+v, not the folded entry rendered", old, r)
 	}
-	got, r, _ := d.TryAnswer(q, text)
-	if len(got.Rows) != len(folded.stats) || d.Lookup(text, old) != r {
-		t.Fatalf("a read after the write got %d rows (memo %d), or its rendering does not answer a request from generation %d",
-			len(got.Rows), len(folded.stats), old)
+	if d.Lookup(text, old) != r || d.Lookup(text, res.To) != r {
+		t.Fatal("the text was rendered again for a repeat")
 	}
 	if d.generation != res.To || d.memo[memoKey{phil, Outgoing}] != folded {
 		t.Fatalf("an older request rolled the memo back to generation %d", d.generation)
@@ -680,11 +680,12 @@ func TestMemoNeverRollsBack(t *testing.T) {
 }
 
 // TestRenderingSharedUntilWrite: a query with no solution modifiers is
-// answered with its rendering's shared result, the same on every repeat
-// of its text and keeping its bodies; a modified query gets its own rows;
-// after a write the memo folds, or one on rdf:type that drops it, the
-// text's rendering no longer answers, and the next answer is a new
-// rendering with no body, holding the new counts.
+// answered with its rendering, whose result is built once and shared, the
+// same on every repeat of its text and keeping its bodies; a modified
+// query gets its own rows and is not kept. After a write the memo folds,
+// the text's lookup is a new rendering of the folded entry; after one on
+// rdf:type, which drops the memo, the text is not found and the next
+// answer is a new rendering. Either has no body and holds the new counts.
 func TestRenderingSharedUntilWrite(t *testing.T) {
 	st := fixture(t)
 	d := New(st)
@@ -694,45 +695,74 @@ func TestRenderingSharedUntilWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := hvs.Normalize(paperOutgoing)
-	first, r, ok := d.TryAnswer(q, text)
-	if !ok || r == nil || first != r.Result {
-		t.Fatalf("unmodified query: result %p, rendering %+v", first, r)
+	r, ok := d.TryAnswer(q, text)
+	if !ok || r.Result() != r.Result() {
+		t.Fatalf("unmodified query: rendering %+v, or its result is built per call", r)
 	}
 	r.KeepBody("text/plain", []byte("kept"))
 	r2 := d.Lookup(text, st.Generation())
 	if r2 != r || string(r2.Body("text/plain")) != "kept" {
 		t.Fatalf("repeat got a new answer or lost its body")
 	}
-	ordered, err := sparql.Parse(paperOutgoing + ` ORDER BY ?count`)
+	orderedText := paperOutgoing + ` ORDER BY ?count`
+	ordered, err := sparql.Parse(orderedText)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, r, _ := d.TryAnswer(ordered, hvs.Normalize(paperOutgoing+` ORDER BY ?count`)); r != nil || &res.Rows[0] == &first.Rows[0] {
-		t.Fatal("a modified query shares the rendering's rows")
+	if o, _ := d.TryAnswer(ordered, hvs.Normalize(orderedText)); o == r || &o.Result().Rows[0] == &r.Result().Rows[0] || d.Lookup(hvs.Normalize(orderedText), st.Generation()) != nil {
+		t.Fatal("a modified query shares the rendering's rows, or was kept")
 	}
-	for _, op := range []rdf.TripleOp{
-		rdf.Insert(rdf.Triple{S: ex("plato"), P: ex("diedIn"), O: ex("athens")}),    // folded
-		rdf.Insert(rdf.Triple{S: ex("hume"), P: rdf.TypeIRI, O: ex("Philosopher")}), // drops the memo
+	for _, tc := range []struct {
+		op     rdf.TripleOp
+		folded bool
+	}{
+		{rdf.Insert(rdf.Triple{S: ex("plato"), P: ex("diedIn"), O: ex("athens")}), true},
+		{rdf.Insert(rdf.Triple{S: ex("hume"), P: rdf.TypeIRI, O: ex("Philosopher")}), false}, // drops the memo
 	} {
-		res, err := st.Apply(store.DeltaOf(op), d.ApplyDelta)
+		res, err := st.Apply(store.DeltaOf(tc.op), d.ApplyDelta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Lookup(text, res.To) != nil {
-			t.Fatalf("after %v: the pre-write rendering still answers", op)
+		next := d.Lookup(text, res.To)
+		if (next != nil) != tc.folded {
+			t.Fatalf("after %v: lookup %+v", tc.op, next)
 		}
-		got, r, _ := d.TryAnswer(q, text)
-		if got == first || r.Body("text/plain") != nil {
-			t.Fatalf("after %v: the pre-write rendering survived", op)
+		if next == nil {
+			next, _ = d.TryAnswer(q, text)
+		}
+		if next == r || next.Body("text/plain") != nil {
+			t.Fatalf("after %v: the pre-write rendering survived", tc.op)
 		}
 		want, err := eng.Execute(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Rows) != len(want.Rows) {
-			t.Fatalf("after %v: %d rows, engine %d", op, len(got.Rows), len(want.Rows))
+		if got := next.Result(); len(got.Rows) != len(want.Rows) {
+			t.Fatalf("after %v: %d rows, engine %d", tc.op, len(got.Rows), len(want.Rows))
 		}
-		first = got
+		r = next
+	}
+}
+
+// TestMemoHitAllocatesNothing: once a rendering has built its result, a
+// repeat of its text is a lookup that shares it and allocates nothing.
+func TestMemoHitAllocatesNothing(t *testing.T) {
+	st := fixture(t)
+	d := New(st)
+	q, err := sparql.Parse(paperOutgoing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := hvs.Normalize(paperOutgoing)
+	r, _ := d.TryAnswer(q, text)
+	want := r.Result()
+	gen := st.Generation()
+	if n := testing.AllocsPerRun(100, func() {
+		if d.Lookup(text, gen).Result() != want {
+			t.Fatal("a repeat got another result")
+		}
+	}); n != 0 {
+		t.Fatalf("a memo hit allocated %v times", n)
 	}
 }
 
@@ -754,27 +784,124 @@ func TestOvertakenPassAnswersItsOwnRead(t *testing.T) {
 	if _, err := st.Apply(store.DeltaOf(rdf.Insert(rdf.Triple{S: ex("plato"), P: ex("diedIn"), O: ex("athens")})), d.ApplyDelta); err != nil {
 		t.Fatal(err)
 	}
-	own := computeStats(snap, phil, Outgoing)
-	got := d.finish(key, snap.Generation(), &memoEntry{stats: own})
-	if !reflect.DeepEqual(got.stats, own) || d.memo[key] != nil {
+	own := computeEntry(snap, phil, Outgoing)
+	got := d.finish(key, snap.Generation(), own)
+	if !reflect.DeepEqual(got.stats, own.stats) || d.memo[key] != nil {
 		t.Fatalf("an overtaken pass answered %+v (want its own %+v) or was stored", got.stats, own)
 	}
 	if s := d.Stats(); s.PassesStored != 0 || s.PassesDiscarded != 1 {
 		t.Fatalf("overtaken pass counted as %+v", s)
 	}
-	if want := computeStats(st.Snapshot(), phil, Outgoing); !reflect.DeepEqual(d.PropertyStats(phil, Outgoing), want) || d.memo[key] == nil {
+	if want := computeEntry(st.Snapshot(), phil, Outgoing).stats; !reflect.DeepEqual(d.PropertyStats(phil, Outgoing), want) || d.memo[key] == nil {
 		t.Fatalf("the next read got %+v, kernel %+v, or was not stored", d.memo[key], want)
 	}
 
 	key = memoKey{phil, Incoming}
 	snap1, _ := d.begin(key)
 	snap2, _ := d.begin(key)
-	first := d.finish(key, snap1.Generation(), &memoEntry{stats: computeStats(snap1, phil, Incoming)})
-	second := d.finish(key, snap2.Generation(), &memoEntry{stats: computeStats(snap2, phil, Incoming)})
+	first := d.finish(key, snap1.Generation(), computeEntry(snap1, phil, Incoming))
+	second := d.finish(key, snap2.Generation(), computeEntry(snap2, phil, Incoming))
 	if second != first || d.memo[key] != first {
 		t.Fatal("the second of two passes for one entry replaced the first one's entry")
 	}
 	if s := d.Stats(); s.PassesStored != 2 || s.PassesDiscarded != 2 {
 		t.Fatalf("want 2 stored and 2 discarded passes, got %+v", s)
+	}
+}
+
+// TestReplacedEntryRenderingNotKept: a rendering is kept for its text only
+// while the memo holds the entry it renders. One rendered from an entry
+// that a write then replaced (folded into a new entry, or dropped with the
+// memo) still answers its own read but is not kept: after the fold the
+// text's lookup renders the folded entry, after the drop no text is kept.
+func TestReplacedEntryRenderingNotKept(t *testing.T) {
+	st := fixture(t)
+	d := New(st)
+	q, err := sparql.Parse(paperOutgoing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := hvs.Normalize(paperOutgoing)
+	r, _ := d.TryAnswer(q, text)
+	for _, tc := range []struct {
+		op     rdf.TripleOp
+		folded bool
+	}{
+		{rdf.Insert(rdf.Triple{S: ex("plato"), P: ex("diedIn"), O: ex("athens")}), true},
+		{rdf.Insert(rdf.Triple{S: ex("hume"), P: rdf.TypeIRI, O: ex("Philosopher")}), false},
+	} {
+		stale := d.render(r.key, r.vars, d.memo[r.key]) // a render the write overtakes
+		res, err := st.Apply(store.DeltaOf(tc.op), d.ApplyDelta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.keep(text, stale)
+		next := d.Lookup(text, res.To)
+		switch {
+		case !tc.folded && ShownTexts(d) != 0:
+			t.Fatalf("after %v: a rendering of a dropped entry was kept", tc.op)
+		case tc.folded && (next == nil || next == stale || next.entry != d.memo[r.key]):
+			t.Fatalf("after %v: the lookup got %+v, not the folded entry rendered", tc.op, next)
+		}
+	}
+}
+
+// TestFoldedLookupsBesideDrops runs lookups that render folded entries
+// again beside writes that drop the memo (run it under -race). Once the
+// memo is dropped no rendering made before the drop may be kept: with no
+// read since, the decomposer keeps no text.
+func TestFoldedLookupsBesideDrops(t *testing.T) {
+	st := store.New(4096)
+	var ts []rdf.Triple
+	for i := 0; i < 40; i++ {
+		ts = append(ts, rdf.Triple{S: ex(fmt.Sprintf("i%d", i)), P: rdf.TypeIRI, O: ex("C")})
+		for j := 0; j < 60; j++ {
+			ts = append(ts, rdf.Triple{S: ex(fmt.Sprintf("i%d", i)), P: ex(fmt.Sprintf("p%d", (i+j)%120)), O: ex(fmt.Sprintf("o%d", j))})
+		}
+	}
+	if _, err := st.Load(ts); err != nil {
+		t.Fatal(err)
+	}
+	d := New(st)
+	var texts []string
+	var queries []*sparql.Query
+	for _, incoming := range []bool{false, true} {
+		src := core.PropertyExpansionSPARQL(ex("C"), incoming)
+		q, err := sparql.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		texts, queries = append(texts, hvs.Normalize(src)), append(queries, q)
+	}
+	apply := func(tr rdf.Triple) uint64 {
+		op := rdf.Insert(tr)
+		if st.Snapshot().ContainsTriple(tr) {
+			op = rdf.Delete(tr)
+		}
+		res, err := st.Apply(store.DeltaOf(op), d.ApplyDelta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.To
+	}
+	for round := 0; round < 200; round++ {
+		for i, q := range queries {
+			d.TryAnswer(q, texts[i])
+		}
+		gen := apply(rdf.Triple{S: ex("i0"), P: ex("p0"), O: ex(fmt.Sprintf("new%d", round))}) // folded
+		started, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			close(started)
+			for _, text := range texts {
+				d.Lookup(text, gen)
+			}
+		}()
+		<-started
+		apply(rdf.Triple{S: ex("i1"), P: rdf.TypeIRI, O: ex("C")}) // drops the memo
+		<-done
+		if n := ShownTexts(d); n != 0 {
+			t.Fatalf("round %d: %d texts kept past the memo's drop", round, n)
+		}
 	}
 }

@@ -6,3 +6,10 @@ func ShownTexts(d *Decomposer) int {
 	defer d.mu.Unlock()
 	return len(d.shown)
 }
+
+// MemoGeneration reports the store generation d's memo is at.
+func MemoGeneration(d *Decomposer) uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.generation
+}

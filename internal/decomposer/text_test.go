@@ -102,12 +102,15 @@ func memoOrder(snap *store.Snapshot, res *sparql.Result) {
 	})
 }
 
-// engineBodies are the engine's answers to texts on st now, as SPARQL
-// JSON; an unordered answer's rows are put in the decomposer's order.
-func engineBodies(t *testing.T, st *store.Store, texts []string, ordered []bool) [][]byte {
+// bodies are one answer in SPARQL JSON and in TSV.
+type bodies struct{ json, tsv []byte }
+
+// engineBodies are the engine's answers to texts on st now; an unordered
+// answer's rows are put in the decomposer's order.
+func engineBodies(t *testing.T, st *store.Store, texts []string, ordered []bool) []bodies {
 	t.Helper()
 	eng := sparql.NewEngine(st)
-	out := make([][]byte, len(texts))
+	out := make([]bodies, len(texts))
 	for i, src := range texts {
 		res, err := eng.Query(context.Background(), src)
 		if err != nil {
@@ -116,18 +119,37 @@ func engineBodies(t *testing.T, st *store.Store, texts []string, ordered []bool)
 		if !ordered[i] {
 			memoOrder(st.Snapshot(), res)
 		}
-		out[i] = encode(t, res)
+		tab := sparql.TableOf(res)
+		out[i] = bodies{encode(t, tab, endpoint.ContentType), encode(t, tab, endpoint.ContentTypeTSV)}
 	}
 	return out
 }
 
-func encode(t *testing.T, res *sparql.Result) []byte {
+func encode(t *testing.T, tab *sparql.Table, contentType string) []byte {
 	t.Helper()
-	body, ok := endpoint.EncodeBody(res, endpoint.ContentType)
+	body, ok := endpoint.EncodeBody(tab, contentType)
 	if !ok {
 		t.Fatal("EncodeBody refused a small answer")
 	}
 	return body
+}
+
+// checkRendering fails unless rend — its table, in JSON and TSV, and its
+// result, in JSON — encodes as want.
+func checkRendering(t *testing.T, rend *decomposer.Rendering, want bodies, what string) {
+	t.Helper()
+	for _, got := range []struct {
+		name       string
+		body, want []byte
+	}{
+		{"table as JSON", encode(t, rend.Table(), endpoint.ContentType), want.json},
+		{"table as TSV", encode(t, rend.Table(), endpoint.ContentTypeTSV), want.tsv},
+		{"result as JSON", encode(t, sparql.TableOf(rend.Result()), endpoint.ContentType), want.json},
+	} {
+		if !bytes.Equal(got.body, got.want) {
+			t.Fatalf("%s: the rendering's %s\n%s\nengine\n%s", what, got.name, got.body, got.want)
+		}
+	}
 }
 
 // TestTextRenderingsEqualEngine is the differential for the memo's
@@ -138,10 +160,15 @@ func encode(t *testing.T, res *sparql.Result) []byte {
 // link writes straight to the store (the next read drops the memo). Every
 // answer must be the engine's at the read's generation, byte for byte in
 // SPARQL JSON. After each write a read bound to the generation before it
-// asks the decomposer for the text directly: a rendering it still hands
-// out must be the engine's answer at that older generation. And the
-// number of texts the decomposer keeps must be the number of shared-answer
-// texts read since the memo was last dropped.
+// asks the decomposer for the text directly: a rendering it hands out
+// must be the engine's answer at the memo's generation, which the store
+// published after that read arrived. After a link write through Apply the
+// memo folds, every text read since the memo was last dropped must be
+// found at the new generation with no parse, rendered again from the
+// folded entry, and equal the engine's answer there in JSON and in TSV;
+// after an rdf:type write no text may be found. And the number of texts
+// the decomposer keeps must be the number of shared-answer texts read
+// since the memo was last dropped.
 func TestTextRenderingsEqualEngine(t *testing.T) {
 	texts, ordered := textQueries()
 	norm := make([]string, len(texts))
@@ -163,14 +190,14 @@ func TestTextRenderingsEqualEngine(t *testing.T) {
 		}
 		p := proxy.New(st, proxy.Options{HeavyThreshold: time.Hour})
 		d := p.Decomposer()
-		history := map[uint64][][]byte{st.Generation(): engineBodies(t, st, texts, ordered)}
+		history := map[uint64][]bodies{st.Generation(): engineBodies(t, st, texts, ordered)}
 
 		// shown models the texts the decomposer keeps: the shared-answer
 		// texts read since the memo was dropped. A write that bypassed
 		// Apply drops it on the decomposer's next read or write.
 		shown := map[string]bool{}
 		pendingDrop := true
-		var hits, folds, staleHits, staleMisses int
+		var hits, folds, foldedHits, staleHits, staleMisses int
 
 		write := func(kind string) {
 			before := st.Generation()
@@ -195,6 +222,7 @@ func TestTextRenderingsEqualEngine(t *testing.T) {
 			if !res.Changed() {
 				return
 			}
+			folded := false
 			switch {
 			case kind == "bypass":
 				pendingDrop = true
@@ -203,6 +231,7 @@ func TestTextRenderingsEqualEngine(t *testing.T) {
 				pendingDrop = false
 			default:
 				folds++
+				folded = true
 			}
 			history[res.To] = engineBodies(t, st, texts, ordered)
 			// A read bound to the snapshot before the write.
@@ -213,9 +242,21 @@ func TestTextRenderingsEqualEngine(t *testing.T) {
 					continue
 				}
 				staleHits++
-				if got := encode(t, rend.Result); !bytes.Equal(got, history[before][i]) {
-					t.Fatalf("seed %d: after a %s write, a read at generation %d got %q\n%s\nengine at that generation\n%s",
-						seed, kind, before, texts[i], got, history[before][i])
+				at := decomposer.MemoGeneration(d)
+				if at < before {
+					t.Fatalf("seed %d: a read at generation %d was answered at %d", seed, before, at)
+				}
+				checkRendering(t, rend, history[at][i], fmt.Sprintf("seed %d: after a %s write, a read at generation %d of %q", seed, kind, before, texts[i]))
+			}
+			// A read at the new generation finds exactly the texts kept.
+			for i, text := range norm {
+				rend := d.Lookup(text, res.To)
+				if want := folded && shown[text]; (rend != nil) != want {
+					t.Fatalf("seed %d: after a %s write, lookup of %q at generation %d: found %v, want %v", seed, kind, texts[i], res.To, rend != nil, want)
+				}
+				if rend != nil {
+					foldedHits++
+					checkRendering(t, rend, history[res.To][i], fmt.Sprintf("seed %d: after a %s write, a read at generation %d of %q", seed, kind, res.To, texts[i]))
 				}
 			}
 		}
@@ -239,10 +280,10 @@ func TestTextRenderingsEqualEngine(t *testing.T) {
 					t.Fatal(err)
 				}
 				if body == nil {
-					body = encode(t, tab.Result())
+					body = encode(t, tab, endpoint.ContentType)
 				}
-				if !bytes.Equal(body, history[gen][i]) {
-					t.Fatalf("seed %d step %d: served %q at generation %d\n%s\nengine\n%s", seed, step, texts[i], gen, body, history[gen][i])
+				if !bytes.Equal(body, history[gen][i].json) {
+					t.Fatalf("seed %d step %d: served %q at generation %d\n%s\nengine\n%s", seed, step, texts[i], gen, body, history[gen][i].json)
 				}
 				if pendingDrop {
 					clear(shown)
@@ -256,10 +297,10 @@ func TestTextRenderingsEqualEngine(t *testing.T) {
 				t.Fatalf("seed %d step %d: the decomposer keeps %d texts, %d were read since the memo was dropped", seed, step, n, len(shown))
 			}
 		}
-		if hits == 0 || folds == 0 || staleHits == 0 || staleMisses == 0 {
-			t.Fatalf("seed %d: a case never ran: %d text hits, %d folds, %d older-generation hits, %d older-generation misses",
-				seed, hits, folds, staleHits, staleMisses)
+		if hits == 0 || folds == 0 || foldedHits == 0 || staleHits == 0 || staleMisses == 0 {
+			t.Fatalf("seed %d: a case never ran: %d text hits, %d folds, %d folded-text hits, %d older-generation hits, %d older-generation misses",
+				seed, hits, folds, foldedHits, staleHits, staleMisses)
 		}
-		t.Logf("seed %d: %d text hits, %d folds, %d older-generation hits", seed, hits, folds, staleHits)
+		t.Logf("seed %d: %d text hits, %d folds, %d folded-text hits, %d older-generation hits", seed, hits, folds, foldedHits, staleHits)
 	}
 }

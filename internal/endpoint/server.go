@@ -182,8 +182,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		// The protocol forbids updates via GET: a cacheable, replayable
 		// method must not mutate, so only query= is looked for here.
-		query = r.URL.Query().Get("query")
-		explain = r.URL.Query().Get("explain") != ""
+		params := r.URL.Query()
+		query = params.Get("query")
+		explain = params.Get("explain") != ""
 	case http.MethodPost:
 		if mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type")); err == nil && mt == UpdateContentType {
 			// Direct POST: the body IS the update request.

@@ -376,7 +376,7 @@ type bodyExec struct{ fixedExec }
 var _ BodyExecutor = bodyExec{}
 
 func (f bodyExec) QueryBody(_ context.Context, _, contentType string) (*sparql.Table, []byte, error) {
-	if body, ok := EncodeBody(f.res, contentType); ok {
+	if body, ok := EncodeBody(sparql.TableOf(f.res), contentType); ok {
 		return nil, body, nil
 	}
 	return sparql.TableOf(f.res), nil, nil
@@ -402,7 +402,7 @@ func (k keptOrFresh) QueryBody(_ context.Context, src, _ string) (*sparql.Table,
 // answers that encode into pooled buffers (one within BodyBytes, one
 // over it), goes out unchanged and stays unchanged.
 func TestKeptBodyNeverPooled(t *testing.T) {
-	kept, ok := EncodeBody(manyRows(100), ContentType)
+	kept, ok := EncodeBody(sparql.TableOf(manyRows(100)), ContentType)
 	if !ok {
 		t.Fatal("EncodeBody refused a small answer")
 	}
@@ -443,10 +443,10 @@ func TestServeAroundBodyBytes(t *testing.T) {
 	} {
 		want := oracleMarshalResult(tc.res)
 		whole := len(want) <= BodyBytes
-		if body, kept := EncodeBody(tc.res, "text/html"); kept || body != nil {
+		if body, kept := EncodeBody(sparql.TableOf(tc.res), "text/html"); kept || body != nil {
 			t.Errorf("%s: EncodeBody kept a body in a type it has no encoder for", tc.name)
 		}
-		if _, kept := EncodeBody(tc.res, ContentType); kept != whole {
+		if _, kept := EncodeBody(sparql.TableOf(tc.res), ContentType); kept != whole {
 			t.Errorf("%s: EncodeBody kept a %d-byte body = %v", tc.name, len(want), kept)
 		}
 		for _, exec := range []Executor{fixedExec{res: tc.res}, bodyExec{fixedExec{res: tc.res}}} {

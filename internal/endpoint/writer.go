@@ -37,18 +37,18 @@ type spillFunc func([]byte) ([]byte, error)
 // errTooLarge stops EncodeBody once the body outgrows BodyBytes.
 var errTooLarge = errors.New("endpoint: body larger than BodyBytes")
 
-// EncodeBody returns res encoded in contentType when the body fits
+// EncodeBody returns tab encoded in contentType when the body fits
 // BodyBytes, and ok=false (having encoded at most BodyBytes plus one row)
 // when it does not or the type is not one NegotiateFormat returns: the
 // rule by which the server sends a body whole is the rule by which the
 // proxy keeps one.
-func EncodeBody(res *sparql.Result, contentType string) (body []byte, ok bool) {
+func EncodeBody(tab *sparql.Table, contentType string) (body []byte, ok bool) {
 	encode, ok := encoders[contentType]
 	if !ok {
 		return nil, false
 	}
 	buf := bodyPool.Get().(*[]byte)
-	body, err := encode((*buf)[:0], sparql.TableOf(res), func(b []byte) ([]byte, error) {
+	body, err := encode((*buf)[:0], tab, func(b []byte) ([]byte, error) {
 		if len(b) > BodyBytes {
 			return b, errTooLarge
 		}

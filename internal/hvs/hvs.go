@@ -44,6 +44,7 @@ import (
 	"container/list"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"elinda/internal/rdf"
@@ -125,8 +126,9 @@ type Store struct {
 	lruOf      map[string]*list.Element
 	totalBytes int64
 
-	hits, misses, stores, evictions, invalidations int
-	deltaEvictions, deltaRetained, deltaFolded     int
+	hits, stores, evictions, invalidations     int
+	deltaEvictions, deltaRetained, deltaFolded int
+	misses                                     atomic.Int64 // counted under either lock
 
 	// MaxBytes bounds the approximate total byte cost of cached results;
 	// 0 means unlimited. Exceeding it evicts least-recently-used entries
@@ -204,13 +206,25 @@ func (s *Store) Lookup(query string, generation uint64) (*sparql.Result, bool) {
 // LookupKey is Lookup by key, the query's Normalize text, that also
 // returns the body kept beside the answer for contentType (nil when none
 // is kept).
+//
+// A miss at or below the cache's generation changes nothing but the miss
+// count, so it is read under the read lock; a hit (the LRU touch) or a
+// newer generation (the clear) takes the write lock.
 func (s *Store) LookupKey(key string, generation uint64, contentType string) (*sparql.Result, []byte, bool) {
+	s.mu.RLock()
+	_, hit := s.entries[key]
+	current := s.haveGen && generation <= s.generation
+	s.mu.RUnlock()
+	if current && !hit {
+		s.misses.Add(1)
+		return nil, nil, false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.admitLocked(generation)
 	e, ok := s.entries[key]
 	if !ok {
-		s.misses++
+		s.misses.Add(1)
 		return nil, nil, false
 	}
 	e.Hits++
@@ -441,7 +455,7 @@ func (s *Store) Stats() Stats {
 		Entries:        len(s.entries),
 		Bytes:          s.totalBytes,
 		Hits:           s.hits,
-		Misses:         s.misses,
+		Misses:         int(s.misses.Load()),
 		Stores:         s.stores,
 		Evictions:      s.evictions,
 		Invalidations:  s.invalidations,

@@ -289,6 +289,35 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestConcurrentMissesCounted: misses at and below the cache's generation,
+// which read under the read lock, race hits, which lock to touch the LRU;
+// every lookup is counted once, and a miss changes nothing else.
+func TestConcurrentMissesCounted(t *testing.T) {
+	s := New(time.Millisecond)
+	s.RecordFootprint("hit", res("hit"), time.Second, 2, nil, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if _, ok := s.Lookup(fmt.Sprintf("miss%d", i%3), uint64(1+i%2)); ok {
+					t.Error("a missing key hit")
+					return
+				}
+				if _, ok := s.Lookup("hit", 2); !ok {
+					t.Error("a stored key missed")
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := s.Stats(); st.Misses != 800 || st.Hits != 800 || st.Entries != 1 || st.Invalidations != 0 {
+		t.Fatalf("stats after 800 misses and 800 hits: %+v", st)
+	}
+}
+
 // resN builds a result with n rows so byte costs are controllable.
 func resN(v string, n int) *sparql.Result {
 	r := &sparql.Result{Vars: []string{"x"}}

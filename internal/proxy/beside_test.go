@@ -182,6 +182,7 @@ func BenchmarkReadsBesideWrites(b *testing.B) {
 				return s.PassesStored + s.PassesDiscarded
 			}
 			warm, i := passes(), 0
+			b.ReportAllocs()
 			for b.Loop() {
 				op := rdf.Insert(pool[i%len(pool)])
 				if (i/len(pool))%2 == 1 {

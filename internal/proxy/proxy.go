@@ -271,8 +271,8 @@ func (p *Proxy) Query(ctx context.Context, src string) (*sparql.Result, error) {
 // QueryTraced is Query plus the route/runtime trace for the request.
 func (p *Proxy) QueryTraced(ctx context.Context, src string) (*sparql.Result, Trace, error) {
 	req := p.newRequest(src)
-	if res, _, tr, served := p.tryCacheTiers(&req, ""); served {
-		return res, tr, nil
+	if h, served := p.tryCacheTiers(&req, ""); served {
+		return h.result(), h.tr, nil
 	}
 	tab, tr, err := p.backendCoalesced(ctx, &req)
 	if err != nil {
@@ -283,14 +283,15 @@ func (p *Proxy) QueryTraced(ctx context.Context, src string) (*sparql.Result, Tr
 
 // QueryBody implements endpoint.BodyExecutor with the three-tier routing:
 // the body a cache tier keeps beside its answer in contentType, or else
-// the answer as a table (the local engine's, or made by sparql.TableOf).
+// the answer as a table (the local engine's, a decomposer rendering's, or
+// made from an HVS entry by sparql.TableOf).
 func (p *Proxy) QueryBody(ctx context.Context, src, contentType string) (*sparql.Table, []byte, error) {
 	req := p.newRequest(src)
-	if res, body, _, served := p.tryCacheTiers(&req, contentType); served {
-		if body != nil {
-			return nil, body, nil
+	if h, served := p.tryCacheTiers(&req, contentType); served {
+		if h.body != nil {
+			return nil, h.body, nil
 		}
-		return sparql.TableOf(res), nil, nil
+		return h.table(), nil, nil
 	}
 	tab, _, err := p.backendCoalesced(ctx, &req)
 	return tab, nil, err
@@ -307,54 +308,79 @@ func (p *Proxy) QueryRows(ctx context.Context, src string, sink sparql.RowSink) 
 	return sparql.ReplayResult(res, sink)
 }
 
+// hit is a cache tier's answer: an HVS entry's result or a decomposer
+// rendering, with the body kept beside it for the request's content type
+// (nil when none is).
+type hit struct {
+	res  *sparql.Result
+	rend *decomposer.Rendering
+	body []byte
+	tr   Trace
+}
+
+// result is the answer with a map per row: the HVS entry's, or the one a
+// rendering builds once and shares.
+func (h hit) result() *sparql.Result {
+	if h.rend != nil {
+		return h.rend.Result()
+	}
+	return h.res
+}
+
+// table is the answer as a table to encode.
+func (h hit) table() *sparql.Table {
+	if h.rend != nil {
+		return h.rend.Table()
+	}
+	return sparql.TableOf(h.res)
+}
+
 // tryCacheTiers answers from the HVS (tier 1) or the decomposer (tier 2)
 // when possible, with the body kept beside the answer for contentType.
 // served=false means the caller must run the backend tier.
-func (p *Proxy) tryCacheTiers(req *request, contentType string) (*sparql.Result, []byte, Trace, bool) {
+func (p *Proxy) tryCacheTiers(req *request, contentType string) (hit, bool) {
 	if cached, body, ok := p.cache.LookupKey(req.text, req.gen, contentType); ok {
-		tr := Trace{Route: RouteHVS, Runtime: time.Since(req.start), Heavy: true}
-		p.record(tr)
-		body = servedBody(cached, contentType, body, func(b []byte) { p.cache.KeepBodyKey(req.text, cached, contentType, b) })
-		return cached, body, tr, true
+		h := hit{res: cached, tr: Trace{Route: RouteHVS, Runtime: time.Since(req.start), Heavy: true}}
+		p.record(h.tr)
+		h.body = servedBody(contentType, body, h.table, func(b []byte) { p.cache.KeepBodyKey(req.text, cached, contentType, b) })
+		return h, true
 	}
-	res, r, ok := p.decompose(req)
+	r, ok := p.decompose(req)
 	if !ok {
-		return nil, nil, Trace{}, false
+		return hit{}, false
 	}
-	tr := Trace{Route: RouteDecomposer, Runtime: time.Since(req.start)}
-	p.record(tr)
-	if r == nil {
-		return res, nil, tr, true
-	}
-	return res, servedBody(res, contentType, r.Body(contentType), func(b []byte) { r.KeepBody(contentType, b) }), tr, true
+	h := hit{rend: r, tr: Trace{Route: RouteDecomposer, Runtime: time.Since(req.start)}}
+	p.record(h.tr)
+	h.body = servedBody(contentType, r.Body(contentType), r.Table, func(b []byte) { r.KeepBody(contentType, b) })
+	return h, true
 }
 
 // decompose is tier 2: a text the decomposer rendered is a lookup, any
 // other is parsed (a parse error falls through to the backend).
-func (p *Proxy) decompose(req *request) (*sparql.Result, *decomposer.Rendering, bool) {
+func (p *Proxy) decompose(req *request) (*decomposer.Rendering, bool) {
 	if p.opts.DisableDecomposer {
-		return nil, nil, false
+		return nil, false
 	}
 	if r := p.dec.Lookup(req.text, req.gen); r != nil {
-		return r.Result, r, true
+		return r, true
 	}
 	if q, err := req.parse(); err == nil {
 		return p.dec.TryAnswer(q, req.text)
 	}
-	return nil, nil, false
+	return nil, false
 }
 
 // servedBody returns the body to serve a shared answer with ("" asks for
-// none): kept, or on its first serve res encoded in contentType and
-// handed to keep. A body outgrowing endpoint.BodyBytes is kept empty, so
-// that later serves do not try again, and served as nil: the server
-// encodes it itself.
-func servedBody(res *sparql.Result, contentType string, kept []byte, keep func([]byte)) []byte {
+// none): kept, or on its first serve the answer's table encoded in
+// contentType and handed to keep. A body outgrowing endpoint.BodyBytes is
+// kept empty, so that later serves do not try again, and served as nil:
+// the server encodes it itself.
+func servedBody(contentType string, kept []byte, table func() *sparql.Table, keep func([]byte)) []byte {
 	if contentType == "" {
 		return nil
 	}
 	if kept == nil {
-		kept, _ = endpoint.EncodeBody(res, contentType)
+		kept, _ = endpoint.EncodeBody(table(), contentType)
 		if kept == nil {
 			kept = []byte{}
 		}

@@ -70,7 +70,7 @@ func TestCachedBodiesServed(t *testing.T) {
 		before := p.HVS().Stats().Bytes
 		var kept int64
 		for _, ct := range []string{endpoint.ContentType, endpoint.ContentTypeTSV} {
-			want, ok := endpoint.EncodeBody(res, ct)
+			want, ok := endpoint.EncodeBody(sparql.TableOf(res), ct)
 			if !ok {
 				t.Fatalf("%s: EncodeBody refused a small answer", ct)
 			}
@@ -266,7 +266,7 @@ func TestConcurrentBodiesUnderWrites(t *testing.T) {
 				// The cache tiers' answer with the body kept beside it;
 				// QueryBody hands out only the body.
 				req := p.newRequest(queries[i%2])
-				res, body, _, served := p.tryCacheTiers(&req, ct)
+				h, served := p.tryCacheTiers(&req, ct)
 				if !served { // the backend answers, and the HVS records it
 					if _, _, err := p.QueryBody(context.Background(), queries[i%2], ct); err != nil {
 						t.Error(err)
@@ -274,12 +274,12 @@ func TestConcurrentBodiesUnderWrites(t *testing.T) {
 					}
 					continue
 				}
-				if body == nil { // too large to keep: the server encodes it
+				if h.body == nil { // too large to keep: the server encodes it
 					continue
 				}
 				kept.Add(1)
-				if want, _ := endpoint.EncodeBody(res, ct); !bytes.Equal(body, want) {
-					t.Errorf("a kept body is not its answer's encoding:\n%s\n%s", body, want)
+				if want, _ := endpoint.EncodeBody(sparql.TableOf(h.result()), ct); !bytes.Equal(h.body, want) {
+					t.Errorf("a kept body is not its answer's encoding:\n%s\n%s", h.body, want)
 					return
 				}
 			}

@@ -64,6 +64,21 @@ func (t *Table) Result() *Result {
 	return &Result{Vars: t.Vars, Rows: rows}
 }
 
+// NewTable is an answer whose every row binds every one of vars (distinct
+// names) as a table: cells holds the rows' terms row-major, len(vars) a
+// row.
+func NewTable(vars []string, cells []rdf.Term) *Table {
+	ids := make([]rdf.ID, len(cells))
+	for i := range ids {
+		ids[i] = rdf.ID(i + 1)
+	}
+	t := &Table{Vars: vars, cols: vars, ids: ids, terms: cells}
+	if len(vars) > 0 {
+		t.n = len(cells) / len(vars)
+	}
+	return t
+}
+
 // TableOf is a materialised answer (a remote endpoint's, or a cache
 // tier's) as a table: each bound term is copied into the table's own
 // term list. A name a row binds outside res.Vars becomes an extra column.
