@@ -27,12 +27,13 @@
 //
 // # Incremental evaluation
 //
-// Streaming chart construction (Pane.StreamPropertyChart,
-// StreamSubclassChart, StreamConnectionsChart) pages through one
-// snapshot of the store's triple set in windows of N triples (index
-// order — the store is a set and keeps no arrival order), emitting a
-// partial chart after every round for at most k rounds. N and k are the
-// IncrementalOptions argument of each call.
+// Streaming chart construction (Pane.StreamPropertyChart, the property
+// chart only) pages through one snapshot of the store's triple set in
+// windows of N triples (index order — the store is a set and keeps no
+// arrival order), emitting a partial chart after every round for at most
+// k rounds. N and k are the IncrementalOptions argument of each call.
+// Locally the whole chart from the store's kernel is faster than the
+// first partial; partial charts pay against a slow remote endpoint.
 package elinda
 
 import (

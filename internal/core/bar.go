@@ -183,15 +183,6 @@ type Chart struct {
 	Bars []ChartBar
 }
 
-// Labels returns labels(B) in display order.
-func (c *Chart) Labels() []rdf.Term {
-	out := make([]rdf.Term, len(c.Bars))
-	for i, b := range c.Bars {
-		out[i] = b.Bar.Label
-	}
-	return out
-}
-
 // Bar returns B[λ], the bar with the given label.
 func (c *Chart) Bar(label rdf.Term) (*ChartBar, bool) {
 	for i := range c.Bars {
@@ -324,13 +315,6 @@ func (p *patternBuilder) hopObject(prop rdf.Term, incoming bool) *patternBuilder
 	}
 	out.triples = append(out.triples, tp)
 	out.anchor = v
-	return out
-}
-
-// withFilter adds a FILTER on the anchor variable produced by cond.
-func (p *patternBuilder) withFilter(cond func(anchorVar string) sparql.Expr) *patternBuilder {
-	out := p.clone()
-	out.filters = append(out.filters, cond(out.anchor))
 	return out
 }
 

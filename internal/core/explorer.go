@@ -289,45 +289,3 @@ func objectsByClass(snap *store.Snapshot, set []rdf.ID, propID rdf.ID, incoming 
 	}
 	return perClass
 }
-
-// Filter applies the paper's filter operation: it "removes from each bar B
-// the URIs that violate the condition". Here it narrows one bar by a
-// predicate over terms, returning the narrowed bar Sf for a filter
-// expansion pane. The SPARQL condition mirrors the predicate for query
-// generation.
-func (e *Explorer) Filter(b *Bar, keep func(rdf.Term) bool, sparqlCond func(anchorVar string) sparqlExpr) *Bar {
-	var kept []rdf.ID
-	for _, id := range b.Set() {
-		if t, ok := e.st.Dict().TermOK(id); ok && keep(t) {
-			kept = append(kept, id)
-		}
-	}
-	pattern := b.pat()
-	if sparqlCond != nil {
-		pattern = pattern.withFilter(func(anchor string) sparqlExpr { return sparqlCond(anchor) })
-	}
-	return newBar(kept, b.Label, b.Type, pattern)
-}
-
-// FilterByPropertyValue narrows a class bar to members whose property
-// value equals (or contains, when substring) the given literal/IRI — the
-// data filters of Section 3.3 ("view only those philosophers who were born
-// in Vienna"). The returned bar is Sf, ready for a filter-expansion pane.
-func (e *Explorer) FilterByPropertyValue(b *Bar, prop rdf.Term, value rdf.Term) *Bar {
-	propID, okP := e.st.Dict().Lookup(prop)
-	valID, okV := e.st.Dict().Lookup(value)
-	var kept []rdf.ID
-	if okP && okV {
-		snap := e.st.Snapshot()
-		for _, s := range b.Set() {
-			if snap.ContainsID(s, propID, valID) {
-				kept = append(kept, s)
-			}
-		}
-	}
-	pattern := b.pat().clone()
-	v := pattern.freshVar("f")
-	pattern.triples = append(pattern.triples, tpVar(pattern.anchor, prop, v))
-	pattern.filters = append(pattern.filters, eqExpr(v, value))
-	return newBar(kept, b.Label, b.Type, pattern)
-}

@@ -274,21 +274,6 @@ func TestExpandApplicability(t *testing.T) {
 	}
 }
 
-func TestFilterByPropertyValue(t *testing.T) {
-	e := testFixture(t)
-	phil := e.ClassBar(ont("Philosopher"))
-	vienna := e.FilterByPropertyValue(phil, ont("birthPlace"), res("vienna"))
-	if vienna.Len() != 1 {
-		t.Fatalf("philosophers born in vienna = %d, want 1", vienna.Len())
-	}
-	term := e.st.Dict().Term(vienna.Set()[0])
-	if term != res("kant") {
-		t.Errorf("filtered member = %v, want kant", term)
-	}
-	// The generated SPARQL must reproduce the same set.
-	assertSPARQLSet(t, e, vienna)
-}
-
 func TestBarSPARQLReproducesSet(t *testing.T) {
 	e := testFixture(t)
 	// A multi-hop bar: Philosopher → influencedBy → objects of class

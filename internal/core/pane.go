@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"elinda/internal/incremental"
 	"elinda/internal/rdf"
@@ -113,25 +112,45 @@ func (p *Pane) ConnectionsChart(prop rdf.Term, incoming bool) (*Chart, error) {
 	return p.expl.objectExpansion(snap, bar.Bar, incoming), nil
 }
 
-// --- Streaming charts (Section 4 wired into the pane's tabs) ---
+// --- Streaming chart (Section 4 wired into the Property Data tab) ---
 
-// nonNilSet returns the pane's set, never nil: the subclass and property
-// aggregators read a nil set as "all subjects", while an empty pane must
-// count nothing.
-func (p *Pane) nonNilSet() []rdf.ID {
-	if set := p.bar.Set(); set != nil {
-		return set
-	}
-	return []rdf.ID{}
+// IncrementalOptions configure streaming chart construction.
+type IncrementalOptions struct {
+	// ChunkSize is the administrator's N.
+	ChunkSize int
+	// MaxRounds is the administrator's k (0 = run to completion).
+	MaxRounds int
 }
 
-// streamChart drives an incremental evaluation of agg, rebuilding the
-// chart from the aggregator state after each round. build is called with
-// the round's state already folded in and the store snapshot the stream
-// reads, which labels the bars and from which they build their sets;
-// onPartial returning false stops the stream early. The chart of the final
-// observed state is returned.
-func (p *Pane) streamChart(ctx context.Context, opts IncrementalOptions, agg incremental.Aggregator, build func(*store.Snapshot) *Chart, onPartial func(*Chart, incremental.Snapshot) bool) (*Chart, error) {
+// StreamPropertyChart computes the pane's property chart incrementally,
+// invoking onPartial after every chunk of N triples with the chart built
+// from the counts so far; onPartial returning false stops the stream
+// early. The chart of the final observed state is returned. Partial charts
+// are sorted like final ones, so the frontend can render them directly —
+// "effective latency for user interaction". Every bar builds its set on
+// first read, from the snapshot the stream reads: on the final chart that
+// is the set its count counts, on a partial chart the set its count is
+// still converging to.
+func (p *Pane) StreamPropertyChart(ctx context.Context, incoming bool, opts IncrementalOptions, onPartial func(*Chart, incremental.Snapshot) bool) (*Chart, error) {
+	set := p.bar.Set()
+	// The aggregator reads a nil set as "all subjects", while an empty
+	// pane must count nothing.
+	counted := set
+	if counted == nil {
+		counted = []rdf.ID{}
+	}
+	agg := incremental.NewPropertyAggregator(counted, incoming)
+
+	build := func(view *store.Snapshot) *Chart {
+		triples := agg.TripleCounts()
+		chart := &Chart{Kind: propertyKind(incoming), SourceLabel: p.bar.Label, SourceSize: p.bar.Len()}
+		for prop, n := range agg.Counts() {
+			members := func() []rdf.ID { return view.MembersWith(set, prop, incoming) }
+			chart.Bars = append(chart.Bars, propertyBar(view, p.bar, prop, incoming, n, triples[prop], members))
+		}
+		sortBars(chart.Bars)
+		return chart
+	}
 	ev := incremental.New(p.expl.st, incremental.Config(opts))
 	var final *Chart
 	last, err := ev.Run(ctx, agg, func(s incremental.Snapshot) bool {
@@ -151,58 +170,6 @@ func (p *Pane) streamChart(ctx context.Context, opts IncrementalOptions, agg inc
 		final = build(last.View)
 	}
 	return final, nil
-}
-
-// StreamSubclassChart computes the pane's subclass chart incrementally,
-// invoking onPartial after every chunk of N triples. Candidate subclasses
-// that have not yet been seen show with count zero, exactly like the
-// direct SubclassChart. Every bar builds its set on first read, from the
-// snapshot the stream reads: on the final chart that is the set its count
-// counts, on a partial chart the set its count is still converging to.
-func (p *Pane) StreamSubclassChart(ctx context.Context, opts IncrementalOptions, onPartial func(*Chart, incremental.Snapshot) bool) (*Chart, error) {
-	subclasses := p.expl.subclassesOf(p.bar)
-	agg := incremental.NewSubclassAggregator(p.expl.st.TypeID(), p.nonNilSet(), subclasses)
-	set := sortedSet(p.bar)
-
-	build := func(view *store.Snapshot) *Chart {
-		counts := agg.Counts()
-		chart := &Chart{Kind: SubclassExpansion, SourceLabel: p.bar.Label, SourceSize: p.bar.Len()}
-		for _, sub := range subclasses {
-			chart.Bars = append(chart.Bars, subclassBar(view, p.bar, set, sub, counts[sub]))
-		}
-		sortBars(chart.Bars)
-		return chart
-	}
-	return p.streamChart(ctx, opts, agg, build, onPartial)
-}
-
-// StreamConnectionsChart computes the Connections tab's chart (the object
-// expansion for the chosen property) incrementally. Unlike
-// ConnectionsChart it does not first materialize the property bar, so it
-// reports the pane's |S| as SourceSize and yields an empty chart — not an
-// error — for a property the set does not feature. Bars build their sets
-// on first read, as StreamSubclassChart's do; the bars of one chart share
-// one object distribution.
-func (p *Pane) StreamConnectionsChart(ctx context.Context, prop rdf.Term, incoming bool, opts IncrementalOptions, onPartial func(*Chart, incremental.Snapshot) bool) (*Chart, error) {
-	st := p.expl.st
-	propID, ok := st.Dict().Lookup(prop)
-	if !ok {
-		return &Chart{Kind: objectKind(incoming), SourceLabel: prop, SourceSize: p.bar.Len()}, nil
-	}
-	set := p.bar.Set()
-	agg := incremental.NewObjectAggregator(st.TypeID(), propID, set, incoming)
-	pattern := p.bar.pat().withProperty(prop, incoming).hopObject(prop, incoming)
-
-	build := func(view *store.Snapshot) *Chart {
-		byClass := sync.OnceValue(func() map[rdf.ID][]rdf.ID { return objectsByClass(view, set, propID, incoming) })
-		chart := &Chart{Kind: objectKind(incoming), SourceLabel: prop, SourceSize: p.bar.Len()}
-		for c, n := range agg.Counts() {
-			chart.Bars = append(chart.Bars, objectBar(view, pattern, c, n, func() []rdf.ID { return byClass()[c] }))
-		}
-		sortBars(chart.Bars)
-		return chart
-	}
-	return p.streamChart(ctx, opts, agg, build, onPartial)
 }
 
 // --- Data table (Section 3.3, "Browse instance data") ---

@@ -2,9 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"elinda/internal/incremental"
 	"elinda/internal/rdf"
 	"elinda/internal/sparql"
 )
@@ -83,6 +87,9 @@ func TestPaneConnectionsChart(t *testing.T) {
 	sci, ok := chart.Bar(ont("Scientist"))
 	if !ok || sci.Count != 2 {
 		t.Errorf("Scientist connections: %+v ok=%v", sci, ok)
+	}
+	if _, ok := chart.Bar(ont("Place")); ok {
+		t.Error("Place is not among the influencedBy connections")
 	}
 	if _, err := pane.ConnectionsChart(ont("nonexistent"), false); err == nil {
 		t.Error("missing property should error")
@@ -199,6 +206,12 @@ func TestFilterExpansionNarrowsSet(t *testing.T) {
 	if sf.Len() != 1 {
 		t.Fatalf("|Sf| = %d, want 1", sf.Len())
 	}
+	if term := e.st.Dict().Term(sf.Set()[0]); term != res("kant") {
+		t.Errorf("filtered member = %v, want kant", term)
+	}
+	if n := e.OpenPaneForBar(sf).Stats().Instances; n != 1 {
+		t.Errorf("Sf pane instances = %d, want 1", n)
+	}
 	// Sf supports further expansions.
 	chart, err := e.Expand(sf, PropertyExpansion)
 	if err != nil {
@@ -210,19 +223,6 @@ func TestFilterExpansionNarrowsSet(t *testing.T) {
 	}
 	// And its SPARQL reproduces the set.
 	assertSPARQLSet(t, e, sf)
-}
-
-func TestFilterGenericPredicate(t *testing.T) {
-	e := testFixture(t)
-	phil := e.ClassBar(ont("Philosopher"))
-	kantOnly := e.Filter(phil, func(term rdf.Term) bool {
-		return strings.Contains(term.Value, "kant")
-	}, func(anchor string) sparqlExpr {
-		return containsExpr(anchor, "kant")
-	})
-	if kantOnly.Len() != 1 {
-		t.Errorf("|filtered| = %d, want 1", kantOnly.Len())
-	}
 }
 
 func TestPaneForClassWithNoInstances(t *testing.T) {
@@ -238,5 +238,166 @@ func TestPaneForClassWithNoInstances(t *testing.T) {
 	table := pane.DataTable([]rdf.Term{ont("birthPlace")}, nil)
 	if len(table.Rows) != 0 {
 		t.Error("empty pane table should have no rows")
+	}
+}
+
+func TestStreamPropertyChartConvergesToDirect(t *testing.T) {
+	e := testFixture(t)
+	pane := e.OpenPane(ont("Philosopher"))
+	direct := pane.PropertyChart(false, -1)
+
+	for _, chunk := range []int{1, 5, 1000} {
+		partials := 0
+		final, err := pane.StreamPropertyChart(context.Background(), false,
+			IncrementalOptions{ChunkSize: chunk},
+			func(c *Chart, s incremental.Snapshot) bool {
+				partials++
+				// Partial counts never exceed the direct chart's.
+				for _, b := range c.Bars {
+					db, ok := direct.Bar(b.Bar.Label)
+					if !ok || b.Count > db.Count {
+						t.Fatalf("partial bar %s=%d exceeds final", b.LabelText, b.Count)
+					}
+				}
+				return true
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if partials == 0 {
+			t.Error("no partial callbacks")
+		}
+		if !chartsEqual(final, direct) {
+			t.Fatalf("chunk %d: streamed chart differs from direct", chunk)
+		}
+	}
+}
+
+func chartsEqual(a, b *Chart) bool {
+	if len(a.Bars) != len(b.Bars) {
+		return false
+	}
+	am := map[rdf.Term][3]int{}
+	bm := map[rdf.Term][3]int{}
+	for _, x := range a.Bars {
+		am[x.Bar.Label] = [3]int{x.Count, x.Triples, int(x.Coverage * 1000)}
+	}
+	for _, x := range b.Bars {
+		bm[x.Bar.Label] = [3]int{x.Count, x.Triples, int(x.Coverage * 1000)}
+	}
+	return reflect.DeepEqual(am, bm)
+}
+
+func TestStreamPropertyChartMaxRounds(t *testing.T) {
+	e := testFixture(t)
+	pane := e.OpenPane(ont("Philosopher"))
+	rounds := 0
+	_, err := pane.StreamPropertyChart(context.Background(), false,
+		IncrementalOptions{ChunkSize: 3, MaxRounds: 2},
+		func(c *Chart, s incremental.Snapshot) bool {
+			rounds = s.Round
+			return true
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rounds != 2 {
+		t.Errorf("rounds = %d, want 2", rounds)
+	}
+}
+
+func TestStreamPropertyChartCancel(t *testing.T) {
+	e := testFixture(t)
+	pane := e.OpenPane(ont("Philosopher"))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := pane.StreamPropertyChart(ctx, false, IncrementalOptions{ChunkSize: 2}, nil); err == nil {
+		t.Error("cancelled stream should error")
+	}
+}
+
+func TestStreamPropertyChartIncomingBars(t *testing.T) {
+	e := testFixture(t)
+	pane := e.OpenPane(ont("Philosopher"))
+	final, err := pane.StreamPropertyChart(context.Background(), true, IncrementalOptions{ChunkSize: 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := pane.PropertyChart(true, -1)
+	if !chartsEqual(final, direct) {
+		t.Error("incoming streamed chart differs from direct")
+	}
+}
+
+// TestStreamChartsEmptyPane: a pane over a class with no instances has a
+// nil set, which must stream an empty chart — not fall into the
+// aggregator's "nil means all subjects" mode and chart the whole store.
+func TestStreamChartsEmptyPane(t *testing.T) {
+	e := testFixture(t)
+	pane := e.OpenPane(ont("NoSuchClass"))
+	prop, err := pane.StreamPropertyChart(context.Background(), false, IncrementalOptions{ChunkSize: 5}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prop.Bars) != 0 {
+		t.Errorf("empty pane streamed %d property bars", len(prop.Bars))
+	}
+}
+
+func TestExplorerConcurrentHierarchy(t *testing.T) {
+	e := testFixture(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if g == 0 && i%10 == 0 {
+					// Writer: mutate the store so snapshots go stale.
+					e.Store().Add(rdf.Triple{
+						S: res(fmt.Sprintf("new%d", i)),
+						P: rdf.TypeIRI,
+						O: ont("Person"),
+					})
+				}
+				h := e.Hierarchy()
+				if h == nil {
+					t.Error("nil hierarchy")
+					return
+				}
+				e.OpenPane(ont("Person")).Stats()
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestStreamedBarsExpandLikeDirect: the bars of a final streamed chart are
+// real bars. On a static store each has the direct chart's bar's set, and
+// expands to the same chart.
+func TestStreamedBarsExpandLikeDirect(t *testing.T) {
+	e := testFixture(t)
+	ctx := context.Background()
+	opts := IncrementalOptions{ChunkSize: 5}
+	sameBars := func(what string, streamed *Chart, err error, direct *Chart, kind ExpansionKind) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		assertSameChart(t, what, streamed, direct)
+		for _, sb := range streamed.Bars {
+			db, _ := direct.Bar(sb.Bar.Label)
+			got, err := e.Expand(sb.Bar, kind)
+			if err != nil {
+				t.Fatalf("%s: expanding %s: %v", what, sb.LabelText, err)
+			}
+			want, _ := e.Expand(db.Bar, kind)
+			assertSameChart(t, fmt.Sprintf("%s, %s expanded", what, sb.LabelText), got, want)
+		}
+	}
+	phil := e.OpenPane(ont("Philosopher"))
+	for _, incoming := range []bool{false, true} {
+		got, err := phil.StreamPropertyChart(ctx, incoming, opts, nil)
+		sameBars(fmt.Sprintf("property incoming=%v", incoming), got, err, phil.PropertyChart(incoming, -1), objectKind(incoming))
 	}
 }

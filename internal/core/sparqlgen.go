@@ -7,9 +7,6 @@ import (
 	"elinda/internal/sparql"
 )
 
-// sparqlExpr aliases sparql.Expr for the filter-callback signatures.
-type sparqlExpr = sparql.Expr
-
 // tpVar builds the pattern {?anchor <prop> ?v}.
 func tpVar(anchor string, prop rdf.Term, v string) sparql.TriplePattern {
 	return sparql.TriplePattern{S: sparql.V(anchor), P: sparql.T(prop), O: sparql.V(v)}

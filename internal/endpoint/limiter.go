@@ -83,23 +83,6 @@ func (l *Limiter) Acquire(ctx context.Context, weight int64) error {
 	}
 }
 
-// TryAcquire acquires weight units without waiting. It reports success.
-func (l *Limiter) TryAcquire(weight int64) bool {
-	if weight < 1 {
-		weight = 1
-	}
-	if weight > l.capacity {
-		weight = l.capacity
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.waiters.Len() == 0 && l.inUse+weight <= l.capacity {
-		l.inUse += weight
-		return true
-	}
-	return false
-}
-
 // Release returns weight units (clamped like Acquire) and wakes queued
 // acquirers in FIFO order.
 func (l *Limiter) Release(weight int64) {

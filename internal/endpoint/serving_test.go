@@ -122,11 +122,15 @@ func TestLimiterFIFOAndWeights(t *testing.T) {
 	if err := l.Acquire(context.Background(), 3); err != nil {
 		t.Fatal(err)
 	}
-	if !l.TryAcquire(1) {
+	// A cancelled context admits only without waiting: what the server
+	// runs when AcquireTimeout is 0.
+	noWait, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := l.Acquire(noWait, 1); err != nil {
 		t.Fatal("capacity 4 should admit 3+1")
 	}
-	if l.TryAcquire(1) {
-		t.Fatal("over-capacity TryAcquire succeeded")
+	if err := l.Acquire(noWait, 1); err == nil {
+		t.Fatal("over-capacity Acquire without waiting succeeded")
 	}
 	// A queued heavy acquirer must not be starved by a light one arriving
 	// later: FIFO order.

@@ -19,7 +19,7 @@ package incremental
 import (
 	"context"
 	"fmt"
-	"slices"
+	"maps"
 
 	"elinda/internal/rdf"
 	"elinda/internal/store"
@@ -38,8 +38,9 @@ type Config struct {
 // DefaultChunkSize is the default N.
 const DefaultChunkSize = 100_000
 
-// Aggregator consumes triples and maintains partial chart counts. The
-// concrete aggregators below mirror the three expansions of Section 2.
+// Aggregator consumes triples and maintains partial chart counts.
+// PropertyAggregator, the property expansion of Section 2, is the one
+// implementation.
 type Aggregator interface {
 	// Observe processes one triple from the scan.
 	Observe(e rdf.EncodedTriple)
@@ -120,60 +121,6 @@ func (ev *Evaluator) Run(ctx context.Context, agg Aggregator, onRound func(Snaps
 	}
 }
 
-// --- Concrete aggregators for the three expansions of Section 2 ---
-
-// SubclassAggregator counts, for each direct subclass τ of the expanded
-// bar's class, the members of the bar's URI set S that are of class τ.
-type SubclassAggregator struct {
-	typeID rdf.ID
-	// s is the bar's URI set; nil means "all subjects" (the initial pane).
-	s map[rdf.ID]struct{}
-	// subclasses is the label set of the produced chart.
-	subclasses map[rdf.ID]struct{}
-	// seen deduplicates (subject, class) pairs across chunks.
-	seen   map[[2]rdf.ID]struct{}
-	counts map[rdf.ID]int
-}
-
-// NewSubclassAggregator builds an aggregator over the URI set s (nil = all
-// subjects) for the given candidate subclasses.
-func NewSubclassAggregator(typeID rdf.ID, s []rdf.ID, subclasses []rdf.ID) *SubclassAggregator {
-	a := &SubclassAggregator{
-		typeID:     typeID,
-		subclasses: idSet(subclasses),
-		seen:       make(map[[2]rdf.ID]struct{}),
-		counts:     make(map[rdf.ID]int),
-	}
-	if s != nil {
-		a.s = idSet(s)
-	}
-	return a
-}
-
-// Observe implements Aggregator.
-func (a *SubclassAggregator) Observe(e rdf.EncodedTriple) {
-	if e.P != a.typeID {
-		return
-	}
-	if _, want := a.subclasses[e.O]; !want {
-		return
-	}
-	if a.s != nil {
-		if _, in := a.s[e.S]; !in {
-			return
-		}
-	}
-	key := [2]rdf.ID{e.S, e.O}
-	if _, dup := a.seen[key]; dup {
-		return
-	}
-	a.seen[key] = struct{}{}
-	a.counts[e.O]++
-}
-
-// Counts implements Aggregator.
-func (a *SubclassAggregator) Counts() map[rdf.ID]int { return copyCounts(a.counts) }
-
 // PropertyAggregator counts, per property, the distinct members of S that
 // feature the property (outgoing) or are targeted by it (incoming) — the
 // coverage numerator of the property chart.
@@ -196,7 +143,10 @@ func NewPropertyAggregator(s []rdf.ID, incoming bool) *PropertyAggregator {
 		triples:  make(map[rdf.ID]int),
 	}
 	if s != nil {
-		a.s = idSet(s)
+		a.s = make(map[rdf.ID]struct{}, len(s))
+		for _, id := range s {
+			a.s[id] = struct{}{}
+		}
 	}
 	return a
 }
@@ -221,111 +171,8 @@ func (a *PropertyAggregator) Observe(e rdf.EncodedTriple) {
 }
 
 // Counts implements Aggregator.
-func (a *PropertyAggregator) Counts() map[rdf.ID]int { return copyCounts(a.counts) }
+func (a *PropertyAggregator) Counts() map[rdf.ID]int { return maps.Clone(a.counts) }
 
 // TripleCounts returns the per-property triple totals (the SUM(?sp) of the
 // paper's query).
-func (a *PropertyAggregator) TripleCounts() map[rdf.ID]int { return copyCounts(a.triples) }
-
-// ObjectAggregator implements the object expansion: for a fixed property
-// λ and subject set S, it counts objects o of each class τ with
-// (s, λ, o), s ∈ S. It needs two passes worth of state because the
-// object's class assertion may arrive before or after the connecting
-// triple; both orders are handled by keeping candidate sets.
-type ObjectAggregator struct {
-	typeID   rdf.ID
-	property rdf.ID
-	s        map[rdf.ID]struct{}
-	incoming bool
-
-	// connected holds the objects o with a connecting triple (s, λ, o),
-	// s ∈ S, seen so far.
-	connected map[rdf.ID]struct{}
-	// classOf accumulates type assertions for all nodes seen so far.
-	classOf map[rdf.ID][]rdf.ID
-	// counted deduplicates (object, class) pairs.
-	counted map[[2]rdf.ID]struct{}
-	counts  map[rdf.ID]int
-}
-
-// NewObjectAggregator builds an object-chart aggregator for property over
-// the URI set s. incoming selects the inverse direction (objects that
-// point INTO s via the property).
-func NewObjectAggregator(typeID, property rdf.ID, s []rdf.ID, incoming bool) *ObjectAggregator {
-	return &ObjectAggregator{
-		typeID:    typeID,
-		property:  property,
-		s:         idSet(s),
-		incoming:  incoming,
-		connected: make(map[rdf.ID]struct{}),
-		classOf:   make(map[rdf.ID][]rdf.ID),
-		counted:   make(map[[2]rdf.ID]struct{}),
-		counts:    make(map[rdf.ID]int),
-	}
-}
-
-// Observe implements Aggregator.
-func (a *ObjectAggregator) Observe(e rdf.EncodedTriple) {
-	if e.P == a.typeID {
-		a.classOf[e.S] = append(a.classOf[e.S], e.O)
-		if _, ok := a.connected[e.S]; ok {
-			a.count(e.S, e.O)
-		}
-		return
-	}
-	if e.P != a.property {
-		return
-	}
-	anchor, other := e.S, e.O
-	if a.incoming {
-		anchor, other = e.O, e.S
-	}
-	if _, in := a.s[anchor]; !in {
-		return
-	}
-	if _, was := a.connected[other]; !was {
-		a.connected[other] = struct{}{}
-		for _, c := range a.classOf[other] {
-			a.count(other, c)
-		}
-	}
-}
-
-func (a *ObjectAggregator) count(obj, class rdf.ID) {
-	key := [2]rdf.ID{obj, class}
-	if _, dup := a.counted[key]; dup {
-		return
-	}
-	a.counted[key] = struct{}{}
-	a.counts[class]++
-}
-
-// Counts implements Aggregator.
-func (a *ObjectAggregator) Counts() map[rdf.ID]int { return copyCounts(a.counts) }
-
-// ConnectedObjects returns the set Osp of objects connected to S via the
-// property, for continuing the exploration on the narrowed set.
-func (a *ObjectAggregator) ConnectedObjects() []rdf.ID {
-	out := make([]rdf.ID, 0, len(a.connected))
-	for o := range a.connected {
-		out = append(out, o)
-	}
-	slices.Sort(out)
-	return out
-}
-
-func idSet(ids []rdf.ID) map[rdf.ID]struct{} {
-	m := make(map[rdf.ID]struct{}, len(ids))
-	for _, id := range ids {
-		m[id] = struct{}{}
-	}
-	return m
-}
-
-func copyCounts(in map[rdf.ID]int) map[rdf.ID]int {
-	out := make(map[rdf.ID]int, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
-}
+func (a *PropertyAggregator) TripleCounts() map[rdf.ID]int { return maps.Clone(a.triples) }

@@ -190,18 +190,12 @@ func TestRunContextCancel(t *testing.T) {
 }
 
 // TestIncrementalConvergence (experiment T4): the chunked aggregation must
-// converge to exactly the single-shot full-scan result, for every
-// aggregator kind and several chunk sizes.
+// converge to exactly the single-shot full-scan result, in both directions
+// and for several chunk sizes.
 func TestIncrementalConvergence(t *testing.T) {
 	st, _ := buildGraph(t, 5, 300)
-	typeID := st.TypeID()
 	root := id(t, st, "Root")
 	instances := st.Snapshot().SubjectsOfType(root)
-
-	subclasses := make([]rdf.ID, 5)
-	for i := range subclasses {
-		subclasses[i] = id(t, st, fmt.Sprintf("C%d", i))
-	}
 
 	fullScan := func(mk func() Aggregator) map[rdf.ID]int {
 		agg := mk()
@@ -213,9 +207,6 @@ func TestIncrementalConvergence(t *testing.T) {
 	}
 
 	kinds := map[string]func() Aggregator{
-		"subclass": func() Aggregator {
-			return NewSubclassAggregator(typeID, instances, subclasses)
-		},
 		"property-out": func() Aggregator {
 			return NewPropertyAggregator(instances, false)
 		},
@@ -260,36 +251,6 @@ func TestPartialCountsNeverExceedFinal(t *testing.T) {
 	}
 }
 
-func TestSubclassAggregatorRestrictsToSet(t *testing.T) {
-	st := store.New(16)
-	st.Load([]rdf.Triple{
-		{S: ex("a"), P: rdf.TypeIRI, O: ex("C")},
-		{S: ex("b"), P: rdf.TypeIRI, O: ex("C")},
-		{S: ex("c"), P: rdf.TypeIRI, O: ex("D")},
-	})
-	cid := id(t, st, "C")
-	aID := id(t, st, "a")
-	agg := NewSubclassAggregator(st.TypeID(), []rdf.ID{aID}, []rdf.ID{cid})
-	st.Snapshot().Scan(0, 0, func(e rdf.EncodedTriple) bool { agg.Observe(e); return true })
-	counts := agg.Counts()
-	if counts[cid] != 1 {
-		t.Errorf("restricted count = %d, want 1", counts[cid])
-	}
-}
-
-func TestSubclassAggregatorDeduplicates(t *testing.T) {
-	st := store.New(8)
-	st.Add(rdf.Triple{S: ex("a"), P: rdf.TypeIRI, O: ex("C")})
-	cid := id(t, st, "C")
-	agg := NewSubclassAggregator(st.TypeID(), nil, []rdf.ID{cid})
-	e := rdf.EncodedTriple{S: id(t, st, "a"), P: st.TypeID(), O: cid}
-	agg.Observe(e)
-	agg.Observe(e) // same triple seen again (overlapping windows)
-	if agg.Counts()[cid] != 1 {
-		t.Errorf("duplicate observation double-counted")
-	}
-}
-
 func TestPropertyAggregatorTripleCounts(t *testing.T) {
 	st := store.New(8)
 	st.Load([]rdf.Triple{
@@ -305,59 +266,6 @@ func TestPropertyAggregatorTripleCounts(t *testing.T) {
 	}
 	if agg.TripleCounts()[p] != 3 {
 		t.Errorf("triple count = %d, want 3", agg.TripleCounts()[p])
-	}
-}
-
-func TestObjectAggregatorBothOrders(t *testing.T) {
-	// The connecting triple and the object's type assertion can arrive in
-	// either order across chunks; both must yield the same counts.
-	mk := func(order []rdf.Triple) map[string]int {
-		st := store.New(8)
-		st.Load(order)
-		s := id(t, st, "s")
-		p := id(t, st, "influencedBy")
-		agg := NewObjectAggregator(st.TypeID(), p, []rdf.ID{s}, false)
-		st.Snapshot().Scan(0, 0, func(e rdf.EncodedTriple) bool { agg.Observe(e); return true })
-		out := map[string]int{}
-		for cid, n := range agg.Counts() {
-			out[st.Dict().Term(cid).Value] = n
-		}
-		return out
-	}
-	link := rdf.Triple{S: ex("s"), P: ex("influencedBy"), O: ex("obj")}
-	typ := rdf.Triple{S: ex("obj"), P: rdf.TypeIRI, O: ex("Scientist")}
-	c1 := mk([]rdf.Triple{link, typ})
-	c2 := mk([]rdf.Triple{typ, link})
-	if !reflect.DeepEqual(c1, c2) {
-		t.Errorf("order sensitivity: %v vs %v", c1, c2)
-	}
-	if len(c1) != 1 {
-		t.Fatalf("counts = %v", c1)
-	}
-	for _, v := range c1 {
-		if v != 1 {
-			t.Errorf("count = %d, want 1", v)
-		}
-	}
-}
-
-func TestObjectAggregatorIncoming(t *testing.T) {
-	st := store.New(8)
-	st.Load([]rdf.Triple{
-		{S: ex("work"), P: ex("author"), O: ex("phil")},
-		{S: ex("work"), P: rdf.TypeIRI, O: ex("Book")},
-	})
-	phil := id(t, st, "phil")
-	author := id(t, st, "author")
-	agg := NewObjectAggregator(st.TypeID(), author, []rdf.ID{phil}, true)
-	st.Snapshot().Scan(0, 0, func(e rdf.EncodedTriple) bool { agg.Observe(e); return true })
-	book := id(t, st, "Book")
-	if agg.Counts()[book] != 1 {
-		t.Errorf("incoming object count = %v", agg.Counts())
-	}
-	objs := agg.ConnectedObjects()
-	if len(objs) != 1 || objs[0] != id(t, st, "work") {
-		t.Errorf("connected objects = %v", objs)
 	}
 }
 

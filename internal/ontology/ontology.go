@@ -174,25 +174,6 @@ func (h *Hierarchy) SubclassClosure(c rdf.ID) []rdf.ID {
 	return out
 }
 
-// SuperclassClosure returns all ancestors of c (not including c itself).
-func (h *Hierarchy) SuperclassClosure(c rdf.ID) []rdf.ID {
-	seen := map[rdf.ID]struct{}{c: {}}
-	var out []rdf.ID
-	stack := append([]rdf.ID(nil), h.parents[c]...)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if _, dup := seen[n]; dup {
-			continue
-		}
-		seen[n] = struct{}{}
-		out = append(out, n)
-		stack = append(stack, h.parents[n]...)
-	}
-	sortByLabel(h.st.Snapshot(), out)
-	return out
-}
-
 // SubclassCounts returns (direct, total) subclass counts for c — the
 // numbers shown in the pane header and hover pop-up ("5 direct subclasses,
 // and 277 subclasses in total").
@@ -228,28 +209,6 @@ func (h *Hierarchy) DeepInstances(c rdf.ID) []rdf.ID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// IsDescendantOf reports whether sub is in the subclass closure of sup.
-func (h *Hierarchy) IsDescendantOf(sub, sup rdf.ID) bool {
-	if sub == sup {
-		return false
-	}
-	seen := map[rdf.ID]struct{}{}
-	stack := append([]rdf.ID(nil), h.parents[sub]...)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n == sup {
-			return true
-		}
-		if _, dup := seen[n]; dup {
-			continue
-		}
-		seen[n] = struct{}{}
-		stack = append(stack, h.parents[n]...)
-	}
-	return false
 }
 
 // PathFromRoot returns one shortest chain root → ... → c through the

@@ -63,7 +63,7 @@ func explorerQueries(t *testing.T) map[string]string {
 		"object_in":      core.ObjectExpansionSPARQL(person, birthPlace, true),
 		"root_bar":       expl.RootBar().SPARQL(),
 		"class_bar":      expl.ClassBar(person).SPARQL(),
-		"filtered_bar":   expl.FilterByPropertyValue(expl.ClassBar(person), birthPlace, datagen.Res("City_0")).SPARQL(),
+		"filtered_bar":   expl.OpenPane(person).FilterExpansion([]core.TableFilter{{Property: birthPlace, Equals: datagen.Res("City_0")}}).SPARQL(),
 		"table":          expl.OpenPane(person).DataTable([]rdf.Term{birthPlace, rdf.LabelIRI}, nil).Query,
 		"table_equals":   expl.OpenPane(person).DataTable([]rdf.Term{birthPlace}, []core.TableFilter{{Property: birthPlace, Equals: datagen.Res("City_0")}}).Query,
 		"table_contains": expl.OpenPane(person).DataTable([]rdf.Term{birthPlace}, []core.TableFilter{{Property: rdf.LabelIRI, Contains: `a "quoted" \ name`}}).Query,
