@@ -274,6 +274,24 @@ func TestExpandApplicability(t *testing.T) {
 	}
 }
 
+// TestFilterByPropertyValue checks the single property = value filter
+// that the former Explorer.FilterByPropertyValue ran, through
+// Pane.FilterExpansion, the one filter path.
+func TestFilterByPropertyValue(t *testing.T) {
+	e := testFixture(t)
+	phil := e.OpenPane(ont("Philosopher"))
+	vienna := phil.FilterExpansion([]TableFilter{{Property: ont("birthPlace"), Equals: res("vienna")}})
+	if vienna.Len() != 1 {
+		t.Fatalf("philosophers born in vienna = %d, want 1", vienna.Len())
+	}
+	term := e.st.Dict().Term(vienna.Set()[0])
+	if term != res("kant") {
+		t.Errorf("filtered member = %v, want kant", term)
+	}
+	// The generated SPARQL must reproduce the same set.
+	assertSPARQLSet(t, e, vienna)
+}
+
 func TestBarSPARQLReproducesSet(t *testing.T) {
 	e := testFixture(t)
 	// A multi-hop bar: Philosopher → influencedBy → objects of class
